@@ -1,10 +1,17 @@
 """Closed-form connection coefficients between permuted simplex bases.
 
-For d=2 all six permutations have explicit formulas; for d=3 all 24 are
-reachable from a handful of explicit cases by exact matrix convolution and
-a sign rule.  For general d, permutations fixing a prefix or acting inside
-a prefix reduce to lower dimension, and the full cycle (12...d) has three
-closed forms built from multivariable Racah polynomials.
+Every connection matrix comes from one engine.  A permutation tau of the
+d+1 slots is a product s_{a_1} ... s_{a_k} of adjacent transpositions
+s_j = (j, j+1) (a reduced word), and the composition rule
+C^{t1 t2}(kappa) = C^{t2}(t1.kappa) C^{t1}(kappa) turns the word into a
+product of block-sparse factors.  The factor for s_d is the signed identity;
+the factor for s_j, j < d, is the d=2 (12) 4F3 entry with shifted
+parameters.  So the closed method is exact and total for every d.
+
+The paper's named formulas stay as identities checked against the Gram
+oracle: the d=2 entries and their Racah forms, the summation identity, the
+normalized d=3 Racah forms, and the normalized coefficients of the full
+cycle (three multivariable Racah forms) and of each adjacent transposition.
 """
 
 from .backend import R, ZERO, ONE
@@ -19,7 +26,7 @@ from .racah import (
     racah_weight_1d,
     racah_weight_multi,
 )
-from .simplex import Permutation, enumerate_basis, norm_A
+from .simplex import Permutation, enumerate_basis
 from .connection import ConnMatrix, gram_connection
 
 
@@ -154,110 +161,69 @@ def verify_sum_identity(k, ell, kappa, n):
 
 
 # ---------------------------------------------------------------------------
-# d = 3: all 24 permutations of the four slots
+# any d: products of adjacent transpositions
 # ---------------------------------------------------------------------------
 
-# Permutations whose matrices equal another's up to the sign (-1)^{nu_3}
-_S4_SIGN_RULE = {
-    "(34)": "e",
-    "(12)(34)": "(12)",
-    "(134)": "(13)",
-    "(143)": "(14)",
-    "(234)": "(23)",
-    "(243)": "(24)",
-    "(1234)": "(123)",
-    "(1243)": "(124)",
-    "(1324)": "(13)(24)",
-    "(1342)": "(132)",
-    "(1423)": "(14)(23)",
-    "(1432)": "(142)",
-}
 
-# tau = tau1 * tau2 (tau2 applied first); C^{tau}(k) = C^{tau2}(tau1.k) @ C^{tau1}(k)
-_S4_CONVOLUTION = {
-    "(132)": ("(123)", "(123)"),
-    "(124)": ("(12)", "(24)"),
-    "(142)": ("(24)", "(12)"),
-    "(13)": ("(123)", "(12)"),
-    "(14)": ("(124)", "(12)"),
-    "(13)(24)": ("(13)", "(24)"),
-    "(14)(23)": ("(14)", "(23)"),
-}
+def _adjacent_factor(j, kappa, n, d):
+    """C^{s_j}(kappa) at degree n for the adjacent transposition s_j = (j, j+1).
 
-# slot map for permutations fixing slot 1: relabel {2,3,4} -> {1,2,3}
-_S4_FIX1_TO_S3 = {"(23)": "(12)", "(24)": "(13)"}
+    s_d is the signed identity (-1)^{nu_d}.  For j < d the matrix is block
+    sparse: nu and mu agree outside slots j, j+1, and the block is the d=2
+    (12) entry at local degree nu_j + nu_{j+1} and parameters
+    (kappa_j, kappa_{j+1}, |kappa^{j+2}| + 2|nu^{j+2}| + d - j - 1).
+    """
+    if j == d:
+        return ConnMatrix.from_func(d, n, lambda nu, mu: _sign(nu[d - 1]) if nu == mu else ZERO)
+    k_tail = sum(kappa[j + 1:], ZERO)
+    # rows that differ only before slot j share their block entries
+    block = {}
+
+    def entry(nu, mu):
+        if nu[: j - 1] != mu[: j - 1] or nu[j + 1:] != mu[j + 1:]:
+            return ZERO
+        key = (nu[j - 1], nu[j], mu[j], sum(nu[j + 1:]))
+        c = block.get(key)
+        if c is None:
+            khat = (kappa[j - 1], kappa[j], k_tail + 2 * key[3] + d - j - 1)
+            c = cc_2d_entry("(12)", nu[j], mu[j], khat, nu[j - 1] + nu[j])
+            block[key] = c
+        return c
+
+    return ConnMatrix.from_func(d, n, entry)
 
 
-def _perm4(name):
-    return Permutation.from_cycles(name, 4)
+def _word_connection(tau, kappa, n):
+    """C^tau(kappa) as the product F_k ... F_1 over a reduced word of tau.
+
+    With tau = s_{a_1} ... s_{a_k}, the composition rule
+    C^{t1 t2}(kappa) = C^{t2}(t1.kappa) C^{t1}(kappa) gives
+    F_i = C^{s_{a_i}}(kappa_i), kappa_1 = kappa, kappa_{i+1} = s_{a_i}.kappa_i.
+    """
+    d = tau.m - 1
+    kappa = tuple(R(k) for k in kappa)
+    mat = None
+    for a in tau.reduced_word():
+        factor = _adjacent_factor(a, kappa, n, d)
+        mat = factor if mat is None else factor.matmul(mat)
+        kappa = kappa[: a - 1] + (kappa[a], kappa[a - 1]) + kappa[a + 1:]
+    if mat is None:
+        return ConnMatrix.from_func(d, n, lambda nu, mu: ONE if nu == mu else ZERO)
+    return mat
 
 
 def cc_3d_matrix(tau, kappa, n):
-    """Degree-n connection matrix for tau in S_4, by closed forms only."""
-    name = repr(tau if isinstance(tau, Permutation) else _perm4(tau))
-    kappa = tuple(R(k) for k in kappa)
-    return _cc_3d_by_name(name, kappa, n)
+    """Degree-n connection matrix for tau in S_4 (a Permutation or cycle string)."""
+    if not isinstance(tau, Permutation):
+        tau = Permutation.from_cycles(tau, 4)
+    if tau.m != 4:
+        raise ValueError(f"cc_3d_matrix needs a permutation of 4 slots, got {tau!r}")
+    return _word_connection(tau, kappa, n)
 
 
-def _cc_3d_by_name(name, kappa, n):
-    order = enumerate_basis(3, n)
-    k1, k2, k3, k4 = kappa
-
-    if name == "e":
-        return ConnMatrix.from_func(3, n, lambda nu, mu: ONE if nu == mu else ZERO)
-
-    if name in _S4_SIGN_RULE:
-        base = _cc_3d_by_name(_S4_SIGN_RULE[name], kappa, n)
-        rows = [
-            [_sign(nu[2]) * v for v in base.rows[i]] for i, nu in enumerate(order)
-        ]
-        return ConnMatrix(3, n, rows, order)
-
-    if name == "(12)":
-        def entry(nu, mu):
-            if nu[2] != mu[2]:
-                return ZERO
-            khat = (k1, k2, k3 + k4 + 2 * nu[2] + 1)
-            return cc_2d_entry("(12)", nu[1], mu[1], khat, n - nu[2])
-
-        return ConnMatrix.from_func(3, n, entry)
-
-    if name in _S4_FIX1_TO_S3:
-        name2d = _S4_FIX1_TO_S3[name]
-
-        def entry(nu, mu):
-            if nu[0] != mu[0]:
-                return ZERO
-            return cc_2d_entry(name2d, nu[2], mu[2], (k2, k3, k4), n - nu[0])
-
-        return ConnMatrix.from_func(3, n, entry)
-
-    if name == "(123)":
-        # single surviving convolution term through omega = (nu1, n-nu1-mu3, mu3)
-        k12 = (k2, k1, k3, k4)
-
-        def entry(nu, mu):
-            om = (nu[0], n - nu[0] - mu[2], mu[2])
-            if om[1] < 0:
-                return ZERO
-            # c^{(23)}_{nu,om} at parameters (12).kappa
-            a = cc_2d_entry("(12)", nu[2], om[2], (k12[1], k12[2], k12[3]), n - nu[0])
-            if a == 0:
-                return ZERO
-            khat = (k1, k2, k3 + k4 + 2 * om[2] + 1)
-            b = cc_2d_entry("(12)", om[1], mu[1], khat, n - om[2])
-            return a * b
-
-        return ConnMatrix.from_func(3, n, entry)
-
-    if name in _S4_CONVOLUTION:
-        n1, n2 = _S4_CONVOLUTION[name]
-        t1 = _perm4(n1)
-        m1 = _cc_3d_by_name(n1, kappa, n)
-        m2 = _cc_3d_by_name(n2, t1.act_params(kappa), n)
-        return m2.matmul(m1)
-
-    raise ValueError(f"unknown S4 permutation {name!r}")
+# ---------------------------------------------------------------------------
+# d = 3: normalized Racah forms
+# ---------------------------------------------------------------------------
 
 
 def _hat_racah_2v(idx, x, beta, n):
@@ -338,69 +304,8 @@ def cc_3d_hat13_terms(nu, mu, kappa, n):
 
 
 # ---------------------------------------------------------------------------
-# general d: reductions and the cyclic permutation
+# normalized closed forms for the cycle and adjacent transpositions
 # ---------------------------------------------------------------------------
-
-
-def reduce_fix_first(tau, j):
-    """For tau fixing slots 1..j, the induced permutation on the remaining slots."""
-    m = tau.m
-    for i in range(1, j + 1):
-        if tau(i) != i:
-            raise ValueError(f"tau does not fix slot {i}")
-    return Permutation(tuple(tau(i) - j for i in range(j + 1, m + 1)))
-
-
-def cc_fix_first(tau, kappa, n, j, lower_cc):
-    """Connection matrix when tau fixes slots 1..j, from lower-dim matrices.
-
-    lower_cc(tau_low, kappa_low, n_low) must return the ConnMatrix for the
-    reduced problem in d-j variables.
-    """
-    d = tau.m - 1
-    kappa = tuple(R(k) for k in kappa)
-    tau_low = reduce_fix_first(tau, j)
-    k_low = kappa[j:]
-    order = enumerate_basis(d, n)
-    sub = {}
-
-    def entry(nu, mu):
-        if nu[:j] != mu[:j]:
-            return ZERO
-        n_low = n - sum(nu[:j])
-        m = sub.get(n_low)
-        if m is None:
-            m = lower_cc(tau_low, k_low, n_low)
-            sub[n_low] = m
-        return m.entry(nu[j:], mu[j:])
-
-    return ConnMatrix.from_func(d, n, entry)
-
-
-def cc_fix_last(tau, kappa, n, k, lower_cc):
-    """Connection matrix when tau lies in S_k acting on the first k slots, k <= d."""
-    d = tau.m - 1
-    kappa = tuple(R(kk) for kk in kappa)
-    for i in range(k + 1, d + 2):
-        if tau(i) != i:
-            raise ValueError(f"tau does not fix slot {i}")
-    tau_low = Permutation(tuple(tau(i) for i in range(1, k + 1)))
-    sub = {}
-
-    def entry(nu, mu):
-        if nu[k:] != mu[k:]:
-            return ZERO
-        tail = sum(nu[k:])
-        k_low = kappa[:k] + (sum(kappa[k:], ZERO) + 2 * tail + d - k,)
-        n_low = n - tail
-        key = (k_low, n_low)
-        m = sub.get(key)
-        if m is None:
-            m = lower_cc(tau_low, k_low, n_low)
-            sub[key] = m
-        return m.entry(nu[:k], mu[:k])
-
-    return ConnMatrix.from_func(d, n, entry)
 
 
 def cc_cyclic_hat(nu, mu, kappa, n, form=1):
@@ -464,31 +369,13 @@ def cc_adjacent_hat(nu, mu, kappa, n, j):
 
 
 def connection_matrix(tau, kappa, n, method="closed"):
-    """Connection matrix for tau, by closed forms (d<=3) or direct inner products."""
-    d = tau.m - 1
+    """Degree-n connection matrix C^tau(kappa), exact, for tau in S_{d+1}.
+
+    method="closed" multiplies adjacent-transposition factors along a
+    reduced word of tau (any d); method="gram" takes direct inner products.
+    """
     if method == "gram":
         return gram_connection(tau, kappa, n)
-    if d == 2:
-        return cc_2d_matrix(tau, kappa, n)
-    if d == 3:
-        return cc_3d_matrix(tau, kappa, n)
-    if tau.is_identity():
-        return ConnMatrix.from_func(d, n, lambda nu, mu: ONE if nu == mu else ZERO)
-    fixed_prefix = 0
-    for i in range(1, d + 2):
-        if tau(i) == i:
-            fixed_prefix += 1
-        else:
-            break
-    if fixed_prefix >= 1 and d - fixed_prefix <= 3:
-        return cc_fix_first(tau, tuple(R(k) for k in kappa), n, fixed_prefix, connection_matrix)
-    top_fixed = all(tau(i) == i for i in range(5, d + 2))
-    if top_fixed and d > 3:
-        return cc_fix_last(tau, tuple(R(k) for k in kappa), n, 4, _embedded_s4)
-    return gram_connection(tau, kappa, n)
-
-
-def _embedded_s4(tau_low, kappa_low, n_low):
-    if tau_low.m == 4:
-        return cc_3d_matrix(tau_low, kappa_low, n_low)
-    return connection_matrix(tau_low, kappa_low, n_low)
+    if method != "closed":
+        raise ValueError(f"method must be 'closed' or 'gram', not {method!r}")
+    return _word_connection(tau, kappa, n)

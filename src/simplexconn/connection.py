@@ -10,6 +10,7 @@ from .backend import R, ZERO, ONE
 from .exact_arith import QSqrt
 from .multipoly import grevlex_key
 from .simplex import (
+    _MOMENT_CACHE,
     enumerate_basis,
     inner_product_simplex,
     jacobi_simplex_basis,
@@ -194,6 +195,7 @@ def verify_convolution(mat_12, mat_2_at_t1k, mat_1_at_k):
 
 
 def clear_caches():
+    _MOMENT_CACHE.clear()
     _POLY_CACHE.clear()
     _ACTED_CACHE.clear()
     _GRAM_CACHE.clear()

@@ -1,46 +1,27 @@
 """Exact comparison of sums of square roots of rationals.
 
-Every value sign*sqrt(p/q) is rewritten as (coefficient)*sqrt(core) with a
-squarefree integer core; sums are then compared coefficient-by-coefficient
-within each core, which is an exact equality test because square roots of
-distinct squarefree integers are linearly independent over the rationals.
+Two radicands r, r' fall in one class when r/r' is the square of a rational;
+then sign*sqrt(r) = (sign*sqrt(r/r')) * sqrt(r') is a rational multiple of
+sqrt(r').  Square roots from distinct classes are linearly independent over
+the rationals, so two sums are equal iff, in every class, the rational
+coefficients of the difference add up to zero.
 """
 
-from sympy import factorint
+from .exact_arith import QSqrt
 
-from .backend import R, ZERO, numer, denom
-
-
-def sqrt_decompose(x):
-    """Write sqrt(x) = coef*sqrt(core) with core a squarefree positive integer."""
-    if x < 0:
-        raise ValueError("radicand must be nonnegative")
-    if x == 0:
-        return ZERO, 1
-    p, q = numer(x), denom(x)
-    m = int(p * q)
-    s, core = 1, 1
-    for prime, e in factorint(m).items():
-        s *= prime ** (e // 2)
-        if e % 2:
-            core *= prime
-    return R(s, q), int(core)
-
-
-def qsqrt_decompose(q):
-    """Signed decomposition of a QSqrt value into (coefficient, core)."""
-    coef, core = sqrt_decompose(q.radicand)
-    return q.sign * coef, core
-
-
-def qsqrt_sum_collect(values):
-    """Collect a list of QSqrt values into a {core: coefficient} map."""
-    acc = {}
-    for q in values:
-        coef, core = qsqrt_decompose(q)
-        acc[core] = acc.get(core, ZERO) + coef
-    return {c: v for c, v in acc.items() if v != ZERO}
 
 def qsqrt_sums_equal(left, right):
     """Exact equality of two sums of QSqrt values."""
-    return qsqrt_sum_collect(left) == qsqrt_sum_collect(right)
+    classes = []  # [representative radicand, coefficient of its square root]
+    for side, values in ((1, left), (-1, right)):
+        for q in values:
+            if q.sign == 0:
+                continue
+            for cls in classes:
+                root = QSqrt.sqrt(q.radicand / cls[0]).as_rational()
+                if root is not None:
+                    cls[1] += side * q.sign * root
+                    break
+            else:
+                classes.append([q.radicand, side * q.sign])
+    return all(coef == 0 for _, coef in classes)

@@ -68,6 +68,21 @@ class Permutation:
             raise ValueError("size mismatch")
         return Permutation(self.img[other.img[i] - 1] for i in range(self.m))
 
+    def reduced_word(self):
+        """Indices a_1, ..., a_k with self = s_{a_1} * ... * s_{a_k}, s_a = (a, a+1).
+
+        Found by bubble sort, so k is the number of inversions of self.
+        """
+        img = list(self.img)
+        swaps = []
+        for end in range(len(img) - 1, 0, -1):
+            for a in range(1, end + 1):
+                if img[a - 1] > img[a]:
+                    # img becomes the images of self * s_a
+                    img[a - 1], img[a] = img[a], img[a - 1]
+                    swaps.append(a)
+        return tuple(reversed(swaps))
+
     def inverse(self):
         inv = [0] * self.m
         for i, v in enumerate(self.img):

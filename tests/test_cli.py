@@ -28,6 +28,15 @@ def test_connect_method_both_consistent():
     assert proc.returncode == 0
 
 
+def test_connect_closed_d4_transposition():
+    args = ("connect", "--tau", "(12)", "--kappa", "1/2,1/3,1/4,1/5,1/6", "--n", "1")
+    closed = run_cli(*args, "--method", "closed")
+    assert closed.returncode == 0, closed.stderr
+    gram = run_cli(*args, "--method", "gram")
+    assert json.loads(closed.stdout) == json.loads(gram.stdout)
+    assert run_cli(*args, "--method", "both").returncode == 0
+
+
 def test_verify_whipple_deterministic():
     a = run_cli("verify", "--suite", "whipple", "--count", "20", "--seed", "7")
     b = run_cli("verify", "--suite", "whipple", "--count", "20", "--seed", "7")

@@ -1,4 +1,7 @@
 import itertools
+import random
+
+import pytest
 
 from simplexconn.backend import R, ZERO, ONE
 from simplexconn.simplex import Permutation, enumerate_basis
@@ -117,3 +120,46 @@ def test_connection_matrix_dispatch_agrees():
             a = cf.connection_matrix(tau, KAPPA2, n, method="closed")
             b = cf.connection_matrix(tau, KAPPA2, n, method="gram")
             assert a.rows == b.rows
+
+
+def test_unknown_method_raises():
+    tau = Permutation.from_cycles("(12)", 3)
+    with pytest.raises(ValueError, match="'closed' or 'gram'"):
+        cf.connection_matrix(tau, KAPPA2, 1, method="clsoed")
+
+
+def kappa_for(d):
+    return tuple(R(1, i + 2) for i in range(d + 1))
+
+
+def test_closed_matches_gram_all_s5():
+    kappa = kappa_for(4)
+    for tau in all_perms(5):
+        assert cf.connection_matrix(tau, kappa, 1).rows == gram_connection(tau, kappa, 1).rows
+
+
+def test_closed_matches_gram_top_fixed_moving_slot_1_d4():
+    kappa = kappa_for(4)
+    taus = [t for t in all_perms(5) if t(5) == 5 and t(1) != 1]
+    assert len(taus) == 18
+    for tau in taus:
+        assert cf.connection_matrix(tau, kappa, 2).rows == gram_connection(tau, kappa, 2).rows
+
+
+def test_closed_matches_gram_sample_s6():
+    kappa = kappa_for(5)
+    for tau in random.Random(6).sample(all_perms(6), 24):
+        assert cf.connection_matrix(tau, kappa, 1).rows == gram_connection(tau, kappa, 1).rows
+
+
+def test_closed_method_never_calls_gram(monkeypatch):
+    def no_gram(*args):
+        raise AssertionError("closed method called gram_connection")
+
+    monkeypatch.setattr(cf, "gram_connection", no_gram)
+    for d, n in ((2, 3), (3, 2), (4, 2), (5, 1)):
+        kappa = kappa_for(d)
+        taus = all_perms(d + 1) if d <= 3 else random.Random(d).sample(all_perms(d + 1), 12)
+        taus.append(Permutation(tuple(range(d + 1, 0, -1))))  # the longest word
+        for tau in taus:
+            assert cf.connection_matrix(tau, kappa, n, method="closed").d == d

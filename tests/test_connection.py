@@ -1,9 +1,11 @@
 import random
 
+from simplexconn import simplex
 from simplexconn.backend import R, ZERO, ONE, rat_str
 from simplexconn.simplex import Permutation, all_permutations, norm_A
 from simplexconn.connection import (
     ConnMatrix,
+    clear_caches,
     gram_connection,
     normalize,
     verify_column_orthogonality,
@@ -107,3 +109,10 @@ def test_json_shape():
     obj = mat.to_json()
     assert obj["order"] == [[1, 0], [0, 1]]
     assert all(isinstance(c, str) for row in obj["entries"] for c in row)
+
+
+def test_clear_caches_clears_moments():
+    gram_connection(Permutation.from_cycles("(12)", 3), (R(1, 7), R(2, 7), R(3, 7)), 2)
+    assert simplex._MOMENT_CACHE
+    clear_caches()
+    assert not simplex._MOMENT_CACHE

@@ -1,0 +1,31 @@
+import subprocess
+import sys
+
+from simplexconn.backend import R
+from simplexconn.exact_arith import QSqrt
+from simplexconn.radicals import qsqrt_sums_equal
+
+
+def test_equal_sums_in_one_class():
+    # sqrt(8) = sqrt(2) + sqrt(2)
+    assert qsqrt_sums_equal([QSqrt(1, 8)], [QSqrt(1, 2), QSqrt(1, 2)])
+    # sqrt(1/2) = (1/2) sqrt(2), written as two quarters sqrt(1/8)
+    assert qsqrt_sums_equal([QSqrt(1, R(1, 2))], [QSqrt(1, R(1, 8)), QSqrt(1, R(1, 8))])
+    assert qsqrt_sums_equal([QSqrt(1, R(1, 2))], [QSqrt(1, 2).scale(R(1, 2))])
+
+
+def test_unequal_sums_across_classes():
+    # sqrt(2) + sqrt(3) != sqrt(5)
+    assert not qsqrt_sums_equal([QSqrt(1, 2), QSqrt(1, 3)], [QSqrt(1, 5)])
+    assert not qsqrt_sums_equal([QSqrt(1, 2)], [QSqrt(-1, 2)])
+
+
+def test_zero_terms_and_cancellation():
+    assert qsqrt_sums_equal([QSqrt(0, 0), QSqrt(1, 3), QSqrt(-1, 3)], [])
+    assert qsqrt_sums_equal([QSqrt(1, 12), QSqrt(-1, 3)], [QSqrt(1, 3)])
+
+
+def test_import_without_sympy():
+    code = 'import sys; sys.modules["sympy"] = None; import simplexconn'
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr

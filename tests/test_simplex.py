@@ -55,6 +55,18 @@ class TestPermutation:
         one = SparsePoly.constant(2, ONE)
         assert acted == one - x1 - SparsePoly.variable(2, 1)
 
+    def test_reduced_word_is_a_shortest_product_of_adjacent_transpositions(self):
+        for m in (1, 2, 3, 4, 5):
+            for tau in all_permutations(m):
+                prod = Permutation.identity(m)
+                for a in tau.reduced_word():
+                    prod = prod * Permutation.from_cycles(f"({a} {a + 1})", m)
+                inversions = sum(
+                    tau(i) > tau(j) for i in range(1, m + 1) for j in range(i + 1, m + 1)
+                )
+                assert prod == tau
+                assert len(tau.reduced_word()) == inversions
+
     @given(perms(3), perms(3))
     @settings(max_examples=30, deadline=None)
     def test_var_action_composition(self, a, b):
