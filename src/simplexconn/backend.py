@@ -58,11 +58,3 @@ def numer(r):
 
 def denom(r):
     return int(r.denominator)
-
-
-def is_integer(r):
-    return r.denominator == 1
-
-
-def is_nonneg_integer(r):
-    return r.denominator == 1 and r.numerator >= 0

@@ -33,6 +33,14 @@ def parse_rationals(text):
     return tuple(rat_from_str(part.strip()) for part in text.split(","))
 
 
+def _required(args, name):
+    """The value of option --name, which the chosen --family needs."""
+    value = getattr(args, name)
+    if value is None:
+        raise ValueError("--%s is required for --family %s" % (name, args.family))
+    return value
+
+
 def matrix_json(mat):
     return {
         "d": mat.d,
@@ -97,7 +105,7 @@ def cmd_basis(args):
 def cmd_connect(args):
     tau_text = args.tau
     if args.family == "simplex":
-        kappa = parse_rationals(args.kappa)
+        kappa = parse_rationals(_required(args, "kappa"))
         d = len(kappa) - 1
         tau = Permutation.from_cycles(tau_text, d + 1)
         mats = {}
@@ -122,21 +130,21 @@ def cmd_connect(args):
         emit(args, payload, "connect")
         return 0
     if args.family == "hahn":
-        kappa = parse_rationals(args.kappa)
+        kappa = parse_rationals(_required(args, "kappa"))
         d = len(kappa) - 1
         tau = Permutation.from_cycles(tau_text, d + 1)
-        mat = ds.hahn_connection(tau, kappa, args.N, args.n)
+        mat = ds.hahn_connection(tau, kappa, _required(args, "N"), args.n)
         emit(args, matrix_json(mat), "connect")
         return 0
     if args.family == "kraw":
-        rho = parse_rationals(args.rho)
+        rho = parse_rationals(_required(args, "rho"))
         d = len(rho)
         tau = Permutation.from_cycles(tau_text, d + 1)
-        mat = ds.kraw_connection(tau, rho, args.N, args.n)
+        mat = ds.kraw_connection(tau, rho, _required(args, "N"), args.n)
         emit(args, matrix_json(mat), "connect")
         return 0
     if args.family == "ball":
-        kappa = parse_rationals(args.kappa)
+        kappa = parse_rationals(_required(args, "kappa"))
         d = len(kappa) - 1
         tau = Permutation.from_cycles(tau_text, d)
         conn = bs.ball_connection(tau, kappa, args.n)

@@ -7,12 +7,9 @@ Their connection coefficients coincide with (Hahn) or are limits of
 (Krawtchouk) the simplex Jacobi ones.
 """
 
-import itertools
-
 from .backend import R, ZERO, ONE
-from .exact_arith import QSqrt, hyp_terminating, hyp_with_prefactor, pochhammer
-from .multipoly import SparsePoly, grevlex_key
-from .simplex import a_coeffs, enumerate_basis, jacobi_simplex_basis, norm_A
+from .exact_arith import QSqrt, hyp_with_prefactor, pochhammer
+from .simplex import a_coeffs, enumerate_basis, jacobi_simplex_basis
 from .connection import ConnMatrix
 
 
@@ -30,12 +27,6 @@ def compositions(total, parts):
 # ---------------------------------------------------------------------------
 # Hahn
 # ---------------------------------------------------------------------------
-
-
-def hahn_1d(n, x, a, b, N):
-    """Q_n(x; a, b, N) as a terminating 3F2 at z=1."""
-    a, b = R(a), R(b)
-    return hyp_terminating([R(-n), n + a + b + 1, R(-x)], [a + 1, R(-N)], ONE)
 
 
 def hahn_multi(nu, x, kappa, N):
@@ -64,13 +55,22 @@ def hahn_weight(alpha, kappa):
     return val
 
 
-def hahn_inner(fvals, gvals, kappa, N):
-    """<f, g> from values indexed by the compositions grid of |alpha| = N."""
+def _weighted_sum(fvals, gvals, weighted_grid):
+    """Sum of f(x) g(x) w(x) over (x, w(x)) pairs: the one discrete inner product."""
+    return sum((fvals[x] * gvals[x] * w for x, w in weighted_grid), ZERO)
+
+
+def _hahn_weighted_grid(kappa, N):
+    """(alpha, weight) over |alpha| = N, with N!/(lambda)_N folded into the weight."""
     d = len(kappa) - 1
     lam = sum((R(k) for k in kappa), ZERO) + d + 1
-    grid = compositions(N, d + 1)
-    s = sum((fvals[a] * gvals[a] * hahn_weight(a, kappa) for a in grid), ZERO)
-    return pochhammer(ONE, N) / pochhammer(lam, N) * s
+    scale = pochhammer(ONE, N) / pochhammer(lam, N)
+    return [(a, scale * hahn_weight(a, kappa)) for a in compositions(N, d + 1)]
+
+
+def hahn_inner(fvals, gvals, kappa, N):
+    """<f, g> from values indexed by the compositions grid of |alpha| = N."""
+    return _weighted_sum(fvals, gvals, _hahn_weighted_grid(kappa, N))
 
 
 def p_factor(nu, kappa):
@@ -145,26 +145,19 @@ def hahn_connection(tau, kappa, N, n):
     kappa = tuple(R(k) for k in kappa)
     tk = tau.act_params(kappa)
     order = enumerate_basis(d, n)
-    grid = compositions(N, d + 1)
+    weighted = _hahn_weighted_grid(kappa, N)
     vals = {mu: hahn_values(mu, kappa, N) for mu in order}
+    norms = {mu: hahn_norm_B(mu, kappa, N) for mu in order}
     rows = []
     for nu in order:
-        src = {a: hahn_multi(nu, tuple(a[tau(i) - 1] for i in range(1, d + 2)), tk, N) for a in grid}
-        row = []
-        for mu in order:
-            row.append(hahn_inner(src, vals[mu], kappa, N) / hahn_norm_B(mu, kappa, N))
-        rows.append(row)
+        src = {a: hahn_multi(nu, tuple(a[tau(i) - 1] for i in range(1, d + 2)), tk, N) for a, _ in weighted}
+        rows.append([_weighted_sum(src, vals[mu], weighted) / norms[mu] for mu in order])
     return ConnMatrix(d, n, rows, order)
 
 
 # ---------------------------------------------------------------------------
 # Krawtchouk
 # ---------------------------------------------------------------------------
-
-
-def kraw_1d(n, x, p, N):
-    """K_n(x; p, N) as a terminating 2F1 at 1/p."""
-    return hyp_terminating([R(-n), R(-x)], [R(-N)], ONE / R(p))
 
 
 def kraw_grid(d, N):
@@ -205,11 +198,13 @@ def kraw_norm_C(nu, rho, N):
     return val
 
 
+def _kraw_weighted_grid(rho, N):
+    """(x, weight) over |x| <= N."""
+    return [(x, kraw_weight(x, rho, N)) for x in kraw_grid(len(rho), N)]
+
+
 def kraw_inner(fvals, gvals, rho, N):
-    d = len(rho)
-    return sum(
-        (fvals[x] * gvals[x] * kraw_weight(x, rho, N) for x in kraw_grid(d, N)), ZERO
-    )
+    return _weighted_sum(fvals, gvals, _kraw_weighted_grid(rho, N))
 
 
 def kraw_dual(x, nu, rho):
@@ -239,19 +234,17 @@ def kraw_connection(tau, rho, N, n):
     rho = tuple(R(r) for r in rho)
     trho = tau_rho(tau, rho)
     order = enumerate_basis(d, n)
-    grid = kraw_grid(d, N)
-    vals = {mu: {x: kraw_multi(mu, x, rho, N) for x in grid} for mu in order}
+    weighted = _kraw_weighted_grid(rho, N)
+    vals = {mu: {x: kraw_multi(mu, x, rho, N) for x, _ in weighted} for mu in order}
+    norms = {mu: kraw_norm_C(mu, rho, N) for mu in order}
     rows = []
     for nu in order:
         src = {}
-        for x in grid:
+        for x, _ in weighted:
             ext = tuple(x) + (N - sum(x),)
             tx = tuple(ext[tau(i) - 1] for i in range(1, d + 1))
             src[x] = kraw_multi(nu, tx, trho, N)
-        row = []
-        for mu in order:
-            row.append(kraw_inner(src, vals[mu], rho, N) / kraw_norm_C(mu, rho, N))
-        rows.append(row)
+        rows.append([_weighted_sum(src, vals[mu], weighted) / norms[mu] for mu in order])
     return ConnMatrix(d, n, rows, order)
 
 

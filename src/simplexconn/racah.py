@@ -1,10 +1,15 @@
-"""Racah polynomials: one-variable and the multivariable product family.
+"""Racah polynomials: one-variable and two multivariable product families.
 
-The multivariable family lives on lattice points 0 <= x_1 <= ... <= x_d <= N
+The multivariable families live on lattice points 0 <= x_1 <= ... <= x_d <= N
 with a parameter vector beta of length d+2.  Each product factor is computed
 with its Pochhammer prefactor folded into the series, so the value is a
 polynomial in all parameters and no intermediate bottom-parameter pole can
 occur.
+
+The first family R_nu is prefix-indexed; the second, R'_nu, is its
+suffix-indexed reflection (conj_map).  Both multivariable squared norms are
+closed products of Pochhammer symbols.  Only the one-variable norm
+racah_norm_1d still sums over its support.
 """
 
 import itertools
@@ -188,13 +193,22 @@ def racah_second(nu, x, beta, N):
 
 
 def racah_second_norm_sq(nu, beta, N):
-    """Squared norm of R'_nu under the same weight, by direct summation."""
+    """Squared norm of R'_nu under the weight of beta, in closed form.
+
+    The reflection conj_map sends R'_nu(x; beta) to R_{nu_c}(x_c; beta_c),
+    and the weight ratio w(x_c; beta_c) / w(x; beta) is the same at every
+    lattice point.  So the norm is the first family's closed norm at
+    (nu_c, beta_c) divided by that ratio, read off at the corner x = 0,
+    where both weights must be finite and non-zero.
+    """
     d = len(nu)
-    total = ZERO
-    for x in lattice_points(d, N):
-        v = racah_second(nu, x, beta, N)
-        total += racah_weight_multi(x, beta, N) * v * v
-    return total
+    corner = (0,) * d
+    x_c, nu_c, beta_c = conj_map(corner, nu, beta, N)
+    return (
+        racah_norm_sq(nu_c, beta_c, N)
+        * racah_weight_multi(corner, beta, N)
+        / racah_weight_multi(x_c, beta_c, N)
+    )
 
 
 def dual2_map(x, nu, beta, N):

@@ -37,6 +37,20 @@ def test_connect_closed_d4_transposition():
     assert run_cli(*args, "--method", "both").returncode == 0
 
 
+def test_connect_discrete_without_N_exits_2():
+    for family, params in (("hahn", ("--kappa", "1/2,1/3,1/4")), ("kraw", ("--rho", "1/4,1/3"))):
+        proc = run_cli("connect", "--family", family, *params, "--tau", "(12)", "--n", "1")
+        assert proc.returncode == 2, (family, proc.stderr)
+        assert proc.stderr == "error: --N is required for --family %s\n" % family
+
+
+def test_connect_without_family_parameters_exits_2():
+    for family, name in (("simplex", "kappa"), ("hahn", "kappa"), ("kraw", "rho"), ("ball", "kappa")):
+        proc = run_cli("connect", "--family", family, "--tau", "(12)", "--n", "1", "--N", "2")
+        assert proc.returncode == 2, (family, proc.stderr)
+        assert proc.stderr == "error: --%s is required for --family %s\n" % (name, family)
+
+
 def test_verify_whipple_deterministic():
     a = run_cli("verify", "--suite", "whipple", "--count", "20", "--seed", "7")
     b = run_cli("verify", "--suite", "whipple", "--count", "20", "--seed", "7")

@@ -143,3 +143,32 @@ def test_hahn_to_krawtchouk_limit():
     r2 = deltas[1] / deltas[2]
     assert R(5) < r1 < R(20)
     assert R(5) < r2 < R(20)
+
+
+def counting(monkeypatch, name):
+    """Replace ds.<name> by a wrapper that counts its calls."""
+    calls = []
+    inner = getattr(ds, name)
+
+    def wrapper(*args):
+        calls.append(args)
+        return inner(*args)
+
+    monkeypatch.setattr(ds, name, wrapper)
+    return calls
+
+
+def test_hahn_connection_weighs_each_grid_point_once(monkeypatch):
+    calls = counting(monkeypatch, "hahn_weight")
+    N = 4
+    mat = ds.hahn_connection(Permutation((3, 1, 2)), KAPPA, N, 3)
+    assert len(mat.order) == 4
+    assert sorted(a for a, _ in calls) == sorted(ds.compositions(N, 3))
+
+
+def test_kraw_connection_weighs_each_grid_point_once(monkeypatch):
+    calls = counting(monkeypatch, "kraw_weight")
+    N = 4
+    mat = ds.kraw_connection(Permutation((3, 1, 2)), RHO, N, 3)
+    assert len(mat.order) == 4
+    assert sorted(x for x, _, _ in calls) == sorted(ds.kraw_grid(2, N))

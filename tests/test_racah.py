@@ -1,7 +1,11 @@
+import random
+
 from simplexconn.backend import R, ZERO, ONE
 from simplexconn.exact_arith import pochhammer
 from simplexconn import racah as rc
+from simplexconn import closed_forms as cf
 from simplexconn.discrete import compositions
+from simplexconn.simplex import enumerate_basis
 
 BETA2 = tuple(R(2 * i + 1, 2) + i for i in range(4))  # d = 2
 BETA3 = tuple(R(3 * i + 2, 3) + i * i for i in range(5))  # d = 3
@@ -110,3 +114,51 @@ def test_norm_closed_form_d3_spot():
         vals = [rc.racah_multi(nu, x, BETA3, N) for x in grid]
         s = sum((w * v * v for w, v in zip(weights, vals)), ZERO)
         assert s == rc.racah_norm_sq(nu, BETA3, N)
+
+
+def second_norm_by_summation(nu, beta, N):
+    """||R'_nu||^2 summed over the whole lattice: the oracle for the closed form."""
+    total = ZERO
+    for x in rc.lattice_points(len(nu), N):
+        v = rc.racah_second(nu, x, beta, N)
+        total += rc.racah_weight_multi(x, beta, N) * v * v
+    return total
+
+
+def seeded_beta(rng, d):
+    """Increasing non-integer beta_0 < ... < beta_{d+1} with sevenths as steps."""
+    beta = [R(7 * rng.randint(0, 3) + rng.randint(1, 6), 7)]
+    for _ in range(d + 1):
+        beta.append(beta[-1] + R(7 * rng.randint(0, 3) + rng.randint(1, 6), 7))
+    return tuple(beta)
+
+
+def test_second_norm_closed_form_matches_summation_seeded():
+    rng = random.Random(20261018)
+    for d in range(1, 5):
+        for N in range(1, 4):
+            beta = seeded_beta(rng, d)
+            for nu in index_set(d, N):
+                assert rc.racah_second_norm_sq(nu, beta, N) == second_norm_by_summation(nu, beta, N)
+
+
+def test_second_norm_closed_form_matches_summation_cyclic_form3():
+    # the beta that cc_cyclic_hat(form=3) passes to racah_second_norm_sq
+    for d in (4, 5):
+        kappa = tuple(R(1, i + 2) for i in range(d + 1))
+        ksuf = lambda j: sum(kappa[j - 1:], ZERO)
+        for n in (2, 3):
+            beta = tuple(ksuf(d + 1 - j) + j for j in range(d)) + (-R(2 * n) - kappa[0],)
+            for idx in index_set(d - 1, n):
+                assert rc.racah_second_norm_sq(idx, beta, n) == second_norm_by_summation(idx, beta, n)
+
+
+def test_cyclic_form3_equals_form1_d6():
+    d, n = 6, 2
+    kappa = tuple(R(1, i + 2) for i in range(d + 1))
+    order = enumerate_basis(d, n)
+    for nu in order:
+        for mu in order:
+            q1 = cf.cc_cyclic_hat(nu, mu, kappa, n, form=1)
+            q3 = cf.cc_cyclic_hat(nu, mu, kappa, n, form=3)
+            assert (q3.sign, q3.radicand) == (q1.sign, q1.radicand)
