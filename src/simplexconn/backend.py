@@ -39,10 +39,12 @@ def R(p, q=1):
 
 
 def rat_from_str(s):
-    """Parse 'p/q' or 'p' into a rational.  Raises ValueError on junk."""
+    """Parse 'p/q' or 'p' into a rational.  Raises ValueError on junk or q = 0."""
     s = s.strip()
     if "/" in s:
         p, q = s.split("/", 1)
+        if int(q) == 0:
+            raise ValueError(f"zero denominator in {s!r}")
         return _make(int(p), int(q))
     return _make(int(s))
 

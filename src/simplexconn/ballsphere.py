@@ -9,8 +9,8 @@ parameters.
 from math import comb
 
 from .backend import R, ZERO, ONE
-from .exact_arith import QSqrt, pochhammer
-from .multipoly import SparsePoly, grevlex_key, substitute_homogeneous
+from .exact_arith import pochhammer
+from .multipoly import SparsePoly, substitute_homogeneous
 from .simplex import (
     Permutation,
     enumerate_basis,
@@ -133,6 +133,15 @@ def ball_enumerate(d, n):
     return out
 
 
+def _in_2z_minus_1(coeffs):
+    """Coefficients in z of sum_k coeffs[k] (2z - 1)^k."""
+    out = [ZERO] * len(coeffs)
+    for k, c in enumerate(coeffs):
+        for i in range(k + 1):
+            out[i] += c * (-1) ** (k - i) * 2**i * comb(k, i)
+    return out
+
+
 def gegenbauer_gen(n, lam, mu):
     """Generalized Gegenbauer C_n as (parity bit, even core in t^2).
 
@@ -148,14 +157,8 @@ def gegenbauer_gen(n, lam, mu):
     else:
         pref = pochhammer(lam + mu, m + 1) / pochhammer(mu + half, m + 1)
         jac = jacobi_1d(m, lam - half, mu + half)
-    # compose with 2z - 1 to get the core in z = t^2
-    core = [ZERO] * (m + 1)
-    for k, c in enumerate(jac):
-        # c * (2z-1)^k
-        for i in range(k + 1):
-            sgn = -ONE if (k - i) % 2 else ONE
-            core[i] += pref * c * sgn * R(2) ** i * comb(k, i)
-    return n % 2, core
+    # the core in z = t^2
+    return n % 2, [pref * c for c in _in_2z_minus_1(jac)]
 
 
 def ball_cartesian(alpha, kappa):
@@ -285,11 +288,7 @@ def disk_polar_basis(j, i, n, mu):
     radial = SparsePoly.zero(2)
     r2pow = SparsePoly.constant(2, ONE)
     # P_j^{(mu, m)}(2u-1) with u = r^2
-    coeffs = [ZERO] * (j + 1)
-    for k, c in enumerate(jacobi_1d(j, R(mu), R(m))):
-        for t in range(k + 1):
-            sgn = -ONE if (k - t) % 2 else ONE
-            coeffs[t] += c * sgn * R(2) ** t * comb(k, t)
+    coeffs = _in_2z_minus_1(jacobi_1d(j, R(mu), R(m)))
     for k in range(j + 1):
         radial = radial + r2pow.scale(coeffs[k])
         r2pow = r2pow * lin
@@ -329,11 +328,6 @@ def verify_disk_polar(n, mu):
 # ---------------------------------------------------------------------------
 
 
-def sphere_moment(b, kappa):
-    """Normalized moment of y^(2b) on the sphere with weight prod |y_i|^(2k_i+1)."""
-    return simplex_moment(b, kappa)
-
-
 def sphere_inner_product(p, q, kappa):
     """Normalized inner product over the sphere; zero across parity classes."""
     if p.eps != q.eps:
@@ -342,7 +336,8 @@ def sphere_inner_product(p, q, kappa):
     for ea, ca in p.core.terms.items():
         for eb, cb in q.core.terms.items():
             b = tuple(x + y + e for x, y, e in zip(ea, eb, p.eps))
-            total += ca * cb * sphere_moment(b, kappa)
+            # the moment of y^(2b) on the sphere is the simplex moment of u^b
+            total += ca * cb * simplex_moment(b, kappa)
     return total
 
 

@@ -11,9 +11,8 @@ import os
 import random
 import sys
 
-from .backend import R, ZERO, ONE, rat_from_str, rat_str
-from .exact_arith import QSqrt, hyp_with_prefactor, pochhammer
-from .multipoly import SparsePoly
+from .backend import R, ZERO, rat_from_str, rat_str
+from .exact_arith import hyp_with_prefactor
 from .simplex import Permutation, all_permutations, enumerate_basis, jacobi_simplex_basis, norm_A
 from .connection import (
     gram_connection,
@@ -33,21 +32,28 @@ def parse_rationals(text):
     return tuple(rat_from_str(part.strip()) for part in text.split(","))
 
 
+def parse_kappa(text):
+    """kappa = (kappa_1, ..., kappa_{d+1}) with d >= 1 and every kappa_i > -1."""
+    kappa = parse_rationals(text)
+    if len(kappa) < 2 or any(k <= -1 for k in kappa):
+        raise ValueError("--kappa needs at least 2 entries, each > -1")
+    return kappa
+
+
+def parse_rho(text):
+    """rho = (rho_1, ..., rho_d) with every rho_i > 0 and |rho| < 1."""
+    rho = parse_rationals(text)
+    if any(r <= 0 for r in rho) or sum(rho) >= 1:
+        raise ValueError("--rho entries must be > 0 with a sum < 1")
+    return rho
+
+
 def _required(args, name):
     """The value of option --name, which the chosen --family needs."""
     value = getattr(args, name)
     if value is None:
         raise ValueError("--%s is required for --family %s" % (name, args.family))
     return value
-
-
-def matrix_json(mat):
-    return {
-        "d": mat.d,
-        "n": mat.n,
-        "order": [list(nu) for nu in mat.order],
-        "entries": [[rat_str(c) for c in row] for row in mat.rows],
-    }
 
 
 def hat_json(order, grid):
@@ -75,8 +81,16 @@ def emit(args, payload, name):
         sys.stdout.write(text)
 
 
+def _lattice_size(args):
+    """--N, which the discrete families need to be at least --n."""
+    N = _required(args, "N")
+    if N < args.n:
+        raise ValueError("--N must be >= --n for --family %s" % args.family)
+    return N
+
+
 def cmd_basis(args):
-    kappa = parse_rationals(args.kappa)
+    kappa = parse_kappa(args.kappa)
     d = len(kappa) - 1
     if args.family == "simplex":
         out = []
@@ -93,7 +107,7 @@ def cmd_basis(args):
         emit(args, {"family": "ball", "kappa": [rat_str(k) for k in kappa], "basis": out}, "basis")
     elif args.family == "sphere":
         out = []
-        for nu, eps in bs.sphere_enumerate(d - 1, args.n):
+        for nu, eps in bs.sphere_enumerate(d, args.n):
             p = bs.sphere_basis(nu, eps, kappa, args.n)
             out.append({"nu": list(nu), "eps": list(eps), "core": p.core.to_json()})
         emit(args, {"family": "sphere", "kappa": [rat_str(k) for k in kappa], "basis": out}, "basis")
@@ -105,7 +119,7 @@ def cmd_basis(args):
 def cmd_connect(args):
     tau_text = args.tau
     if args.family == "simplex":
-        kappa = parse_rationals(_required(args, "kappa"))
+        kappa = parse_kappa(_required(args, "kappa"))
         d = len(kappa) - 1
         tau = Permutation.from_cycles(tau_text, d + 1)
         mats = {}
@@ -124,27 +138,27 @@ def cmd_connect(args):
             emit(args, {"mismatch": diff}, "connect-diff")
             return 1
         mat = mats.get("closed", mats.get("gram"))
-        payload = matrix_json(mat)
+        payload = mat.to_json()
         if args.normalized:
             payload["normalized"] = hat_json(mat.order, normalize(mat, tau, kappa))
         emit(args, payload, "connect")
         return 0
     if args.family == "hahn":
-        kappa = parse_rationals(_required(args, "kappa"))
+        kappa = parse_kappa(_required(args, "kappa"))
         d = len(kappa) - 1
         tau = Permutation.from_cycles(tau_text, d + 1)
-        mat = ds.hahn_connection(tau, kappa, _required(args, "N"), args.n)
-        emit(args, matrix_json(mat), "connect")
+        mat = ds.hahn_connection(tau, kappa, _lattice_size(args), args.n)
+        emit(args, mat.to_json(), "connect")
         return 0
     if args.family == "kraw":
-        rho = parse_rationals(_required(args, "rho"))
+        rho = parse_rho(_required(args, "rho"))
         d = len(rho)
         tau = Permutation.from_cycles(tau_text, d + 1)
-        mat = ds.kraw_connection(tau, rho, _required(args, "N"), args.n)
-        emit(args, matrix_json(mat), "connect")
+        mat = ds.kraw_connection(tau, rho, _lattice_size(args), args.n)
+        emit(args, mat.to_json(), "connect")
         return 0
     if args.family == "ball":
-        kappa = parse_rationals(_required(args, "kappa"))
+        kappa = parse_kappa(_required(args, "kappa"))
         d = len(kappa) - 1
         tau = Permutation.from_cycles(tau_text, d)
         conn = bs.ball_connection(tau, kappa, args.n)
@@ -163,7 +177,7 @@ def _random_kappa(rng, d):
 
 
 def _suite_structural(args, rng):
-    kappa = parse_rationals(args.kappa) if args.kappa else _random_kappa(rng, args.d)
+    kappa = parse_kappa(args.kappa) if args.kappa else _random_kappa(rng, args.d)
     d = len(kappa) - 1
     n = args.n
     failures = []
@@ -210,7 +224,7 @@ def _suite_whipple(args, rng):
 
 
 def _suite_sum_identity(args, rng):
-    kappa = parse_rationals(args.kappa) if args.kappa else (R(1, 2), R(1, 3), R(1, 2))
+    kappa = parse_kappa(args.kappa) if args.kappa else (R(1, 2), R(1, 3), R(1, 2))
     failures = []
     for n in range(args.n + 1):
         for k in range(n + 1):
@@ -273,6 +287,8 @@ SUITES = {
 
 
 def cmd_verify(args):
+    if args.d < 1 or args.N < 0:
+        raise ValueError("--d must be >= 1 and --N >= 0")
     rng = random.Random(args.seed)
     suite = SUITES.get(args.suite)
     if suite is None:
@@ -325,6 +341,8 @@ def build_parser():
 def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
+        if args.n < 0:
+            raise ValueError("--n must be >= 0")
         return args.func(args)
     except (ValueError, KeyError) as exc:
         print("error: %s" % exc, file=sys.stderr)

@@ -113,8 +113,7 @@ def cc_2d_hat12(j, m, kappa, n, form=1):
         val = racah_1d(m, j, *sigma)
         w = racah_weight_1d(j, *sigma)
         r2 = racah_norm_1d(m, *sigma, n)
-    sgn = _sign(n + m + j) * (1 if val > 0 else -1 if val < 0 else 0)
-    return QSqrt(1 if sgn > 0 else -1 if sgn < 0 else 0, w * val * val / r2)
+    return _qsqrt_signed(_sign(n + m + j), val, w, r2)
 
 
 def verify_sum_identity(k, ell, kappa, n):
@@ -235,8 +234,8 @@ def _hat_racah_2v(idx, x, beta, n):
 
 
 def _qsqrt_signed(sign_factor, val, w, r2):
-    s = sign_factor * (1 if val > 0 else -1 if val < 0 else 0)
-    return QSqrt(1 if s > 0 else -1 if s < 0 else 0, w * val * val / r2)
+    """sign(sign_factor * val) * sqrt(w val^2 / r2): one normalized Racah entry."""
+    return QSqrt.signed(sign_factor * val, w * val * val / r2)
 
 
 def cc_3d_hat(tau_name, nu, mu, kappa, n):
@@ -296,10 +295,7 @@ def cc_3d_hat13_terms(nu, mu, kappa, n):
         w1 = racah_weight_1d(ell, *sigma)
         x = (nu[2], ell + nu[2])
         val2, w2, r2_2 = _hat_racah_2v((mu[2], mu[1]), x, beta, n)
-        sgn = _sign(nu[1] + ell)
-        v = val1 * val2
-        s = sgn * (1 if v > 0 else -1 if v < 0 else 0)
-        terms.append(QSqrt(1 if s > 0 else -1 if s < 0 else 0, w1 * w2 * v * v / (r2_1d * r2_2)))
+        terms.append(_qsqrt_signed(_sign(nu[1] + ell), val1 * val2, w1 * w2, r2_1d * r2_2))
     return terms
 
 
@@ -321,26 +317,22 @@ def cc_cyclic_hat(nu, mu, kappa, n, form=1):
         beta = tuple(kappa[0] + ksuf(d + 2 - j) + j if j > 0 else kappa[0] for j in range(d + 1))
         x = tuple(sum(nu[d - j:]) for j in range(1, d))  # |nu^d|, ..., |nu^2|
         idx = tuple(reversed(mu[1:]))  # mu_d, ..., mu_2
-        val = racah_multi(idx, x, beta, n)
-        w = racah_weight_multi(x, beta, n)
-        r2 = racah_norm_sq(idx, beta, n)
+        value, norm_sq = racah_multi, racah_norm_sq
     elif form == 2:
         beta = (kappa[0],) + tuple(-ksuf(j + 1) - 2 * n - d + j for j in range(1, d + 1))
         x = tuple(sum(mu[:j]) for j in range(1, d))  # |mu_1|, ..., |mu_{d-1}|
         idx = tuple(nu[: d - 1])
-        val = racah_multi(idx, x, beta, n)
-        w = racah_weight_multi(x, beta, n)
-        r2 = racah_norm_sq(idx, beta, n)
+        value, norm_sq = racah_multi, racah_norm_sq
     elif form == 3:
         beta = tuple(ksuf(d + 1 - j) + j for j in range(d)) + (-R(2 * n) - kappa[0],)
         x = tuple(sum(mu[d - j:]) for j in range(1, d))  # |mu^d|, ..., |mu^2|
         idx = tuple(reversed(nu[: d - 1]))  # nu_{d-1}, ..., nu_1
-        val = racah_second(idx, x, beta, n)
-        w = racah_weight_multi(x, beta, n)
-        r2 = racah_second_norm_sq(idx, beta, n)
+        value, norm_sq = racah_second, racah_second_norm_sq
     else:
         raise ValueError("form must be 1, 2 or 3")
-    return _qsqrt_signed(_sign(n + nu[d - 1]), val, w, r2)
+    val = value(idx, x, beta, n)
+    w = racah_weight_multi(x, beta, n)
+    return _qsqrt_signed(_sign(n + nu[d - 1]), val, w, norm_sq(idx, beta, n))
 
 
 def cc_adjacent_hat(nu, mu, kappa, n, j):
@@ -348,9 +340,7 @@ def cc_adjacent_hat(nu, mu, kappa, n, j):
     d = len(nu)
     kappa = tuple(R(k) for k in kappa)
     if j == d:
-        if nu != tuple(mu):
-            return QSqrt(0, ZERO)
-        return QSqrt(1 if nu[d - 1] % 2 == 0 else -1, ONE)
+        return QSqrt.signed(_sign(nu[d - 1]) if nu == tuple(mu) else 0, ONE)
     if tuple(nu[: j - 1]) != tuple(mu[: j - 1]) or tuple(nu[j + 1:]) != tuple(mu[j + 1:]):
         return QSqrt(0, ZERO)
     ksuf = lambda i: sum(kappa[i - 1:], ZERO)

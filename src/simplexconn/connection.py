@@ -6,9 +6,8 @@ kappa, degree by degree.  Entries are exact rationals; the normalized
 (orthogonal-matrix) version has entries sign * sqrt(rational).
 """
 
-from .backend import R, ZERO, ONE
+from .backend import R, ZERO, ONE, rat_str
 from .exact_arith import QSqrt
-from .multipoly import grevlex_key
 from .simplex import (
     _MOMENT_CACHE,
     enumerate_basis,
@@ -19,7 +18,11 @@ from .simplex import (
 
 
 class ConnMatrix:
-    """Square matrix of rationals indexed by the degree-n multi-indices."""
+    """Square matrix of rationals indexed by the degree-n multi-indices.
+
+    The rows are a tuple of tuples, so a matrix handed out from a cache
+    cannot be changed by its caller.
+    """
 
     __slots__ = ("d", "n", "order", "rows")
 
@@ -27,7 +30,7 @@ class ConnMatrix:
         self.d = d
         self.n = n
         self.order = order if order is not None else enumerate_basis(d, n)
-        self.rows = rows
+        self.rows = tuple(map(tuple, rows))
 
     @classmethod
     def from_func(cls, d, n, func):
@@ -70,9 +73,9 @@ class ConnMatrix:
         )
 
     def to_json(self):
-        from .backend import rat_str
-
         return {
+            "d": self.d,
+            "n": self.n,
             "order": [list(nu) for nu in self.order],
             "entries": [[rat_str(v) for v in row] for row in self.rows],
         }
@@ -122,53 +125,48 @@ def gram_connection(tau, kappa, n):
     return mat
 
 
+def _norms(order, tau, kappa):
+    """Squared norms (A_nu(tau.kappa) for nu in order, A_mu(kappa) for mu in order)."""
+    kappa = tuple(R(k) for k in kappa)
+    tk = tau.act_params(kappa)
+    return [norm_A(nu, tk) for nu in order], [norm_A(mu, kappa) for mu in order]
+
+
 def normalize(mat, tau, kappa):
     """Entries of the orthogonal-matrix version, as QSqrt values.
 
     hat_c[nu,mu] = c[nu,mu] * sqrt(A_mu(kappa) / A_nu(tau.kappa)).
     """
-    kappa = tuple(R(k) for k in kappa)
-    tk = tau.act_params(kappa)
-    A_src = [norm_A(nu, tk) for nu in mat.order]
-    A_tgt = [norm_A(mu, kappa) for mu in mat.order]
-    out = []
-    for i, row in enumerate(mat.rows):
-        out.append(
-            [QSqrt.of_rational(c).scale_sqrt(A_tgt[j] / A_src[i]) for j, c in enumerate(row)]
-        )
-    return out
+    A_src, A_tgt = _norms(mat.order, tau, kappa)
+    return [
+        [QSqrt.of_rational(c).scale_sqrt(A_tgt[j] / A_src[i]) for j, c in enumerate(row)]
+        for i, row in enumerate(mat.rows)
+    ]
+
+
+def _weighted_orthogonal(rows, weights, diagonal):
+    """sum_k rows[i][k] rows[j][k] weights[k] == delta(i,j) diagonal[i] for all i, j."""
+    size = len(rows)
+    for i in range(size):
+        for j in range(i, size):
+            s = sum((rows[i][k] * rows[j][k] * weights[k] for k in range(size)), ZERO)
+            if s != (diagonal[i] if i == j else ZERO):
+                return False
+    return True
 
 
 def verify_row_orthogonality(mat, tau, kappa):
     """sum_w c[nu,w] c[mu,w] A_w(kappa) == delta(nu,mu) A_nu(tau.kappa)."""
-    kappa = tuple(R(k) for k in kappa)
-    tk = tau.act_params(kappa)
-    A_tgt = [norm_A(mu, kappa) for mu in mat.order]
-    A_src = [norm_A(nu, tk) for nu in mat.order]
-    size = len(mat.order)
-    for i in range(size):
-        for j in range(i, size):
-            s = sum((mat.rows[i][k] * mat.rows[j][k] * A_tgt[k] for k in range(size)), ZERO)
-            expect = A_src[i] if i == j else ZERO
-            if s != expect:
-                return False
-    return True
+    A_src, A_tgt = _norms(mat.order, tau, kappa)
+    return _weighted_orthogonal(mat.rows, A_tgt, A_src)
 
 
 def verify_column_orthogonality(mat, tau, kappa):
     """sum_w c[w,nu] c[w,mu] / A_w(tau.kappa) == delta(nu,mu) / A_nu(kappa)."""
-    kappa = tuple(R(k) for k in kappa)
-    tk = tau.act_params(kappa)
-    A_tgt = [norm_A(mu, kappa) for mu in mat.order]
-    A_src = [norm_A(nu, tk) for nu in mat.order]
-    size = len(mat.order)
-    for i in range(size):
-        for j in range(i, size):
-            s = sum((mat.rows[k][i] * mat.rows[k][j] / A_src[k] for k in range(size)), ZERO)
-            expect = ONE / A_tgt[i] if i == j else ZERO
-            if s != expect:
-                return False
-    return True
+    A_src, A_tgt = _norms(mat.order, tau, kappa)
+    return _weighted_orthogonal(
+        list(zip(*mat.rows)), [ONE / a for a in A_src], [ONE / a for a in A_tgt]
+    )
 
 
 def verify_inverse_identity(mat_tau, mat_inv, tau, kappa):
@@ -177,10 +175,7 @@ def verify_inverse_identity(mat_tau, mat_inv, tau, kappa):
     mat_tau must be C^tau at parameters tau^-1.kappa; mat_inv is C^{tau^-1}
     at kappa.
     """
-    kappa = tuple(R(k) for k in kappa)
-    ik = tau.inverse().act_params(kappa)
-    A_src = [norm_A(nu, ik) for nu in mat_inv.order]
-    A_tgt = [norm_A(mu, kappa) for mu in mat_inv.order]
+    A_src, A_tgt = _norms(mat_inv.order, tau.inverse(), kappa)
     size = len(mat_inv.order)
     for i in range(size):
         for j in range(size):

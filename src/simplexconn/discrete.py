@@ -13,17 +13,6 @@ from .simplex import a_coeffs, enumerate_basis, jacobi_simplex_basis
 from .connection import ConnMatrix
 
 
-def compositions(total, parts):
-    """All tuples in N_0^parts summing to total."""
-    if parts == 1:
-        return [(total,)]
-    out = []
-    for first in range(total + 1):
-        for rest in compositions(total - first, parts - 1):
-            out.append((first,) + rest)
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Hahn
 # ---------------------------------------------------------------------------
@@ -65,11 +54,11 @@ def _hahn_weighted_grid(kappa, N):
     d = len(kappa) - 1
     lam = sum((R(k) for k in kappa), ZERO) + d + 1
     scale = pochhammer(ONE, N) / pochhammer(lam, N)
-    return [(a, scale * hahn_weight(a, kappa)) for a in compositions(N, d + 1)]
+    return [(a, scale * hahn_weight(a, kappa)) for a in enumerate_basis(d + 1, N)]
 
 
 def hahn_inner(fvals, gvals, kappa, N):
-    """<f, g> from values indexed by the compositions grid of |alpha| = N."""
+    """<f, g> from values indexed by the grid of |alpha| = N."""
     return _weighted_sum(fvals, gvals, _hahn_weighted_grid(kappa, N))
 
 
@@ -116,7 +105,7 @@ def hahn_from_generating(nu, kappa, N):
     for gamma, c in P.terms.items():
         rem = N - sum(gamma)
         # expand (y_1 + ... + y_{d+1})^rem multinomially
-        for extra in compositions(rem, d + 1):
+        for extra in enumerate_basis(d + 1, rem):
             alpha = tuple(g + e for g, e in zip(gamma + (0,), extra))
             mult = pochhammer(ONE, rem)
             for e in extra:
@@ -124,7 +113,7 @@ def hahn_from_generating(nu, kappa, N):
             coefs[alpha] = coefs.get(alpha, ZERO) + c * mult / pn
     out = {}
     nfact = pochhammer(ONE, N)
-    for alpha in compositions(N, d + 1):
+    for alpha in enumerate_basis(d + 1, N):
         c = coefs.get(alpha, ZERO)
         afact = ONE
         for a in alpha:
@@ -136,7 +125,7 @@ def hahn_from_generating(nu, kappa, N):
 def hahn_values(nu, kappa, N):
     """Values of the product-form H_nu on the full grid."""
     d = len(nu)
-    return {alpha: hahn_multi(nu, alpha, kappa, N) for alpha in compositions(N, d + 1)}
+    return {alpha: hahn_multi(nu, alpha, kappa, N) for alpha in enumerate_basis(d + 1, N)}
 
 
 def hahn_connection(tau, kappa, N, n):
@@ -161,7 +150,8 @@ def hahn_connection(tau, kappa, N, n):
 
 
 def kraw_grid(d, N):
-    return [x for total in range(N + 1) for x in compositions(total, d)]
+    """All x in N_0^d with |x| <= N, by total and grevlex within a total."""
+    return [x for total in range(N + 1) for x in enumerate_basis(d, total)]
 
 
 def kraw_multi(nu, x, rho, N):
@@ -277,8 +267,7 @@ def kraw_cc_cyclic_hat(nu, mu, rho, n, form=1):
     val = kraw_multi(idx, x, rr, n)
     w = kraw_weight(x, rr, n)
     c2 = kraw_norm_C(idx, rr, n)
-    s = (1 if val > 0 else -1 if val < 0 else 0) * (1 if (n + nu[d - 1]) % 2 == 0 else -1)
-    return QSqrt(1 if s > 0 else -1 if s < 0 else 0, w * val * val / c2)
+    return QSqrt.signed((-1) ** (n + nu[d - 1]) * val, w * val * val / c2)
 
 
 def hahn_kraw_scaled(nu, x, rho, N, t):

@@ -85,14 +85,6 @@ def hyp_with_prefactor(top, bottom, m, z=ONE):
     return total
 
 
-def _sign_of(x):
-    if x > 0:
-        return 1
-    if x < 0:
-        return -1
-    return 0
-
-
 class QSqrt:
     """Exact value sign * sqrt(radicand) with rational radicand >= 0.
 
@@ -114,9 +106,14 @@ class QSqrt:
         self.radicand = radicand
 
     @classmethod
+    def signed(cls, s, radicand):
+        """sign(s) * sqrt(radicand), for a rational s."""
+        return cls((s > 0) - (s < 0), radicand)
+
+    @classmethod
     def of_rational(cls, x):
         """QSqrt equal to the rational x (radicand x^2)."""
-        return cls(_sign_of(x), x * x)
+        return cls.signed(x, x * x)
 
     @classmethod
     def sqrt(cls, x):
@@ -133,7 +130,7 @@ class QSqrt:
 
     def scale(self, x):
         """Multiply by a rational x (exact; folds x^2 into the radicand)."""
-        return QSqrt(self.sign * _sign_of(x), self.radicand * x * x)
+        return QSqrt.signed(self.sign * x, self.radicand * x * x)
 
     def scale_sqrt(self, x):
         """Multiply by sqrt(x) for a nonnegative rational x."""

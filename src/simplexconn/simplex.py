@@ -11,9 +11,10 @@ import re
 
 from .backend import R, ZERO, ONE
 from .exact_arith import pochhammer
-from .multipoly import SparsePoly, grevlex_key, substitute_homogeneous
+from .multipoly import SparsePoly, substitute_homogeneous
 
 _TOKEN = re.compile(r"\d+")
+_CYCLE = re.compile(r"\(([^()]*)\)")
 
 
 class Permutation:
@@ -37,9 +38,9 @@ class Permutation:
         img = list(range(1, m + 1))
         if text in ("e", "id", "()", "1", ""):
             return cls(img)
-        if not text.startswith("("):
+        if _CYCLE.sub("", text).strip():
             raise ValueError(f"bad cycle notation: {text!r}")
-        for cyc in re.findall(r"\(([^()]*)\)", text):
+        for cyc in _CYCLE.findall(text):
             if "," in cyc or " " in cyc:
                 entries = [int(t) for t in _TOKEN.findall(cyc)]
             else:
@@ -252,16 +253,11 @@ def norm_A(nu, kappa):
 
 
 def enumerate_basis(d, n):
-    """All multi-indices of length d and total degree n, in grevlex order."""
-    out = []
+    """All multi-indices of length d and total degree n, in grevlex order.
 
-    def rec(prefix, rem):
-        if len(prefix) == d - 1:
-            out.append(tuple(prefix) + (rem,))
-            return
-        for v in range(rem + 1):
-            rec(prefix + [v], rem - v)
-
-    rec([], n)
-    out.sort(key=grevlex_key)
-    return out
+    Grevlex compares the last part first, so the list is built by recursing
+    on it: last part 0, 1, ..., n, each followed by the shorter indices.
+    """
+    if d == 0:
+        return [()] if n == 0 else []
+    return [nu + (last,) for last in range(n + 1) for nu in enumerate_basis(d - 1, n - last)]

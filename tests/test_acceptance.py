@@ -30,55 +30,70 @@ from simplexconn import discrete as ds
 from simplexconn import ballsphere as bs
 from simplexconn.radicals import qsqrt_sums_equal
 
-# matrices produced while checking criteria 1-3, reused by criterion 4;
-# keys are (tau.img, kappa, n)
-_PRODUCED = {}
-
-
-def _record(tau, kappa, n, mat):
-    _PRODUCED[(tau.img, tuple(kappa), n)] = (tau, tuple(kappa), mat)
+# the parameters of criteria 1-3; criterion 4 checks the same Gram matrices
+D2_KAPPAS = [
+    (R(0), R(0), R(0)),
+    (R(1, 2), R(1, 3), R(2)),
+    (R(3, 4), R(0), R(5, 2)),
+]
+D2_DEGREES = range(7)
+D3_KAPPAS = [
+    (R(1, 2), R(1, 3), R(2, 5), R(3, 7)),
+    (R(0), R(1), R(1, 2), R(3, 2)),
+]
+D3_DEGREES = range(5)
+D3_STRUCTURAL_DEGREES = range(4)
+CYCLIC_DIMS = (4, 5)
+CYCLIC_DEGREES = range(1, 4)
 
 
 def all_perms(m):
     return [Permutation(img) for img in itertools.permutations(range(1, m + 1))]
 
 
-def index_set(d, top):
-    return [nu for t in range(top + 1) for nu in ds.compositions(t, d)]
+def cyclic_case(d):
+    """(tau, kappa) of criterion 3: the cycle (12...d) fixing slot d+1."""
+    kappa = tuple(R(1, i + 2) for i in range(d + 1))
+    return Permutation(tuple(range(2, d + 1)) + (1, d + 1)), kappa
+
+
+def structural_cases():
+    """Every (tau, kappa, n) whose Gram matrix criteria 1-3 compare."""
+    cases = [(tau, k, n) for k in D2_KAPPAS for tau in all_perms(3) for n in D2_DEGREES]
+    cases += [(tau, k, n) for k in D3_KAPPAS for tau in all_perms(4) for n in D3_STRUCTURAL_DEGREES]
+    cases += [(*cyclic_case(d), n) for d in CYCLIC_DIMS for n in CYCLIC_DEGREES]
+    return cases
+
+
+@pytest.fixture(scope="module")
+def structural_matrices():
+    """(tau, kappa, Gram matrix) for every case of criteria 1-3.
+
+    When criteria 1-3 ran first, every matrix comes from the Gram cache.
+    """
+    return [(tau, kappa, gram_connection(tau, kappa, n)) for tau, kappa, n in structural_cases()]
 
 
 def test_01_closed_vs_gram_d2():
     start = time.time()
-    kappas = [
-        (R(0), R(0), R(0)),
-        (R(1, 2), R(1, 3), R(2)),
-        (R(3, 4), R(0), R(5, 2)),
-    ]
-    for kappa in kappas:
+    for kappa in D2_KAPPAS:
         for tau in all_perms(3):
-            for n in range(7):
+            for n in D2_DEGREES:
                 closed = cf.cc_2d_matrix(tau, kappa, n)
                 gram = gram_connection(tau, kappa, n)
                 assert closed.rows == gram.rows
-                _record(tau, kappa, n, gram)
     assert time.time() - start < 60
 
 
 def test_02_closed_vs_gram_d3():
     start = time.time()
-    kappas = [
-        (R(1, 2), R(1, 3), R(2, 5), R(3, 7)),
-        (R(0), R(1), R(1, 2), R(3, 2)),
-    ]
     hat_names = ["(123)", "(132)", "(124)", "(142)", "(1234)", "(1342)", "(1243)", "(1432)"]
-    for kappa in kappas:
+    for kappa in D3_KAPPAS:
         for tau in all_perms(4):
-            for n in range(5):
+            for n in D3_DEGREES:
                 closed = cf.cc_3d_matrix(tau, kappa, n)
                 gram = gram_connection(tau, kappa, n)
                 assert closed.rows == gram.rows
-                if n <= 3:
-                    _record(tau, kappa, n, gram)
         # square-root closed forms in (sign, square)
         n = 3
         order = enumerate_basis(3, n)
@@ -102,12 +117,10 @@ def test_02_closed_vs_gram_d3():
 
 def test_03_cyclic_closed_forms_d4_d5():
     start = time.time()
-    for d in (4, 5):
-        kappa = tuple(R(1, i + 2) for i in range(d + 1))
-        tau = Permutation(tuple(range(2, d + 1)) + (1, d + 1))
-        for n in range(1, 4):
+    for d in CYCLIC_DIMS:
+        tau, kappa = cyclic_case(d)
+        for n in CYCLIC_DEGREES:
             gram = gram_connection(tau, kappa, n)
-            _record(tau, kappa, n, gram)
             hat = normalize(gram, tau, kappa)
             order = enumerate_basis(d, n)
             for i, nu in enumerate(order):
@@ -121,10 +134,10 @@ def test_03_cyclic_closed_forms_d4_d5():
     assert time.time() - start < 300
 
 
-def test_04_structural_identities():
+def test_04_structural_identities(structural_matrices):
     start = time.time()
-    assert _PRODUCED, "criteria 1-3 must run first"
-    for tau, kappa, mat in _PRODUCED.values():
+    assert len(structural_matrices) == 324
+    for tau, kappa, mat in structural_matrices:
         assert verify_row_orthogonality(mat, tau, kappa)
         assert verify_column_orthogonality(mat, tau, kappa)
     rng = random.Random(20240817)
@@ -156,7 +169,7 @@ def test_05_racah_module():
     for d, N in ((2, 4), (2, 5), (3, 5)):
         beta = betas[d]
         grid = rc.lattice_points(d, N)
-        idxs = index_set(d, N)
+        idxs = ds.kraw_grid(d, N)
         weights = [rc.racah_weight_multi(x, beta, N) for x in grid]
         vals = {nu: [rc.racah_multi(nu, x, beta, N) for x in grid] for nu in idxs}
         for i, nu in enumerate(idxs):
@@ -167,7 +180,7 @@ def test_05_racah_module():
     # duality and the second-family reflection on full grids
     for d, N in ((2, 4), (3, 3)):
         beta = betas[d]
-        for nu in index_set(d, N):
+        for nu in ds.kraw_grid(d, N):
             for x in rc.lattice_points(d, N):
                 xt, nut, bt = rc.dual_map(x, nu, beta, N)
                 lhs = rc.racah_multi(nu, x, beta, N) / rc.duality_normalizer(nu, beta, N)
@@ -227,15 +240,15 @@ def test_07_hahn():
     N = 6
     for d in (1, 2, 3):
         kappa = kappas[d]
-        for nu in index_set(d, 4):
+        for nu in ds.kraw_grid(d, 4):
             table = ds.hahn_from_generating(nu, kappa, N)
-            for alpha in ds.compositions(N, d + 1):
+            for alpha in enumerate_basis(d + 1, N):
                 assert ds.hahn_multi(nu, alpha, kappa, N) == table[alpha]
     # lattice orthogonality with the closed-form norm
     for d, N in ((2, 6), (3, 4)):
         kappa = kappas[d]
-        idxs = index_set(d, N)
-        grid = list(ds.compositions(N, d + 1))
+        idxs = ds.kraw_grid(d, N)
+        grid = enumerate_basis(d + 1, N)
         vals = {nu: ds.hahn_values(nu, kappa, N) for nu in idxs}
         for i, nu in enumerate(idxs):
             for mu in idxs[i:]:
@@ -246,7 +259,7 @@ def test_07_hahn():
     d, N = 2, 5
     kappa = kappas[2]
     lam = sum(kappa, ZERO) + d + 1
-    for nu in index_set(d, 4):
+    for nu in ds.kraw_grid(d, 4):
         t = sum(nu)
         p = ds.p_factor(nu, kappa)
         rhs = (
@@ -284,7 +297,7 @@ def test_08_krawtchouk():
     # orthogonality with the closed-form norm
     for d, N in ((2, 6), (3, 4)):
         rho = rhos[d]
-        idxs = index_set(d, N)
+        idxs = ds.kraw_grid(d, N)
         grid = ds.kraw_grid(d, N)
         vals = {nu: {x: ds.kraw_multi(nu, x, rho, N) for x in grid} for nu in idxs}
         for i, nu in enumerate(idxs):
@@ -296,7 +309,7 @@ def test_08_krawtchouk():
     d, N = 2, 4
     rho = rhos[2]
     one_minus = ONE - sum(rho, ZERO)
-    for nu in index_set(d, N):
+    for nu in ds.kraw_grid(d, N):
         for x in ds.kraw_grid(d, N):
             xt, nut, rt = ds.kraw_dual(x, nu, rho)
             assert sum(rt, ZERO) == sum(rho, ZERO)

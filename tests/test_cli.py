@@ -2,6 +2,11 @@ import json
 import subprocess
 import sys
 
+import pytest
+
+from simplexconn import ballsphere as bs
+from simplexconn.backend import R
+
 
 def run_cli(*args):
     proc = subprocess.run(
@@ -92,3 +97,40 @@ def test_basis_listing():
     assert proc.returncode == 0
     data = json.loads(proc.stdout)
     assert len(data["basis"]) == 3
+
+
+@pytest.mark.parametrize("args", [
+    pytest.param(("connect", "--kappa", "1/0,1,1", "--tau", "(12)", "--n", "1"), id="zero-denominator"),
+    pytest.param(("basis", "--kappa", "1", "--n", "1"), id="basis-d0"),
+    pytest.param(("verify", "--suite", "racah-orthogonality", "--d", "0"), id="verify-d0"),
+    pytest.param(("connect", "--kappa", "1/2,1/3,2", "--tau", "(12)", "--n", "-1"), id="negative-n"),
+    pytest.param(("connect", "--family", "hahn", "--kappa", "1/2,1/3,1/4", "--N", "1", "--n", "2",
+                  "--tau", "(12)"), id="hahn-N-below-n"),
+    pytest.param(("connect", "--family", "kraw", "--rho", "1/4,1/3", "--N", "1", "--n", "2",
+                  "--tau", "(12)"), id="kraw-N-below-n"),
+    pytest.param(("connect", "--family", "kraw", "--rho", "1/2,1/2", "--N", "2", "--n", "1",
+                  "--tau", "(12)"), id="rho-sum-1"),
+    pytest.param(("connect", "--family", "kraw", "--rho", "1/2,1,2", "--N", "2", "--n", "1",
+                  "--tau", "(12)"), id="rho-sum-above-1"),
+    pytest.param(("connect", "--kappa=-1,1,1", "--tau", "(12)", "--n", "1"), id="kappa-minus-1"),
+    pytest.param(("connect", "--kappa=-3/2,1,1", "--tau", "(12)", "--n", "1"), id="kappa-below-minus-1"),
+    pytest.param(("connect", "--kappa", "1/2,1/3,2", "--tau", "(12", "--n", "1"), id="unbalanced-tau"),
+])
+def test_bad_input_exits_2_with_one_line_error(args):
+    proc = run_cli(*args)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1, proc.stderr
+
+
+def test_basis_sphere_matches_library():
+    kappa = (R(-1, 2),) * 3
+    n = 3
+    proc = run_cli("basis", "--family", "sphere", "--kappa=-1/2,-1/2,-1/2", "--n", str(n))
+    assert proc.returncode == 0, proc.stderr
+    basis = json.loads(proc.stdout)["basis"]
+    order = bs.sphere_enumerate(2, n)
+    assert len(basis) == len(order) == bs.dim_harmonic(n, 3) == 7
+    for elem, (nu, eps) in zip(basis, order):
+        assert (elem["nu"], elem["eps"]) == (list(nu), list(eps))
+        assert elem["core"] == bs.sphere_basis(nu, eps, kappa, n).core.to_json()

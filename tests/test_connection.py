@@ -1,8 +1,11 @@
 import random
 
+import pytest
+
 from simplexconn import simplex
 from simplexconn.backend import R, ZERO, ONE, rat_str
 from simplexconn.simplex import Permutation, all_permutations, norm_A
+from simplexconn.closed_forms import connection_matrix
 from simplexconn.connection import (
     ConnMatrix,
     clear_caches,
@@ -116,3 +119,18 @@ def test_clear_caches_clears_moments():
     assert simplex._MOMENT_CACHE
     clear_caches()
     assert not simplex._MOMENT_CACHE
+
+
+def test_cached_gram_matrix_cannot_be_mutated():
+    tau = Permutation.from_cycles("(12)", 3)
+    mat = gram_connection(tau, KAPPA, 2)
+    before = [list(row) for row in mat.rows]
+    with pytest.raises(TypeError):
+        mat.rows[0][0] = ONE
+    with pytest.raises(TypeError):
+        mat.rows[0] = (ONE,) * len(mat.order)
+    again = gram_connection(tau, KAPPA, 2)
+    assert [list(row) for row in again.rows] == before
+    assert type(again.rows) is tuple and all(type(row) is tuple for row in again.rows)
+    # every constructor gives the same row type, so closed and Gram rows compare equal
+    assert connection_matrix(tau, KAPPA, 2, method="closed").rows == again.rows

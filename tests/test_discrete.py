@@ -10,24 +10,20 @@ KAPPA = (R(1, 2), R(1, 3), R(2, 5))
 RHO = (R(1, 4), R(1, 3))
 
 
-def index_set(d, top):
-    return [nu for t in range(top + 1) for nu in ds.compositions(t, d)]
-
-
 def test_hahn_product_matches_generating():
     N = 5
     for kappa, d in ((KAPPA, 2), ((R(1, 2), R(1, 3), R(2, 5), R(3, 4)), 3)):
-        for nu in index_set(d, 3):
+        for nu in ds.kraw_grid(d, 3):
             table = ds.hahn_from_generating(nu, kappa, N)
-            for alpha in ds.compositions(N, d + 1):
+            for alpha in enumerate_basis(d + 1, N):
                 assert ds.hahn_multi(nu, alpha, kappa, N) == table[alpha]
 
 
 def test_hahn_orthogonality_and_norm():
     N = 4
     d = 2
-    idxs = index_set(d, N)
-    grid = list(ds.compositions(N, d + 1))
+    idxs = ds.kraw_grid(d, N)
+    grid = enumerate_basis(d + 1, N)
     vals = {nu: {a: ds.hahn_multi(nu, a, KAPPA, N) for a in grid} for nu in idxs}
     for i, nu in enumerate(idxs):
         for mu in idxs[i:]:
@@ -42,7 +38,7 @@ def test_hahn_norm_relation_to_simplex_norm():
     N = 5
     d = 2
     lam = sum(KAPPA, ZERO) + d + 1
-    for nu in index_set(d, 3):
+    for nu in ds.kraw_grid(d, 3):
         t = sum(nu)
         p = ds.p_factor(nu, KAPPA)
         lhs = ds.hahn_norm_B(nu, KAPPA, N)
@@ -79,7 +75,7 @@ def test_hahn_connection_matches_simplex_connection():
 def test_kraw_orthogonality_and_norm():
     N = 4
     d = 2
-    idxs = index_set(d, N)
+    idxs = ds.kraw_grid(d, N)
     grid = ds.kraw_grid(d, N)
     vals = {nu: {x: ds.kraw_multi(nu, x, RHO, N) for x in grid} for nu in idxs}
     for i, nu in enumerate(idxs):
@@ -92,7 +88,7 @@ def test_kraw_orthogonality_and_norm():
 def test_kraw_duality():
     N = 4
     d = 2
-    for nu in index_set(d, N):
+    for nu in ds.kraw_grid(d, N):
         for x in ds.kraw_grid(d, N):
             xt, nut, rt = ds.kraw_dual(x, nu, RHO)
             assert sum(RHO, ZERO) == sum(rt, ZERO)
@@ -103,7 +99,7 @@ def test_kraw_duality():
 def test_kraw_duality_weight_identity():
     N = 4
     one_minus = ONE - sum(RHO, ZERO)
-    for nu in index_set(2, N):
+    for nu in ds.kraw_grid(2, N):
         xt, nut, rt = ds.kraw_dual((0,) * 2, nu, RHO)
         xt_full = xt + (N - sum(xt),)
         lhs = ds.kraw_norm_C(nu, RHO, N) * ds.kraw_weight(xt, rt, N)
@@ -163,7 +159,7 @@ def test_hahn_connection_weighs_each_grid_point_once(monkeypatch):
     N = 4
     mat = ds.hahn_connection(Permutation((3, 1, 2)), KAPPA, N, 3)
     assert len(mat.order) == 4
-    assert sorted(a for a, _ in calls) == sorted(ds.compositions(N, 3))
+    assert sorted(a for a, _ in calls) == sorted(enumerate_basis(3, N))
 
 
 def test_kraw_connection_weighs_each_grid_point_once(monkeypatch):

@@ -4,15 +4,11 @@ from simplexconn.backend import R, ZERO, ONE
 from simplexconn.exact_arith import pochhammer
 from simplexconn import racah as rc
 from simplexconn import closed_forms as cf
-from simplexconn.discrete import compositions
+from simplexconn.discrete import kraw_grid
 from simplexconn.simplex import enumerate_basis
 
 BETA2 = tuple(R(2 * i + 1, 2) + i for i in range(4))  # d = 2
 BETA3 = tuple(R(3 * i + 2, 3) + i * i for i in range(5))  # d = 3
-
-
-def index_set(d, N):
-    return [nu for t in range(N + 1) for nu in compositions(t, d)]
 
 
 def test_racah_1d_orthogonality():
@@ -37,7 +33,7 @@ def test_racah_1d_orthogonality():
 def test_multivariable_orthogonality_d2():
     N = 4
     grid = rc.lattice_points(2, N)
-    idxs = index_set(2, N)
+    idxs = kraw_grid(2, N)
     vals = {nu: [rc.racah_multi(nu, x, BETA2, N) for x in grid] for nu in idxs}
     weights = [rc.racah_weight_multi(x, BETA2, N) for x in grid]
     for i, nu in enumerate(idxs):
@@ -51,7 +47,7 @@ def test_multivariable_orthogonality_d2():
 
 def test_duality_relation_and_involution():
     N = 4
-    for nu in index_set(2, N):
+    for nu in kraw_grid(2, N):
         for x in rc.lattice_points(2, N):
             xt, nut, bt = rc.dual_map(x, nu, BETA2, N)
             lhs = rc.racah_multi(nu, x, BETA2, N) / rc.duality_normalizer(nu, BETA2, N)
@@ -63,7 +59,7 @@ def test_duality_relation_and_involution():
 
 def test_second_family_via_reflection():
     N = 4
-    for nu in index_set(2, N):
+    for nu in kraw_grid(2, N):
         for x in rc.lattice_points(2, N):
             xc, nuc, bc = rc.conj_map(x, nu, BETA2, N)
             assert rc.racah_multi(nu, x, BETA2, N) == rc.racah_second(nuc, xc, bc, N)
@@ -72,7 +68,7 @@ def test_second_family_via_reflection():
 def test_second_family_orthogonality():
     N = 3
     grid = rc.lattice_points(2, N)
-    idxs = index_set(2, N)
+    idxs = kraw_grid(2, N)
     weights = [rc.racah_weight_multi(x, BETA2, N) for x in grid]
     vals = {nu: [rc.racah_second(nu, x, BETA2, N) for x in grid] for nu in idxs}
     for i, nu in enumerate(idxs):
@@ -84,7 +80,7 @@ def test_second_family_orthogonality():
 
 def test_dual_then_reflect_lands_in_second_family():
     N = 4
-    for nu in index_set(2, N)[:12]:
+    for nu in kraw_grid(2, N):
         for x in rc.lattice_points(2, N):
             xt2, nut2, bt2 = rc.dual2_map(x, nu, BETA2, N)
             xt, nut, bt = rc.dual_map(x, nu, BETA2, N)
@@ -138,7 +134,7 @@ def test_second_norm_closed_form_matches_summation_seeded():
     for d in range(1, 5):
         for N in range(1, 4):
             beta = seeded_beta(rng, d)
-            for nu in index_set(d, N):
+            for nu in kraw_grid(d, N):
                 assert rc.racah_second_norm_sq(nu, beta, N) == second_norm_by_summation(nu, beta, N)
 
 
@@ -149,7 +145,7 @@ def test_second_norm_closed_form_matches_summation_cyclic_form3():
         ksuf = lambda j: sum(kappa[j - 1:], ZERO)
         for n in (2, 3):
             beta = tuple(ksuf(d + 1 - j) + j for j in range(d)) + (-R(2 * n) - kappa[0],)
-            for idx in index_set(d - 1, n):
+            for idx in kraw_grid(d - 1, n):
                 assert rc.racah_second_norm_sq(idx, beta, n) == second_norm_by_summation(idx, beta, n)
 
 

@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from simplexconn.backend import R, ZERO, ONE
 from simplexconn.exact_arith import pochhammer
-from simplexconn.multipoly import SparsePoly
+from simplexconn.multipoly import SparsePoly, grevlex_key
 from simplexconn.simplex import (
     Permutation,
     all_permutations,
@@ -80,6 +80,16 @@ def test_enumerate_basis_counts_and_order():
             assert len(enumerate_basis(d, n)) == comb(n + d - 1, n)
     # 2D convention: position j holds (n-j, j)
     assert enumerate_basis(2, 3) == [(3, 0), (2, 1), (1, 2), (0, 3)]
+
+
+def test_enumerate_basis_is_sorted_grevlex_and_total_at_the_edges():
+    for d in range(1, 5):
+        for n in range(6):
+            order = enumerate_basis(d, n)
+            assert order == sorted(order, key=grevlex_key)
+            assert len(set(order)) == len(order) and all(sum(nu) == n for nu in order)
+    assert enumerate_basis(0, 0) == [()]
+    assert enumerate_basis(0, 2) == [] and enumerate_basis(3, -1) == []
 
 
 def test_simplex_moment_dirichlet():
