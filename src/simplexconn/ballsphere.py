@@ -3,7 +3,7 @@
 Every basis element is stored in factored parity form x^eps * core(x_1^2,
 ..., x_d^2), so no square roots ever appear. Connection coefficients on the
 ball reduce, parity class by parity class, to the simplex ones with shifted
-parameters.
+parameters (from the closed engine; ball_gram is the direct oracle).
 """
 
 from math import comb
@@ -20,7 +20,8 @@ from .simplex import (
     norm_A,
     simplex_moment,
 )
-from .connection import gram_connection, normalize
+from .connection import normalize
+from .closed_forms import connection_matrix
 
 
 class ParityMismatch(ValueError):
@@ -213,7 +214,8 @@ def ball_connection(tau, kappa, n):
 
     Returns a dict mapping ((nu, eps), (mu, eta)) to QSqrt over the degree-n
     ball basis; entries are zero unless eta is the tau-image of eps, and each
-    parity block is the normalized simplex matrix at the shifted parameters.
+    parity block is the normalized closed-engine simplex matrix at the
+    shifted parameters.
     """
     d = tau.m
     kappa = tuple(R(k) for k in kappa)
@@ -229,7 +231,7 @@ def ball_connection(tau, kappa, n):
         eta = tuple(eta)
         kap_eta = shifted(kappa, eta)
         deg = (n - sum(eps)) // 2
-        block = gram_connection(tau_ext, kap_eta, deg)
+        block = connection_matrix(tau_ext, kap_eta, deg)
         hat = normalize(block, tau_ext, kap_eta)
         idx = {m: i for i, m in enumerate(block.order)}
         for nu in nus:

@@ -82,37 +82,31 @@ def cc_2d_entry(tau_name, j, m, kappa, n):
     raise ValueError(f"unknown permutation {tau_name!r}")
 
 
-_S3_NAMES = {
-    (1, 2, 3): "e",
-    (2, 1, 3): "(12)",
-    (3, 2, 1): "(13)",
-    (1, 3, 2): "(23)",
-    (2, 3, 1): "(123)",
-    (3, 1, 2): "(132)",
-}
-
-
 def cc_2d_matrix(tau, kappa, n):
     """Degree-n connection matrix for tau in S_3, rows nu=(n-j,j), cols (n-m,m)."""
-    name = _S3_NAMES[tau.img if isinstance(tau, Permutation) else tuple(tau)]
+    if not isinstance(tau, Permutation):
+        tau = Permutation(tau)
+    if tau.m != 3:
+        raise ValueError(f"cc_2d_matrix needs a permutation of 3 slots, got {tau!r}")
     order = enumerate_basis(2, n)
-    rows = [[cc_2d_entry(name, j, m, kappa, n) for m in range(n + 1)] for j in range(n + 1)]
+    rows = [[cc_2d_entry(repr(tau), j, m, kappa, n) for m in range(n + 1)] for j in range(n + 1)]
     return ConnMatrix(2, n, rows, order)
 
 
 def cc_2d_hat12(j, m, kappa, n, form=1):
-    """Normalized entry for tau=(12) as sign * sqrt(rational), two Racah forms."""
+    """Normalized entry for tau=(12) as sign * sqrt(rational), two Racah forms.
+
+    Form 2 is the adjacent transposition (1, 2) of cc_adjacent_hat.
+    """
+    if form == 2:
+        return cc_adjacent_hat((n - j, j), (n - m, m), kappa, n, 1)
+    if form != 1:
+        raise ValueError("form must be 1 or 2")
     k1, k2, k3 = (R(k) for k in kappa)
-    if form == 1:
-        sigma = (R(-n) - 1, R(n) + k1 + k3 + 1, k3, k2)
-        val = racah_1d(j, m, *sigma)
-        w = racah_weight_1d(m, *sigma)
-        r2 = racah_norm_1d(j, *sigma, n)
-    else:
-        sigma = (R(-n) - 1, R(n) + k2 + k3 + 1, k3, k1)
-        val = racah_1d(m, j, *sigma)
-        w = racah_weight_1d(j, *sigma)
-        r2 = racah_norm_1d(m, *sigma, n)
+    sigma = (R(-n) - 1, R(n) + k1 + k3 + 1, k3, k2)
+    val = racah_1d(j, m, *sigma)
+    w = racah_weight_1d(m, *sigma)
+    r2 = racah_norm_1d(j, *sigma, n)
     return _qsqrt_signed(_sign(n + m + j), val, w, r2)
 
 
@@ -121,6 +115,8 @@ def verify_sum_identity(k, ell, kappa, n):
 
     Returns (lhs, rhs) of the identity; they must be equal.
     """
+    if len(kappa) != 3:
+        raise ValueError(f"the summation identity needs exactly 3 kappa entries, got {len(kappa)}")
     k1, k2, k3 = (R(k_) for k_ in kappa)
     tot = k1 + k2 + k3
 

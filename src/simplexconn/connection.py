@@ -20,7 +20,7 @@ from .simplex import (
 class ConnMatrix:
     """Square matrix of rationals indexed by the degree-n multi-indices.
 
-    The rows are a tuple of tuples, so a matrix handed out from a cache
+    The order and the rows are tuples, so a matrix handed out from a cache
     cannot be changed by its caller.
     """
 
@@ -29,7 +29,7 @@ class ConnMatrix:
     def __init__(self, d, n, rows, order=None):
         self.d = d
         self.n = n
-        self.order = order if order is not None else enumerate_basis(d, n)
+        self.order = tuple(order if order is not None else enumerate_basis(d, n))
         self.rows = tuple(map(tuple, rows))
 
     @classmethod

@@ -4,13 +4,15 @@ Both families are built as Tratnik-style products of one-variable kernels
 with the leading Pochhammer prefactor folded into the series, so every value
 is an exact rational even when intermediate bottom parameters would vanish.
 Their connection coefficients coincide with (Hahn) or are limits of
-(Krawtchouk) the simplex Jacobi ones.
+(Krawtchouk) the simplex Jacobi ones: the Hahn matrix is the closed engine's,
+rescaled by p_factor, and its lattice sum is only a test oracle.
 """
 
 from .backend import R, ZERO, ONE
 from .exact_arith import QSqrt, hyp_with_prefactor, pochhammer
 from .simplex import a_coeffs, enumerate_basis, jacobi_simplex_basis
 from .connection import ConnMatrix
+from .closed_forms import connection_matrix
 
 
 # ---------------------------------------------------------------------------
@@ -49,17 +51,12 @@ def _weighted_sum(fvals, gvals, weighted_grid):
     return sum((fvals[x] * gvals[x] * w for x, w in weighted_grid), ZERO)
 
 
-def _hahn_weighted_grid(kappa, N):
-    """(alpha, weight) over |alpha| = N, with N!/(lambda)_N folded into the weight."""
-    d = len(kappa) - 1
-    lam = sum((R(k) for k in kappa), ZERO) + d + 1
-    scale = pochhammer(ONE, N) / pochhammer(lam, N)
-    return [(a, scale * hahn_weight(a, kappa)) for a in enumerate_basis(d + 1, N)]
-
-
 def hahn_inner(fvals, gvals, kappa, N):
-    """<f, g> from values indexed by the grid of |alpha| = N."""
-    return _weighted_sum(fvals, gvals, _hahn_weighted_grid(kappa, N))
+    """<f, g> from values indexed by the grid of |alpha| = N, normalized by N!/(lambda)_N."""
+    lam = sum((R(k) for k in kappa), ZERO) + len(kappa)
+    scale = pochhammer(ONE, N) / pochhammer(lam, N)
+    weighted = [(a, scale * hahn_weight(a, kappa)) for a in enumerate_basis(len(kappa), N)]
+    return _weighted_sum(fvals, gvals, weighted)
 
 
 def p_factor(nu, kappa):
@@ -122,26 +119,20 @@ def hahn_from_generating(nu, kappa, N):
     return out
 
 
-def hahn_values(nu, kappa, N):
-    """Values of the product-form H_nu on the full grid."""
-    d = len(nu)
-    return {alpha: hahn_multi(nu, alpha, kappa, N) for alpha in enumerate_basis(d + 1, N)}
-
-
 def hahn_connection(tau, kappa, N, n):
-    """Connection matrix of the Hahn family by discrete inner products."""
-    d = tau.m - 1
+    """Connection matrix of the Hahn family, from the simplex engine.
+
+    Entry [nu][mu] is C^tau(kappa)[nu][mu] * p(mu, kappa) / p(nu, tau.kappa),
+    with p = p_factor; it does not depend on N, which only bounds n.
+    """
+    if n > N:
+        raise ValueError(f"Hahn degree n={n} exceeds the lattice size N={N}")
     kappa = tuple(R(k) for k in kappa)
     tk = tau.act_params(kappa)
-    order = enumerate_basis(d, n)
-    weighted = _hahn_weighted_grid(kappa, N)
-    vals = {mu: hahn_values(mu, kappa, N) for mu in order}
-    norms = {mu: hahn_norm_B(mu, kappa, N) for mu in order}
-    rows = []
-    for nu in order:
-        src = {a: hahn_multi(nu, tuple(a[tau(i) - 1] for i in range(1, d + 2)), tk, N) for a, _ in weighted}
-        rows.append([_weighted_sum(src, vals[mu], weighted) / norms[mu] for mu in order])
-    return ConnMatrix(d, n, rows, order)
+    mat = connection_matrix(tau, kappa, n)
+    p_tgt = [p_factor(mu, kappa) for mu in mat.order]
+    rows = [[c * p / p_factor(nu, tk) for c, p in zip(row, p_tgt)] for nu, row in zip(mat.order, mat.rows)]
+    return ConnMatrix(mat.d, n, rows, mat.order)
 
 
 # ---------------------------------------------------------------------------

@@ -249,7 +249,7 @@ def test_07_hahn():
         kappa = kappas[d]
         idxs = ds.kraw_grid(d, N)
         grid = enumerate_basis(d + 1, N)
-        vals = {nu: ds.hahn_values(nu, kappa, N) for nu in idxs}
+        vals = {nu: {a: ds.hahn_multi(nu, a, kappa, N) for a in grid} for nu in idxs}
         for i, nu in enumerate(idxs):
             for mu in idxs[i:]:
                 s = ds.hahn_inner(vals[nu], vals[mu], kappa, N)

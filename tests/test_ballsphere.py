@@ -4,6 +4,8 @@ from simplexconn.backend import R, ZERO, ONE
 from simplexconn.exact_arith import pochhammer
 from simplexconn.simplex import Permutation
 from simplexconn import ballsphere as bs
+from simplexconn import closed_forms as cf
+from simplexconn import connection
 from simplexconn.multipoly import SparsePoly
 
 KAPPA2 = (R(1, 2), R(1, 3), R(2, 5))
@@ -56,26 +58,47 @@ def test_cartesian_product_is_proportional_to_semigroup_form():
                 assert rep["scalar"] != ZERO
 
 
+def assert_ball_connection_matches_gram(tau, kappa, n):
+    conn = bs.ball_connection(tau, kappa, n)
+    order, rows = bs.ball_gram(tau, kappa, n)
+    norms = {key: bs.ball_norm(*key, kappa) for key in order}
+    tk = bs._extend(tau, tau.m + 1).act_params(kappa)
+    for i, src in enumerate(order):
+        src_norm = bs.ball_norm(src[0], src[1], tk)
+        for j, dst in enumerate(order):
+            c = rows[i][j]
+            q = conn.get((src, dst))
+            hat_sq = c * c * norms[dst] / src_norm
+            if q is None:
+                assert c == ZERO
+            else:
+                assert q.square() == hat_sq
+                if c != ZERO:
+                    assert q.sign == (1 if c > 0 else -1)
+
+
 def test_ball_connection_matches_gram():
     for tau_img in ((2, 1), (1, 2)):
-        tau = Permutation(tau_img)
         for n in (2, 3):
-            conn = bs.ball_connection(tau, KAPPA2, n)
-            order, rows = bs.ball_gram(tau, KAPPA2, n)
-            norms = {key: bs.ball_norm(*key, KAPPA2) for key in order}
-            tk = bs._extend(tau, 3).act_params(KAPPA2)
-            for i, src in enumerate(order):
-                src_norm = bs.ball_norm(src[0], src[1], tk)
-                for j, dst in enumerate(order):
-                    c = rows[i][j]
-                    q = conn.get((src, dst))
-                    hat_sq = c * c * norms[dst] / src_norm
-                    if q is None:
-                        assert c == ZERO
-                    else:
-                        assert q.square() == hat_sq
-                        if c != ZERO:
-                            assert q.sign == (1 if c > 0 else -1)
+            assert_ball_connection_matches_gram(Permutation(tau_img), KAPPA2, n)
+
+
+def test_ball_connection_matches_gram_d3():
+    for tau_img in itertools.permutations((1, 2, 3)):
+        for n in range(4):
+            assert_ball_connection_matches_gram(Permutation(tau_img), KAPPA3, n)
+
+
+def test_ball_connection_never_calls_gram(monkeypatch):
+    def no_gram(*args):
+        raise AssertionError("ball_connection called gram_connection")
+
+    assert not hasattr(bs, "gram_connection")
+    monkeypatch.setattr(connection, "gram_connection", no_gram)
+    monkeypatch.setattr(cf, "gram_connection", no_gram)
+    for d, kappa in ((2, KAPPA2), (3, KAPPA3)):
+        for tau_img in itertools.permutations(range(1, d + 1)):
+            assert bs.ball_connection(Permutation(tau_img), kappa, 3)
 
 
 def test_disk_polar_basis_matches_simplex_images():

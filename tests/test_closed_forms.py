@@ -34,12 +34,13 @@ def test_2d_normalized_entries_match_gram_squares():
     tau = Permutation((2, 1, 3))
     n = 3
     hat_gram = normalize(gram_connection(tau, KAPPA2, n), tau, KAPPA2)
-    for j in range(n + 1):
-        for m in range(n + 1):
-            q = cf.cc_2d_hat12(j, m, KAPPA2, n)
-            g = hat_gram[j][m]
-            assert q.square() == g.square()
-            assert q.sign == g.sign
+    for form in (1, 2):
+        for j in range(n + 1):
+            for m in range(n + 1):
+                q = cf.cc_2d_hat12(j, m, KAPPA2, n, form=form)
+                g = hat_gram[j][m]
+                assert q.square() == g.square()
+                assert q.sign == g.sign
 
 
 def test_sum_identity():
@@ -49,6 +50,17 @@ def test_sum_identity():
                 for ell in range(n + 1):
                     lhs, rhs = cf.verify_sum_identity(k, ell, kappa, n)
                     assert lhs == rhs
+
+
+def test_sum_identity_needs_three_parameters():
+    for kappa in (KAPPA2[:2], KAPPA3):
+        with pytest.raises(ValueError, match="exactly 3 kappa entries"):
+            cf.verify_sum_identity(0, 0, kappa, 1)
+
+
+def test_2d_matrix_rejects_permutations_outside_s3():
+    with pytest.raises(ValueError, match="3 slots"):
+        cf.cc_2d_matrix(Permutation((2, 1, 3, 4)), KAPPA3, 1)
 
 
 def test_3d_closed_matches_gram():

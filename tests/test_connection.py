@@ -4,7 +4,7 @@ import pytest
 
 from simplexconn import simplex
 from simplexconn.backend import R, ZERO, ONE, rat_str
-from simplexconn.simplex import Permutation, all_permutations, norm_A
+from simplexconn.simplex import Permutation, all_permutations, enumerate_basis, norm_A
 from simplexconn.closed_forms import connection_matrix
 from simplexconn.connection import (
     ConnMatrix,
@@ -129,8 +129,12 @@ def test_cached_gram_matrix_cannot_be_mutated():
         mat.rows[0][0] = ONE
     with pytest.raises(TypeError):
         mat.rows[0] = (ONE,) * len(mat.order)
+    with pytest.raises(AttributeError):
+        mat.order.reverse()
     again = gram_connection(tau, KAPPA, 2)
     assert [list(row) for row in again.rows] == before
+    assert again.order == tuple(enumerate_basis(2, 2))
+    assert again.entry((2, 0), (0, 2)) == before[0][2] == R(1927, 1216)
     assert type(again.rows) is tuple and all(type(row) is tuple for row in again.rows)
     # every constructor gives the same row type, so closed and Gram rows compare equal
     assert connection_matrix(tau, KAPPA, 2, method="closed").rows == again.rows

@@ -1,5 +1,7 @@
 import itertools
 
+import pytest
+
 from simplexconn.backend import R, ZERO, ONE
 from simplexconn.exact_arith import pochhammer
 from simplexconn.simplex import Permutation, enumerate_basis
@@ -154,12 +156,42 @@ def counting(monkeypatch, name):
     return calls
 
 
-def test_hahn_connection_weighs_each_grid_point_once(monkeypatch):
-    calls = counting(monkeypatch, "hahn_weight")
-    N = 4
-    mat = ds.hahn_connection(Permutation((3, 1, 2)), KAPPA, N, 3)
-    assert len(mat.order) == 4
-    assert sorted(a for a, _ in calls) == sorted(enumerate_basis(3, N))
+def hahn_lattice_connection(tau, kappa, N, n):
+    """Oracle: the Hahn connection matrix by inner products over the lattice |alpha| = N."""
+    d = tau.m - 1
+    tk = tau.act_params(kappa)
+    grid = enumerate_basis(d + 1, N)
+    order = enumerate_basis(d, n)
+    targets = [({a: ds.hahn_multi(mu, a, kappa, N) for a in grid}, ds.hahn_norm_B(mu, kappa, N)) for mu in order]
+    rows = []
+    for nu in order:
+        src = {a: ds.hahn_multi(nu, tuple(a[tau(i) - 1] for i in range(1, d + 2)), tk, N) for a in grid}
+        rows.append(tuple(ds.hahn_inner(src, vals, kappa, N) / norm for vals, norm in targets))
+    return tuple(order), tuple(rows)
+
+
+def test_hahn_connection_matches_lattice_oracle():
+    for m, kappa, N, n in ((3, KAPPA, 6, 4), (4, KAPPA + (R(3, 4),), 3, 2)):
+        for img in itertools.permutations(range(1, m + 1)):
+            tau = Permutation(img)
+            mat = ds.hahn_connection(tau, kappa, N, n)
+            assert (mat.order, mat.rows) == hahn_lattice_connection(tau, kappa, N, n)
+
+
+def test_hahn_connection_never_sums_the_lattice(monkeypatch):
+    def no_lattice(*args):
+        raise AssertionError("hahn_connection evaluated the lattice")
+
+    monkeypatch.setattr(ds, "hahn_multi", no_lattice)
+    monkeypatch.setattr(ds, "hahn_weight", no_lattice)
+    for m, kappa in ((3, KAPPA), (4, KAPPA + (R(3, 4),))):
+        for img in itertools.permutations(range(1, m + 1)):
+            assert len(ds.hahn_connection(Permutation(img), kappa, 3, 3).order) == len(enumerate_basis(m - 1, 3))
+
+
+def test_hahn_connection_rejects_n_above_N():
+    with pytest.raises(ValueError, match="exceeds the lattice size"):
+        ds.hahn_connection(Permutation((2, 1, 3)), KAPPA, 2, 3)
 
 
 def test_kraw_connection_weighs_each_grid_point_once(monkeypatch):
