@@ -18,7 +18,6 @@ from .simplex import (
     jacobi_1d,
     jacobi_simplex_basis,
     norm_A,
-    simplex_moment,
 )
 from .connection import normalize
 from .closed_forms import connection_matrix
@@ -331,16 +330,14 @@ def verify_disk_polar(n, mu):
 
 
 def sphere_inner_product(p, q, kappa):
-    """Normalized inner product over the sphere; zero across parity classes."""
+    """Normalized inner product over the sphere; zero across parity classes.
+
+    The moment of y^(2b) on the sphere is the simplex moment of u^b, so this
+    is the simplex inner product of core(p) u^eps and core(q).
+    """
     if p.eps != q.eps:
         return ZERO
-    total = ZERO
-    for ea, ca in p.core.terms.items():
-        for eb, cb in q.core.terms.items():
-            b = tuple(x + y + e for x, y, e in zip(ea, eb, p.eps))
-            # the moment of y^(2b) on the sphere is the simplex moment of u^b
-            total += ca * cb * simplex_moment(b, kappa)
-    return total
+    return inner_product_simplex(p.core * SparsePoly(p.core.d, {p.eps: ONE}), q.core, kappa)
 
 
 def sphere_basis(nu, eps, kappa, n):

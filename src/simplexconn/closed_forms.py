@@ -1,12 +1,14 @@
 """Closed-form connection coefficients between permuted simplex bases.
 
-Every connection matrix comes from one engine.  A permutation tau of the
-d+1 slots is a product s_{a_1} ... s_{a_k} of adjacent transpositions
-s_j = (j, j+1) (a reduced word), and the composition rule
+Every connection matrix comes from one engine, word_product.  A permutation
+tau of the d+1 slots is a product s_{a_1} ... s_{a_k} of adjacent
+transpositions s_j = (j, j+1) (a reduced word), and the composition rule
 C^{t1 t2}(kappa) = C^{t2}(t1.kappa) C^{t1}(kappa) turns the word into a
-product of block-sparse factors.  The factor for s_d is the signed identity;
+product of block-sparse factors, each applied to the rows of the running
+product.  For the Jacobi family the factor for s_d is the signed identity and
 the factor for s_j, j < d, is the d=2 (12) 4F3 entry with shifted
-parameters.  So the closed method is exact and total for every d.
+parameters, so the closed method is exact and total for every d.  The
+Krawtchouk family (discrete.kraw_connection) supplies its own local rules.
 
 The paper's named formulas stay as identities checked against the Gram
 oracle: the d=2 entries and their Racah forms, the summation identity, the
@@ -160,51 +162,64 @@ def verify_sum_identity(k, ell, kappa, n):
 # ---------------------------------------------------------------------------
 
 
-def _adjacent_factor(j, kappa, n, d):
-    """C^{s_j}(kappa) at degree n for the adjacent transposition s_j = (j, j+1).
+def word_product(tau, params, n, block, ratio):
+    """Degree-n connection matrix of tau as a product of adjacent factors.
 
-    s_d is the signed identity (-1)^{nu_d}.  For j < d the matrix is block
-    sparse: nu and mu agree outside slots j, j+1, and the block is the d=2
-    (12) entry at local degree nu_j + nu_{j+1} and parameters
-    (kappa_j, kappa_{j+1}, |kappa^{j+2}| + 2|nu^{j+2}| + d - j - 1).
+    With tau = s_{a_1} ... s_{a_k} (a reduced word), the composition rule
+    C^{t1 t2} = C^{t2}(t1.params) C^{t1}(params) gives C^tau = F_k ... F_1,
+    F_i = C^{s_{a_i}}(params_i), params_1 = params and params_{i+1} = params_i
+    with slots a_i and a_i + 1 swapped.  Each factor is applied to the rows of
+    the running product; it is never built.  The family supplies its local
+    rules, read at the current params:
+
+    - block(j, params, m_loc, k, m, tail), j < d: the entry of C^{s_j} in row
+      nu and column mu, where mu agrees with nu outside slots j, j+1,
+      m_loc = nu_j + nu_{j+1}, k = nu_{j+1}, m = mu_{j+1} and tail = |nu^{j+2}|;
+    - ratio(params): C^{s_d} is diag(ratio^{nu_d}).
     """
-    if j == d:
-        return ConnMatrix.from_func(d, n, lambda nu, mu: _sign(nu[d - 1]) if nu == mu else ZERO)
-    k_tail = sum(kappa[j + 1:], ZERO)
-    # rows that differ only before slot j share their block entries
-    block = {}
-
-    def entry(nu, mu):
-        if nu[: j - 1] != mu[: j - 1] or nu[j + 1:] != mu[j + 1:]:
-            return ZERO
-        key = (nu[j - 1], nu[j], mu[j], sum(nu[j + 1:]))
-        c = block.get(key)
-        if c is None:
-            khat = (kappa[j - 1], kappa[j], k_tail + 2 * key[3] + d - j - 1)
-            c = cc_2d_entry("(12)", nu[j], mu[j], khat, nu[j - 1] + nu[j])
-            block[key] = c
-        return c
-
-    return ConnMatrix.from_func(d, n, entry)
-
-
-def _word_connection(tau, kappa, n):
-    """C^tau(kappa) as the product F_k ... F_1 over a reduced word of tau.
-
-    With tau = s_{a_1} ... s_{a_k}, the composition rule
-    C^{t1 t2}(kappa) = C^{t2}(t1.kappa) C^{t1}(kappa) gives
-    F_i = C^{s_{a_i}}(kappa_i), kappa_1 = kappa, kappa_{i+1} = s_{a_i}.kappa_i.
-    """
+    if len(params) != tau.m:
+        raise ValueError(f"a permutation of {tau.m} slots needs {tau.m} parameters, got {len(params)}")
     d = tau.m - 1
-    kappa = tuple(R(k) for k in kappa)
-    mat = None
+    params = tuple(R(p) for p in params)
+    order = enumerate_basis(d, n)
+    index = {nu: i for i, nu in enumerate(order)}
+    # sparse rows {column: value} of the running product, starting at the identity
+    rows = [{i: ONE} for i in range(len(order))]
     for a in tau.reduced_word():
-        factor = _adjacent_factor(a, kappa, n, d)
-        mat = factor if mat is None else factor.matmul(mat)
-        kappa = kappa[: a - 1] + (kappa[a], kappa[a - 1]) + kappa[a + 1:]
-    if mat is None:
-        return ConnMatrix.from_func(d, n, lambda nu, mu: ONE if nu == mu else ZERO)
-    return mat
+        if a == d:
+            powers = [ratio(params) ** e for e in range(n + 1)]
+            rows = [{c: v * powers[nu[d - 1]] for c, v in row.items()} for nu, row in zip(order, rows)]
+        else:
+            memo = {}
+            new_rows = []
+            for nu in order:
+                m_loc, k, tail = nu[a - 1] + nu[a], nu[a], sum(nu[a + 1:])
+                acc = {}
+                for m in range(m_loc + 1):
+                    key = (m_loc, k, m, tail)
+                    c = memo.get(key)
+                    if c is None:
+                        c = memo[key] = block(a, params, *key)
+                    if c == 0:
+                        continue
+                    mu = nu[: a - 1] + (m_loc - m, m) + nu[a + 1:]
+                    for col, v in rows[index[mu]].items():
+                        acc[col] = acc.get(col, ZERO) + c * v
+                new_rows.append(acc)
+            rows = new_rows
+        params = params[: a - 1] + (params[a], params[a - 1]) + params[a + 1:]
+    return ConnMatrix(d, n, [[row.get(i, ZERO) for i in range(len(order))] for row in rows], order)
+
+
+def _jacobi_block(j, kappa, m_loc, k, m, tail):
+    """The d=2 (12) entry at local degree m_loc and the kappa-hat of slots j, j+1."""
+    d = len(kappa) - 1
+    khat = (kappa[j - 1], kappa[j], sum(kappa[j + 1:], ZERO) + 2 * tail + d - j - 1)
+    return cc_2d_entry("(12)", k, m, khat, m_loc)
+
+
+def _jacobi_ratio(kappa):
+    return -ONE
 
 
 def cc_3d_matrix(tau, kappa, n):
@@ -213,20 +228,12 @@ def cc_3d_matrix(tau, kappa, n):
         tau = Permutation.from_cycles(tau, 4)
     if tau.m != 4:
         raise ValueError(f"cc_3d_matrix needs a permutation of 4 slots, got {tau!r}")
-    return _word_connection(tau, kappa, n)
+    return word_product(tau, kappa, n, _jacobi_block, _jacobi_ratio)
 
 
 # ---------------------------------------------------------------------------
 # d = 3: normalized Racah forms
 # ---------------------------------------------------------------------------
-
-
-def _hat_racah_2v(idx, x, beta, n):
-    """(value, weight, norm^2) pieces for a 2-variable Racah evaluation."""
-    val = racah_multi(idx, x, beta, n)
-    w = racah_weight_multi(x, beta, n)
-    r2 = racah_norm_sq(idx, beta, n)
-    return val, w, r2
 
 
 def _qsqrt_signed(sign_factor, val, w, r2):
@@ -242,17 +249,11 @@ def cc_3d_hat(tau_name, nu, mu, kappa, n):
     """
     kappa = tuple(R(k) for k in kappa)
     k1, k2, k3, k4 = kappa
-    tot = k1 + k2 + k3 + k4
     if tau_name == "(123)":
-        beta = (k1, k1 + k4 + 1, k1 + k3 + k4 + 2, tot + 3)
-        x = (nu[2], nu[1] + nu[2])
-        val, w, r2 = _hat_racah_2v((mu[2], mu[1]), x, beta, n)
-        return _qsqrt_signed(_sign(n + nu[2]), val, w, r2)
+        return cc_cyclic_hat(nu, mu, kappa, n)
     if tau_name == "(132)":
-        beta = (k3, k3 + k4 + 1, k2 + k3 + k4 + 2, tot + 3)
-        y = (mu[2], mu[1] + mu[2])
-        val, w, r2 = _hat_racah_2v((nu[2], nu[1]), y, beta, n)
-        return _qsqrt_signed(_sign(n + mu[2]), val, w, r2)
+        # the inverse of (123), so its normalized matrix is the transpose
+        return cc_3d_hat("(123)", mu, nu, (k3, k1, k2, k4), n)
     if tau_name == "(124)":
         k34 = (k1, k2, k4, k3)
         return cc_3d_hat("(123)", nu, mu, k34, n).scale(_sign(nu[2] + mu[2]))
@@ -290,7 +291,9 @@ def cc_3d_hat13_terms(nu, mu, kappa, n):
         val1 = racah_1d(nu[1], ell, *sigma)
         w1 = racah_weight_1d(ell, *sigma)
         x = (nu[2], ell + nu[2])
-        val2, w2, r2_2 = _hat_racah_2v((mu[2], mu[1]), x, beta, n)
+        val2 = racah_multi((mu[2], mu[1]), x, beta, n)
+        w2 = racah_weight_multi(x, beta, n)
+        r2_2 = racah_norm_sq((mu[2], mu[1]), beta, n)
         terms.append(_qsqrt_signed(_sign(nu[1] + ell), val1 * val2, w1 * w2, r2_1d * r2_2))
     return terms
 
@@ -364,4 +367,4 @@ def connection_matrix(tau, kappa, n, method="closed"):
         return gram_connection(tau, kappa, n)
     if method != "closed":
         raise ValueError(f"method must be 'closed' or 'gram', not {method!r}")
-    return _word_connection(tau, kappa, n)
+    return word_product(tau, kappa, n, _jacobi_block, _jacobi_ratio)

@@ -32,12 +32,6 @@ class ConnMatrix:
         self.order = tuple(order if order is not None else enumerate_basis(d, n))
         self.rows = tuple(map(tuple, rows))
 
-    @classmethod
-    def from_func(cls, d, n, func):
-        order = enumerate_basis(d, n)
-        rows = [[R(func(nu, mu)) for mu in order] for nu in order]
-        return cls(d, n, rows, order)
-
     def entry(self, nu, mu):
         return self.rows[self.order.index(tuple(nu))][self.order.index(tuple(mu))]
 
@@ -82,7 +76,6 @@ class ConnMatrix:
 
 
 _POLY_CACHE = {}
-_ACTED_CACHE = {}
 _GRAM_CACHE = {}
 
 
@@ -92,16 +85,6 @@ def _basis_poly(nu, kappa):
     if p is None:
         p = jacobi_simplex_basis(nu, kappa)
         _POLY_CACHE[key] = p
-    return p
-
-
-def _acted_poly(tau, nu, kappa):
-    """tau acting on the variables of the basis polynomial for (nu, kappa)."""
-    key = (tau.img, nu, kappa)
-    p = _ACTED_CACHE.get(key)
-    if p is None:
-        p = tau.act_vars(_basis_poly(nu, kappa))
-        _ACTED_CACHE[key] = p
     return p
 
 
@@ -118,7 +101,7 @@ def gram_connection(tau, kappa, n):
     targets = [(_basis_poly(mu, kappa), norm_A(mu, kappa)) for mu in order]
     rows = []
     for nu in order:
-        src = _acted_poly(tau, nu, tk)
+        src = tau.act_vars(_basis_poly(nu, tk))
         rows.append([inner_product_simplex(src, pmu, kappa) / Amu for pmu, Amu in targets])
     mat = ConnMatrix(d, n, rows, order)
     _GRAM_CACHE[key] = mat
@@ -192,5 +175,4 @@ def verify_convolution(mat_12, mat_2_at_t1k, mat_1_at_k):
 def clear_caches():
     _MOMENT_CACHE.clear()
     _POLY_CACHE.clear()
-    _ACTED_CACHE.clear()
     _GRAM_CACHE.clear()

@@ -3,16 +3,19 @@
 Both families are built as Tratnik-style products of one-variable kernels
 with the leading Pochhammer prefactor folded into the series, so every value
 is an exact rational even when intermediate bottom parameters would vanish.
-Their connection coefficients coincide with (Hahn) or are limits of
-(Krawtchouk) the simplex Jacobi ones: the Hahn matrix is the closed engine's,
-rescaled by p_factor, and its lattice sum is only a test oracle.
+Both connection matrices come from the Coxeter-word engine: the Hahn matrix
+is the simplex one rescaled by p_factor, and the Krawtchouk matrix, a limit
+of the simplex one, runs the engine with its own local rules on the
+extended (rho, 1 - |rho|).  The lattice sums are only test oracles.
 """
 
+from math import comb
+
 from .backend import R, ZERO, ONE
-from .exact_arith import QSqrt, hyp_with_prefactor, pochhammer
+from .exact_arith import QSqrt, hyp_terminating, hyp_with_prefactor, pochhammer
 from .simplex import a_coeffs, enumerate_basis, jacobi_simplex_basis
 from .connection import ConnMatrix
-from .closed_forms import connection_matrix
+from .closed_forms import connection_matrix, word_product
 
 
 # ---------------------------------------------------------------------------
@@ -80,12 +83,8 @@ def hahn_norm_B(nu, kappa, N):
         val = -val
     for j in range(d):
         k, a, m = kappa[j], aj[j], nu[j]
-        val *= (
-            pochhammer(k + a + 1, 2 * m)
-            * pochhammer(k + 1, m)
-            * pochhammer(ONE, m)
-            / (pochhammer(k + a + 1, m) * pochhammer(a + 1, m))
-        )
+        # (k+a+1)_{2m} / (k+a+1)_m, written so that k + a + 1 = 0 gives no 0/0
+        val *= pochhammer(k + a + m + 1, m) * pochhammer(k + 1, m) * pochhammer(ONE, m) / pochhammer(a + 1, m)
     return val
 
 
@@ -179,13 +178,9 @@ def kraw_norm_C(nu, rho, N):
     return val
 
 
-def _kraw_weighted_grid(rho, N):
-    """(x, weight) over |x| <= N."""
-    return [(x, kraw_weight(x, rho, N)) for x in kraw_grid(len(rho), N)]
-
-
 def kraw_inner(fvals, gvals, rho, N):
-    return _weighted_sum(fvals, gvals, _kraw_weighted_grid(rho, N))
+    """<f, g> from values indexed by the grid of |x| <= N."""
+    return _weighted_sum(fvals, gvals, [(x, kraw_weight(x, rho, N)) for x in kraw_grid(len(rho), N)])
 
 
 def kraw_dual(x, nu, rho):
@@ -209,24 +204,39 @@ def tau_rho(tau, rho):
     return tuple(ext[tau(i) - 1] for i in range(1, tau.m))
 
 
+def _kraw_block(j, rho, n, k, m, tail):
+    """Entry [(n-k, k)][(n-m, m)] of the d=2 (12) Krawtchouk matrix for slots j, j+1.
+
+    rho is the extended (rho_1, ..., rho_{d+1}); the local parameters are
+    (r1, r2, r3) = (rho_j, rho_{j+1}, |rho^{j+2}|) / |rho^j|, and the entry does
+    not depend on nu outside slots j, j+1 (tail is unused).
+    """
+    tot = sum(rho[j - 1:], ZERO)
+    r1, r2, r3 = rho[j - 1] / tot, rho[j] / tot, sum(rho[j + 1:], ZERO) / tot
+    sign = ONE if (n + m + k) % 2 == 0 else -ONE
+    return (
+        sign * comb(n, m) * r1 ** (n - m - k) * r3**k / (r2 + r3) ** n
+        * hyp_terminating([R(-m), R(-k)], [R(-n)], (r1 + r3) * (r2 + r3) / r3)
+    )
+
+
+def _kraw_ratio(rho):
+    """C^{s_d} is diag((-rho_d / rho_{d+1})^{nu_d}) at the extended rho."""
+    return -rho[-2] / rho[-1]
+
+
 def kraw_connection(tau, rho, N, n):
-    """Connection matrix of the Krawtchouk family by discrete inner products."""
-    d = tau.m - 1
+    """Connection matrix of the Krawtchouk family, from the Coxeter-word engine.
+
+    The engine runs on the extended (rho, 1 - |rho|), which tau permutes like
+    kappa; the matrix does not depend on N, which only bounds n.
+    """
+    if len(rho) != tau.m - 1:
+        raise ValueError(f"a permutation of {tau.m} slots needs {tau.m - 1} rho entries, got {len(rho)}")
+    if n > N:
+        raise ValueError(f"Krawtchouk degree n={n} exceeds the lattice size N={N}")
     rho = tuple(R(r) for r in rho)
-    trho = tau_rho(tau, rho)
-    order = enumerate_basis(d, n)
-    weighted = _kraw_weighted_grid(rho, N)
-    vals = {mu: {x: kraw_multi(mu, x, rho, N) for x, _ in weighted} for mu in order}
-    norms = {mu: kraw_norm_C(mu, rho, N) for mu in order}
-    rows = []
-    for nu in order:
-        src = {}
-        for x, _ in weighted:
-            ext = tuple(x) + (N - sum(x),)
-            tx = tuple(ext[tau(i) - 1] for i in range(1, d + 1))
-            src[x] = kraw_multi(nu, tx, trho, N)
-        rows.append([_weighted_sum(src, vals[mu], weighted) / norms[mu] for mu in order])
-    return ConnMatrix(d, n, rows, order)
+    return word_product(tau, rho + (ONE - sum(rho, ZERO),), n, _kraw_block, _kraw_ratio)
 
 
 def kraw_cc_cyclic_hat(nu, mu, rho, n, form=1):

@@ -243,12 +243,8 @@ def norm_A(nu, kappa):
     val = ONE / pochhammer(total, 2 * sum(nu))
     for j in range(d):
         k, a, n = kappa[j], aj[j], nu[j]
-        val *= (
-            pochhammer(k + a + 1, 2 * n)
-            * pochhammer(k + 1, n)
-            * pochhammer(a + 1, n)
-            / (pochhammer(k + a + 1, n) * pochhammer(ONE, n))
-        )
+        # (k+a+1)_{2n} / (k+a+1)_n, written so that k + a + 1 = 0 gives no 0/0
+        val *= pochhammer(k + a + n + 1, n) * pochhammer(k + 1, n) * pochhammer(a + 1, n) / pochhammer(ONE, n)
     return val
 
 

@@ -134,6 +134,13 @@ def test_connection_matrix_dispatch_agrees():
             assert a.rows == b.rows
 
 
+def test_engine_checks_the_parameter_count():
+    tau = Permutation((2, 3, 1))
+    for kappa in (KAPPA3, KAPPA2[:2]):
+        with pytest.raises(ValueError, match="needs 3 parameters"):
+            cf.connection_matrix(tau, kappa, 2)
+
+
 def test_unknown_method_raises():
     tau = Permutation.from_cycles("(12)", 3)
     with pytest.raises(ValueError, match="'closed' or 'gram'"):

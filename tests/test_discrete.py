@@ -1,11 +1,14 @@
 import itertools
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from simplexconn.backend import R, ZERO, ONE
 from simplexconn.exact_arith import pochhammer
 from simplexconn.simplex import Permutation, enumerate_basis
-from simplexconn.connection import gram_connection, normalize
+from simplexconn.closed_forms import connection_matrix
+from simplexconn.connection import gram_connection
 from simplexconn import discrete as ds
 
 KAPPA = (R(1, 2), R(1, 3), R(2, 5))
@@ -143,19 +146,6 @@ def test_hahn_to_krawtchouk_limit():
     assert R(5) < r2 < R(20)
 
 
-def counting(monkeypatch, name):
-    """Replace ds.<name> by a wrapper that counts its calls."""
-    calls = []
-    inner = getattr(ds, name)
-
-    def wrapper(*args):
-        calls.append(args)
-        return inner(*args)
-
-    monkeypatch.setattr(ds, name, wrapper)
-    return calls
-
-
 def hahn_lattice_connection(tau, kappa, N, n):
     """Oracle: the Hahn connection matrix by inner products over the lattice |alpha| = N."""
     d = tau.m - 1
@@ -194,9 +184,67 @@ def test_hahn_connection_rejects_n_above_N():
         ds.hahn_connection(Permutation((2, 1, 3)), KAPPA, 2, 3)
 
 
-def test_kraw_connection_weighs_each_grid_point_once(monkeypatch):
-    calls = counting(monkeypatch, "kraw_weight")
-    N = 4
-    mat = ds.kraw_connection(Permutation((3, 1, 2)), RHO, N, 3)
-    assert len(mat.order) == 4
-    assert sorted(x for x, _, _ in calls) == sorted(ds.kraw_grid(2, N))
+def kraw_lattice_connection(tau, rho, N, n):
+    """Oracle: the Krawtchouk connection matrix by inner products over the lattice |x| <= N."""
+    d = tau.m - 1
+    trho = ds.tau_rho(tau, rho)
+    grid = ds.kraw_grid(d, N)
+    order = enumerate_basis(d, n)
+    targets = [({x: ds.kraw_multi(mu, x, rho, N) for x in grid}, ds.kraw_norm_C(mu, rho, N)) for mu in order]
+    rows = []
+    for nu in order:
+        src = {}
+        for x in grid:
+            ext = tuple(x) + (N - sum(x),)
+            src[x] = ds.kraw_multi(nu, tuple(ext[tau(i) - 1] for i in range(1, d + 1)), trho, N)
+        rows.append(tuple(ds.kraw_inner(src, vals, rho, N) / norm for vals, norm in targets))
+    return tuple(order), tuple(rows)
+
+
+def test_kraw_connection_matches_lattice_oracle():
+    for m, rho, N, n in ((3, RHO, 5, 4), (4, RHO + (R(1, 6),), 3, 2)):
+        for img in itertools.permutations(range(1, m + 1)):
+            tau = Permutation(img)
+            mat = ds.kraw_connection(tau, rho, N, n)
+            assert (mat.order, mat.rows) == kraw_lattice_connection(tau, rho, N, n)
+
+
+def test_kraw_connection_never_sums_the_lattice(monkeypatch):
+    def no_lattice(*args):
+        raise AssertionError("kraw_connection evaluated the lattice")
+
+    monkeypatch.setattr(ds, "kraw_multi", no_lattice)
+    monkeypatch.setattr(ds, "kraw_weight", no_lattice)
+    for m, rho in ((3, RHO), (4, RHO + (R(1, 6),))):
+        for img in itertools.permutations(range(1, m + 1)):
+            assert len(ds.kraw_connection(Permutation(img), rho, 3, 3).order) == len(enumerate_basis(m - 1, 3))
+
+
+def test_kraw_connection_rejects_bad_rho_and_n_above_N():
+    for rho in (RHO[:1], RHO + (R(1, 6),)):
+        with pytest.raises(ValueError, match="needs 2 rho entries"):
+            ds.kraw_connection(Permutation((2, 3, 1)), rho, 3, 2)
+    with pytest.raises(ValueError, match="exceeds the lattice size"):
+        ds.kraw_connection(Permutation((2, 1, 3)), RHO, 2, 3)
+
+
+def small_rationals(size, lo, hi):
+    return st.lists(st.fractions(lo, hi, max_denominator=6), min_size=size, max_size=size).map(
+        lambda qs: tuple(R(q.numerator, q.denominator) for q in qs)
+    )
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.data())
+def test_engine_matches_gram_and_lattice_oracles(data):
+    d = data.draw(st.integers(1, 3), label="d")
+    n = data.draw(st.integers(0, 2), label="n")
+    tau = Permutation(data.draw(st.permutations(range(1, d + 2)), label="tau"))
+    kappa = data.draw(small_rationals(d + 1, Fraction(-1, 2), 3), label="kappa")
+    assert connection_matrix(tau, kappa, n).rows == gram_connection(tau, kappa, n).rows
+    # rho_i > 0 and |rho| < 1
+    weights = data.draw(st.lists(st.integers(1, 4), min_size=d + 1, max_size=d + 1), label="weights")
+    rho = tuple(R(w, sum(weights)) for w in weights[:d])
+    N = n + data.draw(st.integers(0, 1), label="N - n")
+    mat = ds.kraw_connection(tau, rho, N, n)
+    assert (mat.order, mat.rows) == kraw_lattice_connection(tau, rho, N, n)

@@ -145,6 +145,16 @@ def test_basis_orthogonality_and_norms_d2():
                 assert inner_product_simplex(p, q, kappa) == ZERO
 
 
+def test_norm_where_kappa_j_plus_a_j_is_minus_one():
+    # kappa_d + a_d + 1 = kappa_d + kappa_{d+1} + 1 = 0: a removable 0/0 in the product form
+    for kappa in ((R(-1, 2), R(-1, 2)), (R(1, 3), R(-1, 2), R(-1, 2))):
+        d = len(kappa) - 1
+        for n in range(4):
+            for nu in enumerate_basis(d, n):
+                p = jacobi_simplex_basis(nu, kappa)
+                assert inner_product_simplex(p, p, kappa) == norm_A(nu, kappa)
+
+
 def test_basis_orthogonality_across_degrees_d3():
     kappa = (ZERO, R(1, 2), R(1), R(3, 2))
     elems = [
