@@ -40,14 +40,6 @@ def parse_kappa(text):
     return kappa
 
 
-def parse_rho(text):
-    """rho = (rho_1, ..., rho_d) with every rho_i > 0 and |rho| < 1."""
-    rho = parse_rationals(text)
-    if any(r <= 0 for r in rho) or sum(rho) >= 1:
-        raise ValueError("--rho entries must be > 0 with a sum < 1")
-    return rho
-
-
 def _required(args, name):
     """The value of option --name, which the chosen --family needs."""
     value = getattr(args, name)
@@ -151,7 +143,7 @@ def cmd_connect(args):
         emit(args, mat.to_json(), "connect")
         return 0
     if args.family == "kraw":
-        rho = parse_rho(_required(args, "rho"))
+        rho = parse_rationals(_required(args, "rho"))
         d = len(rho)
         tau = Permutation.from_cycles(tau_text, d + 1)
         mat = ds.kraw_connection(tau, rho, _lattice_size(args), args.n)

@@ -6,13 +6,14 @@ transpositions s_j = (j, j+1) (a reduced word), and the composition rule
 C^{t1 t2}(kappa) = C^{t2}(t1.kappa) C^{t1}(kappa) turns the word into a
 product of block-sparse factors, each applied to the rows of the running
 product.  For the Jacobi family the factor for s_d is the signed identity and
-the factor for s_j, j < d, is the d=2 (12) 4F3 entry with shifted
-parameters, so the closed method is exact and total for every d.  The
-Krawtchouk family (discrete.kraw_connection) supplies its own local rules.
+the factor for s_j, j < d, is cc_2d_entry, the d=2 (12) 4F3 entry, with
+shifted parameters, so the closed method is exact and total for every d,
+d=2 included: there is no table of named d=2 permutations.  The Krawtchouk
+family (discrete.kraw_connection) supplies its own local rules.
 
 The paper's named formulas stay as identities checked against the Gram
-oracle: the d=2 entries and their Racah forms, the summation identity, the
-normalized d=3 Racah forms, and the normalized coefficients of the full
+oracle: the Racah form of the normalized (12) entry, the summation identity,
+the normalized d=3 Racah forms, and the normalized coefficients of the full
 cycle (three multivariable Racah forms) and of each adjacent transposition.
 """
 
@@ -28,7 +29,7 @@ from .racah import (
     racah_weight_1d,
     racah_weight_multi,
 )
-from .simplex import Permutation, enumerate_basis
+from .simplex import enumerate_basis
 from .connection import ConnMatrix, gram_connection
 
 
@@ -41,20 +42,16 @@ def _sign(k):
 # ---------------------------------------------------------------------------
 
 
-def _f43_2d(j, m, kappa, n):
+def cc_2d_entry(j, m, kappa, n):
+    """Entry c_{j,m} of the degree-n connection matrix for tau = (12) at d=2.
+
+    Rows are nu = (n-j, j), columns mu = (n-m, m).  This is the one local rule
+    of the Jacobi engine: every other C^tau, for every d, is a product of such
+    blocks at shifted parameters and signed diagonals.
+    """
     k1, k2, k3 = (R(k) for k in kappa)
     tot = k1 + k2 + k3
-    return hyp_terminating(
-        [R(-m), m + k2 + k3 + 1, R(-j), j + k1 + k3 + 1],
-        [R(-n), k3 + 1, R(n) + tot + 2],
-        ONE,
-    )
-
-
-def _d_coeff_2d(j, m, kappa, n):
-    k1, k2, k3 = (R(k) for k in kappa)
-    tot = k1 + k2 + k3
-    return (
+    coeff = (
         _sign(n + m)
         * pochhammer(R(-n), j)
         * pochhammer(k2 + 1, n - j)
@@ -63,47 +60,18 @@ def _d_coeff_2d(j, m, kappa, n):
         * pochhammer(R(n) + tot + 2, m)
         / (pochhammer(k2 + k3 + 2 * m + 2, n - m) * pochhammer(k2 + k3 + m + 1, m))
     )
+    return coeff * hyp_terminating(
+        [R(-m), m + k2 + k3 + 1, R(-j), j + k1 + k3 + 1],
+        [R(-n), k3 + 1, R(n) + tot + 2],
+        ONE,
+    )
 
 
-def cc_2d_entry(tau_name, j, m, kappa, n):
-    """Entry c_{j,m} of the degree-n connection matrix for a 3-slot permutation."""
-    kappa = tuple(R(k) for k in kappa)
-    if tau_name == "e":
-        return ONE if j == m else ZERO
-    if tau_name == "(12)":
-        return _d_coeff_2d(j, m, kappa, n) * _f43_2d(j, m, kappa, n)
-    if tau_name == "(23)":
-        return _sign(j) if j == m else ZERO
-    if tau_name == "(123)":
-        return _sign(j) * cc_2d_entry("(12)", j, m, kappa, n)
-    if tau_name == "(13)":
-        k23 = (kappa[0], kappa[2], kappa[1])
-        return _sign(m + j) * cc_2d_entry("(12)", j, m, k23, n)
-    if tau_name == "(132)":
-        return _sign(j) * cc_2d_entry("(13)", j, m, kappa, n)
-    raise ValueError(f"unknown permutation {tau_name!r}")
+def cc_2d_hat12(j, m, kappa, n):
+    """Normalized entry for tau=(12) as sign * sqrt(rational), a Racah form.
 
-
-def cc_2d_matrix(tau, kappa, n):
-    """Degree-n connection matrix for tau in S_3, rows nu=(n-j,j), cols (n-m,m)."""
-    if not isinstance(tau, Permutation):
-        tau = Permutation(tau)
-    if tau.m != 3:
-        raise ValueError(f"cc_2d_matrix needs a permutation of 3 slots, got {tau!r}")
-    order = enumerate_basis(2, n)
-    rows = [[cc_2d_entry(repr(tau), j, m, kappa, n) for m in range(n + 1)] for j in range(n + 1)]
-    return ConnMatrix(2, n, rows, order)
-
-
-def cc_2d_hat12(j, m, kappa, n, form=1):
-    """Normalized entry for tau=(12) as sign * sqrt(rational), two Racah forms.
-
-    Form 2 is the adjacent transposition (1, 2) of cc_adjacent_hat.
+    cc_adjacent_hat(..., 1) gives the same entry from a second Racah form.
     """
-    if form == 2:
-        return cc_adjacent_hat((n - j, j), (n - m, m), kappa, n, 1)
-    if form != 1:
-        raise ValueError("form must be 1 or 2")
     k1, k2, k3 = (R(k) for k in kappa)
     sigma = (R(-n) - 1, R(n) + k1 + k3 + 1, k3, k2)
     val = racah_1d(j, m, *sigma)
@@ -215,7 +183,7 @@ def _jacobi_block(j, kappa, m_loc, k, m, tail):
     """The d=2 (12) entry at local degree m_loc and the kappa-hat of slots j, j+1."""
     d = len(kappa) - 1
     khat = (kappa[j - 1], kappa[j], sum(kappa[j + 1:], ZERO) + 2 * tail + d - j - 1)
-    return cc_2d_entry("(12)", k, m, khat, m_loc)
+    return cc_2d_entry(k, m, khat, m_loc)
 
 
 def _jacobi_ratio(kappa):
@@ -223,9 +191,7 @@ def _jacobi_ratio(kappa):
 
 
 def cc_3d_matrix(tau, kappa, n):
-    """Degree-n connection matrix for tau in S_4 (a Permutation or cycle string)."""
-    if not isinstance(tau, Permutation):
-        tau = Permutation.from_cycles(tau, 4)
+    """Degree-n connection matrix for a Permutation tau in S_4."""
     if tau.m != 4:
         raise ValueError(f"cc_3d_matrix needs a permutation of 4 slots, got {tau!r}")
     return word_product(tau, kappa, n, _jacobi_block, _jacobi_ratio)

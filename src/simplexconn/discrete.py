@@ -233,9 +233,11 @@ def kraw_connection(tau, rho, N, n):
     """
     if len(rho) != tau.m - 1:
         raise ValueError(f"a permutation of {tau.m} slots needs {tau.m - 1} rho entries, got {len(rho)}")
+    rho = tuple(R(r) for r in rho)
+    if any(r <= 0 for r in rho) or sum(rho, ZERO) >= 1:
+        raise ValueError("rho entries must be > 0 with a sum < 1")
     if n > N:
         raise ValueError(f"Krawtchouk degree n={n} exceeds the lattice size N={N}")
-    rho = tuple(R(r) for r in rho)
     return word_product(tau, rho + (ONE - sum(rho, ZERO),), n, _kraw_block, _kraw_ratio)
 
 

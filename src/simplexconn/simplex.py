@@ -72,12 +72,17 @@ class Permutation:
     def reduced_word(self):
         """Indices a_1, ..., a_k with self = s_{a_1} * ... * s_{a_k}, s_a = (a, a+1).
 
-        Found by bubble sort, so k is the number of inversions of self.
+        Found by bubble sort, so k is the number of inversions of self.  The
+        scan runs right to left, bubbling the smallest image to the front, so
+        the word leans on high letters: among all reduced words it minimizes
+        sum(m - 1 - a_i).  In the connection engine s_{m-1} is a free signed
+        diagonal and each lower letter costs a block of 4F3 entries, so
+        (13) in S_3 is spelled s_2 s_1 s_2 (one block), not s_1 s_2 s_1 (two).
         """
         img = list(self.img)
         swaps = []
-        for end in range(len(img) - 1, 0, -1):
-            for a in range(1, end + 1):
+        for start in range(1, len(img)):
+            for a in range(len(img) - 1, start - 1, -1):
                 if img[a - 1] > img[a]:
                     # img becomes the images of self * s_a
                     img[a - 1], img[a] = img[a], img[a - 1]

@@ -14,7 +14,7 @@ import time
 import pytest
 
 from simplexconn.backend import R, ZERO, ONE
-from simplexconn.exact_arith import QSqrt, hyp_with_prefactor, pochhammer
+from simplexconn.exact_arith import hyp_with_prefactor, pochhammer
 from simplexconn.simplex import Permutation, enumerate_basis, norm_A
 from simplexconn.connection import (
     gram_connection,
@@ -79,7 +79,7 @@ def test_01_closed_vs_gram_d2():
     for kappa in D2_KAPPAS:
         for tau in all_perms(3):
             for n in D2_DEGREES:
-                closed = cf.cc_2d_matrix(tau, kappa, n)
+                closed = cf.connection_matrix(tau, kappa, n)
                 gram = gram_connection(tau, kappa, n)
                 assert closed.rows == gram.rows
     assert time.time() - start < 60

@@ -20,24 +20,24 @@ def all_perms(m):
 def test_2d_closed_matches_gram():
     for tau in all_perms(3):
         for n in range(4):
-            assert cf.cc_2d_matrix(tau, KAPPA2, n).rows == gram_connection(tau, KAPPA2, n).rows
+            assert cf.connection_matrix(tau, KAPPA2, n).rows == gram_connection(tau, KAPPA2, n).rows
 
 
 def test_2d_closed_at_zero_parameters():
     kappa = (R(0), R(0), R(0))
     for tau in all_perms(3):
         for n in range(4):
-            assert cf.cc_2d_matrix(tau, kappa, n).rows == gram_connection(tau, kappa, n).rows
+            assert cf.connection_matrix(tau, kappa, n).rows == gram_connection(tau, kappa, n).rows
 
 
 def test_2d_normalized_entries_match_gram_squares():
     tau = Permutation((2, 1, 3))
     n = 3
     hat_gram = normalize(gram_connection(tau, KAPPA2, n), tau, KAPPA2)
-    for form in (1, 2):
-        for j in range(n + 1):
-            for m in range(n + 1):
-                q = cf.cc_2d_hat12(j, m, KAPPA2, n, form=form)
+    for j in range(n + 1):
+        for m in range(n + 1):
+            nu, mu = (n - j, j), (n - m, m)
+            for q in (cf.cc_2d_hat12(j, m, KAPPA2, n), cf.cc_adjacent_hat(nu, mu, KAPPA2, n, 1)):
                 g = hat_gram[j][m]
                 assert q.square() == g.square()
                 assert q.sign == g.sign
@@ -56,11 +56,6 @@ def test_sum_identity_needs_three_parameters():
     for kappa in (KAPPA2[:2], KAPPA3):
         with pytest.raises(ValueError, match="exactly 3 kappa entries"):
             cf.verify_sum_identity(0, 0, kappa, 1)
-
-
-def test_2d_matrix_rejects_permutations_outside_s3():
-    with pytest.raises(ValueError, match="3 slots"):
-        cf.cc_2d_matrix(Permutation((2, 1, 3, 4)), KAPPA3, 1)
 
 
 def test_3d_closed_matches_gram():
@@ -139,6 +134,21 @@ def test_engine_checks_the_parameter_count():
     for kappa in (KAPPA3, KAPPA2[:2]):
         with pytest.raises(ValueError, match="needs 3 parameters"):
             cf.connection_matrix(tau, kappa, 2)
+
+
+def test_2d_engine_builds_one_block_of_entries_at_most(monkeypatch):
+    # s_2 = s_d is a signed diagonal, so only a word holding s_1 evaluates entries,
+    # and the reduced word holds it at most once: (13) is s_2 s_1 s_2
+    calls = []
+    entry = cf.cc_2d_entry
+    monkeypatch.setattr(cf, "cc_2d_entry", lambda *args: calls.append(args) or entry(*args))
+    n = 4
+    for tau in all_perms(3):
+        calls.clear()
+        cf.connection_matrix(tau, KAPPA2, n)
+        free = repr(tau) in ("e", "(23)")
+        assert free == (1 not in tau.reduced_word())
+        assert len(calls) == (0 if free else (n + 1) ** 2), tau
 
 
 def test_unknown_method_raises():

@@ -7,7 +7,6 @@ from simplexconn.backend import R, ZERO, ONE, rat_str
 from simplexconn.simplex import Permutation, all_permutations, enumerate_basis, norm_A
 from simplexconn.closed_forms import connection_matrix
 from simplexconn.connection import (
-    ConnMatrix,
     clear_caches,
     gram_connection,
     normalize,

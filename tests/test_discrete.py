@@ -224,6 +224,9 @@ def test_kraw_connection_rejects_bad_rho_and_n_above_N():
     for rho in (RHO[:1], RHO + (R(1, 6),)):
         with pytest.raises(ValueError, match="needs 2 rho entries"):
             ds.kraw_connection(Permutation((2, 3, 1)), rho, 3, 2)
+    for rho in ((R(1, 2), R(1, 2)), (R(-1, 4), R(1, 3)), (ZERO, R(1, 3)), (R(3, 4), R(1, 2))):
+        with pytest.raises(ValueError, match="> 0 with a sum < 1"):
+            ds.kraw_connection(Permutation((1, 3, 2)), rho, 3, 2)
     with pytest.raises(ValueError, match="exceeds the lattice size"):
         ds.kraw_connection(Permutation((2, 1, 3)), RHO, 2, 3)
 

@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from simplexconn.backend import R, ZERO, ONE
+from simplexconn.backend import R, ONE
 from simplexconn.multipoly import (
     DimensionMismatch,
     SparsePoly,

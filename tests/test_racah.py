@@ -1,6 +1,6 @@
 import random
 
-from simplexconn.backend import R, ZERO, ONE
+from simplexconn.backend import R, ZERO
 from simplexconn.exact_arith import pochhammer
 from simplexconn import racah as rc
 from simplexconn import closed_forms as cf

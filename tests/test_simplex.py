@@ -1,6 +1,5 @@
 from math import comb
 
-import pytest
 from hypothesis import given, settings, strategies as st
 
 from simplexconn.backend import R, ZERO, ONE
@@ -66,6 +65,24 @@ class TestPermutation:
                 )
                 assert prod == tau
                 assert len(tau.reduced_word()) == inversions
+
+    def test_reduced_word_minimizes_the_weight_of_low_letters(self):
+        # sum(d - a_i) over the word; the minimum over all reduced words comes
+        # from a recursion on right descents: tau = (tau s_a) s_a when tau(a) > tau(a+1)
+        for m in (4, 5):
+            d = m - 1
+            least = {tuple(range(1, m + 1)): 0}
+
+            def min_weight(img):
+                if img not in least:
+                    least[img] = min(
+                        min_weight(img[: a - 1] + (img[a], img[a - 1]) + img[a + 1:]) + d - a
+                        for a in range(1, m) if img[a - 1] > img[a]
+                    )
+                return least[img]
+
+            for tau in all_permutations(m):
+                assert sum(d - a for a in tau.reduced_word()) == min_weight(tau.img)
 
     @given(perms(3), perms(3))
     @settings(max_examples=30, deadline=None)
