@@ -13,7 +13,14 @@ import sys
 
 from .backend import R, ZERO, rat_from_str, rat_str
 from .exact_arith import hyp_with_prefactor
-from .simplex import Permutation, all_permutations, enumerate_basis, jacobi_simplex_basis, norm_A
+from .simplex import (
+    Permutation,
+    all_permutations,
+    check_kappa,
+    enumerate_basis,
+    jacobi_simplex_basis,
+    norm_A,
+)
 from .connection import (
     gram_connection,
     normalize,
@@ -34,10 +41,7 @@ def parse_rationals(text):
 
 def parse_kappa(text):
     """kappa = (kappa_1, ..., kappa_{d+1}) with d >= 1 and every kappa_i > -1."""
-    kappa = parse_rationals(text)
-    if len(kappa) < 2 or any(k <= -1 for k in kappa):
-        raise ValueError("--kappa needs at least 2 entries, each > -1")
-    return kappa
+    return check_kappa(parse_rationals(text), "--kappa")
 
 
 def _required(args, name):

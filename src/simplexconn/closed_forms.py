@@ -29,7 +29,7 @@ from .racah import (
     racah_weight_1d,
     racah_weight_multi,
 )
-from .simplex import enumerate_basis
+from .simplex import check_kappa, enumerate_basis
 from .connection import ConnMatrix, gram_connection
 
 
@@ -328,7 +328,9 @@ def connection_matrix(tau, kappa, n, method="closed"):
 
     method="closed" multiplies adjacent-transposition factors along a
     reduced word of tau (any d); method="gram" takes direct inner products.
+    Raises ValueError unless kappa has at least 2 entries, each > -1.
     """
+    kappa = check_kappa(kappa)
     if method == "gram":
         return gram_connection(tau, kappa, n)
     if method != "closed":

@@ -10,9 +10,11 @@ from .backend import R, ZERO, ONE, rat_str
 from .exact_arith import QSqrt
 from .simplex import (
     _MOMENT_CACHE,
+    _moment_cached,
+    check_kappa,
     enumerate_basis,
-    inner_product_simplex,
     jacobi_simplex_basis,
+    leading_form,
     norm_A,
 )
 
@@ -75,34 +77,66 @@ class ConnMatrix:
         }
 
 
-_POLY_CACHE = {}
 _GRAM_CACHE = {}
+_MOMENT_MATRIX_CACHE = {}
 
 
-def _basis_poly(nu, kappa):
-    key = (nu, kappa)
-    p = _POLY_CACHE.get(key)
-    if p is None:
-        p = jacobi_simplex_basis(nu, kappa)
-        _POLY_CACHE[key] = p
-    return p
+def _moment_matrix(kappa, n):
+    """{gamma: row}, row[j] = <x^gamma, P_mu^kappa> / A_mu(kappa) for mu = order[j].
+
+    gamma and mu run over the same degree-n multi-indices.  Each entry is a
+    sum of shifted moments over the terms of P_mu, with no polynomial product;
+    the matrix depends on (kappa, n) alone, so every tau shares it.
+    """
+    key = (kappa, n)
+    mat = _MOMENT_MATRIX_CACHE.get(key)
+    if mat is None:
+        order = enumerate_basis(len(kappa) - 1, n)
+        targets = [(jacobi_simplex_basis(mu, kappa).terms, norm_A(mu, kappa)) for mu in order]
+        mat = {}
+        for gamma in order:
+            shifted = {}
+            row = []
+            for terms, A in targets:
+                s = ZERO
+                for beta, c in terms.items():
+                    m = shifted.get(beta)
+                    if m is None:
+                        m = shifted[beta] = _moment_cached(tuple(g + b for g, b in zip(gamma, beta)), kappa)
+                    s += c * m
+                row.append(s / A)
+            mat[gamma] = tuple(row)
+        _MOMENT_MATRIX_CACHE[key] = mat
+    return mat
 
 
 def gram_connection(tau, kappa, n):
-    """Connection matrix by direct inner products against the target basis."""
+    """Connection matrix C^tau(kappa) from inner products against the target basis.
+
+    C[nu][mu] = <tau.P_nu^{tau.kappa}, P_mu^kappa> / A_mu(kappa).  P_mu is
+    orthogonal to every polynomial of degree below n, so only the degree-n
+    part of the source counts: C = L M, with L[nu][gamma] the coefficient of
+    x^gamma in the leading form of tau.P_nu^{tau.kappa} (simplex.leading_form)
+    and M the moment matrix <x^gamma, P_mu^kappa> / A_mu(kappa), shared by
+    every tau at the same (kappa, n).  No tau-acted polynomial and no full
+    product is built.
+    """
     d = tau.m - 1
-    kappa = tuple(R(k) for k in kappa)
+    kappa = check_kappa(kappa)
     key = (tau.img, kappa, n)
     cached = _GRAM_CACHE.get(key)
     if cached is not None:
         return cached
     tk = tau.act_params(kappa)
     order = enumerate_basis(d, n)
-    targets = [(_basis_poly(mu, kappa), norm_A(mu, kappa)) for mu in order]
+    moments = _moment_matrix(kappa, n)
     rows = []
     for nu in order:
-        src = tau.act_vars(_basis_poly(nu, tk))
-        rows.append([inner_product_simplex(src, pmu, kappa) / Amu for pmu, Amu in targets])
+        row = [ZERO] * len(order)
+        for gamma, c in leading_form(nu, tk, tau).terms.items():
+            for j, m in enumerate(moments[gamma]):
+                row[j] += c * m
+        rows.append(row)
     mat = ConnMatrix(d, n, rows, order)
     _GRAM_CACHE[key] = mat
     return mat
@@ -174,5 +208,5 @@ def verify_convolution(mat_12, mat_2_at_t1k, mat_1_at_k):
 
 def clear_caches():
     _MOMENT_CACHE.clear()
-    _POLY_CACHE.clear()
     _GRAM_CACHE.clear()
+    _MOMENT_MATRIX_CACHE.clear()

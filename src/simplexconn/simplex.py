@@ -221,22 +221,57 @@ def a_coeffs(nu, kappa):
     return out
 
 
-def jacobi_simplex_basis(nu, kappa):
-    """Orthogonal basis polynomial for multi-index nu on the simplex."""
+def check_kappa(kappa, name="kappa"):
+    """kappa as a tuple of rationals; ValueError unless d >= 1 and every kappa_i > -1.
+
+    Outside this domain the weight is not integrable and no orthogonal basis
+    exists, though the product formulas may still return numbers.
+    """
+    kappa = tuple(R(k) for k in kappa)
+    if len(kappa) < 2 or any(k <= -1 for k in kappa):
+        raise ValueError(f"{name} needs at least 2 entries, each > -1")
+    return kappa
+
+
+def _product_form(nu, kappa, xs, one):
+    """prod_j hom_j^{nu_j} P_{nu_j}^{(a_j, kappa_j)}(lin_j / hom_j), with
+    hom_j = one - xs_1 - ... - xs_{j-1} and lin_j = 2 xs_j - hom_j."""
     d = len(nu)
     if len(kappa) != d + 1:
         raise ValueError("kappa must have d+1 entries")
     aj = a_coeffs(nu, kappa)
     result = SparsePoly.constant(d, ONE)
-    prev_sum = SparsePoly.zero(d)  # |x_{j-1}| = x_1 + ... + x_{j-1}
-    one = SparsePoly.constant(d, ONE)
+    hom = SparsePoly.constant(d, one)
     for j in range(d):
-        hom = one - prev_sum
-        lin = SparsePoly.variable(d, j).scale(R(2)) - hom
+        lin = xs[j].scale(R(2)) - hom
         coeffs = jacobi_1d(nu[j], aj[j], R(kappa[j]))
         result = result * substitute_homogeneous(coeffs, lin, hom, nu[j])
-        prev_sum = prev_sum + SparsePoly.variable(d, j)
+        hom = hom - xs[j]
     return result
+
+
+def jacobi_simplex_basis(nu, kappa):
+    """Orthogonal basis polynomial for multi-index nu on the simplex."""
+    d = len(nu)
+    return _product_form(nu, kappa, [SparsePoly.variable(d, i) for i in range(d)], ONE)
+
+
+def leading_form(nu, kappa, tau=None):
+    """Degree-|nu| part of jacobi_simplex_basis(nu, kappa), or of its tau.act_vars image.
+
+    Each factor of the product has degree at most nu_j, so the top part is the
+    product of the top parts: the same loop with the constant 1 of
+    hom = 1 - |x| replaced by 0.  Acting by tau on the top part substitutes the
+    linear part of each barycentric slot, x_i or -|x| for the last one.
+    """
+    d = len(nu)
+    xs = [SparsePoly.variable(d, i) for i in range(d)]
+    if tau is not None:
+        if tau.m != d + 1:
+            raise ValueError("permutation must act on d+1 slots")
+        slots = xs + [-sum(xs, SparsePoly.zero(d))]
+        xs = [slots[tau(i + 1) - 1] for i in range(d)]
+    return _product_form(nu, kappa, xs, ZERO)
 
 
 def norm_A(nu, kappa):

@@ -126,6 +126,12 @@ def test_bad_input_exits_2_with_one_line_error(args):
     assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1, proc.stderr
 
 
+def test_kappa_outside_the_domain_names_the_option():
+    for kappa in ("--kappa=-1,1,1", "--kappa=1"):
+        proc = run_cli("connect", kappa, "--tau", "(12)", "--n", "1")
+        assert (proc.returncode, proc.stderr) == (2, "error: --kappa needs at least 2 entries, each > -1\n")
+
+
 def test_basis_sphere_matches_library():
     kappa = (R(-1, 2),) * 3
     n = 3

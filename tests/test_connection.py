@@ -1,10 +1,19 @@
 import random
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from simplexconn import simplex
+from simplexconn import connection, simplex
 from simplexconn.backend import R, ZERO, ONE, rat_str
-from simplexconn.simplex import Permutation, all_permutations, enumerate_basis, norm_A
+from simplexconn.simplex import (
+    Permutation,
+    all_permutations,
+    enumerate_basis,
+    inner_product_simplex,
+    jacobi_simplex_basis,
+    norm_A,
+)
 from simplexconn.closed_forms import connection_matrix
 from simplexconn.connection import (
     clear_caches,
@@ -17,6 +26,17 @@ from simplexconn.connection import (
 )
 
 KAPPA = (R(1, 2), R(1, 3), R(2))
+
+
+def definition_gram(tau, kappa, n):
+    """Oracle for small sizes: <tau.P_nu^{tau.kappa}, P_mu^kappa> / A_mu(kappa) from full products."""
+    tk = tau.act_params(kappa)
+    order = enumerate_basis(tau.m - 1, n)
+    targets = [(jacobi_simplex_basis(mu, kappa), norm_A(mu, kappa)) for mu in order]
+    return tuple(
+        tuple(inner_product_simplex(tau.act_vars(jacobi_simplex_basis(nu, tk)), p, kappa) / a for p, a in targets)
+        for nu in order
+    )
 
 
 def test_identity_permutation_gives_identity_matrix():
@@ -116,8 +136,55 @@ def test_json_shape():
 def test_clear_caches_clears_moments():
     gram_connection(Permutation.from_cycles("(12)", 3), (R(1, 7), R(2, 7), R(3, 7)), 2)
     assert simplex._MOMENT_CACHE
+    assert connection._MOMENT_MATRIX_CACHE
     clear_caches()
     assert not simplex._MOMENT_CACHE
+    assert not connection._MOMENT_MATRIX_CACHE
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.data())
+def test_gram_equals_the_definition_and_the_closed_engine(data):
+    d = data.draw(st.integers(2, 4), label="d")
+    n = data.draw(st.integers(0, 2), label="n")
+    tau = Permutation(data.draw(st.permutations(range(1, d + 2)), label="tau"))
+    kappa = tuple(
+        R(q.numerator, q.denominator)
+        for q in data.draw(
+            st.lists(st.fractions(Fraction(-5, 6), 3, max_denominator=6), min_size=d + 1, max_size=d + 1),
+            label="kappa",
+        )
+    )
+    clear_caches()
+    rows = gram_connection(tau, kappa, n).rows
+    assert rows == definition_gram(tau, kappa, n)
+    assert rows == connection_matrix(tau, kappa, n, method="closed").rows
+
+
+def test_gram_builds_no_acted_polynomial_and_no_full_product(monkeypatch):
+    # only the leading form of tau.P_nu and the shared moment matrix are needed
+    def full_product_path(*args):
+        raise AssertionError("gram_connection built a tau-acted polynomial or a full product")
+
+    monkeypatch.setattr(Permutation, "act_vars", full_product_path)
+    monkeypatch.setattr(simplex, "inner_product_simplex", full_product_path)
+    monkeypatch.setattr(connection, "inner_product_simplex", full_product_path, raising=False)
+    clear_caches()
+    for d in (2, 3, 4):
+        kappa = tuple(R(j + 1, j + 3) for j in range(d + 1))
+        for tau in random.Random(d).sample(all_permutations(d + 1), 4):
+            assert gram_connection(tau, kappa, 2).d == d
+
+
+@pytest.mark.parametrize("kappa", [(R(-1), ZERO, ZERO), (R(-3, 2), R(1, 2), R(1)), (R(1, 2),)])
+def test_jacobi_domain_is_checked(kappa):
+    # outside kappa_i > -1 the weight is not integrable and no orthogonal basis exists
+    tau = Permutation((2, 1, 3))
+    for method in ("closed", "gram"):
+        with pytest.raises(ValueError, match="at least 2 entries, each > -1"):
+            connection_matrix(tau, kappa, 2, method=method)
+    with pytest.raises(ValueError, match="at least 2 entries, each > -1"):
+        gram_connection(tau, kappa, 2)
 
 
 def test_cached_gram_matrix_cannot_be_mutated():

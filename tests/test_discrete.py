@@ -184,6 +184,12 @@ def test_hahn_connection_rejects_n_above_N():
         ds.hahn_connection(Permutation((2, 1, 3)), KAPPA, 2, 3)
 
 
+def test_hahn_connection_rejects_kappa_outside_the_jacobi_domain():
+    for kappa in ((R(-1), ZERO, ZERO), (R(-3, 2), R(1, 2), R(1))):
+        with pytest.raises(ValueError, match="at least 2 entries, each > -1"):
+            ds.hahn_connection(Permutation((2, 1, 3)), kappa, 2, 2)
+
+
 def kraw_lattice_connection(tau, rho, N, n):
     """Oracle: the Krawtchouk connection matrix by inner products over the lattice |x| <= N."""
     d = tau.m - 1

@@ -12,6 +12,7 @@ from simplexconn.simplex import (
     inner_product_simplex,
     jacobi_1d,
     jacobi_simplex_basis,
+    leading_form,
     norm_A,
     simplex_moment,
 )
@@ -172,14 +173,42 @@ def test_norm_where_kappa_j_plus_a_j_is_minus_one():
                 assert inner_product_simplex(p, p, kappa) == norm_A(nu, kappa)
 
 
-def test_basis_orthogonality_across_degrees_d3():
-    kappa = (ZERO, R(1, 2), R(1), R(3, 2))
+def assert_orthogonal_across_degrees(kappa, degrees):
+    d = len(kappa) - 1
     elems = [
         (nu, jacobi_simplex_basis(nu, kappa))
-        for n in range(3)
-        for nu in enumerate_basis(3, n)
+        for n in range(degrees)
+        for nu in enumerate_basis(d, n)
     ]
     for i, (nu, p) in enumerate(elems):
         for mu, q in elems[i + 1:]:
             expected = norm_A(nu, kappa) if nu == mu else ZERO
             assert inner_product_simplex(p, q, kappa) == expected
+
+
+def test_basis_orthogonality_across_degrees_d3():
+    assert_orthogonal_across_degrees((ZERO, R(1, 2), R(1), R(3, 2)), 3)
+
+
+def test_basis_orthogonality_across_degrees_d4():
+    # P_mu is orthogonal to every polynomial of lower degree: the Gram method rests on it
+    assert_orthogonal_across_degrees((R(1, 3), ZERO, R(1, 2), R(-1, 2), R(2)), 3)
+
+
+def top_part(p, n):
+    return SparsePoly(p.d, {e: c for e, c in p.terms.items() if sum(e) == n})
+
+
+def test_leading_form_is_the_top_part_of_the_basis():
+    # generic kappa, and kappa_d + kappa_{d+1} = -1, the removable 0/0 of norm_A
+    for d in range(1, 5):
+        generic = tuple(R(j + 1, j + 4) for j in range(d + 1))
+        removable = tuple(R(1, j + 3) for j in range(d - 1)) + (R(-1, 2), R(-1, 2))
+        for kappa in (generic, removable):
+            for n in range(4 if d < 4 else 3):
+                for nu in enumerate_basis(d, n):
+                    p = jacobi_simplex_basis(nu, kappa)
+                    lead = leading_form(nu, kappa)
+                    assert lead == top_part(p, n) and not lead.is_zero()
+                    for tau in all_permutations(d + 1)[:: 5 if d > 2 else 1]:
+                        assert leading_form(nu, kappa, tau) == top_part(tau.act_vars(p), n)
