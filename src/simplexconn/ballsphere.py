@@ -10,7 +10,7 @@ from math import comb
 
 from .backend import R, ZERO, ONE
 from .exact_arith import pochhammer
-from .multipoly import SparsePoly, substitute_homogeneous
+from .multipoly import SparsePoly, homogenize, substitute_homogeneous
 from .simplex import (
     Permutation,
     enumerate_basis,
@@ -133,15 +133,6 @@ def ball_enumerate(d, n):
     return out
 
 
-def _in_2z_minus_1(coeffs):
-    """Coefficients in z of sum_k coeffs[k] (2z - 1)^k."""
-    out = [ZERO] * len(coeffs)
-    for k, c in enumerate(coeffs):
-        for i in range(k + 1):
-            out[i] += c * (-1) ** (k - i) * 2**i * comb(k, i)
-    return out
-
-
 def gegenbauer_gen(n, lam, mu):
     """Generalized Gegenbauer C_n as (parity bit, even core in t^2).
 
@@ -158,7 +149,7 @@ def gegenbauer_gen(n, lam, mu):
         pref = pochhammer(lam + mu, m + 1) / pochhammer(mu + half, m + 1)
         jac = jacobi_1d(m, lam - half, mu + half)
     # the core in z = t^2
-    return n % 2, [pref * c for c in _in_2z_minus_1(jac)]
+    return n % 2, [pref * c for c in jac]
 
 
 def ball_cartesian(alpha, kappa):
@@ -285,14 +276,9 @@ def disk_polar_basis(j, i, n, mu):
     trig = cosp if i == 1 else sinp
     x1 = SparsePoly.variable(2, 0)
     x2 = SparsePoly.variable(2, 1)
-    lin = x1 * x1 + x2 * x2
-    radial = SparsePoly.zero(2)
-    r2pow = SparsePoly.constant(2, ONE)
     # P_j^{(mu, m)}(2u-1) with u = r^2
-    coeffs = _in_2z_minus_1(jacobi_1d(j, R(mu), R(m)))
-    for k in range(j + 1):
-        radial = radial + r2pow.scale(coeffs[k])
-        r2pow = r2pow * lin
+    radial = substitute_homogeneous(jacobi_1d(j, R(mu), R(m)), x1 * x1 + x2 * x2,
+                                    SparsePoly.constant(2, ONE), j)
     return radial * trig
 
 
@@ -352,19 +338,7 @@ def sphere_basis(nu, eps, kappa, n):
         raise ParityMismatch("parity must have d+1 entries")
     if 2 * sum(nu) + sum(eps) != n:
         raise ParityMismatch("degree does not match 2|nu|+|eps|")
-    P = jacobi_simplex_basis(nu, shifted(kappa, eps))
-    m = sum(nu)
-    allsum = SparsePoly.zero(d + 1)
-    for i in range(d + 1):
-        allsum = allsum + SparsePoly.variable(d + 1, i)
-    powers = [SparsePoly.constant(d + 1, ONE)]
-    for _ in range(m):
-        powers.append(powers[-1] * allsum)
-    core = SparsePoly.zero(d + 1)
-    for g, c in P.terms.items():
-        mono = SparsePoly(d + 1, {tuple(g) + (0,): c})
-        core = core + mono * powers[m - sum(g)]
-    return ParityPoly(eps, core)
+    return ParityPoly(eps, homogenize(jacobi_simplex_basis(nu, shifted(kappa, eps)), sum(nu)))
 
 
 def sphere_enumerate(d, n):

@@ -44,14 +44,6 @@ def parse_kappa(text):
     return check_kappa(parse_rationals(text), "--kappa")
 
 
-def _required(args, name):
-    """The value of option --name, which the chosen --family needs."""
-    value = getattr(args, name)
-    if value is None:
-        raise ValueError("--%s is required for --family %s" % (name, args.family))
-    return value
-
-
 def hat_json(order, grid):
     return {
         "order": [list(nu) for nu in order],
@@ -59,17 +51,45 @@ def hat_json(order, grid):
     }
 
 
+# the connect options each family reads; all but --method and --normalized are required
+_FAMILY_OPTIONS = {
+    "simplex": ("kappa", "method", "normalized"),
+    "hahn": ("kappa", "N"),
+    "kraw": ("rho", "N"),
+    "ball": ("kappa",),
+}
+_OPTIONAL = ("method", "normalized")
+
+
+def check_options(args):
+    """ValueError for a missing or ignored option, before any work.
+
+    CSV holds only the rational matrix of connect --family simplex, hahn or
+    kraw, without the normalized entries.
+    """
+    if args.command == "connect":
+        reads = _FAMILY_OPTIONS[args.family]
+        for name in reads:
+            if name not in _OPTIONAL and getattr(args, name) is None:
+                raise ValueError("--%s is required for --family %s" % (name, args.family))
+        for name in ("kappa", "rho", "N") + _OPTIONAL:
+            if name not in reads and getattr(args, name) is not None:
+                raise ValueError("--%s is not used by --family %s" % (name, args.family))
+    if args.output == "csv" and (args.command != "connect" or args.family == "ball" or args.normalized):
+        raise ValueError("--output csv is only for connect --family simplex, hahn or kraw "
+                         "without --normalized")
+
+
 def emit(args, payload, name):
-    if args.output == "csv":
-        rows = payload.get("entries", [])
-        text = "\n".join(
-            ",".join(c if isinstance(c, str) else json.dumps(c) for c in row) for row in rows
-        ) + "\n"
+    # a --method both mismatch report has no matrix, so it stays JSON
+    fmt = "csv" if args.output == "csv" and "entries" in payload else "json"
+    if fmt == "csv":
+        text = "\n".join(",".join(row) for row in payload["entries"]) + "\n"
     else:
         text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
     if args.out:
         os.makedirs(args.out, exist_ok=True)
-        path = os.path.join(args.out, name + ("." + args.output))
+        path = os.path.join(args.out, name + "." + fmt)
         with open(path, "w") as fh:
             fh.write(text)
         print(path)
@@ -79,10 +99,9 @@ def emit(args, payload, name):
 
 def _lattice_size(args):
     """--N, which the discrete families need to be at least --n."""
-    N = _required(args, "N")
-    if N < args.n:
+    if args.N < args.n:
         raise ValueError("--N must be >= --n for --family %s" % args.family)
-    return N
+    return args.N
 
 
 def cmd_basis(args):
@@ -115,15 +134,16 @@ def cmd_basis(args):
 def cmd_connect(args):
     tau_text = args.tau
     if args.family == "simplex":
-        kappa = parse_kappa(_required(args, "kappa"))
+        kappa = parse_kappa(args.kappa)
         d = len(kappa) - 1
         tau = Permutation.from_cycles(tau_text, d + 1)
         mats = {}
-        if args.method in ("gram", "both"):
+        method = args.method or "gram"
+        if method in ("gram", "both"):
             mats["gram"] = gram_connection(tau, kappa, args.n)
-        if args.method in ("closed", "both"):
+        if method in ("closed", "both"):
             mats["closed"] = connection_matrix(tau, kappa, args.n, method="closed")
-        if args.method == "both" and mats["gram"] != mats["closed"]:
+        if method == "both" and mats["gram"] != mats["closed"]:
             diff = []
             for i, nu in enumerate(mats["gram"].order):
                 for j, mu in enumerate(mats["gram"].order):
@@ -140,21 +160,21 @@ def cmd_connect(args):
         emit(args, payload, "connect")
         return 0
     if args.family == "hahn":
-        kappa = parse_kappa(_required(args, "kappa"))
+        kappa = parse_kappa(args.kappa)
         d = len(kappa) - 1
         tau = Permutation.from_cycles(tau_text, d + 1)
         mat = ds.hahn_connection(tau, kappa, _lattice_size(args), args.n)
         emit(args, mat.to_json(), "connect")
         return 0
     if args.family == "kraw":
-        rho = parse_rationals(_required(args, "rho"))
+        rho = parse_rationals(args.rho)
         d = len(rho)
         tau = Permutation.from_cycles(tau_text, d + 1)
         mat = ds.kraw_connection(tau, rho, _lattice_size(args), args.n)
         emit(args, mat.to_json(), "connect")
         return 0
     if args.family == "ball":
-        kappa = parse_kappa(_required(args, "kappa"))
+        kappa = parse_kappa(args.kappa)
         d = len(kappa) - 1
         tau = Permutation.from_cycles(tau_text, d)
         conn = bs.ball_connection(tau, kappa, args.n)
@@ -177,10 +197,9 @@ def _suite_structural(args, rng):
     d = len(kappa) - 1
     n = args.n
     failures = []
-    mats = {}
-    for tau in all_permutations(d + 1):
+    perms = all_permutations(d + 1)
+    for tau in perms:
         mat = gram_connection(tau, kappa, n)
-        mats[repr(tau)] = (tau, mat)
         if not verify_row_orthogonality(mat, tau, kappa):
             failures.append(("row-orthogonality", repr(tau)))
         if not verify_column_orthogonality(mat, tau, kappa):
@@ -190,7 +209,6 @@ def _suite_structural(args, rng):
         inv_mat = gram_connection(inv, kappa, n)
         if not verify_inverse_identity(mat_at_invk, inv_mat, tau, kappa):
             failures.append(("inverse", repr(tau)))
-    perms = all_permutations(d + 1)
     for _ in range(args.count):
         t1, t2 = rng.choice(perms), rng.choice(perms)
         prod = t1 * t2
@@ -237,11 +255,11 @@ def _suite_racah(args, rng):
     beta = tuple(R(2 * i + 1, 2) + i * i for i in range(d + 2))
     grid = rc.lattice_points(d, N)
     idxs = ds.kraw_grid(d, N)
+    weights = [rc.racah_weight_multi(x, beta, N) for x in grid]
+    vals = {nu: [rc.racah_multi(nu, x, beta, N) for x in grid] for nu in idxs}
     for nu in idxs:
         for mu in idxs:
-            s = sum(
-                (rc.racah_weight_multi(x, beta, N) * rc.racah_multi(nu, x, beta, N)
-                 * rc.racah_multi(mu, x, beta, N) for x in grid), ZERO)
+            s = sum((w * a * b for w, a, b in zip(weights, vals[nu], vals[mu])), ZERO)
             expect = rc.racah_norm_sq(nu, beta, N) if nu == mu else ZERO
             if s != expect:
                 failures.append((nu, mu))
@@ -318,8 +336,9 @@ def build_parser():
     c.add_argument("--kappa", default=None)
     c.add_argument("--rho", default=None)
     c.add_argument("--tau", required=True, help='cycle notation, e.g. "(12)" or "e"')
-    c.add_argument("--method", choices=("gram", "closed", "both"), default="gram")
-    c.add_argument("--normalized", action="store_true")
+    c.add_argument("--method", choices=("gram", "closed", "both"), default=None,
+                   help="simplex only; gram by default")
+    c.add_argument("--normalized", action="store_true", default=None, help="simplex only")
     c.set_defaults(func=cmd_connect)
 
     v = sub.add_parser("verify", help="run a verification suite", parents=[common])
@@ -339,6 +358,7 @@ def main(argv=None):
     try:
         if args.n < 0:
             raise ValueError("--n must be >= 0")
+        check_options(args)
         return args.func(args)
     except (ValueError, KeyError) as exc:
         print("error: %s" % exc, file=sys.stderr)

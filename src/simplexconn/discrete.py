@@ -13,6 +13,7 @@ from math import comb
 
 from .backend import R, ZERO, ONE
 from .exact_arith import QSqrt, hyp_terminating, hyp_with_prefactor, pochhammer
+from .multipoly import homogenize
 from .simplex import a_coeffs, enumerate_basis, jacobi_simplex_basis
 from .connection import ConnMatrix
 from .closed_forms import connection_matrix, word_product
@@ -25,6 +26,8 @@ from .closed_forms import connection_matrix, word_product
 
 def hahn_multi(nu, x, kappa, N):
     """Product-form Hahn polynomial H_nu(x; kappa, N); x in Z^{d+1}, |x| = N."""
+    if sum(nu) > N:
+        raise ValueError(f"Hahn degree |nu|={sum(nu)} exceeds the lattice size N={N}")
     d = len(nu)
     kappa = [R(k) for k in kappa]
     aj = a_coeffs(nu, kappa)
@@ -92,29 +95,16 @@ def hahn_from_generating(nu, kappa, N):
     """Values of H_nu on the grid, extracted from the homogenized simplex basis.
 
     Homogenize P_nu/p_nu to total degree N in d+1 variables; the coefficient
-    of y^alpha times alpha!/N! is H_nu(alpha).
+    of y^alpha times alpha!/N! is H_nu(alpha).  Raises ValueError for |nu| > N.
     """
-    d = len(nu)
-    P = jacobi_simplex_basis(nu, kappa)
-    pn = p_factor(nu, kappa)
-    coefs = {}
-    for gamma, c in P.terms.items():
-        rem = N - sum(gamma)
-        # expand (y_1 + ... + y_{d+1})^rem multinomially
-        for extra in enumerate_basis(d + 1, rem):
-            alpha = tuple(g + e for g, e in zip(gamma + (0,), extra))
-            mult = pochhammer(ONE, rem)
-            for e in extra:
-                mult /= pochhammer(ONE, e)
-            coefs[alpha] = coefs.get(alpha, ZERO) + c * mult / pn
+    coefs = homogenize(jacobi_simplex_basis(nu, kappa), N).terms
+    scale = pochhammer(ONE, N) * p_factor(nu, kappa)
     out = {}
-    nfact = pochhammer(ONE, N)
-    for alpha in enumerate_basis(d + 1, N):
-        c = coefs.get(alpha, ZERO)
+    for alpha in enumerate_basis(len(nu) + 1, N):
         afact = ONE
         for a in alpha:
             afact *= pochhammer(ONE, a)
-        out[alpha] = afact / nfact * c
+        out[alpha] = afact * coefs.get(alpha, ZERO) / scale
     return out
 
 

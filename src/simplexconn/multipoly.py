@@ -206,3 +206,21 @@ def substitute_homogeneous(coeffs, lin, hom, n):
         if k < n:
             lin_pow = lin_pow * lin
     return result
+
+
+def homogenize(p, m):
+    """sum_g c_g y^(g, 0) (y_1 + ... + y_{d+1})^(m - |g|) for p = sum_g c_g x^g in d variables.
+
+    The degree-m form in d+1 variables that equals p where y_{d+1} = 1 - |y|.
+    """
+    if p.degree() > m:
+        raise ValueError(f"cannot homogenize a degree-{p.degree()} polynomial to degree {m}")
+    d = p.d + 1
+    allsum = sum((SparsePoly.variable(d, i) for i in range(d)), SparsePoly.zero(d))
+    powers = [SparsePoly.constant(d, ONE)]
+    for _ in range(m):
+        powers.append(powers[-1] * allsum)
+    result = SparsePoly(d)
+    for g, c in p.terms.items():
+        result = result + SparsePoly(d, {g + (0,): c}) * powers[m - sum(g)]
+    return result

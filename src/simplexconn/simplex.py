@@ -150,28 +150,20 @@ def all_permutations(m):
 
 
 def jacobi_1d(n, a, b):
-    """Coefficient list (ascending in t) of the Jacobi polynomial P_n^{(a,b)}(t).
+    """Coefficient list (ascending in z) of the Jacobi polynomial P_n^{(a,b)}(2z - 1).
 
-    Normalization: P_n^{(a,b)}(1) = (a+1)_n / n!.
+    Normalization: P_n^{(a,b)}(1) = (a+1)_n / n!, so the coefficients sum to it.
     """
     a = R(a)
     b = R(b)
-    coeffs = [ZERO] * (n + 1)
-    # P = sum_k (-n)_k (n+a+b+1)_k / ((a+1)_k k!) ((1-t)/2)^k, times (a+1)_n/n!
-    lead = pochhammer(a + 1, n) / pochhammer(ONE, n)
-    term = lead
-    # ((1-t)/2)^k expanded incrementally
-    half_pow = [ONE]
-    for k in range(n + 1):
-        if k > 0:
-            term = term * (R(-n) + (k - 1)) * (n + a + b + k) / ((a + k) * k)
-            new = [ZERO] * (k + 1)
-            for j, c in enumerate(half_pow):
-                new[j] += c / 2
-                new[j + 1] -= c / 2
-            half_pow = new
-        for j, c in enumerate(half_pow):
-            coeffs[j] += term * c
+    # (-1)^n (b+1)_n/n! sum_k (-n)_k (n+a+b+1)_k / ((b+1)_k k!) z^k
+    term = pochhammer(b + 1, n) / pochhammer(ONE, n)
+    if n % 2:
+        term = -term
+    coeffs = [term]
+    for k in range(1, n + 1):
+        term = term * (k - 1 - n) * (n + a + b + k) / ((b + k) * k)
+        coeffs.append(term)
     return coeffs
 
 
@@ -234,8 +226,8 @@ def check_kappa(kappa, name="kappa"):
 
 
 def _product_form(nu, kappa, xs, one):
-    """prod_j hom_j^{nu_j} P_{nu_j}^{(a_j, kappa_j)}(lin_j / hom_j), with
-    hom_j = one - xs_1 - ... - xs_{j-1} and lin_j = 2 xs_j - hom_j."""
+    """prod_j hom_j^{nu_j} P_{nu_j}^{(a_j, kappa_j)}(2 xs_j / hom_j - 1), with
+    hom_j = one - xs_1 - ... - xs_{j-1}."""
     d = len(nu)
     if len(kappa) != d + 1:
         raise ValueError("kappa must have d+1 entries")
@@ -243,9 +235,8 @@ def _product_form(nu, kappa, xs, one):
     result = SparsePoly.constant(d, ONE)
     hom = SparsePoly.constant(d, one)
     for j in range(d):
-        lin = xs[j].scale(R(2)) - hom
         coeffs = jacobi_1d(nu[j], aj[j], R(kappa[j]))
-        result = result * substitute_homogeneous(coeffs, lin, hom, nu[j])
+        result = result * substitute_homogeneous(coeffs, xs[j], hom, nu[j])
         hom = hom - xs[j]
     return result
 

@@ -70,6 +70,7 @@ def test_verify_suites_pass():
         ("sum-identity", ["--n", "3", "--kappa", "1/2,1/3,1/2"]),
         ("dimensions", []),
         ("example-9-10", ["--n", "4"]),
+        ("racah-orthogonality", ["--d", "2", "--N", "4"]),
     ):
         proc = run_cli("verify", "--suite", suite, *extra)
         assert proc.returncode == 0, (suite, proc.stdout, proc.stderr)
@@ -118,12 +119,45 @@ def test_basis_listing():
     pytest.param(("verify", "--suite", "sum-identity", "--kappa", "1,2", "--n", "2"), id="sum-identity-kappa-2"),
     pytest.param(("verify", "--suite", "sum-identity", "--kappa", "1,2,3,4", "--n", "2"),
                  id="sum-identity-kappa-4"),
+    pytest.param(("connect", "--family", "hahn", "--kappa", "1,1,1", "--N", "3", "--n", "1",
+                  "--tau", "(12)", "--method", "gram"), id="hahn-method"),
+    pytest.param(("connect", "--family", "hahn", "--kappa", "1,1,1", "--N", "3", "--n", "1",
+                  "--tau", "(12)", "--normalized"), id="hahn-normalized"),
+    pytest.param(("connect", "--family", "ball", "--kappa", "1,1,1", "--n", "1", "--tau", "(12)",
+                  "--method", "closed"), id="ball-method"),
+    pytest.param(("connect", "--family", "kraw", "--rho", "1/4,1/3", "--N", "2", "--n", "1",
+                  "--tau", "(12)", "--normalized"), id="kraw-normalized"),
+    pytest.param(("connect", "--kappa", "1,1,1", "--n", "1", "--tau", "(12)", "--N", "3"), id="simplex-N"),
+    pytest.param(("connect", "--family", "ball", "--kappa", "1,1,1", "--n", "1", "--tau", "(12)",
+                  "--N", "3"), id="ball-N"),
+    pytest.param(("connect", "--kappa", "1,1,1", "--n", "1", "--tau", "(12)", "--rho", "1/3,1/4"),
+                 id="simplex-rho"),
+    pytest.param(("connect", "--family", "hahn", "--kappa", "1,1,1", "--N", "3", "--n", "1",
+                  "--tau", "(12)", "--rho", "1/3,1/4"), id="hahn-rho"),
+    pytest.param(("connect", "--family", "kraw", "--rho", "1/4,1/3", "--kappa", "1,1,1", "--N", "2",
+                  "--n", "1", "--tau", "(12)"), id="kraw-kappa"),
+    pytest.param(("connect", "--family", "ball", "--kappa", "1,1,1", "--n", "1", "--tau", "(12)",
+                  "--output", "csv"), id="ball-csv"),
+    pytest.param(("connect", "--kappa", "1,1,1", "--n", "1", "--tau", "(12)", "--normalized",
+                  "--output", "csv"), id="normalized-csv"),
+    pytest.param(("basis", "--kappa", "1,1,1", "--n", "1", "--output", "csv"), id="basis-csv"),
+    pytest.param(("verify", "--suite", "dimensions", "--output", "csv"), id="verify-csv"),
 ])
 def test_bad_input_exits_2_with_one_line_error(args):
     proc = run_cli(*args)
     assert proc.returncode == 2, proc.stderr
     assert proc.stdout == ""
     assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1, proc.stderr
+
+
+def test_csv_matrix_for_each_discrete_family():
+    for family, params in (("hahn", ("--kappa", "0,0,0")), ("kraw", ("--rho", "1/4,1/3"))):
+        proc = run_cli("connect", "--family", family, *params, "--N", "2", "--n", "1",
+                       "--tau", "(12)", "--output", "csv")
+        assert proc.returncode == 0, proc.stderr
+        rows = [line.split(",") for line in proc.stdout.splitlines()]
+        assert rows == json.loads(run_cli("connect", "--family", family, *params, "--N", "2", "--n", "1",
+                                          "--tau", "(12)").stdout)["entries"]
 
 
 def test_kappa_outside_the_domain_names_the_option():

@@ -184,6 +184,14 @@ def test_hahn_connection_rejects_n_above_N():
         ds.hahn_connection(Permutation((2, 1, 3)), KAPPA, 2, 3)
 
 
+def test_hahn_values_reject_degree_above_N():
+    kappa = (R(1, 2), R(1, 3), R(2))
+    with pytest.raises(ValueError, match="degree-3 polynomial to degree 2"):
+        ds.hahn_from_generating((2, 1), kappa, 2)
+    with pytest.raises(ValueError, match="exceeds the lattice size"):
+        ds.hahn_multi((2, 1), (1, 1, 0), kappa, 2)
+
+
 def test_hahn_connection_rejects_kappa_outside_the_jacobi_domain():
     for kappa in ((R(-1), ZERO, ZERO), (R(-3, 2), R(1, 2), R(1))):
         with pytest.raises(ValueError, match="at least 2 entries, each > -1"):

@@ -6,6 +6,7 @@ from simplexconn.multipoly import (
     DimensionMismatch,
     SparsePoly,
     grevlex_key,
+    homogenize,
     substitute_homogeneous,
 )
 
@@ -72,6 +73,22 @@ def test_substitute_homogeneous_binomial():
     n = 4
     coeffs = [R(1), R(4), R(6), R(4), R(1)]
     assert substitute_homogeneous(coeffs, lin, hom, n) == (lin + hom) ** n
+
+
+@given(polys(2), st.integers(0, 2))
+@settings(max_examples=30, deadline=None)
+def test_homogenize_is_homogeneous_and_gives_back_p(p, extra):
+    m = max(p.degree(), 0) + extra
+    h = homogenize(p, m)
+    assert h.d == 3 and all(sum(e) == m for e in h.terms)
+    x, y = SparsePoly.variable(2, 0), SparsePoly.variable(2, 1)
+    assert h.subst([x, y, SparsePoly.constant(2, ONE) - x - y]) == p
+
+
+def test_homogenize_rejects_degree_above_m():
+    p = SparsePoly.variable(2, 0) * SparsePoly.variable(2, 1)
+    with pytest.raises(ValueError, match="degree-2 polynomial to degree 1"):
+        homogenize(p, 1)
 
 
 def test_leading_and_sorted_terms():

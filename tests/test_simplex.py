@@ -124,12 +124,14 @@ def test_simplex_moment_dirichlet():
 
 
 def test_jacobi_1d_value_at_one():
-    # normalization P_n(1) = (a+1)_n / n!
+    # coefficients in z of P_n(2z - 1): P_n(1) = (a+1)_n / n! at z = 1,
+    # P_n(-1) = (-1)^n (b+1)_n / n! at z = 0
     for n in range(6):
         a, b = R(1, 2), R(5, 3)
         coeffs = jacobi_1d(n, a, b)
         value = sum(coeffs)
         assert value == pochhammer(a + 1, n) / pochhammer(ONE, n)
+        assert coeffs[0] == (-1) ** n * pochhammer(b + 1, n) / pochhammer(ONE, n)
 
 
 def test_jacobi_1d_orthogonality_via_moments():
@@ -144,10 +146,9 @@ def test_jacobi_1d_orthogonality_via_moments():
                 coeffs = jacobi_1d(k, a, b)
                 out = SparsePoly.zero(1)
                 power = SparsePoly.constant(1, ONE)
-                two_t_minus_1 = t.scale(R(2)) - SparsePoly.constant(1, ONE)
                 for c in coeffs:
                     out = out + power.scale(c)
-                    power = power * two_t_minus_1
+                    power = power * t
                 return out
 
             assert inner_product_simplex(poly(n), poly(m), kappa1) == ZERO
