@@ -153,14 +153,20 @@ def gegenbauer_gen(n, lam, mu):
 
 
 def ball_cartesian(alpha, kappa):
-    """Cartesian ball basis element built from generalized Gegenbauer factors."""
+    """Cartesian ball basis element built from generalized Gegenbauer factors.
+
+    Each factor is the Jacobi core of gegenbauer_gen(alpha_j, lam + 1/2,
+    kappa_j + 1/2) without its constant, which vanishes at lam + kappa_j = -1
+    (in the last factor, kappa_d + kappa_{d+1} = -1), so the element is the
+    same up to a nonzero scalar.
+    """
     d = len(alpha)
     kappa = tuple(R(k) for k in kappa)
     eps = tuple(a % 2 for a in alpha)
     core = SparsePoly.constant(d, ONE)
     for j in range(d):
         lam = sum(alpha[j + 1:]) + sum(kappa[j + 1:], ZERO) + d - (j + 1)
-        parity, coeffs = gegenbauer_gen(alpha[j], lam + R(1, 2), kappa[j] + R(1, 2))
+        coeffs = jacobi_1d(alpha[j] // 2, lam, kappa[j] + eps[j])
         lin = SparsePoly.variable(d, j)
         hom = SparsePoly.constant(d, ONE)
         for i in range(j):

@@ -60,9 +60,20 @@ _FAMILY_OPTIONS = {
 }
 _OPTIONAL = ("method", "normalized")
 
+# the verify options each suite reads; orthogonality reads --d when --kappa is absent
+_SUITE_OPTIONS = {
+    "orthogonality": ("kappa", "d", "n", "count", "seed"),
+    "whipple": ("count", "seed"),
+    "sum-identity": ("kappa", "n"),
+    "racah-orthogonality": ("d", "N"),
+    "example-9-10": ("n",),
+    "dimensions": (),
+}
+_VERIFY_DEFAULTS = {"kappa": None, "d": 2, "n": 3, "N": 4, "count": 20, "seed": 0}
+
 
 def check_options(args):
-    """ValueError for a missing or ignored option, before any work.
+    """ValueError for a missing or ignored option, or an unknown suite, before any work.
 
     CSV holds only the rational matrix of connect --family simplex, hahn or
     kraw, without the normalized entries.
@@ -75,6 +86,14 @@ def check_options(args):
         for name in ("kappa", "rho", "N") + _OPTIONAL:
             if name not in reads and getattr(args, name) is not None:
                 raise ValueError("--%s is not used by --family %s" % (name, args.family))
+    if args.command == "verify":
+        reads = _SUITE_OPTIONS.get(args.suite)
+        if reads is None:
+            raise ValueError("unknown suite: %s (choose from %s)"
+                             % (args.suite, ", ".join(sorted(_SUITE_OPTIONS))))
+        for name in _VERIFY_DEFAULTS:
+            if name not in reads and getattr(args, name) is not None:
+                raise ValueError("--%s is not used by --suite %s" % (name, args.suite))
     if args.output == "csv" and (args.command != "connect" or args.family == "ball" or args.normalized):
         raise ValueError("--output csv is only for connect --family simplex, hahn or kraw "
                          "without --normalized")
@@ -120,14 +139,12 @@ def cmd_basis(args):
             out.append({"nu": list(nu), "eps": list(eps), "core": p.core.to_json(),
                         "norm": rat_str(bs.ball_norm(nu, eps, kappa))})
         emit(args, {"family": "ball", "kappa": [rat_str(k) for k in kappa], "basis": out}, "basis")
-    elif args.family == "sphere":
+    else:  # sphere
         out = []
         for nu, eps in bs.sphere_enumerate(d, args.n):
             p = bs.sphere_basis(nu, eps, kappa, args.n)
             out.append({"nu": list(nu), "eps": list(eps), "core": p.core.to_json()})
         emit(args, {"family": "sphere", "kappa": [rat_str(k) for k in kappa], "basis": out}, "basis")
-    else:
-        raise SystemExit(2)
     return 0
 
 
@@ -173,19 +190,18 @@ def cmd_connect(args):
         mat = ds.kraw_connection(tau, rho, _lattice_size(args), args.n)
         emit(args, mat.to_json(), "connect")
         return 0
-    if args.family == "ball":
-        kappa = parse_kappa(args.kappa)
-        d = len(kappa) - 1
-        tau = Permutation.from_cycles(tau_text, d)
-        conn = bs.ball_connection(tau, kappa, args.n)
-        entries = [
-            {"nu": list(src[0]), "eps": list(src[1]), "mu": list(tgt[0]),
-             "eta": list(tgt[1]), "value": val.to_json()}
-            for (src, tgt), val in sorted(conn.items())
-        ]
-        emit(args, {"family": "ball", "entries": entries}, "connect")
-        return 0
-    raise SystemExit(2)
+    # --family ball
+    kappa = parse_kappa(args.kappa)
+    d = len(kappa) - 1
+    tau = Permutation.from_cycles(tau_text, d)
+    conn = bs.ball_connection(tau, kappa, args.n)
+    entries = [
+        {"nu": list(src[0]), "eps": list(src[1]), "mu": list(tgt[0]),
+         "eta": list(tgt[1]), "value": val.to_json()}
+        for (src, tgt), val in sorted(conn.items())
+    ]
+    emit(args, {"family": "ball", "entries": entries}, "connect")
+    return 0
 
 
 def _random_kappa(rng, d):
@@ -301,15 +317,13 @@ SUITES = {
 
 
 def cmd_verify(args):
+    for name, default in _VERIFY_DEFAULTS.items():
+        if getattr(args, name) is None:
+            setattr(args, name, default)
     if args.d < 1 or args.N < 0:
         raise ValueError("--d must be >= 1 and --N >= 0")
     rng = random.Random(args.seed)
-    suite = SUITES.get(args.suite)
-    if suite is None:
-        print("unknown suite: %s (choose from %s)" % (args.suite, ", ".join(sorted(SUITES))),
-              file=sys.stderr)
-        return 2
-    failures = suite(args, rng)
+    failures = SUITES[args.suite](args, rng)
     report = {"suite": args.suite, "seed": args.seed, "failures": [list(map(str, f)) if isinstance(f, tuple) else f for f in failures]}
     emit(args, report, "verify-" + args.suite)
     return 1 if failures else 0
@@ -343,12 +357,13 @@ def build_parser():
 
     v = sub.add_parser("verify", help="run a verification suite", parents=[common])
     v.add_argument("--suite", required=True)
-    v.add_argument("--d", type=int, default=2)
-    v.add_argument("--n", type=int, default=3)
-    v.add_argument("--N", type=int, default=4)
+    # defaults are _VERIFY_DEFAULTS, filled in once the suite is known to read the option
+    v.add_argument("--d", type=int, default=None)
+    v.add_argument("--n", type=int, default=None)
+    v.add_argument("--N", type=int, default=None)
     v.add_argument("--kappa", default=None)
-    v.add_argument("--count", type=int, default=20)
-    v.add_argument("--seed", type=int, default=0)
+    v.add_argument("--count", type=int, default=None)
+    v.add_argument("--seed", type=int, default=None)
     v.set_defaults(func=cmd_verify)
     return p
 
@@ -356,7 +371,7 @@ def build_parser():
 def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
-        if args.n < 0:
+        if args.n is not None and args.n < 0:
             raise ValueError("--n must be >= 0")
         check_options(args)
         return args.func(args)

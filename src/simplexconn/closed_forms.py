@@ -12,24 +12,28 @@ d=2 included: there is no table of named d=2 permutations.  The Krawtchouk
 family (discrete.kraw_connection) supplies its own local rules.
 
 The paper's named formulas stay as identities checked against the Gram
-oracle: the Racah form of the normalized (12) entry, the summation identity,
-the normalized d=3 Racah forms, and the normalized coefficients of the full
-cycle (three multivariable Racah forms) and of each adjacent transposition.
+oracle: the summation identity, the normalized (13) coefficient at d=3, and
+the normalized coefficients of each adjacent transposition and of the full
+cycle (12...d), whose forms 2 and 3 are racah.dual_map and racah.conj_map of
+form 1; cc_coset_hat extends the cycle to every s_d^a (12...d)^{+-1} s_d^b.
 """
+
+import itertools
 
 from .backend import R, ZERO, ONE
 from .exact_arith import QSqrt, hyp_terminating, pochhammer
 from .racah import (
+    conj_map,
+    dual_map,
     racah_1d,
     racah_multi,
     racah_norm_1d,
     racah_norm_sq,
-    racah_second,
     racah_second_norm_sq,
     racah_weight_1d,
     racah_weight_multi,
 )
-from .simplex import check_kappa, enumerate_basis
+from .simplex import Permutation, check_kappa, enumerate_basis
 from .connection import ConnMatrix, gram_connection
 
 
@@ -65,19 +69,6 @@ def cc_2d_entry(j, m, kappa, n):
         [R(-n), k3 + 1, R(n) + tot + 2],
         ONE,
     )
-
-
-def cc_2d_hat12(j, m, kappa, n):
-    """Normalized entry for tau=(12) as sign * sqrt(rational), a Racah form.
-
-    cc_adjacent_hat(..., 1) gives the same entry from a second Racah form.
-    """
-    k1, k2, k3 = (R(k) for k in kappa)
-    sigma = (R(-n) - 1, R(n) + k1 + k3 + 1, k3, k2)
-    val = racah_1d(j, m, *sigma)
-    w = racah_weight_1d(m, *sigma)
-    r2 = racah_norm_1d(j, *sigma, n)
-    return _qsqrt_signed(_sign(n + m + j), val, w, r2)
 
 
 def verify_sum_identity(k, ell, kappa, n):
@@ -198,45 +189,13 @@ def cc_3d_matrix(tau, kappa, n):
 
 
 # ---------------------------------------------------------------------------
-# d = 3: normalized Racah forms
+# d = 3: the normalized (13) coefficient
 # ---------------------------------------------------------------------------
 
 
 def _qsqrt_signed(sign_factor, val, w, r2):
     """sign(sign_factor * val) * sqrt(w val^2 / r2): one normalized Racah entry."""
     return QSqrt.signed(sign_factor * val, w * val * val / r2)
-
-
-def cc_3d_hat(tau_name, nu, mu, kappa, n):
-    """Normalized connection coefficient for d=3 in closed QSqrt form.
-
-    Supported directly: (123), (132), (124), (142), (1234), (1342),
-    (1243), (1432), and the summation form for (13).
-    """
-    kappa = tuple(R(k) for k in kappa)
-    k1, k2, k3, k4 = kappa
-    if tau_name == "(123)":
-        return cc_cyclic_hat(nu, mu, kappa, n)
-    if tau_name == "(132)":
-        # the inverse of (123), so its normalized matrix is the transpose
-        return cc_3d_hat("(123)", mu, nu, (k3, k1, k2, k4), n)
-    if tau_name == "(124)":
-        k34 = (k1, k2, k4, k3)
-        return cc_3d_hat("(123)", nu, mu, k34, n).scale(_sign(nu[2] + mu[2]))
-    if tau_name == "(142)":
-        k34 = (k1, k2, k4, k3)
-        return cc_3d_hat("(132)", nu, mu, k34, n).scale(_sign(nu[2] + mu[2]))
-    if tau_name == "(1234)":
-        return cc_3d_hat("(123)", nu, mu, kappa, n).scale(_sign(nu[2]))
-    if tau_name == "(1342)":
-        return cc_3d_hat("(132)", nu, mu, kappa, n).scale(_sign(nu[2]))
-    if tau_name == "(1243)":
-        k34 = (k1, k2, k4, k3)
-        return cc_3d_hat("(123)", nu, mu, k34, n).scale(_sign(mu[2]))
-    if tau_name == "(1432)":
-        k34 = (k1, k2, k4, k3)
-        return cc_3d_hat("(132)", nu, mu, k34, n).scale(_sign(mu[2]))
-    raise ValueError(f"no direct normalized form for {tau_name!r}")
 
 
 def cc_3d_hat13_terms(nu, mu, kappa, n):
@@ -265,39 +224,65 @@ def cc_3d_hat13_terms(nu, mu, kappa, n):
 
 
 # ---------------------------------------------------------------------------
-# normalized closed forms for the cycle and adjacent transpositions
+# normalized closed forms for the cycle, its double coset and adjacent transpositions
 # ---------------------------------------------------------------------------
 
 
 def cc_cyclic_hat(nu, mu, kappa, n, form=1):
-    """Normalized coefficient for the full cycle (12...d), three closed forms."""
+    """Normalized coefficient for the full cycle (12...d), in three Racah forms.
+
+    Form 1 is R_{(mu_d, ..., mu_2)}(|nu^d|, ..., |nu^2|); form 2 is its dual_map,
+    and form 3 the conj_map of form 2: the same value, its own weight and norm.
+    """
+    if form not in (1, 2, 3):
+        raise ValueError("form must be 1, 2 or 3")
     d = len(nu)
     kappa = tuple(R(k) for k in kappa)
-
-    def ksuf(j):
-        # |kappa^{j}| = kappa_j + ... + kappa_{d+1} (1-based j)
-        return sum(kappa[j - 1:], ZERO)
-
-    if form == 1:
-        beta = tuple(kappa[0] + ksuf(d + 2 - j) + j if j > 0 else kappa[0] for j in range(d + 1))
-        x = tuple(sum(nu[d - j:]) for j in range(1, d))  # |nu^d|, ..., |nu^2|
-        idx = tuple(reversed(mu[1:]))  # mu_d, ..., mu_2
-        value, norm_sq = racah_multi, racah_norm_sq
-    elif form == 2:
-        beta = (kappa[0],) + tuple(-ksuf(j + 1) - 2 * n - d + j for j in range(1, d + 1))
-        x = tuple(sum(mu[:j]) for j in range(1, d))  # |mu_1|, ..., |mu_{d-1}|
-        idx = tuple(nu[: d - 1])
-        value, norm_sq = racah_multi, racah_norm_sq
-    elif form == 3:
-        beta = tuple(ksuf(d + 1 - j) + j for j in range(d)) + (-R(2 * n) - kappa[0],)
-        x = tuple(sum(mu[d - j:]) for j in range(1, d))  # |mu^d|, ..., |mu^2|
-        idx = tuple(reversed(nu[: d - 1]))  # nu_{d-1}, ..., nu_1
-        value, norm_sq = racah_second, racah_second_norm_sq
-    else:
-        raise ValueError("form must be 1, 2 or 3")
-    val = value(idx, x, beta, n)
+    # beta_j = kappa_1 + |kappa^{d+2-j}| + j, with |kappa^i| = kappa_i + ... + kappa_{d+1}
+    beta, ksuf = [kappa[0]], ZERO
+    for j in range(1, d + 1):
+        ksuf += kappa[d + 1 - j]
+        beta.append(kappa[0] + ksuf + j)
+    x = tuple(sum(nu[d - j:]) for j in range(1, d))  # |nu^d|, ..., |nu^2|
+    idx = tuple(reversed(mu[1:]))  # mu_d, ..., mu_2
+    if form > 1:
+        x, idx, beta = dual_map(x, idx, beta, n)
+    val = racah_multi(idx, x, beta, n)
+    norm_sq = racah_norm_sq
+    if form == 3:
+        x, idx, beta = conj_map(x, idx, beta, n)
+        norm_sq = racah_second_norm_sq
     w = racah_weight_multi(x, beta, n)
     return _qsqrt_signed(_sign(n + nu[d - 1]), val, w, norm_sq(idx, beta, n))
+
+
+def cc_coset_hat(tau, nu, mu, kappa, n):
+    """Normalized coefficient for tau = s_d^a c^{+-1} s_d^b, c = (12...d), s_d = (d, d+1), d >= 2.
+
+    C^{s_d} is the signed diagonal (-1)^{nu_d}, so the composition rule gives
+    Chat^tau(kappa)[nu][mu] = (-1)^{a mu_d + b nu_d} Chat^{c^{+-1}}(s_d^a.kappa)[nu][mu],
+    and Chat^{c^-1}(kappa') is the transpose of Chat^c(c^-1.kappa').  At d = 3
+    this is (123), (132), (124), (142), (1234), (1342), (1243), (1432).
+    """
+    d = tau.m - 1
+    if d < 2 or len(kappa) != tau.m:
+        raise ValueError(f"cc_coset_hat needs d >= 2 and {tau.m} kappa entries for {tau!r}")
+    one = Permutation.identity(d + 1)
+    s_d = Permutation(tuple(range(1, d)) + (d + 1, d))
+    cycle = Permutation(tuple(range(2, d + 1)) + (1, d + 1))
+    for a, inverse, b in itertools.product((0, 1), (False, True), (0, 1)):
+        mid = cycle.inverse() if inverse else cycle
+        if (s_d if a else one) * mid * (s_d if b else one) == tau:
+            break
+    else:
+        raise ValueError(f"{tau!r} is not s_d^a (12...d)^(+-1) s_d^b with s_d = ({d}{d + 1})")
+    if a:
+        kappa = s_d.act_params(kappa)
+    if inverse:
+        q = cc_cyclic_hat(mu, nu, cycle.inverse().act_params(kappa), n)
+    else:
+        q = cc_cyclic_hat(nu, mu, kappa, n)
+    return q.scale(_sign(a * mu[d - 1] + b * nu[d - 1]))
 
 
 def cc_adjacent_hat(nu, mu, kappa, n, j):

@@ -6,7 +6,8 @@ is an exact rational even when intermediate bottom parameters would vanish.
 Both connection matrices come from the Coxeter-word engine: the Hahn matrix
 is the simplex one rescaled by p_factor, and the Krawtchouk matrix, a limit
 of the simplex one, runs the engine with its own local rules on the
-extended (rho, 1 - |rho|).  The lattice sums are only test oracles.
+extended (rho, 1 - |rho|).  The lattice sums are only test oracles.  The
+normalized cycle coefficient has one Krawtchouk form; form 2 is its kraw_dual.
 """
 
 from math import comb
@@ -232,31 +233,23 @@ def kraw_connection(tau, rho, N, n):
 
 
 def kraw_cc_cyclic_hat(nu, mu, rho, n, form=1):
-    """Normalized cyclic-permutation coefficient in closed Krawtchouk form."""
+    """Normalized cyclic-permutation coefficient in closed Krawtchouk form; form 2 is kraw_dual of form 1."""
+    if form not in (1, 2):
+        raise ValueError("form must be 1 or 2")
     d = len(nu)
     rho = [R(r) for r in rho]
-    tot = sum(rho, ZERO)
 
     def pre(j):  # |rho_j| = rho_1 + ... + rho_j
         return sum(rho[:j], ZERO)
 
-    if form == 1:
-        rr = tuple(
-            rho[0] * rho[j] / ((ONE - rho[0]) * (ONE + rho[0] - pre(j + 1)) * (ONE + rho[0] - pre(j)))
-            for j in range(1, d)
-        )
-        x = tuple(nu[: d - 1])
-        idx = tuple(mu[1:])
-    elif form == 2:
-        rr = tuple(
-            rho[0] * rho[d - j] * (ONE - tot)
-            / ((ONE - pre(d - j)) * (ONE - pre(d - j + 1)) * (ONE + rho[0] - tot))
-            for j in range(1, d)
-        )
-        x = tuple(reversed(mu[1:]))
-        idx = tuple(reversed(nu[: d - 1]))
-    else:
-        raise ValueError("form must be 1 or 2")
+    rr = tuple(
+        rho[0] * rho[j] / ((ONE - rho[0]) * (ONE + rho[0] - pre(j + 1)) * (ONE + rho[0] - pre(j)))
+        for j in range(1, d)
+    )
+    x = tuple(nu[: d - 1])
+    idx = tuple(mu[1:])
+    if form == 2:
+        x, idx, rr = kraw_dual(x, idx, rr)
     val = kraw_multi(idx, x, rr, n)
     w = kraw_weight(x, rr, n)
     c2 = kraw_norm_C(idx, rr, n)

@@ -6,8 +6,9 @@ with its Pochhammer prefactor folded into the series, so the value is a
 polynomial in all parameters and no intermediate bottom-parameter pole can
 occur.
 
-The first family R_nu is prefix-indexed; the second, R'_nu, is its
-suffix-indexed reflection (conj_map).  Both multivariable squared norms are
+The first family R_nu is prefix-indexed and the only product formula: the
+second, suffix-indexed R'_nu is R_nu at the reflection conj_map, and
+dual2_map is conj_map after dual_map.  Both multivariable squared norms are
 closed products of Pochhammer symbols.  Only the one-variable norm
 racah_norm_1d still sums over its support.
 """
@@ -63,11 +64,6 @@ def lattice_points(d, N):
 def _prefix(nu, j):
     """nu_1 + ... + nu_j."""
     return sum(nu[:j])
-
-
-def _suffix(nu, j):
-    """nu_j + ... + nu_d (1-based j)."""
-    return sum(nu[j - 1:])
 
 
 def racah_multi(nu, x, beta, N):
@@ -139,9 +135,8 @@ def racah_norm_sq(nu, beta, N):
 
 
 def dual_map(x, nu, beta, N):
-    """Dual variables/indices/parameters; an involution together with N."""
+    """Dual variables/indices/parameters of a rational beta; an involution together with N."""
     d = len(nu)
-    beta = [R(b) for b in beta]
     xx = [0] + list(x) + [N]
     x_t = tuple(N - _prefix(nu, d + 1 - j) for j in range(1, d + 1))
     nu_t = tuple(xx[d + 2 - j] - xx[d + 1 - j] for j in range(1, d + 1))
@@ -161,9 +156,8 @@ def duality_normalizer(nu, beta, N):
 
 
 def conj_map(x, nu, beta, N):
-    """Reflected variables/indices/parameters for the second product family."""
+    """Reflected variables/indices/parameters of a rational beta; an involution."""
     d = len(nu)
-    beta = [R(b) for b in beta]
     x_c = tuple(N - x[d - j] for j in range(1, d + 1))
     nu_c = tuple(nu[d - j] for j in range(1, d + 1))
     beta_c = tuple(-R(2 * N) - beta[d + 1 - j] for j in range(d + 2))
@@ -171,25 +165,9 @@ def conj_map(x, nu, beta, N):
 
 
 def racah_second(nu, x, beta, N):
-    """Second product family R'_nu(x; beta, N) (suffix-indexed factors)."""
-    d = len(nu)
-    beta = [R(b) for b in beta]
-    xx = [0] + list(x) + [N]
-    val = ONE
-    for j in range(1, d + 1):
-        s = _suffix(nu, j + 1) if j < d else 0
-        top = [
-            R(nu[j - 1]) + 2 * s + beta[d + 1] - beta[j - 1] - 1,
-            R(s - N + xx[j]),
-            R(s - N) - beta[j] - xx[j],
-        ]
-        bottom = [
-            R(2 * s) + beta[d + 1] - beta[j],
-            R(s - N) - beta[j - 1] - xx[j - 1],
-            R(s - N + xx[j - 1]),
-        ]
-        val *= hyp_with_prefactor(top, bottom, nu[j - 1])
-    return val
+    """Second family R'_nu(x; beta, N) = R_{nu_c}(x_c; beta_c), with (x_c, nu_c, beta_c) = conj_map."""
+    x_c, nu_c, beta_c = conj_map(x, nu, beta, N)
+    return racah_multi(nu_c, x_c, beta_c, N)
 
 
 def racah_second_norm_sq(nu, beta, N):
@@ -212,16 +190,8 @@ def racah_second_norm_sq(nu, beta, N):
 
 
 def dual2_map(x, nu, beta, N):
-    """Dual map landing in the second family (compose dual and reflection)."""
-    d = len(nu)
-    beta = [R(b) for b in beta]
-    xx = [0] + list(x) + [N]
-    x_t = tuple(_prefix(nu, j) for j in range(1, d + 1))
-    nu_t = tuple(xx[j + 1] - xx[j] for j in range(1, d + 1))
-    beta_t = tuple(
-        [beta[j + 1] - beta[0] - 1 for j in range(d + 1)] + [-R(2 * N) - beta[0]]
-    )
-    return x_t, nu_t, beta_t
+    """Dual map landing in the second family: conj_map after dual_map."""
+    return conj_map(*dual_map(x, nu, beta, N), N)
 
 
 def param_bridge_1d(beta, N):

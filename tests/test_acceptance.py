@@ -102,7 +102,7 @@ def test_02_closed_vs_gram_d3():
             hat = normalize(gram_connection(tau, kappa, n), tau, kappa)
             for i, nu in enumerate(order):
                 for j, mu in enumerate(order):
-                    q = cf.cc_3d_hat(name, nu, mu, kappa, n)
+                    q = cf.cc_coset_hat(Permutation.from_cycles(name, 4), nu, mu, kappa, n)
                     assert q.square() == hat[i][j].square()
                     if q.square() != ZERO:
                         assert q.sign == hat[i][j].sign

@@ -49,13 +49,16 @@ def test_gegenbauer_generalized_low_degrees():
 
 
 def test_cartesian_product_is_proportional_to_semigroup_form():
-    for d, kappa in ((2, KAPPA2), (3, KAPPA3)):
+    # kappa_d + kappa_{d+1} = -1 in the last two cases
+    for d, kappa in ((2, KAPPA2), (3, KAPPA3), (2, (R(-1, 2),) * 3), (3, (R(-1, 2),) * 4)):
         for total in range(5):
             for alpha in itertools.product(range(total + 1), repeat=d):
                 if sum(alpha) != total:
                     continue
                 rep = bs.verify_ball_equivalence(alpha, kappa)
                 assert rep["scalar"] != ZERO
+    for alpha in ((0, 0, 1), (1, 0, 1), (0, 0, 2)):
+        assert bs.verify_ball_equivalence(alpha, (R(-1, 2),) * 4)["scalar"] != ZERO
 
 
 def assert_ball_connection_matches_gram(tau, kappa, n):

@@ -5,6 +5,7 @@ import sys
 import pytest
 
 from simplexconn import ballsphere as bs
+from simplexconn import cli
 from simplexconn.backend import R
 
 
@@ -76,6 +77,16 @@ def test_verify_suites_pass():
         assert proc.returncode == 0, (suite, proc.stdout, proc.stderr)
 
 
+def test_every_suite_has_an_option_table():
+    assert set(cli._SUITE_OPTIONS) == set(cli.SUITES)
+    assert all(set(reads) <= set(cli._VERIFY_DEFAULTS) for reads in cli._SUITE_OPTIONS.values())
+
+
+def test_ignored_verify_option_names_the_option_and_the_suite():
+    proc = run_cli("verify", "--suite", "whipple", "--kappa", "1,2,3", "--count", "2")
+    assert (proc.returncode, proc.stderr) == (2, "error: --kappa is not used by --suite whipple\n")
+
+
 def test_bad_command_exits_2():
     assert run_cli("nonsense").returncode == 2
     assert run_cli("connect", "--family", "simplex", "--n", "1").returncode == 2
@@ -142,6 +153,17 @@ def test_basis_listing():
                   "--output", "csv"), id="normalized-csv"),
     pytest.param(("basis", "--kappa", "1,1,1", "--n", "1", "--output", "csv"), id="basis-csv"),
     pytest.param(("verify", "--suite", "dimensions", "--output", "csv"), id="verify-csv"),
+    pytest.param(("verify", "--suite", "nonsense"), id="verify-unknown-suite"),
+    pytest.param(("verify", "--suite", "whipple", "--kappa", "1,2,3", "--N", "9", "--d", "5", "--count", "2"),
+                 id="whipple-kappa-N-d"),
+    pytest.param(("verify", "--suite", "whipple", "--n", "2"), id="whipple-n"),
+    pytest.param(("verify", "--suite", "orthogonality", "--d", "2", "--N", "3"), id="orthogonality-N"),
+    pytest.param(("verify", "--suite", "sum-identity", "--seed", "1"), id="sum-identity-seed"),
+    pytest.param(("verify", "--suite", "racah-orthogonality", "--kappa", "1,2,3"), id="racah-kappa"),
+    pytest.param(("verify", "--suite", "racah-orthogonality", "--count", "2"), id="racah-count"),
+    pytest.param(("verify", "--suite", "example-9-10", "--d", "3"), id="example-d"),
+    pytest.param(("verify", "--suite", "dimensions", "--n", "2"), id="dimensions-n"),
+    pytest.param(("verify", "--suite", "dimensions", "--seed", "0"), id="dimensions-seed"),
 ])
 def test_bad_input_exits_2_with_one_line_error(args):
     proc = run_cli(*args)

@@ -37,10 +37,9 @@ def test_2d_normalized_entries_match_gram_squares():
     for j in range(n + 1):
         for m in range(n + 1):
             nu, mu = (n - j, j), (n - m, m)
-            for q in (cf.cc_2d_hat12(j, m, KAPPA2, n), cf.cc_adjacent_hat(nu, mu, KAPPA2, n, 1)):
-                g = hat_gram[j][m]
-                assert q.square() == g.square()
-                assert q.sign == g.sign
+            q, g = cf.cc_adjacent_hat(nu, mu, KAPPA2, n, 1), hat_gram[j][m]
+            assert q.square() == g.square()
+            assert q.sign == g.sign
 
 
 def test_sum_identity():
@@ -90,6 +89,40 @@ def test_cyclic_closed_forms_d4():
                 q = cf.cc_cyclic_hat(nu, mu, kappa, n, form=form)
                 assert q.square() == hat[i][j].square()
                 assert q.sign == hat[i][j].sign
+
+
+def coset(d):
+    """The double coset s_d^a (12...d)^{+-1} s_d^b in S_{d+1}, s_d = (d, d+1)."""
+    s_d = Permutation(tuple(range(1, d)) + (d + 1, d))
+    one = Permutation.identity(d + 1)
+    cycle = Permutation(tuple(range(2, d + 1)) + (1, d + 1))
+    return {a * c * b for a in (one, s_d) for c in (cycle, cycle.inverse()) for b in (one, s_d)}
+
+
+@pytest.mark.parametrize("d, kappa", [
+    (2, (R(1, 2), R(-1, 3), R(2))),
+    (4, (R(1, 3), R(1, 2), R(0), R(2), R(-1, 4))),
+])
+def test_coset_hat_matches_normalized_gram(d, kappa):
+    taus = coset(d)
+    assert len(taus) == (4 if d == 2 else 8)
+    for tau in taus:
+        for n in (1, 2):
+            order = enumerate_basis(d, n)
+            hat = normalize(gram_connection(tau, kappa, n), tau, kappa)
+            for i, nu in enumerate(order):
+                for j, mu in enumerate(order):
+                    q = cf.cc_coset_hat(tau, nu, mu, kappa, n)
+                    assert (q.sign, q.square()) == (hat[i][j].sign, hat[i][j].square())
+
+
+def test_coset_hat_rejects_permutations_outside_the_coset():
+    nu = (1, 0, 0)
+    for name in ("(13)", "(12)", "e"):
+        with pytest.raises(ValueError, match="is not s_d"):
+            cf.cc_coset_hat(Permutation.from_cycles(name, 4), nu, nu, KAPPA3, 1)
+    with pytest.raises(ValueError, match="d >= 2"):
+        cf.cc_coset_hat(Permutation((2, 1)), (1,), (1,), (R(1), R(2)), 1)
 
 
 def test_adjacent_transposition_closed_form():

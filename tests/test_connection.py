@@ -161,6 +161,30 @@ def test_gram_equals_the_definition_and_the_closed_engine(data):
     assert rows == connection_matrix(tau, kappa, n, method="closed").rows
 
 
+@settings(max_examples=50, deadline=None)
+@given(st.data())
+def test_engine_satisfies_the_inverse_and_convolution_identities(data):
+    d = data.draw(st.integers(1, 4), label="d")
+    n = data.draw(st.integers(0, 2), label="n")
+    t1, t2 = (Permutation(data.draw(st.permutations(range(1, d + 2)), label=label)) for label in ("t1", "t2"))
+    kappa = tuple(
+        R(q.numerator, q.denominator)
+        for q in data.draw(
+            st.lists(st.fractions(Fraction(-5, 6), 3, max_denominator=6), min_size=d + 1, max_size=d + 1),
+            label="kappa",
+        )
+    )
+    inv = t1.inverse()
+    assert verify_inverse_identity(
+        connection_matrix(t1, inv.act_params(kappa), n), connection_matrix(inv, kappa, n), t1, kappa
+    )
+    assert verify_convolution(
+        connection_matrix(t1 * t2, kappa, n),
+        connection_matrix(t2, t1.act_params(kappa), n),
+        connection_matrix(t1, kappa, n),
+    )
+
+
 def test_gram_builds_no_acted_polynomial_and_no_full_product(monkeypatch):
     # only the leading form of tau.P_nu and the shared moment matrix are needed
     def full_product_path(*args):

@@ -1,6 +1,8 @@
-"""Every name a module imports is used: the package and its tests carry no dead imports.
+"""Every name a module imports is used, and every local a package function assigns is read.
 
-`__init__.py` is exempt, because its imports are the package's re-exports.
+The package and its tests carry no dead imports; `__init__.py` is exempt,
+because its imports are the package's re-exports.  The package's functions
+carry no dead locals; `_` is exempt.
 """
 
 import ast
@@ -15,6 +17,7 @@ MODULES = sorted(
     for path in (ROOT / folder).glob("*.py")
     if path.name != "__init__.py"
 )
+PACKAGE = [path for path in MODULES if path.parent.name == "simplexconn"]
 
 
 def unused_imports(path):
@@ -39,3 +42,38 @@ def test_the_scan_finds_an_unused_import(tmp_path):
 @pytest.mark.parametrize("path", MODULES, ids=lambda path: str(path.relative_to(ROOT)))
 def test_no_unused_imports(path):
     assert unused_imports(path) == []
+
+
+def unused_locals(path):
+    """(line, name) for each local a function assigns and never reads, nested functions included."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    found = set()
+    for func in ast.walk(tree):
+        if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        names = [node for node in ast.walk(func) if isinstance(node, ast.Name)]
+        read = {node.id for node in names if not isinstance(node.ctx, ast.Store)}
+        found |= {(node.lineno, node.id) for node in names
+                  if isinstance(node.ctx, ast.Store) and node.id != "_" and node.id not in read}
+    return sorted(found)
+
+
+def test_the_scan_finds_an_unused_local(tmp_path):
+    path = tmp_path / "sample.py"
+    path.write_text(
+        "def f(xs):\n"
+        "    parity, coeffs = divmod(len(xs), 2)\n"
+        "    total = 0\n"
+        "    for _ in xs:\n"
+        "        total += coeffs\n"
+        "    def g():\n"
+        "        return total\n"
+        "    unread = g()\n"
+        "    return [y for y in xs]\n"
+    )
+    assert unused_locals(path) == [(2, "parity"), (8, "unread")]
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda path: str(path.relative_to(ROOT)))
+def test_no_unused_locals(path):
+    assert unused_locals(path) == []

@@ -1,7 +1,7 @@
 import random
 
-from simplexconn.backend import R, ZERO
-from simplexconn.exact_arith import pochhammer
+from simplexconn.backend import R, ZERO, ONE
+from simplexconn.exact_arith import hyp_with_prefactor, pochhammer
 from simplexconn import racah as rc
 from simplexconn import closed_forms as cf
 from simplexconn.discrete import kraw_grid
@@ -57,12 +57,34 @@ def test_duality_relation_and_involution():
             assert back == (tuple(x), tuple(nu), tuple(BETA2))
 
 
+def second_by_product(nu, x, beta, N):
+    """R'_nu(x; beta, N) from its own suffix-indexed product formula: the oracle for racah_second."""
+    d = len(nu)
+    beta = [R(b) for b in beta]
+    xx = [0] + list(x) + [N]
+    val = ONE
+    for j in range(1, d + 1):
+        s = sum(nu[j:])  # nu_{j+1} + ... + nu_d
+        top = [
+            R(nu[j - 1]) + 2 * s + beta[d + 1] - beta[j - 1] - 1,
+            R(s - N + xx[j]),
+            R(s - N) - beta[j] - xx[j],
+        ]
+        bottom = [
+            R(2 * s) + beta[d + 1] - beta[j],
+            R(s - N) - beta[j - 1] - xx[j - 1],
+            R(s - N + xx[j - 1]),
+        ]
+        val *= hyp_with_prefactor(top, bottom, nu[j - 1])
+    return val
+
+
 def test_second_family_via_reflection():
     N = 4
     for nu in kraw_grid(2, N):
         for x in rc.lattice_points(2, N):
             xc, nuc, bc = rc.conj_map(x, nu, BETA2, N)
-            assert rc.racah_multi(nu, x, BETA2, N) == rc.racah_second(nuc, xc, bc, N)
+            assert rc.racah_multi(nu, x, BETA2, N) == second_by_product(nuc, xc, bc, N)
 
 
 def test_second_family_orthogonality():
@@ -79,12 +101,17 @@ def test_second_family_orthogonality():
 
 
 def test_dual_then_reflect_lands_in_second_family():
-    N = 4
-    for nu in kraw_grid(2, N):
-        for x in rc.lattice_points(2, N):
+    N, d = 4, 2
+    for nu in kraw_grid(d, N):
+        for x in rc.lattice_points(d, N):
             xt2, nut2, bt2 = rc.dual2_map(x, nu, BETA2, N)
+            # the closed form of conj_map after dual_map
+            xx = (0,) + x + (N,)
+            assert xt2 == tuple(sum(nu[:j]) for j in range(1, d + 1))
+            assert nut2 == tuple(xx[j + 1] - xx[j] for j in range(1, d + 1))
+            assert bt2 == tuple(BETA2[j + 1] - BETA2[0] - 1 for j in range(d + 1)) + (-2 * N - BETA2[0],)
             xt, nut, bt = rc.dual_map(x, nu, BETA2, N)
-            assert rc.racah_second(nut2, xt2, bt2, N) == rc.racah_multi(nut, xt, bt, N)
+            assert second_by_product(nut2, xt2, bt2, N) == rc.racah_multi(nut, xt, bt, N)
 
 
 def test_one_variable_bridge():
@@ -116,7 +143,7 @@ def second_norm_by_summation(nu, beta, N):
     """||R'_nu||^2 summed over the whole lattice: the oracle for the closed form."""
     total = ZERO
     for x in rc.lattice_points(len(nu), N):
-        v = rc.racah_second(nu, x, beta, N)
+        v = second_by_product(nu, x, beta, N)
         total += rc.racah_weight_multi(x, beta, N) * v * v
     return total
 
@@ -127,6 +154,16 @@ def seeded_beta(rng, d):
     for _ in range(d + 1):
         beta.append(beta[-1] + R(7 * rng.randint(0, 3) + rng.randint(1, 6), 7))
     return tuple(beta)
+
+
+def test_second_family_matches_its_product_formula_seeded():
+    rng = random.Random(20261019)
+    for d in range(1, 4):
+        for N in range(5):
+            beta = seeded_beta(rng, d)
+            for nu in kraw_grid(d, N):
+                for x in rc.lattice_points(d, N):
+                    assert rc.racah_second(nu, x, beta, N) == second_by_product(nu, x, beta, N)
 
 
 def test_second_norm_closed_form_matches_summation_seeded():
