@@ -116,13 +116,6 @@ def emit(args, payload, name):
         sys.stdout.write(text)
 
 
-def _lattice_size(args):
-    """--N, which the discrete families need to be at least --n."""
-    if args.N < args.n:
-        raise ValueError("--N must be >= --n for --family %s" % args.family)
-    return args.N
-
-
 def cmd_basis(args):
     kappa = parse_kappa(args.kappa)
     d = len(kappa) - 1
@@ -180,14 +173,14 @@ def cmd_connect(args):
         kappa = parse_kappa(args.kappa)
         d = len(kappa) - 1
         tau = Permutation.from_cycles(tau_text, d + 1)
-        mat = ds.hahn_connection(tau, kappa, _lattice_size(args), args.n)
+        mat = ds.hahn_connection(tau, kappa, args.N, args.n)
         emit(args, mat.to_json(), "connect")
         return 0
     if args.family == "kraw":
         rho = parse_rationals(args.rho)
         d = len(rho)
         tau = Permutation.from_cycles(tau_text, d + 1)
-        mat = ds.kraw_connection(tau, rho, _lattice_size(args), args.n)
+        mat = ds.kraw_connection(tau, rho, args.N, args.n)
         emit(args, mat.to_json(), "connect")
         return 0
     # --family ball
@@ -317,6 +310,10 @@ SUITES = {
 
 
 def cmd_verify(args):
+    if args.d is not None and args.kappa is not None:
+        entries = len(parse_kappa(args.kappa))
+        if args.d != entries - 1:
+            raise ValueError("--d %d needs %d --kappa entries, got %d" % (args.d, args.d + 1, entries))
     for name, default in _VERIFY_DEFAULTS.items():
         if getattr(args, name) is None:
             setattr(args, name, default)

@@ -12,10 +12,12 @@ d=2 included: there is no table of named d=2 permutations.  The Krawtchouk
 family (discrete.kraw_connection) supplies its own local rules.
 
 The paper's named formulas stay as identities checked against the Gram
-oracle: the summation identity, the normalized (13) coefficient at d=3, and
-the normalized coefficients of each adjacent transposition and of the full
-cycle (12...d), whose forms 2 and 3 are racah.dual_map and racah.conj_map of
-form 1; cc_coset_hat extends the cycle to every s_d^a (12...d)^{+-1} s_d^b.
+oracle: the summation identity and the normalized coefficients, all read
+from one Racah form, that of the full cycle (12...d).  Its forms 2 and 3 are
+racah.dual_map and racah.conj_map of form 1; cc_coset_hat extends it to every
+s_d^a (12...d)^{+-1} s_d^b; the adjacent transposition s_j is the d=2 cycle
+(12) localized at the kappa-hat of slots j, j+1, as in the engine; and the
+(13) coefficient at d=3 is the composition (13) = (123)(12).
 """
 
 import itertools
@@ -25,9 +27,7 @@ from .exact_arith import QSqrt, hyp_terminating, pochhammer
 from .racah import (
     conj_map,
     dual_map,
-    racah_1d,
     racah_multi,
-    racah_norm_1d,
     racah_norm_sq,
     racah_second_norm_sq,
     racah_weight_1d,
@@ -170,11 +170,15 @@ def word_product(tau, params, n, block, ratio):
     return ConnMatrix(d, n, [[row.get(i, ZERO) for i in range(len(order))] for row in rows], order)
 
 
+def _local_kappa(kappa, j, tail):
+    """kappa-hat of s_j, j < d: the d=2 parameters of slots j, j+1 when |nu^{j+2}| = tail."""
+    d = len(kappa) - 1
+    return (kappa[j - 1], kappa[j], sum(kappa[j + 1:], ZERO) + 2 * tail + d - j - 1)
+
+
 def _jacobi_block(j, kappa, m_loc, k, m, tail):
     """The d=2 (12) entry at local degree m_loc and the kappa-hat of slots j, j+1."""
-    d = len(kappa) - 1
-    khat = (kappa[j - 1], kappa[j], sum(kappa[j + 1:], ZERO) + 2 * tail + d - j - 1)
-    return cc_2d_entry(k, m, khat, m_loc)
+    return cc_2d_entry(k, m, _local_kappa(kappa, j, tail), m_loc)
 
 
 def _jacobi_ratio(kappa):
@@ -189,42 +193,7 @@ def cc_3d_matrix(tau, kappa, n):
 
 
 # ---------------------------------------------------------------------------
-# d = 3: the normalized (13) coefficient
-# ---------------------------------------------------------------------------
-
-
-def _qsqrt_signed(sign_factor, val, w, r2):
-    """sign(sign_factor * val) * sqrt(w val^2 / r2): one normalized Racah entry."""
-    return QSqrt.signed(sign_factor * val, w * val * val / r2)
-
-
-def cc_3d_hat13_terms(nu, mu, kappa, n):
-    """Normalized (13) coefficient as a list of QSqrt summands.
-
-    The sum collapses to a single sign*sqrt(rational); summands individually
-    do not, so the caller must combine them by square-free radicand class.
-    """
-    kappa = tuple(R(k) for k in kappa)
-    k1, k2, k3, k4 = kappa
-    tot = k1 + k2 + k3 + k4
-    sigma = (R(-n) + nu[2] - 1, R(n) + nu[2] + tot - k3 + 2, k1 + k4 + 2 * nu[2] + 1, k3)
-    beta = (k1, k1 + k4 + 1, k1 + k3 + k4 + 2, tot + 3)
-    n1 = n - nu[2]
-    r2_1d = racah_norm_1d(nu[1], *sigma, n1)
-    terms = []
-    for ell in range(n1 + 1):
-        val1 = racah_1d(nu[1], ell, *sigma)
-        w1 = racah_weight_1d(ell, *sigma)
-        x = (nu[2], ell + nu[2])
-        val2 = racah_multi((mu[2], mu[1]), x, beta, n)
-        w2 = racah_weight_multi(x, beta, n)
-        r2_2 = racah_norm_sq((mu[2], mu[1]), beta, n)
-        terms.append(_qsqrt_signed(_sign(nu[1] + ell), val1 * val2, w1 * w2, r2_1d * r2_2))
-    return terms
-
-
-# ---------------------------------------------------------------------------
-# normalized closed forms for the cycle, its double coset and adjacent transpositions
+# normalized closed forms: the cycle, its double coset, adjacent transpositions, (13)
 # ---------------------------------------------------------------------------
 
 
@@ -253,7 +222,7 @@ def cc_cyclic_hat(nu, mu, kappa, n, form=1):
         x, idx, beta = conj_map(x, idx, beta, n)
         norm_sq = racah_second_norm_sq
     w = racah_weight_multi(x, beta, n)
-    return _qsqrt_signed(_sign(n + nu[d - 1]), val, w, norm_sq(idx, beta, n))
+    return QSqrt.signed(_sign(n + nu[d - 1]) * val, w * val * val / norm_sq(idx, beta, n))
 
 
 def cc_coset_hat(tau, nu, mu, kappa, n):
@@ -286,26 +255,33 @@ def cc_coset_hat(tau, nu, mu, kappa, n):
 
 
 def cc_adjacent_hat(nu, mu, kappa, n, j):
-    """Normalized coefficient for the transposition (j, j+1), 1 <= j <= d."""
+    """Normalized coefficient for the transposition (j, j+1), 1 <= j <= d.
+
+    For j < d it is the d=2 cycle (12) at the local degrees of slots j, j+1
+    and the engine's kappa-hat, and 0 unless nu and mu agree outside them.
+    """
     d = len(nu)
     kappa = tuple(R(k) for k in kappa)
     if j == d:
         return QSqrt.signed(_sign(nu[d - 1]) if nu == tuple(mu) else 0, ONE)
     if tuple(nu[: j - 1]) != tuple(mu[: j - 1]) or tuple(nu[j + 1:]) != tuple(mu[j + 1:]):
         return QSqrt(0, ZERO)
-    ksuf = lambda i: sum(kappa[i - 1:], ZERO)
-    nsuf = lambda i: sum(nu[i - 1:])
-    sigma = (
-        R(-(nu[j - 1] + nu[j])) - 1,
-        ksuf(j + 1) + nsuf(j) + nsuf(j + 2) + d - j,
-        ksuf(j + 2) + 2 * nsuf(j + 2) + d - j - 1,
-        kappa[j - 1],
-    )
-    N = nu[j - 1] + nu[j]
-    val = racah_1d(mu[j], nu[j], *sigma)
-    w = racah_weight_1d(nu[j], *sigma)
-    r2 = racah_norm_1d(mu[j], *sigma, N)
-    return _qsqrt_signed(_sign(mu[j - 1] + nu[j]), val, w, r2)
+    khat = _local_kappa(kappa, j, sum(nu[j + 1:]))
+    return cc_cyclic_hat(nu[j - 1: j + 1], mu[j - 1: j + 1], khat, nu[j - 1] + nu[j])
+
+
+def cc_3d_hat13_terms(nu, mu, kappa, n):
+    """Normalized (13) coefficient at d=3 as a list of QSqrt summands.
+
+    (13) = (123)(12), so the composition rule gives the sum over lambda =
+    (n - nu_3 - l, l, nu_3) of Chat^{(12)}((123).kappa)[nu][lambda] times
+    Chat^{(123)}(kappa)[lambda][mu].  The sum collapses to a single
+    sign*sqrt(rational); summands individually do not, so the caller must
+    combine them by square-free radicand class.
+    """
+    cycled = Permutation.from_cycles("(123)", 4).act_params(kappa)
+    lams = [(n - nu[2] - ell, ell, nu[2]) for ell in range(n - nu[2] + 1)]
+    return [cc_adjacent_hat(nu, lam, cycled, n, 1) * cc_cyclic_hat(lam, mu, kappa, n) for lam in lams]
 
 
 def connection_matrix(tau, kappa, n, method="closed"):

@@ -15,7 +15,7 @@ from math import comb
 from .backend import R, ZERO, ONE
 from .exact_arith import QSqrt, hyp_terminating, hyp_with_prefactor, pochhammer
 from .multipoly import homogenize
-from .simplex import a_coeffs, enumerate_basis, jacobi_simplex_basis
+from .simplex import a_coeffs, enumerate_basis, jacobi_simplex_basis, norm_A
 from .connection import ConnMatrix
 from .closed_forms import connection_matrix, word_product
 
@@ -76,20 +76,16 @@ def p_factor(nu, kappa):
 
 
 def hahn_norm_B(nu, kappa, N):
-    """Squared norm of H_nu under the normalized Hahn inner product."""
-    d = len(nu)
-    kappa = [R(k) for k in kappa]
-    aj = a_coeffs(nu, kappa)
-    lam = sum(kappa, ZERO) + d + 1
+    """Squared norm of H_nu under the normalized Hahn inner product.
+
+    It is (-1)^{|nu|} (lambda)_{N+|nu|} / ((-N)_{|nu|} (lambda)_N) times
+    norm_A / p_factor^2, with lambda = |kappa| + d + 1.
+    """
+    lam = sum((R(k) for k in kappa), ZERO) + len(nu) + 1
     n = sum(nu)
-    val = pochhammer(lam, N + n) / (pochhammer(R(-N), n) * pochhammer(lam, N) * pochhammer(lam, 2 * n))
-    if n % 2:
-        val = -val
-    for j in range(d):
-        k, a, m = kappa[j], aj[j], nu[j]
-        # (k+a+1)_{2m} / (k+a+1)_m, written so that k + a + 1 = 0 gives no 0/0
-        val *= pochhammer(k + a + m + 1, m) * pochhammer(k + 1, m) * pochhammer(ONE, m) / pochhammer(a + 1, m)
-    return val
+    val = pochhammer(lam, N + n) / (pochhammer(R(-N), n) * pochhammer(lam, N))
+    val *= norm_A(nu, kappa) / p_factor(nu, kappa) ** 2
+    return -val if n % 2 else val
 
 
 def hahn_from_generating(nu, kappa, N):

@@ -9,8 +9,11 @@ occur.
 The first family R_nu is prefix-indexed and the only product formula: the
 second, suffix-indexed R'_nu is R_nu at the reflection conj_map, and
 dual2_map is conj_map after dual_map.  Both multivariable squared norms are
-closed products of Pochhammer symbols.  Only the one-variable norm
-racah_norm_1d still sums over its support.
+closed products of Pochhammer symbols.  Both weights are pole-free at
+beta_j = 0 (c + dlt + 1 = 0 for one variable), where the factor
+(b)_m ((b+2)/2)_x / (b/2)_x is a finite product.  The one-variable family,
+with its norm summed over the support, is the classical oracle that the
+d=1 product family is checked against through param_bridge_1d.
 """
 
 import itertools
@@ -29,22 +32,16 @@ def racah_1d(n, x, a, b, c, dlt):
     )
 
 
+def _doubled_pair(b, m, x):
+    """(b)_m ((b+2)/2)_x / (b/2)_x for m >= x, written so that b = 0 gives no 0/0."""
+    return pochhammer(b + 1, m - 1) * (b + 2 * x) if x else pochhammer(b, m)
+
+
 def racah_weight_1d(x, a, b, c, dlt):
     a, b, c, dlt = R(a), R(b), R(c), R(dlt)
-    num = (
-        pochhammer(c + dlt + 1, x)
-        * pochhammer((c + dlt + 3) / 2, x)
-        * pochhammer(a + 1, x)
-        * pochhammer(b + dlt + 1, x)
-        * pochhammer(c + 1, x)
-    )
-    den = (
-        pochhammer(ONE, x)
-        * pochhammer((c + dlt + 1) / 2, x)
-        * pochhammer(c + dlt - a + 1, x)
-        * pochhammer(c - b + 1, x)
-        * pochhammer(dlt + 1, x)
-    )
+    s = c + dlt + 1
+    num = _doubled_pair(s, x, x) * pochhammer(a + 1, x) * pochhammer(b + dlt + 1, x) * pochhammer(c + 1, x)
+    den = pochhammer(ONE, x) * pochhammer(s - a, x) * pochhammer(c - b + 1, x) * pochhammer(dlt + 1, x)
     return num / den
 
 
@@ -96,17 +93,13 @@ def racah_weight_multi(x, beta, N):
     d = len(x)
     beta = [R(b) for b in beta]
     xx = [0] + list(x) + [N]
-    val = ONE
+    val = pochhammer(beta[d + 1], xx[d] + N)
     for j in range(d + 1):
         gap = xx[j + 1] - xx[j]
         tot = xx[j + 1] + xx[j]
-        val *= (
-            pochhammer(beta[j + 1] - beta[j], gap)
-            * pochhammer(beta[j + 1], tot)
-            / (pochhammer(ONE, gap) * pochhammer(beta[j] + 1, tot))
-        )
+        val *= pochhammer(beta[j + 1] - beta[j], gap) / (pochhammer(ONE, gap) * pochhammer(beta[j] + 1, tot))
     for j in range(1, d + 1):
-        val *= pochhammer((beta[j] + 2) / 2, xx[j]) / pochhammer(beta[j] / 2, xx[j])
+        val *= _doubled_pair(beta[j], xx[j - 1] + xx[j], xx[j])
     return val
 
 

@@ -69,6 +69,7 @@ def test_verify_suites_pass():
     for suite, extra in (
         ("orthogonality", ["--d", "2", "--n", "3", "--kappa", "1/2,1/3,2"]),
         ("sum-identity", ["--n", "3", "--kappa", "1/2,1/3,1/2"]),
+        ("sum-identity", ["--n", "2", "--kappa=-1/3,1/2,-2/3"]),
         ("dimensions", []),
         ("example-9-10", ["--n", "4"]),
         ("racah-orthogonality", ["--d", "2", "--N", "4"]),
@@ -158,6 +159,8 @@ def test_basis_listing():
                  id="whipple-kappa-N-d"),
     pytest.param(("verify", "--suite", "whipple", "--n", "2"), id="whipple-n"),
     pytest.param(("verify", "--suite", "orthogonality", "--d", "2", "--N", "3"), id="orthogonality-N"),
+    pytest.param(("verify", "--suite", "orthogonality", "--d", "5", "--kappa", "1,2,3", "--n", "1", "--count", "1"),
+                 id="orthogonality-d-disagrees-with-kappa"),
     pytest.param(("verify", "--suite", "sum-identity", "--seed", "1"), id="sum-identity-seed"),
     pytest.param(("verify", "--suite", "racah-orthogonality", "--kappa", "1,2,3"), id="racah-kappa"),
     pytest.param(("verify", "--suite", "racah-orthogonality", "--count", "2"), id="racah-count"),

@@ -11,6 +11,10 @@ from simplexconn.radicals import qsqrt_sums_equal
 
 KAPPA2 = (R(1, 2), R(1, 3), R(2))
 KAPPA3 = (R(0), R(1, 2), R(1), R(3, 2))
+HALF = R(-1, 2)
+# kappa_1 + kappa_{d+1} = -1: a Racah weight parameter beta_1 is 0 there
+POLE2 = ((R(-1, 3), R(1, 2), R(-2, 3)), (HALF,) * 3)
+POLE3 = ((HALF,) * 4, (R(-1, 3), R(1, 2), R(1), R(-2, 3)))
 
 
 def all_perms(m):
@@ -33,17 +37,18 @@ def test_2d_closed_at_zero_parameters():
 def test_2d_normalized_entries_match_gram_squares():
     tau = Permutation((2, 1, 3))
     n = 3
-    hat_gram = normalize(gram_connection(tau, KAPPA2, n), tau, KAPPA2)
-    for j in range(n + 1):
-        for m in range(n + 1):
-            nu, mu = (n - j, j), (n - m, m)
-            q, g = cf.cc_adjacent_hat(nu, mu, KAPPA2, n, 1), hat_gram[j][m]
-            assert q.square() == g.square()
-            assert q.sign == g.sign
+    for kappa in (KAPPA2,) + POLE2:
+        hat_gram = normalize(gram_connection(tau, kappa, n), tau, kappa)
+        for j in range(n + 1):
+            for m in range(n + 1):
+                nu, mu = (n - j, j), (n - m, m)
+                q, g = cf.cc_adjacent_hat(nu, mu, kappa, n, 1), hat_gram[j][m]
+                assert q.square() == g.square()
+                assert q.sign == g.sign
 
 
 def test_sum_identity():
-    for kappa in (KAPPA2, (R(3, 4), R(1, 5), R(3, 4))):
+    for kappa in (KAPPA2, (R(3, 4), R(1, 5), R(3, 4)), POLE2[0]):
         for n in range(5):
             for k in range(n + 1):
                 for ell in range(n + 1):
@@ -69,26 +74,32 @@ def test_3d_normalized_13_as_radical_sum():
     tau = Permutation.from_cycles("(13)", 4)
     n = 2
     order = enumerate_basis(3, n)
-    hat_gram = normalize(gram_connection(tau, KAPPA3, n), tau, KAPPA3)
-    for i, nu in enumerate(order):
-        for j, mu in enumerate(order):
-            terms = cf.cc_3d_hat13_terms(nu, mu, KAPPA3, n)
-            assert qsqrt_sums_equal(terms, [hat_gram[i][j]])
+    for kappa in (KAPPA3,) + POLE3:
+        hat_gram = normalize(gram_connection(tau, kappa, n), tau, kappa)
+        for i, nu in enumerate(order):
+            for j, mu in enumerate(order):
+                terms = cf.cc_3d_hat13_terms(nu, mu, kappa, n)
+                assert qsqrt_sums_equal(terms, [hat_gram[i][j]])
 
 
 def test_cyclic_closed_forms_d4():
     d = 4
-    kappa = (R(1, 3), R(1, 2), R(0), R(2), R(1, 4))
     tau = Permutation((2, 3, 4, 1, 5))  # cycle on the first d slots
     n = 2
     order = enumerate_basis(d, n)
-    hat = normalize(gram_connection(tau, kappa, n), tau, kappa)
-    for i, nu in enumerate(order):
-        for j, mu in enumerate(order):
-            for form in (1, 2, 3):
-                q = cf.cc_cyclic_hat(nu, mu, kappa, n, form=form)
-                assert q.square() == hat[i][j].square()
-                assert q.sign == hat[i][j].sign
+    for kappa, forms in (
+        ((R(1, 3), R(1, 2), R(0), R(2), R(1, 4)), (1, 2, 3)),
+        ((R(-1, 3), R(1, 2), R(0), R(2), R(-2, 3)), (1, 2, 3)),
+        # forms 2 and 3 still divide by zero here: their dual parameters are integers
+        ((HALF,) * 5, (1,)),
+    ):
+        hat = normalize(gram_connection(tau, kappa, n), tau, kappa)
+        for i, nu in enumerate(order):
+            for j, mu in enumerate(order):
+                for form in forms:
+                    q = cf.cc_cyclic_hat(nu, mu, kappa, n, form=form)
+                    assert q.square() == hat[i][j].square()
+                    assert q.sign == hat[i][j].sign
 
 
 def coset(d):
@@ -127,17 +138,18 @@ def test_coset_hat_rejects_permutations_outside_the_coset():
 
 def test_adjacent_transposition_closed_form():
     d = 3
-    kappa = KAPPA3
     n = 2
     order = enumerate_basis(d, n)
-    for jpos in (1, 2):
-        tau = Permutation.from_cycles("(%d%d)" % (jpos, jpos + 1), d + 1)
-        hat = normalize(gram_connection(tau, kappa, n), tau, kappa)
-        for i, nu in enumerate(order):
-            for j, mu in enumerate(order):
-                q = cf.cc_adjacent_hat(nu, mu, kappa, n, jpos)
-                assert q.square() == hat[i][j].square()
-                assert q.sign == hat[i][j].sign
+    # the local s_2 has beta_1 = kappa_2 + kappa_4 + 1 = 0 at the last two
+    for kappa in (KAPPA3, (R(1, 2), HALF, R(1, 3), HALF), POLE3[0]):
+        for jpos in (1, 2):
+            tau = Permutation.from_cycles("(%d%d)" % (jpos, jpos + 1), d + 1)
+            hat = normalize(gram_connection(tau, kappa, n), tau, kappa)
+            for i, nu in enumerate(order):
+                for j, mu in enumerate(order):
+                    q = cf.cc_adjacent_hat(nu, mu, kappa, n, jpos)
+                    assert q.square() == hat[i][j].square()
+                    assert q.sign == hat[i][j].sign
 
 
 def test_last_adjacent_transposition_is_signed_identity():
