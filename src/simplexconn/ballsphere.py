@@ -152,29 +152,6 @@ def gegenbauer_gen(n, lam, mu):
     return n % 2, [pref * c for c in jac]
 
 
-def ball_cartesian(alpha, kappa):
-    """Cartesian ball basis element built from generalized Gegenbauer factors.
-
-    Each factor is the Jacobi core of gegenbauer_gen(alpha_j, lam + 1/2,
-    kappa_j + 1/2) without its constant, which vanishes at lam + kappa_j = -1
-    (in the last factor, kappa_d + kappa_{d+1} = -1), so the element is the
-    same up to a nonzero scalar.
-    """
-    d = len(alpha)
-    kappa = tuple(R(k) for k in kappa)
-    eps = tuple(a % 2 for a in alpha)
-    core = SparsePoly.constant(d, ONE)
-    for j in range(d):
-        lam = sum(alpha[j + 1:]) + sum(kappa[j + 1:], ZERO) + d - (j + 1)
-        coeffs = jacobi_1d(alpha[j] // 2, lam, kappa[j] + eps[j])
-        lin = SparsePoly.variable(d, j)
-        hom = SparsePoly.constant(d, ONE)
-        for i in range(j):
-            hom = hom - SparsePoly.variable(d, i)
-        core = core * substitute_homogeneous(coeffs, lin, hom, alpha[j] // 2)
-    return ParityPoly(eps, core)
-
-
 def proportionality(p, q):
     """The scalar c with p = c*q, or raise NotProportional."""
     if p.is_zero() or q.is_zero():
@@ -187,16 +164,6 @@ def proportionality(p, q):
     if p != q.scale(c):
         raise NotProportional("polynomials are not scalar multiples")
     return c
-
-
-def verify_ball_equivalence(alpha, kappa):
-    """Check that the Gegenbauer-product element is a multiple of q_ball."""
-    eps = tuple(a % 2 for a in alpha)
-    nu = tuple((a - e) // 2 for a, e in zip(alpha, eps))
-    cart = ball_cartesian(alpha, kappa)
-    ref = q_ball(nu, eps, kappa)
-    scalar = proportionality(cart.core, ref.core)
-    return {"alpha": tuple(alpha), "eps": eps, "nu": nu, "scalar": scalar}
 
 
 def _extend(tau, m):
@@ -289,30 +256,25 @@ def disk_polar_basis(j, i, n, mu):
 
 
 def verify_disk_polar(n, mu):
-    """Match every polar element to a parity image of the 1<->3 swapped basis."""
+    """Match every polar element to its parity image of the 1<->3 swapped basis.
+
+    With m = n - 2j, the element (j, i) is the image of (nu, eps) with
+    eps = (m mod 2, 0) for i = 1 and ((m - 1) mod 2, 1) for i = 2, and
+    nu = (j, (m - |eps|)/2).
+    """
     kappa = (R(-1, 2), R(-1, 2), R(mu))
     swap = Permutation((3, 2, 1))
-    elems = []
-    for j in range(n // 2 + 1):
-        elems.append((j, 1))
-        if n - 2 * j > 0:
-            elems.append((j, 2))
     report = []
-    for j, i in elems:
-        pp = poly_to_parity(disk_polar_basis(j, i, n, mu))
-        matches = []
-        for nu, eps in ball_enumerate(2, n):
-            if eps != pp.eps:
-                continue
+    for j in range(n // 2 + 1):
+        m = n - 2 * j
+        for i in (1, 2) if m else (1,):
+            eps = (m % 2, 0) if i == 1 else ((m - 1) % 2, 1)
+            nu = (j, (m - sum(eps)) // 2)
+            pp = poly_to_parity(disk_polar_basis(j, i, n, mu))
+            if pp.eps != eps:
+                raise NotProportional("polar element (%d,%d) has parity %r, not %r" % (j, i, pp.eps, eps))
             cand = swap.act_vars(jacobi_simplex_basis(nu, swap.act_params(shifted(kappa, eps))))
-            try:
-                scalar = proportionality(pp.core, cand)
-            except NotProportional:
-                continue
-            matches.append({"nu": nu, "eps": eps, "scalar": scalar})
-        if len(matches) != 1:
-            raise NotProportional("polar element (%d,%d) has %d matches" % (j, i, len(matches)))
-        report.append({"j": j, "i": i, **matches[0]})
+            report.append({"j": j, "i": i, "nu": nu, "eps": eps, "scalar": proportionality(pp.core, cand)})
     return report
 
 

@@ -326,10 +326,17 @@ def cmd_verify(args):
     return 1 if failures else 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser whose usage errors raise ValueError, so main reports them in one line."""
+
+    def error(self, message):
+        raise ValueError(message)
+
+
 def build_parser():
-    p = argparse.ArgumentParser(prog="simplexconn",
-                                description="Exact connection coefficients for multivariate orthogonal polynomials")
-    common = argparse.ArgumentParser(add_help=False)
+    p = _Parser(prog="simplexconn",
+                description="Exact connection coefficients for multivariate orthogonal polynomials")
+    common = _Parser(add_help=False)
     common.add_argument("--out", default=None, help="directory for artifact files")
     common.add_argument("--output", choices=("json", "csv"), default="json")
     sub = p.add_subparsers(dest="command", required=True)
@@ -366,8 +373,8 @@ def build_parser():
 
 
 def main(argv=None):
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         if args.n is not None and args.n < 0:
             raise ValueError("--n must be >= 0")
         check_options(args)

@@ -35,32 +35,47 @@ def _termination_order(top):
     return m
 
 
+def _folded_series(top, bottom, m, z):
+    """(sum_k t_k, prod_b (b)_m) for t_k = (-m)_k prod_a (a)_k prod_b (b+k)_{m-k} z^k / k!.
+
+    The bottom tails prod_b (b+k)_{m-k} are built from k = m downward and
+    the heads (-m)_k prod_a (a)_k z^k / k! upward, so the sum takes O(m)
+    products and divides by nothing but k + 1.  The k = 0 tail is
+    prod_b (b)_m.
+    """
+    tails = [ONE] * (m + 1)
+    for k in range(m - 1, -1, -1):
+        tail = tails[k + 1]
+        for b in bottom:
+            tail *= b + k
+        tails[k] = tail
+    total = tails[0]
+    head = ONE
+    for k in range(m):
+        for a in top:
+            head *= a + k
+        head = head * (k - m) * z / (k + 1)
+        total += head * tails[k + 1]
+    return total, tails[0]
+
+
 def hyp_terminating(top, bottom, z):
     """Exact value of a terminating pFq at argument z.
 
     Terminates at the minimal m with a top parameter equal to -m.  Raises
-    BottomPole if a bottom Pochhammer vanishes at or before that order.
+    BottomPole if a bottom Pochhammer vanishes at or before that order,
+    that is exactly when prod_b (b)_m = 0.
     """
     m = _termination_order(top)
     if m is None:
         raise ValueError("series does not terminate: no nonpositive-integer top parameter")
-    total = ZERO
-    term = ONE
-    for k in range(m + 1):
-        total += term
-        if k == m:
-            break
-        num = ONE
-        for a in top:
-            num *= a + k
-        den = ONE
-        for b in bottom:
-            f = b + k
-            if f == 0:
-                raise BottomPole(f"bottom parameter {rat_str(b)} poles at k={k + 1}")
-            den *= f
-        term = term * num * z / (den * (k + 1))
-    return total
+    rest = list(top)
+    rest.remove(-m)
+    total, bottom_m = _folded_series(rest, bottom, m, z)
+    if bottom_m == 0:
+        b = max(b for b in bottom if b.denominator == 1 and -m < b <= 0)
+        raise BottomPole(f"bottom parameter {rat_str(b)} poles at k={1 - int(b)}")
+    return total / bottom_m
 
 
 def hyp_with_prefactor(top, bottom, m, z=ONE):
@@ -72,17 +87,7 @@ def hyp_with_prefactor(top, bottom, m, z=ONE):
     (b)_m/(b)_k = (b+k)_{m-k}.  Used by the Tratnik-style product formulas
     whose prefactors are exactly these bottom Pochhammers.
     """
-    total = ZERO
-    zp = ONE
-    for k in range(m + 1):
-        num = pochhammer(R(-m), k)
-        for a in top:
-            num *= pochhammer(a, k)
-        for b in bottom:
-            num *= pochhammer(b + k, m - k)
-        total += num * zp / math.factorial(k)
-        zp *= z
-    return total
+    return _folded_series(top, bottom, m, z)[0]
 
 
 class QSqrt:

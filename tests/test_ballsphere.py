@@ -6,7 +6,7 @@ from simplexconn.simplex import Permutation
 from simplexconn import ballsphere as bs
 from simplexconn import closed_forms as cf
 from simplexconn import connection
-from simplexconn.multipoly import SparsePoly
+from simplexconn.multipoly import SparsePoly, substitute_homogeneous
 
 KAPPA2 = (R(1, 2), R(1, 3), R(2, 5))
 KAPPA3 = (R(1, 2), R(1, 3), R(2, 5), R(3, 7))
@@ -48,17 +48,47 @@ def test_gegenbauer_generalized_low_degrees():
     assert val_at_1 == expect
 
 
+def gegenbauer_product(alpha, kappa):
+    """The Cartesian ball element of index alpha, with its Gegenbauer prefactors kept.
+
+    It is prod_j h_j^(alpha_j/2) C_{alpha_j}(x_j / sqrt(h_j)), h_j = 1 - x_1^2 - ... - x_{j-1}^2,
+    with C = gegenbauer_gen(alpha_j, lam_j + 1/2, kappa_j + 1/2) and
+    lam_j = |alpha^{j+1}| + |kappa^{j+1}| + d - j (kappa^{j+1} = (kappa_{j+1}, ..., kappa_{d+1})):
+    lam_j + 1/2 is the paper's |alpha^{j+1}| + |kappa'^{j+1}| + (d - j)/2 at kappa' = kappa + 1/2.
+    Returns the parity, the core in x_1^2, ..., x_d^2 and the product of the
+    prefactors C_n^{(lam, mu)}(1) / P_{n//2}(1) = (lam + mu)_{(n+1)//2} / (mu + 1/2)_{(n+1)//2}.
+    """
+    d = len(alpha)
+    half = R(1, 2)
+    eps = []
+    core = SparsePoly.constant(d, ONE)
+    prefactor = ONE
+    for j in range(1, d + 1):
+        lam = sum(alpha[j:]) + sum(kappa[j:], ZERO) + d - j + half  # lam_j + 1/2
+        mu = kappa[j - 1] + half
+        parity, coeffs = bs.gegenbauer_gen(alpha[j - 1], lam, mu)
+        h = SparsePoly.constant(d, ONE)
+        for i in range(j - 1):
+            h = h - SparsePoly.variable(d, i)
+        eps.append(parity)
+        core = core * substitute_homogeneous(coeffs, SparsePoly.variable(d, j - 1), h, alpha[j - 1] // 2)
+        top = (alpha[j - 1] + 1) // 2
+        prefactor *= pochhammer(lam + mu, top) / pochhammer(mu + half, top)
+    return tuple(eps), core, prefactor
+
+
 def test_cartesian_product_is_proportional_to_semigroup_form():
-    # kappa_d + kappa_{d+1} = -1 in the last two cases
+    # at (-1/2)^(d+1) the last factor's prefactor (0)_k vanishes when alpha_d >= 1, and so do both sides
     for d, kappa in ((2, KAPPA2), (3, KAPPA3), (2, (R(-1, 2),) * 3), (3, (R(-1, 2),) * 4)):
-        for total in range(5):
+        for total in range(6 if d == 2 else 5):
             for alpha in itertools.product(range(total + 1), repeat=d):
                 if sum(alpha) != total:
                     continue
-                rep = bs.verify_ball_equivalence(alpha, kappa)
-                assert rep["scalar"] != ZERO
-    for alpha in ((0, 0, 1), (1, 0, 1), (0, 0, 2)):
-        assert bs.verify_ball_equivalence(alpha, (R(-1, 2),) * 4)["scalar"] != ZERO
+                eps, core, prefactor = gegenbauer_product(alpha, kappa)
+                nu = tuple(a // 2 for a in alpha)
+                assert eps == tuple(a % 2 for a in alpha)
+                assert core == bs.q_ball(nu, eps, kappa).core.scale(prefactor), alpha
+                assert (prefactor == ZERO) == (kappa[0] == R(-1, 2) and alpha[-1] >= 1), alpha
 
 
 def assert_ball_connection_matches_gram(tau, kappa, n):

@@ -93,6 +93,13 @@ def test_bad_command_exits_2():
     assert run_cli("connect", "--family", "simplex", "--n", "1").returncode == 2
 
 
+def test_help_exits_0():
+    for args in (("--help",), ("connect", "--help")):
+        proc = run_cli(*args)
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert proc.stdout.startswith("usage: simplexconn")
+
+
 def test_csv_artifact(tmp_path):
     proc = run_cli(
         "connect", "--family", "simplex", "--tau", "(12)", "--kappa", "0,0,0",
@@ -167,6 +174,11 @@ def test_basis_listing():
     pytest.param(("verify", "--suite", "example-9-10", "--d", "3"), id="example-d"),
     pytest.param(("verify", "--suite", "dimensions", "--n", "2"), id="dimensions-n"),
     pytest.param(("verify", "--suite", "dimensions", "--seed", "0"), id="dimensions-seed"),
+    pytest.param(("connect", "--tau", "(12)", "--kappa", "1,1,1", "--n", "1", "--foo"), id="unknown-option"),
+    pytest.param(("connect", "--tau", "(12)", "--kappa", "1,1,1"), id="missing-n"),
+    pytest.param(("connect", "--family", "jacobi", "--tau", "(12)", "--kappa", "1,1,1", "--n", "1"),
+                 id="bad-family"),
+    pytest.param(("connect", "--tau", "(12)", "--kappa", "1,1,1", "--n", "one"), id="non-integer-n"),
 ])
 def test_bad_input_exits_2_with_one_line_error(args):
     proc = run_cli(*args)

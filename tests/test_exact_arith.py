@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -72,6 +73,76 @@ def test_hyp_with_prefactor_matches_series_when_regular():
         plain = hyp_terminating([R(-m)] + top, bottom, ONE)
         pref = pochhammer(bottom[0], m) * pochhammer(bottom[1], m) * plain
         assert hyp_with_prefactor(top, bottom, m) == pref
+
+
+def rising(a, k):
+    out = ONE
+    for i in range(k):
+        out *= a + i
+    return out
+
+
+def series_by_definition(top, bottom, z):
+    """sum_k prod (a)_k / prod (b)_k z^k / k! up to the minimal order m with -m among the tops.
+
+    None when a bottom factor (b)_k vanishes at some k <= m.
+    """
+    m = min(-int(a) for a in top if a.denominator == 1 and a <= 0)
+    total = ZERO
+    for k in range(m + 1):
+        den = math.factorial(k)
+        for b in bottom:
+            den *= rising(b, k)
+        if den == 0:
+            return None
+        num = z**k
+        for a in top:
+            num *= rising(a, k)
+        total += num / den
+    return total
+
+
+def folded_by_definition(top, bottom, m, z):
+    """sum_k (-m)_k prod (a)_k prod (b+k)_{m-k} z^k / k!, term by term."""
+    total = ZERO
+    for k in range(m + 1):
+        num = rising(R(-m), k) * z**k / math.factorial(k)
+        for a in top:
+            num *= rising(a, k)
+        for b in bottom:
+            num *= rising(b + k, m - k)
+        total += num
+    return total
+
+
+# nonpositive-integer tops and bottoms, from inside the order to beyond it
+params = st.one_of(rationals, st.builds(R, st.integers(-12, 0)))
+series_args = (st.integers(0, 7), st.lists(params, max_size=3), st.lists(params, max_size=3),
+               st.one_of(st.just(ONE), rationals))
+
+
+@given(*series_args)
+@settings(max_examples=300, deadline=None)
+def test_hyp_terminating_matches_the_definition(m, top, bottom, z):
+    top = top + [R(-m)]
+    expect = series_by_definition(top, bottom, z)
+    if expect is None:
+        with pytest.raises(BottomPole):
+            hyp_terminating(top, bottom, z)
+    else:
+        assert hyp_terminating(top, bottom, z) == expect
+
+
+@given(*series_args)
+@settings(max_examples=300, deadline=None)
+def test_hyp_with_prefactor_matches_the_definition(m, top, bottom, z):
+    value = hyp_with_prefactor(top, bottom, m, z)
+    assert value == folded_by_definition(top, bottom, m, z)
+    prefactor = ONE
+    for b in bottom:
+        prefactor *= rising(b, m)
+    if prefactor != 0:
+        assert value == prefactor * series_by_definition(top + [R(-m)], bottom, z)
 
 
 def test_hyp_with_prefactor_is_pole_free():

@@ -77,3 +77,65 @@ def test_the_scan_finds_an_unused_local(tmp_path):
 @pytest.mark.parametrize("path", PACKAGE, ids=lambda path: str(path.relative_to(ROOT)))
 def test_no_unused_locals(path):
     assert unused_locals(path) == []
+
+
+def private_definitions(path):
+    """(line, name) for each private function, class or constant a module defines at its top level."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    found = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [t.id for t in targets if isinstance(t, ast.Name)]
+        else:
+            continue
+        found += [(node.lineno, name) for name in names if name.startswith("_") and not name.startswith("__")]
+    return found
+
+
+def names_read(paths):
+    """Every name read as a variable, an attribute or a from-import anywhere in the given files."""
+    read = set()
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                read |= {alias.name for alias in node.names}
+    return read
+
+
+def unread_privates(paths, readers):
+    """(file name, line, name) for each private top-level definition in paths that no reader reads."""
+    read = names_read(readers)
+    return [(path.name, line, name) for path in paths
+            for line, name in private_definitions(path) if name not in read]
+
+
+def test_the_scan_finds_an_unread_private(tmp_path):
+    path = tmp_path / "sample.py"
+    path.write_text(
+        "_USED = 1\n"
+        "_LEFT = 2\n"
+        "def _helper():\n"
+        "    return _USED\n"
+        "def _orphan():\n"
+        "    return 0\n"
+        "class _Kept:\n"
+        "    pass\n"
+        "def __getattr__(name):\n"
+        "    return _helper()\n"
+    )
+    user = tmp_path / "user.py"
+    user.write_text("import sample\nprint(sample._Kept)\n")
+    assert unread_privates([path], [path, user]) == [("sample.py", 2, "_LEFT"), ("sample.py", 5, "_orphan")]
+
+
+def test_no_unread_private_definitions():
+    package = sorted((ROOT / "src/simplexconn").glob("*.py"))
+    readers = package + sorted((ROOT / "tests").glob("*.py")) + sorted((ROOT / "perfbench").glob("*.py"))
+    assert unread_privates(package, readers) == []
