@@ -35,13 +35,21 @@ from . import discrete as ds
 from . import ballsphere as bs
 
 
-def parse_rationals(text):
-    return tuple(rat_from_str(part.strip()) for part in text.split(","))
+def parse_rationals(text, option):
+    """The comma-separated rationals of `option`; ValueError naming it and the bad entry."""
+    out = []
+    for part in text.split(","):
+        try:
+            out.append(rat_from_str(part))
+        except ValueError:
+            raise ValueError("%s entry %r is not a rational p or p/q with q != 0"
+                             % (option, part.strip())) from None
+    return tuple(out)
 
 
 def parse_kappa(text):
     """kappa = (kappa_1, ..., kappa_{d+1}) with d >= 1 and every kappa_i > -1."""
-    return check_kappa(parse_rationals(text), "--kappa")
+    return check_kappa(parse_rationals(text, "--kappa"), "--kappa")
 
 
 def hat_json(order, grid):
@@ -51,14 +59,14 @@ def hat_json(order, grid):
     }
 
 
-# the connect options each family reads; all but --method and --normalized are required
+# the connect options each family reads; all but --normalized are required
 _FAMILY_OPTIONS = {
-    "simplex": ("kappa", "method", "normalized"),
+    "simplex": ("kappa", "normalized"),
     "hahn": ("kappa", "N"),
     "kraw": ("rho", "N"),
     "ball": ("kappa",),
 }
-_OPTIONAL = ("method", "normalized")
+_OPTIONAL = ("normalized",)
 
 # the verify options each suite reads; orthogonality reads --d when --kappa is absent
 _SUITE_OPTIONS = {
@@ -100,8 +108,7 @@ def check_options(args):
 
 
 def emit(args, payload, name):
-    # a --method both mismatch report has no matrix, so it stays JSON
-    fmt = "csv" if args.output == "csv" and "entries" in payload else "json"
+    fmt = args.output
     if fmt == "csv":
         text = "\n".join(",".join(row) for row in payload["entries"]) + "\n"
     else:
@@ -142,58 +149,30 @@ def cmd_basis(args):
 
 
 def cmd_connect(args):
-    tau_text = args.tau
-    if args.family == "simplex":
-        kappa = parse_kappa(args.kappa)
-        d = len(kappa) - 1
-        tau = Permutation.from_cycles(tau_text, d + 1)
-        mats = {}
-        method = args.method or "gram"
-        if method in ("gram", "both"):
-            mats["gram"] = gram_connection(tau, kappa, args.n)
-        if method in ("closed", "both"):
-            mats["closed"] = connection_matrix(tau, kappa, args.n, method="closed")
-        if method == "both" and mats["gram"] != mats["closed"]:
-            diff = []
-            for i, nu in enumerate(mats["gram"].order):
-                for j, mu in enumerate(mats["gram"].order):
-                    a, b = mats["gram"].rows[i][j], mats["closed"].rows[i][j]
-                    if a != b:
-                        diff.append({"nu": list(nu), "mu": list(mu),
-                                     "gram": rat_str(a), "closed": rat_str(b)})
-            emit(args, {"mismatch": diff}, "connect-diff")
-            return 1
-        mat = mats.get("closed", mats.get("gram"))
-        payload = mat.to_json()
-        if args.normalized:
-            payload["normalized"] = hat_json(mat.order, normalize(mat, tau, kappa))
-        emit(args, payload, "connect")
-        return 0
-    if args.family == "hahn":
-        kappa = parse_kappa(args.kappa)
-        d = len(kappa) - 1
-        tau = Permutation.from_cycles(tau_text, d + 1)
-        mat = ds.hahn_connection(tau, kappa, args.N, args.n)
-        emit(args, mat.to_json(), "connect")
-        return 0
+    """One path for every family: parameters, tau on their slots, the matrix, emit."""
     if args.family == "kraw":
-        rho = parse_rationals(args.rho)
-        d = len(rho)
-        tau = Permutation.from_cycles(tau_text, d + 1)
-        mat = ds.kraw_connection(tau, rho, args.N, args.n)
-        emit(args, mat.to_json(), "connect")
+        params = parse_rationals(args.rho, "--rho")
+        slots = len(params) + 1
+    else:
+        params = parse_kappa(args.kappa)
+        slots = len(params) - 1 if args.family == "ball" else len(params)
+    tau = Permutation.from_cycles(args.tau, slots)
+    if args.family == "ball":
+        conn = sorted(bs.ball_connection(tau, params, args.n).items())
+        entries = [{"nu": list(nu), "eps": list(eps), "mu": list(mu), "eta": list(eta), "value": val.to_json()}
+                   for ((nu, eps), (mu, eta)), val in conn]
+        emit(args, {"family": "ball", "entries": entries}, "connect")
         return 0
-    # --family ball
-    kappa = parse_kappa(args.kappa)
-    d = len(kappa) - 1
-    tau = Permutation.from_cycles(tau_text, d)
-    conn = bs.ball_connection(tau, kappa, args.n)
-    entries = [
-        {"nu": list(src[0]), "eps": list(src[1]), "mu": list(tgt[0]),
-         "eta": list(tgt[1]), "value": val.to_json()}
-        for (src, tgt), val in sorted(conn.items())
-    ]
-    emit(args, {"family": "ball", "entries": entries}, "connect")
+    if args.family == "simplex":
+        mat = connection_matrix(tau, params, args.n)
+    elif args.family == "hahn":
+        mat = ds.hahn_connection(tau, params, args.N, args.n)
+    else:
+        mat = ds.kraw_connection(tau, params, args.N, args.n)
+    payload = mat.to_json()
+    if args.normalized:
+        payload["normalized"] = hat_json(mat.order, normalize(mat, tau, params))
+    emit(args, payload, "connect")
     return 0
 
 
@@ -201,29 +180,41 @@ def _random_kappa(rng, d):
     return tuple(R(rng.randint(0, 12), rng.randint(1, 6)) for _ in range(d + 1))
 
 
+def _first_difference(mat, oracle):
+    """(nu, mu, mat entry, oracle entry) at the first entry where the matrices differ, or None."""
+    return next(((nu, mu, a, b) for nu, row, oracle_row in zip(mat.order, mat.rows, oracle.rows)
+                 for mu, a, b in zip(mat.order, row, oracle_row) if a != b), None)
+
+
 def _suite_structural(args, rng):
+    """The paper's identities on the closed engine's matrices, and each C^tau against Gram."""
     kappa = parse_kappa(args.kappa) if args.kappa else _random_kappa(rng, args.d)
     d = len(kappa) - 1
     n = args.n
     failures = []
     perms = all_permutations(d + 1)
     for tau in perms:
-        mat = gram_connection(tau, kappa, n)
+        mat = connection_matrix(tau, kappa, n)
+        diff = _first_difference(mat, gram_connection(tau, kappa, n))
+        if diff is not None:
+            nu, mu, closed, gram = diff
+            failures.append(("closed-vs-gram", repr(tau), "nu=%s" % (nu,), "mu=%s" % (mu,),
+                             "closed=" + rat_str(closed), "gram=" + rat_str(gram)))
         if not verify_row_orthogonality(mat, tau, kappa):
             failures.append(("row-orthogonality", repr(tau)))
         if not verify_column_orthogonality(mat, tau, kappa):
             failures.append(("column-orthogonality", repr(tau)))
         inv = tau.inverse()
-        mat_at_invk = gram_connection(tau, inv.act_params(kappa), n)
-        inv_mat = gram_connection(inv, kappa, n)
+        mat_at_invk = connection_matrix(tau, inv.act_params(kappa), n)
+        inv_mat = connection_matrix(inv, kappa, n)
         if not verify_inverse_identity(mat_at_invk, inv_mat, tau, kappa):
             failures.append(("inverse", repr(tau)))
     for _ in range(args.count):
         t1, t2 = rng.choice(perms), rng.choice(perms)
         prod = t1 * t2
-        lhs = gram_connection(prod, kappa, n)
-        m2 = gram_connection(t2, t1.act_params(kappa), n)
-        m1 = gram_connection(t1, kappa, n)
+        lhs = connection_matrix(prod, kappa, n)
+        m2 = connection_matrix(t2, t1.act_params(kappa), n)
+        m1 = connection_matrix(t1, kappa, n)
         if not verify_convolution(lhs, m2, m1):
             failures.append(("convolution", repr(t1), repr(t2)))
     return failures
@@ -317,8 +308,8 @@ def cmd_verify(args):
     for name, default in _VERIFY_DEFAULTS.items():
         if getattr(args, name) is None:
             setattr(args, name, default)
-    if args.d < 1 or args.N < 0:
-        raise ValueError("--d must be >= 1 and --N >= 0")
+    if args.d < 1:
+        raise ValueError("--d must be >= 1")
     rng = random.Random(args.seed)
     failures = SUITES[args.suite](args, rng)
     report = {"suite": args.suite, "seed": args.seed, "failures": [list(map(str, f)) if isinstance(f, tuple) else f for f in failures]}
@@ -354,8 +345,6 @@ def build_parser():
     c.add_argument("--kappa", default=None)
     c.add_argument("--rho", default=None)
     c.add_argument("--tau", required=True, help='cycle notation, e.g. "(12)" or "e"')
-    c.add_argument("--method", choices=("gram", "closed", "both"), default=None,
-                   help="simplex only; gram by default")
     c.add_argument("--normalized", action="store_true", default=None, help="simplex only")
     c.set_defaults(func=cmd_connect)
 
@@ -375,8 +364,9 @@ def build_parser():
 def main(argv=None):
     try:
         args = build_parser().parse_args(argv)
-        if args.n is not None and args.n < 0:
-            raise ValueError("--n must be >= 0")
+        for name in ("n", "N", "count"):
+            if getattr(args, name, None) is not None and getattr(args, name) < 0:
+                raise ValueError("--%s must be >= 0" % name)
         check_options(args)
         return args.func(args)
     except (ValueError, KeyError) as exc:

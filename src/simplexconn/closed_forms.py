@@ -34,7 +34,7 @@ from .racah import (
     racah_weight_multi,
 )
 from .simplex import Permutation, check_kappa, enumerate_basis
-from .connection import ConnMatrix, gram_connection
+from .connection import _MATRIX_CACHE, ConnMatrix, gram_connection
 
 
 def _sign(k):
@@ -288,12 +288,16 @@ def connection_matrix(tau, kappa, n, method="closed"):
     """Degree-n connection matrix C^tau(kappa), exact, for tau in S_{d+1}.
 
     method="closed" multiplies adjacent-transposition factors along a
-    reduced word of tau (any d); method="gram" takes direct inner products.
-    Raises ValueError unless kappa has at least 2 entries, each > -1.
+    reduced word of tau (any d) and caches the result beside the Gram
+    matrices; method="gram" takes direct inner products.  Raises ValueError
+    unless kappa has at least 2 entries, each > -1.
     """
     kappa = check_kappa(kappa)
     if method == "gram":
         return gram_connection(tau, kappa, n)
     if method != "closed":
         raise ValueError(f"method must be 'closed' or 'gram', not {method!r}")
-    return word_product(tau, kappa, n, _jacobi_block, _jacobi_ratio)
+    key = ("closed", tau.img, kappa, n)
+    if key not in _MATRIX_CACHE:
+        _MATRIX_CACHE[key] = word_product(tau, kappa, n, _jacobi_block, _jacobi_ratio)
+    return _MATRIX_CACHE[key]

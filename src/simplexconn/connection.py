@@ -77,7 +77,9 @@ class ConnMatrix:
         }
 
 
-_GRAM_CACHE = {}
+# every finished connection matrix, keyed by (method, tau.img, kappa, n): the
+# Gram matrices stored here and the closed ones by closed_forms.connection_matrix
+_MATRIX_CACHE = {}
 _MOMENT_MATRIX_CACHE = {}
 
 
@@ -123,8 +125,8 @@ def gram_connection(tau, kappa, n):
     """
     d = tau.m - 1
     kappa = check_kappa(kappa)
-    key = (tau.img, kappa, n)
-    cached = _GRAM_CACHE.get(key)
+    key = ("gram", tau.img, kappa, n)
+    cached = _MATRIX_CACHE.get(key)
     if cached is not None:
         return cached
     tk = tau.act_params(kappa)
@@ -138,7 +140,7 @@ def gram_connection(tau, kappa, n):
                 row[j] += c * m
         rows.append(row)
     mat = ConnMatrix(d, n, rows, order)
-    _GRAM_CACHE[key] = mat
+    _MATRIX_CACHE[key] = mat
     return mat
 
 
@@ -208,5 +210,5 @@ def verify_convolution(mat_12, mat_2_at_t1k, mat_1_at_k):
 
 def clear_caches():
     _MOMENT_CACHE.clear()
-    _GRAM_CACHE.clear()
+    _MATRIX_CACHE.clear()
     _MOMENT_MATRIX_CACHE.clear()

@@ -7,6 +7,7 @@ change nothing in it.
 """
 
 import importlib
+import json
 import pkgutil
 import sys
 from pathlib import Path
@@ -14,6 +15,7 @@ from pathlib import Path
 import pytest
 
 import simplexconn
+from simplexconn import cli
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 
@@ -52,3 +54,19 @@ def test_small_workload_runs_and_checks(name):
         assert {k: len(v) for k, v in caches.items() if v} == {}, op.label
     for op in ops:
         assert op.check(results[op.label], results) is None, op.label
+
+
+# The two argv shapes of the verify-session workload, at small sizes.
+def test_verify_session_orthogonality_argv(capsys):
+    argv = ["verify", "--suite", "orthogonality", "--d", "2", "--n", "1", "--kappa", "1/3,2/5,3/7",
+            "--count", "3", "--seed", "4711"]
+    assert cli.main(argv) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert (report["suite"], report["seed"], report["failures"]) == ("orthogonality", 4711, [])
+
+
+def test_verify_session_connect_argv(capsys):
+    argv = ["connect", "--tau", "(1342)", "--kappa", "1/3,2/5,3/7,5/11", "--n", "1", "--normalized"]
+    assert cli.main(argv) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert len(payload["normalized"]["entries"]) == len(payload["entries"]) == 3

@@ -5,8 +5,11 @@ import sys
 import pytest
 
 from simplexconn import ballsphere as bs
-from simplexconn import cli
+from simplexconn import cli, connection
+from simplexconn import closed_forms as cf
 from simplexconn.backend import R
+from simplexconn.connection import ConnMatrix, gram_connection
+from simplexconn.simplex import Permutation
 
 
 def run_cli(*args):
@@ -26,21 +29,35 @@ def test_connect_known_matrix():
     assert data["order"] == [[1, 0], [0, 1]]
 
 
-def test_connect_method_both_consistent():
-    proc = run_cli(
-        "connect", "--family", "simplex", "--tau", "(123)",
-        "--kappa", "1/2,1/3,2", "--n", "3", "--method", "both",
-    )
-    assert proc.returncode == 0
+def test_connect_d2_cycle_matches_gram():
+    proc = run_cli("connect", "--family", "simplex", "--tau", "(123)", "--kappa", "1/2,1/3,2", "--n", "3")
+    assert proc.returncode == 0, proc.stderr
+    tau = Permutation.from_cycles("(123)", 3)
+    assert json.loads(proc.stdout) == gram_connection(tau, (R(1, 2), R(1, 3), R(2)), 3).to_json()
 
 
 def test_connect_closed_d4_transposition():
-    args = ("connect", "--tau", "(12)", "--kappa", "1/2,1/3,1/4,1/5,1/6", "--n", "1")
-    closed = run_cli(*args, "--method", "closed")
-    assert closed.returncode == 0, closed.stderr
-    gram = run_cli(*args, "--method", "gram")
-    assert json.loads(closed.stdout) == json.loads(gram.stdout)
-    assert run_cli(*args, "--method", "both").returncode == 0
+    proc = run_cli("connect", "--tau", "(12)", "--kappa", "1/2,1/3,1/4,1/5,1/6", "--n", "1")
+    assert proc.returncode == 0, proc.stderr
+    tau = Permutation.from_cycles("(12)", 5)
+    kappa = (R(1, 2), R(1, 3), R(1, 4), R(1, 5), R(1, 6))
+    assert json.loads(proc.stdout) == gram_connection(tau, kappa, 1).to_json()
+
+
+@pytest.mark.parametrize("argv", [
+    ("--tau", "(132)", "--kappa", "1/2,1/3,2", "--n", "2", "--normalized"),
+    ("--family", "hahn", "--tau", "(12)", "--kappa", "1/2,1/3,2", "--N", "3", "--n", "2"),
+    ("--family", "ball", "--tau", "(12)", "--kappa", "1/2,1/3,2", "--n", "2"),
+], ids=["simplex", "hahn", "ball"])
+def test_connect_never_calls_gram(monkeypatch, capsys, argv):
+    def no_gram(*args):
+        raise AssertionError("connect called gram_connection")
+
+    for module in (connection, cf, cli):
+        monkeypatch.setattr(module, "gram_connection", no_gram)
+    connection.clear_caches()
+    assert cli.main(["connect", *argv]) == 0
+    assert json.loads(capsys.readouterr().out)
 
 
 def test_connect_discrete_without_N_exits_2():
@@ -55,6 +72,29 @@ def test_connect_without_family_parameters_exits_2():
         proc = run_cli("connect", "--family", family, "--tau", "(12)", "--n", "1", "--N", "2")
         assert proc.returncode == 2, (family, proc.stderr)
         assert proc.stderr == "error: --%s is required for --family %s\n" % (name, family)
+
+
+def test_closed_vs_gram_failure_names_tau_the_entry_and_both_values(monkeypatch, capsys):
+    # one changed entry of C^(12)(kappa) must show in the report, with both values
+    engine = cli.connection_matrix
+    kappa = (R(1, 2), R(1, 3), R(2))
+
+    def one_bad_entry(tau, kap, n):
+        mat = engine(tau, kap, n)
+        if repr(tau) != "(12)" or kap != kappa:
+            return mat
+        rows = [list(row) for row in mat.rows]
+        rows[0][1] += 1
+        return ConnMatrix(mat.d, mat.n, rows, mat.order)
+
+    monkeypatch.setattr(cli, "connection_matrix", one_bad_entry)
+    argv = ["verify", "--suite", "orthogonality", "--n", "1", "--kappa", "1/2,1/3,2", "--count", "2"]
+    assert cli.main(argv) == 1
+    gram = gram_connection(Permutation.from_cycles("(12)", 3), kappa, 1).rows[0][1]
+    failures = json.loads(capsys.readouterr().out)["failures"]
+    assert ["closed-vs-gram", "(12)", "nu=(1, 0)", "mu=(0, 1)", "closed=%s" % (gram + 1),
+            "gram=%s" % gram] in failures
+    assert [f for f in failures if f[0] == "closed-vs-gram"] == failures[:1]
 
 
 def test_verify_whipple_deterministic():
@@ -140,6 +180,8 @@ def test_basis_listing():
                  id="sum-identity-kappa-4"),
     pytest.param(("connect", "--family", "hahn", "--kappa", "1,1,1", "--N", "3", "--n", "1",
                   "--tau", "(12)", "--method", "gram"), id="hahn-method"),
+    pytest.param(("connect", "--kappa", "1,1,1", "--n", "1", "--tau", "(12)", "--method", "closed"),
+                 id="simplex-method"),
     pytest.param(("connect", "--family", "hahn", "--kappa", "1,1,1", "--N", "3", "--n", "1",
                   "--tau", "(12)", "--normalized"), id="hahn-normalized"),
     pytest.param(("connect", "--family", "ball", "--kappa", "1,1,1", "--n", "1", "--tau", "(12)",
@@ -174,6 +216,9 @@ def test_basis_listing():
     pytest.param(("verify", "--suite", "example-9-10", "--d", "3"), id="example-d"),
     pytest.param(("verify", "--suite", "dimensions", "--n", "2"), id="dimensions-n"),
     pytest.param(("verify", "--suite", "dimensions", "--seed", "0"), id="dimensions-seed"),
+    pytest.param(("verify", "--suite", "orthogonality", "--count", "-1", "--n", "1", "--kappa", "1,2,3"),
+                 id="orthogonality-negative-count"),
+    pytest.param(("verify", "--suite", "whipple", "--count", "-3"), id="whipple-negative-count"),
     pytest.param(("connect", "--tau", "(12)", "--kappa", "1,1,1", "--n", "1", "--foo"), id="unknown-option"),
     pytest.param(("connect", "--tau", "(12)", "--kappa", "1,1,1"), id="missing-n"),
     pytest.param(("connect", "--family", "jacobi", "--tau", "(12)", "--kappa", "1,1,1", "--n", "1"),
@@ -201,6 +246,20 @@ def test_kappa_outside_the_domain_names_the_option():
     for kappa in ("--kappa=-1,1,1", "--kappa=1"):
         proc = run_cli("connect", kappa, "--tau", "(12)", "--n", "1")
         assert (proc.returncode, proc.stderr) == (2, "error: --kappa needs at least 2 entries, each > -1\n")
+
+
+def test_malformed_rational_or_negative_count_names_the_option():
+    rational = "error: %s entry %s is not a rational p or p/q with q != 0\n"
+    for args, message in (
+        (("connect", "--tau", "(12)", "--kappa", "1,,1", "--n", "1"), rational % ("--kappa", "''")),
+        (("connect", "--family", "kraw", "--rho", "1/4,x", "--N", "2", "--n", "1", "--tau", "(12)"),
+         rational % ("--rho", "'x'")),
+        (("verify", "--suite", "orthogonality", "--count", "-1", "--n", "1", "--kappa", "1,2,3"),
+         "error: --count must be >= 0\n"),
+        (("verify", "--suite", "whipple", "--count", "-3"), "error: --count must be >= 0\n"),
+    ):
+        proc = run_cli(*args)
+        assert (proc.returncode, proc.stderr) == (2, message), args
 
 
 def test_basis_sphere_matches_library():

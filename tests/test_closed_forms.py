@@ -5,7 +5,7 @@ import pytest
 
 from simplexconn.backend import R, ZERO, ONE
 from simplexconn.simplex import Permutation, enumerate_basis
-from simplexconn.connection import gram_connection, normalize
+from simplexconn.connection import clear_caches, gram_connection, normalize
 from simplexconn import closed_forms as cf
 from simplexconn.radicals import qsqrt_sums_equal
 
@@ -190,6 +190,7 @@ def test_2d_engine_builds_one_block_of_entries_at_most(monkeypatch):
     n = 4
     for tau in all_perms(3):
         calls.clear()
+        clear_caches()  # a cached matrix would evaluate no entry
         cf.connection_matrix(tau, KAPPA2, n)
         free = repr(tau) in ("e", "(23)")
         assert free == (1 not in tau.reduced_word())

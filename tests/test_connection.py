@@ -134,12 +134,16 @@ def test_json_shape():
 
 
 def test_clear_caches_clears_moments():
-    gram_connection(Permutation.from_cycles("(12)", 3), (R(1, 7), R(2, 7), R(3, 7)), 2)
+    tau, kappa = Permutation.from_cycles("(12)", 3), (R(1, 7), R(2, 7), R(3, 7))
+    gram_connection(tau, kappa, 2)
+    connection_matrix(tau, kappa, 2, method="closed")
     assert simplex._MOMENT_CACHE
     assert connection._MOMENT_MATRIX_CACHE
+    assert {key[0] for key in connection._MATRIX_CACHE} >= {"gram", "closed"}
     clear_caches()
     assert not simplex._MOMENT_CACHE
     assert not connection._MOMENT_MATRIX_CACHE
+    assert not connection._MATRIX_CACHE
 
 
 @settings(max_examples=30, deadline=None)
@@ -213,18 +217,21 @@ def test_jacobi_domain_is_checked(kappa):
 
 def test_cached_gram_matrix_cannot_be_mutated():
     tau = Permutation.from_cycles("(12)", 3)
-    mat = gram_connection(tau, KAPPA, 2)
-    before = [list(row) for row in mat.rows]
-    with pytest.raises(TypeError):
-        mat.rows[0][0] = ONE
-    with pytest.raises(TypeError):
-        mat.rows[0] = (ONE,) * len(mat.order)
-    with pytest.raises(AttributeError):
-        mat.order.reverse()
-    again = gram_connection(tau, KAPPA, 2)
-    assert [list(row) for row in again.rows] == before
-    assert again.order == tuple(enumerate_basis(2, 2))
-    assert again.entry((2, 0), (0, 2)) == before[0][2] == R(1927, 1216)
-    assert type(again.rows) is tuple and all(type(row) is tuple for row in again.rows)
+    # both methods hand out their matrices from the one matrix cache
+    for build in (gram_connection, lambda *args: connection_matrix(*args, method="closed")):
+        mat = build(tau, KAPPA, 2)
+        before = [list(row) for row in mat.rows]
+        with pytest.raises(TypeError):
+            mat.rows[0][0] = ONE
+        with pytest.raises(TypeError):
+            mat.rows[0] = (ONE,) * len(mat.order)
+        with pytest.raises(AttributeError):
+            mat.order.reverse()
+        again = build(tau, KAPPA, 2)
+        assert again is mat
+        assert [list(row) for row in again.rows] == before
+        assert again.order == tuple(enumerate_basis(2, 2))
+        assert again.entry((2, 0), (0, 2)) == before[0][2] == R(1927, 1216)
+        assert type(again.rows) is tuple and all(type(row) is tuple for row in again.rows)
     # every constructor gives the same row type, so closed and Gram rows compare equal
-    assert connection_matrix(tau, KAPPA, 2, method="closed").rows == again.rows
+    assert connection_matrix(tau, KAPPA, 2, method="closed").rows == gram_connection(tau, KAPPA, 2).rows
