@@ -81,7 +81,7 @@ _VERIFY_DEFAULTS = {"kappa": None, "d": 2, "n": 3, "N": 4, "count": 20, "seed": 
 
 
 def check_options(args):
-    """ValueError for a missing or ignored option, or an unknown suite, before any work.
+    """ValueError for a missing or ignored option, an unknown suite or a file as --out, before any work.
 
     CSV holds only the rational matrix of connect --family simplex, hahn or
     kraw, without the normalized entries.
@@ -105,6 +105,8 @@ def check_options(args):
     if args.output == "csv" and (args.command != "connect" or args.family == "ball" or args.normalized):
         raise ValueError("--output csv is only for connect --family simplex, hahn or kraw "
                          "without --normalized")
+    if args.out is not None and os.path.exists(args.out) and not os.path.isdir(args.out):
+        raise ValueError("--out %s exists and is not a directory" % args.out)
 
 
 def emit(args, payload, name):
@@ -369,7 +371,7 @@ def main(argv=None):
                 raise ValueError("--%s must be >= 0" % name)
         check_options(args)
         return args.func(args)
-    except (ValueError, KeyError) as exc:
+    except (ValueError, KeyError, OSError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
 

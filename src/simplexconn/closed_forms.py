@@ -289,7 +289,8 @@ def connection_matrix(tau, kappa, n, method="closed"):
 
     method="closed" multiplies adjacent-transposition factors along a
     reduced word of tau (any d) and caches the result beside the Gram
-    matrices; method="gram" takes direct inner products.  Raises ValueError
+    matrices; method="gram" is the oracle connection.gram_connection, which
+    solves C T = L on the leading forms of both bases.  Raises ValueError
     unless kappa has at least 2 entries, each > -1.
     """
     kappa = check_kappa(kappa)

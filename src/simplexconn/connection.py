@@ -3,20 +3,13 @@
 For a permutation tau of the d+1 barycentric slots, the matrix C^tau(kappa)
 expands the tau-transformed basis for parameters tau.kappa in the basis for
 kappa, degree by degree.  Entries are exact rationals; the normalized
-(orthogonal-matrix) version has entries sign * sqrt(rational).
+(orthogonal-matrix) version has entries sign * sqrt(rational).  The oracle
+gram_connection solves C T = L on leading forms, apart from closed_forms.
 """
 
 from .backend import R, ZERO, ONE, rat_str
 from .exact_arith import QSqrt
-from .simplex import (
-    _MOMENT_CACHE,
-    _moment_cached,
-    check_kappa,
-    enumerate_basis,
-    jacobi_simplex_basis,
-    leading_form,
-    norm_A,
-)
+from .simplex import _MOMENT_CACHE, check_kappa, enumerate_basis, leading_form, norm_A
 
 
 class ConnMatrix:
@@ -80,48 +73,29 @@ class ConnMatrix:
 # every finished connection matrix, keyed by (method, tau.img, kappa, n): the
 # Gram matrices stored here and the closed ones by closed_forms.connection_matrix
 _MATRIX_CACHE = {}
-_MOMENT_MATRIX_CACHE = {}
+_LEADING_FORM_CACHE = {}
 
 
-def _moment_matrix(kappa, n):
-    """{gamma: row}, row[j] = <x^gamma, P_mu^kappa> / A_mu(kappa) for mu = order[j].
-
-    gamma and mu run over the same degree-n multi-indices.  Each entry is a
-    sum of shifted moments over the terms of P_mu, with no polynomial product;
-    the matrix depends on (kappa, n) alone, so every tau shares it.
-    """
+def _target_leading_forms(kappa, n):
+    """[leading_form(mu, kappa).terms for mu in enumerate_basis(d, n)], cached per (kappa, n)."""
     key = (kappa, n)
-    mat = _MOMENT_MATRIX_CACHE.get(key)
-    if mat is None:
-        order = enumerate_basis(len(kappa) - 1, n)
-        targets = [(jacobi_simplex_basis(mu, kappa).terms, norm_A(mu, kappa)) for mu in order]
-        mat = {}
-        for gamma in order:
-            shifted = {}
-            row = []
-            for terms, A in targets:
-                s = ZERO
-                for beta, c in terms.items():
-                    m = shifted.get(beta)
-                    if m is None:
-                        m = shifted[beta] = _moment_cached(tuple(g + b for g, b in zip(gamma, beta)), kappa)
-                    s += c * m
-                row.append(s / A)
-            mat[gamma] = tuple(row)
-        _MOMENT_MATRIX_CACHE[key] = mat
-    return mat
+    forms = _LEADING_FORM_CACHE.get(key)
+    if forms is None:
+        forms = _LEADING_FORM_CACHE[key] = [
+            leading_form(mu, kappa).terms for mu in enumerate_basis(len(kappa) - 1, n)
+        ]
+    return forms
 
 
 def gram_connection(tau, kappa, n):
-    """Connection matrix C^tau(kappa) from inner products against the target basis.
+    """Connection matrix C^tau(kappa) from the leading forms of both bases.
 
-    C[nu][mu] = <tau.P_nu^{tau.kappa}, P_mu^kappa> / A_mu(kappa).  P_mu is
-    orthogonal to every polynomial of degree below n, so only the degree-n
-    part of the source counts: C = L M, with L[nu][gamma] the coefficient of
-    x^gamma in the leading form of tau.P_nu^{tau.kappa} (simplex.leading_form)
-    and M the moment matrix <x^gamma, P_mu^kappa> / A_mu(kappa), shared by
-    every tau at the same (kappa, n).  No tau-acted polynomial and no full
-    product is built.
+    Taking the degree-n part is one-to-one on the degree-n orthogonal space,
+    so C T = L: L[nu] is the leading form of tau.P_nu^{tau.kappa} and T[mu]
+    that of P_mu^kappa (simplex.leading_form).  T[mu] holds x^gamma only for
+    gamma at or before mu in enumerate_basis order, with x^mu nonzero, so each
+    row of C is one back-substitution from the last mu to the first.  No
+    inner product, moment, norm or full basis polynomial is built.
     """
     d = tau.m - 1
     kappa = check_kappa(kappa)
@@ -131,13 +105,18 @@ def gram_connection(tau, kappa, n):
         return cached
     tk = tau.act_params(kappa)
     order = enumerate_basis(d, n)
-    moments = _moment_matrix(kappa, n)
+    targets = _target_leading_forms(kappa, n)
     rows = []
     for nu in order:
+        rest = dict(leading_form(nu, tk, tau).terms)
         row = [ZERO] * len(order)
-        for gamma, c in leading_form(nu, tk, tau).terms.items():
-            for j, m in enumerate(moments[gamma]):
-                row[j] += c * m
+        for j in range(len(order) - 1, -1, -1):
+            mu, terms = order[j], targets[j]
+            c = rest.get(mu, ZERO) / terms[mu]
+            if c:
+                row[j] = c
+                for gamma, t in terms.items():
+                    rest[gamma] = rest.get(gamma, ZERO) - c * t
         rows.append(row)
     mat = ConnMatrix(d, n, rows, order)
     _MATRIX_CACHE[key] = mat
@@ -211,4 +190,4 @@ def verify_convolution(mat_12, mat_2_at_t1k, mat_1_at_k):
 def clear_caches():
     _MOMENT_CACHE.clear()
     _MATRIX_CACHE.clear()
-    _MOMENT_MATRIX_CACHE.clear()
+    _LEADING_FORM_CACHE.clear()

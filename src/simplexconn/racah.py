@@ -9,8 +9,10 @@ occur.
 The first family R_nu is prefix-indexed and the only product formula: the
 second, suffix-indexed R'_nu is R_nu at the reflection conj_map, and
 dual2_map is conj_map after dual_map.  Both multivariable squared norms are
-closed products of Pochhammer symbols.  Both weights are pole-free at
-beta_j = 0 (c + dlt + 1 = 0 for one variable), where the factor
+closed products of Pochhammer symbols.  The multivariable weight cancels
+the common factors of each beta_j before it divides, so it has none of the
+ratio form's 0/0 (beta_j = 0, for one); the one-variable weight is
+pole-free at c + dlt + 1 = 0, where
 (b)_m ((b+2)/2)_x / (b/2)_x is a finite product.  The one-variable family,
 with its norm summed over the support, is the classical oracle that the
 d=1 product family is checked against through param_bridge_1d.
@@ -90,17 +92,26 @@ def racah_multi(nu, x, beta, N):
 
 
 def racah_weight_multi(x, beta, N):
+    """Weight of the first family at x, as one numerator over one denominator.
+
+    The beta_j factors (beta_j)_{x_{j-1}+x_j} ((beta_j+2)/2)_{x_j} /
+    ((beta_j/2)_{x_j} (beta_j+1)_{x_j+x_{j+1}}) cancel to 1 / prod (beta_j + t)
+    over t = x_{j-1}+x_j .. x_j+x_{j+1}, t != 2 x_j.
+    """
     d = len(x)
     beta = [R(b) for b in beta]
     xx = [0] + list(x) + [N]
-    val = pochhammer(beta[d + 1], xx[d] + N)
+    num = pochhammer(beta[d + 1], xx[d] + N)
+    den = pochhammer(beta[0] + 1, xx[1])
     for j in range(d + 1):
         gap = xx[j + 1] - xx[j]
-        tot = xx[j + 1] + xx[j]
-        val *= pochhammer(beta[j + 1] - beta[j], gap) / (pochhammer(ONE, gap) * pochhammer(beta[j] + 1, tot))
+        num *= pochhammer(beta[j + 1] - beta[j], gap)
+        den *= pochhammer(ONE, gap)
     for j in range(1, d + 1):
-        val *= _doubled_pair(beta[j], xx[j - 1] + xx[j], xx[j])
-    return val
+        for t in range(xx[j - 1] + xx[j], xx[j] + xx[j + 1] + 1):
+            if t != 2 * xx[j]:
+                den *= beta[j] + t
+    return num / den
 
 
 def racah_norm_sq(nu, beta, N):

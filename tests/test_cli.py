@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 
@@ -224,6 +225,10 @@ def test_basis_listing():
     pytest.param(("connect", "--family", "jacobi", "--tau", "(12)", "--kappa", "1,1,1", "--n", "1"),
                  id="bad-family"),
     pytest.param(("connect", "--tau", "(12)", "--kappa", "1,1,1", "--n", "one"), id="non-integer-n"),
+    pytest.param(("connect", "--tau", "(12)", "--kappa", "1,1,1", "--n", "1", "--out", __file__),
+                 id="out-is-a-file"),
+    pytest.param(("connect", "--tau", "(12)", "--kappa", "1,1,1", "--n", "1", "--out",
+                  os.path.join(__file__, "sub")), id="out-cannot-be-made"),
 ])
 def test_bad_input_exits_2_with_one_line_error(args):
     proc = run_cli(*args)

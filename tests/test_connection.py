@@ -1,9 +1,12 @@
+import importlib
+import pkgutil
 import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import simplexconn
 from simplexconn import connection, simplex
 from simplexconn.backend import R, ZERO, ONE, rat_str
 from simplexconn.simplex import (
@@ -133,17 +136,31 @@ def test_json_shape():
     assert all(isinstance(c, str) for row in obj["entries"] for c in row)
 
 
+def module_caches():
+    """Every module-level *_CACHE dict in simplexconn, by qualified name (the scan of test_benchmark_contract)."""
+    out = {}
+    for info in pkgutil.iter_modules(simplexconn.__path__):
+        module = importlib.import_module(f"simplexconn.{info.name}")
+        for attr, value in vars(module).items():
+            if attr.endswith("_CACHE") and isinstance(value, dict):
+                out[f"{info.name}.{attr}"] = value
+    return out
+
+
 def test_clear_caches_clears_moments():
+    # clear_caches() alone empties every module cache, a new one included
+    caches = module_caches()
     tau, kappa = Permutation.from_cycles("(12)", 3), (R(1, 7), R(2, 7), R(3, 7))
     gram_connection(tau, kappa, 2)
     connection_matrix(tau, kappa, 2, method="closed")
-    assert simplex._MOMENT_CACHE
-    assert connection._MOMENT_MATRIX_CACHE
+    p = jacobi_simplex_basis((1, 0), kappa)
+    inner_product_simplex(p, p, kappa)
     assert {key[0] for key in connection._MATRIX_CACHE} >= {"gram", "closed"}
+    assert {"connection._MATRIX_CACHE", "connection._LEADING_FORM_CACHE", "simplex._MOMENT_CACHE"} <= {
+        name for name, cache in caches.items() if cache
+    }
     clear_caches()
-    assert not simplex._MOMENT_CACHE
-    assert not connection._MOMENT_MATRIX_CACHE
-    assert not connection._MATRIX_CACHE
+    assert {name: len(cache) for name, cache in caches.items() if cache} == {}
 
 
 @settings(max_examples=30, deadline=None)
@@ -190,13 +207,14 @@ def test_engine_satisfies_the_inverse_and_convolution_identities(data):
 
 
 def test_gram_builds_no_acted_polynomial_and_no_full_product(monkeypatch):
-    # only the leading form of tau.P_nu and the shared moment matrix are needed
+    # only the leading forms of tau.P_nu and of the shared target basis are needed
     def full_product_path(*args):
-        raise AssertionError("gram_connection built a tau-acted polynomial or a full product")
+        raise AssertionError("gram_connection built a tau-acted polynomial, a full product, a moment or a norm")
 
     monkeypatch.setattr(Permutation, "act_vars", full_product_path)
-    monkeypatch.setattr(simplex, "inner_product_simplex", full_product_path)
-    monkeypatch.setattr(connection, "inner_product_simplex", full_product_path, raising=False)
+    for name in ("inner_product_simplex", "simplex_moment", "_moment_cached", "jacobi_simplex_basis", "norm_A"):
+        monkeypatch.setattr(simplex, name, full_product_path)
+        monkeypatch.setattr(connection, name, full_product_path, raising=False)
     clear_caches()
     for d in (2, 3, 4):
         kappa = tuple(R(j + 1, j + 3) for j in range(d + 1))

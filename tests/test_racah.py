@@ -79,6 +79,34 @@ def second_by_product(nu, x, beta, N):
     return val
 
 
+def weight_by_ratios(x, beta, N):
+    """The weight with every Pochhammer ratio taken as written: the oracle for racah_weight_multi."""
+    d = len(x)
+    xx = (0,) + tuple(x) + (N,)
+    val = pochhammer(beta[d + 1], xx[d] + N)
+    for j in range(d + 1):
+        gap = xx[j + 1] - xx[j]
+        val *= pochhammer(beta[j + 1] - beta[j], gap) / (
+            pochhammer(ONE, gap) * pochhammer(beta[j] + 1, xx[j + 1] + xx[j])
+        )
+    for j in range(1, d + 1):
+        val *= pochhammer(beta[j], xx[j - 1] + xx[j]) * pochhammer((beta[j] + 2) / 2, xx[j]) / pochhammer(
+            beta[j] / 2, xx[j]
+        )
+    return val
+
+
+def test_weight_matches_the_ratio_form_seeded():
+    # non-integer beta, so no Pochhammer symbol of the ratio form is zero in a denominator
+    rng = random.Random(20261020)
+    for d in range(1, 4):
+        for N in range(6):
+            for _ in range(10):
+                beta = tuple(R(7 * rng.randint(-3, 2) + rng.randint(1, 6), 7) for _ in range(d + 2))
+                for x in rc.lattice_points(d, N):
+                    assert rc.racah_weight_multi(x, beta, N) == weight_by_ratios(x, beta, N)
+
+
 def test_second_family_via_reflection():
     N = 4
     for nu in kraw_grid(2, N):

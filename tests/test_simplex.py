@@ -1,3 +1,4 @@
+from fractions import Fraction
 from math import comb
 
 from hypothesis import given, settings, strategies as st
@@ -213,3 +214,27 @@ def test_leading_form_is_the_top_part_of_the_basis():
                     assert lead == top_part(p, n) and not lead.is_zero()
                     for tau in all_permutations(d + 1)[:: 5 if d > 2 else 1]:
                         assert leading_form(nu, kappa, tau) == top_part(tau.act_vars(p), n)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_leading_form_is_triangular_in_basis_order(data):
+    # gram_connection back-substitutes on this: x^gamma only for gamma at or
+    # before nu in enumerate_basis order, and a nonzero x^nu coefficient
+    d = data.draw(st.integers(1, 4), label="d")
+    n = data.draw(st.integers(0, 3), label="n")
+    kappa = [
+        R(q.numerator, q.denominator)
+        for q in data.draw(
+            st.lists(st.fractions(Fraction(-5, 6), 3, max_denominator=6), min_size=d + 1, max_size=d + 1),
+            label="kappa",
+        )
+    ]
+    if data.draw(st.booleans(), label="kappa_d + kappa_{d+1} = -1"):
+        q = data.draw(st.fractions(Fraction(-5, 6), Fraction(-1, 6), max_denominator=6), label="kappa_d")
+        kappa[d - 1], kappa[d] = R(q.numerator, q.denominator), R(-q.numerator - q.denominator, q.denominator)
+    order = enumerate_basis(d, n)
+    for i, nu in enumerate(order):
+        terms = leading_form(nu, kappa).terms
+        assert terms.get(nu, ZERO) != 0
+        assert {order.index(gamma) for gamma in terms} <= set(range(i + 1))
