@@ -2,7 +2,9 @@
 
 Rationals are written "p/q", permutations in 1-based cycle notation such as
 "(12)" or "(1 3)(2 4)". Exit codes: 0 success, 1 verification failure,
-2 usage error.
+2 usage error.  Each verify failure is a list of strings: the identity, the
+permutations it involves, then name=value for the failing case and its two
+sides (lhs and rhs; closed and gram for closed-vs-gram).
 """
 
 import argparse
@@ -11,7 +13,7 @@ import os
 import random
 import sys
 
-from .backend import R, ZERO, rat_from_str, rat_str
+from .backend import R, rat_from_str, rat_str
 from .exact_arith import hyp_with_prefactor
 from .simplex import (
     Permutation,
@@ -22,12 +24,14 @@ from .simplex import (
     norm_A,
 )
 from .connection import (
+    first_difference,
     gram_connection,
     normalize,
     verify_row_orthogonality,
     verify_column_orthogonality,
     verify_inverse_identity,
     verify_convolution,
+    weighted_orthogonal,
 )
 from .closed_forms import connection_matrix, verify_sum_identity
 from . import racah as rc
@@ -68,15 +72,6 @@ _FAMILY_OPTIONS = {
 }
 _OPTIONAL = ("normalized",)
 
-# the verify options each suite reads; orthogonality reads --d when --kappa is absent
-_SUITE_OPTIONS = {
-    "orthogonality": ("kappa", "d", "n", "count", "seed"),
-    "whipple": ("count", "seed"),
-    "sum-identity": ("kappa", "n"),
-    "racah-orthogonality": ("d", "N"),
-    "example-9-10": ("n",),
-    "dimensions": (),
-}
 _VERIFY_DEFAULTS = {"kappa": None, "d": 2, "n": 3, "N": 4, "count": 20, "seed": 0}
 
 
@@ -95,10 +90,10 @@ def check_options(args):
             if name not in reads and getattr(args, name) is not None:
                 raise ValueError("--%s is not used by --family %s" % (name, args.family))
     if args.command == "verify":
-        reads = _SUITE_OPTIONS.get(args.suite)
-        if reads is None:
+        if args.suite not in SUITES:
             raise ValueError("unknown suite: %s (choose from %s)"
-                             % (args.suite, ", ".join(sorted(_SUITE_OPTIONS))))
+                             % (args.suite, ", ".join(sorted(SUITES))))
+        reads = SUITES[args.suite][1]
         for name in _VERIFY_DEFAULTS:
             if name not in reads and getattr(args, name) is not None:
                 raise ValueError("--%s is not used by --suite %s" % (name, args.suite))
@@ -182,43 +177,51 @@ def _random_kappa(rng, d):
     return tuple(R(rng.randint(0, 12), rng.randint(1, 6)) for _ in range(d + 1))
 
 
-def _first_difference(mat, oracle):
-    """(nu, mu, mat entry, oracle entry) at the first entry where the matrices differ, or None."""
-    return next(((nu, mu, a, b) for nu, row, oracle_row in zip(mat.order, mat.rows, oracle.rows)
-                 for mu, a, b in zip(mat.order, row, oracle_row) if a != b), None)
+def _failure(identity, *taus, **fields):
+    """One failure record: the identity, the permutations, then name=value for the case and both sides."""
+    return [identity, *map(repr, taus), *("%s=%s" % item for item in fields.items())]
+
+
+def _entry_failure(identity, taus, diff, sides=("lhs", "rhs")):
+    """The failure record of a matrix identity at its first failing (nu, mu, lhs, rhs)."""
+    nu, mu, lhs, rhs = diff
+    return _failure(identity, *taus, nu=nu, mu=mu, **dict(zip(sides, (lhs, rhs))))
 
 
 def _suite_structural(args, rng):
-    """The paper's identities on the closed engine's matrices, and each C^tau against Gram."""
+    """The paper's identities on the closed engine's matrices, and each C^tau against Gram.
+
+    The norm list A_nu(tau.kappa) of each tau is built once: the identity's
+    list is every target, and tau^-1's list is the inverse identity's source.
+    """
     kappa = parse_kappa(args.kappa) if args.kappa else _random_kappa(rng, args.d)
     d = len(kappa) - 1
     n = args.n
     failures = []
     perms = all_permutations(d + 1)
+    order = enumerate_basis(d, n)
+    norms = {tau.img: [norm_A(nu, tau.act_params(kappa)) for nu in order] for tau in perms}
+    target = norms[Permutation.identity(d + 1).img]
     for tau in perms:
         mat = connection_matrix(tau, kappa, n)
-        diff = _first_difference(mat, gram_connection(tau, kappa, n))
+        diff = first_difference(mat, gram_connection(tau, kappa, n))
         if diff is not None:
-            nu, mu, closed, gram = diff
-            failures.append(("closed-vs-gram", repr(tau), "nu=%s" % (nu,), "mu=%s" % (mu,),
-                             "closed=" + rat_str(closed), "gram=" + rat_str(gram)))
-        if not verify_row_orthogonality(mat, tau, kappa):
-            failures.append(("row-orthogonality", repr(tau)))
-        if not verify_column_orthogonality(mat, tau, kappa):
-            failures.append(("column-orthogonality", repr(tau)))
+            failures.append(_entry_failure("closed-vs-gram", [tau], diff, ("closed", "gram")))
         inv = tau.inverse()
-        mat_at_invk = connection_matrix(tau, inv.act_params(kappa), n)
-        inv_mat = connection_matrix(inv, kappa, n)
-        if not verify_inverse_identity(mat_at_invk, inv_mat, tau, kappa):
-            failures.append(("inverse", repr(tau)))
+        checks = (
+            ("row-orthogonality", verify_row_orthogonality(mat, norms[tau.img], target)),
+            ("column-orthogonality", verify_column_orthogonality(mat, norms[tau.img], target)),
+            ("inverse", verify_inverse_identity(connection_matrix(tau, inv.act_params(kappa), n),
+                                                connection_matrix(inv, kappa, n), norms[inv.img], target)),
+        )
+        failures.extend(_entry_failure(identity, [tau], diff) for identity, diff in checks if diff is not None)
     for _ in range(args.count):
         t1, t2 = rng.choice(perms), rng.choice(perms)
-        prod = t1 * t2
-        lhs = connection_matrix(prod, kappa, n)
-        m2 = connection_matrix(t2, t1.act_params(kappa), n)
-        m1 = connection_matrix(t1, kappa, n)
-        if not verify_convolution(lhs, m2, m1):
-            failures.append(("convolution", repr(t1), repr(t2)))
+        diff = verify_convolution(connection_matrix(t1 * t2, kappa, n),
+                                  connection_matrix(t2, t1.act_params(kappa), n),
+                                  connection_matrix(t1, kappa, n))
+        if diff is not None:
+            failures.append(_entry_failure("convolution", [t1, t2], diff))
     return failures
 
 
@@ -235,70 +238,55 @@ def _suite_whipple(args, rng):
         lhs = hyp_with_prefactor([X, Y, Z], [U, V, W], m)
         rhs = hyp_with_prefactor([U - X, U - Y, Z], [1 - V + Z - m, 1 - W + Z - m, U], m)
         if lhs != rhs:
-            failures.append((m, rat_str(X), rat_str(Y), rat_str(Z), rat_str(U), rat_str(V)))
+            failures.append(_failure("whipple", m=m, X=X, Y=Y, Z=Z, U=U, V=V, lhs=lhs, rhs=rhs))
     return failures
 
 
 def _suite_sum_identity(args, rng):
     kappa = parse_kappa(args.kappa) if args.kappa else (R(1, 2), R(1, 3), R(1, 2))
-    failures = []
-    for n in range(args.n + 1):
-        for k in range(n + 1):
-            for ell in range(n + 1):
-                lhs, rhs = verify_sum_identity(k, ell, kappa, n)
-                if lhs != rhs:
-                    failures.append((n, k, ell))
-    return failures
+    cases = [(n, k, ell, *verify_sum_identity(k, ell, kappa, n))
+             for n in range(args.n + 1) for k in range(n + 1) for ell in range(n + 1)]
+    return [_failure("sum-identity", n=n, k=k, ell=ell, lhs=lhs, rhs=rhs)
+            for n, k, ell, lhs, rhs in cases if lhs != rhs]
 
 
 def _suite_racah(args, rng):
-    failures = []
+    """sum_x R_nu(x) R_mu(x) w(x) = delta(nu,mu) h_nu on the lattice, by the connection matrices' check."""
     d, N = args.d, args.N
     beta = tuple(R(2 * i + 1, 2) + i * i for i in range(d + 2))
     grid = rc.lattice_points(d, N)
     idxs = ds.kraw_grid(d, N)
+    values = [[rc.racah_multi(nu, x, beta, N) for x in grid] for nu in idxs]
     weights = [rc.racah_weight_multi(x, beta, N) for x in grid]
-    vals = {nu: [rc.racah_multi(nu, x, beta, N) for x in grid] for nu in idxs}
-    for nu in idxs:
-        for mu in idxs:
-            s = sum((w * a * b for w, a, b in zip(weights, vals[nu], vals[mu])), ZERO)
-            expect = rc.racah_norm_sq(nu, beta, N) if nu == mu else ZERO
-            if s != expect:
-                failures.append((nu, mu))
-    return failures
+    norms = [rc.racah_norm_sq(nu, beta, N) for nu in idxs]
+    return [_failure("racah-orthogonality", nu=idxs[i], mu=idxs[j], lhs=lhs, rhs=rhs)
+            for i, j, lhs, rhs in weighted_orthogonal(values, weights, norms)]
 
 
 def _suite_example_910(args, rng):
-    failures = []
-    for n in range(args.n + 1):
-        rep = bs.example_910_check(n)
-        failures.extend(rep["failures"])
-    return failures
+    return [list(map(str, f)) for n in range(args.n + 1) for f in bs.example_910_check(n)["failures"]]
 
 
 def _suite_dimensions(args, rng):
     from math import comb
-    failures = []
-    for d in range(1, 7):
-        for n in range(9):
-            if len(enumerate_basis(d, n)) != comb(n + d - 1, n):
-                failures.append(("simplex", d, n))
+    counts = [("simplex", d, n, len(enumerate_basis(d, n)), comb(n + d - 1, n))
+              for d in range(1, 7) for n in range(9)]
     for d in range(1, 4):
         for n in range(6):
-            if len(bs.ball_enumerate(d, n)) != comb(n + d - 1, n):
-                failures.append(("ball", d, n))
-            if len(bs.sphere_enumerate(d, n)) != bs.dim_harmonic(n, d + 1):
-                failures.append(("sphere", d, n))
-    return failures
+            counts.append(("ball", d, n, len(bs.ball_enumerate(d, n)), comb(n + d - 1, n)))
+            counts.append(("sphere", d, n, len(bs.sphere_enumerate(d, n)), bs.dim_harmonic(n, d + 1)))
+    return [_failure(family, d=d, n=n, lhs=lhs, rhs=rhs)
+            for family, d, n, lhs, rhs in counts if lhs != rhs]
 
 
+# each suite: (runner, the verify options it reads); orthogonality reads --d when --kappa is absent
 SUITES = {
-    "orthogonality": _suite_structural,
-    "whipple": _suite_whipple,
-    "sum-identity": _suite_sum_identity,
-    "racah-orthogonality": _suite_racah,
-    "example-9-10": _suite_example_910,
-    "dimensions": _suite_dimensions,
+    "orthogonality": (_suite_structural, ("kappa", "d", "n", "count", "seed")),
+    "whipple": (_suite_whipple, ("count", "seed")),
+    "sum-identity": (_suite_sum_identity, ("kappa", "n")),
+    "racah-orthogonality": (_suite_racah, ("d", "N")),
+    "example-9-10": (_suite_example_910, ("n",)),
+    "dimensions": (_suite_dimensions, ()),
 }
 
 
@@ -313,8 +301,8 @@ def cmd_verify(args):
     if args.d < 1:
         raise ValueError("--d must be >= 1")
     rng = random.Random(args.seed)
-    failures = SUITES[args.suite](args, rng)
-    report = {"suite": args.suite, "seed": args.seed, "failures": [list(map(str, f)) if isinstance(f, tuple) else f for f in failures]}
+    failures = SUITES[args.suite][0](args, rng)
+    report = {"suite": args.suite, "seed": args.seed, "failures": failures}
     emit(args, report, "verify-" + args.suite)
     return 1 if failures else 0
 

@@ -5,6 +5,12 @@ expands the tau-transformed basis for parameters tau.kappa in the basis for
 kappa, degree by degree.  Entries are exact rationals; the normalized
 (orthogonal-matrix) version has entries sign * sqrt(rational).  The oracle
 gram_connection solves C T = L on leading forms, apart from closed_forms.
+
+The verifiers take the squared norms A_src[i] = A_nu(tau.kappa) and
+A_tgt[j] = A_mu(kappa) of the source and target bases, for nu, mu in order,
+and return None when their identity holds, else the first failing
+(nu, mu, lhs, rhs).  Both orthogonality relations, and Tratnik's Racah one,
+are the one check weighted_orthogonal.
 """
 
 from .backend import R, ZERO, ONE, rat_str
@@ -123,68 +129,65 @@ def gram_connection(tau, kappa, n):
     return mat
 
 
-def _norms(order, tau, kappa):
-    """Squared norms (A_nu(tau.kappa) for nu in order, A_mu(kappa) for mu in order)."""
-    kappa = tuple(R(k) for k in kappa)
-    tk = tau.act_params(kappa)
-    return [norm_A(nu, tk) for nu in order], [norm_A(mu, kappa) for mu in order]
-
-
 def normalize(mat, tau, kappa):
     """Entries of the orthogonal-matrix version, as QSqrt values.
 
     hat_c[nu,mu] = c[nu,mu] * sqrt(A_mu(kappa) / A_nu(tau.kappa)).
     """
-    A_src, A_tgt = _norms(mat.order, tau, kappa)
+    kappa = tuple(R(k) for k in kappa)
+    tk = tau.act_params(kappa)
+    A_tgt = [norm_A(mu, kappa) for mu in mat.order]
     return [
-        [QSqrt.of_rational(c).scale_sqrt(A_tgt[j] / A_src[i]) for j, c in enumerate(row)]
-        for i, row in enumerate(mat.rows)
+        [QSqrt.of_rational(c).scale_sqrt(b / a) for c, b in zip(row, A_tgt)]
+        for a, row in zip((norm_A(nu, tk) for nu in mat.order), mat.rows)
     ]
 
 
-def _weighted_orthogonal(rows, weights, diagonal):
-    """sum_k rows[i][k] rows[j][k] weights[k] == delta(i,j) diagonal[i] for all i, j."""
-    size = len(rows)
-    for i in range(size):
-        for j in range(i, size):
-            s = sum((rows[i][k] * rows[j][k] * weights[k] for k in range(size)), ZERO)
-            if s != (diagonal[i] if i == j else ZERO):
-                return False
-    return True
+def weighted_orthogonal(rows, weights, diagonal):
+    """Each (i, j, lhs, rhs), i <= j, with lhs = sum_k rows[i][k] rows[j][k] weights[k] != delta(i,j) diagonal[i]."""
+    for i, f in enumerate(rows):
+        for j in range(i, len(rows)):
+            lhs = sum((a * b * w for a, b, w in zip(f, rows[j], weights)), ZERO)
+            rhs = diagonal[i] if i == j else ZERO
+            if lhs != rhs:
+                yield i, j, lhs, rhs
 
 
-def verify_row_orthogonality(mat, tau, kappa):
+def first_difference(mat, oracle):
+    """(nu, mu, mat entry, oracle entry) at the first entry where the matrices differ, or None."""
+    return next(((nu, mu, a, b) for nu, row, oracle_row in zip(mat.order, mat.rows, oracle.rows)
+                 for mu, a, b in zip(mat.order, row, oracle_row) if a != b), None)
+
+
+def _first_at(order, failures):
+    """The first (i, j, lhs, rhs) of failures as (order[i], order[j], lhs, rhs), or None."""
+    return next(((order[i], order[j], lhs, rhs) for i, j, lhs, rhs in failures), None)
+
+
+def verify_row_orthogonality(mat, A_src, A_tgt):
     """sum_w c[nu,w] c[mu,w] A_w(kappa) == delta(nu,mu) A_nu(tau.kappa)."""
-    A_src, A_tgt = _norms(mat.order, tau, kappa)
-    return _weighted_orthogonal(mat.rows, A_tgt, A_src)
+    return _first_at(mat.order, weighted_orthogonal(mat.rows, A_tgt, A_src))
 
 
-def verify_column_orthogonality(mat, tau, kappa):
+def verify_column_orthogonality(mat, A_src, A_tgt):
     """sum_w c[w,nu] c[w,mu] / A_w(tau.kappa) == delta(nu,mu) / A_nu(kappa)."""
-    A_src, A_tgt = _norms(mat.order, tau, kappa)
-    return _weighted_orthogonal(
-        list(zip(*mat.rows)), [ONE / a for a in A_src], [ONE / a for a in A_tgt]
-    )
+    return _first_at(mat.order, weighted_orthogonal(
+        list(zip(*mat.rows)), [ONE / a for a in A_src], [ONE / a for a in A_tgt]))
 
 
-def verify_inverse_identity(mat_tau, mat_inv, tau, kappa):
+def verify_inverse_identity(mat_tau, mat_inv, A_src, A_tgt):
     """C^{tau^-1}(kappa)[nu,mu] == (A_nu(tau^-1.kappa)/A_mu(kappa)) C^tau(tau^-1.kappa)[mu,nu].
 
-    mat_tau must be C^tau at parameters tau^-1.kappa; mat_inv is C^{tau^-1}
-    at kappa.
+    mat_tau must be C^tau at parameters tau^-1.kappa and mat_inv C^{tau^-1}
+    at kappa; A_src and A_tgt are the norms of mat_inv's bases.
     """
-    A_src, A_tgt = _norms(mat_inv.order, tau.inverse(), kappa)
-    size = len(mat_inv.order)
-    for i in range(size):
-        for j in range(size):
-            if mat_inv.rows[i][j] != (A_src[i] / A_tgt[j]) * mat_tau.rows[j][i]:
-                return False
-    return True
+    expected = [[a / b * c for b, c in zip(A_tgt, column)] for a, column in zip(A_src, zip(*mat_tau.rows))]
+    return first_difference(mat_inv, ConnMatrix(mat_inv.d, mat_inv.n, expected, mat_inv.order))
 
 
 def verify_convolution(mat_12, mat_2_at_t1k, mat_1_at_k):
     """C^{t1 t2}(kappa) == C^{t2}(t1.kappa) @ C^{t1}(kappa)."""
-    return mat_12 == mat_2_at_t1k.matmul(mat_1_at_k)
+    return first_difference(mat_12, mat_2_at_t1k.matmul(mat_1_at_k))
 
 
 def clear_caches():

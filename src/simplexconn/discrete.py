@@ -117,7 +117,8 @@ def hahn_connection(tau, kappa, N, n):
     tk = tau.act_params(kappa)
     mat = connection_matrix(tau, kappa, n)
     p_tgt = [p_factor(mu, kappa) for mu in mat.order]
-    rows = [[c * p / p_factor(nu, tk) for c, p in zip(row, p_tgt)] for nu, row in zip(mat.order, mat.rows)]
+    p_src = [p_factor(nu, tk) for nu in mat.order]
+    rows = [[c * p / q for c, p in zip(row, p_tgt)] for q, row in zip(p_src, mat.rows)]
     return ConnMatrix(mat.d, n, rows, mat.order)
 
 

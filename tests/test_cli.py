@@ -7,10 +7,11 @@ import pytest
 
 from simplexconn import ballsphere as bs
 from simplexconn import cli, connection
+from simplexconn import racah as rc
 from simplexconn import closed_forms as cf
 from simplexconn.backend import R
 from simplexconn.connection import ConnMatrix, gram_connection
-from simplexconn.simplex import Permutation
+from simplexconn.simplex import Permutation, enumerate_basis, norm_A
 
 
 def run_cli(*args):
@@ -96,6 +97,68 @@ def test_closed_vs_gram_failure_names_tau_the_entry_and_both_values(monkeypatch,
     assert ["closed-vs-gram", "(12)", "nu=(1, 0)", "mu=(0, 1)", "closed=%s" % (gram + 1),
             "gram=%s" % gram] in failures
     assert [f for f in failures if f[0] == "closed-vs-gram"] == failures[:1]
+    # the row relation fails first at the changed row's own squared norm
+    tau = Permutation.from_cycles("(12)", 3)
+    row = one_bad_entry(tau, kappa, 1).rows[0]
+    lhs = sum(c * c * norm_A(mu, kappa) for c, mu in zip(row, enumerate_basis(2, 1)))
+    rhs = norm_A((1, 0), tau.act_params(kappa))
+    assert ["row-orthogonality", "(12)", "nu=(1, 0)", "mu=(1, 0)", "lhs=%s" % lhs, "rhs=%s" % rhs] in failures
+
+
+def test_orthogonality_suite_builds_each_norm_list_once(monkeypatch, capsys):
+    # one list of A_nu(tau.kappa) per tau in S_3, shared by the row, column and inverse checks
+    calls = []
+
+    def counted(nu, kappa):
+        calls.append(nu)
+        return norm_A(nu, kappa)
+
+    for module in (cli, connection):
+        monkeypatch.setattr(module, "norm_A", counted)
+    argv = ["verify", "--suite", "orthogonality", "--n", "2", "--kappa", "1/2,1/3,2", "--count", "2"]
+    assert cli.main(argv) == 0
+    assert json.loads(capsys.readouterr().out)["failures"] == []
+    assert len(calls) == 6 * len(enumerate_basis(2, 2))
+
+
+def test_racah_failure_names_the_index_and_both_sides(monkeypatch, capsys):
+    # a squared norm changed for one nu gives one record, on the diagonal, with both sides
+    norm_sq = rc.racah_norm_sq
+
+    def one_bad_norm(nu, beta, N):
+        return norm_sq(nu, beta, N) + (1 if nu == (1, 0) else 0)
+
+    monkeypatch.setattr(rc, "racah_norm_sq", one_bad_norm)
+    assert cli.main(["verify", "--suite", "racah-orthogonality", "--d", "2", "--N", "2"]) == 1
+    beta = tuple(R(2 * i + 1, 2) + i * i for i in range(4))
+    true = norm_sq((1, 0), beta, 2)
+    assert json.loads(capsys.readouterr().out)["failures"] == [
+        ["racah-orthogonality", "nu=(1, 0)", "mu=(1, 0)", "lhs=%s" % true, "rhs=%s" % (true + 1)]]
+
+
+def test_sum_identity_failure_names_n_k_ell_and_both_sides(monkeypatch, capsys):
+    def one_bad_case(k, ell, kappa, n):
+        return (R(1), R(2)) if (n, k, ell) == (1, 1, 0) else (R(3), R(3))
+
+    monkeypatch.setattr(cli, "verify_sum_identity", one_bad_case)
+    assert cli.main(["verify", "--suite", "sum-identity", "--n", "2"]) == 1
+    assert json.loads(capsys.readouterr().out)["failures"] == [
+        ["sum-identity", "n=1", "k=1", "ell=0", "lhs=1", "rhs=2"]]
+
+
+def test_whipple_failure_names_m_the_parameters_and_both_sides(monkeypatch, capsys):
+    # each series call returns the number of calls so far, so the two sides differ
+    calls = []
+
+    def counted(top, bottom, m):
+        calls.append((top, bottom, m))
+        return R(len(calls))
+
+    monkeypatch.setattr(cli, "hyp_with_prefactor", counted)
+    assert cli.main(["verify", "--suite", "whipple", "--count", "1", "--seed", "7"]) == 1
+    (X, Y, Z), (U, V, _), m = calls[0]
+    assert json.loads(capsys.readouterr().out)["failures"] == [
+        ["whipple", "m=%d" % m, "X=%s" % X, "Y=%s" % Y, "Z=%s" % Z, "U=%s" % U, "V=%s" % V, "lhs=1", "rhs=2"]]
 
 
 def test_verify_whipple_deterministic():
@@ -120,8 +183,7 @@ def test_verify_suites_pass():
 
 
 def test_every_suite_has_an_option_table():
-    assert set(cli._SUITE_OPTIONS) == set(cli.SUITES)
-    assert all(set(reads) <= set(cli._VERIFY_DEFAULTS) for reads in cli._SUITE_OPTIONS.values())
+    assert all(set(reads) <= set(cli._VERIFY_DEFAULTS) for _, reads in cli.SUITES.values())
 
 
 def test_ignored_verify_option_names_the_option_and_the_suite():

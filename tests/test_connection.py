@@ -19,6 +19,7 @@ from simplexconn.simplex import (
 )
 from simplexconn.closed_forms import connection_matrix
 from simplexconn.connection import (
+    ConnMatrix,
     clear_caches,
     gram_connection,
     normalize,
@@ -29,6 +30,12 @@ from simplexconn.connection import (
 )
 
 KAPPA = (R(1, 2), R(1, 3), R(2))
+
+
+def norms(order, tau, kappa):
+    """The verifiers' norm lists: A_nu(tau.kappa) and A_mu(kappa) for nu, mu in order."""
+    tk = tau.act_params(kappa)
+    return [norm_A(nu, tk) for nu in order], [norm_A(mu, kappa) for mu in order]
 
 
 def definition_gram(tau, kappa, n):
@@ -62,8 +69,8 @@ def test_row_and_column_orthogonality_all_s3():
     for tau in all_permutations(3):
         for n in (2, 3):
             mat = gram_connection(tau, KAPPA, n)
-            assert verify_row_orthogonality(mat, tau, KAPPA)
-            assert verify_column_orthogonality(mat, tau, KAPPA)
+            assert verify_row_orthogonality(mat, *norms(mat.order, tau, KAPPA)) is None
+            assert verify_column_orthogonality(mat, *norms(mat.order, tau, KAPPA)) is None
 
 
 def test_inverse_identity_all_s3():
@@ -71,7 +78,7 @@ def test_inverse_identity_all_s3():
         inv = tau.inverse()
         mat_at_invk = gram_connection(tau, inv.act_params(KAPPA), 3)
         inv_mat = gram_connection(inv, KAPPA, 3)
-        assert verify_inverse_identity(mat_at_invk, inv_mat, tau, KAPPA)
+        assert verify_inverse_identity(mat_at_invk, inv_mat, *norms(inv_mat.order, inv, KAPPA)) is None
 
 
 def test_convolution_all_pairs_s3():
@@ -81,7 +88,32 @@ def test_convolution_all_pairs_s3():
             lhs = gram_connection(prod, KAPPA, 2)
             m2 = gram_connection(t2, t1.act_params(KAPPA), 2)
             m1 = gram_connection(t1, KAPPA, 2)
-            assert verify_convolution(lhs, m2, m1)
+            assert verify_convolution(lhs, m2, m1) is None
+
+
+def test_verifiers_name_the_first_failing_entry_and_both_sides():
+    # one changed entry of C^(12)(kappa) at n = 1: each verifier returns (nu, mu, lhs, rhs)
+    tau = Permutation.from_cycles("(12)", 3)
+    good = gram_connection(tau, KAPPA, 1)
+    rows = [list(row) for row in good.rows]
+    rows[0][1] += 1
+    bad = ConnMatrix(good.d, good.n, rows, good.order)
+    (a0, a1), (b0, b1) = A_src, A_tgt = norms(good.order, tau, KAPPA)
+    assert verify_row_orthogonality(good, A_src, A_tgt) is None
+    assert verify_row_orthogonality(bad, A_src, A_tgt) == (
+        (1, 0), (1, 0), rows[0][0] ** 2 * b0 + rows[0][1] ** 2 * b1, a0)
+    assert verify_column_orthogonality(good, A_src, A_tgt) is None
+    assert verify_column_orthogonality(bad, A_src, A_tgt) == (
+        (1, 0), (0, 1), rows[0][0] * rows[0][1] / a0 + rows[1][0] * rows[1][1] / a1, ZERO)
+    # (12) is its own inverse, so the inverse identity reads C^(12) at (12).kappa
+    at_inverse = gram_connection(tau, tau.act_params(KAPPA), 1)
+    assert verify_inverse_identity(at_inverse, good, A_src, A_tgt) is None
+    assert verify_inverse_identity(at_inverse, bad, A_src, A_tgt) == (
+        (1, 0), (0, 1), rows[0][1], a0 / b1 * at_inverse.rows[1][0])
+    product = good.matmul(good)
+    assert verify_convolution(product, good, good) is None
+    assert verify_convolution(product, good, bad) == (
+        (1, 0), (0, 1), product.rows[0][1], good.matmul(bad).rows[0][1])
 
 
 def test_normalized_matrix_is_orthogonal():
@@ -125,7 +157,7 @@ def test_random_convolutions_s4():
         lhs = gram_connection(t1 * t2, kappa, 2)
         m2 = gram_connection(t2, t1.act_params(kappa), 2)
         m1 = gram_connection(t1, kappa, 2)
-        assert verify_convolution(lhs, m2, m1)
+        assert verify_convolution(lhs, m2, m1) is None
 
 
 def test_json_shape():
@@ -196,14 +228,15 @@ def test_engine_satisfies_the_inverse_and_convolution_identities(data):
         )
     )
     inv = t1.inverse()
+    inv_mat = connection_matrix(inv, kappa, n)
     assert verify_inverse_identity(
-        connection_matrix(t1, inv.act_params(kappa), n), connection_matrix(inv, kappa, n), t1, kappa
-    )
+        connection_matrix(t1, inv.act_params(kappa), n), inv_mat, *norms(inv_mat.order, inv, kappa)
+    ) is None
     assert verify_convolution(
         connection_matrix(t1 * t2, kappa, n),
         connection_matrix(t2, t1.act_params(kappa), n),
         connection_matrix(t1, kappa, n),
-    )
+    ) is None
 
 
 def test_gram_builds_no_acted_polynomial_and_no_full_product(monkeypatch):

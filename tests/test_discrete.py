@@ -179,6 +179,21 @@ def test_hahn_connection_never_sums_the_lattice(monkeypatch):
             assert len(ds.hahn_connection(Permutation(img), kappa, 3, 3).order) == len(enumerate_basis(m - 1, 3))
 
 
+def test_hahn_connection_takes_each_p_factor_once(monkeypatch):
+    # one p_factor per row and one per column, not one per entry
+    calls = []
+    p_factor = ds.p_factor
+
+    def counted(nu, kappa):
+        calls.append(nu)
+        return p_factor(nu, kappa)
+
+    monkeypatch.setattr(ds, "p_factor", counted)
+    tau = Permutation.from_cycles("(123)", 3)
+    mat = ds.hahn_connection(tau, KAPPA, 4, 3)
+    assert len(calls) <= 2 * len(mat.order) == 8
+
+
 def test_hahn_connection_rejects_n_above_N():
     with pytest.raises(ValueError, match="exceeds the lattice size"):
         ds.hahn_connection(Permutation((2, 1, 3)), KAPPA, 2, 3)
