@@ -342,7 +342,9 @@ def example_910_check(n):
     """Spherical-harmonics families from the simplex basis at the -1/2 shifts.
 
     Verifies pairwise orthogonality on the sphere under the surface measure and
-    exact annihilation by the Laplacian for every element of degree n.
+    exact annihilation by the Laplacian for every element of degree n.  Each
+    failure ends in its value: the Laplacian's coefficient at its least
+    exponent, or the inner product that should be 0.
     """
     kappa = (R(-1, 2), R(-1, 2), R(-1, 2))
     order = sphere_enumerate(2, n)
@@ -352,10 +354,12 @@ def example_910_check(n):
     failures = []
     for a in range(len(elems)):
         key_a, pa = elems[a]
-        if not laplacian(pa.expand()).is_zero():
-            failures.append(("laplacian", key_a))
+        lap = laplacian(pa.expand())
+        if not lap.is_zero():
+            failures.append(("laplacian", key_a, lap.terms[min(lap.terms)]))
         for b in range(a + 1, len(elems)):
             key_b, pb = elems[b]
-            if sphere_inner_product(pa, pb, kappa) != ZERO:
-                failures.append(("orthogonality", key_a, key_b))
+            value = sphere_inner_product(pa, pb, kappa)
+            if value != ZERO:
+                failures.append(("orthogonality", key_a, key_b, value))
     return {"n": n, "count": len(elems), "failures": failures}

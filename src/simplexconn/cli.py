@@ -178,7 +178,7 @@ def _random_kappa(rng, d):
 
 
 def _failure(identity, *taus, **fields):
-    """One failure record: the identity, the permutations, then name=value for the case and both sides."""
+    """One failure record: the identity, the permutations (or elements), then name=value for the case and its values."""
     return [identity, *map(repr, taus), *("%s=%s" % item for item in fields.items())]
 
 
@@ -264,7 +264,8 @@ def _suite_racah(args, rng):
 
 
 def _suite_example_910(args, rng):
-    return [list(map(str, f)) for n in range(args.n + 1) for f in bs.example_910_check(n)["failures"]]
+    return [_failure(identity, *keys, value=value)
+            for n in range(args.n + 1) for identity, *keys, value in bs.example_910_check(n)["failures"]]
 
 
 def _suite_dimensions(args, rng):

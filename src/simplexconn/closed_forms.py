@@ -9,7 +9,11 @@ product.  For the Jacobi family the factor for s_d is the signed identity and
 the factor for s_j, j < d, is cc_2d_entry, the d=2 (12) 4F3 entry, with
 shifted parameters, so the closed method is exact and total for every d,
 d=2 included: there is no table of named d=2 permutations.  The Krawtchouk
-family (discrete.kraw_connection) supplies its own local rules.
+family (discrete.kraw_connection) supplies its own local rules.  Both the
+local rule and the row updates run in Python integers: cc_2d_entry scales
+kappa to integers and makes one rational, and each row of the running
+product is integer numerators over one denominator, so every entry of the
+matrix becomes a rational once, at the end.
 
 The paper's named formulas stay as identities checked against the Gram
 oracle: the summation identity and the normalized coefficients, all read
@@ -21,9 +25,10 @@ s_d^a (12...d)^{+-1} s_d^b; the adjacent transposition s_j is the d=2 cycle
 """
 
 import itertools
+from math import comb, gcd, lcm
 
-from .backend import R, ZERO, ONE
-from .exact_arith import QSqrt, hyp_terminating, pochhammer
+from .backend import R, ZERO, ONE, denom, numer
+from .exact_arith import QSqrt, bottom_pole, hyp_terminating, pochhammer
 from .racah import (
     conj_map,
     dual_map,
@@ -46,29 +51,58 @@ def _sign(k):
 # ---------------------------------------------------------------------------
 
 
+def _rising(x, k, step):
+    """prod_{i<k} (x + i step), that is step^k (x/step)_k, for integers x and step."""
+    out = 1
+    for _ in range(k):
+        out *= x
+        x += step
+    return out
+
+
 def cc_2d_entry(j, m, kappa, n):
     """Entry c_{j,m} of the degree-n connection matrix for tau = (12) at d=2.
 
     Rows are nu = (n-j, j), columns mu = (n-m, m).  This is the one local rule
     of the Jacobi engine: every other C^tau, for every d, is a product of such
     blocks at shifted parameters and signed diagonals.
+
+    The value is (-1)^{n+m} (-n)_j (k2+1)_{n-j} (k3+1)_j (n+|k|+2)_m /
+    (j! (k2+1)_m (k2+k3+2m+2)_{n-m} (k2+k3+m+1)_m) times
+    4F3(-m, m+k2+k3+1, -j, j+k1+k3+1; -n, k3+1, n+|k|+2; 1), computed in
+    integers: with D the lcm of the denominators of kappa and K_i = D k_i,
+    (k + c)_r = prod_i (K + (c+i) D) / D^r.  The D powers cancel, D^{n+m} in
+    the prefactor and D^{2t} in every term of the 4F3 folded at its
+    termination order t, so one rational is made, at the end.
     """
-    k1, k2, k3 = (R(k) for k in kappa)
-    tot = k1 + k2 + k3
-    coeff = (
-        _sign(n + m)
-        * pochhammer(R(-n), j)
-        * pochhammer(k2 + 1, n - j)
-        * pochhammer(k3 + 1, j)
-        / (pochhammer(ONE, j) * pochhammer(k2 + 1, m))
-        * pochhammer(R(n) + tot + 2, m)
-        / (pochhammer(k2 + k3 + 2 * m + 2, n - m) * pochhammer(k2 + k3 + m + 1, m))
-    )
-    return coeff * hyp_terminating(
-        [R(-m), m + k2 + k3 + 1, R(-j), j + k1 + k3 + 1],
-        [R(-n), k3 + 1, R(n) + tot + 2],
-        ONE,
-    )
+    D = lcm(*(denom(k) for k in kappa))
+    K1, K2, K3 = (numer(k) * (D // denom(k)) for k in kappa)
+    tot = K1 + K2 + K3
+    # D times m+k2+k3+1, j+k1+k3+1 (tops) and k3+1, n+|k|+2 (bottoms)
+    a, b = K2 + K3 + (m + 1) * D, K1 + K3 + (j + 1) * D
+    c, e = K3 + D, tot + (n + 2) * D
+    num = comb(n, j) * _rising(K2 + D, n - j, D) * _rising(c, j, D) * _rising(e, m, D)
+    den = _rising(K2 + D, m, D) * _rising(a + (m + 1) * D, n - m, D) * _rising(a, m, D)
+    if den == 0:
+        raise ZeroDivisionError(f"the (12) prefactor divides by 0 at m={m}, n={n}")
+    if (n + m + j) % 2:
+        num = -num
+    # the series stops at the least t with a top equal to -t (t < min(m, j) only
+    # outside the domain); -min(m, j) gives the binomial (-lo)_k/k!, and
+    # -max(m, j), a and b stay tops
+    lo, hi = sorted((m, j))
+    t = min([lo] + [-x // D for x in (a, b) if x <= 0 and x % D == 0])
+    tails = [1] * (t + 1)
+    for k in range(t - 1, -1, -1):
+        tails[k] = tails[k + 1] * (k - n) * (c + k * D) * (e + k * D)
+    bottom = tails[0]
+    if bottom == 0:
+        raise bottom_pole([R(-n), R(c, D), R(e, D)], t)
+    total, head = bottom, 1
+    for k in range(t):
+        head = head * (k - lo) * (k - hi) * (a + k * D) * (b + k * D) // (k + 1)
+        total += head * tails[k + 1]
+    return R(num * total, den * bottom)
 
 
 def verify_sum_identity(k, ell, kappa, n):
@@ -135,6 +169,11 @@ def word_product(tau, params, n, block, ratio):
       nu and column mu, where mu agrees with nu outside slots j, j+1,
       m_loc = nu_j + nu_{j+1}, k = nu_{j+1}, m = mu_{j+1} and tail = |nu^{j+2}|;
     - ratio(params): C^{s_d} is diag(ratio^{nu_d}).
+
+    Rows are kept as integer numerators over one row denominator: s_j
+    combines the rows it reads over the lcm of (entry denominator x row
+    denominator) and divides out one gcd, and s_d multiplies row nu by
+    p^{nu_d} and its denominator by q^{nu_d}, for ratio = p/q.
     """
     if len(params) != tau.m:
         raise ValueError(f"a permutation of {tau.m} slots needs {tau.m} parameters, got {len(params)}")
@@ -142,38 +181,56 @@ def word_product(tau, params, n, block, ratio):
     params = tuple(R(p) for p in params)
     order = enumerate_basis(d, n)
     index = {nu: i for i, nu in enumerate(order)}
-    # sparse rows {column: value} of the running product, starting at the identity
-    rows = [{i: ONE} for i in range(len(order))]
+    # (numerators {column: int}, row denominator) of the running product, starting at the identity
+    rows = [({i: 1}, 1) for i in range(len(order))]
     for a in tau.reduced_word():
         if a == d:
-            powers = [ratio(params) ** e for e in range(n + 1)]
-            rows = [{c: v * powers[nu[d - 1]] for c, v in row.items()} for nu, row in zip(order, rows)]
+            r = ratio(params)
+            p, q = numer(r), denom(r)
+            powers = [(p**e, q**e) for e in range(n + 1)]
+            new_rows = []
+            for nu, (row, den) in zip(order, rows):
+                pe, qe = powers[nu[d - 1]]
+                new_rows.append(({c: v * pe for c, v in row.items()}, den * qe))
+            rows = new_rows
         else:
             memo = {}
             new_rows = []
             for nu in order:
                 m_loc, k, tail = nu[a - 1] + nu[a], nu[a], sum(nu[a + 1:])
-                acc = {}
+                parts = []
                 for m in range(m_loc + 1):
                     key = (m_loc, k, m, tail)
                     c = memo.get(key)
                     if c is None:
-                        c = memo[key] = block(a, params, *key)
-                    if c == 0:
+                        c = block(a, params, *key)
+                        c = memo[key] = (numer(c), denom(c))
+                    if c[0] == 0:
                         continue
                     mu = nu[: a - 1] + (m_loc - m, m) + nu[a + 1:]
-                    for col, v in rows[index[mu]].items():
-                        acc[col] = acc.get(col, ZERO) + c * v
-                new_rows.append(acc)
+                    row, den = rows[index[mu]]
+                    parts.append((c[0], c[1] * den, row))
+                common = lcm(*(part_den for _, part_den, _ in parts))
+                acc = {}
+                for num, part_den, row in parts:
+                    f = num * (common // part_den)
+                    for col, v in row.items():
+                        acc[col] = acc.get(col, 0) + f * v
+                g = gcd(common, *acc.values())
+                if g > 1:
+                    acc = {col: v // g for col, v in acc.items()}
+                    common //= g
+                new_rows.append((acc, common))
             rows = new_rows
         params = params[: a - 1] + (params[a], params[a - 1]) + params[a + 1:]
-    return ConnMatrix(d, n, [[row.get(i, ZERO) for i in range(len(order))] for row in rows], order)
+    size = len(order)
+    return ConnMatrix(d, n, [[R(row[i], den) if i in row else ZERO for i in range(size)] for row, den in rows], order)
 
 
 def _local_kappa(kappa, j, tail):
     """kappa-hat of s_j, j < d: the d=2 parameters of slots j, j+1 when |nu^{j+2}| = tail."""
     d = len(kappa) - 1
-    return (kappa[j - 1], kappa[j], sum(kappa[j + 1:], ZERO) + 2 * tail + d - j - 1)
+    return (kappa[j - 1], kappa[j], sum(kappa[j + 1:], 2 * tail + d - j - 1))
 
 
 def _jacobi_block(j, kappa, m_loc, k, m, tail):

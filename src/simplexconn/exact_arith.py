@@ -73,9 +73,14 @@ def hyp_terminating(top, bottom, z):
     rest.remove(-m)
     total, bottom_m = _folded_series(rest, bottom, m, z)
     if bottom_m == 0:
-        b = max(b for b in bottom if b.denominator == 1 and -m < b <= 0)
-        raise BottomPole(f"bottom parameter {rat_str(b)} poles at k={1 - int(b)}")
+        raise bottom_pole(bottom, m)
     return total / bottom_m
+
+
+def bottom_pole(bottom, m):
+    """The BottomPole for a series folded at order m whose prod_b (b)_m is 0."""
+    b = max(b for b in bottom if b.denominator == 1 and -m < b <= 0)
+    return BottomPole(f"bottom parameter {rat_str(b)} poles at k={1 - int(b)}")
 
 
 def hyp_with_prefactor(top, bottom, m, z=ONE):

@@ -11,6 +11,7 @@ from simplexconn import racah as rc
 from simplexconn import closed_forms as cf
 from simplexconn.backend import R
 from simplexconn.connection import ConnMatrix, gram_connection
+from simplexconn.multipoly import SparsePoly
 from simplexconn.simplex import Permutation, enumerate_basis, norm_A
 
 
@@ -159,6 +160,23 @@ def test_whipple_failure_names_m_the_parameters_and_both_sides(monkeypatch, caps
     (X, Y, Z), (U, V, _), m = calls[0]
     assert json.loads(capsys.readouterr().out)["failures"] == [
         ["whipple", "m=%d" % m, "X=%s" % X, "Y=%s" % Y, "Z=%s" % Z, "U=%s" % U, "V=%s" % V, "lhs=1", "rhs=2"]]
+
+
+def test_example_910_laplacian_failure_names_the_element_and_its_value(monkeypatch, capsys):
+    # a Laplacian that leaves 3/7 + 5 x_1 fails every element, with the coefficient at the least exponent
+    monkeypatch.setattr(bs, "laplacian", lambda p: SparsePoly(3, {(1, 0, 0): R(5), (0, 0, 0): R(3, 7)}))
+    assert cli.main(["verify", "--suite", "example-9-10", "--n", "1"]) == 1
+    keys = bs.sphere_enumerate(2, 0) + bs.sphere_enumerate(2, 1)
+    assert json.loads(capsys.readouterr().out)["failures"] == [
+        ["laplacian", repr(key), "value=3/7"] for key in keys]
+
+
+def test_example_910_orthogonality_failure_names_both_elements_and_the_product(monkeypatch, capsys):
+    monkeypatch.setattr(bs, "sphere_inner_product", lambda p, q, kappa: R(-2, 9))
+    assert cli.main(["verify", "--suite", "example-9-10", "--n", "1"]) == 1
+    a, b, c = bs.sphere_enumerate(2, 1)
+    assert json.loads(capsys.readouterr().out)["failures"] == [
+        ["orthogonality", repr(x), repr(y), "value=-2/9"] for x, y in ((a, b), (a, c), (b, c))]
 
 
 def test_verify_whipple_deterministic():

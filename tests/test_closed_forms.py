@@ -4,9 +4,11 @@ import random
 import pytest
 
 from simplexconn.backend import R, ZERO, ONE
+from simplexconn.exact_arith import hyp_terminating, pochhammer
 from simplexconn.simplex import Permutation, enumerate_basis
-from simplexconn.connection import clear_caches, gram_connection, normalize
+from simplexconn.connection import ConnMatrix, clear_caches, gram_connection, normalize
 from simplexconn import closed_forms as cf
+from simplexconn import discrete as ds
 from simplexconn.radicals import qsqrt_sums_equal
 
 KAPPA2 = (R(1, 2), R(1, 3), R(2))
@@ -237,3 +239,154 @@ def test_closed_method_never_calls_gram(monkeypatch):
         taus.append(Permutation(tuple(range(d + 1, 0, -1))))  # the longest word
         for tau in taus:
             assert cf.connection_matrix(tau, kappa, n, method="closed").d == d
+
+
+# ---------------------------------------------------------------------------
+# the engine's integer layers against their rational oracles
+# ---------------------------------------------------------------------------
+
+
+def rational_2d_entry(j, m, kappa, n):
+    """The (12) local rule in rational arithmetic: one Pochhammer per factor and hyp_terminating."""
+    k1, k2, k3 = (R(k) for k in kappa)
+    tot = k1 + k2 + k3
+    coeff = (
+        cf._sign(n + m)
+        * pochhammer(R(-n), j)
+        * pochhammer(k2 + 1, n - j)
+        * pochhammer(k3 + 1, j)
+        / (pochhammer(ONE, j) * pochhammer(k2 + 1, m))
+        * pochhammer(R(n) + tot + 2, m)
+        / (pochhammer(k2 + k3 + 2 * m + 2, n - m) * pochhammer(k2 + k3 + m + 1, m))
+    )
+    return coeff * hyp_terminating(
+        [R(-m), m + k2 + k3 + 1, R(-j), j + k1 + k3 + 1],
+        [R(-n), k3 + 1, R(n) + tot + 2],
+        ONE,
+    )
+
+
+def value_or_error(rule, *args):
+    try:
+        return rule(*args)
+    except ArithmeticError as exc:
+        return type(exc)
+
+
+def seeded_kappas(rng):
+    """kappa-hats for the (12) rule, all inside the domain kappa > -1.
+
+    Four fixed ones, (-1/2)^3, 0, kappa_1 + kappa_3 = -1 and kappa_2 + kappa_3 = -1,
+    then seeded ones with denominators up to 30, negative entries and zeros,
+    a quarter of them with kappa_2 + kappa_3 = -1.
+    """
+    kappas = [(HALF,) * 3, (R(0),) * 3, (R(-1, 3), R(1, 2), R(-2, 3)), (R(1, 2), HALF, HALF)]
+    for _ in range(80):
+        dens = [rng.randint(1, 30) for _ in range(3)]
+        kappa = [R(rng.randint(1 - q, 2 * q), q) for q in dens]
+        if rng.random() < 0.25:  # kappa_2 + kappa_3 = -1
+            kappa[1] = R(-rng.randint(1, 29), 30)
+            kappa[2] = -1 - kappa[1]
+        kappas.append(tuple(kappa))
+    return kappas
+
+
+def test_2d_entry_equals_the_rational_rule():
+    # every (j, m) at the four fixed kappa-hats, four seeded (j, m) per degree at the others
+    rng = random.Random(12)
+    for i, kappa in enumerate(seeded_kappas(rng)):
+        for n in range(9):
+            pairs = itertools.product(range(n + 1), repeat=2)
+            if i >= 4:
+                pairs = [(rng.randint(0, n), rng.randint(0, n)) for _ in range(4)]
+            for j, m in pairs:
+                assert cf.cc_2d_entry(j, m, kappa, n) == rational_2d_entry(j, m, kappa, n), (j, m, kappa, n)
+
+
+def test_2d_entry_poles_outside_the_domain_raise_like_the_rational_rule():
+    # integer and half-integer kappa <= -1 put zeros in the prefactor's
+    # denominator, the 4F3's bottom parameters, or cut the 4F3 short
+    rng = random.Random(13)
+    raised = set()
+    for _ in range(3000):
+        n = rng.randint(0, 8)
+        j, m = rng.randint(0, n), rng.randint(0, n)
+        kappa = tuple(R(rng.randint(-7, 3), rng.choice((1, 2))) for _ in range(3))
+        want = value_or_error(rational_2d_entry, j, m, kappa, n)
+        assert value_or_error(cf.cc_2d_entry, j, m, kappa, n) == want, (j, m, kappa, n)
+        if isinstance(want, type):
+            raised.add(want.__name__)
+    assert raised == {"BottomPole", "ZeroDivisionError"}
+
+
+def rational_word_product(tau, params, n, block, ratio):
+    """The engine's loop with rational rows: each row a {column: rational}."""
+    d = tau.m - 1
+    params = tuple(R(p) for p in params)
+    order = enumerate_basis(d, n)
+    index = {nu: i for i, nu in enumerate(order)}
+    rows = [{i: ONE} for i in range(len(order))]
+    for a in tau.reduced_word():
+        if a == d:
+            powers = [ratio(params) ** e for e in range(n + 1)]
+            rows = [{c: v * powers[nu[d - 1]] for c, v in row.items()} for nu, row in zip(order, rows)]
+        else:
+            memo = {}
+            new_rows = []
+            for nu in order:
+                m_loc, k, tail = nu[a - 1] + nu[a], nu[a], sum(nu[a + 1:])
+                acc = {}
+                for m in range(m_loc + 1):
+                    key = (m_loc, k, m, tail)
+                    c = memo.get(key)
+                    if c is None:
+                        c = memo[key] = block(a, params, *key)
+                    if c == 0:
+                        continue
+                    mu = nu[: a - 1] + (m_loc - m, m) + nu[a + 1:]
+                    for col, v in rows[index[mu]].items():
+                        acc[col] = acc.get(col, ZERO) + c * v
+                new_rows.append(acc)
+            rows = new_rows
+        params = params[: a - 1] + (params[a], params[a - 1]) + params[a + 1:]
+    return ConnMatrix(d, n, [[row.get(i, ZERO) for i in range(len(order))] for row in rows], order)
+
+
+def assert_same_products(taus, params, degrees, block, ratio):
+    for tau in taus:
+        for n in degrees:
+            got = cf.word_product(tau, params, n, block, ratio)
+            assert got == rational_word_product(tau, params, n, block, ratio), (tau, params, n)
+            assert {type(v) for row in got.rows for v in row} == {type(ONE)}
+
+
+@pytest.mark.parametrize("kappa", [KAPPA2, (HALF,) * 3, POLE2[0]], ids=["generic", "half", "pole"])
+def test_engine_equals_the_rational_loop_s3(kappa):
+    assert_same_products(all_perms(3), kappa, range(9), cf._jacobi_block, cf._jacobi_ratio)
+
+
+def test_engine_equals_the_rational_loop_s4_s5():
+    assert_same_products(all_perms(4), KAPPA3, range(4), cf._jacobi_block, cf._jacobi_ratio)
+    taus = random.Random(5).sample(all_perms(5), 24)
+    assert_same_products(taus, (R(1, 3), R(-2, 5), R(0), R(3, 7), R(-1, 2)), range(3),
+                         cf._jacobi_block, cf._jacobi_ratio)
+
+
+def test_krawtchouk_engine_equals_the_rational_loop():
+    # the extended (rho, 1 - |rho|); the s_d ratio -rho_d / rho_{d+1} is not an integer
+    for m, rho in ((3, (R(1, 4), R(2, 5))), (4, (R(1, 6), R(2, 7), R(1, 5)))):
+        ext = rho + (1 - sum(rho),)
+        assert_same_products(all_perms(m), ext, range(4), ds._kraw_block, ds._kraw_ratio)
+
+
+def test_engine_calls_no_pochhammer_and_no_series(monkeypatch):
+    # the local rule and the row updates run in integers: a regression to the
+    # rational rule would call these in closed_forms
+    def forbidden(*args):
+        raise AssertionError("the Coxeter-word engine called a rational kernel")
+
+    monkeypatch.setattr(cf, "pochhammer", forbidden)
+    monkeypatch.setattr(cf, "hyp_terminating", forbidden)
+    clear_caches()
+    for tau in all_perms(4):
+        assert cf.connection_matrix(tau, KAPPA3, 3).n == 3

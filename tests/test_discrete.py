@@ -1,11 +1,13 @@
 import itertools
+import random
 from fractions import Fraction
+from math import comb
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from simplexconn.backend import R, ZERO, ONE
-from simplexconn.exact_arith import pochhammer
+from simplexconn.exact_arith import hyp_terminating, pochhammer
 from simplexconn.simplex import Permutation, enumerate_basis
 from simplexconn.closed_forms import connection_matrix
 from simplexconn.connection import gram_connection
@@ -258,6 +260,29 @@ def test_kraw_connection_rejects_bad_rho_and_n_above_N():
             ds.kraw_connection(Permutation((1, 3, 2)), rho, 3, 2)
     with pytest.raises(ValueError, match="exceeds the lattice size"):
         ds.kraw_connection(Permutation((2, 1, 3)), RHO, 2, 3)
+
+
+def rational_kraw_block(j, rho, n, k, m, tail):
+    """The Krawtchouk (12) local rule in rational arithmetic, with hyp_terminating."""
+    tot = sum(rho[j - 1:], ZERO)
+    r1, r2, r3 = rho[j - 1] / tot, rho[j] / tot, sum(rho[j + 1:], ZERO) / tot
+    sign = ONE if (n + m + k) % 2 == 0 else -ONE
+    return (
+        sign * comb(n, m) * r1 ** (n - m - k) * r3**k / (r2 + r3) ** n
+        * hyp_terminating([R(-m), R(-k)], [R(-n)], (r1 + r3) * (r2 + r3) / r3)
+    )
+
+
+def test_kraw_block_equals_the_rational_rule():
+    # seeded extended rho (all entries > 0, summing to 1) with denominators up to 60
+    rng = random.Random(21)
+    for _ in range(60):
+        weights = [rng.randint(1, 12) for _ in range(rng.randint(3, 5))]
+        ext = tuple(R(w, sum(weights)) for w in weights)
+        for j in range(1, len(ext) - 1):
+            for n in range(7):
+                for k, m in itertools.product(range(n + 1), repeat=2):
+                    assert ds._kraw_block(j, ext, n, k, m, 0) == rational_kraw_block(j, ext, n, k, m, 0)
 
 
 def small_rationals(size, lo, hi):
