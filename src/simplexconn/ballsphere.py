@@ -71,7 +71,9 @@ class ParityPoly:
         return SparsePoly(self.d, terms)
 
     def __eq__(self, other):
-        return self.eps == other.eps and self.core == other.core
+        if isinstance(other, ParityPoly):
+            return self.eps == other.eps and self.core == other.core
+        return NotImplemented
 
     def __repr__(self):
         return "ParityPoly(eps=%r, core=%r)" % (self.eps, self.core)

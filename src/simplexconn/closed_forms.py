@@ -10,10 +10,10 @@ the factor for s_j, j < d, is cc_2d_entry, the d=2 (12) 4F3 entry, with
 shifted parameters, so the closed method is exact and total for every d,
 d=2 included: there is no table of named d=2 permutations.  The Krawtchouk
 family (discrete.kraw_connection) supplies its own local rules.  Both the
-local rule and the row updates run in Python integers: cc_2d_entry scales
-kappa to integers and makes one rational, and each row of the running
-product is integer numerators over one denominator, so every entry of the
-matrix becomes a rational once, at the end.
+local rule and the row updates run in Python integers: cc_2d_entry sums its
+4F3 with exact_arith's integer kernel and makes one rational, and each row of
+the running product is integer numerators over one denominator, so every
+entry of the matrix becomes a rational once, at the end.
 
 The paper's named formulas stay as identities checked against the Gram
 oracle: the summation identity and the normalized coefficients, all read
@@ -28,7 +28,7 @@ import itertools
 from math import comb, gcd, lcm
 
 from .backend import R, ZERO, ONE, denom, numer
-from .exact_arith import QSqrt, bottom_pole, hyp_terminating, pochhammer
+from .exact_arith import QSqrt, bottom_pole, folded_series, hyp_terminating, over_lcm, pochhammer, termination_order
 from .racah import (
     conj_map,
     dual_map,
@@ -70,13 +70,12 @@ def cc_2d_entry(j, m, kappa, n):
     The value is (-1)^{n+m} (-n)_j (k2+1)_{n-j} (k3+1)_j (n+|k|+2)_m /
     (j! (k2+1)_m (k2+k3+2m+2)_{n-m} (k2+k3+m+1)_m) times
     4F3(-m, m+k2+k3+1, -j, j+k1+k3+1; -n, k3+1, n+|k|+2; 1), computed in
-    integers: with D the lcm of the denominators of kappa and K_i = D k_i,
-    (k + c)_r = prod_i (K + (c+i) D) / D^r.  The D powers cancel, D^{n+m} in
-    the prefactor and D^{2t} in every term of the 4F3 folded at its
-    termination order t, so one rational is made, at the end.
+    integers: with kappa over D, the lcm of its denominators, and K_i = D k_i,
+    (k + c)_r = prod_i (K + (c+i) D) / D^r, so the D^{n+m} of the prefactor
+    cancel, and the 4F3 is exact_arith's folded_series over step D.  One
+    rational is made, at the end.
     """
-    D = lcm(*(denom(k) for k in kappa))
-    K1, K2, K3 = (numer(k) * (D // denom(k)) for k in kappa)
+    (K1, K2, K3), D = over_lcm(kappa)
     tot = K1 + K2 + K3
     # D times m+k2+k3+1, j+k1+k3+1 (tops) and k3+1, n+|k|+2 (bottoms)
     a, b = K2 + K3 + (m + 1) * D, K1 + K3 + (j + 1) * D
@@ -87,21 +86,12 @@ def cc_2d_entry(j, m, kappa, n):
         raise ZeroDivisionError(f"the (12) prefactor divides by 0 at m={m}, n={n}")
     if (n + m + j) % 2:
         num = -num
-    # the series stops at the least t with a top equal to -t (t < min(m, j) only
-    # outside the domain); -min(m, j) gives the binomial (-lo)_k/k!, and
-    # -max(m, j), a and b stay tops
-    lo, hi = sorted((m, j))
-    t = min([lo] + [-x // D for x in (a, b) if x <= 0 and x % D == 0])
-    tails = [1] * (t + 1)
-    for k in range(t - 1, -1, -1):
-        tails[k] = tails[k + 1] * (k - n) * (c + k * D) * (e + k * D)
-    bottom = tails[0]
+    tops, bottoms = [-m * D, -j * D, a, b], [-n * D, c, e]
+    t = termination_order(tops, D)
+    tops.remove(-t * D)
+    total, bottom = folded_series(tops, bottoms, t, D)
     if bottom == 0:
-        raise bottom_pole([R(-n), R(c, D), R(e, D)], t)
-    total, head = bottom, 1
-    for k in range(t):
-        head = head * (k - lo) * (k - hi) * (a + k * D) * (b + k * D) // (k + 1)
-        total += head * tails[k + 1]
+        raise bottom_pole(bottoms, t, D)
     return R(num * total, den * bottom)
 
 

@@ -10,10 +10,10 @@ extended (rho, 1 - |rho|).  The lattice sums are only test oracles.  The
 normalized cycle coefficient has one Krawtchouk form; form 2 is its kraw_dual.
 """
 
-from math import comb, lcm, perm
+from math import comb
 
-from .backend import R, ZERO, ONE, denom, numer
-from .exact_arith import QSqrt, hyp_with_prefactor, pochhammer
+from .backend import R, ZERO, ONE
+from .exact_arith import QSqrt, folded_series, hyp_with_prefactor, over_lcm, pochhammer
 from .multipoly import homogenize
 from .simplex import a_coeffs, enumerate_basis, jacobi_simplex_basis, norm_A
 from .connection import ConnMatrix
@@ -199,32 +199,18 @@ def _kraw_block(j, rho, n, k, m, tail):
     (r1, r2, r3) = (rho_j, rho_{j+1}, |rho^{j+2}|) / |rho^j|, and the entry does
     not depend on nu outside slots j, j+1 (tail is unused).  It is
     (-1)^{n+m+k} C(n, m) r1^{n-m-k} r3^k / (r2 + r3)^n 2F1(-m, -k; -n; z),
-    z = (r1 + r3)(r2 + r3) / r3, computed in integers: with (A, B, C) the local
-    rho scaled to integers and T = A + B + C, r1 = A/T, r3 = C/T and
-    z = (A + C)(B + C) / (T C), so the series folded at t = min(m, k) over
-    (-n)_t (T C)^t leaves A^{n-m-k} C^{k-t} T^{m-t} / (B + C)^n outside it.
+    z = (r1 + r3)(r2 + r3) / r3.  With (A, B, C) the local rho over one
+    denominator and T = A + B + C, the powers are A^{n-m-k} C^k T^m / (B + C)^n
+    and z = (A + C)(B + C) / (T C); exact_arith's folded_series sums the 2F1.
     """
-    local = rho[j - 1:]
-    D = lcm(*(denom(r) for r in local))
-    A, B, *rest = (numer(r) * (D // denom(r)) for r in local)
+    (A, B, *rest), _ = over_lcm(rho[j - 1:])
     C = sum(rest)
     T = A + B + C
-    zp, zq = (A + C) * (B + C), T * C
     lo, hi = sorted((m, k))
-    tails = [1] * (lo + 1)
-    for i in range(lo - 1, -1, -1):
-        tails[i] = tails[i + 1] * (i - n) * zq
-    total, head = tails[0], 1
-    for i in range(lo):
-        head = head * (i - lo) * (i - hi) * zp // (i + 1)
-        total += head * tails[i + 1]
-    num = comb(n, m) * C ** (k - lo) * T ** (m - lo) * total
-    den = (B + C) ** n * perm(n, lo)  # (-n)_t = (-1)^t n!/(n-t)!, its sign joins the parity below
-    if n - m - k >= 0:
-        num *= A ** (n - m - k)
-    else:
-        den *= A ** (m + k - n)
-    return R(-num if (n + m + k + lo) % 2 else num, den)
+    total, bottom = folded_series([-hi], [-n], lo, 1, (A + C) * (B + C), T * C)
+    num = comb(n, m) * A ** max(n - m - k, 0) * C**k * T**m * total
+    den = A ** max(m + k - n, 0) * (B + C) ** n * bottom
+    return R(-num if (n + m + k) % 2 else num, den)
 
 
 def _kraw_ratio(rho):

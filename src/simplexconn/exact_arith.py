@@ -1,8 +1,11 @@
 """Scalar kernel: Pochhammer symbols, terminating hypergeometric series,
 and exact sign*sqrt(rational) values (QSqrt).
 
-All inputs and outputs are exact rationals from the selected backend; no
-floating point is ever used.
+The series functions take and return exact rationals from the selected
+backend; no floating point is ever used.  Every terminating series, here and
+in the local rules of closed_forms and discrete, is summed in Python integers
+by one kernel, folded_series, with its parameters over one denominator
+(over_lcm).
 """
 
 import math
@@ -24,39 +27,57 @@ def pochhammer(a, n):
     return out
 
 
-def _termination_order(top):
-    """Minimal m with a top parameter equal to -m, or None."""
-    m = None
-    for a in top:
-        if a.denominator == 1 and a.numerator <= 0:
-            k = -int(a.numerator)
-            if m is None or k < m:
-                m = k
-    return m
+def over_lcm(values):
+    """(ints, D): the rationals values as integers over D, the lcm of their denominators."""
+    dens = [denom(v) for v in values]
+    D = math.lcm(*dens)
+    return [numer(v) * (D // q) for v, q in zip(values, dens)], D
 
 
-def _folded_series(top, bottom, m, z):
-    """(sum_k t_k, prod_b (b)_m) for t_k = (-m)_k prod_a (a)_k prod_b (b+k)_{m-k} z^k / k!.
+def termination_order(tops, step=1):
+    """Least m with a top equal to -m * step, or None: the top parameter -m of a series over step."""
+    return min((-a // step for a in tops if a <= 0 and a % step == 0), default=None)
 
-    The bottom tails prod_b (b+k)_{m-k} are built from k = m downward and
-    the heads (-m)_k prod_a (a)_k z^k / k! upward, so the sum takes O(m)
-    products and divides by nothing but k + 1.  The k = 0 tail is
-    prod_b (b)_m.
+
+def bottom_pole(bottoms, m, step):
+    """The BottomPole for a series over step, folded at order m, whose bottom product is 0."""
+    b = max(b // step for b in bottoms if b % step == 0 and -m * step < b <= 0)
+    return BottomPole(f"bottom parameter {b} poles at k={1 - b}")
+
+
+def folded_series(tops, bottoms, m, step=1, zp=1, zq=1):
+    """(sum_k T_k, T_0) in integers, for tops a = A/step, bottoms b = B/step and z = zp/zq.
+
+    T_k = step^{pk+q(m-k)} zq^m t_k for the folded term
+    t_k = (-m)_k prod_a (a)_k prod_b (b+k)_{m-k} z^k / k! of p tops and q
+    bottoms, each (a)_k being prod_{i<k} (A + i step) / step^k.  With p = q
+    every term carries step^{qm}, so sum T_k / T_0 = sum t_k / prod_b (b)_m;
+    a caller with p != q folds step^{p-q} into z.  The tails are built from
+    k = m down and the heads up, so the O(m) loop's one division, by k + 1,
+    is exact: the head of order k is (-1)^k C(m, k) times integers.
     """
-    tails = [ONE] * (m + 1)
+    tails = [1] * (m + 1)
     for k in range(m - 1, -1, -1):
-        tail = tails[k + 1]
-        for b in bottom:
-            tail *= b + k
+        tail, shift = tails[k + 1] * zq, k * step
+        for b in bottoms:
+            tail *= b + shift
         tails[k] = tail
-    total = tails[0]
-    head = ONE
+    total, head = tails[0], 1
     for k in range(m):
-        for a in top:
-            head *= a + k
-        head = head * (k - m) * z / (k + 1)
+        head, shift = head * (k - m) * zp, k * step
+        for a in tops:
+            head *= a + shift
+        head //= k + 1
         total += head * tails[k + 1]
     return total, tails[0]
+
+
+def _over_step(top, bottom, z):
+    """top + bottom over one step D, and z = zp/zq with D^{p-q} folded in: folded_series' arguments."""
+    ints, D = over_lcm(list(top) + list(bottom))
+    excess = len(top) - len(bottom)
+    zp, zq = numer(z) * D ** max(-excess, 0), denom(z) * D ** max(excess, 0)
+    return ints[: len(top)], ints[len(top):], D, zp, zq
 
 
 def hyp_terminating(top, bottom, z):
@@ -66,21 +87,16 @@ def hyp_terminating(top, bottom, z):
     BottomPole if a bottom Pochhammer vanishes at or before that order,
     that is exactly when prod_b (b)_m = 0.
     """
-    m = _termination_order(top)
+    m = termination_order([numer(a) for a in top if denom(a) == 1])
     if m is None:
         raise ValueError("series does not terminate: no nonpositive-integer top parameter")
     rest = list(top)
     rest.remove(-m)
-    total, bottom_m = _folded_series(rest, bottom, m, z)
+    tops, bottoms, D, zp, zq = _over_step(rest, bottom, z)
+    total, bottom_m = folded_series(tops, bottoms, m, D, zp, zq)
     if bottom_m == 0:
-        raise bottom_pole(bottom, m)
-    return total / bottom_m
-
-
-def bottom_pole(bottom, m):
-    """The BottomPole for a series folded at order m whose prod_b (b)_m is 0."""
-    b = max(b for b in bottom if b.denominator == 1 and -m < b <= 0)
-    return BottomPole(f"bottom parameter {rat_str(b)} poles at k={1 - int(b)}")
+        raise bottom_pole(bottoms, m, D)
+    return R(total, bottom_m)
 
 
 def hyp_with_prefactor(top, bottom, m, z=ONE):
@@ -92,7 +108,8 @@ def hyp_with_prefactor(top, bottom, m, z=ONE):
     (b)_m/(b)_k = (b+k)_{m-k}.  Used by the Tratnik-style product formulas
     whose prefactors are exactly these bottom Pochhammers.
     """
-    return _folded_series(top, bottom, m, z)[0]
+    tops, bottoms, D, zp, zq = _over_step(top, bottom, z)
+    return R(folded_series(tops, bottoms, m, D, zp, zq)[0], (D ** len(bottoms) * zq) ** m)
 
 
 class QSqrt:

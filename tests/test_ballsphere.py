@@ -143,6 +143,16 @@ def test_disk_polar_basis_matches_simplex_images():
                 assert entry["scalar"] != ZERO
 
 
+def test_parity_poly_equality():
+    core = SparsePoly(2, {(1, 0): R(3), (0, 0): ONE})
+    p = bs.ParityPoly((1, 0), core)
+    assert p == bs.ParityPoly((1, 0), SparsePoly(2, dict(core.terms)))
+    assert p != bs.ParityPoly((0, 1), core)
+    # any other type compares unequal instead of raising AttributeError
+    assert p != 1 and not p == 1
+    assert p != core and core != p
+
+
 def test_disk_polar_orthogonality():
     mu = R(1, 2)
     n = 3

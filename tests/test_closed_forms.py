@@ -4,7 +4,7 @@ import random
 import pytest
 
 from simplexconn.backend import R, ZERO, ONE
-from simplexconn.exact_arith import hyp_terminating, pochhammer
+from simplexconn.exact_arith import folded_series, hyp_terminating, pochhammer
 from simplexconn.simplex import Permutation, enumerate_basis
 from simplexconn.connection import ConnMatrix, clear_caches, gram_connection, normalize
 from simplexconn import closed_forms as cf
@@ -380,13 +380,32 @@ def test_krawtchouk_engine_equals_the_rational_loop():
 
 
 def test_engine_calls_no_pochhammer_and_no_series(monkeypatch):
-    # the local rule and the row updates run in integers: a regression to the
-    # rational rule would call these in closed_forms
+    # the local rules and the row updates run in integers: a regression to a
+    # rational rule would call these in closed_forms or discrete
     def forbidden(*args):
         raise AssertionError("the Coxeter-word engine called a rational kernel")
 
     monkeypatch.setattr(cf, "pochhammer", forbidden)
     monkeypatch.setattr(cf, "hyp_terminating", forbidden)
+    monkeypatch.setattr(ds, "pochhammer", forbidden)
+    monkeypatch.setattr(ds, "hyp_with_prefactor", forbidden)
     clear_caches()
     for tau in all_perms(4):
         assert cf.connection_matrix(tau, KAPPA3, 3).n == 3
+        assert ds.kraw_connection(tau, (R(1, 6), R(2, 7), R(1, 5)), 3, 3).n == 3
+
+
+def test_both_local_rules_sum_with_the_one_series_kernel(monkeypatch):
+    # cc_2d_entry and _kraw_block own no term loop: each reaches exact_arith.folded_series
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return folded_series(*args)
+
+    monkeypatch.setattr(cf, "folded_series", counted)
+    monkeypatch.setattr(ds, "folded_series", counted)
+    assert cf.cc_2d_entry(2, 1, KAPPA2, 3) == rational_2d_entry(2, 1, KAPPA2, 3)
+    assert len(calls) == 1
+    ds._kraw_block(1, (R(1, 4), R(1, 3), R(5, 12)), 3, 2, 1, 0)
+    assert len(calls) == 2

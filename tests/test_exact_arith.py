@@ -8,6 +8,7 @@ from simplexconn.backend import R, ZERO, ONE, rat_from_str, rat_str
 from simplexconn.exact_arith import (
     BottomPole,
     QSqrt,
+    folded_series,
     hyp_terminating,
     hyp_with_prefactor,
     pochhammer,
@@ -102,17 +103,19 @@ def series_by_definition(top, bottom, z):
     return total
 
 
+def folded_term(top, bottom, m, z, k):
+    """(-m)_k prod (a)_k prod (b+k)_{m-k} z^k / k!."""
+    num = rising(R(-m), k) * z**k / math.factorial(k)
+    for a in top:
+        num *= rising(a, k)
+    for b in bottom:
+        num *= rising(b + k, m - k)
+    return num
+
+
 def folded_by_definition(top, bottom, m, z):
     """sum_k (-m)_k prod (a)_k prod (b+k)_{m-k} z^k / k!, term by term."""
-    total = ZERO
-    for k in range(m + 1):
-        num = rising(R(-m), k) * z**k / math.factorial(k)
-        for a in top:
-            num *= rising(a, k)
-        for b in bottom:
-            num *= rising(b + k, m - k)
-        total += num
-    return total
+    return sum((folded_term(top, bottom, m, z, k) for k in range(m + 1)), ZERO)
 
 
 # nonpositive-integer tops and bottoms, from inside the order to beyond it
@@ -143,6 +146,35 @@ def test_hyp_with_prefactor_matches_the_definition(m, top, bottom, z):
         prefactor *= rising(b, m)
     if prefactor != 0:
         assert value == prefactor * series_by_definition(top + [R(-m)], bottom, z)
+
+
+# integer parameters over step > 1, with p != q tops and bottoms, at z = zp/zq != 1
+integer_params = st.lists(st.integers(-40, 40), max_size=3)
+kernel_args = (
+    st.integers(0, 7),
+    st.integers(2, 6),
+    st.tuples(integer_params, integer_params).filter(lambda tb: len(tb[0]) != len(tb[1])),
+    st.tuples(st.integers(-9, 9), st.integers(1, 9)).filter(lambda z: z[0] != z[1]),
+)
+
+
+@given(*kernel_args)
+@settings(max_examples=300, deadline=None)
+def test_folded_series_matches_the_definition_term_by_term(m, step, tops_bottoms, z):
+    # T_k = step^{pk+q(m-k)} zq^m t_k with t_k the folded term at a = A/step, b = B/step, z = zp/zq
+    tops, bottoms = tops_bottoms
+    zp, zq = z
+    p, q = len(tops), len(bottoms)
+    top = [R(a, step) for a in tops]
+    bottom = [R(b, step) for b in bottoms]
+    expect = sum(
+        (step ** (p * k + q * (m - k)) * zq**m * folded_term(top, bottom, m, R(zp, zq), k) for k in range(m + 1)),
+        ZERO,
+    )
+    prefactor = ONE
+    for b in bottom:
+        prefactor *= rising(b, m)
+    assert folded_series(tops, bottoms, m, step, zp, zq) == (expect, step ** (q * m) * zq**m * prefactor)
 
 
 def test_hyp_with_prefactor_is_pole_free():
