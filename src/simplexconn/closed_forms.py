@@ -28,16 +28,10 @@ import itertools
 from math import comb, gcd, lcm
 
 from .backend import R, ZERO, ONE, denom, numer
-from .exact_arith import QSqrt, bottom_pole, folded_series, hyp_terminating, over_lcm, pochhammer, termination_order
-from .racah import (
-    conj_map,
-    dual_map,
-    racah_multi,
-    racah_norm_sq,
-    racah_second_norm_sq,
-    racah_weight_1d,
-    racah_weight_multi,
+from .exact_arith import (
+    QSqrt, bottom_pole, folded_series, hyp_terminating, over_lcm, pochhammer, rising, termination_order,
 )
+from .racah import conj_map, dual_map, multi_core, norm_core, racah_weight_1d, second_norm_core, weight_core
 from .simplex import Permutation, check_kappa, enumerate_basis
 from .connection import _MATRIX_CACHE, ConnMatrix, gram_connection
 
@@ -49,15 +43,6 @@ def _sign(k):
 # ---------------------------------------------------------------------------
 # d = 2
 # ---------------------------------------------------------------------------
-
-
-def _rising(x, k, step):
-    """prod_{i<k} (x + i step), that is step^k (x/step)_k, for integers x and step."""
-    out = 1
-    for _ in range(k):
-        out *= x
-        x += step
-    return out
 
 
 def cc_2d_entry(j, m, kappa, n):
@@ -80,8 +65,8 @@ def cc_2d_entry(j, m, kappa, n):
     # D times m+k2+k3+1, j+k1+k3+1 (tops) and k3+1, n+|k|+2 (bottoms)
     a, b = K2 + K3 + (m + 1) * D, K1 + K3 + (j + 1) * D
     c, e = K3 + D, tot + (n + 2) * D
-    num = comb(n, j) * _rising(K2 + D, n - j, D) * _rising(c, j, D) * _rising(e, m, D)
-    den = _rising(K2 + D, m, D) * _rising(a + (m + 1) * D, n - m, D) * _rising(a, m, D)
+    num = comb(n, j) * rising(K2 + D, n - j, D) * rising(c, j, D) * rising(e, m, D)
+    den = rising(K2 + D, m, D) * rising(a + (m + 1) * D, n - m, D) * rising(a, m, D)
     if den == 0:
         raise ZeroDivisionError(f"the (12) prefactor divides by 0 at m={m}, n={n}")
     if (n + m + j) % 2:
@@ -249,11 +234,15 @@ def cc_cyclic_hat(nu, mu, kappa, n, form=1):
 
     Form 1 is R_{(mu_d, ..., mu_2)}(|nu^d|, ..., |nu^2|); form 2 is its dual_map,
     and form 3 the conj_map of form 2: the same value, its own weight and norm.
+    The radicand w R^2 / ||R||^2 is one rational made from racah's integer cores.
     """
     if form not in (1, 2, 3):
         raise ValueError("form must be 1, 2 or 3")
     d = len(nu)
-    kappa = tuple(R(k) for k in kappa)
+    kappa = check_kappa(kappa)
+    if (len(mu), len(kappa), sum(nu), sum(mu)) != (d, d + 1, n, n):
+        raise ValueError(f"cc_cyclic_hat needs len(mu) = {d}, {d + 1} kappa entries and |nu| = |mu| = {n}, "
+                         f"got {len(mu)}, {len(kappa)}, {sum(nu)} and {sum(mu)}")
     # beta_j = kappa_1 + |kappa^{d+2-j}| + j, with |kappa^i| = kappa_i + ... + kappa_{d+1}
     beta, ksuf = [kappa[0]], ZERO
     for j in range(1, d + 1):
@@ -263,13 +252,17 @@ def cc_cyclic_hat(nu, mu, kappa, n, form=1):
     idx = tuple(reversed(mu[1:]))  # mu_d, ..., mu_2
     if form > 1:
         x, idx, beta = dual_map(x, idx, beta, n)
-    val = racah_multi(idx, x, beta, n)
-    norm_sq = racah_norm_sq
+    B, D = over_lcm(beta)
+    val, val_den = multi_core(idx, x, B, D, n)
     if form == 3:
         x, idx, beta = conj_map(x, idx, beta, n)
-        norm_sq = racah_second_norm_sq
-    w = racah_weight_multi(x, beta, n)
-    return QSqrt.signed(_sign(n + nu[d - 1]) * val, w * val * val / norm_sq(idx, beta, n))
+        B, D = over_lcm(beta)
+        norm_num, norm_den = second_norm_core(idx, beta, n)
+    else:
+        norm_num, norm_den = norm_core(idx, B, D, n)
+    w_num, w_den = weight_core(x, B, D, n)
+    radicand = R(w_num * val * val * norm_den, w_den * norm_num * val_den * val_den)
+    return QSqrt.signed(-val if (n + nu[d - 1]) % 2 else val, radicand)
 
 
 def cc_coset_hat(tau, nu, mu, kappa, n):

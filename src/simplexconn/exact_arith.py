@@ -2,10 +2,10 @@
 and exact sign*sqrt(rational) values (QSqrt).
 
 The series functions take and return exact rationals from the selected
-backend; no floating point is ever used.  Every terminating series, here and
-in the local rules of closed_forms and discrete, is summed in Python integers
-by one kernel, folded_series, with its parameters over one denominator
-(over_lcm).
+backend; no floating point is ever used.  Every terminating series, here, in
+the local rules of closed_forms and discrete and in the Racah product formula,
+is summed in Python integers by one kernel, folded_series, with its parameters
+over one denominator (over_lcm); rising is the integer Pochhammer product.
 """
 
 import math
@@ -24,6 +24,17 @@ def pochhammer(a, n):
     out = ONE
     for k in range(n):
         out *= a + k
+    return out
+
+
+def rising(x, k, step=1):
+    """prod_{i<k} (x + i step), that is step^k (x/step)_k, for integers x and step."""
+    if k < 0:
+        raise ValueError("rising needs k >= 0")
+    out = 1
+    for _ in range(k):
+        out *= x
+        x += step
     return out
 
 

@@ -1,27 +1,27 @@
 """Racah polynomials: one-variable and two multivariable product families.
 
 The multivariable families live on lattice points 0 <= x_1 <= ... <= x_d <= N
-with a parameter vector beta of length d+2.  Each product factor is computed
-with its Pochhammer prefactor folded into the series, so the value is a
-polynomial in all parameters and no intermediate bottom-parameter pole can
-occur.
-
-The first family R_nu is prefix-indexed and the only product formula: the
-second, suffix-indexed R'_nu is R_nu at the reflection conj_map, and
-dual2_map is conj_map after dual_map.  Both multivariable squared norms are
-closed products of Pochhammer symbols.  The multivariable weight cancels
-the common factors of each beta_j before it divides, so it has none of the
-ratio form's 0/0 (beta_j = 0, for one); the one-variable weight is
-pole-free at c + dlt + 1 = 0, where
-(b)_m ((b+2)/2)_x / (b/2)_x is a finite product.  The one-variable family,
-with its norm summed over the support, is the classical oracle that the
-d=1 product family is checked against through param_bridge_1d.
+with a parameter vector beta of length d+2.  The first family R_nu is
+prefix-indexed and the only product formula: the second, suffix-indexed R'_nu
+is R_nu at the reflection conj_map, and dual2_map is conj_map after dual_map.
+The value, the weight and both squared norms (closed products) are integer
+cores over D, the lcm of the denominators of beta = B / D: each Pochhammer
+symbol is an exact_arith.rising product prod (B + (c+i) D), each product
+factor one exact_arith.folded_series with its prefactor folded in (so no
+intermediate bottom pole can occur), the D powers cancel by count, and each
+public function makes one rational of its core.  The weight cancels the
+common factors of each beta_j before it divides, so it has none of the ratio
+form's 0/0 (beta_j = 0, for one); the one-variable weight is pole-free at
+c + dlt + 1 = 0, where (b)_m ((b+2)/2)_x / (b/2)_x is a finite product.  The
+one-variable family, with its norm summed over the support, is the classical
+oracle that the d=1 product family is checked against through param_bridge_1d.
 """
 
 import itertools
+from math import factorial
 
 from .backend import R, ZERO, ONE
-from .exact_arith import hyp_terminating, hyp_with_prefactor, pochhammer
+from .exact_arith import folded_series, hyp_terminating, over_lcm, pochhammer, rising
 
 
 def racah_1d(n, x, a, b, c, dlt):
@@ -60,9 +60,23 @@ def lattice_points(d, N):
     return [tuple(c) for c in itertools.combinations_with_replacement(range(N + 1), d)]
 
 
-def _prefix(nu, j):
-    """nu_1 + ... + nu_j."""
-    return sum(nu[:j])
+def _scaled_beta(beta, d):
+    """(B, D): beta over D, the lcm of its denominators; ValueError unless beta has d + 2 entries."""
+    if len(beta) != d + 2:
+        raise ValueError(f"beta needs d + 2 = {d + 2} entries, got {len(beta)}")
+    return over_lcm([R(b) for b in beta])
+
+
+def multi_core(nu, x, B, D, N):
+    """(num, den) with R_nu(x; beta, N) = num / den for beta = B / D: one folded_series per factor."""
+    xx = (0,) + tuple(x) + (N,)
+    val, s = 1, 0
+    for j, m in enumerate(nu, 1):
+        tops = [(m + 2 * s - 1) * D + B[j + 1] - B[0], (s - xx[j]) * D, (s + xx[j]) * D + B[j]]
+        bottoms = [2 * s * D + B[j] - B[0], (s + xx[j + 1]) * D + B[j + 1], (s - xx[j + 1]) * D]
+        val *= folded_series(tops, bottoms, m, D)[0]
+        s += m
+    return val, D ** (3 * sum(nu))
 
 
 def racah_multi(nu, x, beta, N):
@@ -71,78 +85,64 @@ def racah_multi(nu, x, beta, N):
     nu, x have length d; beta has length d+2 (indices 0..d+1); the
     convention x_0 = 0, x_{d+1} = N is applied internally.
     """
-    d = len(nu)
-    beta = [R(b) for b in beta]
-    xx = [0] + list(x) + [N]
-    val = ONE
-    for j in range(1, d + 1):
-        s = _prefix(nu, j - 1)
-        top = [
-            R(nu[j - 1]) + 2 * s + beta[j + 1] - beta[0] - 1,
-            R(s - xx[j]),
-            R(s) + beta[j] + xx[j],
-        ]
-        bottom = [
-            R(2 * s) + beta[j] - beta[0],
-            R(s) + beta[j + 1] + xx[j + 1],
-            R(s - xx[j + 1]),
-        ]
-        val *= hyp_with_prefactor(top, bottom, nu[j - 1])
-    return val
+    if len(x) != len(nu):
+        raise ValueError(f"nu and x need one length, got {len(nu)} and {len(x)}")
+    return R(*multi_core(nu, x, *_scaled_beta(beta, len(nu)), N))
 
 
-def racah_weight_multi(x, beta, N):
-    """Weight of the first family at x, as one numerator over one denominator.
+def weight_core(x, B, D, N):
+    """(num, den) with w(x; beta, N) = num / den for beta = B / D; ZeroDivisionError if den = 0.
 
     The beta_j factors (beta_j)_{x_{j-1}+x_j} ((beta_j+2)/2)_{x_j} /
     ((beta_j/2)_{x_j} (beta_j+1)_{x_j+x_{j+1}}) cancel to 1 / prod (beta_j + t)
-    over t = x_{j-1}+x_j .. x_j+x_{j+1}, t != 2 x_j.
+    over t = x_{j-1}+x_j .. x_j+x_{j+1}, t != 2 x_j.  D^N is left below.
     """
-    d = len(x)
-    beta = [R(b) for b in beta]
-    xx = [0] + list(x) + [N]
-    num = pochhammer(beta[d + 1], xx[d] + N)
-    den = pochhammer(beta[0] + 1, xx[1])
+    d, xx = len(x), (0,) + tuple(x) + (N,)
+    num, den = rising(B[d + 1], xx[d] + N, D), rising(B[0] + D, xx[1], D)
     for j in range(d + 1):
         gap = xx[j + 1] - xx[j]
-        num *= pochhammer(beta[j + 1] - beta[j], gap)
-        den *= pochhammer(ONE, gap)
+        num *= rising(B[j + 1] - B[j], gap, D)
+        den *= factorial(gap)
     for j in range(1, d + 1):
         for t in range(xx[j - 1] + xx[j], xx[j] + xx[j + 1] + 1):
             if t != 2 * xx[j]:
-                den *= beta[j] + t
-    return num / den
+                den *= B[j] + t * D
+    if den == 0:
+        raise ZeroDivisionError(f"the Racah weight at x = {tuple(x)} divides by 0")
+    return num, den * D**N
+
+
+def racah_weight_multi(x, beta, N):
+    """Weight of the first family at x, as one numerator over one denominator."""
+    return R(*weight_core(x, *_scaled_beta(beta, len(x)), N))
+
+
+def norm_core(nu, B, D, N):
+    """(num, den) with ||R_nu||^2 = num / den for beta = B / D, D^{N+4|nu|} left below; ZeroDivisionError if den = 0."""
+    d, n = len(nu), sum(nu)
+    b0, top = B[0], B[d + 1]
+    num = rising(top, N + n, D) * rising(-N, n) * rising(-N * D - b0, n, D) * rising(2 * n * D + top - b0, N - n, D)
+    den = factorial(N) * rising(b0 + D, N, D)
+    s = 0
+    for k, m in enumerate(nu, 1):
+        num *= (factorial(m) * rising(B[k + 1] - B[k], m, D) * rising(2 * s * D + B[k] - b0, m, D)
+                * rising((2 * s + m - 1) * D + B[k + 1] - b0, m, D))
+        s += m
+    if den == 0:
+        raise ZeroDivisionError(f"the Racah norm divides by (beta_0 + 1)_{N} = 0")
+    return num, den * D ** (N + 4 * n)
 
 
 def racah_norm_sq(nu, beta, N):
     """Squared norm of R_nu(.; beta, N), in closed form."""
-    d = len(nu)
-    beta = [R(b) for b in beta]
-    n = sum(nu)
-    val = (
-        pochhammer(beta[d + 1], N + n)
-        * pochhammer(R(-N), n)
-        * pochhammer(R(-N) - beta[0], n)
-        * pochhammer(R(2 * n) + beta[d + 1] - beta[0], N - n)
-        / (pochhammer(ONE, N) * pochhammer(beta[0] + 1, N))
-    )
-    for k in range(1, d + 1):
-        s_prev = _prefix(nu, k - 1)
-        s_cur = _prefix(nu, k)
-        val *= (
-            pochhammer(ONE, nu[k - 1])
-            * pochhammer(beta[k + 1] - beta[k], nu[k - 1])
-            * pochhammer(R(2 * s_prev) + beta[k] - beta[0], nu[k - 1])
-            * pochhammer(R(s_cur + s_prev) + beta[k + 1] - beta[0] - 1, nu[k - 1])
-        )
-    return val
+    return R(*norm_core(nu, *_scaled_beta(beta, len(nu)), N))
 
 
 def dual_map(x, nu, beta, N):
     """Dual variables/indices/parameters of a rational beta; an involution together with N."""
     d = len(nu)
     xx = [0] + list(x) + [N]
-    x_t = tuple(N - _prefix(nu, d + 1 - j) for j in range(1, d + 1))
+    x_t = tuple(N - sum(nu[: d + 1 - j]) for j in range(1, d + 1))
     nu_t = tuple(xx[d + 2 - j] - xx[d + 1 - j] for j in range(1, d + 1))
     beta_t = [beta[0]] + [beta[0] - beta[d + 2 - j] - 2 * N + 1 for j in range(1, d + 2)]
     return x_t, nu_t, tuple(beta_t)
@@ -174,8 +174,8 @@ def racah_second(nu, x, beta, N):
     return racah_multi(nu_c, x_c, beta_c, N)
 
 
-def racah_second_norm_sq(nu, beta, N):
-    """Squared norm of R'_nu under the weight of beta, in closed form.
+def second_norm_core(nu, beta, N):
+    """(num, den) with racah_second_norm_sq(nu, beta, N) = num / den.
 
     The reflection conj_map sends R'_nu(x; beta) to R_{nu_c}(x_c; beta_c),
     and the weight ratio w(x_c; beta_c) / w(x; beta) is the same at every
@@ -183,14 +183,21 @@ def racah_second_norm_sq(nu, beta, N):
     (nu_c, beta_c) divided by that ratio, read off at the corner x = 0,
     where both weights must be finite and non-zero.
     """
-    d = len(nu)
-    corner = (0,) * d
+    B, D = _scaled_beta(beta, len(nu))
+    corner = (0,) * len(nu)
     x_c, nu_c, beta_c = conj_map(corner, nu, beta, N)
-    return (
-        racah_norm_sq(nu_c, beta_c, N)
-        * racah_weight_multi(corner, beta, N)
-        / racah_weight_multi(x_c, beta_c, N)
-    )
+    B_c, D_c = over_lcm(beta_c)
+    norm_num, norm_den = norm_core(nu_c, B_c, D_c, N)
+    corner_num, corner_den = weight_core(corner, B, D, N)
+    w_num, w_den = weight_core(x_c, B_c, D_c, N)
+    if w_num == 0:
+        raise ZeroDivisionError("the second norm divides by the reflected corner weight 0")
+    return norm_num * corner_num * w_den, norm_den * corner_den * w_num
+
+
+def racah_second_norm_sq(nu, beta, N):
+    """Squared norm of R'_nu under the weight of beta, in closed form (second_norm_core)."""
+    return R(*second_norm_core(nu, beta, N))
 
 
 def dual2_map(x, nu, beta, N):

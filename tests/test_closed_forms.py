@@ -4,11 +4,12 @@ import random
 import pytest
 
 from simplexconn.backend import R, ZERO, ONE
-from simplexconn.exact_arith import folded_series, hyp_terminating, pochhammer
+from simplexconn.exact_arith import QSqrt, folded_series, hyp_terminating, pochhammer
 from simplexconn.simplex import Permutation, enumerate_basis
 from simplexconn.connection import ConnMatrix, clear_caches, gram_connection, normalize
 from simplexconn import closed_forms as cf
 from simplexconn import discrete as ds
+from simplexconn import racah as rc
 from simplexconn.radicals import qsqrt_sums_equal
 
 KAPPA2 = (R(1, 2), R(1, 3), R(2))
@@ -409,3 +410,77 @@ def test_both_local_rules_sum_with_the_one_series_kernel(monkeypatch):
     assert len(calls) == 1
     ds._kraw_block(1, (R(1, 4), R(1, 3), R(5, 12)), 3, 2, 1, 0)
     assert len(calls) == 2
+
+
+# ---------------------------------------------------------------------------
+# the normalized cycle coefficient from racah's integer cores
+# ---------------------------------------------------------------------------
+
+
+def rational_cyclic_hat(nu, mu, kappa, n, form):
+    """cc_cyclic_hat over the public rational Racah functions: its oracle."""
+    d = len(nu)
+    kappa = tuple(R(k) for k in kappa)
+    beta = tuple(kappa[0] + sum(kappa[d + 1 - j:], ZERO) + j for j in range(d + 1))
+    x = tuple(sum(nu[d - j:]) for j in range(1, d))
+    idx = tuple(reversed(mu[1:]))
+    if form > 1:
+        x, idx, beta = rc.dual_map(x, idx, beta, n)
+    val = rc.racah_multi(idx, x, beta, n)
+    norm_sq = rc.racah_norm_sq
+    if form == 3:
+        x, idx, beta = rc.conj_map(x, idx, beta, n)
+        norm_sq = rc.racah_second_norm_sq
+    w = rc.racah_weight_multi(x, beta, n)
+    return QSqrt.signed(cf._sign(n + nu[d - 1]) * val, w * val * val / norm_sq(idx, beta, n))
+
+
+def cyclic_points(d):
+    """Generic, (-1/2)^{d+1}, kappa_1 + kappa_{d+1} = -1, zero and integer kappa."""
+    return [tuple(R(i + 1, i + 3) * (-1) ** i for i in range(d + 1)), (HALF,) * (d + 1),
+            (R(-1, 3),) + tuple(R(1, i + 2) for i in range(d - 1)) + (R(-2, 3),),
+            (R(0),) * (d + 1), tuple(R(i) for i in range(d + 1))]
+
+
+def test_cyclic_hat_equals_its_rational_oracle():
+    for d, n in ((2, 3), (3, 2), (4, 2), (5, 1)):
+        order = enumerate_basis(d, n)
+        for kappa in cyclic_points(d):
+            for nu, mu in itertools.product(order, repeat=2):
+                for form in (1, 2, 3):
+                    assert cf.cc_cyclic_hat(nu, mu, kappa, n, form) == rational_cyclic_hat(nu, mu, kappa, n, form)
+
+
+def test_cyclic_hat_reads_no_rational_racah_function(monkeypatch):
+    # the value, weight and norms come from racah's integer cores: a regression
+    # to the rational functions or kernels would call these in closed_forms or racah
+    grids = []
+    for d, n in ((2, 3), (3, 2), (4, 2), (5, 1)):
+        kappa = cyclic_points(d)[0]
+        order = enumerate_basis(d, n)
+        grids += [(nu, mu, kappa, n, form) for nu, mu in itertools.product(order, repeat=2) for form in (1, 2, 3)]
+    expected = [cf.cc_cyclic_hat(*args) for args in grids]
+
+    def forbidden(*args):
+        raise AssertionError("cc_cyclic_hat called a rational Racah function or kernel")
+
+    names = ("pochhammer", "hyp_with_prefactor", "racah_multi", "racah_weight_multi", "racah_norm_sq",
+             "racah_second_norm_sq")
+    for module in (cf, rc):
+        for name in names:
+            monkeypatch.setattr(module, name, forbidden, raising=False)
+    assert [cf.cc_cyclic_hat(*args) for args in grids] == expected
+
+
+@pytest.mark.parametrize("nu, mu, kappa, n, match", [
+    ((1, 0), (0, 1), (R(1), R(2)), 1, "3 kappa entries"),
+    ((1, 0), (0, 1), (R(1), R(2), R(3), R(4)), 1, "3 kappa entries"),
+    ((1, 0), (0, 2), KAPPA2, 1, r"\|nu\| = \|mu\| = 1"),
+    ((2, 0), (0, 1), KAPPA2, 1, r"\|nu\| = \|mu\| = 1"),
+    ((1, 0), (0, 0, 1), KAPPA2, 1, "len\\(mu\\) = 2"),
+    ((1, 0), (0, 1), (R(-1), R(2), R(3)), 1, "each > -1"),
+], ids=["short-kappa", "long-kappa", "mu-degree", "nu-degree", "mu-length", "kappa-domain"])
+def test_cyclic_hat_checks_its_input(nu, mu, kappa, n, match):
+    for form in (1, 2, 3):
+        with pytest.raises(ValueError, match=match):
+            cf.cc_cyclic_hat(nu, mu, kappa, n, form)

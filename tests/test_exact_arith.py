@@ -13,6 +13,7 @@ from simplexconn.exact_arith import (
     hyp_with_prefactor,
     pochhammer,
 )
+from simplexconn import exact_arith
 
 rationals = st.builds(R, st.integers(-30, 30), st.integers(1, 12))
 small_n = st.integers(0, 12)
@@ -28,6 +29,19 @@ def test_pochhammer_values():
     assert pochhammer(R(3), 4) == 3 * 4 * 5 * 6
     assert pochhammer(R(-2), 3) == 0
     assert pochhammer(R(1, 2), 2) == R(3, 4)
+
+
+@given(st.integers(-60, 60), st.integers(0, 8), st.integers(1, 12))
+@settings(max_examples=200, deadline=None)
+def test_rising_is_a_scaled_pochhammer(x, k, step):
+    # the integer rising product of exact_arith, not this module's rational oracle below
+    assert exact_arith.rising(x, k, step) == step**k * pochhammer(R(x, step), k)
+
+
+def test_rising_needs_a_nonnegative_order():
+    assert exact_arith.rising(5, 0, 3) == 1
+    with pytest.raises(ValueError, match="k >= 0"):
+        exact_arith.rising(5, -1, 3)
 
 
 @given(rationals, small_n, small_n)

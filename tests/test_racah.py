@@ -1,5 +1,7 @@
 import random
 
+import pytest
+
 from simplexconn.backend import R, ZERO, ONE
 from simplexconn.exact_arith import hyp_with_prefactor, pochhammer
 from simplexconn import racah as rc
@@ -223,3 +225,148 @@ def test_cyclic_form3_equals_form1_d6():
             q1 = cf.cc_cyclic_hat(nu, mu, kappa, n, form=1)
             q3 = cf.cc_cyclic_hat(nu, mu, kappa, n, form=3)
             assert (q3.sign, q3.radicand) == (q1.sign, q1.radicand)
+
+
+# ---------------------------------------------------------------------------
+# the integer cores against the rational bodies they replaced
+# ---------------------------------------------------------------------------
+
+
+def rational_multi(nu, x, beta, N):
+    """R_nu(x; beta, N) with one rational hyp_with_prefactor per factor: the oracle for racah_multi."""
+    d = len(nu)
+    beta = [R(b) for b in beta]
+    xx = [0] + list(x) + [N]
+    val = ONE
+    for j in range(1, d + 1):
+        s = sum(nu[: j - 1])
+        top = [R(nu[j - 1]) + 2 * s + beta[j + 1] - beta[0] - 1, R(s - xx[j]), R(s) + beta[j] + xx[j]]
+        bottom = [R(2 * s) + beta[j] - beta[0], R(s) + beta[j + 1] + xx[j + 1], R(s - xx[j + 1])]
+        val *= hyp_with_prefactor(top, bottom, nu[j - 1])
+    return val
+
+
+def rational_weight(x, beta, N):
+    """The weight as one rational product over one rational denominator: the oracle for racah_weight_multi."""
+    d = len(x)
+    beta = [R(b) for b in beta]
+    xx = [0] + list(x) + [N]
+    num = pochhammer(beta[d + 1], xx[d] + N)
+    den = pochhammer(beta[0] + 1, xx[1])
+    for j in range(d + 1):
+        gap = xx[j + 1] - xx[j]
+        num *= pochhammer(beta[j + 1] - beta[j], gap)
+        den *= pochhammer(ONE, gap)
+    for j in range(1, d + 1):
+        for t in range(xx[j - 1] + xx[j], xx[j] + xx[j + 1] + 1):
+            if t != 2 * xx[j]:
+                den *= beta[j] + t
+    return num / den
+
+
+def rational_norm_sq(nu, beta, N):
+    """The closed squared norm with one rational Pochhammer per factor: the oracle for racah_norm_sq."""
+    d = len(nu)
+    beta = [R(b) for b in beta]
+    n = sum(nu)
+    val = (
+        pochhammer(beta[d + 1], N + n)
+        * pochhammer(R(-N), n)
+        * pochhammer(R(-N) - beta[0], n)
+        * pochhammer(R(2 * n) + beta[d + 1] - beta[0], N - n)
+        / (pochhammer(ONE, N) * pochhammer(beta[0] + 1, N))
+    )
+    for k in range(1, d + 1):
+        s_prev, s_cur = sum(nu[: k - 1]), sum(nu[:k])
+        val *= (
+            pochhammer(ONE, nu[k - 1])
+            * pochhammer(beta[k + 1] - beta[k], nu[k - 1])
+            * pochhammer(R(2 * s_prev) + beta[k] - beta[0], nu[k - 1])
+            * pochhammer(R(s_cur + s_prev) + beta[k + 1] - beta[0] - 1, nu[k - 1])
+        )
+    return val
+
+
+def rational_second_norm_sq(nu, beta, N):
+    """The closed second norm over the rational oracles: the oracle for racah_second_norm_sq."""
+    corner = (0,) * len(nu)
+    x_c, nu_c, beta_c = rc.conj_map(corner, nu, beta, N)
+    return rational_norm_sq(nu_c, beta_c, N) * rational_weight(corner, beta, N) / rational_weight(x_c, beta_c, N)
+
+
+def value_or_error(f, *args):
+    try:
+        return f(*args)
+    except ArithmeticError as exc:
+        return type(exc)
+
+
+def mixed_beta(rng, d, integer_share):
+    """beta with zero, negative-integer, positive-integer and (the rest) non-integer entries."""
+    def entry():
+        r = rng.random() / integer_share
+        if r < 0.3:
+            return R(0)
+        if r < 0.7:
+            return R(-rng.randint(1, 6))
+        if r < 1:
+            return R(rng.randint(1, 5))
+        return R(rng.randint(-20, 20), rng.randint(2, 7))
+    return tuple(entry() for _ in range(d + 2))
+
+
+def compare_with_the_rational_bodies(beta, N):
+    """Assert each public Racah function gives the rational body's value or error; the errors raised."""
+    d = len(beta) - 2
+    raised = set()
+    pairs = [(rc.racah_weight_multi, rational_weight, (x,)) for x in rc.lattice_points(d, N)]
+    for nu in kraw_grid(d, N):
+        pairs += [(rc.racah_norm_sq, rational_norm_sq, (nu,)),
+                  (rc.racah_second_norm_sq, rational_second_norm_sq, (nu,))]
+        pairs += [(rc.racah_multi, rational_multi, (nu, x)) for x in rc.lattice_points(d, N)[::7]]
+    for new, old, args in pairs:
+        want = value_or_error(old, *args, beta, N)
+        assert value_or_error(new, *args, beta, N) == want, (new.__name__, args, beta, N)
+        if isinstance(want, type):
+            raised.add((new.__name__, want.__name__))
+    return raised
+
+
+def test_cores_equal_the_rational_bodies_seeded():
+    # non-integer entries mostly, with zeros and negative integers among them
+    rng = random.Random(20261019)
+    for d in range(1, 5):
+        for N in range(6):
+            for _ in range(3 if d < 4 else 1):
+                compare_with_the_rational_bodies(mixed_beta(rng, d, 0.5), N)
+
+
+def test_poles_raise_like_the_rational_bodies_seeded():
+    # integer beta, most entries zero or negative: zeros in every kind of denominator
+    rng = random.Random(20261020)
+    raised = set()
+    for d in range(1, 4):
+        for N in range(1, 5):
+            for _ in range(4):
+                raised |= compare_with_the_rational_bodies(mixed_beta(rng, d, 1), N)
+    assert raised == {(name, "ZeroDivisionError")
+                      for name in ("racah_weight_multi", "racah_norm_sq", "racah_second_norm_sq")}
+
+
+def test_racah_functions_check_the_length_of_beta():
+    short, long = (R(1), R(2)), (R(1), R(2), R(3), R(4))
+    for beta in (short, long):
+        for call in (lambda: rc.racah_multi((1,), (0,), beta, 2), lambda: rc.racah_weight_multi((0,), beta, 2),
+                     lambda: rc.racah_norm_sq((1,), beta, 2), lambda: rc.racah_second_norm_sq((1,), beta, 2)):
+            with pytest.raises(ValueError, match="beta needs d \\+ 2 = 3 entries"):
+                call()
+    with pytest.raises(ValueError, match="nu and x need one length"):
+        rc.racah_multi((1, 0), (0,), long, 2)
+
+
+def test_points_outside_the_lattice_raise_value_error():
+    beta = (R(1, 2), R(3, 2), R(5, 2), R(7, 2))
+    with pytest.raises(ValueError, match="k >= 0"):
+        rc.racah_weight_multi((3, 1), beta, 2)
+    with pytest.raises(ValueError, match="k >= 0"):
+        rc.racah_norm_sq((2, 1), beta, 2)
