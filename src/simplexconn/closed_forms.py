@@ -331,9 +331,11 @@ def connection_matrix(tau, kappa, n, method="closed"):
     reduced word of tau (any d) and caches the result beside the Gram
     matrices; method="gram" is the oracle connection.gram_connection, which
     solves C T = L on the leading forms of both bases.  Raises ValueError
-    unless kappa has at least 2 entries, each > -1.
+    unless kappa has at least 2 entries, each > -1, and n >= 0.
     """
     kappa = check_kappa(kappa)
+    if n < 0:
+        raise ValueError(f"degree n must be >= 0, got {n}")
     if method == "gram":
         return gram_connection(tau, kappa, n)
     if method != "closed":

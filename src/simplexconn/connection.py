@@ -4,7 +4,10 @@ For a permutation tau of the d+1 barycentric slots, the matrix C^tau(kappa)
 expands the tau-transformed basis for parameters tau.kappa in the basis for
 kappa, degree by degree.  Entries are exact rationals; the normalized
 (orthogonal-matrix) version has entries sign * sqrt(rational).  The oracle
-gram_connection solves C T = L on leading forms, apart from closed_forms.
+gram_connection solves C T = L on leading forms, apart from closed_forms,
+in Python integers: the leading forms are simplex.leading_core's integer
+polynomials, each row of the back-substitution is integer numerators over
+one denominator, and each entry becomes a rational once.
 
 The verifiers take the squared norms A_src[i] = A_nu(tau.kappa) and
 A_tgt[j] = A_mu(kappa) of the source and target bases, for nu, mu in order,
@@ -13,9 +16,11 @@ and return None when their identity holds, else the first failing
 are the one check weighted_orthogonal.
 """
 
+from math import gcd
+
 from .backend import R, ZERO, ONE, rat_str
-from .exact_arith import QSqrt
-from .simplex import _MOMENT_CACHE, check_kappa, enumerate_basis, leading_form, norm_A
+from .exact_arith import QSqrt, over_lcm
+from .simplex import _MOMENT_CACHE, check_kappa, enumerate_basis, leading_core, norm_A
 
 
 class ConnMatrix:
@@ -82,15 +87,14 @@ _MATRIX_CACHE = {}
 _LEADING_FORM_CACHE = {}
 
 
-def _target_leading_forms(kappa, n):
-    """[leading_form(mu, kappa).terms for mu in enumerate_basis(d, n)], cached per (kappa, n)."""
+def _target_cores(kappa, n):
+    """[leading_core(mu, K, D) for mu in enumerate_basis(d, n)] with kappa = K / D, cached per (kappa, n)."""
     key = (kappa, n)
-    forms = _LEADING_FORM_CACHE.get(key)
-    if forms is None:
-        forms = _LEADING_FORM_CACHE[key] = [
-            leading_form(mu, kappa).terms for mu in enumerate_basis(len(kappa) - 1, n)
-        ]
-    return forms
+    cores = _LEADING_FORM_CACHE.get(key)
+    if cores is None:
+        K, D = over_lcm(kappa)
+        cores = _LEADING_FORM_CACHE[key] = [leading_core(mu, K, D) for mu in enumerate_basis(len(K) - 1, n)]
+    return cores
 
 
 def gram_connection(tau, kappa, n):
@@ -98,31 +102,51 @@ def gram_connection(tau, kappa, n):
 
     Taking the degree-n part is one-to-one on the degree-n orthogonal space,
     so C T = L: L[nu] is the leading form of tau.P_nu^{tau.kappa} and T[mu]
-    that of P_mu^kappa (simplex.leading_form).  T[mu] holds x^gamma only for
+    that of P_mu^kappa (simplex.leading_core).  T[mu] holds x^gamma only for
     gamma at or before mu in enumerate_basis order, with x^mu nonzero, so each
     row of C is one back-substitution from the last mu to the first.  No
     inner product, moment, norm or full basis polynomial is built.
+
+    Everything runs in integers: kappa over D, the lcm of its denominators,
+    makes each leading form integers J over one denominator E, and the rest
+    of a row is integer numerators N over one row denominator Q.  At mu the
+    entry is N[mu] E_mu / (Q J_mu[mu]), the one rational made; then
+    N <- N J_mu[mu] - N[mu] J_mu and Q <- Q J_mu[mu], and one gcd is
+    divided out of N and Q.
     """
     d = tau.m - 1
     kappa = check_kappa(kappa)
+    if n < 0:
+        raise ValueError(f"degree n must be >= 0, got {n}")
     key = ("gram", tau.img, kappa, n)
     cached = _MATRIX_CACHE.get(key)
     if cached is not None:
         return cached
-    tk = tau.act_params(kappa)
+    K, D = over_lcm(kappa)
+    tK = tau.act_params(K)
     order = enumerate_basis(d, n)
-    targets = _target_leading_forms(kappa, n)
+    targets = _target_cores(kappa, n)
     rows = []
     for nu in order:
-        rest = dict(leading_form(nu, tk, tau).terms)
+        rest, Q = leading_core(nu, tK, D, tau)
         row = [ZERO] * len(order)
         for j in range(len(order) - 1, -1, -1):
-            mu, terms = order[j], targets[j]
-            c = rest.get(mu, ZERO) / terms[mu]
-            if c:
-                row[j] = c
-                for gamma, t in terms.items():
-                    rest[gamma] = rest.get(gamma, ZERO) - c * t
+            mu = order[j]
+            c = rest.get(mu, 0)
+            if not c:
+                continue
+            terms, E = targets[j]
+            p = terms[mu]
+            row[j] = R(c * E, Q * p)
+            rest = {gamma: v * p for gamma, v in rest.items()}
+            for gamma, t in terms.items():
+                rest[gamma] = rest.get(gamma, 0) - c * t
+            del rest[mu]
+            Q *= p
+            g = gcd(Q, *rest.values())
+            if g > 1:
+                rest = {gamma: v // g for gamma, v in rest.items()}
+                Q //= g
         rows.append(row)
     mat = ConnMatrix(d, n, rows, order)
     _MATRIX_CACHE[key] = mat

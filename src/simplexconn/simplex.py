@@ -4,13 +4,21 @@ The simplex in d variables carries the normalized measure with density
 proportional to x_1^k1 ... x_d^kd (1-|x|)^k_{d+1}; parameters are the
 (d+1)-tuple kappa.  Monomial moments are products of Pochhammer symbols,
 so all inner products here are exact rationals.
+
+jacobi_simplex_basis is the rational definition of the basis.  Beside it,
+leading_core builds the top-degree part of a basis polynomial, or of its
+permuted image, in Python integers with kappa over the lcm of its
+denominators; leading_form and the Gram oracle read it.  norm_A is one
+rational made from integer Pochhammer products in the same way.
 """
 
 import itertools
 import re
+from math import comb, factorial
+from operator import add
 
 from .backend import R, ZERO, ONE
-from .exact_arith import pochhammer
+from .exact_arith import over_lcm, pochhammer, rising
 from .multipoly import SparsePoly, substitute_homogeneous
 
 _TOKEN = re.compile(r"\d+")
@@ -225,58 +233,114 @@ def check_kappa(kappa, name="kappa"):
     return kappa
 
 
-def _product_form(nu, kappa, xs, one):
-    """prod_j hom_j^{nu_j} P_{nu_j}^{(a_j, kappa_j)}(2 xs_j / hom_j - 1), with
-    hom_j = one - xs_1 - ... - xs_{j-1}."""
+def jacobi_simplex_basis(nu, kappa):
+    """Orthogonal basis polynomial for multi-index nu on the simplex.
+
+    prod_j hom_j^{nu_j} P_{nu_j}^{(a_j, kappa_j)}(2 x_j / hom_j - 1), with
+    hom_j = 1 - x_1 - ... - x_{j-1}.
+    """
     d = len(nu)
     if len(kappa) != d + 1:
         raise ValueError("kappa must have d+1 entries")
     aj = a_coeffs(nu, kappa)
     result = SparsePoly.constant(d, ONE)
-    hom = SparsePoly.constant(d, one)
+    hom = SparsePoly.constant(d, ONE)
     for j in range(d):
+        x = SparsePoly.variable(d, j)
         coeffs = jacobi_1d(nu[j], aj[j], R(kappa[j]))
-        result = result * substitute_homogeneous(coeffs, xs[j], hom, nu[j])
-        hom = hom - xs[j]
+        result = result * substitute_homogeneous(coeffs, x, hom, nu[j])
+        hom = hom - x
     return result
 
 
-def jacobi_simplex_basis(nu, kappa):
-    """Orthogonal basis polynomial for multi-index nu on the simplex."""
+def _int_mul(p, q):
+    """Product of two polynomials held as {exponent tuple: int}."""
+    out = {}
+    for e1, c1 in p.items():
+        for e2, c2 in q.items():
+            e = tuple(map(add, e1, e2))
+            out[e] = out.get(e, 0) + c1 * c2
+    return out
+
+
+def leading_core(nu, K, D, tau=None):
+    """(terms, den): the leading form of P_nu^kappa, or of tau.P_nu^kappa, as {exponent: int} over den.
+
+    kappa = K / D with integers K.  Factor j of the basis is
+    hom_j^{n} P_n^{(a_j, kappa_j)}(2 x_j / hom_j - 1), n = nu_j, whose top part
+    keeps only the linear parts: x_j, and -x_1 - ... - x_{j-1} for hom_j.  Its
+    Jacobi coefficient of x_j^k is
+    (-1)^{n+k} C(n, k) (n+a_j+kappa_j+1)_k (kappa_j+k+1)_{n-k} / n!, and with
+    D a_j = A_j an integer each Pochhammer symbol is a rising product over
+    step D divided by D^k or D^{n-k}.  So the form is an integer polynomial
+    over den = prod_j nu_j! D^{|nu|}.  Acting by tau on the top part puts
+    the linear part of each barycentric slot, x_i or -|x| for the last one,
+    in place of x_i.
+    """
     d = len(nu)
-    return _product_form(nu, kappa, [SparsePoly.variable(d, i) for i in range(d)], ONE)
+    if tau is not None and tau.m != d + 1:
+        raise ValueError("permutation must act on d+1 slots")
+    if len(K) != d + 1:
+        raise ValueError("kappa must have d+1 entries")
+    units = [tuple(int(i == j) for j in range(d)) for i in range(d)]
+    slots = [{e: 1} for e in units] + [dict.fromkeys(units, -1)]
+    xs = slots[:d] if tau is None else [slots[tau(i + 1) - 1] for i in range(d)]
+    one = {(0,) * d: 1}
+    terms, den, hom = one, 1, {}
+    tail_k, tail_n = sum(K), sum(nu)
+    for j, (n, b, x) in enumerate(zip(nu, K, xs)):
+        tail_k -= b
+        tail_n -= n
+        top = tail_k + (2 * tail_n + d - j + n) * D + b  # D (n + a_j + kappa_j + 1)
+        hom_pows = [one]
+        for _ in range(n):
+            hom_pows.append(_int_mul(hom_pows[-1], hom))
+        factor, x_pow = {}, one
+        for k in range(n + 1):
+            c = comb(n, k) * rising(top, k, D) * rising(b + (k + 1) * D, n - k, D)
+            if (n + k) % 2:
+                c = -c
+            for e, v in _int_mul(x_pow, hom_pows[n - k]).items():
+                factor[e] = factor.get(e, 0) + c * v
+            x_pow = _int_mul(x_pow, x)
+        terms = _int_mul(terms, factor)
+        den *= factorial(n) * D**n
+        hom = dict(hom)
+        for e, v in x.items():
+            hom[e] = hom.get(e, 0) - v
+    return {e: c for e, c in terms.items() if c}, den
 
 
 def leading_form(nu, kappa, tau=None):
     """Degree-|nu| part of jacobi_simplex_basis(nu, kappa), or of its tau.act_vars image.
 
     Each factor of the product has degree at most nu_j, so the top part is the
-    product of the top parts: the same loop with the constant 1 of
-    hom = 1 - |x| replaced by 0.  Acting by tau on the top part substitutes the
-    linear part of each barycentric slot, x_i or -|x| for the last one.
+    product of the top parts, which leading_core builds in integers.
     """
-    d = len(nu)
-    xs = [SparsePoly.variable(d, i) for i in range(d)]
-    if tau is not None:
-        if tau.m != d + 1:
-            raise ValueError("permutation must act on d+1 slots")
-        slots = xs + [-sum(xs, SparsePoly.zero(d))]
-        xs = [slots[tau(i + 1) - 1] for i in range(d)]
-    return _product_form(nu, kappa, xs, ZERO)
+    K, D = over_lcm([R(k) for k in kappa])
+    terms, den = leading_core(nu, K, D, tau)
+    return SparsePoly(len(nu), {e: R(c, den) for e, c in terms.items()})
 
 
 def norm_A(nu, kappa):
-    """Squared norm of the basis polynomial under the normalized measure."""
+    """Squared norm of the basis polynomial under the normalized measure.
+
+    prod_j (k_j+a_j+n_j+1)_{n_j} (k_j+1)_{n_j} (a_j+1)_{n_j} / n_j! over
+    (lambda)_{2|nu|}, with k = kappa, n = nu and lambda = |kappa| + d + 1.  The
+    first symbol is (k_j+a_j+1)_{2 n_j} / (k_j+a_j+1)_{n_j}, written so that
+    k_j + a_j + 1 = 0 gives no 0/0.  With kappa = K / D each symbol is a
+    rising product over step D, and the D powers cancel to D^{|nu|} in the
+    denominator.
+    """
     d = len(nu)
-    kappa = [R(k) for k in kappa]
-    aj = a_coeffs(nu, kappa)
-    total = sum(kappa, ZERO) + d + 1
-    val = ONE / pochhammer(total, 2 * sum(nu))
+    K, D = over_lcm([R(k) for k in kappa])
+    num, den = 1, rising(sum(K) + (d + 1) * D, 2 * sum(nu), D) * D ** sum(nu)
     for j in range(d):
-        k, a, n = kappa[j], aj[j], nu[j]
-        # (k+a+1)_{2n} / (k+a+1)_n, written so that k + a + 1 = 0 gives no 0/0
-        val *= pochhammer(k + a + n + 1, n) * pochhammer(k + 1, n) * pochhammer(a + 1, n) / pochhammer(ONE, n)
-    return val
+        k, n = K[j], nu[j]
+        a = sum(K[j + 1:]) + (2 * sum(nu[j + 1:]) + d - j - 1) * D  # D a_j
+        num *= rising(k + a + (n + 1) * D, n, D) * rising(k + D, n, D) * rising(a + D, n, D)
+        den *= factorial(n)
+    return R(num, den)
 
 
 def enumerate_basis(d, n):

@@ -199,6 +199,13 @@ def test_2d_engine_builds_one_block_of_entries_at_most(monkeypatch):
         assert len(calls) == (0 if free else (n + 1) ** 2), tau
 
 
+def test_connection_matrix_rejects_a_negative_degree():
+    tau = Permutation.from_cycles("(12)", 3)
+    for method in ("closed", "gram"):
+        with pytest.raises(ValueError, match="degree n must be >= 0, got -1"):
+            cf.connection_matrix(tau, KAPPA2, -1, method=method)
+
+
 def test_unknown_method_raises():
     tau = Permutation.from_cycles("(12)", 3)
     with pytest.raises(ValueError, match="'closed' or 'gram'"):

@@ -9,11 +9,14 @@ from hypothesis import given, settings, strategies as st
 import simplexconn
 from simplexconn import connection, simplex
 from simplexconn.backend import R, ZERO, ONE, rat_str
+from simplexconn.multipoly import SparsePoly, substitute_homogeneous
 from simplexconn.simplex import (
     Permutation,
+    a_coeffs,
     all_permutations,
     enumerate_basis,
     inner_product_simplex,
+    jacobi_1d,
     jacobi_simplex_basis,
     norm_A,
 )
@@ -240,12 +243,16 @@ def test_engine_satisfies_the_inverse_and_convolution_identities(data):
 
 
 def test_gram_builds_no_acted_polynomial_and_no_full_product(monkeypatch):
-    # only the leading forms of tau.P_nu and of the shared target basis are needed
+    # only the leading forms of tau.P_nu and of the shared target basis are
+    # needed, and both are built and back-substituted in integers
     def full_product_path(*args):
-        raise AssertionError("gram_connection built a tau-acted polynomial, a full product, a moment or a norm")
+        raise AssertionError("gram_connection built a tau-acted polynomial, a full product, a moment, a norm "
+                             "or a rational polynomial product, Jacobi coefficient or Pochhammer symbol")
 
     monkeypatch.setattr(Permutation, "act_vars", full_product_path)
-    for name in ("inner_product_simplex", "simplex_moment", "_moment_cached", "jacobi_simplex_basis", "norm_A"):
+    monkeypatch.setattr(SparsePoly, "__mul__", full_product_path)
+    for name in ("inner_product_simplex", "simplex_moment", "_moment_cached", "jacobi_simplex_basis", "norm_A",
+                 "substitute_homogeneous", "jacobi_1d", "a_coeffs", "pochhammer"):
         monkeypatch.setattr(simplex, name, full_product_path)
         monkeypatch.setattr(connection, name, full_product_path, raising=False)
     clear_caches()
@@ -253,6 +260,71 @@ def test_gram_builds_no_acted_polynomial_and_no_full_product(monkeypatch):
         kappa = tuple(R(j + 1, j + 3) for j in range(d + 1))
         for tau in random.Random(d).sample(all_permutations(d + 1), 4):
             assert gram_connection(tau, kappa, 2).d == d
+
+
+def rational_leading_form(nu, kappa, tau=None):
+    """The leading form by the rational basis loop: SparsePoly products with 1 - |x| replaced by -|x|."""
+    d = len(nu)
+    xs = [SparsePoly.variable(d, i) for i in range(d)]
+    if tau is not None:
+        slots = xs + [-sum(xs, SparsePoly.zero(d))]
+        xs = [slots[tau(i + 1) - 1] for i in range(d)]
+    aj = a_coeffs(nu, kappa)
+    result, hom = SparsePoly.constant(d, ONE), SparsePoly.zero(d)
+    for j in range(d):
+        result = result * substitute_homogeneous(jacobi_1d(nu[j], aj[j], kappa[j]), xs[j], hom, nu[j])
+        hom = hom - xs[j]
+    return result.terms
+
+
+def rational_gram(tau, kappa, n):
+    """Rows of C^tau(kappa) from C T = L by back-substitution on rational leading forms."""
+    tk = tau.act_params(kappa)
+    order = enumerate_basis(tau.m - 1, n)
+    targets = [rational_leading_form(mu, kappa) for mu in order]
+    rows = []
+    for nu in order:
+        rest = dict(rational_leading_form(nu, tk, tau))
+        row = [ZERO] * len(order)
+        for j in range(len(order) - 1, -1, -1):
+            mu, terms = order[j], targets[j]
+            c = rest.get(mu, ZERO) / terms[mu]
+            if c:
+                row[j] = c
+                for gamma, t in terms.items():
+                    rest[gamma] = rest.get(gamma, ZERO) - c * t
+        rows.append(tuple(row))
+    return tuple(rows)
+
+
+def gram_kappas(d):
+    """Zeros, integers, (-1/2)^{d+1}, kappa_d + kappa_{d+1} = -1, and seeded entries with denominators up to 30."""
+    rng = random.Random(d)
+    return [(ZERO,) * (d + 1), tuple(R(j % 3) for j in range(d + 1)), (R(-1, 2),) * (d + 1),
+            tuple(R(1, j + 3) for j in range(d - 1)) + (R(-1, 3), R(-2, 3))] + [
+        tuple(R(rng.randint(1 - q, 2 * q), q) for q in (rng.randint(1, 30) for _ in range(d + 1)))
+        for _ in range(2)]
+
+
+GRAM_GRID = [(m, kappa) for m in (3, 4, 5) for kappa in gram_kappas(m - 1)]
+
+
+@pytest.mark.parametrize("m, kappa", GRAM_GRID, ids=[f"S{m}-{i % 6}" for i, (m, _) in enumerate(GRAM_GRID)])
+def test_integer_gram_equals_the_rational_back_substitution(m, kappa):
+    # all of S_3 at n <= 5, S_4 at n <= 3 and 24 tau in S_5 at n <= 2
+    taus, degrees = {3: (all_permutations(3), 6), 4: (all_permutations(4), 4),
+                     5: (random.Random(5).sample(all_permutations(5), 24), 3)}[m]
+    clear_caches()
+    for tau in taus:
+        for n in range(degrees):
+            rows = gram_connection(tau, kappa, n).rows
+            assert rows == rational_gram(tau, kappa, n), (tau, kappa, n)
+            assert {type(v) for row in rows for v in row} == {type(ONE)}
+
+
+def test_gram_rejects_a_negative_degree():
+    with pytest.raises(ValueError, match="degree n must be >= 0, got -1"):
+        gram_connection(Permutation.from_cycles("(12)", 3), KAPPA, -1)
 
 
 @pytest.mark.parametrize("kappa", [(R(-1), ZERO, ZERO), (R(-3, 2), R(1, 2), R(1)), (R(1, 2),)])

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 from math import comb
 
@@ -8,6 +9,7 @@ from simplexconn.exact_arith import pochhammer
 from simplexconn.multipoly import SparsePoly, grevlex_key
 from simplexconn.simplex import (
     Permutation,
+    a_coeffs,
     all_permutations,
     enumerate_basis,
     inner_product_simplex,
@@ -201,19 +203,68 @@ def top_part(p, n):
     return SparsePoly(p.d, {e: c for e, c in p.terms.items() if sum(e) == n})
 
 
+def seeded_kappas(d, rng):
+    """Points in the domain kappa > -1: zeros, integers, (-1/2)^{d+1}, kappa_d + kappa_{d+1} = -1
+    (the removable 0/0 of norm_A), generic, and seeded entries with denominators up to 30."""
+    return [
+        (ZERO,) * (d + 1),
+        tuple(R(j % 3) for j in range(d + 1)),
+        (R(-1, 2),) * (d + 1),
+        tuple(R(1, j + 3) for j in range(d - 1)) + (R(-1, 3), R(-2, 3)),
+        tuple(R(j + 1, j + 4) for j in range(d + 1)),
+    ] + [tuple(R(rng.randint(1 - q, 2 * q), q) for q in (rng.randint(1, 30) for _ in range(d + 1)))
+         for _ in range(2)]
+
+
 def test_leading_form_is_the_top_part_of_the_basis():
-    # generic kappa, and kappa_d + kappa_{d+1} = -1, the removable 0/0 of norm_A
+    rng = random.Random(3)
     for d in range(1, 5):
-        generic = tuple(R(j + 1, j + 4) for j in range(d + 1))
-        removable = tuple(R(1, j + 3) for j in range(d - 1)) + (R(-1, 2), R(-1, 2))
-        for kappa in (generic, removable):
+        for kappa in seeded_kappas(d, rng):
             for n in range(4 if d < 4 else 3):
                 for nu in enumerate_basis(d, n):
                     p = jacobi_simplex_basis(nu, kappa)
                     lead = leading_form(nu, kappa)
                     assert lead == top_part(p, n) and not lead.is_zero()
+                    assert {type(c) for c in lead.terms.values()} == {type(ONE)}
                     for tau in all_permutations(d + 1)[:: 5 if d > 2 else 1]:
                         assert leading_form(nu, kappa, tau) == top_part(tau.act_vars(p), n)
+
+
+def rational_norm_A(nu, kappa):
+    """norm_A as a product of rational Pochhammer symbols, one division each."""
+    d = len(nu)
+    kappa = [R(k) for k in kappa]
+    aj = a_coeffs(nu, kappa)
+    total = sum(kappa, ZERO) + d + 1
+    val = ONE / pochhammer(total, 2 * sum(nu))
+    for j in range(d):
+        k, a, n = kappa[j], aj[j], nu[j]
+        val *= pochhammer(k + a + n + 1, n) * pochhammer(k + 1, n) * pochhammer(a + 1, n) / pochhammer(ONE, n)
+    return val
+
+
+def value_or_error(rule, *args):
+    try:
+        return rule(*args)
+    except ArithmeticError as exc:
+        return type(exc)
+
+
+def test_norm_equals_the_rational_product():
+    # the domain points, then entries <= -1 too, where (lambda)_{2|nu|} can vanish
+    rng = random.Random(5)
+    raised = set()
+    for d in range(1, 5):
+        outside = [tuple(R(rng.randint(-7, 4), rng.choice((1, 2, 3))) for _ in range(d + 1)) for _ in range(60)]
+        for kappa in seeded_kappas(d, rng) + outside:
+            for n in range(5 if d < 4 else 4):
+                for nu in enumerate_basis(d, n):
+                    want = value_or_error(rational_norm_A, nu, kappa)
+                    got = value_or_error(norm_A, nu, kappa)
+                    assert got == want and type(got) is type(want), (nu, kappa)
+                    if isinstance(want, type):
+                        raised.add(want.__name__)
+    assert raised == {"ZeroDivisionError"}
 
 
 @settings(max_examples=60, deadline=None)
