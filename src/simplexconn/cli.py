@@ -14,7 +14,7 @@ import random
 import sys
 
 from .backend import R, rat_from_str, rat_str
-from .exact_arith import hyp_with_prefactor
+from .exact_arith import hyp_with_prefactor, over_lcm
 from .simplex import (
     Permutation,
     all_permutations,
@@ -251,12 +251,19 @@ def _suite_sum_identity(args, rng):
 
 
 def _suite_racah(args, rng):
-    """sum_x R_nu(x) R_mu(x) w(x) = delta(nu,mu) h_nu on the lattice, by the connection matrices' check."""
+    """sum_x R_nu(x) R_mu(x) w(x) = delta(nu,mu) h_nu on the lattice, by the connection matrices' check.
+
+    Row nu is racah.multi_core's integer values over their one denominator.
+    """
     d, N = args.d, args.N
     beta = tuple(R(2 * i + 1, 2) + i * i for i in range(d + 2))
+    B, D = over_lcm(beta)
     grid = rc.lattice_points(d, N)
     idxs = ds.kraw_grid(d, N)
-    values = [[rc.racah_multi(nu, x, beta, N) for x in grid] for nu in idxs]
+    values = []
+    for nu in idxs:
+        cores = [rc.multi_core(nu, x, B, D, N) for x in grid]
+        values.append(([num for num, _ in cores], cores[0][1]))
     weights = [rc.racah_weight_multi(x, beta, N) for x in grid]
     norms = [rc.racah_norm_sq(nu, beta, N) for nu in idxs]
     return [_failure("racah-orthogonality", nu=idxs[i], mu=idxs[j], lhs=lhs, rhs=rhs)

@@ -11,9 +11,9 @@ shifted parameters, so the closed method is exact and total for every d,
 d=2 included: there is no table of named d=2 permutations.  The Krawtchouk
 family (discrete.kraw_connection) supplies its own local rules.  Both the
 local rule and the row updates run in Python integers: cc_2d_entry sums its
-4F3 with exact_arith's integer kernel and makes one rational, and each row of
-the running product is integer numerators over one denominator, so every
-entry of the matrix becomes a rational once, at the end.
+4F3 with exact_arith's integer kernel and returns (num, den), and each row of
+the running product is integer numerators over one denominator, handed to
+the ConnMatrix as its int_rows, so the engine makes no rational.
 
 The paper's named formulas stay as identities checked against the Gram
 oracle: the summation identity and the normalized coefficients, all read
@@ -57,8 +57,9 @@ def cc_2d_entry(j, m, kappa, n):
     4F3(-m, m+k2+k3+1, -j, j+k1+k3+1; -n, k3+1, n+|k|+2; 1), computed in
     integers: with kappa over D, the lcm of its denominators, and K_i = D k_i,
     (k + c)_r = prod_i (K + (c+i) D) / D^r, so the D^{n+m} of the prefactor
-    cancel, and the 4F3 is exact_arith's folded_series over step D.  One
-    rational is made, at the end.
+    cancel, and the 4F3 is exact_arith's folded_series over step D.  It is
+    returned as integers (num, den), den != 0, not reduced: no rational is
+    made.
     """
     (K1, K2, K3), D = over_lcm(kappa)
     tot = K1 + K2 + K3
@@ -77,7 +78,7 @@ def cc_2d_entry(j, m, kappa, n):
     total, bottom = folded_series(tops, bottoms, t, D)
     if bottom == 0:
         raise bottom_pole(bottoms, t, D)
-    return R(num * total, den * bottom)
+    return num * total, den * bottom
 
 
 def verify_sum_identity(k, ell, kappa, n):
@@ -141,14 +142,16 @@ def word_product(tau, params, n, block, ratio):
     rules, read at the current params:
 
     - block(j, params, m_loc, k, m, tail), j < d: the entry of C^{s_j} in row
-      nu and column mu, where mu agrees with nu outside slots j, j+1,
-      m_loc = nu_j + nu_{j+1}, k = nu_{j+1}, m = mu_{j+1} and tail = |nu^{j+2}|;
+      nu and column mu as integers (num, den), den != 0, where mu agrees with
+      nu outside slots j, j+1, m_loc = nu_j + nu_{j+1}, k = nu_{j+1},
+      m = mu_{j+1} and tail = |nu^{j+2}|;
     - ratio(params): C^{s_d} is diag(ratio^{nu_d}).
 
     Rows are kept as integer numerators over one row denominator: s_j
     combines the rows it reads over the lcm of (entry denominator x row
     denominator) and divides out one gcd, and s_d multiplies row nu by
-    p^{nu_d} and its denominator by q^{nu_d}, for ratio = p/q.
+    p^{nu_d} and its denominator by q^{nu_d}, for ratio = p/q.  The rows are
+    the ConnMatrix's int_rows as they stand: no rational is made.
     """
     if len(params) != tau.m:
         raise ValueError(f"a permutation of {tau.m} slots needs {tau.m} parameters, got {len(params)}")
@@ -178,8 +181,7 @@ def word_product(tau, params, n, block, ratio):
                     key = (m_loc, k, m, tail)
                     c = memo.get(key)
                     if c is None:
-                        c = block(a, params, *key)
-                        c = memo[key] = (numer(c), denom(c))
+                        c = memo[key] = block(a, params, *key)
                     if c[0] == 0:
                         continue
                     mu = nu[: a - 1] + (m_loc - m, m) + nu[a + 1:]
@@ -199,7 +201,7 @@ def word_product(tau, params, n, block, ratio):
             rows = new_rows
         params = params[: a - 1] + (params[a], params[a - 1]) + params[a + 1:]
     size = len(order)
-    return ConnMatrix(d, n, [[R(row[i], den) if i in row else ZERO for i in range(size)] for row, den in rows], order)
+    return ConnMatrix.from_int_rows(d, n, [([row.get(i, 0) for i in range(size)], den) for row, den in rows], order)
 
 
 def _local_kappa(kappa, j, tail):
@@ -209,7 +211,7 @@ def _local_kappa(kappa, j, tail):
 
 
 def _jacobi_block(j, kappa, m_loc, k, m, tail):
-    """The d=2 (12) entry at local degree m_loc and the kappa-hat of slots j, j+1."""
+    """The d=2 (12) entry, as cc_2d_entry's (num, den), at local degree m_loc and the kappa-hat of slots j, j+1."""
     return cc_2d_entry(k, m, _local_kappa(kappa, j, tail), m_loc)
 
 

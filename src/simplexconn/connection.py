@@ -3,22 +3,29 @@
 For a permutation tau of the d+1 barycentric slots, the matrix C^tau(kappa)
 expands the tau-transformed basis for parameters tau.kappa in the basis for
 kappa, degree by degree.  Entries are exact rationals; the normalized
-(orthogonal-matrix) version has entries sign * sqrt(rational).  The oracle
+(orthogonal-matrix) version has entries sign * sqrt(rational).  A ConnMatrix
+stores one form, int_rows: per row, integer numerators over one positive
+denominator, reduced so that equal matrices have equal int_rows; rows, the
+rational view, is built from it when read.  The Coxeter-word engine
+(closed_forms) hands its integer rows over as they are.  The oracle
 gram_connection solves C T = L on leading forms, apart from closed_forms,
 in Python integers: the leading forms are simplex.leading_core's integer
-polynomials, each row of the back-substitution is integer numerators over
-one denominator, and each entry becomes a rational once.
+polynomials and each row of the back-substitution is integer numerators
+over one denominator.
 
 The verifiers take the squared norms A_src[i] = A_nu(tau.kappa) and
 A_tgt[j] = A_mu(kappa) of the source and target bases, for nu, mu in order,
 and return None when their identity holds, else the first failing
 (nu, mu, lhs, rhs).  Both orthogonality relations, and Tratnik's Racah one,
-are the one check weighted_orthogonal.
+are the one check weighted_orthogonal.  Every check runs on int_rows by
+cross-multiplication (matmul too runs in integers), and a rational is made
+only for a failure returned; a size mismatch raises ValueError.
 """
 
-from math import gcd
+from math import gcd, lcm
+from operator import mul
 
-from .backend import R, ZERO, ONE, rat_str
+from .backend import R, ZERO, ONE, denom, numer, rat_str
 from .exact_arith import QSqrt, over_lcm
 from .simplex import _MOMENT_CACHE, check_kappa, enumerate_basis, leading_core, norm_A
 
@@ -26,50 +33,60 @@ from .simplex import _MOMENT_CACHE, check_kappa, enumerate_basis, leading_core, 
 class ConnMatrix:
     """Square matrix of rationals indexed by the degree-n multi-indices.
 
-    The order and the rows are tuples, so a matrix handed out from a cache
-    cannot be changed by its caller.
+    One form is stored, int_rows: per row, a tuple of integer numerators
+    over one positive row denominator, with their gcd divided out, so equal
+    matrices have equal int_rows.  rows, the rational view, is built from it
+    on each read and not stored.  The order and int_rows are tuples, so a
+    matrix handed out from a cache cannot be changed by its caller.
     """
 
-    __slots__ = ("d", "n", "order", "rows")
+    __slots__ = ("d", "n", "order", "int_rows")
 
     def __init__(self, d, n, rows, order=None):
+        """The matrix of rational rows, each put over the lcm of its denominators once, which leaves it reduced."""
+        self._store(d, n, [(tuple(nums), den) for nums, den in map(over_lcm, rows)], order)
+
+    @classmethod
+    def from_int_rows(cls, d, n, int_rows, order=None):
+        """The matrix of (numerators, denominator) rows, for any nonzero denominators."""
+        mat = cls.__new__(cls)
+        mat._store(d, n, list(map(_reduced, int_rows)), order)
+        return mat
+
+    def _store(self, d, n, int_rows, order):
         self.d = d
         self.n = n
         self.order = tuple(order if order is not None else enumerate_basis(d, n))
-        self.rows = tuple(map(tuple, rows))
+        self.int_rows = tuple(int_rows)
+        size = len(self.order)
+        if len(self.int_rows) != size or any(len(nums) != size for nums, _ in self.int_rows):
+            raise ValueError(f"a matrix at (d, n) = ({d}, {n}) needs {size} rows of {size} entries")
+
+    @property
+    def rows(self):
+        """The rational entries, row by row, built from int_rows."""
+        return tuple(tuple(R(v, den) for v in nums) for nums, den in self.int_rows)
 
     def entry(self, nu, mu):
-        return self.rows[self.order.index(tuple(nu))][self.order.index(tuple(mu))]
+        nums, den = self.int_rows[self.order.index(tuple(nu))]
+        return R(nums[self.order.index(tuple(mu))], den)
 
     def matmul(self, other):
-        if (self.d, self.n) != (other.d, other.n):
-            raise ValueError("size mismatch")
-        size = len(self.order)
-        rows = []
-        for i in range(size):
-            row = []
-            for j in range(size):
-                s = ZERO
-                for k in range(size):
-                    a = self.rows[i][k]
-                    if a != 0:
-                        s += a * other.rows[k][j]
-                row.append(s)
-            rows.append(row)
-        return ConnMatrix(self.d, self.n, rows, self.order)
+        """self @ other in integers: row i of self dots other's columns over L, over Q_i L."""
+        _same_shape(self, other)
+        columns, L = _columns(other)
+        rows = [([sum(map(mul, nums, col)) for col in columns], den * L) for nums, den in self.int_rows]
+        return ConnMatrix.from_int_rows(self.d, self.n, rows, self.order)
 
     def is_identity(self):
-        for i, row in enumerate(self.rows):
-            for j, v in enumerate(row):
-                if v != (ONE if i == j else ZERO):
-                    return False
-        return True
+        return all(den == 1 and all(v == (1 if i == j else 0) for j, v in enumerate(nums))
+                   for i, (nums, den) in enumerate(self.int_rows))
 
     def __eq__(self, other):
         return (
             isinstance(other, ConnMatrix)
             and self.order == other.order
-            and self.rows == other.rows
+            and self.int_rows == other.int_rows
         )
 
     def to_json(self):
@@ -77,8 +94,30 @@ class ConnMatrix:
             "d": self.d,
             "n": self.n,
             "order": [list(nu) for nu in self.order],
-            "entries": [[rat_str(v) for v in row] for row in self.rows],
+            "entries": [[rat_str(R(v, den)) for v in nums] for nums, den in self.int_rows],
         }
+
+
+def _reduced(int_row):
+    """(numerators, denominator) as a tuple over a positive denominator, with the gcd divided out."""
+    nums, den = int_row
+    g = gcd(den, *nums)
+    if den < 0:
+        g = -g
+    return (tuple(nums) if g == 1 else tuple(v // g for v in nums)), den // g
+
+
+def _columns(mat):
+    """(columns, L): the columns of mat as integer tuples over L, the lcm of its row denominators."""
+    L = lcm(*(den for _, den in mat.int_rows))
+    return list(zip(*([v * (L // den) for v in nums] for nums, den in mat.int_rows))), L
+
+
+def _same_shape(mat, other):
+    """ValueError unless the two matrices have one d, n and order."""
+    if (mat.d, mat.n, mat.order) != (other.d, other.n, other.order):
+        raise ValueError(f"size mismatch: matrices at (d, n) = ({mat.d}, {mat.n}) and ({other.d}, {other.n})"
+                         " with their orders do not match")
 
 
 # every finished connection matrix, keyed by (method, tau.img, kappa, n): the
@@ -110,9 +149,10 @@ def gram_connection(tau, kappa, n):
     Everything runs in integers: kappa over D, the lcm of its denominators,
     makes each leading form integers J over one denominator E, and the rest
     of a row is integer numerators N over one row denominator Q.  At mu the
-    entry is N[mu] E_mu / (Q J_mu[mu]), the one rational made; then
+    entry is N[mu] E_mu / (Q J_mu[mu]), reduced by one gcd; then
     N <- N J_mu[mu] - N[mu] J_mu and Q <- Q J_mu[mu], and one gcd is
-    divided out of N and Q.
+    divided out of N and Q.  The entries of a row go over the lcm of their
+    denominators, as the matrix's int_rows: no rational is made.
     """
     d = tau.m - 1
     kappa = check_kappa(kappa)
@@ -129,7 +169,7 @@ def gram_connection(tau, kappa, n):
     rows = []
     for nu in order:
         rest, Q = leading_core(nu, tK, D, tau)
-        row = [ZERO] * len(order)
+        row = [(0, 1)] * len(order)
         for j in range(len(order) - 1, -1, -1):
             mu = order[j]
             c = rest.get(mu, 0)
@@ -137,7 +177,9 @@ def gram_connection(tau, kappa, n):
                 continue
             terms, E = targets[j]
             p = terms[mu]
-            row[j] = R(c * E, Q * p)
+            top, bottom = c * E, Q * p
+            g = gcd(top, bottom)
+            row[j] = top // g, bottom // g
             rest = {gamma: v * p for gamma, v in rest.items()}
             for gamma, t in terms.items():
                 rest[gamma] = rest.get(gamma, 0) - c * t
@@ -147,8 +189,9 @@ def gram_connection(tau, kappa, n):
             if g > 1:
                 rest = {gamma: v // g for gamma, v in rest.items()}
                 Q //= g
-        rows.append(row)
-    mat = ConnMatrix(d, n, rows, order)
+        common = lcm(*(q for _, q in row))
+        rows.append(([v * (common // q) for v, q in row], common))
+    mat = ConnMatrix.from_int_rows(d, n, rows, order)
     _MATRIX_CACHE[key] = mat
     return mat
 
@@ -156,31 +199,59 @@ def gram_connection(tau, kappa, n):
 def normalize(mat, tau, kappa):
     """Entries of the orthogonal-matrix version, as QSqrt values.
 
-    hat_c[nu,mu] = c[nu,mu] * sqrt(A_mu(kappa) / A_nu(tau.kappa)).
+    hat_c[nu,mu] = c[nu,mu] * sqrt(A_mu(kappa) / A_nu(tau.kappa)).  With
+    c = N / Q from int_rows and A_mu(kappa) = B_mu / L over their lcm, the
+    radicand N^2 B_mu / (Q^2 L A_nu(tau.kappa)) is the one rational made.
     """
     kappa = tuple(R(k) for k in kappa)
     tk = tau.act_params(kappa)
-    A_tgt = [norm_A(mu, kappa) for mu in mat.order]
-    return [
-        [QSqrt.of_rational(c).scale_sqrt(b / a) for c, b in zip(row, A_tgt)]
-        for a, row in zip((norm_A(nu, tk) for nu in mat.order), mat.rows)
-    ]
+    B, L = over_lcm([norm_A(mu, kappa) for mu in mat.order])
+    out = []
+    for nu, (nums, Q) in zip(mat.order, mat.int_rows):
+        a = norm_A(nu, tk)
+        top, bottom = denom(a), Q * Q * L * numer(a)
+        out.append([QSqrt((c > 0) - (c < 0), R(c * c * b * top, bottom)) for c, b in zip(nums, B)])
+    return out
 
 
 def weighted_orthogonal(rows, weights, diagonal):
-    """Each (i, j, lhs, rhs), i <= j, with lhs = sum_k rows[i][k] rows[j][k] weights[k] != delta(i,j) diagonal[i]."""
-    for i, f in enumerate(rows):
+    """Each (i, j, lhs, rhs), i <= j, with lhs = sum_k c_ik c_jk weights[k] != delta(i,j) diagonal[i].
+
+    Row i is integer numerators N_i over a nonzero denominator Q_i,
+    c_ik = N_ik / Q_i.  With the weights over their lcm L, W_k / L, lhs is
+    S / (Q_i Q_j L) for the integer S = sum_k N_ik N_jk W_k, so each test is
+    one cross-multiplication of S with h = delta(i,j) diagonal[i]; lhs is
+    made a rational only for a record yielded.  ValueError unless there are
+    as many weights as entries in each row and one diagonal entry per row.
+    """
+    if len(diagonal) != len(rows) or any(len(nums) != len(weights) for nums, _ in rows):
+        raise ValueError(f"{len(weights)} weights and {len(diagonal)} diagonal entries do not fit "
+                         f"{len(rows)} rows of {len(rows[0][0]) if rows else 0} entries")
+    W, L = over_lcm(weights)
+    for i, (f, Q) in enumerate(rows):
+        fw = [a * w for a, w in zip(f, W)]
         for j in range(i, len(rows)):
-            lhs = sum((a * b * w for a, b, w in zip(f, rows[j], weights)), ZERO)
-            rhs = diagonal[i] if i == j else ZERO
-            if lhs != rhs:
-                yield i, j, lhs, rhs
+            g, P = rows[j]
+            s = sum(map(mul, fw, g))
+            h = diagonal[i] if i == j else ZERO
+            if s * denom(h) != numer(h) * Q * P * L:
+                yield i, j, R(s, Q * P * L), h
 
 
 def first_difference(mat, oracle):
-    """(nu, mu, mat entry, oracle entry) at the first entry where the matrices differ, or None."""
-    return next(((nu, mu, a, b) for nu, row, oracle_row in zip(mat.order, mat.rows, oracle.rows)
-                 for mu, a, b in zip(mat.order, row, oracle_row) if a != b), None)
+    """(nu, mu, mat entry, oracle entry) at the first entry where the matrices differ, or None.
+
+    Both int_rows are reduced, so rows are equal exactly when their tuples
+    are; in a row that differs the entry is found by cross-multiplication.
+    ValueError unless the matrices have one d, n and order.
+    """
+    _same_shape(mat, oracle)
+    for nu, (f, Q), (g, P) in zip(mat.order, mat.int_rows, oracle.int_rows):
+        if Q != P or f != g:
+            for mu, a, b in zip(mat.order, f, g):
+                if a * P != b * Q:
+                    return nu, mu, R(a, Q), R(b, P)
+    return None
 
 
 def _first_at(order, failures):
@@ -190,23 +261,40 @@ def _first_at(order, failures):
 
 def verify_row_orthogonality(mat, A_src, A_tgt):
     """sum_w c[nu,w] c[mu,w] A_w(kappa) == delta(nu,mu) A_nu(tau.kappa)."""
-    return _first_at(mat.order, weighted_orthogonal(mat.rows, A_tgt, A_src))
+    return _first_at(mat.order, weighted_orthogonal(mat.int_rows, A_tgt, A_src))
 
 
 def verify_column_orthogonality(mat, A_src, A_tgt):
-    """sum_w c[w,nu] c[w,mu] / A_w(tau.kappa) == delta(nu,mu) / A_nu(kappa)."""
+    """sum_w c[w,nu] c[w,mu] / A_w(tau.kappa) == delta(nu,mu) / A_nu(kappa), on the columns over one lcm."""
+    columns, L = _columns(mat)
     return _first_at(mat.order, weighted_orthogonal(
-        list(zip(*mat.rows)), [ONE / a for a in A_src], [ONE / a for a in A_tgt]))
+        [(col, L) for col in columns], [ONE / a for a in A_src], [ONE / a for a in A_tgt]))
 
 
 def verify_inverse_identity(mat_tau, mat_inv, A_src, A_tgt):
     """C^{tau^-1}(kappa)[nu,mu] == (A_nu(tau^-1.kappa)/A_mu(kappa)) C^tau(tau^-1.kappa)[mu,nu].
 
     mat_tau must be C^tau at parameters tau^-1.kappa and mat_inv C^{tau^-1}
-    at kappa; A_src and A_tgt are the norms of mat_inv's bases.
+    at kappa; A_src and A_tgt are the norms of mat_inv's bases.  With
+    a = A_nu, b = A_mu, the entry N / Q of C^{tau^-1} and C^tau's columns
+    over their lcm L, t / L, each entry is one cross-multiplication.
+    ValueError unless the matrices have one d, n and order and each norm
+    list has one entry per multi-index.
     """
-    expected = [[a / b * c for b, c in zip(A_tgt, column)] for a, column in zip(A_src, zip(*mat_tau.rows))]
-    return first_difference(mat_inv, ConnMatrix(mat_inv.d, mat_inv.n, expected, mat_inv.order))
+    _same_shape(mat_tau, mat_inv)
+    size = len(mat_inv.order)
+    if (len(A_src), len(A_tgt)) != (size, size):
+        raise ValueError(f"the norm lists need {size} entries each, got {len(A_src)} and {len(A_tgt)}")
+    columns, L = _columns(mat_tau)
+    # rhs = a t / (b L): per mu, the factors L numer(b) below and denom(b) above
+    below = [L * numer(b) for b in A_tgt]
+    above = [denom(b) for b in A_tgt]
+    for nu, (f, Q), a, column in zip(mat_inv.order, mat_inv.int_rows, A_src, columns):
+        an, ad = numer(a), denom(a)
+        for mu, c, t, lo, up in zip(mat_inv.order, f, column, below, above):
+            if c * lo * ad != t * up * an * Q:
+                return nu, mu, R(c, Q), R(t * up * an, lo * ad)
+    return None
 
 
 def verify_convolution(mat_12, mat_2_at_t1k, mat_1_at_k):

@@ -12,7 +12,7 @@ normalized cycle coefficient has one Krawtchouk form; form 2 is its kraw_dual.
 
 from math import comb
 
-from .backend import R, ZERO, ONE
+from .backend import R, ZERO, ONE, denom, numer
 from .exact_arith import QSqrt, folded_series, hyp_with_prefactor, over_lcm, pochhammer
 from .multipoly import homogenize
 from .simplex import a_coeffs, enumerate_basis, jacobi_simplex_basis, norm_A
@@ -109,17 +109,23 @@ def hahn_connection(tau, kappa, N, n):
     """Connection matrix of the Hahn family, from the simplex engine.
 
     Entry [nu][mu] is C^tau(kappa)[nu][mu] * p(mu, kappa) / p(nu, tau.kappa),
-    with p = p_factor; it does not depend on N, which only bounds n.
+    with p = p_factor; it does not depend on N, which only bounds n.  Each
+    integer row N / Q of the simplex matrix is rescaled once: with the
+    p(mu, kappa) = P_mu / L over their lcm and p(nu, tau.kappa) = s / t, the
+    row is N_mu P_mu t over Q L s.
     """
     if n > N:
         raise ValueError(f"Hahn degree n={n} exceeds the lattice size N={N}")
     kappa = tuple(R(k) for k in kappa)
     tk = tau.act_params(kappa)
     mat = connection_matrix(tau, kappa, n)
-    p_tgt = [p_factor(mu, kappa) for mu in mat.order]
-    p_src = [p_factor(nu, tk) for nu in mat.order]
-    rows = [[c * p / q for c, p in zip(row, p_tgt)] for q, row in zip(p_src, mat.rows)]
-    return ConnMatrix(mat.d, n, rows, mat.order)
+    P, L = over_lcm([p_factor(mu, kappa) for mu in mat.order])
+    rows = []
+    for nu, (nums, Q) in zip(mat.order, mat.int_rows):
+        s = p_factor(nu, tk)
+        t = denom(s)
+        rows.append(([c * p * t for c, p in zip(nums, P)], Q * L * numer(s)))
+    return ConnMatrix.from_int_rows(mat.d, n, rows, mat.order)
 
 
 # ---------------------------------------------------------------------------
@@ -202,6 +208,7 @@ def _kraw_block(j, rho, n, k, m, tail):
     z = (r1 + r3)(r2 + r3) / r3.  With (A, B, C) the local rho over one
     denominator and T = A + B + C, the powers are A^{n-m-k} C^k T^m / (B + C)^n
     and z = (A + C)(B + C) / (T C); exact_arith's folded_series sums the 2F1.
+    Like cc_2d_entry it returns integers (num, den), den != 0.
     """
     (A, B, *rest), _ = over_lcm(rho[j - 1:])
     C = sum(rest)
@@ -210,7 +217,7 @@ def _kraw_block(j, rho, n, k, m, tail):
     total, bottom = folded_series([-hi], [-n], lo, 1, (A + C) * (B + C), T * C)
     num = comb(n, m) * A ** max(n - m - k, 0) * C**k * T**m * total
     den = A ** max(m + k - n, 0) * (B + C) ** n * bottom
-    return R(-num if (n + m + k) % 2 else num, den)
+    return (-num if (n + m + k) % 2 else num), den
 
 
 def _kraw_ratio(rho):

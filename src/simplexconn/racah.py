@@ -68,7 +68,10 @@ def _scaled_beta(beta, d):
 
 
 def multi_core(nu, x, B, D, N):
-    """(num, den) with R_nu(x; beta, N) = num / den for beta = B / D: one folded_series per factor."""
+    """(num, den) with R_nu(x; beta, N) = num / den for beta = B / D: one folded_series per factor.
+
+    den = D^{3|nu|} is the same at every x.
+    """
     xx = (0,) + tuple(x) + (N,)
     val, s = 1, 0
     for j, m in enumerate(nu, 1):

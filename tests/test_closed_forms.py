@@ -185,10 +185,18 @@ def test_engine_checks_the_parameter_count():
 
 def test_2d_engine_builds_one_block_of_entries_at_most(monkeypatch):
     # s_2 = s_d is a signed diagonal, so only a word holding s_1 evaluates entries,
-    # and the reduced word holds it at most once: (13) is s_2 s_1 s_2
+    # and the reduced word holds it at most once: (13) is s_2 s_1 s_2; each
+    # entry reaches the engine as integers (num, den)
     calls = []
     entry = cf.cc_2d_entry
-    monkeypatch.setattr(cf, "cc_2d_entry", lambda *args: calls.append(args) or entry(*args))
+
+    def counted(*args):
+        calls.append(args)
+        num, den = pair = entry(*args)
+        assert type(num) is int and type(den) is int and den != 0, pair
+        return pair
+
+    monkeypatch.setattr(cf, "cc_2d_entry", counted)
     n = 4
     for tau in all_perms(3):
         calls.clear()
@@ -274,6 +282,11 @@ def rational_2d_entry(j, m, kappa, n):
     )
 
 
+def entry_value(j, m, kappa, n):
+    """cc_2d_entry's integers (num, den) as one rational."""
+    return R(*cf.cc_2d_entry(j, m, kappa, n))
+
+
 def value_or_error(rule, *args):
     try:
         return rule(*args)
@@ -308,7 +321,7 @@ def test_2d_entry_equals_the_rational_rule():
             if i >= 4:
                 pairs = [(rng.randint(0, n), rng.randint(0, n)) for _ in range(4)]
             for j, m in pairs:
-                assert cf.cc_2d_entry(j, m, kappa, n) == rational_2d_entry(j, m, kappa, n), (j, m, kappa, n)
+                assert entry_value(j, m, kappa, n) == rational_2d_entry(j, m, kappa, n), (j, m, kappa, n)
 
 
 def test_2d_entry_poles_outside_the_domain_raise_like_the_rational_rule():
@@ -321,14 +334,14 @@ def test_2d_entry_poles_outside_the_domain_raise_like_the_rational_rule():
         j, m = rng.randint(0, n), rng.randint(0, n)
         kappa = tuple(R(rng.randint(-7, 3), rng.choice((1, 2))) for _ in range(3))
         want = value_or_error(rational_2d_entry, j, m, kappa, n)
-        assert value_or_error(cf.cc_2d_entry, j, m, kappa, n) == want, (j, m, kappa, n)
+        assert value_or_error(entry_value, j, m, kappa, n) == want, (j, m, kappa, n)
         if isinstance(want, type):
             raised.add(want.__name__)
     assert raised == {"BottomPole", "ZeroDivisionError"}
 
 
 def rational_word_product(tau, params, n, block, ratio):
-    """The engine's loop with rational rows: each row a {column: rational}."""
+    """The engine's loop with rational rows: each row a {column: rational}, each block entry R(num, den)."""
     d = tau.m - 1
     params = tuple(R(p) for p in params)
     order = enumerate_basis(d, n)
@@ -348,7 +361,7 @@ def rational_word_product(tau, params, n, block, ratio):
                     key = (m_loc, k, m, tail)
                     c = memo.get(key)
                     if c is None:
-                        c = memo[key] = block(a, params, *key)
+                        c = memo[key] = R(*block(a, params, *key))
                     if c == 0:
                         continue
                     mu = nu[: a - 1] + (m_loc - m, m) + nu[a + 1:]
@@ -413,7 +426,7 @@ def test_both_local_rules_sum_with_the_one_series_kernel(monkeypatch):
 
     monkeypatch.setattr(cf, "folded_series", counted)
     monkeypatch.setattr(ds, "folded_series", counted)
-    assert cf.cc_2d_entry(2, 1, KAPPA2, 3) == rational_2d_entry(2, 1, KAPPA2, 3)
+    assert entry_value(2, 1, KAPPA2, 3) == rational_2d_entry(2, 1, KAPPA2, 3)
     assert len(calls) == 1
     ds._kraw_block(1, (R(1, 4), R(1, 3), R(5, 12)), 3, 2, 1, 0)
     assert len(calls) == 2

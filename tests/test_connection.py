@@ -7,8 +7,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import simplexconn
-from simplexconn import connection, simplex
+from simplexconn import cli, connection, racah as rc, simplex
 from simplexconn.backend import R, ZERO, ONE, rat_str
+from simplexconn.discrete import kraw_grid
+from simplexconn.exact_arith import over_lcm
 from simplexconn.multipoly import SparsePoly, substitute_homogeneous
 from simplexconn.simplex import (
     Permutation,
@@ -24,12 +26,14 @@ from simplexconn.closed_forms import connection_matrix
 from simplexconn.connection import (
     ConnMatrix,
     clear_caches,
+    first_difference,
     gram_connection,
     normalize,
     verify_column_orthogonality,
     verify_convolution,
     verify_inverse_identity,
     verify_row_orthogonality,
+    weighted_orthogonal,
 )
 
 KAPPA = (R(1, 2), R(1, 3), R(2))
@@ -358,3 +362,173 @@ def test_cached_gram_matrix_cannot_be_mutated():
         assert type(again.rows) is tuple and all(type(row) is tuple for row in again.rows)
     # every constructor gives the same row type, so closed and Gram rows compare equal
     assert connection_matrix(tau, KAPPA, 2, method="closed").rows == gram_connection(tau, KAPPA, 2).rows
+
+
+# ---------------------------------------------------------------------------
+# the verifiers in integers, against their rational bodies
+# ---------------------------------------------------------------------------
+
+
+def rational_weighted_orthogonal(rows, weights, diagonal):
+    """The check summed in rationals: each (i, j, lhs, rhs), i <= j, with lhs != rhs."""
+    for i, f in enumerate(rows):
+        for j in range(i, len(rows)):
+            lhs = sum((a * b * w for a, b, w in zip(f, rows[j], weights)), ZERO)
+            rhs = diagonal[i] if i == j else ZERO
+            if lhs != rhs:
+                yield i, j, lhs, rhs
+
+
+def rational_first_at(order, failures):
+    return next(((order[i], order[j], lhs, rhs) for i, j, lhs, rhs in failures), None)
+
+
+def rational_first_difference(order, rows, oracle_rows):
+    return next(((nu, mu, a, b) for nu, row, oracle_row in zip(order, rows, oracle_rows)
+                 for mu, a, b in zip(order, row, oracle_row) if a != b), None)
+
+
+def rational_matmul(a, b):
+    size = len(a)
+    return tuple(tuple(sum((a[i][k] * b[k][j] for k in range(size)), ZERO) for j in range(size)) for i in range(size))
+
+
+def rational_inverse(mat_tau, mat_inv, A_src, A_tgt):
+    expected = [[a / b * c for b, c in zip(A_tgt, column)] for a, column in zip(A_src, zip(*mat_tau.rows))]
+    return rational_first_difference(mat_inv.order, mat_inv.rows, expected)
+
+
+def variants(mat, rng):
+    """mat, mat with one entry raised by 1, and mat with one nonzero entry's sign flipped."""
+    rows = [list(row) for row in mat.rows]
+    i, j = rng.randrange(len(rows)), rng.randrange(len(rows))
+    changed = [list(row) for row in rows]
+    changed[i][j] += 1
+    flipped = [list(row) for row in rows]
+    i, j = rng.choice([(i, j) for i, row in enumerate(rows) for j, c in enumerate(row) if c])
+    flipped[i][j] = -flipped[i][j]
+    return [mat] + [ConnMatrix(mat.d, mat.n, bad, mat.order) for bad in (changed, flipped)]
+
+
+VERIFIER_GRID = [(3, all_permutations(3), 5), (4, all_permutations(4), 3),
+                 (5, random.Random(55).sample(all_permutations(5), 12), 3)]
+
+
+@pytest.mark.parametrize("m, taus, degrees", VERIFIER_GRID, ids=["S3", "S4", "S5"])
+def test_integer_verifiers_equal_the_rational_oracles(m, taus, degrees):
+    # all of S_3 at n <= 4, all of S_4 at n <= 2 and a seeded S_5 sample at n <= 2:
+    # the same (nu, mu, lhs, rhs) on the good matrix, one changed entry and one flipped sign
+    rng = random.Random(m)
+    kappa = tuple(R(rng.randint(-2, 9), rng.randint(3, 7)) for _ in range(m))
+    for tau in taus:
+        inv = tau.inverse()
+        t1 = rng.choice(all_permutations(m))
+        t2 = t1.inverse() * tau
+        for n in range(degrees):
+            mat = connection_matrix(tau, kappa, n)
+            order = mat.order
+            A_src, A_tgt = norms(order, tau, kappa)
+            A_isrc, _ = norms(order, inv, kappa)
+            at_inverse, inv_mat = connection_matrix(tau, inv.act_params(kappa), n), connection_matrix(inv, kappa, n)
+            m2, m1 = connection_matrix(t2, t1.act_params(kappa), n), connection_matrix(t1, kappa, n)
+            product = rational_matmul(m2.rows, m1.rows)
+            for v in variants(mat, rng):
+                rows = v.rows
+                assert verify_row_orthogonality(v, A_src, A_tgt) == rational_first_at(
+                    order, rational_weighted_orthogonal(rows, A_tgt, A_src))
+                assert verify_column_orthogonality(v, A_src, A_tgt) == rational_first_at(
+                    order, rational_weighted_orthogonal(list(zip(*rows)), [ONE / a for a in A_src],
+                                                        [ONE / a for a in A_tgt]))
+                assert verify_convolution(v, m2, m1) == rational_first_difference(order, rows, product)
+                assert v.matmul(m1).rows == rational_matmul(rows, m1.rows)
+            for v in variants(inv_mat, rng):
+                assert verify_inverse_identity(at_inverse, v, A_isrc, A_tgt) == rational_inverse(
+                    at_inverse, v, A_isrc, A_tgt)
+            for v in variants(at_inverse, rng):
+                assert verify_inverse_identity(v, inv_mat, A_isrc, A_tgt) == rational_inverse(
+                    v, inv_mat, A_isrc, A_tgt)
+
+
+def test_racah_rows_equal_the_rational_oracle():
+    # the Racah relation is one more input of the one integer check: integer rows over D^{3|nu|}
+    d, N = 2, 3
+    beta = (R(1, 2), R(5, 2), R(13, 2), R(27, 2))
+    B, D = over_lcm(beta)
+    grid, idxs = rc.lattice_points(d, N), kraw_grid(d, N)
+    values = [[rc.racah_multi(nu, x, beta, N) for x in grid] for nu in idxs]
+    weights = [rc.racah_weight_multi(x, beta, N) for x in grid]
+    norms_sq = [rc.racah_norm_sq(nu, beta, N) + (i == 3) for i, nu in enumerate(idxs)]
+    rows = [([rc.multi_core(nu, x, B, D, N)[0] for x in grid], D ** (3 * sum(nu))) for nu in idxs]
+    got = list(weighted_orthogonal(rows, weights, norms_sq))
+    assert got == list(rational_weighted_orthogonal(values, weights, norms_sq))
+    assert [(i, j) for i, j, _, _ in got] == [(3, 3)]
+
+
+def size_cases():
+    tau = Permutation.from_cycles("(12)", 3)
+    good = gram_connection(tau, KAPPA, 1)
+    A_src, A_tgt = norms(good.order, tau, KAPPA)
+    other = ConnMatrix(2, 2, [[1, 0, 5], [0, 1, 7], [9, 9, 9]])
+    return {
+        "first-difference-sizes": lambda: first_difference(ConnMatrix(2, 1, [[1, 0], [0, 1]]), other),
+        "convolution-sizes": lambda: verify_convolution(other, good, good),
+        "matmul-sizes": lambda: good.matmul(other),
+        "inverse-sizes": lambda: verify_inverse_identity(good, other, A_src, A_tgt),
+        "row-short-norms": lambda: verify_row_orthogonality(good, A_src[:1], A_tgt),
+        "row-short-weights": lambda: verify_row_orthogonality(good, A_src, A_tgt[:1]),
+        "column-short-norms": lambda: verify_column_orthogonality(good, A_src[:1], A_tgt),
+        "column-long-weights": lambda: verify_column_orthogonality(good, A_src, A_tgt + A_tgt),
+        "inverse-short-norms": lambda: verify_inverse_identity(good, good, A_src, A_tgt[:1]),
+        "weighted-short-row": lambda: list(weighted_orthogonal([((1, 0), 1), ((1,), 1)], A_tgt, A_src)),
+        "matrix-short-row": lambda: ConnMatrix(2, 1, [[1, 0], [0]]),
+        "matrix-missing-row": lambda: ConnMatrix(2, 1, [[1, 0]]),
+    }
+
+
+@pytest.mark.parametrize("case", list(size_cases()))
+def test_verifiers_reject_mismatched_sizes(case):
+    # zip would truncate: a size mismatch must raise, never pass
+    with pytest.raises(ValueError):
+        size_cases()[case]()
+
+
+def test_equal_matrices_have_equal_integer_rows():
+    # rational rows, integer rows with a common factor and a negative denominator: one reduced form
+    rows = [[R(1, 2), R(-3, 4)], [ZERO, R(5)]]
+    a = ConnMatrix(2, 1, rows)
+    b = ConnMatrix.from_int_rows(2, 1, [((-6, 9), -12), ((0, 30), 6)])
+    assert a == b and a.int_rows == b.int_rows == (((2, -3), 4), ((0, 5), 1))
+    assert a.rows == b.rows == tuple(map(tuple, rows))
+    assert ConnMatrix.from_int_rows(2, 1, [((4, 0), 4), ((0, -2), -2)]).is_identity()
+
+
+def test_a_passing_verify_run_makes_no_rational_in_the_verifiers(monkeypatch, capsys):
+    # the checks cross-multiply integer rows: a regression to rational sums would
+    # construct rationals, or add and multiply them, inside the verifiers
+    argv = ["verify", "--suite", "orthogonality", "--d", "2", "--n", "3", "--count", "6", "--seed", "2"]
+    clear_caches()
+    assert cli.main(argv) == 0  # every matrix is cached from here on
+    made, inside = [], []
+    real_R = connection.R
+    monkeypatch.setattr(connection, "R", lambda *args: made.append(args) or real_R(*args))
+    if type(ONE) is Fraction:
+        for name in ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__"):
+            def guarded(self, other, op=getattr(Fraction, name)):
+                if inside:
+                    raise AssertionError("a verifier added or multiplied rationals")
+                return op(self, other)
+
+            monkeypatch.setattr(Fraction, name, guarded)
+    for name in ("first_difference", "verify_row_orthogonality", "verify_column_orthogonality",
+                 "verify_inverse_identity", "verify_convolution"):
+        def scoped(*args, fn=getattr(cli, name)):
+            inside.append(fn)
+            try:
+                return fn(*args)
+            finally:
+                inside.pop()
+
+        monkeypatch.setattr(cli, name, scoped)
+    assert cli.main(argv) == 0
+    assert made == []
+    capsys.readouterr()

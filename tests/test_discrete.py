@@ -282,7 +282,7 @@ def test_kraw_block_equals_the_rational_rule():
         for j in range(1, len(ext) - 1):
             for n in range(7):
                 for k, m in itertools.product(range(n + 1), repeat=2):
-                    assert ds._kraw_block(j, ext, n, k, m, 0) == rational_kraw_block(j, ext, n, k, m, 0)
+                    assert R(*ds._kraw_block(j, ext, n, k, m, 0)) == rational_kraw_block(j, ext, n, k, m, 0)
 
 
 def small_rationals(size, lo, hi):
