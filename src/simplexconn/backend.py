@@ -31,11 +31,17 @@ else:
 
 ZERO = _make(0)
 ONE = _make(1)
+RAT = type(ONE)  # the backend's rational type
 
 
 def R(p, q=1):
     """Exact rational p/q."""
     return _make(p, q)
+
+
+def rat(x):
+    """x as a backend rational: x itself when it is one already, else R(x)."""
+    return x if type(x) is RAT else _make(x)
 
 
 def rat_from_str(s):

@@ -10,15 +10,19 @@ the factor for s_j, j < d, is cc_2d_entry, the d=2 (12) 4F3 entry, with
 shifted parameters, so the closed method is exact and total for every d,
 d=2 included: there is no table of named d=2 permutations.  The Krawtchouk
 family (discrete.kraw_connection) supplies its own local rules.  Both the
-local rule and the row updates run in Python integers: cc_2d_entry sums its
-4F3 with exact_arith's integer kernel and returns (num, den), and each row of
-the running product is integer numerators over one denominator, handed to
-the ConnMatrix as its int_rows, so the engine makes no rational.
+local rule and the row updates run in Python integers, with kappa over one
+lcm per call: the parameters are put over the lcm D of their denominators
+once per word, each step swaps those integers, cc_2d_entry takes kappa-hat
+as three integers over D, sums its 4F3 with exact_arith's integer kernel and
+returns (num, den), and each row of the running product is integer
+numerators over one denominator, handed to the ConnMatrix as its int_rows,
+so the engine makes no rational.
 
 The paper's named formulas stay as identities checked against the Gram
 oracle: the summation identity and the normalized coefficients, all read
-from one Racah form, that of the full cycle (12...d).  Its forms 2 and 3 are
-racah.dual_map and racah.conj_map of form 1; cc_coset_hat extends it to every
+from one Racah form, that of the full cycle (12...d), also with kappa over
+one lcm per call: beta is integers over that lcm, and its forms 2 and 3 are
+racah's integer dual and conj maps of form 1; cc_coset_hat extends it to every
 s_d^a (12...d)^{+-1} s_d^b; the adjacent transposition s_j is the d=2 cycle
 (12) localized at the kappa-hat of slots j, j+1, as in the engine; and the
 (13) coefficient at d=3 is the composition (13) = (123)(12).
@@ -27,12 +31,12 @@ s_d^a (12...d)^{+-1} s_d^b; the adjacent transposition s_j is the d=2 cycle
 import itertools
 from math import comb, gcd, lcm
 
-from .backend import R, ZERO, ONE, denom, numer
+from .backend import R, ZERO, ONE, rat, rat_str
 from .exact_arith import (
     QSqrt, bottom_pole, folded_series, hyp_terminating, over_lcm, pochhammer, rising, termination_order,
 )
-from .racah import conj_map, dual_map, multi_core, norm_core, racah_weight_1d, second_norm_core, weight_core
-from .simplex import Permutation, check_kappa, enumerate_basis
+from .racah import conj_core, dual_core, multi_core, norm_core, racah_weight_1d, second_norm_core, weight_core
+from .simplex import Permutation, check_kappa, enumerate_basis, scaled_kappa
 from .connection import _MATRIX_CACHE, ConnMatrix, gram_connection
 
 
@@ -45,8 +49,8 @@ def _sign(k):
 # ---------------------------------------------------------------------------
 
 
-def cc_2d_entry(j, m, kappa, n):
-    """Entry c_{j,m} of the degree-n connection matrix for tau = (12) at d=2.
+def cc_2d_entry(j, m, K, D, n):
+    """Entry c_{j,m} of the degree-n connection matrix for tau = (12) at d=2, kappa = K / D.
 
     Rows are nu = (n-j, j), columns mu = (n-m, m).  This is the one local rule
     of the Jacobi engine: every other C^tau, for every d, is a product of such
@@ -55,13 +59,13 @@ def cc_2d_entry(j, m, kappa, n):
     The value is (-1)^{n+m} (-n)_j (k2+1)_{n-j} (k3+1)_j (n+|k|+2)_m /
     (j! (k2+1)_m (k2+k3+2m+2)_{n-m} (k2+k3+m+1)_m) times
     4F3(-m, m+k2+k3+1, -j, j+k1+k3+1; -n, k3+1, n+|k|+2; 1), computed in
-    integers: with kappa over D, the lcm of its denominators, and K_i = D k_i,
+    integers: kappa is three integers K over any common denominator D > 0,
     (k + c)_r = prod_i (K + (c+i) D) / D^r, so the D^{n+m} of the prefactor
     cancel, and the 4F3 is exact_arith's folded_series over step D.  It is
     returned as integers (num, den), den != 0, not reduced: no rational is
     made.
     """
-    (K1, K2, K3), D = over_lcm(kappa)
+    K1, K2, K3 = K
     tot = K1 + K2 + K3
     # D times m+k2+k3+1, j+k1+k3+1 (tops) and k3+1, n+|k|+2 (bottoms)
     a, b = K2 + K3 + (m + 1) * D, K1 + K3 + (j + 1) * D
@@ -141,30 +145,33 @@ def word_product(tau, params, n, block, ratio):
     the running product; it is never built.  The family supplies its local
     rules, read at the current params:
 
-    - block(j, params, m_loc, k, m, tail), j < d: the entry of C^{s_j} in row
+    - block(j, P, D, m_loc, k, m, tail), j < d: the entry of C^{s_j} in row
       nu and column mu as integers (num, den), den != 0, where mu agrees with
       nu outside slots j, j+1, m_loc = nu_j + nu_{j+1}, k = nu_{j+1},
       m = mu_{j+1} and tail = |nu^{j+2}|;
-    - ratio(params): C^{s_d} is diag(ratio^{nu_d}).
+    - ratio(P, D): C^{s_d} is diag((p/q)^{nu_d}) for the integers (p, q).
 
-    Rows are kept as integer numerators over one row denominator: s_j
-    combines the rows it reads over the lcm of (entry denominator x row
-    denominator) and divides out one gcd, and s_d multiplies row nu by
-    p^{nu_d} and its denominator by q^{nu_d}, for ratio = p/q.  The rows are
-    the ConnMatrix's int_rows as they stand: no rational is made.
+    The params are put over their lcm D once: D does not change when slots
+    are swapped, so every step reads the same integers P, permuted.  Rows
+    are kept as integer numerators over one row denominator: s_j combines
+    the rows it reads over the lcm of (entry denominator x row denominator)
+    and divides out one gcd, and s_d multiplies row nu by p^{nu_d} and its
+    denominator by q^{nu_d}.  The rows are the ConnMatrix's int_rows as
+    they stand: no rational is made.
     """
     if len(params) != tau.m:
         raise ValueError(f"a permutation of {tau.m} slots needs {tau.m} parameters, got {len(params)}")
     d = tau.m - 1
-    params = tuple(R(p) for p in params)
+    P, D = over_lcm([rat(p) for p in params])
     order = enumerate_basis(d, n)
     index = {nu: i for i, nu in enumerate(order)}
     # (numerators {column: int}, row denominator) of the running product, starting at the identity
     rows = [({i: 1}, 1) for i in range(len(order))]
     for a in tau.reduced_word():
         if a == d:
-            r = ratio(params)
-            p, q = numer(r), denom(r)
+            p, q = ratio(P, D)
+            g = gcd(p, q)
+            p, q = p // g, q // g
             powers = [(p**e, q**e) for e in range(n + 1)]
             new_rows = []
             for nu, (row, den) in zip(order, rows):
@@ -181,7 +188,7 @@ def word_product(tau, params, n, block, ratio):
                     key = (m_loc, k, m, tail)
                     c = memo.get(key)
                     if c is None:
-                        c = memo[key] = block(a, params, *key)
+                        c = memo[key] = block(a, P, D, *key)
                     if c[0] == 0:
                         continue
                     mu = nu[: a - 1] + (m_loc - m, m) + nu[a + 1:]
@@ -199,24 +206,24 @@ def word_product(tau, params, n, block, ratio):
                     common //= g
                 new_rows.append((acc, common))
             rows = new_rows
-        params = params[: a - 1] + (params[a], params[a - 1]) + params[a + 1:]
+        P[a - 1], P[a] = P[a], P[a - 1]
     size = len(order)
     return ConnMatrix.from_int_rows(d, n, [([row.get(i, 0) for i in range(size)], den) for row, den in rows], order)
 
 
-def _local_kappa(kappa, j, tail):
-    """kappa-hat of s_j, j < d: the d=2 parameters of slots j, j+1 when |nu^{j+2}| = tail."""
-    d = len(kappa) - 1
-    return (kappa[j - 1], kappa[j], sum(kappa[j + 1:], 2 * tail + d - j - 1))
+def _local_kappa(K, D, j, tail):
+    """kappa-hat of s_j, j < d, over D for kappa = K / D: the d=2 parameters of slots j, j+1 when |nu^{j+2}| = tail."""
+    d = len(K) - 1
+    return (K[j - 1], K[j], sum(K[j + 1:], (2 * tail + d - j - 1) * D))
 
 
-def _jacobi_block(j, kappa, m_loc, k, m, tail):
+def _jacobi_block(j, K, D, m_loc, k, m, tail):
     """The d=2 (12) entry, as cc_2d_entry's (num, den), at local degree m_loc and the kappa-hat of slots j, j+1."""
-    return cc_2d_entry(k, m, _local_kappa(kappa, j, tail), m_loc)
+    return cc_2d_entry(k, m, _local_kappa(K, D, j, tail), D, m_loc)
 
 
-def _jacobi_ratio(kappa):
-    return -ONE
+def _jacobi_ratio(K, D):
+    return -1, 1
 
 
 def cc_3d_matrix(tau, kappa, n):
@@ -236,30 +243,32 @@ def cc_cyclic_hat(nu, mu, kappa, n, form=1):
 
     Form 1 is R_{(mu_d, ..., mu_2)}(|nu^d|, ..., |nu^2|); form 2 is its dual_map,
     and form 3 the conj_map of form 2: the same value, its own weight and norm.
-    The radicand w R^2 / ||R||^2 is one rational made from racah's integer cores.
+    kappa is put over its lcm D once, beta_j = B_j / D follows in integers,
+    both maps are racah's integer maps on (B, D), and the radicand
+    w R^2 / ||R||^2 is the one rational, made from racah's integer cores.
     """
     if form not in (1, 2, 3):
         raise ValueError("form must be 1, 2 or 3")
     d = len(nu)
-    kappa = check_kappa(kappa)
-    if (len(mu), len(kappa), sum(nu), sum(mu)) != (d, d + 1, n, n):
+    K, D = scaled_kappa(kappa)
+    if (len(mu), len(K), sum(nu), sum(mu)) != (d, d + 1, n, n):
         raise ValueError(f"cc_cyclic_hat needs len(mu) = {d}, {d + 1} kappa entries and |nu| = |mu| = {n}, "
-                         f"got {len(mu)}, {len(kappa)}, {sum(nu)} and {sum(mu)}")
+                         f"got {len(mu)}, {len(K)}, {sum(nu)} and {sum(mu)}")
+    if min((*nu, *mu), default=0) < 0:
+        raise ValueError(f"cc_cyclic_hat needs nu and mu with entries >= 0, got nu = {nu} and mu = {mu}")
     # beta_j = kappa_1 + |kappa^{d+2-j}| + j, with |kappa^i| = kappa_i + ... + kappa_{d+1}
-    beta, ksuf = [kappa[0]], ZERO
+    B, ksuf = [K[0]], 0
     for j in range(1, d + 1):
-        ksuf += kappa[d + 1 - j]
-        beta.append(kappa[0] + ksuf + j)
+        ksuf += K[d + 1 - j]
+        B.append(K[0] + ksuf + j * D)
     x = tuple(sum(nu[d - j:]) for j in range(1, d))  # |nu^d|, ..., |nu^2|
     idx = tuple(reversed(mu[1:]))  # mu_d, ..., mu_2
     if form > 1:
-        x, idx, beta = dual_map(x, idx, beta, n)
-    B, D = over_lcm(beta)
+        x, idx, B = dual_core(x, idx, B, D, n)
     val, val_den = multi_core(idx, x, B, D, n)
     if form == 3:
-        x, idx, beta = conj_map(x, idx, beta, n)
-        B, D = over_lcm(beta)
-        norm_num, norm_den = second_norm_core(idx, beta, n)
+        x, idx, B = conj_core(x, idx, B, D, n)
+        norm_num, norm_den = second_norm_core(idx, B, D, n)
     else:
         norm_num, norm_den = norm_core(idx, B, D, n)
     w_num, w_den = weight_core(x, B, D, n)
@@ -301,15 +310,22 @@ def cc_adjacent_hat(nu, mu, kappa, n, j):
 
     For j < d it is the d=2 cycle (12) at the local degrees of slots j, j+1
     and the engine's kappa-hat, and 0 unless nu and mu agree outside them.
+    Raises ValueError unless 1 <= j <= d = len(nu), len(mu) = d, kappa has
+    d + 1 entries, each > -1, and |nu| = |mu| = n with no negative entry.
     """
-    d = len(nu)
-    kappa = tuple(R(k) for k in kappa)
+    d, nu, mu = len(nu), tuple(nu), tuple(mu)
+    K, D = over_lcm([rat(k) for k in kappa])
+    if not (1 <= j <= d and len(mu) == d and len(K) == d + 1 and min(K) > -D
+            and sum(nu) == sum(mu) == n and min(nu + mu) >= 0):
+        raise ValueError(f"cc_adjacent_hat needs 1 <= j <= d = len(nu), len(mu) = d, d + 1 kappa entries, "
+                         f"each > -1, and |nu| = |mu| = n with entries >= 0; got j = {j}, nu = {nu}, mu = {mu}, "
+                         f"kappa = {','.join(rat_str(R(k, D)) for k in K)} and n = {n}")
     if j == d:
-        return QSqrt.signed(_sign(nu[d - 1]) if nu == tuple(mu) else 0, ONE)
-    if tuple(nu[: j - 1]) != tuple(mu[: j - 1]) or tuple(nu[j + 1:]) != tuple(mu[j + 1:]):
+        return QSqrt.signed(_sign(nu[d - 1]) if nu == mu else 0, ONE)
+    if nu[: j - 1] != mu[: j - 1] or nu[j + 1:] != mu[j + 1:]:
         return QSqrt(0, ZERO)
-    khat = _local_kappa(kappa, j, sum(nu[j + 1:]))
-    return cc_cyclic_hat(nu[j - 1: j + 1], mu[j - 1: j + 1], khat, nu[j - 1] + nu[j])
+    khat = _local_kappa(K, D, j, sum(nu[j + 1:]))
+    return cc_cyclic_hat(nu[j - 1: j + 1], mu[j - 1: j + 1], tuple(R(k, D) for k in khat), nu[j - 1] + nu[j])
 
 
 def cc_3d_hat13_terms(nu, mu, kappa, n):

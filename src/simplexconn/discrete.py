@@ -6,13 +6,14 @@ is an exact rational even when intermediate bottom parameters would vanish.
 Both connection matrices come from the Coxeter-word engine: the Hahn matrix
 is the simplex one rescaled by p_factor, and the Krawtchouk matrix, a limit
 of the simplex one, runs the engine with its own local rules on the
-extended (rho, 1 - |rho|).  The lattice sums are only test oracles.  The
-normalized cycle coefficient has one Krawtchouk form; form 2 is its kraw_dual.
+extended (rho, 1 - |rho|), read from the integers of the word's one lcm.
+The lattice sums are only test oracles.  The normalized cycle coefficient
+has one Krawtchouk form; form 2 is its kraw_dual.
 """
 
 from math import comb
 
-from .backend import R, ZERO, ONE, denom, numer
+from .backend import R, ZERO, ONE, denom, numer, rat
 from .exact_arith import QSqrt, folded_series, hyp_with_prefactor, over_lcm, pochhammer
 from .multipoly import homogenize
 from .simplex import a_coeffs, enumerate_basis, jacobi_simplex_basis, norm_A
@@ -198,20 +199,20 @@ def tau_rho(tau, rho):
     return tuple(ext[tau(i) - 1] for i in range(1, tau.m))
 
 
-def _kraw_block(j, rho, n, k, m, tail):
+def _kraw_block(j, P, D, n, k, m, tail):
     """Entry [(n-k, k)][(n-m, m)] of the d=2 (12) Krawtchouk matrix for slots j, j+1.
 
-    rho is the extended (rho_1, ..., rho_{d+1}); the local parameters are
+    P / D is the extended (rho_1, ..., rho_{d+1}); the local parameters are
     (r1, r2, r3) = (rho_j, rho_{j+1}, |rho^{j+2}|) / |rho^j|, and the entry does
     not depend on nu outside slots j, j+1 (tail is unused).  It is
     (-1)^{n+m+k} C(n, m) r1^{n-m-k} r3^k / (r2 + r3)^n 2F1(-m, -k; -n; z),
-    z = (r1 + r3)(r2 + r3) / r3.  With (A, B, C) the local rho over one
-    denominator and T = A + B + C, the powers are A^{n-m-k} C^k T^m / (B + C)^n
-    and z = (A + C)(B + C) / (T C); exact_arith's folded_series sums the 2F1.
-    Like cc_2d_entry it returns integers (num, den), den != 0.
+    z = (r1 + r3)(r2 + r3) / r3.  With (A, B, C) = (P_j, P_{j+1}, |P^{j+2}|),
+    the local rho over D, and T = A + B + C, the powers are
+    A^{n-m-k} C^k T^m / (B + C)^n and z = (A + C)(B + C) / (T C), in which D
+    cancels; exact_arith's folded_series sums the 2F1.  Like cc_2d_entry it
+    returns integers (num, den), den != 0.
     """
-    (A, B, *rest), _ = over_lcm(rho[j - 1:])
-    C = sum(rest)
+    A, B, C = P[j - 1], P[j], sum(P[j + 1:])
     T = A + B + C
     lo, hi = sorted((m, k))
     total, bottom = folded_series([-hi], [-n], lo, 1, (A + C) * (B + C), T * C)
@@ -220,9 +221,17 @@ def _kraw_block(j, rho, n, k, m, tail):
     return (-num if (n + m + k) % 2 else num), den
 
 
-def _kraw_ratio(rho):
-    """C^{s_d} is diag((-rho_d / rho_{d+1})^{nu_d}) at the extended rho."""
-    return -rho[-2] / rho[-1]
+def _kraw_ratio(P, D):
+    """C^{s_d} is diag((-rho_d / rho_{d+1})^{nu_d}) at the extended rho = P / D."""
+    return -P[-2], P[-1]
+
+
+def _check_rho(rho):
+    """rho as a tuple of rationals; ValueError unless every rho_i > 0 and |rho| < 1."""
+    rho = tuple(map(rat, rho))
+    if any(r <= 0 for r in rho) or sum(rho, ZERO) >= 1:
+        raise ValueError("rho entries must be > 0 with a sum < 1")
+    return rho
 
 
 def kraw_connection(tau, rho, N, n):
@@ -233,20 +242,25 @@ def kraw_connection(tau, rho, N, n):
     """
     if len(rho) != tau.m - 1:
         raise ValueError(f"a permutation of {tau.m} slots needs {tau.m - 1} rho entries, got {len(rho)}")
-    rho = tuple(R(r) for r in rho)
-    if any(r <= 0 for r in rho) or sum(rho, ZERO) >= 1:
-        raise ValueError("rho entries must be > 0 with a sum < 1")
+    rho = _check_rho(rho)
     if n > N:
         raise ValueError(f"Krawtchouk degree n={n} exceeds the lattice size N={N}")
     return word_product(tau, rho + (ONE - sum(rho, ZERO),), n, _kraw_block, _kraw_ratio)
 
 
 def kraw_cc_cyclic_hat(nu, mu, rho, n, form=1):
-    """Normalized cyclic-permutation coefficient in closed Krawtchouk form; form 2 is kraw_dual of form 1."""
+    """Normalized cyclic-permutation coefficient in closed Krawtchouk form; form 2 is kraw_dual of form 1.
+
+    Raises ValueError unless len(mu) = len(rho) = d = len(nu), rho is in
+    kraw_connection's domain and |nu| = |mu| = n with no negative entry.
+    """
     if form not in (1, 2):
         raise ValueError("form must be 1 or 2")
     d = len(nu)
-    rho = [R(r) for r in rho]
+    rho = _check_rho(rho)
+    if (len(mu), len(rho), sum(nu), sum(mu)) != (d, d, n, n) or min((*nu, *mu), default=0) < 0:
+        raise ValueError(f"kraw_cc_cyclic_hat needs len(mu) = {d}, {d} rho entries and |nu| = |mu| = {n} "
+                         f"with entries >= 0, got nu = {tuple(nu)}, mu = {tuple(mu)} and {len(rho)} rho entries")
 
     def pre(j):  # |rho_j| = rho_1 + ... + rho_j
         return sum(rho[:j], ZERO)

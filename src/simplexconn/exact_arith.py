@@ -10,7 +10,7 @@ over one denominator (over_lcm); rising is the integer Pochhammer product.
 
 import math
 
-from .backend import R, ZERO, ONE, numer, denom, rat_str
+from .backend import R, RAT, ZERO, ONE, numer, denom, rat_from_str, rat_str
 
 
 class BottomPole(ArithmeticError):
@@ -128,18 +128,22 @@ class QSqrt:
 
     Two QSqrt values are equal iff their (sign, radicand) pairs are equal,
     which coincides with value equality since sqrt is injective on [0, oo).
+    A radicand that is already a backend rational is kept as given; any
+    other (an int, another rational, a 'p/q' string) is converted.
     """
 
     __slots__ = ("sign", "radicand")
 
     def __init__(self, sign, radicand):
-        radicand = R(radicand)
-        if radicand < 0:
-            raise ValueError("radicand must be nonnegative")
-        if radicand == 0:
+        if type(radicand) is not RAT:
+            radicand = rat_from_str(radicand) if isinstance(radicand, str) else R(radicand)
+        top = radicand.numerator
+        if top <= 0:
+            if top:
+                raise ValueError("radicand must be nonnegative")
             sign = 0
         elif sign == 0:
-            radicand = R(0)
+            radicand = ZERO
         self.sign = sign
         self.radicand = radicand
 

@@ -5,11 +5,15 @@ with a parameter vector beta of length d+2.  The first family R_nu is
 prefix-indexed and the only product formula: the second, suffix-indexed R'_nu
 is R_nu at the reflection conj_map, and dual2_map is conj_map after dual_map.
 The value, the weight and both squared norms (closed products) are integer
-cores over D, the lcm of the denominators of beta = B / D: each Pochhammer
-symbol is an exact_arith.rising product prod (B + (c+i) D), each product
-factor one exact_arith.folded_series with its prefactor folded in (so no
-intermediate bottom pole can occur), the D powers cancel by count, and each
-public function makes one rational of its core.  The weight cancels the
+cores over a common denominator D of beta = B / D, the lcm of its
+denominators in the public functions: each Pochhammer symbol is an
+exact_arith.rising product prod (B + (c+i) D), each product factor one
+exact_arith.folded_series with its prefactor folded in (so no intermediate
+bottom pole can occur), the D powers cancel by count, and each public
+function makes one rational of its core.  dual_map and conj_map are integer
+maps on (B, D) as well, dual_core and conj_core, which keep D, so that
+closed_forms.cc_cyclic_hat keeps beta over one lcm per call through both
+maps; the rational maps are written over them.  The weight cancels the
 common factors of each beta_j before it divides, so it has none of the ratio
 form's 0/0 (beta_j = 0, for one); the one-variable weight is pole-free at
 c + dlt + 1 = 0, where (b)_m ((b+2)/2)_x / (b/2)_x is a finite product.  The
@@ -20,7 +24,7 @@ oracle that the d=1 product family is checked against through param_bridge_1d.
 import itertools
 from math import factorial
 
-from .backend import R, ZERO, ONE
+from .backend import R, ZERO, ONE, rat
 from .exact_arith import folded_series, hyp_terminating, over_lcm, pochhammer, rising
 
 
@@ -141,14 +145,26 @@ def racah_norm_sq(nu, beta, N):
     return R(*norm_core(nu, *_scaled_beta(beta, len(nu)), N))
 
 
-def dual_map(x, nu, beta, N):
-    """Dual variables/indices/parameters of a rational beta; an involution together with N."""
+def dual_core(x, nu, B, D, N):
+    """dual_map on beta = B / D: (x_t, nu_t, B_t) with beta_t = B_t / D."""
     d = len(nu)
     xx = [0] + list(x) + [N]
     x_t = tuple(N - sum(nu[: d + 1 - j]) for j in range(1, d + 1))
     nu_t = tuple(xx[d + 2 - j] - xx[d + 1 - j] for j in range(1, d + 1))
-    beta_t = [beta[0]] + [beta[0] - beta[d + 2 - j] - 2 * N + 1 for j in range(1, d + 2)]
-    return x_t, nu_t, tuple(beta_t)
+    shift = (2 * N - 1) * D
+    return x_t, nu_t, (B[0],) + tuple(B[0] - B[d + 2 - j] - shift for j in range(1, d + 2))
+
+
+def _on_rationals(core, x, nu, beta, N):
+    """core, a map on (x, nu, B, D, N), applied to a rational beta: (x', nu', beta')."""
+    B, D = over_lcm([rat(b) for b in beta])
+    x_m, nu_m, B_m = core(x, nu, B, D, N)
+    return x_m, nu_m, tuple(R(b, D) for b in B_m)
+
+
+def dual_map(x, nu, beta, N):
+    """Dual variables/indices/parameters of a rational beta (dual_core); an involution together with N."""
+    return _on_rationals(dual_core, x, nu, beta, N)
 
 
 def duality_normalizer(nu, beta, N):
@@ -162,13 +178,17 @@ def duality_normalizer(nu, beta, N):
     return val
 
 
-def conj_map(x, nu, beta, N):
-    """Reflected variables/indices/parameters of a rational beta; an involution."""
+def conj_core(x, nu, B, D, N):
+    """conj_map on beta = B / D: (x_c, nu_c, B_c) with beta_c = B_c / D."""
     d = len(nu)
     x_c = tuple(N - x[d - j] for j in range(1, d + 1))
     nu_c = tuple(nu[d - j] for j in range(1, d + 1))
-    beta_c = tuple(-R(2 * N) - beta[d + 1 - j] for j in range(d + 2))
-    return x_c, nu_c, beta_c
+    return x_c, nu_c, tuple(-2 * N * D - B[d + 1 - j] for j in range(d + 2))
+
+
+def conj_map(x, nu, beta, N):
+    """Reflected variables/indices/parameters of a rational beta (conj_core); an involution."""
+    return _on_rationals(conj_core, x, nu, beta, N)
 
 
 def racah_second(nu, x, beta, N):
@@ -177,8 +197,8 @@ def racah_second(nu, x, beta, N):
     return racah_multi(nu_c, x_c, beta_c, N)
 
 
-def second_norm_core(nu, beta, N):
-    """(num, den) with racah_second_norm_sq(nu, beta, N) = num / den.
+def second_norm_core(nu, B, D, N):
+    """(num, den) with racah_second_norm_sq(nu, beta, N) = num / den for beta = B / D.
 
     The reflection conj_map sends R'_nu(x; beta) to R_{nu_c}(x_c; beta_c),
     and the weight ratio w(x_c; beta_c) / w(x; beta) is the same at every
@@ -186,13 +206,11 @@ def second_norm_core(nu, beta, N):
     (nu_c, beta_c) divided by that ratio, read off at the corner x = 0,
     where both weights must be finite and non-zero.
     """
-    B, D = _scaled_beta(beta, len(nu))
     corner = (0,) * len(nu)
-    x_c, nu_c, beta_c = conj_map(corner, nu, beta, N)
-    B_c, D_c = over_lcm(beta_c)
-    norm_num, norm_den = norm_core(nu_c, B_c, D_c, N)
+    x_c, nu_c, B_c = conj_core(corner, nu, B, D, N)
+    norm_num, norm_den = norm_core(nu_c, B_c, D, N)
     corner_num, corner_den = weight_core(corner, B, D, N)
-    w_num, w_den = weight_core(x_c, B_c, D_c, N)
+    w_num, w_den = weight_core(x_c, B_c, D, N)
     if w_num == 0:
         raise ZeroDivisionError("the second norm divides by the reflected corner weight 0")
     return norm_num * corner_num * w_den, norm_den * corner_den * w_num
@@ -200,7 +218,7 @@ def second_norm_core(nu, beta, N):
 
 def racah_second_norm_sq(nu, beta, N):
     """Squared norm of R'_nu under the weight of beta, in closed form (second_norm_core)."""
-    return R(*second_norm_core(nu, beta, N))
+    return R(*second_norm_core(nu, *_scaled_beta(beta, len(nu)), N))
 
 
 def dual2_map(x, nu, beta, N):

@@ -17,7 +17,7 @@ import re
 from math import comb, factorial
 from operator import add
 
-from .backend import R, ZERO, ONE
+from .backend import R, ZERO, ONE, rat
 from .exact_arith import over_lcm, pochhammer, rising
 from .multipoly import SparsePoly, substitute_homogeneous
 
@@ -221,16 +221,27 @@ def a_coeffs(nu, kappa):
     return out
 
 
+_KAPPA_DOMAIN = "{} needs at least 2 entries, each > -1"
+
+
 def check_kappa(kappa, name="kappa"):
     """kappa as a tuple of rationals; ValueError unless d >= 1 and every kappa_i > -1.
 
     Outside this domain the weight is not integrable and no orthogonal basis
     exists, though the product formulas may still return numbers.
     """
-    kappa = tuple(R(k) for k in kappa)
+    kappa = tuple(map(rat, kappa))
     if len(kappa) < 2 or any(k <= -1 for k in kappa):
-        raise ValueError(f"{name} needs at least 2 entries, each > -1")
+        raise ValueError(_KAPPA_DOMAIN.format(name))
     return kappa
+
+
+def scaled_kappa(kappa):
+    """(K, D): kappa over D, the lcm of its denominators, with check_kappa's check made in integers, K_i > -D."""
+    K, D = over_lcm([rat(k) for k in kappa])
+    if len(K) < 2 or any(k <= -D for k in K):
+        raise ValueError(_KAPPA_DOMAIN.format("kappa"))
+    return K, D
 
 
 def jacobi_simplex_basis(nu, kappa):

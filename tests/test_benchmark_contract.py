@@ -56,6 +56,24 @@ def test_small_workload_runs_and_checks(name):
         assert op.check(results[op.label], results) is None, op.label
 
 
+def test_traced_closed_forms_round_sees_the_local_rule_and_the_cycle_form():
+    # the per-layer rows read these counts: an integer refactor must still reach
+    # both functions through the names the tracer rebinds
+    ops = workloads.build("closed-forms", 0, small=True)
+    trace = tracer.Tracer()
+    trace.install()
+    try:
+        for op in ops:
+            workloads.reset_caches()
+            trace.begin_op()
+            op.run()
+    finally:
+        trace.uninstall()
+        workloads.reset_caches()
+    assert trace.counts["closed_forms.cc_2d_entry.calls"] > 0
+    assert trace.counts["closed_forms.cc_cyclic_hat.calls"] > 0
+
+
 # The two argv shapes of the verify-session workload, at small sizes.
 def test_verify_session_orthogonality_argv(capsys):
     argv = ["verify", "--suite", "orthogonality", "--d", "2", "--n", "1", "--kappa", "1/3,2/5,3/7",

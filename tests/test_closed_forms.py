@@ -1,10 +1,11 @@
 import itertools
 import random
+from math import comb
 
 import pytest
 
 from simplexconn.backend import R, ZERO, ONE
-from simplexconn.exact_arith import QSqrt, folded_series, hyp_terminating, pochhammer
+from simplexconn.exact_arith import QSqrt, folded_series, hyp_terminating, over_lcm, pochhammer
 from simplexconn.simplex import Permutation, enumerate_basis
 from simplexconn.connection import ConnMatrix, clear_caches, gram_connection, normalize
 from simplexconn import closed_forms as cf
@@ -168,6 +169,24 @@ def test_last_adjacent_transposition_is_signed_identity():
                 assert q.square() == ZERO
 
 
+@pytest.mark.parametrize("nu, mu, kappa, n, j", [
+    ((1, 1), (2, 0), (R(1, 2), R(1, 3), R(2, 5)), 5, 1),  # |nu| = |mu| = 2, not n
+    ((1, 1), (2, 0), (R(1, 2), R(1, 3), R(2, 5)), 2, 3),  # j = d + 1
+    ((1, 1), (2, 0), (R(1, 2), R(1, 3), R(2, 5)), 2, 0),
+    ((1, 1), (1, 1), (R(-3, 2), R(1, 3), R(2, 5)), 2, 2),  # j = d at kappa_1 <= -1
+    ((1, 1), (1, 1), (R(1, 2), R(1, 3), R(-1)), 2, 1),
+    ((1, 0, 1), (0, 1, 2), KAPPA3, 2, 3),  # j = d, mu of another degree
+    ((1, 0, 1), (1, 1, 0), KAPPA3[:3], 2, 1),  # kappa one entry short
+    ((1, 0, 1), (0, 2), KAPPA3, 2, 1),  # len(mu) != d
+    ((2, 0, 0), (0, 1, 1), (R(1, 2), R(1, 3), R(-5, 4), R(1)), 2, 1),  # an entry that is 0 by its pattern
+    ((3, -1), (1, 1), KAPPA2, 2, 1),
+], ids=["degree", "j-above-d", "j-zero", "j-d-kappa-domain", "kappa-domain", "j-d-mu-degree", "short-kappa",
+        "mu-length", "zero-entry-kappa-domain", "negative-entry"])
+def test_adjacent_hat_checks_its_input(nu, mu, kappa, n, j):
+    with pytest.raises(ValueError, match="cc_adjacent_hat needs 1 <= j <= d = len"):
+        cf.cc_adjacent_hat(nu, mu, kappa, n, j)
+
+
 def test_connection_matrix_dispatch_agrees():
     for tau in all_perms(3):
         for n in (1, 3):
@@ -283,8 +302,8 @@ def rational_2d_entry(j, m, kappa, n):
 
 
 def entry_value(j, m, kappa, n):
-    """cc_2d_entry's integers (num, den) as one rational."""
-    return R(*cf.cc_2d_entry(j, m, kappa, n))
+    """cc_2d_entry's integers (num, den), at kappa over the lcm of its denominators, as one rational."""
+    return R(*cf.cc_2d_entry(j, m, *over_lcm(kappa), n))
 
 
 def value_or_error(rule, *args):
@@ -340,8 +359,32 @@ def test_2d_entry_poles_outside_the_domain_raise_like_the_rational_rule():
     assert raised == {"BottomPole", "ZeroDivisionError"}
 
 
+def rational_jacobi_block(j, kappa, m_loc, k, m, tail):
+    """The engine's s_j entry in rational arithmetic: rational_2d_entry at the rational kappa-hat."""
+    d = len(kappa) - 1
+    return rational_2d_entry(k, m, (kappa[j - 1], kappa[j], sum(kappa[j + 1:], ZERO) + 2 * tail + d - j - 1), m_loc)
+
+
+def rational_kraw_block(j, rho, n, k, m, tail):
+    """The Krawtchouk (12) local rule in rational arithmetic, with hyp_terminating (as in test_discrete)."""
+    tot = sum(rho[j - 1:], ZERO)
+    r1, r2, r3 = rho[j - 1] / tot, rho[j] / tot, sum(rho[j + 1:], ZERO) / tot
+    return (
+        cf._sign(n + m + k) * comb(n, m) * r1 ** (n - m - k) * r3**k / (r2 + r3) ** n
+        * hyp_terminating([R(-m), R(-k)], [R(-n)], (r1 + r3) * (r2 + r3) / r3)
+    )
+
+
+JACOBI = (cf._jacobi_block, cf._jacobi_ratio, rational_jacobi_block, lambda kappa: -ONE)
+KRAWTCHOUK = (ds._kraw_block, ds._kraw_ratio, rational_kraw_block, lambda rho: -rho[-2] / rho[-1])
+
+
 def rational_word_product(tau, params, n, block, ratio):
-    """The engine's loop with rational rows: each row a {column: rational}, each block entry R(num, den)."""
+    """The engine's loop in rational arithmetic: rows {column: rational}, the rational local rules block and ratio.
+
+    The rules read the rational params of each step, so each entry is put over
+    its own denominators, not over the word's one lcm as in the engine.
+    """
     d = tau.m - 1
     params = tuple(R(p) for p in params)
     order = enumerate_basis(d, n)
@@ -361,7 +404,7 @@ def rational_word_product(tau, params, n, block, ratio):
                     key = (m_loc, k, m, tail)
                     c = memo.get(key)
                     if c is None:
-                        c = memo[key] = R(*block(a, params, *key))
+                        c = memo[key] = block(a, params, *key)
                     if c == 0:
                         continue
                     mu = nu[: a - 1] + (m_loc - m, m) + nu[a + 1:]
@@ -373,31 +416,66 @@ def rational_word_product(tau, params, n, block, ratio):
     return ConnMatrix(d, n, [[row.get(i, ZERO) for i in range(len(order))] for row in rows], order)
 
 
-def assert_same_products(taus, params, degrees, block, ratio):
+def assert_same_products(taus, params, degrees, family):
+    block, ratio, rational_block, rational_ratio = family
     for tau in taus:
         for n in degrees:
             got = cf.word_product(tau, params, n, block, ratio)
-            assert got == rational_word_product(tau, params, n, block, ratio), (tau, params, n)
+            assert got == rational_word_product(tau, params, n, rational_block, rational_ratio), (tau, params, n)
             assert {type(v) for row in got.rows for v in row} == {type(ONE)}
 
 
 @pytest.mark.parametrize("kappa", [KAPPA2, (HALF,) * 3, POLE2[0]], ids=["generic", "half", "pole"])
 def test_engine_equals_the_rational_loop_s3(kappa):
-    assert_same_products(all_perms(3), kappa, range(9), cf._jacobi_block, cf._jacobi_ratio)
+    assert_same_products(all_perms(3), kappa, range(9), JACOBI)
 
 
 def test_engine_equals_the_rational_loop_s4_s5():
-    assert_same_products(all_perms(4), KAPPA3, range(4), cf._jacobi_block, cf._jacobi_ratio)
+    assert_same_products(all_perms(4), KAPPA3, range(4), JACOBI)
     taus = random.Random(5).sample(all_perms(5), 24)
-    assert_same_products(taus, (R(1, 3), R(-2, 5), R(0), R(3, 7), R(-1, 2)), range(3),
-                         cf._jacobi_block, cf._jacobi_ratio)
+    assert_same_products(taus, (R(1, 3), R(-2, 5), R(0), R(3, 7), R(-1, 2)), range(3), JACOBI)
+
+
+# slot denominators 3, 5, 7, 11, 13: the word's lcm D = 15015 is a multiple
+# of every step's kappa-hat lcm, and larger than each
+COPRIME = (R(1, 3), R(2, 5), R(3, 7), R(5, 11), R(6, 13))
+
+
+def test_engine_over_the_words_lcm_equals_the_rational_loop():
+    for m, degrees in ((3, range(6)), (4, range(4))):
+        assert_same_products(all_perms(m), COPRIME[:m], degrees, JACOBI)
+    assert_same_products(random.Random(7).sample(all_perms(5), 24), COPRIME, range(3), JACOBI)
+    # Krawtchouk: rho = (1/3, 1/5, 1/7), extended by 1 - |rho| = 34/105
+    rho = (R(1, 3), R(1, 5), R(1, 7))
+    for m in (3, 4):
+        ext = rho[: m - 1] + (1 - sum(rho[: m - 1]),)
+        assert_same_products(all_perms(m), ext, range(4), KRAWTCHOUK)
 
 
 def test_krawtchouk_engine_equals_the_rational_loop():
     # the extended (rho, 1 - |rho|); the s_d ratio -rho_d / rho_{d+1} is not an integer
     for m, rho in ((3, (R(1, 4), R(2, 5))), (4, (R(1, 6), R(2, 7), R(1, 5)))):
         ext = rho + (1 - sum(rho),)
-        assert_same_products(all_perms(m), ext, range(4), ds._kraw_block, ds._kraw_ratio)
+        assert_same_products(all_perms(m), ext, range(4), KRAWTCHOUK)
+
+
+def test_engine_puts_the_params_over_one_lcm_per_word(monkeypatch):
+    # the word's D serves every step: one over_lcm per connection matrix, none in a local rule
+    calls = []
+
+    def counted(values):
+        calls.append(tuple(values))
+        return over_lcm(values)
+
+    monkeypatch.setattr(cf, "over_lcm", counted)
+    monkeypatch.setattr(ds, "over_lcm", counted)
+    for tau in all_perms(4):
+        for run in (lambda: cf.connection_matrix(tau, COPRIME[:4], 3),
+                    lambda: ds.kraw_connection(tau, (R(1, 3), R(1, 5), R(1, 7)), 3, 3)):
+            clear_caches()
+            calls.clear()
+            assert run().n == 3
+            assert len(calls) == 1, (tau, calls)
 
 
 def test_engine_calls_no_pochhammer_and_no_series(monkeypatch):
@@ -428,7 +506,7 @@ def test_both_local_rules_sum_with_the_one_series_kernel(monkeypatch):
     monkeypatch.setattr(ds, "folded_series", counted)
     assert entry_value(2, 1, KAPPA2, 3) == rational_2d_entry(2, 1, KAPPA2, 3)
     assert len(calls) == 1
-    ds._kraw_block(1, (R(1, 4), R(1, 3), R(5, 12)), 3, 2, 1, 0)
+    ds._kraw_block(1, *over_lcm((R(1, 4), R(1, 3), R(5, 12))), 3, 2, 1, 0)
     assert len(calls) == 2
 
 
@@ -456,10 +534,10 @@ def rational_cyclic_hat(nu, mu, kappa, n, form):
 
 
 def cyclic_points(d):
-    """Generic, (-1/2)^{d+1}, kappa_1 + kappa_{d+1} = -1, zero and integer kappa."""
+    """Generic, (-1/2)^{d+1}, kappa_1 + kappa_{d+1} = -1, zero, integer and coprime-denominator kappa."""
     return [tuple(R(i + 1, i + 3) * (-1) ** i for i in range(d + 1)), (HALF,) * (d + 1),
             (R(-1, 3),) + tuple(R(1, i + 2) for i in range(d - 1)) + (R(-2, 3),),
-            (R(0),) * (d + 1), tuple(R(i) for i in range(d + 1))]
+            (R(0),) * (d + 1), tuple(R(i) for i in range(d + 1)), (COPRIME + (R(7, 17),))[: d + 1]]
 
 
 def test_cyclic_hat_equals_its_rational_oracle():
@@ -472,8 +550,9 @@ def test_cyclic_hat_equals_its_rational_oracle():
 
 
 def test_cyclic_hat_reads_no_rational_racah_function(monkeypatch):
-    # the value, weight and norms come from racah's integer cores: a regression
-    # to the rational functions or kernels would call these in closed_forms or racah
+    # the value, weight and norms come from racah's integer cores, and beta and
+    # both maps are integers over kappa's lcm: a regression to the rational
+    # functions, maps or kernels would call these in closed_forms or racah
     grids = []
     for d, n in ((2, 3), (3, 2), (4, 2), (5, 1)):
         kappa = cyclic_points(d)[0]
@@ -485,7 +564,7 @@ def test_cyclic_hat_reads_no_rational_racah_function(monkeypatch):
         raise AssertionError("cc_cyclic_hat called a rational Racah function or kernel")
 
     names = ("pochhammer", "hyp_with_prefactor", "racah_multi", "racah_weight_multi", "racah_norm_sq",
-             "racah_second_norm_sq")
+             "racah_second_norm_sq", "dual_map", "conj_map", "check_kappa")
     for module in (cf, rc):
         for name in names:
             monkeypatch.setattr(module, name, forbidden, raising=False)
@@ -499,7 +578,10 @@ def test_cyclic_hat_reads_no_rational_racah_function(monkeypatch):
     ((2, 0), (0, 1), KAPPA2, 1, r"\|nu\| = \|mu\| = 1"),
     ((1, 0), (0, 0, 1), KAPPA2, 1, "len\\(mu\\) = 2"),
     ((1, 0), (0, 1), (R(-1), R(2), R(3)), 1, "each > -1"),
-], ids=["short-kappa", "long-kappa", "mu-degree", "nu-degree", "mu-length", "kappa-domain"])
+    ((3, -1), (1, 1), KAPPA2, 2, r"entries >= 0, got nu = \(3, -1\)"),
+    ((1, 1), (3, -1), KAPPA2, 2, r"entries >= 0, got nu = \(1, 1\) and mu = \(3, -1\)"),
+], ids=["short-kappa", "long-kappa", "mu-degree", "nu-degree", "mu-length", "kappa-domain", "negative-nu",
+        "negative-mu"])
 def test_cyclic_hat_checks_its_input(nu, mu, kappa, n, match):
     for form in (1, 2, 3):
         with pytest.raises(ValueError, match=match):

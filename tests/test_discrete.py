@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from simplexconn.backend import R, ZERO, ONE
-from simplexconn.exact_arith import hyp_terminating, pochhammer
+from simplexconn.exact_arith import hyp_terminating, over_lcm, pochhammer
 from simplexconn.simplex import Permutation, enumerate_basis
 from simplexconn.closed_forms import connection_matrix
 from simplexconn.connection import gram_connection
@@ -131,6 +131,19 @@ def test_kraw_cyclic_closed_forms():
                     assert q.square() == hat_sq
                     if q.square() != ZERO:
                         assert q.sign == sign
+
+
+@pytest.mark.parametrize("nu, mu, rho, n, match", [
+    ((1, 1), (2, 0), (R(1, 4), R(1, 3)), 5, r"\|nu\| = \|mu\| = 5"),
+    ((1, 1), (2, 0), (R(3, 4), R(1, 3)), 2, "rho entries must be > 0 with a sum < 1"),
+    ((1, 1), (2, 0), (R(1, 4),), 2, "2 rho entries"),
+    ((1, 1), (2, 0, 0), (R(1, 4), R(1, 3)), 2, "len\\(mu\\) = 2"),
+    ((3, -1), (2, 0), (R(1, 4), R(1, 3)), 2, "entries >= 0"),
+], ids=["degree", "rho-domain", "short-rho", "mu-length", "negative-entry"])
+def test_kraw_cyclic_hat_checks_its_input(nu, mu, rho, n, match):
+    for form in (1, 2):
+        with pytest.raises(ValueError, match=match):
+            ds.kraw_cc_cyclic_hat(nu, mu, rho, n, form=form)
 
 
 def test_hahn_to_krawtchouk_limit():
@@ -279,10 +292,11 @@ def test_kraw_block_equals_the_rational_rule():
     for _ in range(60):
         weights = [rng.randint(1, 12) for _ in range(rng.randint(3, 5))]
         ext = tuple(R(w, sum(weights)) for w in weights)
+        P, D = over_lcm(ext)
         for j in range(1, len(ext) - 1):
             for n in range(7):
                 for k, m in itertools.product(range(n + 1), repeat=2):
-                    assert R(*ds._kraw_block(j, ext, n, k, m, 0)) == rational_kraw_block(j, ext, n, k, m, 0)
+                    assert R(*ds._kraw_block(j, P, D, n, k, m, 0)) == rational_kraw_block(j, ext, n, k, m, 0)
 
 
 def small_rationals(size, lo, hi):

@@ -256,3 +256,14 @@ class TestQSqrt:
 
     def test_json(self):
         assert QSqrt(-1, R(5, 3)).to_json() == {"sign": -1, "radicand": "5/3"}
+
+    def test_radicand_is_a_backend_rational_kept_as_given(self):
+        r = R(5, 3)
+        assert QSqrt(1, r).radicand is r
+        for raw, want in ((4, R(4)), ("5/3", R(5, 3)), ("0", ZERO)):
+            q = QSqrt(1, raw)
+            assert type(q.radicand) is type(ONE) and q.radicand == want
+        assert QSqrt(1, "0").sign == 0 and QSqrt(0, 7).radicand == ZERO
+        for raw in (R(-1, 3), -2, "-5/3"):
+            with pytest.raises(ValueError, match="radicand must be nonnegative"):
+                QSqrt(1, raw)
