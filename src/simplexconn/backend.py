@@ -35,13 +35,8 @@ RAT = type(ONE)  # the backend's rational type
 
 
 def R(p, q=1):
-    """Exact rational p/q."""
-    return _make(p, q)
-
-
-def rat(x):
-    """x as a backend rational: x itself when it is one already, else R(x)."""
-    return x if type(x) is RAT else _make(x)
+    """Exact rational p/q; p itself when q = 1 and p is a backend rational already."""
+    return p if q == 1 and type(p) is RAT else _make(p, q)
 
 
 def rat_from_str(s):

@@ -31,7 +31,7 @@ s_d^a (12...d)^{+-1} s_d^b; the adjacent transposition s_j is the d=2 cycle
 import itertools
 from math import comb, gcd, lcm
 
-from .backend import R, ZERO, ONE, rat, rat_str
+from .backend import R, ZERO, ONE
 from .exact_arith import (
     QSqrt, bottom_pole, folded_series, hyp_terminating, over_lcm, pochhammer, rising, termination_order,
 )
@@ -162,7 +162,7 @@ def word_product(tau, params, n, block, ratio):
     if len(params) != tau.m:
         raise ValueError(f"a permutation of {tau.m} slots needs {tau.m} parameters, got {len(params)}")
     d = tau.m - 1
-    P, D = over_lcm([rat(p) for p in params])
+    P, D = over_lcm([R(p) for p in params])
     order = enumerate_basis(d, n)
     index = {nu: i for i, nu in enumerate(order)}
     # (numerators {column: int}, row denominator) of the running product, starting at the identity
@@ -249,8 +249,12 @@ def cc_cyclic_hat(nu, mu, kappa, n, form=1):
     """
     if form not in (1, 2, 3):
         raise ValueError("form must be 1, 2 or 3")
+    return _cyclic_hat(nu, mu, *scaled_kappa(kappa), n, form)
+
+
+def _cyclic_hat(nu, mu, K, D, n, form):
+    """cc_cyclic_hat at kappa = K / D, with K_i > -D."""
     d = len(nu)
-    K, D = scaled_kappa(kappa)
     if (len(mu), len(K), sum(nu), sum(mu)) != (d, d + 1, n, n):
         raise ValueError(f"cc_cyclic_hat needs len(mu) = {d}, {d + 1} kappa entries and |nu| = |mu| = {n}, "
                          f"got {len(mu)}, {len(K)}, {sum(nu)} and {sum(mu)}")
@@ -314,18 +318,18 @@ def cc_adjacent_hat(nu, mu, kappa, n, j):
     d + 1 entries, each > -1, and |nu| = |mu| = n with no negative entry.
     """
     d, nu, mu = len(nu), tuple(nu), tuple(mu)
-    K, D = over_lcm([rat(k) for k in kappa])
-    if not (1 <= j <= d and len(mu) == d and len(K) == d + 1 and min(K) > -D
-            and sum(nu) == sum(mu) == n and min(nu + mu) >= 0):
-        raise ValueError(f"cc_adjacent_hat needs 1 <= j <= d = len(nu), len(mu) = d, d + 1 kappa entries, "
-                         f"each > -1, and |nu| = |mu| = n with entries >= 0; got j = {j}, nu = {nu}, mu = {mu}, "
-                         f"kappa = {','.join(rat_str(R(k, D)) for k in K)} and n = {n}")
+    if not (1 <= j <= d and len(mu) == d and len(kappa) == d + 1 and sum(nu) == sum(mu) == n
+            and min(nu + mu) >= 0):
+        raise ValueError(f"cc_adjacent_hat needs 1 <= j <= d = len(nu), len(mu) = d, d + 1 kappa entries "
+                         f"and |nu| = |mu| = n with entries >= 0; got j = {j}, nu = {nu}, mu = {mu}, "
+                         f"{len(kappa)} kappa entries and n = {n}")
+    K, D = scaled_kappa(kappa)
     if j == d:
         return QSqrt.signed(_sign(nu[d - 1]) if nu == mu else 0, ONE)
     if nu[: j - 1] != mu[: j - 1] or nu[j + 1:] != mu[j + 1:]:
         return QSqrt(0, ZERO)
-    khat = _local_kappa(K, D, j, sum(nu[j + 1:]))
-    return cc_cyclic_hat(nu[j - 1: j + 1], mu[j - 1: j + 1], tuple(R(k, D) for k in khat), nu[j - 1] + nu[j])
+    return _cyclic_hat(nu[j - 1: j + 1], mu[j - 1: j + 1], _local_kappa(K, D, j, sum(nu[j + 1:])), D,
+                       nu[j - 1] + nu[j], 1)
 
 
 def cc_3d_hat13_terms(nu, mu, kappa, n):

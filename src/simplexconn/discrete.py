@@ -13,7 +13,7 @@ has one Krawtchouk form; form 2 is its kraw_dual.
 
 from math import comb
 
-from .backend import R, ZERO, ONE, denom, numer, rat
+from .backend import R, ZERO, ONE, denom, numer
 from .exact_arith import QSqrt, folded_series, hyp_with_prefactor, over_lcm, pochhammer
 from .multipoly import homogenize
 from .simplex import a_coeffs, enumerate_basis, jacobi_simplex_basis, norm_A
@@ -228,7 +228,7 @@ def _kraw_ratio(P, D):
 
 def _check_rho(rho):
     """rho as a tuple of rationals; ValueError unless every rho_i > 0 and |rho| < 1."""
-    rho = tuple(map(rat, rho))
+    rho = tuple(R(r) for r in rho)
     if any(r <= 0 for r in rho) or sum(rho, ZERO) >= 1:
         raise ValueError("rho entries must be > 0 with a sum < 1")
     return rho

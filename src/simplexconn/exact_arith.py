@@ -10,7 +10,7 @@ over one denominator (over_lcm); rising is the integer Pochhammer product.
 
 import math
 
-from .backend import R, RAT, ZERO, ONE, numer, denom, rat_from_str, rat_str
+from .backend import R, ZERO, ONE, numer, denom, rat_from_str, rat_str
 
 
 class BottomPole(ArithmeticError):
@@ -135,8 +135,7 @@ class QSqrt:
     __slots__ = ("sign", "radicand")
 
     def __init__(self, sign, radicand):
-        if type(radicand) is not RAT:
-            radicand = rat_from_str(radicand) if isinstance(radicand, str) else R(radicand)
+        radicand = rat_from_str(radicand) if isinstance(radicand, str) else R(radicand)
         top = radicand.numerator
         if top <= 0:
             if top:

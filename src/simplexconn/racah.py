@@ -24,7 +24,7 @@ oracle that the d=1 product family is checked against through param_bridge_1d.
 import itertools
 from math import factorial
 
-from .backend import R, ZERO, ONE, rat
+from .backend import R, ZERO, ONE
 from .exact_arith import folded_series, hyp_terminating, over_lcm, pochhammer, rising
 
 
@@ -157,7 +157,7 @@ def dual_core(x, nu, B, D, N):
 
 def _on_rationals(core, x, nu, beta, N):
     """core, a map on (x, nu, B, D, N), applied to a rational beta: (x', nu', beta')."""
-    B, D = over_lcm([rat(b) for b in beta])
+    B, D = over_lcm([R(b) for b in beta])
     x_m, nu_m, B_m = core(x, nu, B, D, N)
     return x_m, nu_m, tuple(R(b, D) for b in B_m)
 

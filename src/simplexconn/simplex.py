@@ -17,7 +17,7 @@ import re
 from math import comb, factorial
 from operator import add
 
-from .backend import R, ZERO, ONE, rat
+from .backend import R, ZERO, ONE
 from .exact_arith import over_lcm, pochhammer, rising
 from .multipoly import SparsePoly, substitute_homogeneous
 
@@ -221,27 +221,23 @@ def a_coeffs(nu, kappa):
     return out
 
 
-_KAPPA_DOMAIN = "{} needs at least 2 entries, each > -1"
+def scaled_kappa(kappa, name="kappa"):
+    """(K, D): kappa over D, the lcm of its denominators; ValueError unless d >= 1 and every K_i > -D.
+
+    Outside this domain (kappa_i > -1) the weight is not integrable and no
+    orthogonal basis exists, though the product formulas may still return
+    numbers.
+    """
+    K, D = over_lcm([R(k) for k in kappa])
+    if len(K) < 2 or any(k <= -D for k in K):
+        raise ValueError(f"{name} needs at least 2 entries, each > -1")
+    return K, D
 
 
 def check_kappa(kappa, name="kappa"):
-    """kappa as a tuple of rationals; ValueError unless d >= 1 and every kappa_i > -1.
-
-    Outside this domain the weight is not integrable and no orthogonal basis
-    exists, though the product formulas may still return numbers.
-    """
-    kappa = tuple(map(rat, kappa))
-    if len(kappa) < 2 or any(k <= -1 for k in kappa):
-        raise ValueError(_KAPPA_DOMAIN.format(name))
-    return kappa
-
-
-def scaled_kappa(kappa):
-    """(K, D): kappa over D, the lcm of its denominators, with check_kappa's check made in integers, K_i > -D."""
-    K, D = over_lcm([rat(k) for k in kappa])
-    if len(K) < 2 or any(k <= -D for k in K):
-        raise ValueError(_KAPPA_DOMAIN.format("kappa"))
-    return K, D
+    """kappa as a tuple of rationals, with scaled_kappa's domain check."""
+    K, D = scaled_kappa(kappa, name)
+    return tuple(R(k, D) for k in K)
 
 
 def jacobi_simplex_basis(nu, kappa):

@@ -169,21 +169,25 @@ def test_last_adjacent_transposition_is_signed_identity():
                 assert q.square() == ZERO
 
 
-@pytest.mark.parametrize("nu, mu, kappa, n, j", [
-    ((1, 1), (2, 0), (R(1, 2), R(1, 3), R(2, 5)), 5, 1),  # |nu| = |mu| = 2, not n
-    ((1, 1), (2, 0), (R(1, 2), R(1, 3), R(2, 5)), 2, 3),  # j = d + 1
-    ((1, 1), (2, 0), (R(1, 2), R(1, 3), R(2, 5)), 2, 0),
-    ((1, 1), (1, 1), (R(-3, 2), R(1, 3), R(2, 5)), 2, 2),  # j = d at kappa_1 <= -1
-    ((1, 1), (1, 1), (R(1, 2), R(1, 3), R(-1)), 2, 1),
-    ((1, 0, 1), (0, 1, 2), KAPPA3, 2, 3),  # j = d, mu of another degree
-    ((1, 0, 1), (1, 1, 0), KAPPA3[:3], 2, 1),  # kappa one entry short
-    ((1, 0, 1), (0, 2), KAPPA3, 2, 1),  # len(mu) != d
-    ((2, 0, 0), (0, 1, 1), (R(1, 2), R(1, 3), R(-5, 4), R(1)), 2, 1),  # an entry that is 0 by its pattern
-    ((3, -1), (1, 1), KAPPA2, 2, 1),
+ADJACENT = "cc_adjacent_hat needs 1 <= j <= d = len"
+DOMAIN = "kappa needs at least 2 entries, each > -1"
+
+
+@pytest.mark.parametrize("nu, mu, kappa, n, j, match", [
+    ((1, 1), (2, 0), (R(1, 2), R(1, 3), R(2, 5)), 5, 1, ADJACENT),  # |nu| = |mu| = 2, not n
+    ((1, 1), (2, 0), (R(1, 2), R(1, 3), R(2, 5)), 2, 3, ADJACENT),  # j = d + 1
+    ((1, 1), (2, 0), (R(1, 2), R(1, 3), R(2, 5)), 2, 0, ADJACENT),
+    ((1, 1), (1, 1), (R(-3, 2), R(1, 3), R(2, 5)), 2, 2, DOMAIN),  # j = d at kappa_1 <= -1
+    ((1, 1), (1, 1), (R(1, 2), R(1, 3), R(-1)), 2, 1, DOMAIN),
+    ((1, 0, 1), (0, 1, 2), KAPPA3, 2, 3, ADJACENT),  # j = d, mu of another degree
+    ((1, 0, 1), (1, 1, 0), KAPPA3[:3], 2, 1, ADJACENT),  # kappa one entry short
+    ((1, 0, 1), (0, 2), KAPPA3, 2, 1, ADJACENT),  # len(mu) != d
+    ((2, 0, 0), (0, 1, 1), (R(1, 2), R(1, 3), R(-5, 4), R(1)), 2, 1, DOMAIN),  # an entry that is 0 by its pattern
+    ((3, -1), (1, 1), KAPPA2, 2, 1, ADJACENT),
 ], ids=["degree", "j-above-d", "j-zero", "j-d-kappa-domain", "kappa-domain", "j-d-mu-degree", "short-kappa",
         "mu-length", "zero-entry-kappa-domain", "negative-entry"])
-def test_adjacent_hat_checks_its_input(nu, mu, kappa, n, j):
-    with pytest.raises(ValueError, match="cc_adjacent_hat needs 1 <= j <= d = len"):
+def test_adjacent_hat_checks_its_input(nu, mu, kappa, n, j, match):
+    with pytest.raises(ValueError, match=match):
         cf.cc_adjacent_hat(nu, mu, kappa, n, j)
 
 
@@ -586,3 +590,21 @@ def test_cyclic_hat_checks_its_input(nu, mu, kappa, n, match):
     for form in (1, 2, 3):
         with pytest.raises(ValueError, match=match):
             cf.cc_cyclic_hat(nu, mu, kappa, n, form)
+
+
+def test_float_and_string_parameters_raise_type_error():
+    # parameters are exact rationals: a float kappa, rho or beta is refused, not converted
+    t3, t4 = Permutation.from_cycles("(12)", 3), Permutation.from_cycles("(123)", 4)
+    calls = [
+        lambda: cf.connection_matrix(t3, (0.1, 0.2, 0.3), 2),
+        lambda: cf.connection_matrix(t4, (R(1, 2), 0.25, R(1, 2), R(1)), 2),
+        lambda: cf.connection_matrix(t3, ("1/2", "1/3", "1/5"), 2),
+        lambda: ds.kraw_connection(t3, (0.25, R(1, 2)), 3, 2),
+        lambda: ds.kraw_cc_cyclic_hat((1, 1), (2, 0), (0.25, R(1, 2)), 2),
+        lambda: cf.cc_adjacent_hat((1, 1), (2, 0), (R(1, 2), 0.25, R(1, 2)), 2, 1),
+        lambda: rc.dual_map((1,), (1,), (R(1, 2), 0.25, R(1, 2)), 3),
+        lambda: rc.conj_map((1,), (1,), (R(1, 2), 0.25, R(1, 2)), 3),
+    ] + [lambda form=form: cf.cc_cyclic_hat((1, 1), (2, 0), (R(1, 2), R(1, 3), 0.5), 2, form) for form in (1, 2, 3)]
+    for call in calls:
+        with pytest.raises(TypeError):
+            call()

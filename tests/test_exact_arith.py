@@ -267,3 +267,13 @@ class TestQSqrt:
         for raw in (R(-1, 3), -2, "-5/3"):
             with pytest.raises(ValueError, match="radicand must be nonnegative"):
                 QSqrt(1, raw)
+
+
+def test_R_keeps_a_backend_rational_and_takes_only_rationals():
+    r = R(5, 3)
+    assert R(r) is r
+    assert R(r, 2) == R(5, 6) and R(4) == 4 and type(R(4)) is type(ONE)
+    # a float or a string is not an exact rational input: R(x) stays R(x, 1)
+    for bad in (0.1, "1/2"):
+        with pytest.raises(TypeError):
+            R(bad)
