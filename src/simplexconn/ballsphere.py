@@ -13,6 +13,8 @@ from .exact_arith import pochhammer
 from .multipoly import SparsePoly, homogenize, substitute_homogeneous
 from .simplex import (
     Permutation,
+    check_degree,
+    check_kappa,
     enumerate_basis,
     inner_product_simplex,
     jacobi_1d,
@@ -180,10 +182,12 @@ def ball_connection(tau, kappa, n):
     Returns a dict mapping ((nu, eps), (mu, eta)) to QSqrt over the degree-n
     ball basis; entries are zero unless eta is the tau-image of eps, and each
     parity block is the normalized closed-engine simplex matrix at the
-    shifted parameters.
+    shifted parameters.  Raises ValueError unless kappa has at least 2
+    entries, each > -1, before the parity shift, and n >= 0.
     """
     d = tau.m
-    kappa = tuple(R(k) for k in kappa)
+    kappa = check_kappa(kappa)
+    check_degree(n)
     tau_ext = _extend(tau, d + 1)
     out = {}
     by_eps = {}

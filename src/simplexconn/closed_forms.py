@@ -36,8 +36,8 @@ from .exact_arith import (
     QSqrt, bottom_pole, folded_series, hyp_terminating, over_lcm, pochhammer, rising, termination_order,
 )
 from .racah import conj_core, dual_core, multi_core, norm_core, racah_weight_1d, second_norm_core, weight_core
-from .simplex import Permutation, check_kappa, enumerate_basis, scaled_kappa
-from .connection import _MATRIX_CACHE, ConnMatrix, gram_connection
+from .simplex import Permutation, a_core, check_degree, check_kappa, enumerate_basis, scaled_kappa
+from .connection import _MATRIX_CACHE, ConnMatrix
 
 
 def _sign(k):
@@ -213,8 +213,7 @@ def word_product(tau, params, n, block, ratio):
 
 def _local_kappa(K, D, j, tail):
     """kappa-hat of s_j, j < d, over D for kappa = K / D: the d=2 parameters of slots j, j+1 when |nu^{j+2}| = tail."""
-    d = len(K) - 1
-    return (K[j - 1], K[j], sum(K[j + 1:], (2 * tail + d - j - 1) * D))
+    return K[j - 1], K[j], a_core(K, D, j + 1, tail)
 
 
 def _jacobi_block(j, K, D, m_loc, k, m, tail):
@@ -227,10 +226,10 @@ def _jacobi_ratio(K, D):
 
 
 def cc_3d_matrix(tau, kappa, n):
-    """Degree-n connection matrix for a Permutation tau in S_4."""
+    """Degree-n connection matrix for a Permutation tau in S_4: connection_matrix, with its checks and cache."""
     if tau.m != 4:
         raise ValueError(f"cc_3d_matrix needs a permutation of 4 slots, got {tau!r}")
-    return word_product(tau, kappa, n, _jacobi_block, _jacobi_ratio)
+    return connection_matrix(tau, kappa, n)
 
 
 # ---------------------------------------------------------------------------
@@ -349,19 +348,16 @@ def cc_3d_hat13_terms(nu, mu, kappa, n):
 def connection_matrix(tau, kappa, n, method="closed"):
     """Degree-n connection matrix C^tau(kappa), exact, for tau in S_{d+1}.
 
-    method="closed" multiplies adjacent-transposition factors along a
-    reduced word of tau (any d) and caches the result beside the Gram
-    matrices; method="gram" is the oracle connection.gram_connection, which
-    solves C T = L on the leading forms of both bases.  Raises ValueError
-    unless kappa has at least 2 entries, each > -1, and n >= 0.
+    It multiplies adjacent-transposition factors along a reduced word of tau
+    (any d) and caches the result beside the Gram matrices of
+    connection.gram_connection, the oracle.  "closed" is the one method.
+    Raises ValueError unless kappa has at least 2 entries, each > -1, and
+    n >= 0.
     """
     kappa = check_kappa(kappa)
-    if n < 0:
-        raise ValueError(f"degree n must be >= 0, got {n}")
-    if method == "gram":
-        return gram_connection(tau, kappa, n)
+    check_degree(n)
     if method != "closed":
-        raise ValueError(f"method must be 'closed' or 'gram', not {method!r}")
+        raise ValueError(f"method must be 'closed', not {method!r}")
     key = ("closed", tau.img, kappa, n)
     if key not in _MATRIX_CACHE:
         _MATRIX_CACHE[key] = word_product(tau, kappa, n, _jacobi_block, _jacobi_ratio)

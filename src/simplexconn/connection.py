@@ -27,7 +27,7 @@ from operator import mul
 
 from .backend import R, ZERO, ONE, denom, numer, rat_str
 from .exact_arith import QSqrt, over_lcm
-from .simplex import _MOMENT_CACHE, check_kappa, enumerate_basis, leading_core, norm_A
+from .simplex import _MOMENT_CACHE, check_degree, check_kappa, enumerate_basis, leading_core, norm_A
 
 
 class ConnMatrix:
@@ -156,8 +156,7 @@ def gram_connection(tau, kappa, n):
     """
     d = tau.m - 1
     kappa = check_kappa(kappa)
-    if n < 0:
-        raise ValueError(f"degree n must be >= 0, got {n}")
+    check_degree(n)
     key = ("gram", tau.img, kappa, n)
     cached = _MATRIX_CACHE.get(key)
     if cached is not None:

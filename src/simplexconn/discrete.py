@@ -16,7 +16,7 @@ from math import comb
 from .backend import R, ZERO, ONE, denom, numer
 from .exact_arith import QSqrt, folded_series, hyp_with_prefactor, over_lcm, pochhammer
 from .multipoly import homogenize
-from .simplex import a_coeffs, enumerate_basis, jacobi_simplex_basis, norm_A
+from .simplex import a_coeffs, check_degree, enumerate_basis, jacobi_simplex_basis, norm_A
 from .connection import ConnMatrix
 from .closed_forms import connection_matrix, word_product
 
@@ -243,6 +243,7 @@ def kraw_connection(tau, rho, N, n):
     if len(rho) != tau.m - 1:
         raise ValueError(f"a permutation of {tau.m} slots needs {tau.m - 1} rho entries, got {len(rho)}")
     rho = _check_rho(rho)
+    check_degree(n)
     if n > N:
         raise ValueError(f"Krawtchouk degree n={n} exceeds the lattice size N={N}")
     return word_product(tau, rho + (ONE - sum(rho, ZERO),), n, _kraw_block, _kraw_ratio)

@@ -5,7 +5,8 @@ The series functions take and return exact rationals from the selected
 backend; no floating point is ever used.  Every terminating series, here, in
 the local rules of closed_forms and discrete and in the Racah product formula,
 is summed in Python integers by one kernel, folded_series, with its parameters
-over one denominator (over_lcm); rising is the integer Pochhammer product.
+over one denominator (over_lcm); rising is the integer Pochhammer product,
+and pochhammer its rational view.
 """
 
 import math
@@ -17,16 +18,6 @@ class BottomPole(ArithmeticError):
     """A bottom Pochhammer vanished before the series terminated."""
 
 
-def pochhammer(a, n):
-    """Rising factorial (a)_n = a(a+1)...(a+n-1); (a)_0 = 1."""
-    if n < 0:
-        raise ValueError("pochhammer needs n >= 0")
-    out = ONE
-    for k in range(n):
-        out *= a + k
-    return out
-
-
 def rising(x, k, step=1):
     """prod_{i<k} (x + i step), that is step^k (x/step)_k, for integers x and step."""
     if k < 0:
@@ -36,6 +27,12 @@ def rising(x, k, step=1):
         out *= x
         x += step
     return out
+
+
+def pochhammer(a, n):
+    """Rising factorial (a)_n = a(a+1)...(a+n-1), (a)_0 = 1: rising over the denominator q of a, over q^n."""
+    q = denom(a)
+    return R(rising(numer(a), n, q), q**n)
 
 
 def over_lcm(values):

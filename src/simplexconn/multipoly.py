@@ -2,8 +2,11 @@
 
 A polynomial is a dict mapping exponent tuples to nonzero rational
 coefficients.  Keys are ordered graded-reverse-lexicographically for
-serialization so output is deterministic.
+serialization so output is deterministic.  mul_terms is the one product of
+such dicts, for SparsePoly and for the integer basis product of simplex.
 """
+
+from operator import add
 
 from .backend import R, ZERO, ONE, rat_str, rat_from_str
 
@@ -85,17 +88,8 @@ class SparsePoly:
         if not isinstance(other, SparsePoly):
             return NotImplemented
         self._check(other)
-        out = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                exp = tuple(a + b for a, b in zip(e1, e2))
-                s = out.get(exp, ZERO) + c1 * c2
-                if s == 0:
-                    out.pop(exp, None)
-                else:
-                    out[exp] = s
         p = SparsePoly(self.d)
-        p.terms = out
+        p.terms = mul_terms(self.terms, other.terms)
         return p
 
     def scale(self, c):
@@ -185,6 +179,16 @@ class SparsePoly:
             mono = "*".join(f"x{i + 1}^{k}" for i, k in enumerate(e) if k)
             bits.append(f"{rat_str(c)}" + (f"*{mono}" if mono else ""))
         return "SparsePoly(" + " + ".join(bits) + ")"
+
+
+def mul_terms(p, q):
+    """Product of two polynomials held as {exponent tuple: coefficient}, integer or rational; no zero is kept."""
+    out = {}
+    for e1, c1 in p.items():
+        for e2, c2 in q.items():
+            e = tuple(map(add, e1, e2))
+            out[e] = out.get(e, 0) + c1 * c2
+    return {e: c for e, c in out.items() if c}
 
 
 def substitute_homogeneous(coeffs, lin, hom, n):

@@ -5,21 +5,23 @@ proportional to x_1^k1 ... x_d^kd (1-|x|)^k_{d+1}; parameters are the
 (d+1)-tuple kappa.  Monomial moments are products of Pochhammer symbols,
 so all inner products here are exact rationals.
 
-jacobi_simplex_basis is the rational definition of the basis.  Beside it,
-leading_core builds the top-degree part of a basis polynomial, or of its
-permuted image, in Python integers with kappa over the lcm of its
-denominators; leading_form and the Gram oracle read it.  norm_A is one
-rational made from integer Pochhammer products in the same way.
+Each quantity of the basis has one definition in Python integers, with
+kappa over the lcm D of its denominators: jacobi_core the one-variable
+Jacobi coefficients, a_core D a_j, and one basis product that builds
+P_nu^kappa, or tau.P_nu^kappa, as integers over one denominator.  Setting
+the constant 1 of every barycentric coordinate to 0 in that product gives
+the top-degree part, leading_core, which the Gram oracle reads.
+jacobi_1d, a_coeffs, jacobi_simplex_basis and leading_form are their
+rational views, and norm_A is one rational of integer rising products.
 """
 
 import itertools
 import re
 from math import comb, factorial
-from operator import add
 
 from .backend import R, ZERO, ONE
 from .exact_arith import over_lcm, pochhammer, rising
-from .multipoly import SparsePoly, substitute_homogeneous
+from .multipoly import SparsePoly, mul_terms
 
 _TOKEN = re.compile(r"\d+")
 _CYCLE = re.compile(r"\(([^()]*)\)")
@@ -157,22 +159,27 @@ def all_permutations(m):
     return [Permutation(img) for img in itertools.permutations(range(1, m + 1))]
 
 
+def jacobi_core(n, A, B, D):
+    """(coefficients, den): P_n^{(a,b)}(2z - 1) in z, ascending, as integers over n! D^n; a = A / D, b = B / D.
+
+    The coefficient of z^k is (-1)^{n+k} C(n, k) (n+a+b+1)_k (b+k+1)_{n-k} / n!,
+    and each Pochhammer symbol is a rising product over step D divided by
+    D^k or D^{n-k}.  Each coefficient is a polynomial in a and b, so it has
+    no pole: at b = -1, -2, ..., outside the domain, it is the limit.
+    """
+    top = A + B + (n + 1) * D  # D (n + a + b + 1)
+    return [(-1) ** (n + k) * comb(n, k) * rising(top, k, D) * rising(B + (k + 1) * D, n - k, D)
+            for k in range(n + 1)], factorial(n) * D**n
+
+
 def jacobi_1d(n, a, b):
     """Coefficient list (ascending in z) of the Jacobi polynomial P_n^{(a,b)}(2z - 1).
 
     Normalization: P_n^{(a,b)}(1) = (a+1)_n / n!, so the coefficients sum to it.
     """
-    a = R(a)
-    b = R(b)
-    # (-1)^n (b+1)_n/n! sum_k (-n)_k (n+a+b+1)_k / ((b+1)_k k!) z^k
-    term = pochhammer(b + 1, n) / pochhammer(ONE, n)
-    if n % 2:
-        term = -term
-    coeffs = [term]
-    for k in range(1, n + 1):
-        term = term * (k - 1 - n) * (n + a + b + k) / ((b + k) * k)
-        coeffs.append(term)
-    return coeffs
+    (A, B), D = over_lcm([R(a), R(b)])
+    coeffs, den = jacobi_core(n, A, B, D)
+    return [R(c, den) for c in coeffs]
 
 
 def simplex_moment(gamma, kappa):
@@ -210,15 +217,15 @@ def inner_product_simplex(f, g, kappa):
     return total
 
 
+def a_core(K, D, j, tail):
+    """D a_j for kappa = K / D and |nu^{j+1}| = tail, with a_j = |kappa^{j+1}| + 2|nu^{j+1}| + d - j."""
+    return sum(K[j:], (2 * tail + len(K) - 1 - j) * D)
+
+
 def a_coeffs(nu, kappa):
-    """Auxiliary parameters a_j = |kappa^{j+1}| + 2|nu^{j+1}| + d - j."""
-    d = len(nu)
-    out = []
-    for j in range(1, d + 1):
-        tail_k = sum((R(k) for k in kappa[j:]), ZERO)
-        tail_n = sum(nu[j:])
-        out.append(tail_k + 2 * tail_n + d - j)
-    return out
+    """Auxiliary parameters a_1, ..., a_d of the basis, the rational view of a_core."""
+    K, D = over_lcm([R(k) for k in kappa])
+    return [R(a_core(K, D, j, sum(nu[j:])), D) for j in range(1, len(nu) + 1)]
 
 
 def scaled_kappa(kappa, name="kappa"):
@@ -240,90 +247,71 @@ def check_kappa(kappa, name="kappa"):
     return tuple(R(k, D) for k in K)
 
 
+def check_degree(n):
+    """ValueError unless the degree n is >= 0."""
+    if n < 0:
+        raise ValueError(f"degree n must be >= 0, got {n}")
+
+
 def jacobi_simplex_basis(nu, kappa):
     """Orthogonal basis polynomial for multi-index nu on the simplex.
 
     prod_j hom_j^{nu_j} P_{nu_j}^{(a_j, kappa_j)}(2 x_j / hom_j - 1), with
-    hom_j = 1 - x_1 - ... - x_{j-1}.
+    hom_j = 1 - x_1 - ... - x_{j-1}: the rational view of _product_core.
     """
-    d = len(nu)
-    if len(kappa) != d + 1:
-        raise ValueError("kappa must have d+1 entries")
-    aj = a_coeffs(nu, kappa)
-    result = SparsePoly.constant(d, ONE)
-    hom = SparsePoly.constant(d, ONE)
-    for j in range(d):
-        x = SparsePoly.variable(d, j)
-        coeffs = jacobi_1d(nu[j], aj[j], R(kappa[j]))
-        result = result * substitute_homogeneous(coeffs, x, hom, nu[j])
-        hom = hom - x
-    return result
+    K, D = over_lcm([R(k) for k in kappa])
+    terms, den = _product_core(nu, K, D, None, 1)
+    return SparsePoly(len(nu), {e: R(c, den) for e, c in terms.items()})
 
 
-def _int_mul(p, q):
-    """Product of two polynomials held as {exponent tuple: int}."""
-    out = {}
-    for e1, c1 in p.items():
-        for e2, c2 in q.items():
-            e = tuple(map(add, e1, e2))
-            out[e] = out.get(e, 0) + c1 * c2
-    return out
+def _product_core(nu, K, D, tau, one):
+    """(terms, den): the basis product, as {exponent: int} over den, at kappa = K / D.
 
-
-def leading_core(nu, K, D, tau=None):
-    """(terms, den): the leading form of P_nu^kappa, or of tau.P_nu^kappa, as {exponent: int} over den.
-
-    kappa = K / D with integers K.  Factor j of the basis is
-    hom_j^{n} P_n^{(a_j, kappa_j)}(2 x_j / hom_j - 1), n = nu_j, whose top part
-    keeps only the linear parts: x_j, and -x_1 - ... - x_{j-1} for hom_j.  Its
-    Jacobi coefficient of x_j^k is
-    (-1)^{n+k} C(n, k) (n+a_j+kappa_j+1)_k (kappa_j+k+1)_{n-k} / n!, and with
-    D a_j = A_j an integer each Pochhammer symbol is a rising product over
-    step D divided by D^k or D^{n-k}.  So the form is an integer polynomial
-    over den = prod_j nu_j! D^{|nu|}.  Acting by tau on the top part puts
-    the linear part of each barycentric slot, x_i or -|x| for the last one,
-    in place of x_i.
+    Factor j is hom_j^n P_n^{(a_j, kappa_j)}(2 x_j / hom_j - 1), n = nu_j, that
+    is sum_k c_k x_j^k hom_j^{n-k} for jacobi_core's c_k over n! D^n.  The
+    barycentric slots are x_1, ..., x_d and one - |x|, tau puts slot tau(i)
+    in place of x_i, and hom_j = one - (slots in places 1, ..., j-1).  With
+    one = 1 this is P_nu^kappa, or tau.P_nu^kappa.  With one = 0 each slot
+    keeps only its linear part, which gives the degree-|nu| part: each factor
+    has degree nu_j, so the top part is the product of the top parts.
     """
     d = len(nu)
     if tau is not None and tau.m != d + 1:
         raise ValueError("permutation must act on d+1 slots")
     if len(K) != d + 1:
         raise ValueError("kappa must have d+1 entries")
+    zero = (0,) * d
     units = [tuple(int(i == j) for j in range(d)) for i in range(d)]
-    slots = [{e: 1} for e in units] + [dict.fromkeys(units, -1)]
+    hom = {zero: 1} if one else {}
+    slots = [{e: 1} for e in units] + [{**hom, **dict.fromkeys(units, -1)}]
     xs = slots[:d] if tau is None else [slots[tau(i + 1) - 1] for i in range(d)]
-    one = {(0,) * d: 1}
-    terms, den, hom = one, 1, {}
-    tail_k, tail_n = sum(K), sum(nu)
-    for j, (n, b, x) in enumerate(zip(nu, K, xs)):
-        tail_k -= b
-        tail_n -= n
-        top = tail_k + (2 * tail_n + d - j + n) * D + b  # D (n + a_j + kappa_j + 1)
-        hom_pows = [one]
-        for _ in range(n):
-            hom_pows.append(_int_mul(hom_pows[-1], hom))
-        factor, x_pow = {}, one
-        for k in range(n + 1):
-            c = comb(n, k) * rising(top, k, D) * rising(b + (k + 1) * D, n - k, D)
-            if (n + k) % 2:
-                c = -c
-            for e, v in _int_mul(x_pow, hom_pows[n - k]).items():
-                factor[e] = factor.get(e, 0) + c * v
-            x_pow = _int_mul(x_pow, x)
-        terms = _int_mul(terms, factor)
-        den *= factorial(n) * D**n
+    terms, den, tail = {zero: 1}, 1, sum(nu)
+    for j, (n, B, x) in enumerate(zip(nu, K, xs), 1):
+        tail -= n
+        if n:
+            coeffs, q = jacobi_core(n, a_core(K, D, j, tail), B, D)
+            # Horner in x: F <- F x + c_k hom^{n-k}, from F = c_n down to k = 0
+            factor, h = {zero: coeffs[n]}, {zero: 1}
+            for c in reversed(coeffs[:n]):
+                h = mul_terms(h, hom)
+                factor = mul_terms(factor, x)
+                for e, v in h.items():
+                    factor[e] = factor.get(e, 0) + c * v
+            terms = mul_terms(terms, factor)
+            den *= q
         hom = dict(hom)
         for e, v in x.items():
             hom[e] = hom.get(e, 0) - v
-    return {e: c for e, c in terms.items() if c}, den
+    return terms, den
+
+
+def leading_core(nu, K, D, tau=None):
+    """(terms, den): the leading form of P_nu^kappa or tau.P_nu^kappa at kappa = K / D, _product_core at one = 0."""
+    return _product_core(nu, K, D, tau, 0)
 
 
 def leading_form(nu, kappa, tau=None):
-    """Degree-|nu| part of jacobi_simplex_basis(nu, kappa), or of its tau.act_vars image.
-
-    Each factor of the product has degree at most nu_j, so the top part is the
-    product of the top parts, which leading_core builds in integers.
-    """
+    """Degree-|nu| part of jacobi_simplex_basis(nu, kappa), or of its tau.act_vars image, from leading_core."""
     K, D = over_lcm([R(k) for k in kappa])
     terms, den = leading_core(nu, K, D, tau)
     return SparsePoly(len(nu), {e: R(c, den) for e, c in terms.items()})
@@ -339,12 +327,10 @@ def norm_A(nu, kappa):
     rising product over step D, and the D powers cancel to D^{|nu|} in the
     denominator.
     """
-    d = len(nu)
     K, D = over_lcm([R(k) for k in kappa])
-    num, den = 1, rising(sum(K) + (d + 1) * D, 2 * sum(nu), D) * D ** sum(nu)
-    for j in range(d):
-        k, n = K[j], nu[j]
-        a = sum(K[j + 1:]) + (2 * sum(nu[j + 1:]) + d - j - 1) * D  # D a_j
+    num, den = 1, rising(sum(K) + len(K) * D, 2 * sum(nu), D) * D ** sum(nu)
+    for j, (k, n) in enumerate(zip(K, nu), 1):
+        a = a_core(K, D, j, sum(nu[j:]))
         num *= rising(k + a + (n + 1) * D, n, D) * rising(k + D, n, D) * rising(a + D, n, D)
         den *= factorial(n)
     return R(num, den)

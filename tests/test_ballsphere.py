@@ -1,5 +1,7 @@
 import itertools
 
+import pytest
+
 from simplexconn.backend import R, ZERO, ONE
 from simplexconn.exact_arith import pochhammer
 from simplexconn.simplex import Permutation
@@ -126,12 +128,20 @@ def test_ball_connection_never_calls_gram(monkeypatch):
     def no_gram(*args):
         raise AssertionError("ball_connection called gram_connection")
 
-    assert not hasattr(bs, "gram_connection")
+    assert not hasattr(bs, "gram_connection") and not hasattr(cf, "gram_connection")
     monkeypatch.setattr(connection, "gram_connection", no_gram)
-    monkeypatch.setattr(cf, "gram_connection", no_gram)
     for d, kappa in ((2, KAPPA2), (3, KAPPA3)):
         for tau_img in itertools.permutations(range(1, d + 1)):
             assert bs.ball_connection(Permutation(tau_img), kappa, 3)
+
+
+def test_ball_connection_checks_kappa_before_the_shift_and_the_degree():
+    # kappa_1 = -3/2 makes |x_1|^{2 kappa_1 + 1} non-integrable, though kappa_1 + 1 > -1
+    tau = Permutation((1,))
+    with pytest.raises(ValueError, match="at least 2 entries, each > -1"):
+        bs.ball_connection(tau, (R(-3, 2), R(1, 2)), 1)
+    with pytest.raises(ValueError, match="degree n must be >= 0, got -1"):
+        bs.ball_connection(Permutation((2, 1)), KAPPA2, -1)
 
 
 def test_disk_polar_basis_matches_simplex_images():

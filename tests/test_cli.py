@@ -56,7 +56,8 @@ def test_connect_never_calls_gram(monkeypatch, capsys, argv):
     def no_gram(*args):
         raise AssertionError("connect called gram_connection")
 
-    for module in (connection, cf, cli):
+    assert not hasattr(cf, "gram_connection")
+    for module in (connection, cli):
         monkeypatch.setattr(module, "gram_connection", no_gram)
     connection.clear_caches()
     assert cli.main(["connect", *argv]) == 0

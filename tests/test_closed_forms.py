@@ -9,6 +9,7 @@ from simplexconn.exact_arith import QSqrt, folded_series, hyp_terminating, over_
 from simplexconn.simplex import Permutation, enumerate_basis
 from simplexconn.connection import ConnMatrix, clear_caches, gram_connection, normalize
 from simplexconn import closed_forms as cf
+from simplexconn import connection
 from simplexconn import discrete as ds
 from simplexconn import racah as rc
 from simplexconn.radicals import qsqrt_sums_equal
@@ -70,6 +71,18 @@ def test_3d_closed_matches_gram():
     for tau in all_perms(4):
         for n in (1, 2):
             assert cf.cc_3d_matrix(tau, KAPPA3, n).rows == gram_connection(tau, KAPPA3, n).rows
+
+
+def test_3d_matrix_is_connection_matrix_with_its_checks_and_cache():
+    tau = Permutation.from_cycles("(13)", 4)
+    clear_caches()
+    assert cf.cc_3d_matrix(tau, KAPPA3, 2) is cf.connection_matrix(tau, KAPPA3, 2)
+    with pytest.raises(ValueError, match="at least 2 entries, each > -1"):
+        cf.cc_3d_matrix(tau, (R(-3), ONE, ONE, ONE), 1)
+    with pytest.raises(ValueError, match="degree n must be >= 0, got -1"):
+        cf.cc_3d_matrix(tau, KAPPA3, -1)
+    with pytest.raises(ValueError, match="permutation of 4 slots"):
+        cf.cc_3d_matrix(Permutation((2, 1, 3)), KAPPA2, 1)
 
 
 def test_3d_normalized_13_as_radical_sum():
@@ -191,12 +204,10 @@ def test_adjacent_hat_checks_its_input(nu, mu, kappa, n, j, match):
         cf.cc_adjacent_hat(nu, mu, kappa, n, j)
 
 
-def test_connection_matrix_dispatch_agrees():
+def test_connection_matrix_equals_gram_connection():
     for tau in all_perms(3):
         for n in (1, 3):
-            a = cf.connection_matrix(tau, KAPPA2, n, method="closed")
-            b = cf.connection_matrix(tau, KAPPA2, n, method="gram")
-            assert a.rows == b.rows
+            assert cf.connection_matrix(tau, KAPPA2, n).rows == gram_connection(tau, KAPPA2, n).rows
 
 
 def test_engine_checks_the_parameter_count():
@@ -232,14 +243,14 @@ def test_2d_engine_builds_one_block_of_entries_at_most(monkeypatch):
 
 def test_connection_matrix_rejects_a_negative_degree():
     tau = Permutation.from_cycles("(12)", 3)
-    for method in ("closed", "gram"):
+    for build in (cf.connection_matrix, gram_connection):
         with pytest.raises(ValueError, match="degree n must be >= 0, got -1"):
-            cf.connection_matrix(tau, KAPPA2, -1, method=method)
+            build(tau, KAPPA2, -1)
 
 
 def test_unknown_method_raises():
     tau = Permutation.from_cycles("(12)", 3)
-    with pytest.raises(ValueError, match="'closed' or 'gram'"):
+    with pytest.raises(ValueError, match="method must be 'closed', not 'clsoed'"):
         cf.connection_matrix(tau, KAPPA2, 1, method="clsoed")
 
 
@@ -271,7 +282,8 @@ def test_closed_method_never_calls_gram(monkeypatch):
     def no_gram(*args):
         raise AssertionError("closed method called gram_connection")
 
-    monkeypatch.setattr(cf, "gram_connection", no_gram)
+    assert not hasattr(cf, "gram_connection")
+    monkeypatch.setattr(connection, "gram_connection", no_gram)
     for d, n in ((2, 3), (3, 2), (4, 2), (5, 1)):
         kappa = kappa_for(d)
         taus = all_perms(d + 1) if d <= 3 else random.Random(d).sample(all_perms(d + 1), 12)

@@ -7,19 +7,18 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import simplexconn
-from simplexconn import cli, connection, racah as rc, simplex
+from simplexconn import cli, connection, multipoly, racah as rc, simplex
 from simplexconn.backend import R, ZERO, ONE, rat_str
 from simplexconn.discrete import kraw_grid
 from simplexconn.exact_arith import over_lcm
-from simplexconn.multipoly import SparsePoly, substitute_homogeneous
+from simplexconn.multipoly import SparsePoly
 from simplexconn.simplex import (
     Permutation,
-    a_coeffs,
     all_permutations,
     enumerate_basis,
     inner_product_simplex,
-    jacobi_1d,
     jacobi_simplex_basis,
+    leading_form,
     norm_A,
 )
 from simplexconn.closed_forms import connection_matrix
@@ -255,8 +254,9 @@ def test_gram_builds_no_acted_polynomial_and_no_full_product(monkeypatch):
 
     monkeypatch.setattr(Permutation, "act_vars", full_product_path)
     monkeypatch.setattr(SparsePoly, "__mul__", full_product_path)
+    monkeypatch.setattr(multipoly, "substitute_homogeneous", full_product_path)
     for name in ("inner_product_simplex", "simplex_moment", "_moment_cached", "jacobi_simplex_basis", "norm_A",
-                 "substitute_homogeneous", "jacobi_1d", "a_coeffs", "pochhammer"):
+                 "jacobi_1d", "a_coeffs", "pochhammer"):
         monkeypatch.setattr(simplex, name, full_product_path)
         monkeypatch.setattr(connection, name, full_product_path, raising=False)
     clear_caches()
@@ -266,29 +266,17 @@ def test_gram_builds_no_acted_polynomial_and_no_full_product(monkeypatch):
             assert gram_connection(tau, kappa, 2).d == d
 
 
-def rational_leading_form(nu, kappa, tau=None):
-    """The leading form by the rational basis loop: SparsePoly products with 1 - |x| replaced by -|x|."""
-    d = len(nu)
-    xs = [SparsePoly.variable(d, i) for i in range(d)]
-    if tau is not None:
-        slots = xs + [-sum(xs, SparsePoly.zero(d))]
-        xs = [slots[tau(i + 1) - 1] for i in range(d)]
-    aj = a_coeffs(nu, kappa)
-    result, hom = SparsePoly.constant(d, ONE), SparsePoly.zero(d)
-    for j in range(d):
-        result = result * substitute_homogeneous(jacobi_1d(nu[j], aj[j], kappa[j]), xs[j], hom, nu[j])
-        hom = hom - xs[j]
-    return result.terms
-
-
 def rational_gram(tau, kappa, n):
-    """Rows of C^tau(kappa) from C T = L by back-substitution on rational leading forms."""
+    """Rows of C^tau(kappa) from C T = L by back-substitution on the rational leading forms.
+
+    leading_form is checked against the rational basis loop in test_simplex.
+    """
     tk = tau.act_params(kappa)
     order = enumerate_basis(tau.m - 1, n)
-    targets = [rational_leading_form(mu, kappa) for mu in order]
+    targets = [leading_form(mu, kappa).terms for mu in order]
     rows = []
     for nu in order:
-        rest = dict(rational_leading_form(nu, tk, tau))
+        rest = dict(leading_form(nu, tk, tau).terms)
         row = [ZERO] * len(order)
         for j in range(len(order) - 1, -1, -1):
             mu, terms = order[j], targets[j]
@@ -335,11 +323,9 @@ def test_gram_rejects_a_negative_degree():
 def test_jacobi_domain_is_checked(kappa):
     # outside kappa_i > -1 the weight is not integrable and no orthogonal basis exists
     tau = Permutation((2, 1, 3))
-    for method in ("closed", "gram"):
+    for build in (connection_matrix, gram_connection):
         with pytest.raises(ValueError, match="at least 2 entries, each > -1"):
-            connection_matrix(tau, kappa, 2, method=method)
-    with pytest.raises(ValueError, match="at least 2 entries, each > -1"):
-        gram_connection(tau, kappa, 2)
+            build(tau, kappa, 2)
 
 
 def test_cached_gram_matrix_cannot_be_mutated():

@@ -275,6 +275,14 @@ def test_kraw_connection_rejects_bad_rho_and_n_above_N():
         ds.kraw_connection(Permutation((2, 1, 3)), RHO, 2, 3)
 
 
+def test_kraw_and_hahn_connection_reject_a_negative_degree():
+    tau = Permutation((2, 1, 3))
+    with pytest.raises(ValueError, match="degree n must be >= 0, got -1"):
+        ds.kraw_connection(tau, RHO, 3, -1)
+    with pytest.raises(ValueError, match="degree n must be >= 0, got -1"):
+        ds.hahn_connection(tau, KAPPA, 3, -1)
+
+
 def rational_kraw_block(j, rho, n, k, m, tail):
     """The Krawtchouk (12) local rule in rational arithmetic, with hyp_terminating."""
     tot = sum(rho[j - 1:], ZERO)

@@ -2,7 +2,8 @@
 
 The package and its tests carry no dead imports; `__init__.py` is exempt,
 because its imports are the package's re-exports.  The package's functions
-carry no dead locals; `_` is exempt.
+carry no dead locals; `_` is exempt.  Every private top-level definition of
+the package is read somewhere, and every private function by package code.
 """
 
 import ast
@@ -139,3 +140,11 @@ def test_no_unread_private_definitions():
     package = sorted((ROOT / "src/simplexconn").glob("*.py"))
     readers = package + sorted((ROOT / "tests").glob("*.py")) + sorted((ROOT / "perfbench").glob("*.py"))
     assert unread_privates(package, readers) == []
+
+
+def test_every_private_function_is_read_by_the_package():
+    # a private helper that only tests or perfbench still read is a leftover copy of package code
+    package = sorted((ROOT / "src/simplexconn").glob("*.py"))
+    functions = {node.name for path in package for node in ast.parse(path.read_text()).body
+                 if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))}
+    assert [entry for entry in unread_privates(package, package) if entry[2] in functions] == []

@@ -7,6 +7,7 @@ from simplexconn.multipoly import (
     SparsePoly,
     grevlex_key,
     homogenize,
+    mul_terms,
     substitute_homogeneous,
 )
 
@@ -64,6 +65,12 @@ def test_subst_composition():
     p = x * x + y
     q = p.subst([y, x])  # swap variables
     assert q == y * y + x
+
+
+def test_mul_terms_takes_integer_coefficients_and_keeps_no_zero():
+    # (x + 1)(x - 1) = x^2 - 1: the x terms cancel and are dropped
+    assert mul_terms({(1,): 1, (0,): 1}, {(1,): 1, (0,): -1}) == {(2,): 1, (0,): -1}
+    assert mul_terms({(1, 0): 2}, {}) == {}
 
 
 def test_substitute_homogeneous_binomial():

@@ -2,11 +2,12 @@ import random
 from fractions import Fraction
 from math import comb
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from simplexconn.backend import R, ZERO, ONE
 from simplexconn.exact_arith import pochhammer
-from simplexconn.multipoly import SparsePoly, grevlex_key
+from simplexconn.multipoly import SparsePoly, grevlex_key, substitute_homogeneous
 from simplexconn.simplex import (
     Permutation,
     a_coeffs,
@@ -216,17 +217,80 @@ def seeded_kappas(d, rng):
          for _ in range(2)]
 
 
-def test_leading_form_is_the_top_part_of_the_basis():
+def recurrence_jacobi_1d(n, a, b):
+    """P_n^{(a,b)}(2z - 1) in z, ascending, from the ratio of consecutive terms of
+    (-1)^n (b+1)_n/n! 2F1(-n, n+a+b+1; b+1; z): one rational division per term."""
+    a, b = R(a), R(b)
+    term = (-ONE) ** n
+    for i in range(n):
+        term = term * (b + 1 + i) / (i + 1)
+    coeffs = [term]
+    for k in range(1, n + 1):
+        term = term * (k - 1 - n) * (n + a + b + k) / ((b + k) * k)
+        coeffs.append(term)
+    return coeffs
+
+
+def summed_a_coeffs(nu, kappa):
+    """a_j = |kappa^{j+1}| + 2|nu^{j+1}| + d - j as rational sums."""
+    d = len(nu)
+    return [sum((R(k) for k in kappa[j:]), ZERO) + 2 * sum(nu[j:]) + d - j for j in range(1, d + 1)]
+
+
+def loop_basis(nu, kappa):
+    """prod_j hom_j^{nu_j} P_{nu_j}^{(a_j, kappa_j)}(2 x_j / hom_j - 1) by SparsePoly products.
+
+    hom_j = 1 - x_1 - ... - x_{j-1}, and each factor is substitute_homogeneous of the recurrence.
+    """
+    d = len(nu)
+    aj = summed_a_coeffs(nu, kappa)
+    result = hom = SparsePoly.constant(d, ONE)
+    for j in range(d):
+        x = SparsePoly.variable(d, j)
+        result = result * substitute_homogeneous(recurrence_jacobi_1d(nu[j], aj[j], kappa[j]), x, hom, nu[j])
+        hom = hom - x
+    return result
+
+
+def test_jacobi_1d_equals_the_recurrence():
+    params = (ZERO, R(1, 2), R(-1, 2), R(-2, 3), R(5, 3), R(7, 11), R(4))
+    for n in range(7):
+        for a in params:
+            for b in params:
+                assert jacobi_1d(n, a, b) == recurrence_jacobi_1d(n, a, b), (n, a, b)
+
+
+def test_jacobi_1d_is_the_polynomial_limit_outside_the_domain():
+    # each coefficient is a polynomial of degree <= n in b, and the recurrence
+    # divides by b + k: at b = -1 it raises, while jacobi_1d gives the value of
+    # that polynomial, here interpolated from the recurrence at n + 1 other b
+    n, a, at = 3, R(1, 2), R(-1)
+    with pytest.raises(ZeroDivisionError):
+        recurrence_jacobi_1d(n, a, at)
+    nodes = [R(i, 2) for i in range(n + 1)]
+    weights = [ONE] * len(nodes)
+    for i, bi in enumerate(nodes):
+        for bj in nodes[:i] + nodes[i + 1:]:
+            weights[i] *= (at - bj) / (bi - bj)
+    values = [recurrence_jacobi_1d(n, a, b) for b in nodes]
+    limit = [sum((w * v[k] for w, v in zip(weights, values)), ZERO) for k in range(n + 1)]
+    assert jacobi_1d(n, a, at) == limit == [ZERO, R(7, 2), R(-63, 4), R(231, 16)]
+
+
+def test_basis_and_leading_form_equal_the_rational_loop():
+    # every tau at d <= 3, every fifth at d = 4
     rng = random.Random(3)
     for d in range(1, 5):
         for kappa in seeded_kappas(d, rng):
             for n in range(4 if d < 4 else 3):
                 for nu in enumerate_basis(d, n):
-                    p = jacobi_simplex_basis(nu, kappa)
+                    assert a_coeffs(nu, kappa) == summed_a_coeffs(nu, kappa)
+                    p = loop_basis(nu, kappa)
+                    assert jacobi_simplex_basis(nu, kappa) == p
                     lead = leading_form(nu, kappa)
                     assert lead == top_part(p, n) and not lead.is_zero()
                     assert {type(c) for c in lead.terms.values()} == {type(ONE)}
-                    for tau in all_permutations(d + 1)[:: 5 if d > 2 else 1]:
+                    for tau in all_permutations(d + 1)[:: 5 if d > 3 else 1]:
                         assert leading_form(nu, kappa, tau) == top_part(tau.act_vars(p), n)
 
 
@@ -234,7 +298,7 @@ def rational_norm_A(nu, kappa):
     """norm_A as a product of rational Pochhammer symbols, one division each."""
     d = len(nu)
     kappa = [R(k) for k in kappa]
-    aj = a_coeffs(nu, kappa)
+    aj = summed_a_coeffs(nu, kappa)
     total = sum(kappa, ZERO) + d + 1
     val = ONE / pochhammer(total, 2 * sum(nu))
     for j in range(d):
