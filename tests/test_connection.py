@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import simplexconn
-from simplexconn import cli, connection, multipoly, racah as rc, simplex
+from simplexconn import cli, connection, racah as rc, simplex
 from simplexconn.backend import R, ZERO, ONE, rat_str
 from simplexconn.discrete import kraw_grid
 from simplexconn.exact_arith import over_lcm
@@ -18,7 +18,6 @@ from simplexconn.simplex import (
     enumerate_basis,
     inner_product_simplex,
     jacobi_simplex_basis,
-    leading_form,
     norm_A,
 )
 from simplexconn.closed_forms import connection_matrix
@@ -34,6 +33,8 @@ from simplexconn.connection import (
     verify_row_orthogonality,
     weighted_orthogonal,
 )
+
+from oracles import loop_basis, top_part
 
 KAPPA = (R(1, 2), R(1, 3), R(2))
 
@@ -252,9 +253,15 @@ def test_gram_builds_no_acted_polynomial_and_no_full_product(monkeypatch):
         raise AssertionError("gram_connection built a tau-acted polynomial, a full product, a moment, a norm "
                              "or a rational polynomial product, Jacobi coefficient or Pochhammer symbol")
 
+    def leading_product_only(nu, K, D, tau, one):
+        if one:
+            full_product_path()
+        return product(nu, K, D, tau, one)
+
+    product = simplex._product_core
+    monkeypatch.setattr(simplex, "_product_core", leading_product_only)
     monkeypatch.setattr(Permutation, "act_vars", full_product_path)
     monkeypatch.setattr(SparsePoly, "__mul__", full_product_path)
-    monkeypatch.setattr(multipoly, "substitute_homogeneous", full_product_path)
     for name in ("inner_product_simplex", "simplex_moment", "_moment_cached", "jacobi_simplex_basis", "norm_A",
                  "jacobi_1d", "a_coeffs", "pochhammer"):
         monkeypatch.setattr(simplex, name, full_product_path)
@@ -269,14 +276,15 @@ def test_gram_builds_no_acted_polynomial_and_no_full_product(monkeypatch):
 def rational_gram(tau, kappa, n):
     """Rows of C^tau(kappa) from C T = L by back-substitution on the rational leading forms.
 
-    leading_form is checked against the rational basis loop in test_simplex.
+    The leading forms are the top parts of the rational basis loop of the test
+    oracles, not the package's integer product.
     """
     tk = tau.act_params(kappa)
     order = enumerate_basis(tau.m - 1, n)
-    targets = [leading_form(mu, kappa).terms for mu in order]
+    targets = [top_part(loop_basis(mu, kappa), n).terms for mu in order]
     rows = []
     for nu in order:
-        rest = dict(leading_form(nu, tk, tau).terms)
+        rest = dict(top_part(tau.act_vars(loop_basis(nu, tk)), n).terms)
         row = [ZERO] * len(order)
         for j in range(len(order) - 1, -1, -1):
             mu, terms = order[j], targets[j]

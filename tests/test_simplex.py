@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from simplexconn.backend import R, ZERO, ONE
 from simplexconn.exact_arith import pochhammer
-from simplexconn.multipoly import SparsePoly, grevlex_key, substitute_homogeneous
+from simplexconn.multipoly import SparsePoly, grevlex_key
 from simplexconn.simplex import (
     Permutation,
     a_coeffs,
@@ -20,6 +20,8 @@ from simplexconn.simplex import (
     norm_A,
     simplex_moment,
 )
+
+from oracles import loop_basis, recurrence_jacobi_1d, summed_a_coeffs, top_part
 
 
 def perms(m):
@@ -200,10 +202,6 @@ def test_basis_orthogonality_across_degrees_d4():
     assert_orthogonal_across_degrees((R(1, 3), ZERO, R(1, 2), R(-1, 2), R(2)), 3)
 
 
-def top_part(p, n):
-    return SparsePoly(p.d, {e: c for e, c in p.terms.items() if sum(e) == n})
-
-
 def seeded_kappas(d, rng):
     """Points in the domain kappa > -1: zeros, integers, (-1/2)^{d+1}, kappa_d + kappa_{d+1} = -1
     (the removable 0/0 of norm_A), generic, and seeded entries with denominators up to 30."""
@@ -215,41 +213,6 @@ def seeded_kappas(d, rng):
         tuple(R(j + 1, j + 4) for j in range(d + 1)),
     ] + [tuple(R(rng.randint(1 - q, 2 * q), q) for q in (rng.randint(1, 30) for _ in range(d + 1)))
          for _ in range(2)]
-
-
-def recurrence_jacobi_1d(n, a, b):
-    """P_n^{(a,b)}(2z - 1) in z, ascending, from the ratio of consecutive terms of
-    (-1)^n (b+1)_n/n! 2F1(-n, n+a+b+1; b+1; z): one rational division per term."""
-    a, b = R(a), R(b)
-    term = (-ONE) ** n
-    for i in range(n):
-        term = term * (b + 1 + i) / (i + 1)
-    coeffs = [term]
-    for k in range(1, n + 1):
-        term = term * (k - 1 - n) * (n + a + b + k) / ((b + k) * k)
-        coeffs.append(term)
-    return coeffs
-
-
-def summed_a_coeffs(nu, kappa):
-    """a_j = |kappa^{j+1}| + 2|nu^{j+1}| + d - j as rational sums."""
-    d = len(nu)
-    return [sum((R(k) for k in kappa[j:]), ZERO) + 2 * sum(nu[j:]) + d - j for j in range(1, d + 1)]
-
-
-def loop_basis(nu, kappa):
-    """prod_j hom_j^{nu_j} P_{nu_j}^{(a_j, kappa_j)}(2 x_j / hom_j - 1) by SparsePoly products.
-
-    hom_j = 1 - x_1 - ... - x_{j-1}, and each factor is substitute_homogeneous of the recurrence.
-    """
-    d = len(nu)
-    aj = summed_a_coeffs(nu, kappa)
-    result = hom = SparsePoly.constant(d, ONE)
-    for j in range(d):
-        x = SparsePoly.variable(d, j)
-        result = result * substitute_homogeneous(recurrence_jacobi_1d(nu[j], aj[j], kappa[j]), x, hom, nu[j])
-        hom = hom - x
-    return result
 
 
 def test_jacobi_1d_equals_the_recurrence():
