@@ -52,17 +52,10 @@ class ParityPoly:
         return sum(self.eps) + 2 * self.core.degree()
 
     def permute(self, tau):
-        """Substitute x_i <- x_{tau(i)} for a permutation of the d variables."""
-        eps = [0] * self.d
-        for i in range(1, self.d + 1):
-            eps[tau(i) - 1] = self.eps[i - 1]
-        terms = {}
-        for exp, c in self.core.terms.items():
-            new = [0] * self.d
-            for i in range(1, self.d + 1):
-                new[tau(i) - 1] = exp[i - 1]
-            terms[tuple(new)] = terms.get(tuple(new), ZERO) + c
-        return ParityPoly(eps, SparsePoly(self.d, terms))
+        """Substitute x_i <- x_{tau(i)} for a permutation of the d variables: tau^-1 acts on the exponents."""
+        inv = tau.inverse()
+        terms = {inv.act_params(exp): c for exp, c in self.core.terms.items()}
+        return ParityPoly(inv.act_params(self.eps), SparsePoly(self.d, terms))
 
     def expand(self):
         """The genuine polynomial in x (exponents eps + 2*core exponents)."""
@@ -193,11 +186,9 @@ def ball_connection(tau, kappa, n):
     by_eps = {}
     for nu, eps in ball_enumerate(d, n):
         by_eps.setdefault(eps, []).append(nu)
+    inv = tau.inverse()
     for eps, nus in by_eps.items():
-        eta = [0] * d
-        for i in range(1, d + 1):
-            eta[tau(i) - 1] = eps[i - 1]
-        eta = tuple(eta)
+        eta = inv.act_params(eps)
         kap_eta = shifted(kappa, eta)
         deg = (n - sum(eps)) // 2
         block = connection_matrix(tau_ext, kap_eta, deg)
@@ -210,9 +201,9 @@ def ball_connection(tau, kappa, n):
 
 
 def ball_gram(tau, kappa, n):
-    """Direct Gram-matrix oracle for the ball connection coefficients."""
+    """Direct Gram-matrix oracle for the ball connection coefficients; ValueError for kappa as in ball_connection."""
     d = tau.m
-    kappa = tuple(R(k) for k in kappa)
+    kappa = check_kappa(kappa)
     tkappa = _extend(tau, d + 1).act_params(kappa)
     order = ball_enumerate(d, n)
     targets = {key: q_ball(*key, kappa) for key in order}

@@ -32,9 +32,7 @@ import itertools
 from math import comb, gcd, lcm
 
 from .backend import R, ZERO, ONE
-from .exact_arith import (
-    QSqrt, bottom_pole, folded_series, hyp_terminating, over_lcm, pochhammer, rising, termination_order,
-)
+from .exact_arith import QSqrt, fold_terminating, hyp_terminating, over_lcm, pochhammer, rising
 from .racah import conj_core, dual_core, multi_core, norm_core, racah_weight_1d, second_norm_core, weight_core
 from .simplex import Permutation, a_core, check_degree, check_kappa, enumerate_basis, scaled_kappa
 from .connection import _MATRIX_CACHE, ConnMatrix
@@ -61,7 +59,7 @@ def cc_2d_entry(j, m, K, D, n):
     4F3(-m, m+k2+k3+1, -j, j+k1+k3+1; -n, k3+1, n+|k|+2; 1), computed in
     integers: kappa is three integers K over any common denominator D > 0,
     (k + c)_r = prod_i (K + (c+i) D) / D^r, so the D^{n+m} of the prefactor
-    cancel, and the 4F3 is exact_arith's folded_series over step D.  It is
+    cancel, and the 4F3 is exact_arith's fold_terminating over step D.  It is
     returned as integers (num, den), den != 0, not reduced: no rational is
     made.
     """
@@ -76,12 +74,7 @@ def cc_2d_entry(j, m, K, D, n):
         raise ZeroDivisionError(f"the (12) prefactor divides by 0 at m={m}, n={n}")
     if (n + m + j) % 2:
         num = -num
-    tops, bottoms = [-m * D, -j * D, a, b], [-n * D, c, e]
-    t = termination_order(tops, D)
-    tops.remove(-t * D)
-    total, bottom = folded_series(tops, bottoms, t, D)
-    if bottom == 0:
-        raise bottom_pole(bottoms, t, D)
+    total, bottom = fold_terminating([-m * D, -j * D, a, b], [-n * D, c, e], D)
     return num * total, den * bottom
 
 

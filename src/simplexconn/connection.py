@@ -201,8 +201,9 @@ def normalize(mat, tau, kappa):
     hat_c[nu,mu] = c[nu,mu] * sqrt(A_mu(kappa) / A_nu(tau.kappa)).  With
     c = N / Q from int_rows and A_mu(kappa) = B_mu / L over their lcm, the
     radicand N^2 B_mu / (Q^2 L A_nu(tau.kappa)) is the one rational made.
+    Raises ValueError unless kappa has at least 2 entries, each > -1.
     """
-    kappa = tuple(R(k) for k in kappa)
+    kappa = check_kappa(kappa)
     tk = tau.act_params(kappa)
     B, L = over_lcm([norm_A(mu, kappa) for mu in mat.order])
     out = []

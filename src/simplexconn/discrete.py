@@ -6,15 +6,17 @@ is an exact rational even when intermediate bottom parameters would vanish.
 Both connection matrices come from the Coxeter-word engine: the Hahn matrix
 is the simplex one rescaled by p_factor, and the Krawtchouk matrix, a limit
 of the simplex one, runs the engine with its own local rules on the
-extended (rho, 1 - |rho|), read from the integers of the word's one lcm.
-The lattice sums are only test oracles.  The normalized cycle coefficient
-has one Krawtchouk form; form 2 is its kraw_dual.
+extended rho = (rho, 1 - |rho|), read from the integers of the word's one
+lcm.  S_{d+1} permutes the extended rho like kappa; every Krawtchouk formula
+reads it (_extended), and its domain is "every entry > 0".  The lattice sums
+are only test oracles.  The normalized cycle coefficient has one Krawtchouk
+form; form 2 is its kraw_dual.
 """
 
 from math import comb
 
 from .backend import R, ZERO, ONE, denom, numer
-from .exact_arith import QSqrt, folded_series, hyp_with_prefactor, over_lcm, pochhammer
+from .exact_arith import QSqrt, fold_terminating, hyp_with_prefactor, over_lcm, pochhammer
 from .multipoly import homogenize
 from .simplex import a_coeffs, check_degree, enumerate_basis, jacobi_simplex_basis, norm_A
 from .connection import ConnMatrix
@@ -134,6 +136,17 @@ def hahn_connection(tau, kappa, N, n):
 # ---------------------------------------------------------------------------
 
 
+def _extended(rho, d):
+    """The extended rho (rho_1, ..., rho_{d+1}) = (rho, 1 - |rho|) as rationals; ValueError unless rho has d entries.
+
+    It sums to 1, so 1 - (rho_1 + ... + rho_j) is its suffix sum from j + 1, the way a_core reads kappa.
+    """
+    if len(rho) != d:
+        raise ValueError(f"rho needs d = {d} entries, got {len(rho)}")
+    rho = [R(r) for r in rho]
+    return (*rho, ONE - sum(rho, ZERO))
+
+
 def kraw_grid(d, N):
     """All x in N_0^d with |x| <= N, by total and grevlex within a total."""
     return [x for total in range(N + 1) for x in enumerate_basis(d, total)]
@@ -142,18 +155,17 @@ def kraw_grid(d, N):
 def kraw_multi(nu, x, rho, N):
     """Product-form Krawtchouk polynomial K_nu(x; rho, N); x in N_0^d, |x| <= N."""
     d = len(nu)
-    rho = [R(r) for r in rho]
+    rho = _extended(rho, d)
     val = ONE / pochhammer(R(-N), sum(nu))
     for j in range(d):
         Nj = N - sum(x[:j]) - sum(nu[j + 1:])
-        z = (ONE - sum(rho[:j], ZERO)) / rho[j]
+        z = sum(rho[j:], ZERO) / rho[j]
         val *= hyp_with_prefactor([R(-x[j])], [R(-Nj)], nu[j], z)
     return val
 
 
 def kraw_weight(x, rho, N):
-    rho = [R(r) for r in rho]
-    rest = ONE - sum(rho, ZERO)
+    *rho, rest = _extended(rho, len(x))
     val = pochhammer(ONE, N) * rest ** (N - sum(x)) / pochhammer(ONE, N - sum(x))
     for xi, ri in zip(x, rho):
         val *= ri**xi / pochhammer(ONE, xi)
@@ -162,14 +174,13 @@ def kraw_weight(x, rho, N):
 
 def kraw_norm_C(nu, rho, N):
     d = len(nu)
-    rho = [R(r) for r in rho]
+    rho = _extended(rho, d)
     val = ONE / pochhammer(R(-N), sum(nu))
     if sum(nu) % 2:
         val = -val
     for j in range(d):
-        rest = ONE - sum(rho[: j + 1], ZERO)
         nxt = nu[j + 1] if j + 1 < d else 0
-        val *= pochhammer(ONE, nu[j]) * rest ** (nu[j] + nxt) / rho[j] ** nu[j]
+        val *= pochhammer(ONE, nu[j]) * sum(rho[j + 1:], ZERO) ** (nu[j] + nxt) / rho[j] ** nu[j]
     return val
 
 
@@ -181,22 +192,17 @@ def kraw_inner(fvals, gvals, rho, N):
 def kraw_dual(x, nu, rho):
     """Dual variables/indices/parameters; an involution."""
     d = len(nu)
-    rho = [R(r) for r in rho]
-    tot = sum(rho, ZERO)
+    rho = _extended(rho, d)
     x_t = tuple(nu[d - j] for j in range(1, d + 1))
     nu_t = tuple(x[d - j] for j in range(1, d + 1))
-    rho_t = tuple(
-        rho[d - j] * (ONE - tot) / ((ONE - sum(rho[: d - j + 1], ZERO)) * (ONE - sum(rho[: d - j], ZERO)))
-        for j in range(1, d + 1)
-    )
+    rho_t = tuple(rho[d - j] * rho[-1] / (sum(rho[d - j + 1:], ZERO) * sum(rho[d - j:], ZERO))
+                  for j in range(1, d + 1))
     return x_t, nu_t, rho_t
 
 
 def tau_rho(tau, rho):
-    """Action of a (d+1)-slot permutation on rho: permute (rho, 1-|rho|), drop last."""
-    rho = [R(r) for r in rho]
-    ext = rho + [ONE - sum(rho, ZERO)]
-    return tuple(ext[tau(i) - 1] for i in range(1, tau.m))
+    """Action of a (d+1)-slot permutation on rho: permute the extended rho, drop its last entry."""
+    return tau.act_params(_extended(rho, tau.m - 1))[:-1]
 
 
 def _kraw_block(j, P, D, n, k, m, tail):
@@ -209,13 +215,12 @@ def _kraw_block(j, P, D, n, k, m, tail):
     z = (r1 + r3)(r2 + r3) / r3.  With (A, B, C) = (P_j, P_{j+1}, |P^{j+2}|),
     the local rho over D, and T = A + B + C, the powers are
     A^{n-m-k} C^k T^m / (B + C)^n and z = (A + C)(B + C) / (T C), in which D
-    cancels; exact_arith's folded_series sums the 2F1.  Like cc_2d_entry it
+    cancels; exact_arith's fold_terminating sums the 2F1.  Like cc_2d_entry it
     returns integers (num, den), den != 0.
     """
     A, B, C = P[j - 1], P[j], sum(P[j + 1:])
     T = A + B + C
-    lo, hi = sorted((m, k))
-    total, bottom = folded_series([-hi], [-n], lo, 1, (A + C) * (B + C), T * C)
+    total, bottom = fold_terminating([-m, -k], [-n], 1, (A + C) * (B + C), T * C)
     num = comb(n, m) * A ** max(n - m - k, 0) * C**k * T**m * total
     den = A ** max(m + k - n, 0) * (B + C) ** n * bottom
     return (-num if (n + m + k) % 2 else num), den
@@ -227,26 +232,26 @@ def _kraw_ratio(P, D):
 
 
 def _check_rho(rho):
-    """rho as a tuple of rationals; ValueError unless every rho_i > 0 and |rho| < 1."""
-    rho = tuple(R(r) for r in rho)
-    if any(r <= 0 for r in rho) or sum(rho, ZERO) >= 1:
+    """The extended rho; ValueError unless every entry of it is > 0 (every rho_i > 0 and |rho| < 1)."""
+    ext = _extended(rho, len(rho))
+    if any(r <= 0 for r in ext):
         raise ValueError("rho entries must be > 0 with a sum < 1")
-    return rho
+    return ext
 
 
 def kraw_connection(tau, rho, N, n):
     """Connection matrix of the Krawtchouk family, from the Coxeter-word engine.
 
-    The engine runs on the extended (rho, 1 - |rho|), which tau permutes like
-    kappa; the matrix does not depend on N, which only bounds n.
+    The engine runs on the extended rho, which tau permutes like kappa; the
+    matrix does not depend on N, which only bounds n.
     """
     if len(rho) != tau.m - 1:
         raise ValueError(f"a permutation of {tau.m} slots needs {tau.m - 1} rho entries, got {len(rho)}")
-    rho = _check_rho(rho)
+    ext = _check_rho(rho)
     check_degree(n)
     if n > N:
         raise ValueError(f"Krawtchouk degree n={n} exceeds the lattice size N={N}")
-    return word_product(tau, rho + (ONE - sum(rho, ZERO),), n, _kraw_block, _kraw_ratio)
+    return word_product(tau, ext, n, _kraw_block, _kraw_ratio)
 
 
 def kraw_cc_cyclic_hat(nu, mu, rho, n, form=1):
@@ -258,18 +263,15 @@ def kraw_cc_cyclic_hat(nu, mu, rho, n, form=1):
     if form not in (1, 2):
         raise ValueError("form must be 1 or 2")
     d = len(nu)
-    rho = _check_rho(rho)
+    ext = _check_rho(rho)
     if (len(mu), len(rho), sum(nu), sum(mu)) != (d, d, n, n) or min((*nu, *mu), default=0) < 0:
         raise ValueError(f"kraw_cc_cyclic_hat needs len(mu) = {d}, {d} rho entries and |nu| = |mu| = {n} "
                          f"with entries >= 0, got nu = {tuple(nu)}, mu = {tuple(mu)} and {len(rho)} rho entries")
 
-    def pre(j):  # |rho_j| = rho_1 + ... + rho_j
-        return sum(rho[:j], ZERO)
+    def rest(j):  # 1 - (rho_2 + ... + rho_j) = rho_1 + rho_{j+1} + ... + rho_{d+1}
+        return ext[0] + sum(ext[j:], ZERO)
 
-    rr = tuple(
-        rho[0] * rho[j] / ((ONE - rho[0]) * (ONE + rho[0] - pre(j + 1)) * (ONE + rho[0] - pre(j)))
-        for j in range(1, d)
-    )
+    rr = tuple(ext[0] * ext[j] / (sum(ext[1:], ZERO) * rest(j + 1) * rest(j)) for j in range(1, d))
     x = tuple(nu[: d - 1])
     idx = tuple(mu[1:])
     if form == 2:
@@ -281,15 +283,13 @@ def kraw_cc_cyclic_hat(nu, mu, rho, n, form=1):
 
 
 def hahn_kraw_scaled(nu, x, rho, N, t):
-    """Hahn value at kappa = t(rho, 1-|rho|), rescaled to the Krawtchouk limit."""
+    """Hahn value at kappa = t times the extended rho, rescaled to the Krawtchouk limit."""
     d = len(nu)
-    rho = [R(r) for r in rho]
-    kappa = tuple(t * r for r in rho) + (t * (ONE - sum(rho, ZERO)),)
-    h = hahn_multi(nu, tuple(x) + (N - sum(x),), kappa, N)
+    rho = _extended(rho, d)
+    h = hahn_multi(nu, tuple(x) + (N - sum(x),), tuple(t * r for r in rho), N)
     scale = ONE
     for j in range(d):
-        rest = ONE - sum(rho[: j + 1], ZERO)
-        scale *= (rest / rho[j]) ** nu[j]
+        scale *= (sum(rho[j + 1:], ZERO) / rho[j]) ** nu[j]
     if sum(nu) % 2:
         scale = -scale
     return h * scale

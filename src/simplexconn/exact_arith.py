@@ -5,8 +5,9 @@ The series functions take and return exact rationals from the selected
 backend; no floating point is ever used.  Every terminating series, here, in
 the local rules of closed_forms and discrete and in the Racah product formula,
 is summed in Python integers by one kernel, folded_series, with its parameters
-over one denominator (over_lcm); rising is the integer Pochhammer product,
-and pochhammer its rational view.
+over one denominator (over_lcm), and fold_terminating folds it at its least
+top -m; rising is the integer Pochhammer product, and pochhammer its
+rational view.
 """
 
 import math
@@ -42,17 +43,6 @@ def over_lcm(values):
     return [numer(v) * (D // q) for v, q in zip(values, dens)], D
 
 
-def termination_order(tops, step=1):
-    """Least m with a top equal to -m * step, or None: the top parameter -m of a series over step."""
-    return min((-a // step for a in tops if a <= 0 and a % step == 0), default=None)
-
-
-def bottom_pole(bottoms, m, step):
-    """The BottomPole for a series over step, folded at order m, whose bottom product is 0."""
-    b = max(b // step for b in bottoms if b % step == 0 and -m * step < b <= 0)
-    return BottomPole(f"bottom parameter {b} poles at k={1 - b}")
-
-
 def folded_series(tops, bottoms, m, step=1, zp=1, zq=1):
     """(sum_k T_k, T_0) in integers, for tops a = A/step, bottoms b = B/step and z = zp/zq.
 
@@ -80,10 +70,26 @@ def folded_series(tops, bottoms, m, step=1, zp=1, zq=1):
     return total, tails[0]
 
 
-def _over_step(top, bottom, z):
-    """top + bottom over one step D, and z = zp/zq with D^{p-q} folded in: folded_series' arguments."""
+def fold_terminating(tops, bottoms, step=1, zp=1, zq=1):
+    """folded_series at the least m with a top -m step, which leaves tops, a fresh list.
+
+    ValueError if no top is a nonpositive multiple of step, BottomPole,
+    naming the bottom that vanishes, if prod_b (b)_m = 0.
+    """
+    m = min((-a // step for a in tops if a <= 0 and a % step == 0), default=None)
+    if m is None:
+        raise ValueError("series does not terminate: no nonpositive-integer top parameter")
+    tops.remove(-m * step)
+    total, bottom = folded_series(tops, bottoms, m, step, zp, zq)
+    if bottom == 0:
+        b = max(b // step for b in bottoms if b % step == 0 and -m * step < b <= 0)
+        raise BottomPole(f"bottom parameter {b} poles at k={1 - b}")
+    return total, bottom
+
+
+def _over_step(top, bottom, z, excess):
+    """top + bottom over one step D, and z = zp/zq with D^excess folded in: folded_series' arguments."""
     ints, D = over_lcm(list(top) + list(bottom))
-    excess = len(top) - len(bottom)
     zp, zq = numer(z) * D ** max(-excess, 0), denom(z) * D ** max(excess, 0)
     return ints[: len(top)], ints[len(top):], D, zp, zq
 
@@ -93,18 +99,10 @@ def hyp_terminating(top, bottom, z):
 
     Terminates at the minimal m with a top parameter equal to -m.  Raises
     BottomPole if a bottom Pochhammer vanishes at or before that order,
-    that is exactly when prod_b (b)_m = 0.
+    that is exactly when prod_b (b)_m = 0: fold_terminating over step D.
     """
-    m = termination_order([numer(a) for a in top if denom(a) == 1])
-    if m is None:
-        raise ValueError("series does not terminate: no nonpositive-integer top parameter")
-    rest = list(top)
-    rest.remove(-m)
-    tops, bottoms, D, zp, zq = _over_step(rest, bottom, z)
-    total, bottom_m = folded_series(tops, bottoms, m, D, zp, zq)
-    if bottom_m == 0:
-        raise bottom_pole(bottoms, m, D)
-    return R(total, bottom_m)
+    tops, bottoms, D, zp, zq = _over_step(top, bottom, z, len(top) - 1 - len(bottom))
+    return R(*fold_terminating(tops, bottoms, D, zp, zq))
 
 
 def hyp_with_prefactor(top, bottom, m, z=ONE):
@@ -116,7 +114,7 @@ def hyp_with_prefactor(top, bottom, m, z=ONE):
     (b)_m/(b)_k = (b+k)_{m-k}.  Used by the Tratnik-style product formulas
     whose prefactors are exactly these bottom Pochhammers.
     """
-    tops, bottoms, D, zp, zq = _over_step(top, bottom, z)
+    tops, bottoms, D, zp, zq = _over_step(top, bottom, z, len(top) - len(bottom))
     return R(folded_series(tops, bottoms, m, D, zp, zq)[0], (D ** len(bottoms) * zq) ** m)
 
 

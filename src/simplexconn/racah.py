@@ -156,8 +156,8 @@ def dual_core(x, nu, B, D, N):
 
 
 def _on_rationals(core, x, nu, beta, N):
-    """core, a map on (x, nu, B, D, N), applied to a rational beta: (x', nu', beta')."""
-    B, D = over_lcm([R(b) for b in beta])
+    """core, a map on (x, nu, B, D, N), applied to a rational beta of len(nu) + 2 entries: (x', nu', beta')."""
+    B, D = _scaled_beta(beta, len(nu))
     x_m, nu_m, B_m = core(x, nu, B, D, N)
     return x_m, nu_m, tuple(R(b, D) for b in B_m)
 
@@ -168,14 +168,13 @@ def dual_map(x, nu, beta, N):
 
 
 def duality_normalizer(nu, beta, N):
-    """(-N)_{|nu|} (-N-beta_0)_{|nu|} prod_j (beta_{j+1}-beta_j)_{nu_j}."""
-    d = len(nu)
-    beta = [R(b) for b in beta]
+    """(-N)_{|nu|} (-N-beta_0)_{|nu|} prod_j (beta_{j+1}-beta_j)_{nu_j}, rising products over beta = B / D."""
+    B, D = _scaled_beta(beta, len(nu))
     n = sum(nu)
-    val = pochhammer(R(-N), n) * pochhammer(R(-N) - beta[0], n)
-    for j in range(1, d + 1):
-        val *= pochhammer(beta[j + 1] - beta[j], nu[j - 1])
-    return val
+    num = rising(-N, n) * rising(-N * D - B[0], n, D)
+    for j, m in enumerate(nu, 1):
+        num *= rising(B[j + 1] - B[j], m, D)
+    return R(num, D ** (2 * n))
 
 
 def conj_core(x, nu, B, D, N):

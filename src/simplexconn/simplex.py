@@ -13,6 +13,13 @@ the constant 1 of every barycentric coordinate to 0 in that product gives
 the top-degree part, leading_core, which the Gram oracle reads.
 jacobi_1d, a_coeffs, jacobi_simplex_basis and leading_form are their
 rational views, and norm_A is one rational of integer rising products.
+Permutation.act_params is the package's one action on tuples.
+
+The kappa domain is kappa_i > -1, where the weight is integrable.  A
+formula function (a basis, value, norm or moment, of every family)
+evaluates wherever its formula is defined; every function that builds or
+normalizes a connection matrix or a closed coefficient checks kappa with
+scaled_kappa and raises ValueError outside the domain.
 """
 
 import itertools
@@ -24,7 +31,7 @@ from .exact_arith import over_lcm, pochhammer, rising
 from .multipoly import SparsePoly, mul_terms
 
 _TOKEN = re.compile(r"\d+")
-_CYCLE = re.compile(r"\(([^()]*)\)")
+_CYCLE = re.compile(r"\(([\d ,]*)\)")
 
 
 class Permutation:
@@ -43,7 +50,7 @@ class Permutation:
 
     @classmethod
     def from_cycles(cls, text, m):
-        """Parse cycle notation like "(12)", "(1 3)(2 4)", "e" or "()"."""
+        """Parse cycle notation like "(12)", "(1 3)(2 4)", "e" or "()"; a cycle holds digits, spaces and commas only."""
         text = text.strip()
         img = list(range(1, m + 1))
         if text in ("e", "id", "()", "1", ""):
@@ -54,7 +61,7 @@ class Permutation:
             if "," in cyc or " " in cyc:
                 entries = [int(t) for t in _TOKEN.findall(cyc)]
             else:
-                entries = [int(ch) for ch in cyc.strip()]
+                entries = [int(ch) for ch in cyc]
             if not entries:
                 continue
             if any(e < 1 or e > m for e in entries):
@@ -77,7 +84,7 @@ class Permutation:
         """Composition self * other: apply other first, then self."""
         if self.m != other.m:
             raise ValueError("size mismatch")
-        return Permutation(self.img[other.img[i] - 1] for i in range(self.m))
+        return Permutation(other.act_params(self.img))
 
     def reduced_word(self):
         """Indices a_1, ..., a_k with self = s_{a_1} * ... * s_{a_k}, s_a = (a, a+1).
@@ -141,7 +148,7 @@ class Permutation:
         """Permuted parameter tuple: entry i becomes kappa[tau(i)]."""
         if len(kappa) != self.m:
             raise ValueError("parameter length mismatch")
-        return tuple(kappa[self(i) - 1] for i in range(1, self.m + 1))
+        return tuple(kappa[t - 1] for t in self.img)
 
     def act_vars(self, poly):
         """Permute the barycentric variables (x_1,...,x_d, 1-|x|) of poly."""
@@ -152,7 +159,7 @@ class Permutation:
         for i in range(d):
             last = last - SparsePoly.variable(d, i)
         xs = [SparsePoly.variable(d, i) for i in range(d)] + [last]
-        return poly.subst([xs[self(i + 1) - 1] for i in range(d)])
+        return poly.subst(self.act_params(xs)[:d])
 
 
 def all_permutations(m):
@@ -284,7 +291,7 @@ def _product_core(nu, K, D, tau, one):
     units = [tuple(int(i == j) for j in range(d)) for i in range(d)]
     hom = {zero: 1} if one else {}
     slots = [{e: 1} for e in units] + [{**hom, **dict.fromkeys(units, -1)}]
-    xs = slots[:d] if tau is None else [slots[tau(i + 1) - 1] for i in range(d)]
+    xs = slots[:d] if tau is None else tau.act_params(slots)[:d]
     terms, den, tail = {zero: 1}, 1, sum(nu)
     for j, (n, B, x) in enumerate(zip(nu, K, xs), 1):
         tail -= n

@@ -1,13 +1,27 @@
-"""Rational reference computations of the simplex basis, independent of the package's integer code.
+"""Rational reference computations, independent of the package's integer code and of its extended rho.
 
 The Jacobi coefficients come from the ratio recurrence of the 2F1 series, a_j
 from rational sums, and the basis from SparsePoly products of
 substitute_homogeneous factors.  Tests compare the package's integer
 definitions (simplex.jacobi_core, a_core and the basis product) with these.
+
+The Krawtchouk formulas are written with prefix sums, each 1 - (rho_1 + ...
++ rho_j) formed where it is read, and tau acts on (rho, 1 - |rho|) by hand;
+tests compare the package's suffix sums of the extended rho with these.
 """
 
 from simplexconn.backend import R, ZERO, ONE
+from simplexconn.discrete import hahn_multi
+from simplexconn.exact_arith import QSqrt, hyp_with_prefactor, pochhammer
 from simplexconn.multipoly import SparsePoly, substitute_homogeneous
+
+
+def value_or_error(rule, *args):
+    """rule(*args), or the type of the ArithmeticError it raises."""
+    try:
+        return rule(*args)
+    except ArithmeticError as exc:
+        return type(exc)
 
 
 def top_part(p, n):
@@ -48,3 +62,88 @@ def loop_basis(nu, kappa):
         result = result * substitute_homogeneous(recurrence_jacobi_1d(nu[j], aj[j], kappa[j]), x, hom, nu[j])
         hom = hom - x
     return result
+
+
+def prefix_kraw_multi(nu, x, rho, N):
+    d = len(nu)
+    rho = [R(r) for r in rho]
+    val = ONE / pochhammer(R(-N), sum(nu))
+    for j in range(d):
+        Nj = N - sum(x[:j]) - sum(nu[j + 1:])
+        z = (ONE - sum(rho[:j], ZERO)) / rho[j]
+        val *= hyp_with_prefactor([R(-x[j])], [R(-Nj)], nu[j], z)
+    return val
+
+
+def prefix_kraw_weight(x, rho, N):
+    rho = [R(r) for r in rho]
+    rest = ONE - sum(rho, ZERO)
+    val = pochhammer(ONE, N) * rest ** (N - sum(x)) / pochhammer(ONE, N - sum(x))
+    for xi, ri in zip(x, rho):
+        val *= ri**xi / pochhammer(ONE, xi)
+    return val
+
+
+def prefix_kraw_norm_C(nu, rho, N):
+    d = len(nu)
+    rho = [R(r) for r in rho]
+    val = ONE / pochhammer(R(-N), sum(nu))
+    if sum(nu) % 2:
+        val = -val
+    for j in range(d):
+        rest = ONE - sum(rho[: j + 1], ZERO)
+        nxt = nu[j + 1] if j + 1 < d else 0
+        val *= pochhammer(ONE, nu[j]) * rest ** (nu[j] + nxt) / rho[j] ** nu[j]
+    return val
+
+
+def prefix_kraw_dual(x, nu, rho):
+    d = len(nu)
+    rho = [R(r) for r in rho]
+    tot = sum(rho, ZERO)
+    x_t = tuple(nu[d - j] for j in range(1, d + 1))
+    nu_t = tuple(x[d - j] for j in range(1, d + 1))
+    rho_t = tuple(
+        rho[d - j] * (ONE - tot) / ((ONE - sum(rho[: d - j + 1], ZERO)) * (ONE - sum(rho[: d - j], ZERO)))
+        for j in range(1, d + 1)
+    )
+    return x_t, nu_t, rho_t
+
+
+def prefix_tau_rho(tau, rho):
+    """tau on (rho, 1 - |rho|), by hand: entry i is the entry tau(i) of the extended tuple, the last dropped."""
+    rho = [R(r) for r in rho]
+    ext = rho + [ONE - sum(rho, ZERO)]
+    return tuple(ext[tau(i) - 1] for i in range(1, tau.m))
+
+
+def prefix_kraw_cc_cyclic_hat(nu, mu, rho, n, form=1):
+    """kraw_cc_cyclic_hat on valid input, its cycle parameters from prefix sums."""
+    d = len(nu)
+    rho = [R(r) for r in rho]
+
+    def pre(j):
+        return sum(rho[:j], ZERO)
+
+    rr = tuple(rho[0] * rho[j] / ((ONE - rho[0]) * (ONE + rho[0] - pre(j + 1)) * (ONE + rho[0] - pre(j)))
+               for j in range(1, d))
+    x, idx = tuple(nu[: d - 1]), tuple(mu[1:])
+    if form == 2:
+        x, idx, rr = prefix_kraw_dual(x, idx, rr)
+    val = prefix_kraw_multi(idx, x, rr, n)
+    radicand = prefix_kraw_weight(x, rr, n) * val * val / prefix_kraw_norm_C(idx, rr, n)
+    return QSqrt.signed((-1) ** (n + nu[d - 1]) * val, radicand)
+
+
+def prefix_hahn_kraw_scaled(nu, x, rho, N, t):
+    d = len(nu)
+    rho = [R(r) for r in rho]
+    kappa = tuple(t * r for r in rho) + (t * (ONE - sum(rho, ZERO)),)
+    h = hahn_multi(nu, tuple(x) + (N - sum(x),), kappa, N)
+    scale = ONE
+    for j in range(d):
+        rest = ONE - sum(rho[: j + 1], ZERO)
+        scale *= (rest / rho[j]) ** nu[j]
+    if sum(nu) % 2:
+        scale = -scale
+    return h * scale

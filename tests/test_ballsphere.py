@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 
@@ -202,3 +203,18 @@ def test_laplacian_basics():
     assert lp.terms == {}
     q = SparsePoly(3, {(2, 0, 0): ONE})
     assert bs.laplacian(q).terms == {(0, 0, 0): R(2)}
+
+
+def test_permute_is_the_substitution_x_i_to_x_tau_i():
+    # oracle: the expanded polynomial under SparsePoly.subst, with no permuted tuple built
+    rng = random.Random(11)
+    for d in (1, 2, 3):
+        for _ in range(4):
+            eps = tuple(rng.randint(0, 1) for _ in range(d))
+            core = SparsePoly(d, {tuple(rng.randint(0, 2) for _ in range(d)): R(rng.randint(-5, 5), rng.randint(1, 3))
+                                  for _ in range(4)})
+            p = bs.ParityPoly(eps, core)
+            for img in itertools.permutations(range(1, d + 1)):
+                tau = Permutation(img)
+                xs = [SparsePoly.variable(d, tau(i) - 1) for i in range(1, d + 1)]
+                assert p.permute(tau).expand() == p.expand().subst(xs), (p, tau)

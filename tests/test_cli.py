@@ -306,6 +306,9 @@ def test_basis_listing():
     pytest.param(("connect", "--family", "jacobi", "--tau", "(12)", "--kappa", "1,1,1", "--n", "1"),
                  id="bad-family"),
     pytest.param(("connect", "--tau", "(12)", "--kappa", "1,1,1", "--n", "one"), id="non-integer-n"),
+    pytest.param(("connect", "--tau", "(1 a)", "--kappa", "1/2,1/3,1/4", "--n", "1"), id="letter-in-cycle"),
+    pytest.param(("connect", "--tau", "(1 2x)", "--kappa", "1/2,1/3,1/4", "--n", "1"), id="letter-after-entry"),
+    pytest.param(("connect", "--tau", "(a)", "--kappa", "1/2,1/3,1/4", "--n", "1"), id="letter-cycle"),
     pytest.param(("connect", "--tau", "(12)", "--kappa", "1,1,1", "--n", "1", "--out", __file__),
                  id="out-is-a-file"),
     pytest.param(("connect", "--tau", "(12)", "--kappa", "1,1,1", "--n", "1", "--out",

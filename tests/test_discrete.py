@@ -13,6 +13,11 @@ from simplexconn.closed_forms import connection_matrix
 from simplexconn.connection import gram_connection
 from simplexconn import discrete as ds
 
+from oracles import (
+    prefix_hahn_kraw_scaled, prefix_kraw_cc_cyclic_hat, prefix_kraw_dual, prefix_kraw_multi, prefix_kraw_norm_C,
+    prefix_kraw_weight, prefix_tau_rho, value_or_error,
+)
+
 KAPPA = (R(1, 2), R(1, 3), R(2, 5))
 RHO = (R(1, 4), R(1, 3))
 
@@ -327,3 +332,63 @@ def test_engine_matches_gram_and_lattice_oracles(data):
     N = n + data.draw(st.integers(0, 1), label="N - n")
     mat = ds.kraw_connection(tau, rho, N, n)
     assert (mat.order, mat.rows) == kraw_lattice_connection(tau, rho, N, n)
+
+
+def sweep_rho(rng, d):
+    """rho with every entry of the extended rho > 0, then rho anywhere: zeros, negatives and |rho| >= 1."""
+    if rng.random() < 0.5:
+        weights = [rng.randint(1, 9) for _ in range(d + 1)]
+        return tuple(R(w, sum(weights)) for w in weights[:d])
+    return tuple(R(rng.randint(-4, 6), rng.choice((1, 2, 3, 5))) for _ in range(d))
+
+
+def in_domain(rho):
+    return all(r > 0 for r in rho) and sum(rho) < 1
+
+
+def test_krawtchouk_formulas_equal_the_prefix_sum_oracles():
+    # the suffix sums of the extended rho against the parent's prefix sums, inside the domain and out
+    rng = random.Random(24)
+    for _ in range(300):
+        d, N = rng.randint(1, 3), rng.randint(0, 4)
+        rho = sweep_rho(rng, d)
+        nu, x = rng.choice(ds.kraw_grid(d, N)), rng.choice(ds.kraw_grid(d, N))
+        t = R(rng.randint(1, 9), rng.randint(1, 4))
+        for got, want, args in (
+            (ds.kraw_multi, prefix_kraw_multi, (nu, x, rho, N)),
+            (ds.kraw_weight, prefix_kraw_weight, (x, rho, N)),
+            (ds.kraw_norm_C, prefix_kraw_norm_C, (nu, rho, N)),
+            (ds.kraw_dual, prefix_kraw_dual, (x, nu, rho)),
+            (ds.hahn_kraw_scaled, prefix_hahn_kraw_scaled, (nu, x, rho, N + sum(x), t)),
+        ):
+            assert value_or_error(got, *args) == value_or_error(want, *args), (got.__name__, args)
+        for tau in map(Permutation, itertools.permutations(range(1, d + 2))):
+            assert ds.tau_rho(tau, rho) == prefix_tau_rho(tau, rho), (tau, rho)
+        if d >= 2 and in_domain(rho):
+            n = rng.randint(0, 3)
+            order = enumerate_basis(d, n)
+            for form in (1, 2):
+                nu, mu = rng.choice(order), rng.choice(order)
+                assert ds.kraw_cc_cyclic_hat(nu, mu, rho, n, form) == prefix_kraw_cc_cyclic_hat(
+                    nu, mu, rho, n, form), (nu, mu, rho, n, form)
+
+
+def test_tau_rho_is_an_action():
+    # tau_rho(t1 t2, rho) = tau_rho(t2, tau_rho(t1, rho)), inside the domain and out
+    rng = random.Random(26)
+    for d in (1, 2, 3):
+        perms = [Permutation(img) for img in itertools.permutations(range(1, d + 2))]
+        for rho in [sweep_rho(rng, d) for _ in range(4)]:
+            for t1, t2 in itertools.product(perms, repeat=2):
+                assert ds.tau_rho(t1 * t2, rho) == ds.tau_rho(t2, ds.tau_rho(t1, rho)), (t1, t2, rho)
+
+
+def test_krawtchouk_formulas_check_the_length_of_rho():
+    # one entry short, the extended rho would read 1 - |rho| as rho_d
+    nu, x, tau = (1, 1), (1, 0), Permutation((2, 1, 3))
+    for rho in (RHO[:1], RHO + (R(1, 6),)):
+        for call in (lambda: ds.kraw_multi(nu, x, rho, 3), lambda: ds.kraw_weight(x, rho, 3),
+                     lambda: ds.kraw_norm_C(nu, rho, 3), lambda: ds.kraw_dual(x, nu, rho),
+                     lambda: ds.tau_rho(tau, rho), lambda: ds.hahn_kraw_scaled(nu, x, rho, 3, R(5))):
+            with pytest.raises(ValueError, match=f"^rho needs d = 2 entries, got {len(rho)}$"):
+                call()

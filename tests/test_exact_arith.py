@@ -8,6 +8,7 @@ from simplexconn.backend import R, ZERO, ONE, rat_from_str, rat_str
 from simplexconn.exact_arith import (
     BottomPole,
     QSqrt,
+    fold_terminating,
     folded_series,
     hyp_terminating,
     hyp_with_prefactor,
@@ -78,6 +79,36 @@ def test_hyp_terminating_picks_minimal_termination_order():
 def test_hyp_terminating_bottom_pole():
     with pytest.raises(BottomPole):
         hyp_terminating([R(-4), R(2)], [R(-2)], ONE)
+
+
+def test_fold_terminating_folds_at_the_least_top_and_consumes_it():
+    # over step 3: the tops -15 and -6 are -5 and -2 steps, -4 is no multiple of 3 and 7 is positive
+    tops = [-15, -4, -6, 7]
+    assert fold_terminating(tops, [5, -20], 3, 2, 7) == folded_series([-15, -4, 7], [5, -20], 2, 3, 2, 7)
+    assert tops == [-15, -4, 7]
+    # equal least tops: one is folded, the other summed
+    tops = [-2, 4, -2]
+    assert fold_terminating(tops, [3]) == folded_series([4, -2], [3], 2)
+    assert tops == [4, -2]
+    assert fold_terminating([0, -3], [-1]) == (1, 1)
+
+
+def test_fold_terminating_raises_with_the_series_messages():
+    for tops, bottoms, step, message in (
+        ([-4, 2], [-2], 1, "bottom parameter -2 poles at k=3"),
+        ([-4, 1], [-3, -1], 1, "bottom parameter -1 poles at k=2"),
+        ([-12, 1], [-6, -4], 3, "bottom parameter -2 poles at k=3"),
+    ):
+        with pytest.raises(BottomPole, match=f"^{message}$"):
+            fold_terminating(tops, bottoms, step)
+    for tops, step in (([], 1), ([1, 2], 1), ([-4, -2], 3), ([3], 3)):
+        with pytest.raises(ValueError, match="^series does not terminate: no nonpositive-integer top parameter$"):
+            fold_terminating(tops, [1], step)
+    # hyp_terminating folds over the lcm of its parameters' denominators
+    with pytest.raises(BottomPole, match="^bottom parameter -3 poles at k=4$"):
+        hyp_terminating([R(-5), R(-7, 3)], [R(-2, 3), R(-3)], ONE)
+    with pytest.raises(ValueError, match="^series does not terminate"):
+        hyp_terminating([R(1, 2), R(3)], [R(-2)], ONE)
 
 
 def test_hyp_with_prefactor_matches_series_when_regular():

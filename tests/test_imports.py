@@ -4,6 +4,8 @@ The package and its tests carry no dead imports; `__init__.py` is exempt,
 because its imports are the package's re-exports.  The package's functions
 carry no dead locals; `_` is exempt.  Every private top-level definition of
 the package is read somewhere, and every private function by package code.
+No package code outside class Permutation applies a permutation to a tuple
+by hand: every permuted tuple goes through Permutation.act_params.
 """
 
 import ast
@@ -148,3 +150,36 @@ def test_every_private_function_is_read_by_the_package():
     functions = {node.name for path in package for node in ast.parse(path.read_text()).body
                  if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))}
     assert [entry for entry in unread_privates(package, package) if entry[2] in functions] == []
+
+
+def hand_written_actions(path):
+    """(line, text) for each subscript x[f(...) - 1] outside class Permutation: a permutation applied by hand."""
+    source = path.read_text()
+    tree = ast.parse(source, filename=str(path))
+    inside = {id(node) for cls in tree.body if isinstance(cls, ast.ClassDef) and cls.name == "Permutation"
+              for node in ast.walk(cls)}
+    return [(node.lineno, ast.get_source_segment(source, node)) for node in ast.walk(tree)
+            if isinstance(node, ast.Subscript) and id(node) not in inside
+            and isinstance(node.slice, ast.BinOp) and isinstance(node.slice.op, ast.Sub)
+            and isinstance(node.slice.left, ast.Call)
+            and isinstance(node.slice.right, ast.Constant) and node.slice.right.value == 1]
+
+
+def test_the_scan_finds_a_hand_written_action(tmp_path):
+    path = tmp_path / "sample.py"
+    path.write_text(
+        "class Permutation:\n"
+        "    def act(self, x):\n"
+        "        return [x[self(i) - 1] for i in range(1, 3)]\n"
+        "def permute(tau, x):\n"
+        "    out = [0] * len(x)\n"
+        "    for i in range(len(x)):\n"
+        "        out[tau(i + 1) - 1] = x[i - 1]\n"
+        "    return out, x[len(x) - 2], tau.act(x)\n"
+    )
+    assert hand_written_actions(path) == [(7, "out[tau(i + 1) - 1]")]
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda path: str(path.relative_to(ROOT)))
+def test_every_permuted_tuple_goes_through_act_params(path):
+    assert hand_written_actions(path) == []

@@ -9,6 +9,8 @@ from simplexconn import closed_forms as cf
 from simplexconn.discrete import kraw_grid
 from simplexconn.simplex import enumerate_basis
 
+from oracles import value_or_error
+
 BETA2 = tuple(R(2 * i + 1, 2) + i for i in range(4))  # d = 2
 BETA3 = tuple(R(3 * i + 2, 3) + i * i for i in range(5))  # d = 3
 
@@ -294,13 +296,6 @@ def rational_second_norm_sq(nu, beta, N):
     return rational_norm_sq(nu_c, beta_c, N) * rational_weight(corner, beta, N) / rational_weight(x_c, beta_c, N)
 
 
-def value_or_error(f, *args):
-    try:
-        return f(*args)
-    except ArithmeticError as exc:
-        return type(exc)
-
-
 def mixed_beta(rng, d, integer_share):
     """beta with zero, negative-integer, positive-integer and (the rest) non-integer entries."""
     def entry():
@@ -356,12 +351,33 @@ def test_poles_raise_like_the_rational_bodies_seeded():
 def test_racah_functions_check_the_length_of_beta():
     short, long = (R(1), R(2)), (R(1), R(2), R(3), R(4))
     for beta in (short, long):
+        # the maps and the normalizer ran off the end of a short beta and truncated a long one
         for call in (lambda: rc.racah_multi((1,), (0,), beta, 2), lambda: rc.racah_weight_multi((0,), beta, 2),
-                     lambda: rc.racah_norm_sq((1,), beta, 2), lambda: rc.racah_second_norm_sq((1,), beta, 2)):
-            with pytest.raises(ValueError, match="beta needs d \\+ 2 = 3 entries"):
+                     lambda: rc.racah_norm_sq((1,), beta, 2), lambda: rc.racah_second_norm_sq((1,), beta, 2),
+                     lambda: rc.dual_map((1,), (1,), beta, 2), lambda: rc.conj_map((1,), (1,), beta, 2),
+                     lambda: rc.dual2_map((1,), (1,), beta, 2), lambda: rc.duality_normalizer((1,), beta, 2)):
+            with pytest.raises(ValueError, match=f"^beta needs d \\+ 2 = 3 entries, got {len(beta)}$"):
                 call()
     with pytest.raises(ValueError, match="nu and x need one length"):
         rc.racah_multi((1, 0), (0,), long, 2)
+
+
+def rational_duality_normalizer(nu, beta, N):
+    """(-N)_{|nu|} (-N-beta_0)_{|nu|} prod_j (beta_{j+1}-beta_j)_{nu_j} from rational Pochhammer symbols."""
+    n = sum(nu)
+    val = pochhammer(R(-N), n) * pochhammer(R(-N) - beta[0], n)
+    for j, m in enumerate(nu, 1):
+        val *= pochhammer(beta[j + 1] - beta[j], m)
+    return val
+
+
+def test_duality_normalizer_equals_the_rational_product():
+    rng = random.Random(24)
+    for _ in range(300):
+        d, N = rng.randint(1, 3), rng.randint(0, 5)
+        nu = tuple(rng.randint(0, 2) for _ in range(d))
+        beta = tuple(R(rng.randint(-9, 9), rng.choice((1, 2, 3, 4))) for _ in range(d + 2))
+        assert rc.duality_normalizer(nu, beta, N) == rational_duality_normalizer(nu, beta, N), (nu, beta, N)
 
 
 def test_points_outside_the_lattice_raise_value_error():

@@ -1,10 +1,12 @@
 import random
+import re
 from fractions import Fraction
 from math import comb
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from simplexconn import ballsphere as bs, closed_forms as cf, connection, discrete as ds
 from simplexconn.backend import R, ZERO, ONE
 from simplexconn.exact_arith import pochhammer
 from simplexconn.multipoly import SparsePoly, grevlex_key
@@ -21,7 +23,7 @@ from simplexconn.simplex import (
     simplex_moment,
 )
 
-from oracles import loop_basis, recurrence_jacobi_1d, summed_a_coeffs, top_part
+from oracles import loop_basis, recurrence_jacobi_1d, summed_a_coeffs, top_part, value_or_error
 
 
 def perms(m):
@@ -35,6 +37,12 @@ class TestPermutation:
         tau = Permutation.from_cycles("(1 3)(2 4)", 4)
         assert [tau(i) for i in (1, 2, 3, 4)] == [3, 4, 1, 2]
         assert Permutation.from_cycles("e", 3).is_identity()
+        for text, img in (("(1,3)", (3, 2, 1)), ("( 1 2 3 )", (2, 3, 1)), ("(12)(3)", (2, 1, 3))):
+            assert Permutation.from_cycles(text, 3).img == img, text
+        # a cycle holds digits only, optionally separated by spaces or commas
+        for text in ("(1 a)", "(1 2x)", "(a)", "(1;2)"):
+            with pytest.raises(ValueError, match=f"^bad cycle notation: {re.escape(repr(text))}$"):
+                Permutation.from_cycles(text, 3)
 
     def test_cycle_repr_roundtrip(self):
         for tau in all_permutations(4):
@@ -270,13 +278,6 @@ def rational_norm_A(nu, kappa):
     return val
 
 
-def value_or_error(rule, *args):
-    try:
-        return rule(*args)
-    except ArithmeticError as exc:
-        return type(exc)
-
-
 def test_norm_equals_the_rational_product():
     # the domain points, then entries <= -1 too, where (lambda)_{2|nu|} can vanish
     rng = random.Random(5)
@@ -316,3 +317,72 @@ def test_leading_form_is_triangular_in_basis_order(data):
         terms = leading_form(nu, kappa).terms
         assert terms.get(nu, ZERO) != 0
         assert {order.index(gamma) for gamma in terms} <= set(range(i + 1))
+
+
+# the kappa-domain rule of the simplex module docstring, at kappa_1 = -3/2 and |rho| = 5/4
+OUTSIDE = (R(-3, 2), R(1, 2), R(1))
+OUTSIDE4 = OUTSIDE + (R(1, 3),)
+RHO_OUTSIDE = (R(3, 4), R(1, 2))
+
+
+def formula_calls():
+    k, nu, tau = OUTSIDE, (1, 1), Permutation.from_cycles("(12)", 3)
+    ball = bs.q_ball((1, 0), (1, 0), k)
+    sphere = bs.sphere_basis((1, 0), (1, 0, 0), k, 3)
+    hahn = {a: ONE for a in enumerate_basis(3, 2)}
+    return {
+        "jacobi_1d": lambda: jacobi_1d(2, k[1], k[0]),
+        "a_coeffs": lambda: a_coeffs(nu, k),
+        "jacobi_simplex_basis": lambda: jacobi_simplex_basis(nu, k),
+        "leading_form": lambda: leading_form(nu, k, tau),
+        "norm_A": lambda: norm_A(nu, k),
+        "simplex_moment": lambda: simplex_moment((1, 2), k),
+        "inner_product_simplex": lambda: inner_product_simplex(jacobi_simplex_basis(nu, k), ball.core, k),
+        "verify_sum_identity": lambda: cf.verify_sum_identity(1, 1, k, 2),
+        "hahn_multi": lambda: ds.hahn_multi(nu, (1, 0, 1), k, 2),
+        "hahn_weight": lambda: ds.hahn_weight((1, 0, 1), k),
+        "hahn_inner": lambda: ds.hahn_inner(hahn, hahn, k, 2),
+        "p_factor": lambda: ds.p_factor(nu, k),
+        "hahn_norm_B": lambda: ds.hahn_norm_B(nu, k, 2),
+        "hahn_from_generating": lambda: ds.hahn_from_generating(nu, k, 2),
+        "q_ball": lambda: ball,
+        "ball_norm": lambda: bs.ball_norm((1, 0), (1, 0), k),
+        "ball_inner_product": lambda: bs.ball_inner_product(ball, ball, k),
+        "sphere_basis": lambda: sphere,
+        "sphere_inner_product": lambda: bs.sphere_inner_product(sphere, sphere, k),
+        "kraw_multi": lambda: ds.kraw_multi(nu, (1, 0), RHO_OUTSIDE, 2),
+        "kraw_weight": lambda: ds.kraw_weight((1, 0), RHO_OUTSIDE, 2),
+        "kraw_norm_C": lambda: ds.kraw_norm_C(nu, RHO_OUTSIDE, 2),
+        "kraw_dual": lambda: ds.kraw_dual((1, 0), nu, RHO_OUTSIDE),
+        "tau_rho": lambda: ds.tau_rho(tau, RHO_OUTSIDE),
+        "hahn_kraw_scaled": lambda: ds.hahn_kraw_scaled(nu, (1, 0), RHO_OUTSIDE, 2, R(3)),
+    }
+
+
+def builder_calls():
+    k, tau = OUTSIDE, Permutation.from_cycles("(12)", 3)
+    return {
+        "connection_matrix": lambda: cf.connection_matrix(tau, k, 1),
+        "cc_3d_matrix": lambda: cf.cc_3d_matrix(Permutation.from_cycles("(13)", 4), OUTSIDE4, 1),
+        "gram_connection": lambda: connection.gram_connection(tau, k, 1),
+        "normalize": lambda: connection.normalize(cf.connection_matrix(tau, (1, 1, 1), 1), tau, k),
+        "cc_cyclic_hat": lambda: cf.cc_cyclic_hat((1, 0), (0, 1), k, 1),
+        "cc_coset_hat": lambda: cf.cc_coset_hat(Permutation.from_cycles("(123)", 3), (1, 0), (0, 1), k, 1),
+        "cc_adjacent_hat": lambda: cf.cc_adjacent_hat((1, 0), (0, 1), k, 1, 1),
+        "cc_3d_hat13_terms": lambda: cf.cc_3d_hat13_terms((1, 0, 0), (0, 1, 0), OUTSIDE4, 1),
+        "hahn_connection": lambda: ds.hahn_connection(tau, k, 2, 1),
+        "ball_connection": lambda: bs.ball_connection(Permutation((2, 1)), k, 1),
+        "ball_gram": lambda: bs.ball_gram(Permutation((2, 1)), k, 1),
+    }
+
+
+def test_formula_functions_evaluate_outside_the_domain_and_builders_check_kappa():
+    for name, call in formula_calls().items():
+        assert call() is not None, name
+    for name, call in builder_calls().items():
+        try:
+            call()
+        except ValueError as exc:
+            assert str(exc) == "kappa needs at least 2 entries, each > -1", name
+        else:
+            pytest.fail(f"{name} accepted kappa outside the domain")
