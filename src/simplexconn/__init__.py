@@ -1,7 +1,7 @@
 """Exact connection coefficients for orthogonal polynomials on the simplex,
 with companions on discrete lattices, the ball, and the sphere."""
 
-from .backend import BACKEND, R, rat_from_str, rat_str
+from .backend import R, rat_from_str, rat_str
 from .exact_arith import BottomPole, QSqrt, hyp_terminating, hyp_with_prefactor, pochhammer
 from .multipoly import DimensionMismatch, SparsePoly, substitute_homogeneous
 from .simplex import (

@@ -25,7 +25,7 @@ only for a failure returned; a size mismatch raises ValueError.
 from math import gcd, lcm
 from operator import mul
 
-from .backend import R, ZERO, ONE, denom, numer, rat_str
+from .backend import R, ZERO, ONE, rat_str
 from .exact_arith import QSqrt, over_lcm
 from .simplex import _MOMENT_CACHE, check_degree, check_kappa, enumerate_basis, leading_core, norm_A
 
@@ -209,8 +209,8 @@ def normalize(mat, tau, kappa):
     out = []
     for nu, (nums, Q) in zip(mat.order, mat.int_rows):
         a = norm_A(nu, tk)
-        top, bottom = denom(a), Q * Q * L * numer(a)
-        out.append([QSqrt((c > 0) - (c < 0), R(c * c * b * top, bottom)) for c, b in zip(nums, B)])
+        top, bottom = a.denominator, Q * Q * L * a.numerator
+        out.append([QSqrt.signed(c, R(c * c * b * top, bottom)) for c, b in zip(nums, B)])
     return out
 
 
@@ -234,7 +234,7 @@ def weighted_orthogonal(rows, weights, diagonal):
             g, P = rows[j]
             s = sum(map(mul, fw, g))
             h = diagonal[i] if i == j else ZERO
-            if s * denom(h) != numer(h) * Q * P * L:
+            if s * h.denominator != h.numerator * Q * P * L:
                 yield i, j, R(s, Q * P * L), h
 
 
@@ -286,11 +286,11 @@ def verify_inverse_identity(mat_tau, mat_inv, A_src, A_tgt):
     if (len(A_src), len(A_tgt)) != (size, size):
         raise ValueError(f"the norm lists need {size} entries each, got {len(A_src)} and {len(A_tgt)}")
     columns, L = _columns(mat_tau)
-    # rhs = a t / (b L): per mu, the factors L numer(b) below and denom(b) above
-    below = [L * numer(b) for b in A_tgt]
-    above = [denom(b) for b in A_tgt]
+    # rhs = a t / (b L): per mu, L times b's numerator below and b's denominator above
+    below = [L * b.numerator for b in A_tgt]
+    above = [b.denominator for b in A_tgt]
     for nu, (f, Q), a, column in zip(mat_inv.order, mat_inv.int_rows, A_src, columns):
-        an, ad = numer(a), denom(a)
+        an, ad = a.numerator, a.denominator
         for mu, c, t, lo, up in zip(mat_inv.order, f, column, below, above):
             if c * lo * ad != t * up * an * Q:
                 return nu, mu, R(c, Q), R(t * up * an, lo * ad)

@@ -15,12 +15,18 @@ form; form 2 is its kraw_dual.
 
 from math import comb
 
-from .backend import R, ZERO, ONE, denom, numer
+from .backend import R, ZERO, ONE
 from .exact_arith import QSqrt, fold_terminating, hyp_with_prefactor, over_lcm, pochhammer
 from .multipoly import homogenize
 from .simplex import a_coeffs, check_degree, enumerate_basis, jacobi_simplex_basis, norm_A
 from .connection import ConnMatrix
 from .closed_forms import connection_matrix, word_product
+
+
+def _check_lattice(what, size, N):
+    """ValueError unless size <= N: a degree, or the |x| of a point, of either family on the lattice of size N."""
+    if size > N:
+        raise ValueError(f"{what}={size} exceeds the lattice size N={N}")
 
 
 # ---------------------------------------------------------------------------
@@ -30,8 +36,7 @@ from .closed_forms import connection_matrix, word_product
 
 def hahn_multi(nu, x, kappa, N):
     """Product-form Hahn polynomial H_nu(x; kappa, N); x in Z^{d+1}, |x| = N."""
-    if sum(nu) > N:
-        raise ValueError(f"Hahn degree |nu|={sum(nu)} exceeds the lattice size N={N}")
+    _check_lattice("Hahn degree |nu|", sum(nu), N)
     d = len(nu)
     kappa = [R(k) for k in kappa]
     aj = a_coeffs(nu, kappa)
@@ -117,8 +122,7 @@ def hahn_connection(tau, kappa, N, n):
     p(mu, kappa) = P_mu / L over their lcm and p(nu, tau.kappa) = s / t, the
     row is N_mu P_mu t over Q L s.
     """
-    if n > N:
-        raise ValueError(f"Hahn degree n={n} exceeds the lattice size N={N}")
+    _check_lattice("Hahn degree n", n, N)
     kappa = tuple(R(k) for k in kappa)
     tk = tau.act_params(kappa)
     mat = connection_matrix(tau, kappa, n)
@@ -126,8 +130,8 @@ def hahn_connection(tau, kappa, N, n):
     rows = []
     for nu, (nums, Q) in zip(mat.order, mat.int_rows):
         s = p_factor(nu, tk)
-        t = denom(s)
-        rows.append(([c * p * t for c, p in zip(nums, P)], Q * L * numer(s)))
+        t = s.denominator
+        rows.append(([c * p * t for c, p in zip(nums, P)], Q * L * s.numerator))
     return ConnMatrix.from_int_rows(mat.d, n, rows, mat.order)
 
 
@@ -153,7 +157,12 @@ def kraw_grid(d, N):
 
 
 def kraw_multi(nu, x, rho, N):
-    """Product-form Krawtchouk polynomial K_nu(x; rho, N); x in N_0^d, |x| <= N."""
+    """Product-form Krawtchouk polynomial K_nu(x; rho, N); x in N_0^d, |x| <= N.
+
+    ValueError for |nu| > N.  Off the lattice it is still the polynomial in x
+    that the product formula defines, and it is evaluated there.
+    """
+    _check_lattice("Krawtchouk degree |nu|", sum(nu), N)
     d = len(nu)
     rho = _extended(rho, d)
     val = ONE / pochhammer(R(-N), sum(nu))
@@ -165,6 +174,8 @@ def kraw_multi(nu, x, rho, N):
 
 
 def kraw_weight(x, rho, N):
+    """Krawtchouk weight at x, |x| <= N; ValueError for |x| > N."""
+    _check_lattice("Krawtchouk point |x|", sum(x), N)
     *rho, rest = _extended(rho, len(x))
     val = pochhammer(ONE, N) * rest ** (N - sum(x)) / pochhammer(ONE, N - sum(x))
     for xi, ri in zip(x, rho):
@@ -173,6 +184,8 @@ def kraw_weight(x, rho, N):
 
 
 def kraw_norm_C(nu, rho, N):
+    """Squared norm of K_nu under kraw_inner; ValueError for |nu| > N."""
+    _check_lattice("Krawtchouk degree |nu|", sum(nu), N)
     d = len(nu)
     rho = _extended(rho, d)
     val = ONE / pochhammer(R(-N), sum(nu))
@@ -249,8 +262,7 @@ def kraw_connection(tau, rho, N, n):
         raise ValueError(f"a permutation of {tau.m} slots needs {tau.m - 1} rho entries, got {len(rho)}")
     ext = _check_rho(rho)
     check_degree(n)
-    if n > N:
-        raise ValueError(f"Krawtchouk degree n={n} exceeds the lattice size N={N}")
+    _check_lattice("Krawtchouk degree n", n, N)
     return word_product(tau, ext, n, _kraw_block, _kraw_ratio)
 
 

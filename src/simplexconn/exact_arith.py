@@ -1,10 +1,10 @@
 """Scalar kernel: Pochhammer symbols, terminating hypergeometric series,
 and exact sign*sqrt(rational) values (QSqrt).
 
-The series functions take and return exact rationals from the selected
-backend; no floating point is ever used.  Every terminating series, here, in
-the local rules of closed_forms and discrete and in the Racah product formula,
-is summed in Python integers by one kernel, folded_series, with its parameters
+The series functions take and return exact rationals (Fraction); no
+floating point is ever used.  Every terminating series, here, in the local
+rules of closed_forms and discrete and in the Racah product formula, is
+summed in Python integers by one kernel, folded_series, with its parameters
 over one denominator (over_lcm), and fold_terminating folds it at its least
 top -m; rising is the integer Pochhammer product, and pochhammer its
 rational view.
@@ -12,7 +12,7 @@ rational view.
 
 import math
 
-from .backend import R, ZERO, ONE, numer, denom, rat_from_str, rat_str
+from .backend import R, ZERO, ONE, rat_str
 
 
 class BottomPole(ArithmeticError):
@@ -32,15 +32,15 @@ def rising(x, k, step=1):
 
 def pochhammer(a, n):
     """Rising factorial (a)_n = a(a+1)...(a+n-1), (a)_0 = 1: rising over the denominator q of a, over q^n."""
-    q = denom(a)
-    return R(rising(numer(a), n, q), q**n)
+    q = a.denominator
+    return R(rising(a.numerator, n, q), q**n)
 
 
 def over_lcm(values):
     """(ints, D): the rationals values as integers over D, the lcm of their denominators."""
-    dens = [denom(v) for v in values]
+    dens = [v.denominator for v in values]
     D = math.lcm(*dens)
-    return [numer(v) * (D // q) for v, q in zip(values, dens)], D
+    return [v.numerator * (D // q) for v, q in zip(values, dens)], D
 
 
 def folded_series(tops, bottoms, m, step=1, zp=1, zq=1):
@@ -90,7 +90,7 @@ def fold_terminating(tops, bottoms, step=1, zp=1, zq=1):
 def _over_step(top, bottom, z, excess):
     """top + bottom over one step D, and z = zp/zq with D^excess folded in: folded_series' arguments."""
     ints, D = over_lcm(list(top) + list(bottom))
-    zp, zq = numer(z) * D ** max(-excess, 0), denom(z) * D ** max(excess, 0)
+    zp, zq = z.numerator * D ** max(-excess, 0), z.denominator * D ** max(excess, 0)
     return ints[: len(top)], ints[len(top):], D, zp, zq
 
 
@@ -123,14 +123,14 @@ class QSqrt:
 
     Two QSqrt values are equal iff their (sign, radicand) pairs are equal,
     which coincides with value equality since sqrt is injective on [0, oo).
-    A radicand that is already a backend rational is kept as given; any
-    other (an int, another rational, a 'p/q' string) is converted.
+    A radicand that is already a Fraction is kept as given; any other
+    exact rational (an int) is converted by R.
     """
 
     __slots__ = ("sign", "radicand")
 
     def __init__(self, sign, radicand):
-        radicand = rat_from_str(radicand) if isinstance(radicand, str) else R(radicand)
+        radicand = R(radicand)
         top = radicand.numerator
         if top <= 0:
             if top:
@@ -182,7 +182,7 @@ class QSqrt:
 
     def as_rational(self):
         """Exact rational value, or None when the radicand is not a perfect square."""
-        p, q = numer(self.radicand), denom(self.radicand)
+        p, q = self.radicand.numerator, self.radicand.denominator
         sp = math.isqrt(p)
         sq = math.isqrt(q)
         if sp * sp != p or sq * sq != q:

@@ -15,11 +15,12 @@ from simplexconn.multipoly import SparsePoly
 from simplexconn.simplex import Permutation, enumerate_basis, norm_A
 
 
-def run_cli(*args):
+def run_cli(*args, env=None):
     proc = subprocess.run(
         [sys.executable, "-m", "simplexconn.cli", *args],
         capture_output=True,
         text=True,
+        env=env,
     )
     return proc
 
@@ -239,6 +240,16 @@ def test_basis_listing():
     assert proc.returncode == 0
     data = json.loads(proc.stdout)
     assert len(data["basis"]) == 3
+
+
+@pytest.mark.parametrize("value", ["bogus", "gmpy2"])
+def test_the_cli_reads_no_backend_variable(value):
+    # Fraction is the one rational type: a former backend switch in the environment changes nothing
+    args = ("basis", "--kappa", "1/2,1/3", "--n", "1")
+    plain = run_cli(*args)
+    proc = run_cli(*args, env=dict(os.environ, SIMPLEXCONN_BACKEND=value))
+    assert plain.returncode == 0 and plain.stdout
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, plain.stdout, "")
 
 
 @pytest.mark.parametrize("args", [

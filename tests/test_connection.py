@@ -505,14 +505,13 @@ def test_a_passing_verify_run_makes_no_rational_in_the_verifiers(monkeypatch, ca
     made, inside = [], []
     real_R = connection.R
     monkeypatch.setattr(connection, "R", lambda *args: made.append(args) or real_R(*args))
-    if type(ONE) is Fraction:
-        for name in ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__"):
-            def guarded(self, other, op=getattr(Fraction, name)):
-                if inside:
-                    raise AssertionError("a verifier added or multiplied rationals")
-                return op(self, other)
+    for name in ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__"):
+        def guarded(self, other, op=getattr(Fraction, name)):
+            if inside:
+                raise AssertionError("a verifier added or multiplied rationals")
+            return op(self, other)
 
-            monkeypatch.setattr(Fraction, name, guarded)
+        monkeypatch.setattr(Fraction, name, guarded)
     for name in ("first_difference", "verify_row_orthogonality", "verify_column_orthogonality",
                  "verify_inverse_identity", "verify_convolution"):
         def scoped(*args, fn=getattr(cli, name)):

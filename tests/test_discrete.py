@@ -280,6 +280,25 @@ def test_kraw_connection_rejects_bad_rho_and_n_above_N():
         ds.kraw_connection(Permutation((2, 1, 3)), RHO, 2, 3)
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda: ds.kraw_multi((3,), (1,), (R(1, 4),), 2), "Krawtchouk degree |nu|=3 exceeds the lattice size N=2"),
+    (lambda: ds.kraw_norm_C((3,), (R(1, 4),), 2), "Krawtchouk degree |nu|=3 exceeds the lattice size N=2"),
+    (lambda: ds.kraw_weight((3,), (R(1, 4),), 2), "Krawtchouk point |x|=3 exceeds the lattice size N=2"),
+    (lambda: ds.kraw_connection(Permutation((2, 1, 3)), RHO, 2, 3), "Krawtchouk degree n=3 exceeds the lattice size N=2"),
+    (lambda: ds.hahn_multi((2, 1), (1, 1, 0), KAPPA, 2), "Hahn degree |nu|=3 exceeds the lattice size N=2"),
+    (lambda: ds.hahn_connection(Permutation((2, 1, 3)), KAPPA, 2, 3), "Hahn degree n=3 exceeds the lattice size N=2"),
+], ids=["kraw_multi", "kraw_norm_C", "kraw_weight", "kraw_connection", "hahn_multi", "hahn_connection"])
+def test_discrete_formulas_name_a_degree_or_point_off_the_lattice(call, message):
+    with pytest.raises(ValueError) as caught:
+        call()
+    assert str(caught.value) == message
+
+
+def test_kraw_multi_is_the_polynomial_off_the_lattice():
+    # |x| > N is outside the orthogonality lattice, but K_nu(x) is a polynomial in x defined there
+    assert ds.kraw_multi((1,), (3,), (R(1, 4),), 2) == -5
+
+
 def test_kraw_and_hahn_connection_reject_a_negative_degree():
     tau = Permutation((2, 1, 3))
     with pytest.raises(ValueError, match="degree n must be >= 0, got -1"):

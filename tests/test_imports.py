@@ -5,7 +5,9 @@ because its imports are the package's re-exports.  The package's functions
 carry no dead locals; `_` is exempt.  Every private top-level definition of
 the package is read somewhere, and every private function by package code.
 No package code outside class Permutation applies a permutation to a tuple
-by hand: every permuted tuple goes through Permutation.act_params.
+by hand: every permuted tuple goes through Permutation.act_params.  No
+package module reads the environment, so no setting outside the arguments
+changes what the package computes.
 """
 
 import ast
@@ -183,3 +185,36 @@ def test_the_scan_finds_a_hand_written_action(tmp_path):
 @pytest.mark.parametrize("path", PACKAGE, ids=lambda path: str(path.relative_to(ROOT)))
 def test_every_permuted_tuple_goes_through_act_params(path):
     assert hand_written_actions(path) == []
+
+
+ENVIRONMENT = {"environ", "environb", "getenv", "getenvb"}
+
+
+def environment_reads(path):
+    """(line, text) for each read of the environment: os.environ, os.getenv, or either imported from os."""
+    source = path.read_text()
+    tree = ast.parse(source, filename=str(path))
+    found = [(node.lineno, ast.get_source_segment(source, node)) for node in ast.walk(tree)
+             if isinstance(node, ast.Attribute) and node.attr in ENVIRONMENT]
+    found += [(node.lineno, f"from os import {alias.name}") for node in ast.walk(tree)
+              if isinstance(node, ast.ImportFrom) and node.module == "os"
+              for alias in node.names if alias.name in ENVIRONMENT]
+    return sorted(found)
+
+
+def test_the_scan_finds_an_environment_read(tmp_path):
+    path = tmp_path / "sample.py"
+    path.write_text(
+        "import os\n"
+        "from os import getenv\n"
+        "choice = os.environ.get('CHOICE', '')\n"
+        "home = os.getenv('HOME') or getenv('USER')\n"
+        "print(os.path.join(choice, home), os.sep)\n"
+    )
+    assert environment_reads(path) == [(2, "from os import getenv"), (3, "os.environ"), (4, "os.getenv")]
+
+
+@pytest.mark.parametrize("path", sorted((ROOT / "src/simplexconn").glob("*.py")),
+                         ids=lambda path: str(path.relative_to(ROOT)))
+def test_no_package_module_reads_the_environment(path):
+    assert environment_reads(path) == []
