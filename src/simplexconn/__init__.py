@@ -2,7 +2,7 @@
 with companions on discrete lattices, the ball, and the sphere."""
 
 from .backend import R, rat_from_str, rat_str
-from .exact_arith import BottomPole, QSqrt, hyp_terminating, hyp_with_prefactor, pochhammer
+from .exact_arith import BottomPole, QSqrt, hyp_terminating, hyp_with_prefactor, pochhammer, qsqrt_sums_equal
 from .multipoly import DimensionMismatch, SparsePoly, substitute_homogeneous
 from .simplex import (
     Permutation,
@@ -18,6 +18,5 @@ from .simplex import (
 from .connection import ConnMatrix, gram_connection, normalize
 from .closed_forms import connection_matrix
 from .ballsphere import ParityPoly, ball_connection, q_ball, sphere_basis
-from .radicals import qsqrt_sums_equal
 
 __version__ = "0.1.0"

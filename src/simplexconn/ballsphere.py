@@ -48,9 +48,6 @@ class ParityPoly:
     def d(self):
         return len(self.eps)
 
-    def degree(self):
-        return sum(self.eps) + 2 * self.core.degree()
-
     def permute(self, tau):
         """Substitute x_i <- x_{tau(i)} for a permutation of the d variables: tau^-1 acts on the exponents."""
         inv = tau.inverse()

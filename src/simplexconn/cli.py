@@ -124,24 +124,15 @@ def cmd_basis(args):
     kappa = parse_kappa(args.kappa)
     d = len(kappa) - 1
     if args.family == "simplex":
-        out = []
-        for nu in enumerate_basis(d, args.n):
-            out.append({"nu": list(nu), "poly": jacobi_simplex_basis(nu, kappa).to_json(),
-                        "norm": rat_str(norm_A(nu, kappa))})
-        emit(args, {"family": "simplex", "kappa": [rat_str(k) for k in kappa], "basis": out}, "basis")
+        basis = [{"nu": list(nu), "poly": jacobi_simplex_basis(nu, kappa).to_json(),
+                  "norm": rat_str(norm_A(nu, kappa))} for nu in enumerate_basis(d, args.n)]
     elif args.family == "ball":
-        out = []
-        for nu, eps in bs.ball_enumerate(d, args.n):
-            p = bs.q_ball(nu, eps, kappa)
-            out.append({"nu": list(nu), "eps": list(eps), "core": p.core.to_json(),
-                        "norm": rat_str(bs.ball_norm(nu, eps, kappa))})
-        emit(args, {"family": "ball", "kappa": [rat_str(k) for k in kappa], "basis": out}, "basis")
+        basis = [{"nu": list(nu), "eps": list(eps), "core": bs.q_ball(nu, eps, kappa).core.to_json(),
+                  "norm": rat_str(bs.ball_norm(nu, eps, kappa))} for nu, eps in bs.ball_enumerate(d, args.n)]
     else:  # sphere
-        out = []
-        for nu, eps in bs.sphere_enumerate(d, args.n):
-            p = bs.sphere_basis(nu, eps, kappa, args.n)
-            out.append({"nu": list(nu), "eps": list(eps), "core": p.core.to_json()})
-        emit(args, {"family": "sphere", "kappa": [rat_str(k) for k in kappa], "basis": out}, "basis")
+        basis = [{"nu": list(nu), "eps": list(eps), "core": bs.sphere_basis(nu, eps, kappa, args.n).core.to_json()}
+                 for nu, eps in bs.sphere_enumerate(d, args.n)]
+    emit(args, {"family": args.family, "kappa": [rat_str(k) for k in kappa], "basis": basis}, "basis")
     return 0
 
 

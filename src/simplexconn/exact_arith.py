@@ -1,5 +1,6 @@
 """Scalar kernel: Pochhammer symbols, terminating hypergeometric series,
-and exact sign*sqrt(rational) values (QSqrt).
+exact sign*sqrt(rational) values (QSqrt) and the exact comparison of their
+sums (qsqrt_sums_equal).
 
 The series functions take and return exact rationals (Fraction); no
 floating point is ever used.  Every terminating series, here, in the local
@@ -146,16 +147,6 @@ class QSqrt:
         """sign(s) * sqrt(radicand), for a rational s."""
         return cls((s > 0) - (s < 0), radicand)
 
-    @classmethod
-    def of_rational(cls, x):
-        """QSqrt equal to the rational x (radicand x^2)."""
-        return cls.signed(x, x * x)
-
-    @classmethod
-    def sqrt(cls, x):
-        """Principal square root of a nonnegative rational."""
-        return cls(1 if x > 0 else 0, x)
-
     def square(self):
         return self.radicand if self.sign != 0 else ZERO
 
@@ -168,26 +159,11 @@ class QSqrt:
         """Multiply by a rational x (exact; folds x^2 into the radicand)."""
         return QSqrt.signed(self.sign * x, self.radicand * x * x)
 
-    def scale_sqrt(self, x):
-        """Multiply by sqrt(x) for a nonnegative rational x."""
-        if x < 0:
-            raise ValueError("radicand must be nonnegative")
-        return QSqrt(self.sign if x > 0 else 0, self.radicand * x)
-
     def __neg__(self):
         return QSqrt(-self.sign, self.radicand)
 
     def is_zero(self):
         return self.sign == 0
-
-    def as_rational(self):
-        """Exact rational value, or None when the radicand is not a perfect square."""
-        p, q = self.radicand.numerator, self.radicand.denominator
-        sp = math.isqrt(p)
-        sq = math.isqrt(q)
-        if sp * sp != p or sq * sq != q:
-            return None
-        return self.sign * R(sp, sq)
 
     def __eq__(self, other):
         if isinstance(other, QSqrt):
@@ -202,3 +178,34 @@ class QSqrt:
 
     def to_json(self):
         return {"sign": self.sign, "radicand": rat_str(self.radicand)}
+
+
+def _rational_root(x):
+    """sqrt(x) for a rational x > 0 when it is rational, else None."""
+    p, q = x.numerator, x.denominator
+    sp, sq = math.isqrt(p), math.isqrt(q)
+    return R(sp, sq) if sp * sp == p and sq * sq == q else None
+
+
+def qsqrt_sums_equal(left, right):
+    """Exact equality of two sums of QSqrt values.
+
+    Two radicands r, r' fall in one class when r/r' is the square of a
+    rational; then sign*sqrt(r) is a rational multiple of sqrt(r').  Square
+    roots from distinct classes are linearly independent over the rationals,
+    so two sums are equal iff, in every class, the rational coefficients of
+    the difference add up to zero.
+    """
+    classes = []  # [representative radicand, coefficient of its square root]
+    for side, values in ((1, left), (-1, right)):
+        for q in values:
+            if q.sign == 0:
+                continue
+            for cls in classes:
+                root = _rational_root(q.radicand / cls[0])
+                if root is not None:
+                    cls[1] += side * q.sign * root
+                    break
+            else:
+                classes.append([q.radicand, side * q.sign])
+    return all(coef == 0 for _, coef in classes)

@@ -8,7 +8,7 @@ such dicts, for SparsePoly and for the integer basis product of simplex.
 
 from operator import add
 
-from .backend import R, ZERO, ONE, rat_str, rat_from_str
+from .backend import R, ZERO, ONE, rat_str
 
 
 class DimensionMismatch(ValueError):
@@ -99,18 +99,6 @@ class SparsePoly:
         p.terms = {e: c * v for e, v in self.terms.items()}
         return p
 
-    def __pow__(self, n):
-        if n < 0:
-            raise ValueError("negative power")
-        result = SparsePoly.constant(self.d, 1)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
-
     def __eq__(self, other):
         if isinstance(other, SparsePoly):
             return self.d == other.d and self.terms == other.terms
@@ -118,18 +106,6 @@ class SparsePoly:
 
     def __hash__(self):
         return hash((self.d, frozenset(self.terms.items())))
-
-    def eval(self, point):
-        if len(point) != self.d:
-            raise DimensionMismatch(f"point has {len(point)} coords, poly has {self.d}")
-        total = ZERO
-        for exp, c in self.terms.items():
-            v = c
-            for x, e in zip(point, exp):
-                if e:
-                    v *= x**e
-            total += v
-        return total
 
     def subst(self, replacements):
         """Substitute each variable x_i by the polynomial replacements[i]."""
@@ -167,10 +143,6 @@ class SparsePoly:
             "terms": [{"exp": list(e), "coef": rat_str(c)} for e, c in self.sorted_terms()],
         }
 
-    @classmethod
-    def from_json(cls, obj):
-        return cls(obj["d"], {tuple(t["exp"]): rat_from_str(t["coef"]) for t in obj["terms"]})
-
     def __repr__(self):
         if not self.terms:
             return "SparsePoly(0)"
@@ -194,22 +166,13 @@ def mul_terms(p, q):
 def substitute_homogeneous(coeffs, lin, hom, n):
     """sum_k coeffs[k] * lin^k * hom^(n-k) for a degree-n coefficient list.
 
-    Equals hom^n * f(lin/hom) wherever hom != 0, with f = sum coeffs[k] t^k.
+    Equals hom^n * f(lin/hom) wherever hom != 0, with f = sum coeffs[k] t^k:
+    homogenize f to degree n in (y_1, y_2), then put y_1 = lin, y_2 = hom - lin.
     """
     if len(coeffs) > n + 1:
         raise ValueError("coefficient list longer than degree+1")
-    d = lin.d
-    result = SparsePoly(d)
-    lin_pow = SparsePoly.constant(d, 1)
-    hom_pows = [SparsePoly.constant(d, 1)]
-    for _ in range(n):
-        hom_pows.append(hom_pows[-1] * hom)
-    for k, c in enumerate(coeffs):
-        if c != 0:
-            result = result + (lin_pow * hom_pows[n - k]).scale(c)
-        if k < n:
-            lin_pow = lin_pow * lin
-    return result
+    f = SparsePoly(1, {(k,): c for k, c in enumerate(coeffs)})
+    return homogenize(f, n).subst([lin, hom - lin])
 
 
 def homogenize(p, m):

@@ -1,9 +1,10 @@
 """Rational reference computations, independent of the package's integer code and of its extended rho.
 
 The Jacobi coefficients come from the ratio recurrence of the 2F1 series, a_j
-from rational sums, and the basis from SparsePoly products of
-substitute_homogeneous factors.  Tests compare the package's integer
-definitions (simplex.jacobi_core, a_core and the basis product) with these.
+from rational sums, and the basis from SparsePoly products of factors
+lin^k hom^(n-k) built by a direct loop, not by the package's homogenize and
+subst.  Tests compare the package's integer definitions (simplex.jacobi_core,
+a_core and the basis product) and its substitute_homogeneous with these.
 
 The Krawtchouk formulas are written with prefix sums, each 1 - (rho_1 + ...
 + rho_j) formed where it is read, and tau acts on (rho, 1 - |rho|) by hand;
@@ -13,7 +14,7 @@ tests compare the package's suffix sums of the extended rho with these.
 from simplexconn.backend import R, ZERO, ONE
 from simplexconn.discrete import hahn_multi
 from simplexconn.exact_arith import QSqrt, hyp_with_prefactor, pochhammer
-from simplexconn.multipoly import SparsePoly, substitute_homogeneous
+from simplexconn.multipoly import SparsePoly
 
 
 def value_or_error(rule, *args):
@@ -49,17 +50,35 @@ def summed_a_coeffs(nu, kappa):
     return [sum((R(k) for k in kappa[j:]), ZERO) + 2 * sum(nu[j:]) + d - j for j in range(1, d + 1)]
 
 
+def loop_substitute_homogeneous(coeffs, lin, hom, n):
+    """sum_k coeffs[k] * lin^k * hom^(n-k), each power built by repeated products."""
+    if len(coeffs) > n + 1:
+        raise ValueError("coefficient list longer than degree+1")
+    d = lin.d
+    result = SparsePoly(d)
+    lin_pow = SparsePoly.constant(d, 1)
+    hom_pows = [SparsePoly.constant(d, 1)]
+    for _ in range(n):
+        hom_pows.append(hom_pows[-1] * hom)
+    for k, c in enumerate(coeffs):
+        if c != 0:
+            result = result + (lin_pow * hom_pows[n - k]).scale(c)
+        if k < n:
+            lin_pow = lin_pow * lin
+    return result
+
+
 def loop_basis(nu, kappa):
     """prod_j hom_j^{nu_j} P_{nu_j}^{(a_j, kappa_j)}(2 x_j / hom_j - 1) by SparsePoly products.
 
-    hom_j = 1 - x_1 - ... - x_{j-1}, and each factor is substitute_homogeneous of the recurrence.
+    hom_j = 1 - x_1 - ... - x_{j-1}, and each factor is loop_substitute_homogeneous of the recurrence.
     """
     d = len(nu)
     aj = summed_a_coeffs(nu, kappa)
     result = hom = SparsePoly.constant(d, ONE)
     for j in range(d):
         x = SparsePoly.variable(d, j)
-        result = result * substitute_homogeneous(recurrence_jacobi_1d(nu[j], aj[j], kappa[j]), x, hom, nu[j])
+        result = result * loop_substitute_homogeneous(recurrence_jacobi_1d(nu[j], aj[j], kappa[j]), x, hom, nu[j])
         hom = hom - x
     return result
 

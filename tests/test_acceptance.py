@@ -28,7 +28,7 @@ from simplexconn import closed_forms as cf
 from simplexconn import racah as rc
 from simplexconn import discrete as ds
 from simplexconn import ballsphere as bs
-from simplexconn.radicals import qsqrt_sums_equal
+from simplexconn import qsqrt_sums_equal
 
 # the parameters of criteria 1-3; criterion 4 checks the same Gram matrices
 D2_KAPPAS = [

@@ -13,7 +13,7 @@ from simplexconn import exact_arith as ea
 from simplexconn import connection
 from simplexconn import discrete as ds
 from simplexconn import racah as rc
-from simplexconn.radicals import qsqrt_sums_equal
+from simplexconn import qsqrt_sums_equal
 
 from oracles import value_or_error
 

@@ -254,36 +254,30 @@ class TestQSqrt:
         assert QSqrt.signed(R(1, 2), ZERO) == QSqrt(0, ZERO)
 
     def test_of_rational_and_square(self):
-        q = QSqrt.of_rational(R(-3, 4))
-        assert q.sign == -1 and q.radicand == R(9, 16)
+        q = QSqrt.signed(R(-3, 4), R(9, 16))
+        assert q == QSqrt(-1, R(9, 16))
         assert q.square() == R(9, 16)
 
-    def test_as_rational_perfect_square(self):
-        assert QSqrt(1, R(9, 4)).as_rational() == R(3, 2)
-        assert QSqrt(-1, R(49)).as_rational() == R(-7)
-        assert QSqrt(1, R(2)).as_rational() is None
-
     def test_zero(self):
-        z = QSqrt.of_rational(ZERO)
+        z = QSqrt.signed(ZERO, ZERO)
         assert z.sign == 0 and z.radicand == ZERO
+        assert z == QSqrt(0, ZERO) == QSqrt(1, ZERO)
 
     @given(rationals, rationals)
     @settings(max_examples=60, deadline=None)
     def test_mul_matches_square(self, a, b):
-        qa, qb = QSqrt.of_rational(a), QSqrt.of_rational(b)
+        qa, qb = QSqrt.signed(a, a * a), QSqrt.signed(b, b * b)
         prod = qa * qb
         assert prod.square() == qa.square() * qb.square()
-        assert prod.as_rational() == a * b
+        assert prod == QSqrt.signed(a * b, (a * b) * (a * b))
 
     @given(rationals)
     @settings(max_examples=60, deadline=None)
     def test_neg_and_scale(self, a):
-        q = QSqrt.of_rational(a)
-        assert (-q).square() == q.square()
-        scaled = q.scale(R(3))
-        assert scaled.square() == 9 * q.square()
-        rooted = q.scale_sqrt(R(9, 4))
-        assert rooted.square() == R(9, 4) * q.square()
+        q = QSqrt.signed(a, a * a)
+        assert -q == QSqrt.signed(-a, a * a)
+        assert q.scale(R(3)) == QSqrt.signed(3 * a, 9 * a * a)
+        assert q * QSqrt(1, R(9, 4)) == QSqrt.signed(a, R(9, 4) * a * a)
 
     def test_json(self):
         assert QSqrt(-1, R(5, 3)).to_json() == {"sign": -1, "radicand": "5/3"}

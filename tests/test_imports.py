@@ -4,14 +4,18 @@ The package and its tests carry no dead imports; `__init__.py` is exempt,
 because its imports are the package's re-exports.  The package's functions
 carry no dead locals; `_` is exempt.  Every private top-level definition of
 the package is read somewhere, and every private function by package code.
+Every method of a package class is read by the package or by perfbench.
 No package code outside class Permutation applies a permutation to a tuple
 by hand: every permuted tuple goes through Permutation.act_params.  No
 package module reads the environment, so no setting outside the arguments
-changes what the package computes.
+changes what the package computes.  The package imports without sympy.
 """
 
 import ast
 import pathlib
+import re
+import subprocess
+import sys
 
 import pytest
 
@@ -154,6 +158,59 @@ def test_every_private_function_is_read_by_the_package():
     assert [entry for entry in unread_privates(package, package) if entry[2] in functions] == []
 
 
+DOTTED = re.compile(r"[A-Za-z_]\w*(\.[A-Za-z_]\w*)+")
+# methods that only a library calls: argparse reports a usage error through ArgumentParser.error
+CALLED_BY_LIBRARIES = {"_Parser.error"}
+
+
+def attributes_read(paths):
+    """Every attribute name read in the given files, and every part of a dotted name held in a string constant."""
+    read = set()
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Attribute) and not isinstance(node.ctx, ast.Store):
+                read.add(node.attr)
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str) and DOTTED.fullmatch(node.value):
+                read |= set(node.value.split("."))
+    return read
+
+
+def unread_methods(paths, readers, allowed=CALLED_BY_LIBRARIES):
+    """Class.method for each non-dunder method defined in paths whose name no reader reads as an attribute."""
+    read = attributes_read(readers)
+    return sorted(f"{cls.name}.{node.name}" for path in paths for cls in ast.walk(ast.parse(path.read_text()))
+                  if isinstance(cls, ast.ClassDef) for node in cls.body
+                  if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                  and not (node.name.startswith("__") and node.name.endswith("__"))
+                  and node.name not in read and f"{cls.name}.{node.name}" not in allowed)
+
+
+def test_the_scan_finds_an_unread_method(tmp_path):
+    path = tmp_path / "sample.py"
+    path.write_text(
+        "class Poly:\n"
+        "    def __mul__(self, other):\n"
+        "        return self.scale(2)\n"
+        "    def scale(self, c):\n"
+        "        self.unused = c\n"
+        "        return self\n"
+        "    def traced(self):\n"
+        "        return 0\n"
+        "    def unused(self):\n"
+        "        return 1\n"
+        "    def called_by_a_library(self):\n"
+        "        return 2\n"
+        "SPANS = [('sample', 'Poly.traced'), 'no.dotted name here']\n"
+    )
+    assert unread_methods([path], [path]) == ["Poly.called_by_a_library", "Poly.unused"]
+    assert unread_methods([path], [path], {"Poly.called_by_a_library"}) == ["Poly.unused"]
+
+
+def test_every_method_is_read_by_the_package_or_perfbench():
+    package = sorted((ROOT / "src/simplexconn").glob("*.py"))
+    assert unread_methods(package, package + sorted((ROOT / "perfbench").glob("*.py"))) == []
+
+
 def hand_written_actions(path):
     """(line, text) for each subscript x[f(...) - 1] outside class Permutation: a permutation applied by hand."""
     source = path.read_text()
@@ -218,3 +275,9 @@ def test_the_scan_finds_an_environment_read(tmp_path):
                          ids=lambda path: str(path.relative_to(ROOT)))
 def test_no_package_module_reads_the_environment(path):
     assert environment_reads(path) == []
+
+
+def test_import_without_sympy():
+    code = 'import sys; sys.modules["sympy"] = None; import simplexconn'
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr

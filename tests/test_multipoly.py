@@ -1,7 +1,10 @@
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from simplexconn.backend import R, ONE
+from oracles import loop_substitute_homogeneous
+from simplexconn.backend import R, ZERO, ONE
 from simplexconn.multipoly import (
     DimensionMismatch,
     SparsePoly,
@@ -12,6 +15,16 @@ from simplexconn.multipoly import (
 )
 
 coefs = st.builds(R, st.integers(-9, 9), st.integers(1, 4))
+
+
+def evaluate(p, point):
+    """p at a point, term by term: sum_e c_e prod_i x_i^e_i."""
+    total = ZERO
+    for exp, c in p.terms.items():
+        for x, e in zip(point, exp):
+            c *= x**e
+        total += c
+    return total
 
 
 def polys(d, max_deg=3, max_terms=5):
@@ -32,7 +45,7 @@ def test_constructors_and_degree():
     y = SparsePoly.variable(2, 1)
     p = x * x + y.scale(R(3)) - SparsePoly.constant(2, ONE)
     assert p.degree() == 2
-    assert p.eval((R(2), R(5))) == 4 + 15 - 1
+    assert evaluate(p, (R(2), R(5))) == 4 + 15 - 1
     assert SparsePoly.zero(2).is_zero()
 
 
@@ -56,7 +69,7 @@ def test_ring_axioms(a, b, c):
 @settings(max_examples=60, deadline=None)
 def test_mul_eval_homomorphism(a, point):
     b = SparsePoly.variable(2, 0) + SparsePoly.constant(2, ONE)
-    assert (a * b).eval(point) == a.eval(point) * b.eval(point)
+    assert evaluate(a * b, point) == evaluate(a, point) * evaluate(b, point)
 
 
 def test_subst_composition():
@@ -79,7 +92,33 @@ def test_substitute_homogeneous_binomial():
     hom = SparsePoly.variable(2, 1)
     n = 4
     coeffs = [R(1), R(4), R(6), R(4), R(1)]
-    assert substitute_homogeneous(coeffs, lin, hom, n) == (lin + hom) ** n
+    power = SparsePoly.constant(2, ONE)
+    for _ in range(n):
+        power = power * (lin + hom)
+    assert substitute_homogeneous(coeffs, lin, hom, n) == power
+
+
+def test_substitute_homogeneous_matches_the_loop():
+    # hom carries x_d^2, which multilinear rand_poly terms cannot cancel, so hom != 1
+    rng = random.Random(20261019)
+
+    def rand_poly(d):
+        return SparsePoly(d, {tuple(rng.randint(0, 1) for _ in range(d)): R(rng.randint(-5, 5), rng.randint(1, 3))
+                              for _ in range(3)})
+
+    for d in (1, 2, 3):
+        for n in range(5):
+            for _ in range(4):
+                lin = rand_poly(d)
+                hom = rand_poly(d) + SparsePoly(d, {(0,) * (d - 1) + (2,): ONE})
+                coeffs = [R(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(rng.randint(0, n + 1))]
+                if coeffs and rng.random() < 0.5:
+                    coeffs[-1] = ZERO  # a trailing zero
+                assert substitute_homogeneous(coeffs, lin, hom, n) == loop_substitute_homogeneous(coeffs, lin, hom, n)
+            too_long = [ONE] * (n + 2)
+            for rule in (substitute_homogeneous, loop_substitute_homogeneous):
+                with pytest.raises(ValueError, match="longer than degree"):
+                    rule(too_long, lin, hom, n)
 
 
 @given(polys(2), st.integers(0, 2))
@@ -106,9 +145,3 @@ def test_leading_and_sorted_terms():
     assert exp == (1, 1) and c == ONE
     degrees = [sum(e) for e, _ in p.sorted_terms()]
     assert degrees == sorted(degrees)
-
-
-def test_json_roundtrip():
-    x = SparsePoly.variable(3, 1)
-    p = x * x.scale(R(-5, 3)) + SparsePoly.constant(3, R(7))
-    assert SparsePoly.from_json(p.to_json()) == p
