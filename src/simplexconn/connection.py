@@ -9,9 +9,10 @@ denominator, reduced so that equal matrices have equal int_rows; rows, the
 rational view, is built from it when read.  The Coxeter-word engine
 (closed_forms) hands its integer rows over as they are.  The oracle
 gram_connection solves C T = L on leading forms, apart from closed_forms,
-in Python integers: the leading forms are simplex.leading_core's integer
-polynomials and each row of the back-substitution is integer numerators
-over one denominator.
+in Python integers: simplex.leading_cores builds the leading forms of each
+basis in one call, T is kept per (kappa, n) as tuples of dense integer
+rows cut at its diagonal, and each row of the back-substitution is a dense
+list of integer numerators over one denominator.
 
 The verifiers take the squared norms A_src[i] = A_nu(tau.kappa) and
 A_tgt[j] = A_mu(kappa) of the source and target bases, for nu, mu in order,
@@ -25,9 +26,9 @@ only for a failure returned; a size mismatch raises ValueError.
 from math import gcd, lcm
 from operator import mul
 
-from .backend import R, ZERO, ONE, rat_str
+from .backend import R, ZERO, ONE
 from .exact_arith import QSqrt, over_lcm
-from .simplex import _MOMENT_CACHE, check_degree, check_kappa, enumerate_basis, leading_core, norm_A
+from .simplex import _MOMENT_CACHE, check_degree, check_kappa, enumerate_basis, leading_cores, norm_A
 
 
 class ConnMatrix:
@@ -94,8 +95,14 @@ class ConnMatrix:
             "d": self.d,
             "n": self.n,
             "order": [list(nu) for nu in self.order],
-            "entries": [[rat_str(R(v, den)) for v in nums] for nums, den in self.int_rows],
+            "entries": [[_ratio_str(v, den) for v in nums] for nums, den in self.int_rows],
         }
+
+
+def _ratio_str(v, den):
+    """rat_str(v / den) for integers v and den > 0, from the integers: 'p/q', or 'p' when q is 1."""
+    g = gcd(v, den)
+    return str(v // g) if g == den else f"{v // g}/{den // g}"
 
 
 def _reduced(int_row):
@@ -126,14 +133,39 @@ _MATRIX_CACHE = {}
 _LEADING_FORM_CACHE = {}
 
 
-def _target_cores(kappa, n):
-    """[leading_core(mu, K, D) for mu in enumerate_basis(d, n)] with kappa = K / D, cached per (kappa, n)."""
+def _dense(order, cores):
+    """Each (terms, den) of cores as ([coefficient of x^gamma for gamma in order], den)."""
+    index = {gamma: i for i, gamma in enumerate(order)}
+    out = []
+    for terms, den in cores:
+        row = [0] * len(order)
+        for gamma, v in terms.items():
+            row[index[gamma]] = v
+        out.append((row, den))
+    return out
+
+
+def _target_rows(kappa, n):
+    """T cut at its diagonal, cached per (kappa, n): per mu of enumerate_basis(d, n), (J_mu, E_mu).
+
+    J_mu is the tuple of integer coefficients of x^gamma in the leading form
+    of P_mu^kappa, for gamma up to and including mu in that order, over the
+    denominator E_mu.  ValueError naming mu if its diagonal entry is zero or
+    an entry after it is not.
+    """
     key = (kappa, n)
-    cores = _LEADING_FORM_CACHE.get(key)
-    if cores is None:
+    rows = _LEADING_FORM_CACHE.get(key)
+    if rows is None:
         K, D = over_lcm(kappa)
-        cores = _LEADING_FORM_CACHE[key] = [leading_core(mu, K, D) for mu in enumerate_basis(len(K) - 1, n)]
-    return cores
+        order = enumerate_basis(len(K) - 1, n)
+        rows = []
+        for j, (row, E) in enumerate(_dense(order, leading_cores(order, K, D))):
+            if not row[j] or any(row[j + 1:]):
+                raise ValueError(f"the leading form of P_mu^kappa at mu = {order[j]} is not triangular "
+                                 "with a nonzero diagonal entry")
+            rows.append((tuple(row[:j + 1]), E))
+        rows = _LEADING_FORM_CACHE[key] = tuple(rows)
+    return rows
 
 
 def gram_connection(tau, kappa, n):
@@ -141,15 +173,18 @@ def gram_connection(tau, kappa, n):
 
     Taking the degree-n part is one-to-one on the degree-n orthogonal space,
     so C T = L: L[nu] is the leading form of tau.P_nu^{tau.kappa} and T[mu]
-    that of P_mu^kappa (simplex.leading_core).  T[mu] holds x^gamma only for
-    gamma at or before mu in enumerate_basis order, with x^mu nonzero, so each
-    row of C is one back-substitution from the last mu to the first.  No
-    inner product, moment, norm or full basis polynomial is built.
+    that of P_mu^kappa (simplex.leading_cores, each basis in one call).
+    T[mu] holds x^gamma only for gamma at or before mu in enumerate_basis
+    order, with x^mu nonzero, so each row of C is one back-substitution from
+    the last mu to the first.  No inner product, moment, norm or full basis
+    polynomial is built.
 
     Everything runs in integers: kappa over D, the lcm of its denominators,
     makes each leading form integers J over one denominator E, and the rest
-    of a row is integer numerators N over one row denominator Q.  At mu the
-    entry is N[mu] E_mu / (Q J_mu[mu]), reduced by one gcd; then
+    of a row is integer numerators N over one row denominator Q.  Both are
+    dense lists in enumerate_basis order; T is cut at its diagonal and N
+    drops its last entry at each step.  At mu the entry is
+    N[mu] E_mu / (Q J_mu[mu]), reduced by one gcd; then
     N <- N J_mu[mu] - N[mu] J_mu and Q <- Q J_mu[mu], and one gcd is
     divided out of N and Q.  The entries of a row go over the lcm of their
     denominators, as the matrix's int_rows: no rational is made.
@@ -162,31 +197,25 @@ def gram_connection(tau, kappa, n):
     if cached is not None:
         return cached
     K, D = over_lcm(kappa)
-    tK = tau.act_params(K)
     order = enumerate_basis(d, n)
-    targets = _target_cores(kappa, n)
+    targets = _target_rows(kappa, n)
     rows = []
-    for nu in order:
-        rest, Q = leading_core(nu, tK, D, tau)
+    for rest, Q in _dense(order, leading_cores(order, tau.act_params(K), D, tau)):
         row = [(0, 1)] * len(order)
         for j in range(len(order) - 1, -1, -1):
-            mu = order[j]
-            c = rest.get(mu, 0)
+            c = rest.pop()
             if not c:
                 continue
-            terms, E = targets[j]
-            p = terms[mu]
+            t, E = targets[j]
+            p = t[j]
             top, bottom = c * E, Q * p
             g = gcd(top, bottom)
             row[j] = top // g, bottom // g
-            rest = {gamma: v * p for gamma, v in rest.items()}
-            for gamma, t in terms.items():
-                rest[gamma] = rest.get(gamma, 0) - c * t
-            del rest[mu]
+            rest = [v * p - c * s for v, s in zip(rest, t)]
             Q *= p
-            g = gcd(Q, *rest.values())
+            g = gcd(Q, *rest)
             if g > 1:
-                rest = {gamma: v // g for gamma, v in rest.items()}
+                rest = [v // g for v in rest]
                 Q //= g
         common = lcm(*(q for _, q in row))
         rows.append(([v * (common // q) for v, q in row], common))

@@ -162,9 +162,6 @@ class QSqrt:
     def __neg__(self):
         return QSqrt(-self.sign, self.radicand)
 
-    def is_zero(self):
-        return self.sign == 0
-
     def __eq__(self, other):
         if isinstance(other, QSqrt):
             return self.sign == other.sign and self.radicand == other.radicand

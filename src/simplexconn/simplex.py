@@ -8,9 +8,11 @@ so all inner products here are exact rationals.
 Each quantity of the basis has one definition in Python integers, with
 kappa over the lcm D of its denominators: jacobi_core the one-variable
 Jacobi coefficients, a_core D a_j, and one basis product that builds
-P_nu^kappa, or tau.P_nu^kappa, as integers over one denominator.  Setting
-the constant 1 of every barycentric coordinate to 0 in that product gives
-the top-degree part, leading_core, which the Gram oracle reads.
+P_nu^kappa, or tau.P_nu^kappa, as integers over one denominator, for a
+whole list of nu in one call that builds each Jacobi factor and each
+suffix product once.  Setting the constant 1 of every barycentric
+coordinate to 0 in that product gives the top-degree parts, leading_cores,
+which the Gram oracle reads one basis per call.
 jacobi_1d, a_coeffs, jacobi_simplex_basis and leading_form are their
 rational views, and norm_A is one rational of integer rising products.
 Permutation.act_params is the package's one action on tuples.
@@ -264,15 +266,15 @@ def jacobi_simplex_basis(nu, kappa):
     """Orthogonal basis polynomial for multi-index nu on the simplex.
 
     prod_j hom_j^{nu_j} P_{nu_j}^{(a_j, kappa_j)}(2 x_j / hom_j - 1), with
-    hom_j = 1 - x_1 - ... - x_{j-1}: the rational view of _product_core.
+    hom_j = 1 - x_1 - ... - x_{j-1}: the rational view of _product_cores.
     """
     K, D = over_lcm([R(k) for k in kappa])
-    terms, den = _product_core(nu, K, D, None, 1)
+    [(terms, den)] = _product_cores([nu], K, D, None, 1)
     return SparsePoly(len(nu), {e: R(c, den) for e, c in terms.items()})
 
 
-def _product_core(nu, K, D, tau, one):
-    """(terms, den): the basis product, as {exponent: int} over den, at kappa = K / D.
+def _product_cores(order, K, D, tau, one):
+    """[(terms, den) for nu in order]: the basis product, as {exponent: int} over den, at kappa = K / D.
 
     Factor j is hom_j^n P_n^{(a_j, kappa_j)}(2 x_j / hom_j - 1), n = nu_j, that
     is sum_k c_k x_j^k hom_j^{n-k} for jacobi_core's c_k over n! D^n.  The
@@ -281,46 +283,68 @@ def _product_core(nu, K, D, tau, one):
     one = 1 this is P_nu^kappa, or tau.P_nu^kappa.  With one = 0 each slot
     keeps only its linear part, which gives the degree-|nu| part: each factor
     has degree nu_j, so the top part is the product of the top parts.
+
+    Factor j depends on nu only through (nu_j, |nu^{j+1}|), and the product
+    of factors j, ..., d only through the suffix (nu_j, ..., nu_d), so the
+    slots and the hom_j are built once per call, each factor once per
+    (j, nu_j, |nu^{j+1}|), and each suffix product once, multiplying from the
+    last slot down.
     """
-    d = len(nu)
+    d = len(K) - 1
     if tau is not None and tau.m != d + 1:
         raise ValueError("permutation must act on d+1 slots")
-    if len(K) != d + 1:
+    if any(len(nu) != d for nu in order):
         raise ValueError("kappa must have d+1 entries")
     zero = (0,) * d
     units = [tuple(int(i == j) for j in range(d)) for i in range(d)]
     hom = {zero: 1} if one else {}
     slots = [{e: 1} for e in units] + [{**hom, **dict.fromkeys(units, -1)}]
     xs = slots[:d] if tau is None else tau.act_params(slots)[:d]
-    terms, den, tail = {zero: 1}, 1, sum(nu)
-    for j, (n, B, x) in enumerate(zip(nu, K, xs), 1):
-        tail -= n
-        if n:
-            coeffs, q = jacobi_core(n, a_core(K, D, j, tail), B, D)
-            # Horner in x: F <- F x + c_k hom^{n-k}, from F = c_n down to k = 0
-            factor, h = {zero: coeffs[n]}, {zero: 1}
-            for c in reversed(coeffs[:n]):
-                h = mul_terms(h, hom)
-                factor = mul_terms(factor, x)
-                for e, v in h.items():
-                    factor[e] = factor.get(e, 0) + c * v
-            terms = mul_terms(terms, factor)
-            den *= q
+    homs = []
+    for x in xs:
+        homs.append(hom)
         hom = dict(hom)
         for e, v in x.items():
             hom[e] = hom.get(e, 0) - v
-    return terms, den
+    factors = {}
+    products = {(): ({zero: 1}, 1)}
+
+    def factor(j, n, tail):
+        key = (j, n, tail)
+        if key not in factors:
+            coeffs, q = jacobi_core(n, a_core(K, D, j + 1, tail), K[j], D)
+            # Horner in x: F <- F x + c_k hom^{n-k}, from F = c_n down to k = 0
+            terms, h = {zero: coeffs[n]}, {zero: 1}
+            for c in reversed(coeffs[:n]):
+                h = mul_terms(h, homs[j])
+                terms = mul_terms(terms, xs[j])
+                for e, v in h.items():
+                    terms[e] = terms.get(e, 0) + c * v
+            factors[key] = {e: v for e, v in terms.items() if v}, q
+        return factors[key]
+
+    def product(suffix):
+        if suffix not in products:
+            terms, den = product(suffix[1:])
+            n, tail = suffix[0], sum(suffix[1:])
+            if n:
+                f, q = factor(d - len(suffix), n, tail)
+                terms, den = (mul_terms(f, terms) if tail else f), q * den
+            products[suffix] = terms, den
+        return products[suffix]
+
+    return [product(tuple(nu)) for nu in order]
 
 
-def leading_core(nu, K, D, tau=None):
-    """(terms, den): the leading form of P_nu^kappa or tau.P_nu^kappa at kappa = K / D, _product_core at one = 0."""
-    return _product_core(nu, K, D, tau, 0)
+def leading_cores(order, K, D, tau=None):
+    """[(terms, den) for nu in order]: the leading forms of P_nu^kappa or tau.P_nu^kappa at kappa = K / D, _product_cores at one = 0."""
+    return _product_cores(order, K, D, tau, 0)
 
 
 def leading_form(nu, kappa, tau=None):
-    """Degree-|nu| part of jacobi_simplex_basis(nu, kappa), or of its tau.act_vars image, from leading_core."""
+    """Degree-|nu| part of jacobi_simplex_basis(nu, kappa), or of its tau.act_vars image, from leading_cores."""
     K, D = over_lcm([R(k) for k in kappa])
-    terms, den = leading_core(nu, K, D, tau)
+    [(terms, den)] = leading_cores([nu], K, D, tau)
     return SparsePoly(len(nu), {e: R(c, den) for e, c in terms.items()})
 
 

@@ -1,13 +1,15 @@
 import importlib
 import pkgutil
 import random
+import re
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import simplexconn
-from simplexconn import cli, connection, racah as rc, simplex
+from simplexconn import cli, connection, multipoly, racah as rc, simplex
 from simplexconn.backend import R, ZERO, ONE, rat_str
 from simplexconn.discrete import kraw_grid
 from simplexconn.exact_arith import over_lcm
@@ -175,6 +177,16 @@ def test_json_shape():
     assert all(isinstance(c, str) for row in obj["entries"] for c in row)
 
 
+def test_json_entries_are_the_reduced_ratios_of_int_rows():
+    # negative and zero entries, an entry whose own ratio reduces, and a row over 1
+    mat = ConnMatrix.from_int_rows(2, 2, [((-6, 0, 4), 9), ((3, -5, 0), 1), ((0, 14, -21), 7)])
+    entries = [["-2/3", "0", "4/9"], ["3", "-5", "0"], ["0", "2", "-3"]]
+    assert mat.to_json()["entries"] == [[rat_str(R(v, den)) for v in nums] for nums, den in mat.int_rows] == entries
+    for tau in all_permutations(3):
+        mat = gram_connection(tau, KAPPA, 3)
+        assert mat.to_json()["entries"] == [[rat_str(v) for v in row] for row in mat.rows]
+
+
 def module_caches():
     """Every module-level *_CACHE dict in simplexconn, by qualified name (the scan of test_benchmark_contract)."""
     out = {}
@@ -253,13 +265,13 @@ def test_gram_builds_no_acted_polynomial_and_no_full_product(monkeypatch):
         raise AssertionError("gram_connection built a tau-acted polynomial, a full product, a moment, a norm "
                              "or a rational polynomial product, Jacobi coefficient or Pochhammer symbol")
 
-    def leading_product_only(nu, K, D, tau, one):
+    def leading_product_only(order, K, D, tau, one):
         if one:
             full_product_path()
-        return product(nu, K, D, tau, one)
+        return product(order, K, D, tau, one)
 
-    product = simplex._product_core
-    monkeypatch.setattr(simplex, "_product_core", leading_product_only)
+    product = simplex._product_cores
+    monkeypatch.setattr(simplex, "_product_cores", leading_product_only)
     monkeypatch.setattr(Permutation, "act_vars", full_product_path)
     monkeypatch.setattr(SparsePoly, "__mul__", full_product_path)
     for name in ("inner_product_simplex", "simplex_moment", "_moment_cached", "jacobi_simplex_basis", "norm_A",
@@ -271,6 +283,73 @@ def test_gram_builds_no_acted_polynomial_and_no_full_product(monkeypatch):
         kappa = tuple(R(j + 1, j + 3) for j in range(d + 1))
         for tau in random.Random(d).sample(all_permutations(d + 1), 4):
             assert gram_connection(tau, kappa, 2).d == d
+
+
+# mul_terms calls that a product built one nu at a time makes in one
+# gram_connection call with cold caches: 2 nu_j + 1 for each nu_j > 0 of each
+# nu, in both bases; the batched product shares its factors and suffixes
+PER_NU_PRODUCTS = {(3, 3): 156, (4, 2): 112}
+
+
+@pytest.mark.parametrize("d, n", sorted(PER_NU_PRODUCTS))
+def test_gram_builds_each_jacobi_factor_once_per_basis(monkeypatch, d, n):
+    calls = Counter()
+
+    def counted(name, function):
+        def wrapper(*args):
+            calls[name] += 1
+            return function(*args)
+        return wrapper
+
+    monkeypatch.setattr(simplex, "jacobi_core", counted("jacobi_core", simplex.jacobi_core))
+    mul = counted("mul_terms", multipoly.mul_terms)
+    monkeypatch.setattr(simplex, "mul_terms", mul)
+    monkeypatch.setattr(multipoly, "mul_terms", mul)
+    clear_caches()
+    gram_connection(Permutation.from_cycles("(12)", d + 1), tuple(R(j + 1, j + 3) for j in range(d + 1)), n)
+    # factor j of P_nu depends on nu through (j, nu_j, |nu^{j+1}|) only
+    keys = {(j, nu[j], sum(nu[j + 1:])) for nu in enumerate_basis(d, n) for j in range(d) if nu[j]}
+    assert calls["jacobi_core"] == 2 * len(keys)
+    assert calls["mul_terms"] < PER_NU_PRODUCTS[d, n]
+
+
+def test_cached_target_rows_are_tuples_a_caller_cannot_change():
+    kappa, n = (R(1, 2), R(1, 3), R(2), R(3, 5)), 2
+    clear_caches()
+    for tau in (Permutation.from_cycles("(12)", 4), Permutation.from_cycles("(1234)", 4)):
+        gram_connection(tau, kappa, n)
+    cached = connection._LEADING_FORM_CACHE[kappa, n]
+    clear_caches()
+    fresh = connection._target_rows(kappa, n)
+    assert cached == fresh and cached is not fresh
+    assert type(cached) is tuple and all(type(row) is tuple and type(row[0]) is tuple for row in cached)
+    # each row is cut at its diagonal
+    assert [len(nums) for nums, _ in cached] == list(range(1, len(enumerate_basis(3, n)) + 1))
+    with pytest.raises(TypeError):
+        cached[0][0][0] = 0
+
+
+@pytest.mark.parametrize("fault", ["zero pivot", "entry after the diagonal"])
+def test_a_target_form_off_the_triangle_raises_naming_mu(monkeypatch, fault):
+    order = enumerate_basis(2, 2)
+    mu = order[1]
+
+    def corrupted(forms_order, K, D, tau=None):
+        forms = [(dict(terms), den) for terms, den in leading_cores(forms_order, K, D, tau)]
+        if tau is None:
+            terms = forms[1][0]
+            if fault == "zero pivot":
+                del terms[mu]
+            else:
+                terms[order[2]] = 1
+        return forms
+
+    leading_cores = connection.leading_cores
+    monkeypatch.setattr(connection, "leading_cores", corrupted)
+    clear_caches()
+    with pytest.raises(ValueError, match=re.escape(f"mu = {mu}")):
+        gram_connection(Permutation.from_cycles("(12)", 3), KAPPA, 2)
+    assert connection._LEADING_FORM_CACHE == {}
 
 
 def rational_gram(tau, kappa, n):
@@ -320,6 +399,19 @@ def test_integer_gram_equals_the_rational_back_substitution(m, kappa):
             rows = gram_connection(tau, kappa, n).rows
             assert rows == rational_gram(tau, kappa, n), (tau, kappa, n)
             assert {type(v) for row in rows for v in row} == {type(ONE)}
+
+
+def test_gram_equals_the_rational_back_substitution_on_a_cyclic_coset_and_all_of_s4():
+    # a seeded coset sigma <c> of the 5-cycle c at (4, 2), and every tau in S_4 at (3, 3)
+    rng = random.Random(27)
+    coset = [rng.choice(all_permutations(5))]
+    for _ in range(4):
+        coset.append(coset[-1] * Permutation.from_cycles("(12345)", 5))
+    for taus, n in ((coset, 2), (all_permutations(4), 3)):
+        kappa = tuple(R(rng.randint(1 - q, 2 * q), q) for q in (rng.randint(1, 30) for _ in range(taus[0].m)))
+        clear_caches()
+        for tau in taus:
+            assert gram_connection(tau, kappa, n).rows == rational_gram(tau, kappa, n), (tau, kappa, n)
 
 
 def test_gram_rejects_a_negative_degree():

@@ -250,7 +250,7 @@ class TestQSqrt:
     def test_signed_takes_the_sign_of_its_first_argument(self):
         assert QSqrt.signed(R(-3, 4), R(2)) == QSqrt(-1, R(2))
         assert QSqrt.signed(5, R(2)) == QSqrt(1, R(2))
-        assert QSqrt.signed(ZERO, R(2)).is_zero()
+        assert QSqrt.signed(ZERO, R(2)).sign == 0
         assert QSqrt.signed(R(1, 2), ZERO) == QSqrt(0, ZERO)
 
     def test_of_rational_and_square(self):

@@ -176,7 +176,12 @@ def attributes_read(paths):
 
 
 def unread_methods(paths, readers, allowed=CALLED_BY_LIBRARIES):
-    """Class.method for each non-dunder method defined in paths whose name no reader reads as an attribute."""
+    """Class.method for each non-dunder method defined in paths whose name no reader reads as an attribute.
+
+    The scan matches method names, not classes: a method whose name is also
+    that of a method read on another class, such as is_zero or degree, is
+    taken as read.
+    """
     read = attributes_read(readers)
     return sorted(f"{cls.name}.{node.name}" for path in paths for cls in ast.walk(ast.parse(path.read_text()))
                   if isinstance(cls, ast.ClassDef) for node in cls.body

@@ -6,9 +6,9 @@ from math import comb
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from simplexconn import ballsphere as bs, closed_forms as cf, connection, discrete as ds
+from simplexconn import ballsphere as bs, closed_forms as cf, connection, discrete as ds, simplex
 from simplexconn.backend import R, ZERO, ONE
-from simplexconn.exact_arith import pochhammer
+from simplexconn.exact_arith import over_lcm, pochhammer
 from simplexconn.multipoly import SparsePoly, grevlex_key
 from simplexconn.simplex import (
     Permutation,
@@ -263,6 +263,28 @@ def test_basis_and_leading_form_equal_the_rational_loop():
                     assert {type(c) for c in lead.terms.values()} == {type(ONE)}
                     for tau in all_permutations(d + 1)[:: 5 if d > 3 else 1]:
                         assert leading_form(nu, kappa, tau) == top_part(tau.act_vars(p), n)
+
+
+def test_batched_product_equals_the_single_product_and_the_rational_loop():
+    # the factors and suffix products one call shares between its nu change no
+    # form: at one = 1 the basis, tau-acted, and at one = 0 its leading form
+    rng = random.Random(27)
+    for d in range(2, 5):
+        kappa = tuple(R(rng.randint(1 - q, 2 * q), q) for q in (rng.randint(1, 30) for _ in range(d + 1)))
+        K, D = over_lcm(kappa)
+        for tau in [None] + rng.sample(all_permutations(d + 1), 3):
+            for n in range(4):
+                order = enumerate_basis(d, n)
+                loops = [loop_basis(nu, kappa) for nu in order]
+                if tau is not None:
+                    loops = [tau.act_vars(p) for p in loops]
+                for one in (0, 1):
+                    batch = simplex._product_cores(order, K, D, tau, one)
+                    assert batch == [simplex._product_cores([nu], K, D, tau, one)[0] for nu in order]
+                    for nu, (terms, den), p in zip(order, batch, loops):
+                        assert all(terms.values()), (nu, tau, one)
+                        want = p if one else top_part(p, n)
+                        assert SparsePoly(d, {e: R(c, den) for e, c in terms.items()}) == want, (nu, tau, one)
 
 
 def rational_norm_A(nu, kappa):
