@@ -88,7 +88,9 @@ def poly_to_parity(p):
 
 
 def shifted(kappa, eps):
-    """kappa + eps, the parity shift acting on the first d parameters."""
+    """kappa + eps, the parity shift acting on the first len(eps) parameters; ValueError if eps is longer."""
+    if len(eps) > len(kappa):
+        raise ValueError(f"a parity of {len(eps)} entries cannot shift {len(kappa)} kappa entries")
     out = list(R(k) for k in kappa)
     for i, e in enumerate(eps):
         out[i] = out[i] + e
@@ -166,17 +168,24 @@ def _extend(tau, m):
     return Permutation(img)
 
 
+def _check_ball_kappa(tau, kappa):
+    """check_kappa(kappa); ValueError unless it has tau.m + 1 entries, one per ball variable and one for 1 - |x|^2."""
+    if len(kappa) != tau.m + 1:
+        raise ValueError(f"a permutation of {tau.m} ball variables needs {tau.m + 1} kappa entries, got {len(kappa)}")
+    return check_kappa(kappa)
+
+
 def ball_connection(tau, kappa, n):
     """Normalized ball connection coefficients for tau permuting x_1..x_d.
 
     Returns a dict mapping ((nu, eps), (mu, eta)) to QSqrt over the degree-n
     ball basis; entries are zero unless eta is the tau-image of eps, and each
     parity block is the normalized closed-engine simplex matrix at the
-    shifted parameters.  Raises ValueError unless kappa has at least 2
+    shifted parameters.  Raises ValueError unless kappa has tau.m + 1
     entries, each > -1, before the parity shift, and n >= 0.
     """
     d = tau.m
-    kappa = check_kappa(kappa)
+    kappa = _check_ball_kappa(tau, kappa)
     check_degree(n)
     tau_ext = _extend(tau, d + 1)
     out = {}
@@ -200,7 +209,7 @@ def ball_connection(tau, kappa, n):
 def ball_gram(tau, kappa, n):
     """Direct Gram-matrix oracle for the ball connection coefficients; ValueError for kappa as in ball_connection."""
     d = tau.m
-    kappa = check_kappa(kappa)
+    kappa = _check_ball_kappa(tau, kappa)
     tkappa = _extend(tau, d + 1).act_params(kappa)
     order = ball_enumerate(d, n)
     targets = {key: q_ball(*key, kappa) for key in order}

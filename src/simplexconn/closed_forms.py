@@ -342,8 +342,9 @@ def connection_matrix(tau, kappa, n, method="closed"):
     """Degree-n connection matrix C^tau(kappa), exact, for tau in S_{d+1}.
 
     It multiplies adjacent-transposition factors along a reduced word of tau
-    (any d) and caches the result beside the Gram matrices of
-    connection.gram_connection, the oracle.  "closed" is the one method.
+    (any d) and caches the result in connection._MATRIX_CACHE, which holds
+    no Gram matrix of the oracle, connection.gram_connection.  "closed" is
+    the one method.
     Raises ValueError unless kappa has at least 2 entries, each > -1, and
     n >= 0.
     """

@@ -6,13 +6,16 @@ kappa, degree by degree.  Entries are exact rationals; the normalized
 (orthogonal-matrix) version has entries sign * sqrt(rational).  A ConnMatrix
 stores one form, int_rows: per row, integer numerators over one positive
 denominator, reduced so that equal matrices have equal int_rows; rows, the
-rational view, is built from it when read.  The Coxeter-word engine
-(closed_forms) hands its integer rows over as they are.  The oracle
-gram_connection solves C T = L on leading forms, apart from closed_forms,
-in Python integers: simplex.leading_cores builds the leading forms of each
-basis in one call, T is kept per (kappa, n) as tuples of dense integer
-rows cut at its diagonal, and each row of the back-substitution is a dense
-list of integer numerators over one denominator.
+rational view, is built from it when read.  Only this module reads
+int_rows: transpose and scaled, diag(left) C diag(right), run in integers
+and serve normalize, the inverse and column checks and the Hahn matrix.
+The Coxeter-word engine (closed_forms) hands its integer rows over as they
+are.  The oracle gram_connection, whose matrices are not cached, solves
+C T = L on leading forms in Python integers: simplex.leading_cores builds
+each basis's leading forms in one call, T is kept per (kappa, n) as tuples
+of dense integer rows cut at its diagonal, and each row of the
+back-substitution is a dense list of integer numerators over one
+denominator.
 
 The verifiers take the squared norms A_src[i] = A_nu(tau.kappa) and
 A_tgt[j] = A_mu(kappa) of the source and target bases, for nu, mu in order,
@@ -79,9 +82,24 @@ class ConnMatrix:
         rows = [([sum(map(mul, nums, col)) for col in columns], den * L) for nums, den in self.int_rows]
         return ConnMatrix.from_int_rows(self.d, self.n, rows, self.order)
 
-    def is_identity(self):
-        return all(den == 1 and all(v == (1 if i == j else 0) for j, v in enumerate(nums))
-                   for i, (nums, den) in enumerate(self.int_rows))
+    def transpose(self):
+        """The transpose in integers: the columns over the lcm of the row denominators."""
+        columns, L = _columns(self)
+        return ConnMatrix.from_int_rows(self.d, self.n, [(col, L) for col in columns], self.order)
+
+    def scaled(self, left, right):
+        """diag(left) @ self @ diag(right) in integers, for rationals left and right with one entry per multi-index.
+
+        With right over its lcm, W_k / L, and left[i] = p / q, row i, N / Q,
+        becomes p N_k W_k over q Q L.  ValueError unless left and right fit.
+        """
+        size = len(self.order)
+        if (len(left), len(right)) != (size, size):
+            raise ValueError(f"{size} rows need {size} left and right entries, got {len(left)} and {len(right)}")
+        W, L = over_lcm(right)
+        rows = [([p * v * w for v, w in zip(nums, W)], q * Q * L)
+                for (p, q), (nums, Q) in zip([a.as_integer_ratio() for a in left], self.int_rows)]
+        return ConnMatrix.from_int_rows(self.d, self.n, rows, self.order)
 
     def __eq__(self, other):
         return (
@@ -117,7 +135,8 @@ def _reduced(int_row):
 def _columns(mat):
     """(columns, L): the columns of mat as integer tuples over L, the lcm of its row denominators."""
     L = lcm(*(den for _, den in mat.int_rows))
-    return list(zip(*([v * (L // den) for v in nums] for nums, den in mat.int_rows))), L
+    factors = [L // den for _, den in mat.int_rows]
+    return list(zip(*([v * m for v in nums] for (nums, _), m in zip(mat.int_rows, factors)))), L
 
 
 def _same_shape(mat, other):
@@ -127,8 +146,8 @@ def _same_shape(mat, other):
                          " with their orders do not match")
 
 
-# every finished connection matrix, keyed by (method, tau.img, kappa, n): the
-# Gram matrices stored here and the closed ones by closed_forms.connection_matrix
+# the engine's matrices, keyed by ("closed", tau.img, kappa, n), which a verify run reads
+# several times; no Gram matrix is kept, as a verify run builds each one once
 _MATRIX_CACHE = {}
 _LEADING_FORM_CACHE = {}
 
@@ -192,10 +211,6 @@ def gram_connection(tau, kappa, n):
     d = tau.m - 1
     kappa = check_kappa(kappa)
     check_degree(n)
-    key = ("gram", tau.img, kappa, n)
-    cached = _MATRIX_CACHE.get(key)
-    if cached is not None:
-        return cached
     K, D = over_lcm(kappa)
     order = enumerate_basis(d, n)
     targets = _target_rows(kappa, n)
@@ -219,28 +234,23 @@ def gram_connection(tau, kappa, n):
                 Q //= g
         common = lcm(*(q for _, q in row))
         rows.append(([v * (common // q) for v, q in row], common))
-    mat = ConnMatrix.from_int_rows(d, n, rows, order)
-    _MATRIX_CACHE[key] = mat
-    return mat
+    return ConnMatrix.from_int_rows(d, n, rows, order)
 
 
 def normalize(mat, tau, kappa):
     """Entries of the orthogonal-matrix version, as QSqrt values.
 
     hat_c[nu,mu] = c[nu,mu] * sqrt(A_mu(kappa) / A_nu(tau.kappa)).  With
-    c = N / Q from int_rows and A_mu(kappa) = B_mu / L over their lcm, the
-    radicand N^2 B_mu / (Q^2 L A_nu(tau.kappa)) is the one rational made.
-    Raises ValueError unless kappa has at least 2 entries, each > -1.
+    c = N / Q from int_rows and s / P the entry of
+    diag(1 / A_nu(tau.kappa)) C diag(A_mu(kappa)), the radicand is
+    N s / (Q P), the one rational made.  Raises ValueError unless kappa has
+    at least 2 entries, each > -1.
     """
     kappa = check_kappa(kappa)
     tk = tau.act_params(kappa)
-    B, L = over_lcm([norm_A(mu, kappa) for mu in mat.order])
-    out = []
-    for nu, (nums, Q) in zip(mat.order, mat.int_rows):
-        a = norm_A(nu, tk)
-        top, bottom = a.denominator, Q * Q * L * a.numerator
-        out.append([QSqrt.signed(c, R(c * c * b * top, bottom)) for c, b in zip(nums, B)])
-    return out
+    weighted = mat.scaled([ONE / norm_A(nu, tk) for nu in mat.order], [norm_A(mu, kappa) for mu in mat.order])
+    return [[QSqrt.signed(c, R(c * s, Q * P)) for c, s in zip(nums, snums)]
+            for (nums, Q), (snums, P) in zip(mat.int_rows, weighted.int_rows)]
 
 
 def weighted_orthogonal(rows, weights, diagonal):
@@ -294,36 +304,21 @@ def verify_row_orthogonality(mat, A_src, A_tgt):
 
 
 def verify_column_orthogonality(mat, A_src, A_tgt):
-    """sum_w c[w,nu] c[w,mu] / A_w(tau.kappa) == delta(nu,mu) / A_nu(kappa), on the columns over one lcm."""
-    columns, L = _columns(mat)
-    return _first_at(mat.order, weighted_orthogonal(
-        [(col, L) for col in columns], [ONE / a for a in A_src], [ONE / a for a in A_tgt]))
+    """sum_w c[w,nu] c[w,mu] / A_w(tau.kappa) == delta(nu,mu) / A_nu(kappa): the row check of the transpose."""
+    return verify_row_orthogonality(mat.transpose(), [ONE / a for a in A_tgt], [ONE / a for a in A_src])
 
 
 def verify_inverse_identity(mat_tau, mat_inv, A_src, A_tgt):
     """C^{tau^-1}(kappa)[nu,mu] == (A_nu(tau^-1.kappa)/A_mu(kappa)) C^tau(tau^-1.kappa)[mu,nu].
 
     mat_tau must be C^tau at parameters tau^-1.kappa and mat_inv C^{tau^-1}
-    at kappa; A_src and A_tgt are the norms of mat_inv's bases.  With
-    a = A_nu, b = A_mu, the entry N / Q of C^{tau^-1} and C^tau's columns
-    over their lcm L, t / L, each entry is one cross-multiplication.
-    ValueError unless the matrices have one d, n and order and each norm
-    list has one entry per multi-index.
+    at kappa; A_src and A_tgt are the norms of mat_inv's bases.  The right
+    side is diag(A_src) mat_tau^T diag(1 / A_tgt), compared entry by entry
+    with first_difference.  ValueError unless the matrices have one d, n
+    and order and each norm list has one entry per multi-index.
     """
     _same_shape(mat_tau, mat_inv)
-    size = len(mat_inv.order)
-    if (len(A_src), len(A_tgt)) != (size, size):
-        raise ValueError(f"the norm lists need {size} entries each, got {len(A_src)} and {len(A_tgt)}")
-    columns, L = _columns(mat_tau)
-    # rhs = a t / (b L): per mu, L times b's numerator below and b's denominator above
-    below = [L * b.numerator for b in A_tgt]
-    above = [b.denominator for b in A_tgt]
-    for nu, (f, Q), a, column in zip(mat_inv.order, mat_inv.int_rows, A_src, columns):
-        an, ad = a.numerator, a.denominator
-        for mu, c, t, lo, up in zip(mat_inv.order, f, column, below, above):
-            if c * lo * ad != t * up * an * Q:
-                return nu, mu, R(c, Q), R(t * up * an, lo * ad)
-    return None
+    return first_difference(mat_inv, mat_tau.transpose().scaled(A_src, [ONE / b for b in A_tgt]))
 
 
 def verify_convolution(mat_12, mat_2_at_t1k, mat_1_at_k):

@@ -4,22 +4,21 @@ Both families are built as Tratnik-style products of one-variable kernels
 with the leading Pochhammer prefactor folded into the series, so every value
 is an exact rational even when intermediate bottom parameters would vanish.
 Both connection matrices come from the Coxeter-word engine: the Hahn matrix
-is the simplex one rescaled by p_factor, and the Krawtchouk matrix, a limit
-of the simplex one, runs the engine with its own local rules on the
-extended rho = (rho, 1 - |rho|), read from the integers of the word's one
-lcm.  S_{d+1} permutes the extended rho like kappa; every Krawtchouk formula
-reads it (_extended), and its domain is "every entry > 0".  The lattice sums
-are only test oracles.  The normalized cycle coefficient has one Krawtchouk
-form; form 2 is its kraw_dual.
+is the simplex one rescaled by p_factor through ConnMatrix.scaled, and the
+Krawtchouk matrix, a limit of the simplex one, runs the engine with its own
+local rules on the extended rho = (rho, 1 - |rho|), read from the integers
+of the word's one lcm.  S_{d+1} permutes the extended rho like kappa; every
+Krawtchouk formula reads it (_extended), and its domain is "every entry
+> 0".  The lattice sums are only test oracles.  The normalized cycle
+coefficient has one Krawtchouk form; form 2 is its kraw_dual.
 """
 
 from math import comb
 
 from .backend import R, ZERO, ONE
-from .exact_arith import QSqrt, fold_terminating, hyp_with_prefactor, over_lcm, pochhammer
+from .exact_arith import QSqrt, fold_terminating, hyp_with_prefactor, pochhammer
 from .multipoly import homogenize
 from .simplex import a_coeffs, check_degree, enumerate_basis, jacobi_simplex_basis, norm_A
-from .connection import ConnMatrix
 from .closed_forms import connection_matrix, word_product
 
 
@@ -117,22 +116,15 @@ def hahn_connection(tau, kappa, N, n):
     """Connection matrix of the Hahn family, from the simplex engine.
 
     Entry [nu][mu] is C^tau(kappa)[nu][mu] * p(mu, kappa) / p(nu, tau.kappa),
-    with p = p_factor; it does not depend on N, which only bounds n.  Each
-    integer row N / Q of the simplex matrix is rescaled once: with the
-    p(mu, kappa) = P_mu / L over their lcm and p(nu, tau.kappa) = s / t, the
-    row is N_mu P_mu t over Q L s.
+    with p = p_factor; it does not depend on N, which only bounds n.  It is
+    the simplex matrix rescaled once, diag(1 / p(nu, tau.kappa)) C
+    diag(p(mu, kappa)), in integers.
     """
     _check_lattice("Hahn degree n", n, N)
     kappa = tuple(R(k) for k in kappa)
     tk = tau.act_params(kappa)
     mat = connection_matrix(tau, kappa, n)
-    P, L = over_lcm([p_factor(mu, kappa) for mu in mat.order])
-    rows = []
-    for nu, (nums, Q) in zip(mat.order, mat.int_rows):
-        s = p_factor(nu, tk)
-        t = s.denominator
-        rows.append(([c * p * t for c, p in zip(nums, P)], Q * L * s.numerator))
-    return ConnMatrix.from_int_rows(mat.d, n, rows, mat.order)
+    return mat.scaled([ONE / p_factor(nu, tk) for nu in mat.order], [p_factor(mu, kappa) for mu in mat.order])
 
 
 # ---------------------------------------------------------------------------

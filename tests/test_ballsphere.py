@@ -145,6 +145,21 @@ def test_ball_connection_checks_kappa_before_the_shift_and_the_degree():
         bs.ball_connection(Permutation((2, 1)), KAPPA2, -1)
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda: bs.ball_connection(Permutation.from_cycles("(12)", 3), (R(1, 2), R(1, 3)), 2),
+     "3 ball variables needs 4 kappa entries, got 2"),
+    (lambda: bs.ball_gram(Permutation.from_cycles("(12)", 3), (R(1, 2), R(1, 3)), 2),
+     "3 ball variables needs 4 kappa entries, got 2"),
+    (lambda: bs.q_ball((1, 0, 0), (0, 1, 1), (R(1, 2), R(1, 3))), "parity of 3 entries cannot shift 2 kappa entries"),
+    (lambda: bs.sphere_basis((1, 1), (0, 0, 0), (R(1, 2), R(1, 3)), 4),
+     "parity of 3 entries cannot shift 2 kappa entries"),
+], ids=["ball-connection", "ball-gram", "q-ball", "sphere-basis"])
+def test_a_parity_longer_than_kappa_raises_naming_both_lengths(call, message):
+    # a short kappa used to fail inside the parity shift with a bare IndexError
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
 def test_disk_polar_basis_matches_simplex_images():
     for mu in (R(1, 2), R(0), R(2)):
         for n in range(4):

@@ -480,7 +480,6 @@ def test_engine_puts_the_params_over_one_lcm_per_word(monkeypatch):
         return over_lcm(values)
 
     monkeypatch.setattr(cf, "over_lcm", counted)
-    monkeypatch.setattr(ds, "over_lcm", counted)
     for tau in all_perms(4):
         for run in (lambda: cf.connection_matrix(tau, COPRIME[:4], 3),
                     lambda: ds.kraw_connection(tau, (R(1, 3), R(1, 5), R(1, 7)), 3, 3)):

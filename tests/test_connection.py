@@ -61,7 +61,9 @@ def definition_gram(tau, kappa, n):
 def test_identity_permutation_gives_identity_matrix():
     tau = Permutation.identity(3)
     for n in (1, 2, 3):
-        assert gram_connection(tau, KAPPA, n).is_identity()
+        size = len(enumerate_basis(2, n))
+        assert gram_connection(tau, KAPPA, n).int_rows == tuple(
+            (tuple(int(i == j) for j in range(size)), 1) for i in range(size))
 
 
 def test_known_swap_matrix_degree_one():
@@ -206,7 +208,8 @@ def test_clear_caches_clears_moments():
     connection_matrix(tau, kappa, 2, method="closed")
     p = jacobi_simplex_basis((1, 0), kappa)
     inner_product_simplex(p, p, kappa)
-    assert {key[0] for key in connection._MATRIX_CACHE} >= {"gram", "closed"}
+    # only the engine's matrices are cached: no Gram matrix is kept
+    assert {key[0] for key in connection._MATRIX_CACHE} == {"closed"}
     assert {"connection._MATRIX_CACHE", "connection._LEADING_FORM_CACHE", "simplex._MOMENT_CACHE"} <= {
         name for name, cache in caches.items() if cache
     }
@@ -430,7 +433,7 @@ def test_jacobi_domain_is_checked(kappa):
 
 def test_cached_gram_matrix_cannot_be_mutated():
     tau = Permutation.from_cycles("(12)", 3)
-    # both methods hand out their matrices from the one matrix cache
+    # the engine hands out its matrices from the matrix cache; the oracle builds an equal one per call
     for build in (gram_connection, lambda *args: connection_matrix(*args, method="closed")):
         mat = build(tau, KAPPA, 2)
         before = [list(row) for row in mat.rows]
@@ -441,7 +444,7 @@ def test_cached_gram_matrix_cannot_be_mutated():
         with pytest.raises(AttributeError):
             mat.order.reverse()
         again = build(tau, KAPPA, 2)
-        assert again is mat
+        assert again == mat and (again is mat) == (build is not gram_connection)
         assert [list(row) for row in again.rows] == before
         assert again.order == tuple(enumerate_basis(2, 2))
         assert again.entry((2, 0), (0, 2)) == before[0][2] == R(1927, 1216)
@@ -503,7 +506,8 @@ VERIFIER_GRID = [(3, all_permutations(3), 5), (4, all_permutations(4), 3),
 @pytest.mark.parametrize("m, taus, degrees", VERIFIER_GRID, ids=["S3", "S4", "S5"])
 def test_integer_verifiers_equal_the_rational_oracles(m, taus, degrees):
     # all of S_3 at n <= 4, all of S_4 at n <= 2 and a seeded S_5 sample at n <= 2:
-    # the same (nu, mu, lhs, rhs) on the good matrix, one changed entry and one flipped sign
+    # the same (nu, mu, lhs, rhs) on the good matrix, one changed entry and one flipped sign,
+    # and the same transpose and rescale as on the rational rows
     rng = random.Random(m)
     kappa = tuple(R(rng.randint(-2, 9), rng.randint(3, 7)) for _ in range(m))
     for tau in taus:
@@ -518,8 +522,16 @@ def test_integer_verifiers_equal_the_rational_oracles(m, taus, degrees):
             at_inverse, inv_mat = connection_matrix(tau, inv.act_params(kappa), n), connection_matrix(inv, kappa, n)
             m2, m1 = connection_matrix(t2, t1.act_params(kappa), n), connection_matrix(t1, kappa, n)
             product = rational_matmul(m2.rows, m1.rows)
+            # rescale factors: a zero, a negative and a positive entry in turn on the left, one sign flip on the right
+            left = [ZERO if i % 3 == 0 else (-1) ** i / a for i, a in enumerate(A_src)]
+            right = [-b if k == 1 else b for k, b in enumerate(A_tgt)]
             for v in variants(mat, rng):
                 rows = v.rows
+                transposed = tuple(zip(*rows))
+                rescaled = tuple(tuple(x * c * y for c, y in zip(row, right)) for x, row in zip(left, rows))
+                assert v.transpose().rows == transposed and v.transpose() == ConnMatrix(v.d, n, transposed, order)
+                assert v.scaled(left, right).rows == rescaled
+                assert v.scaled(left, right) == ConnMatrix(v.d, n, rescaled, order)
                 assert verify_row_orthogonality(v, A_src, A_tgt) == rational_first_at(
                     order, rational_weighted_orthogonal(rows, A_tgt, A_src))
                 assert verify_column_orthogonality(v, A_src, A_tgt) == rational_first_at(
@@ -565,6 +577,7 @@ def size_cases():
         "column-short-norms": lambda: verify_column_orthogonality(good, A_src[:1], A_tgt),
         "column-long-weights": lambda: verify_column_orthogonality(good, A_src, A_tgt + A_tgt),
         "inverse-short-norms": lambda: verify_inverse_identity(good, good, A_src, A_tgt[:1]),
+        "scaled-short-left": lambda: good.scaled(A_src[:1], A_tgt),
         "weighted-short-row": lambda: list(weighted_orthogonal([((1, 0), 1), ((1,), 1)], A_tgt, A_src)),
         "matrix-short-row": lambda: ConnMatrix(2, 1, [[1, 0], [0]]),
         "matrix-missing-row": lambda: ConnMatrix(2, 1, [[1, 0]]),
@@ -585,7 +598,7 @@ def test_equal_matrices_have_equal_integer_rows():
     b = ConnMatrix.from_int_rows(2, 1, [((-6, 9), -12), ((0, 30), 6)])
     assert a == b and a.int_rows == b.int_rows == (((2, -3), 4), ((0, 5), 1))
     assert a.rows == b.rows == tuple(map(tuple, rows))
-    assert ConnMatrix.from_int_rows(2, 1, [((4, 0), 4), ((0, -2), -2)]).is_identity()
+    assert ConnMatrix.from_int_rows(2, 1, [((4, 0), 4), ((0, -2), -2)]).int_rows == (((1, 0), 1), ((0, 1), 1))
 
 
 def test_a_passing_verify_run_makes_no_rational_in_the_verifiers(monkeypatch, capsys):
