@@ -184,6 +184,7 @@ def _suite_structural(args, rng):
 
     The norm list A_nu(tau.kappa) of each tau is built once: the identity's
     list is every target, and tau^-1's list is the inverse identity's source.
+    Each C^{t2}(t1.kappa) is built once, held by its value (t2, t1.kappa).
     """
     kappa = parse_kappa(args.kappa) if args.kappa else _random_kappa(rng, args.d)
     d = len(kappa) - 1
@@ -193,8 +194,15 @@ def _suite_structural(args, rng):
     order = enumerate_basis(d, n)
     norms = {tau.img: [norm_A(nu, tau.act_params(kappa)) for nu in order] for tau in perms}
     target = norms[Permutation.identity(d + 1).img]
+    held = {}
+
+    def matrix(t2, tk=kappa):
+        if (t2.img, tk) not in held:
+            held[t2.img, tk] = connection_matrix(t2, tk, n)
+        return held[t2.img, tk]
+
     for tau in perms:
-        mat = connection_matrix(tau, kappa, n)
+        mat = matrix(tau)
         diff = first_difference(mat, gram_connection(tau, kappa, n))
         if diff is not None:
             failures.append(_entry_failure("closed-vs-gram", [tau], diff, ("closed", "gram")))
@@ -202,15 +210,13 @@ def _suite_structural(args, rng):
         checks = (
             ("row-orthogonality", verify_row_orthogonality(mat, norms[tau.img], target)),
             ("column-orthogonality", verify_column_orthogonality(mat, norms[tau.img], target)),
-            ("inverse", verify_inverse_identity(connection_matrix(tau, inv.act_params(kappa), n),
-                                                connection_matrix(inv, kappa, n), norms[inv.img], target)),
+            ("inverse", verify_inverse_identity(matrix(tau, inv.act_params(kappa)), matrix(inv),
+                                                norms[inv.img], target)),
         )
         failures.extend(_entry_failure(identity, [tau], diff) for identity, diff in checks if diff is not None)
     for _ in range(args.count):
         t1, t2 = rng.choice(perms), rng.choice(perms)
-        diff = verify_convolution(connection_matrix(t1 * t2, kappa, n),
-                                  connection_matrix(t2, t1.act_params(kappa), n),
-                                  connection_matrix(t1, kappa, n))
+        diff = verify_convolution(matrix(t1 * t2), matrix(t2, t1.act_params(kappa)), matrix(t1))
         if diff is not None:
             failures.append(_entry_failure("convolution", [t1, t2], diff))
     return failures
@@ -310,6 +316,8 @@ class _Parser(argparse.ArgumentParser):
     """An ArgumentParser whose usage errors raise ValueError, so main reports them in one line."""
 
     def error(self, message):
+        if message.endswith("expected one argument"):  # as argparse reads a value such as -1/2 as an option
+            message += "; a value that starts with '-' is written %s=-..." % message.split()[1].rstrip(":")
         raise ValueError(message)
 
 

@@ -10,13 +10,13 @@ the factor for s_j, j < d, is cc_2d_entry, the d=2 (12) 4F3 entry, with
 shifted parameters, so the closed method is exact and total for every d,
 d=2 included: there is no table of named d=2 permutations.  The Krawtchouk
 family (discrete.kraw_connection) supplies its own local rules.  Both the
-local rule and the row updates run in Python integers, with kappa over one
-lcm per call: the parameters are put over the lcm D of their denominators
-once per word, each step swaps those integers, cc_2d_entry takes kappa-hat
-as three integers over D, sums its 4F3 with exact_arith's integer kernel and
-returns (num, den), and each row of the running product is integer
-numerators over one denominator, handed to the ConnMatrix as its int_rows,
-so the engine makes no rational.
+local rule and the row updates run in Python integers: the family puts the
+parameters over the lcm D of their denominators once per word, each step
+swaps those integers, cc_2d_entry takes kappa-hat as three integers over D,
+sums its 4F3 with exact_arith's integer kernel and returns (num, den), and
+each row of the running product is integer numerators over one denominator,
+handed to the ConnMatrix as its int_rows, so the engine makes no rational
+and keeps no matrix: connection_matrix returns a new value per call.
 
 The paper's named formulas stay as identities checked against the Gram
 oracle: the summation identity and the normalized coefficients, all read
@@ -32,10 +32,10 @@ import itertools
 from math import comb, gcd, lcm
 
 from .backend import R, ZERO, ONE
-from .exact_arith import QSqrt, fold_terminating, hyp_terminating, over_lcm, pochhammer, rising
+from .exact_arith import QSqrt, fold_terminating, hyp_terminating, pochhammer, rising
 from .racah import conj_core, dual_core, multi_core, norm_core, racah_weight_1d, second_norm_core, weight_core
-from .simplex import Permutation, a_core, check_degree, check_kappa, enumerate_basis, scaled_kappa
-from .connection import _MATRIX_CACHE, ConnMatrix
+from .simplex import Permutation, a_core, check_degree, enumerate_basis, scaled_kappa
+from .connection import ConnMatrix
 
 
 def _sign(k):
@@ -128,8 +128,8 @@ def verify_sum_identity(k, ell, kappa, n):
 # ---------------------------------------------------------------------------
 
 
-def word_product(tau, params, n, block, ratio):
-    """Degree-n connection matrix of tau as a product of adjacent factors.
+def word_product(tau, P, D, n, block, ratio):
+    """Degree-n connection matrix of tau as a product of adjacent factors, at params = P / D.
 
     With tau = s_{a_1} ... s_{a_k} (a reduced word), the composition rule
     C^{t1 t2} = C^{t2}(t1.params) C^{t1}(params) gives C^tau = F_k ... F_1,
@@ -144,18 +144,17 @@ def word_product(tau, params, n, block, ratio):
       m = mu_{j+1} and tail = |nu^{j+2}|;
     - ratio(P, D): C^{s_d} is diag((p/q)^{nu_d}) for the integers (p, q).
 
-    The params are put over their lcm D once: D does not change when slots
-    are swapped, so every step reads the same integers P, permuted.  Rows
-    are kept as integer numerators over one row denominator: s_j combines
+    The caller puts the params over their lcm D once: D does not change when
+    slots are swapped, so every step reads the same integers P, permuted.
+    Rows are kept as integer numerators over one row denominator: s_j combines
     the rows it reads over the lcm of (entry denominator x row denominator)
     and divides out one gcd, and s_d multiplies row nu by p^{nu_d} and its
     denominator by q^{nu_d}.  The rows are the ConnMatrix's int_rows as
     they stand: no rational is made.
     """
-    if len(params) != tau.m:
-        raise ValueError(f"a permutation of {tau.m} slots needs {tau.m} parameters, got {len(params)}")
+    if len(P) != tau.m:
+        raise ValueError(f"a permutation of {tau.m} slots needs {tau.m} parameters, got {len(P)}")
     d = tau.m - 1
-    P, D = over_lcm([R(p) for p in params])
     order = enumerate_basis(d, n)
     index = {nu: i for i, nu in enumerate(order)}
     # (numerators {column: int}, row denominator) of the running product, starting at the identity
@@ -199,7 +198,7 @@ def word_product(tau, params, n, block, ratio):
                     common //= g
                 new_rows.append((acc, common))
             rows = new_rows
-        P[a - 1], P[a] = P[a], P[a - 1]
+        P = (*P[: a - 1], P[a], P[a - 1], *P[a + 1:])
     size = len(order)
     return ConnMatrix.from_int_rows(d, n, [([row.get(i, 0) for i in range(size)], den) for row, den in rows], order)
 
@@ -219,7 +218,7 @@ def _jacobi_ratio(K, D):
 
 
 def cc_3d_matrix(tau, kappa, n):
-    """Degree-n connection matrix for a Permutation tau in S_4: connection_matrix, with its checks and cache."""
+    """Degree-n connection matrix for a Permutation tau in S_4: connection_matrix, with its checks."""
     if tau.m != 4:
         raise ValueError(f"cc_3d_matrix needs a permutation of 4 slots, got {tau!r}")
     return connection_matrix(tau, kappa, n)
@@ -342,17 +341,12 @@ def connection_matrix(tau, kappa, n, method="closed"):
     """Degree-n connection matrix C^tau(kappa), exact, for tau in S_{d+1}.
 
     It multiplies adjacent-transposition factors along a reduced word of tau
-    (any d) and caches the result in connection._MATRIX_CACHE, which holds
-    no Gram matrix of the oracle, connection.gram_connection.  "closed" is
-    the one method.
-    Raises ValueError unless kappa has at least 2 entries, each > -1, and
-    n >= 0.
+    (any d), with kappa over its lcm once, and caches nothing.  "closed" is
+    the one method.  Raises ValueError unless kappa has at least 2 entries,
+    each > -1, and n >= 0.
     """
-    kappa = check_kappa(kappa)
+    K, D = scaled_kappa(kappa)
     check_degree(n)
     if method != "closed":
         raise ValueError(f"method must be 'closed', not {method!r}")
-    key = ("closed", tau.img, kappa, n)
-    if key not in _MATRIX_CACHE:
-        _MATRIX_CACHE[key] = word_product(tau, kappa, n, _jacobi_block, _jacobi_ratio)
-    return _MATRIX_CACHE[key]
+    return word_product(tau, K, D, n, _jacobi_block, _jacobi_ratio)

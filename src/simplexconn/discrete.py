@@ -16,7 +16,7 @@ coefficient has one Krawtchouk form; form 2 is its kraw_dual.
 from math import comb
 
 from .backend import R, ZERO, ONE
-from .exact_arith import QSqrt, fold_terminating, hyp_with_prefactor, pochhammer
+from .exact_arith import QSqrt, fold_terminating, hyp_with_prefactor, over_lcm, pochhammer
 from .multipoly import homogenize
 from .simplex import a_coeffs, check_degree, enumerate_basis, jacobi_simplex_basis, norm_A
 from .closed_forms import connection_matrix, word_product
@@ -255,7 +255,7 @@ def kraw_connection(tau, rho, N, n):
     ext = _check_rho(rho)
     check_degree(n)
     _check_lattice("Krawtchouk degree n", n, N)
-    return word_product(tau, ext, n, _kraw_block, _kraw_ratio)
+    return word_product(tau, *over_lcm(ext), n, _kraw_block, _kraw_ratio)
 
 
 def kraw_cc_cyclic_hat(nu, mu, rho, n, form=1):

@@ -356,8 +356,10 @@ def norm_A(nu, kappa):
     first symbol is (k_j+a_j+1)_{2 n_j} / (k_j+a_j+1)_{n_j}, written so that
     k_j + a_j + 1 = 0 gives no 0/0.  With kappa = K / D each symbol is a
     rising product over step D, and the D powers cancel to D^{|nu|} in the
-    denominator.
+    denominator.  ValueError unless kappa has len(nu) + 1 entries.
     """
+    if len(kappa) != len(nu) + 1:
+        raise ValueError(f"nu = {tuple(nu)} needs {len(nu) + 1} kappa entries, got {len(kappa)}")
     K, D = over_lcm([R(k) for k in kappa])
     num, den = 1, rising(sum(K) + len(K) * D, 2 * sum(nu), D) * D ** sum(nu)
     for j, (k, n) in enumerate(zip(K, nu), 1):

@@ -69,7 +69,7 @@ def structural_cases():
 def structural_matrices():
     """(tau, kappa, Gram matrix) for every case of criteria 1-3.
 
-    When criteria 1-3 ran first, every matrix comes from the Gram cache.
+    Built once for the module: no matrix is cached between tests.
     """
     return [(tau, kappa, gram_connection(tau, kappa, n)) for tau, kappa, n in structural_cases()]
 

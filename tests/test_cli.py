@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+from collections import Counter
 
 import pytest
 
@@ -77,6 +78,24 @@ def test_connect_without_family_parameters_exits_2():
         proc = run_cli("connect", "--family", family, "--tau", "(12)", "--n", "1", "--N", "2")
         assert proc.returncode == 2, (family, proc.stderr)
         assert proc.stderr == "error: --%s is required for --family %s\n" % (name, family)
+
+
+@pytest.mark.parametrize("kappa", [None, "-1/2,-1/2,-1/2,-1/2"], ids=["seeded", "minus-half"])
+def test_orthogonality_suite_builds_each_matrix_once(monkeypatch, capsys, kappa):
+    # the suite holds what it reads again, keyed by value: at kappa = (-1/2)^4 many
+    # t1.kappa are equal, and each (tau, parameters) still reaches the engine once
+    engine = cli.connection_matrix
+    calls = Counter()
+
+    def counted(tau, kap, n):
+        calls[tau.img, tuple(kap)] += 1
+        return engine(tau, kap, n)
+
+    monkeypatch.setattr(cli, "connection_matrix", counted)
+    argv = ["verify", "--suite", "orthogonality", "--d", "3", "--n", "1", "--count", "30", "--seed", "4"]
+    assert cli.main(argv + (["--kappa=" + kappa] if kappa else [])) == 0
+    assert json.loads(capsys.readouterr().out)["failures"] == []
+    assert len(calls) >= 24 and set(calls.values()) == {1}, calls.most_common(3)
 
 
 def test_closed_vs_gram_failure_names_tau_the_entry_and_both_values(monkeypatch, capsys):
@@ -313,6 +332,7 @@ def test_the_cli_reads_no_backend_variable(value):
                  id="orthogonality-negative-count"),
     pytest.param(("verify", "--suite", "whipple", "--count", "-3"), id="whipple-negative-count"),
     pytest.param(("connect", "--tau", "(12)", "--kappa", "1,1,1", "--n", "1", "--foo"), id="unknown-option"),
+    pytest.param(("basis", "--family", "sphere", "--kappa", "-1/2,-1/2,-1/2", "--n", "2"), id="minus-kappa"),
     pytest.param(("connect", "--tau", "(12)", "--kappa", "1,1,1"), id="missing-n"),
     pytest.param(("connect", "--family", "jacobi", "--tau", "(12)", "--kappa", "1,1,1", "--n", "1"),
                  id="bad-family"),
@@ -325,11 +345,15 @@ def test_the_cli_reads_no_backend_variable(value):
     pytest.param(("connect", "--tau", "(12)", "--kappa", "1,1,1", "--n", "1", "--out",
                   os.path.join(__file__, "sub")), id="out-cannot-be-made"),
 ])
-def test_bad_input_exits_2_with_one_line_error(args):
+def test_bad_input_exits_2_with_one_line_error(request, args):
     proc = run_cli(*args)
     assert proc.returncode == 2, proc.stderr
     assert proc.stdout == ""
     assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1, proc.stderr
+    if request.node.callspec.id == "minus-kappa":
+        # argparse reads -1/2,... as an option; the message says how to write the value
+        assert proc.stderr == ("error: argument --kappa: expected one argument; "
+                               "a value that starts with '-' is written --kappa=-...\n")
 
 
 def test_csv_matrix_for_each_discrete_family():

@@ -10,7 +10,7 @@ from simplexconn.simplex import Permutation, enumerate_basis
 from simplexconn.connection import ConnMatrix, clear_caches, gram_connection, normalize
 from simplexconn import closed_forms as cf
 from simplexconn import exact_arith as ea
-from simplexconn import connection
+from simplexconn import connection, simplex
 from simplexconn import discrete as ds
 from simplexconn import racah as rc
 from simplexconn import qsqrt_sums_equal
@@ -78,8 +78,7 @@ def test_3d_closed_matches_gram():
 
 def test_3d_matrix_is_connection_matrix_with_its_checks_and_cache():
     tau = Permutation.from_cycles("(13)", 4)
-    clear_caches()
-    assert cf.cc_3d_matrix(tau, KAPPA3, 2) is cf.connection_matrix(tau, KAPPA3, 2)
+    assert cf.cc_3d_matrix(tau, KAPPA3, 2) == cf.connection_matrix(tau, KAPPA3, 2)
     with pytest.raises(ValueError, match="at least 2 entries, each > -1"):
         cf.cc_3d_matrix(tau, (R(-3), ONE, ONE, ONE), 1)
     with pytest.raises(ValueError, match="degree n must be >= 0, got -1"):
@@ -237,7 +236,6 @@ def test_2d_engine_builds_one_block_of_entries_at_most(monkeypatch):
     n = 4
     for tau in all_perms(3):
         calls.clear()
-        clear_caches()  # a cached matrix would evaluate no entry
         cf.connection_matrix(tau, KAPPA2, n)
         free = repr(tau) in ("e", "(23)")
         assert free == (1 not in tau.reduced_word())
@@ -432,7 +430,7 @@ def assert_same_products(taus, params, degrees, family):
     block, ratio, rational_block, rational_ratio = family
     for tau in taus:
         for n in degrees:
-            got = cf.word_product(tau, params, n, block, ratio)
+            got = cf.word_product(tau, *over_lcm(params), n, block, ratio)
             assert got == rational_word_product(tau, params, n, rational_block, rational_ratio), (tau, params, n)
             assert {type(v) for row in got.rows for v in row} == {type(ONE)}
 
@@ -472,18 +470,20 @@ def test_krawtchouk_engine_equals_the_rational_loop():
 
 
 def test_engine_puts_the_params_over_one_lcm_per_word(monkeypatch):
-    # the word's D serves every step: one over_lcm per connection matrix, none in a local rule
+    # the word's D serves every step: one over_lcm per connection matrix, made by the
+    # family (scaled_kappa, or kraw_connection on the extended rho), none by the engine or a local rule
     calls = []
 
     def counted(values):
         calls.append(tuple(values))
         return over_lcm(values)
 
-    monkeypatch.setattr(cf, "over_lcm", counted)
+    assert not hasattr(cf, "over_lcm")
+    for module in (simplex, ds):
+        monkeypatch.setattr(module, "over_lcm", counted)
     for tau in all_perms(4):
         for run in (lambda: cf.connection_matrix(tau, COPRIME[:4], 3),
                     lambda: ds.kraw_connection(tau, (R(1, 3), R(1, 5), R(1, 7)), 3, 3)):
-            clear_caches()
             calls.clear()
             assert run().n == 3
             assert len(calls) == 1, (tau, calls)

@@ -315,6 +315,10 @@ def test_norm_equals_the_rational_product():
                     if isinstance(want, type):
                         raised.add(want.__name__)
     assert raised == {"ZeroDivisionError"}
+    # zip would truncate: a kappa without one entry per slot of nu raises, never returns a value
+    for nu, kappa in (((1, 1, 1), (R(1, 2),) * 3), ((1, 1), (R(1, 2),) * 4)):
+        with pytest.raises(ValueError, match=f"needs {len(nu) + 1} kappa entries, got {len(kappa)}"):
+            norm_A(nu, kappa)
 
 
 @settings(max_examples=60, deadline=None)
