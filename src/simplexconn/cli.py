@@ -185,6 +185,10 @@ def _suite_structural(args, rng):
     The norm list A_nu(tau.kappa) of each tau is built once: the identity's
     list is every target, and tau^-1's list is the inverse identity's source.
     Each C^{t2}(t1.kappa) is built once, held by its value (t2, t1.kappa).
+    Every matrix is a product of adjacent factors at permutations of kappa,
+    so one dict of local-rule entries, made here and dropped with the run,
+    is passed to every connection_matrix call and each entry is evaluated
+    once.
     """
     kappa = parse_kappa(args.kappa) if args.kappa else _random_kappa(rng, args.d)
     d = len(kappa) - 1
@@ -194,12 +198,14 @@ def _suite_structural(args, rng):
     order = enumerate_basis(d, n)
     norms = {tau.img: [norm_A(nu, tau.act_params(kappa)) for nu in order] for tau in perms}
     target = norms[Permutation.identity(d + 1).img]
-    held = {}
+    held, entries = {}, {}
 
     def matrix(t2, tk=kappa):
-        if (t2.img, tk) not in held:
-            held[t2.img, tk] = connection_matrix(t2, tk, n)
-        return held[t2.img, tk]
+        key = (t2.img, tk)
+        mat = held.get(key)
+        if mat is None:
+            mat = held[key] = connection_matrix(t2, tk, n, entries=entries)
+        return mat
 
     for tau in perms:
         mat = matrix(tau)

@@ -16,7 +16,10 @@ swaps those integers, cc_2d_entry takes kappa-hat as three integers over D,
 sums its 4F3 with exact_arith's integer kernel and returns (num, den), and
 each row of the running product is integer numerators over one denominator,
 handed to the ConnMatrix as its int_rows, so the engine makes no rational
-and keeps no matrix: connection_matrix returns a new value per call.
+and keeps no matrix: connection_matrix returns a new value per call.  A
+caller that builds many matrices at permutations of one kappa passes them
+one dict of local-rule values (entries) that it holds, so each value is
+evaluated once.
 
 The paper's named formulas stay as identities checked against the Gram
 oracle: the summation identity and the normalized coefficients, all read
@@ -128,7 +131,7 @@ def verify_sum_identity(k, ell, kappa, n):
 # ---------------------------------------------------------------------------
 
 
-def word_product(tau, P, D, n, block, ratio):
+def word_product(tau, P, D, n, block, ratio, entries=None):
     """Degree-n connection matrix of tau as a product of adjacent factors, at params = P / D.
 
     With tau = s_{a_1} ... s_{a_k} (a reduced word), the composition rule
@@ -151,7 +154,18 @@ def word_product(tau, P, D, n, block, ratio):
     and divides out one gcd, and s_d multiplies row nu by p^{nu_d} and its
     denominator by q^{nu_d}.  The rows are the ConnMatrix's int_rows as
     they stand: no rational is made.
+
+    entries holds the local-rule values: entries[(block, j, P, D)] maps
+    (m_loc, k, m, tail) to block(j, P, D, m_loc, k, m, tail), for the
+    current, swapped P.  A caller that builds several matrices at
+    permutations of the same params passes one dict to every call, so each
+    entry is evaluated once; the caller owns it and drops it when done.  The
+    key holds the rule, so one dict may serve several families.  With None
+    the call makes its own.
     """
+    if entries is None:
+        entries = {}
+    P = tuple(P)
     if len(P) != tau.m:
         raise ValueError(f"a permutation of {tau.m} slots needs {tau.m} parameters, got {len(P)}")
     d = tau.m - 1
@@ -171,7 +185,7 @@ def word_product(tau, P, D, n, block, ratio):
                 new_rows.append(({c: v * pe for c, v in row.items()}, den * qe))
             rows = new_rows
         else:
-            memo = {}
+            memo = entries.setdefault((block, a, P, D), {})
             new_rows = []
             for nu in order:
                 m_loc, k, tail = nu[a - 1] + nu[a], nu[a], sum(nu[a + 1:])
@@ -337,16 +351,20 @@ def cc_3d_hat13_terms(nu, mu, kappa, n):
     return [cc_adjacent_hat(nu, lam, cycled, n, 1) * cc_cyclic_hat(lam, mu, kappa, n) for lam in lams]
 
 
-def connection_matrix(tau, kappa, n, method="closed"):
+def connection_matrix(tau, kappa, n, method="closed", entries=None):
     """Degree-n connection matrix C^tau(kappa), exact, for tau in S_{d+1}.
 
     It multiplies adjacent-transposition factors along a reduced word of tau
-    (any d), with kappa over its lcm once, and caches nothing.  "closed" is
-    the one method.  Raises ValueError unless kappa has at least 2 entries,
-    each > -1, and n >= 0.
+    (any d), with kappa over its lcm once, and keeps no module cache.
+    entries is word_product's dict of cc_2d_entry values, keyed there by
+    the rule, the letter and the swapped parameters over D; the caller owns
+    it and passes it to every call whose kappa are permutations of one
+    another.  None makes one for this call.  "closed" is the one method.
+    Raises ValueError unless kappa has at least 2 entries, each > -1, and
+    n >= 0.
     """
     K, D = scaled_kappa(kappa)
     check_degree(n)
     if method != "closed":
         raise ValueError(f"method must be 'closed', not {method!r}")
-    return word_product(tau, K, D, n, _jacobi_block, _jacobi_ratio)
+    return word_product(tau, K, D, n, _jacobi_block, _jacobi_ratio, entries)

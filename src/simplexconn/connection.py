@@ -8,7 +8,8 @@ stores one form, int_rows: per row, integer numerators over one positive
 denominator, reduced so that equal matrices have equal int_rows; rows, the
 rational view, is built from it when read.  Only this module reads
 int_rows: transpose and scaled, diag(left) C diag(right), run in integers
-and serve normalize, the inverse and column checks and the Hahn matrix.
+and serve normalize, the column check and the Hahn matrix; the inverse
+check applies the same rescale to the columns, unreduced.
 The Coxeter-word engine (closed_forms) hands its integer rows over as they
 are.  No matrix is cached: a caller that reads one twice holds it.  The
 oracle gram_connection solves C T = L on leading forms in Python integers:
@@ -96,10 +97,7 @@ class ConnMatrix:
         size = len(self.order)
         if (len(left), len(right)) != (size, size):
             raise ValueError(f"{size} rows need {size} left and right entries, got {len(left)} and {len(right)}")
-        W, L = over_lcm(right)
-        rows = [([p * v * w for v, w in zip(nums, W)], q * Q * L)
-                for (p, q), (nums, Q) in zip([a.as_integer_ratio() for a in left], self.int_rows)]
-        return ConnMatrix.from_int_rows(self.d, self.n, rows, self.order)
+        return ConnMatrix.from_int_rows(self.d, self.n, _scaled_rows(self.int_rows, left, *over_lcm(right)), self.order)
 
     def __eq__(self, other):
         return (
@@ -130,6 +128,12 @@ def _reduced(int_row):
     if den < 0:
         g = -g
     return (tuple(nums) if g == 1 else tuple(v // g for v in nums)), den // g
+
+
+def _scaled_rows(int_rows, left, W, L):
+    """diag(left) @ rows @ diag(W / L), unreduced: row i, N / Q, is p N_k W_k over q Q L for left[i] = p / q."""
+    return [([p * v * w for v, w in zip(nums, W)], q * Q * L)
+            for (p, q), (nums, Q) in zip([a.as_integer_ratio() for a in left], int_rows)]
 
 
 def _columns(mat):
@@ -283,9 +287,14 @@ def first_difference(mat, oracle):
     ValueError unless the matrices have one d, n and order.
     """
     _same_shape(mat, oracle)
-    for nu, (f, Q), (g, P) in zip(mat.order, mat.int_rows, oracle.int_rows):
+    return _first_row_difference(mat.order, mat.int_rows, oracle.int_rows)
+
+
+def _first_row_difference(order, rows, oracle_rows):
+    """first_difference on (numerators, denominator) rows; a row of oracle_rows need not be reduced."""
+    for nu, (f, Q), (g, P) in zip(order, rows, oracle_rows):
         if Q != P or f != g:
-            for mu, a, b in zip(mat.order, f, g):
+            for mu, a, b in zip(order, f, g):
                 if a * P != b * Q:
                     return nu, mu, R(a, Q), R(b, P)
     return None
@@ -312,10 +321,21 @@ def verify_inverse_identity(mat_tau, mat_inv, A_src, A_tgt):
     mat_tau must be C^tau at parameters tau^-1.kappa and mat_inv C^{tau^-1}
     at kappa; A_src and A_tgt are the norms of mat_inv's bases.  The right
     side is diag(A_src) mat_tau^T diag(1 / A_tgt), compared entry by entry
-    with first_difference.  ValueError unless the matrices have one d, n
+    as first_difference does.  It is built in integers and never reduced:
+    the columns of mat_tau over their lcm L, and 1 / A_tgt over the lcm M
+    of the norms' numerators, b = s / r giving r (M / s) / M; each entry is
+    one cross-multiplication.  ValueError unless the matrices have one d, n
     and order and each norm list has one entry per multi-index.
     """
-    return first_difference(mat_inv, mat_tau.transpose().scaled(A_src, [ONE / b for b in A_tgt]))
+    _same_shape(mat_tau, mat_inv)
+    size = len(mat_inv.order)
+    if (len(A_src), len(A_tgt)) != (size, size):
+        raise ValueError(f"the norm lists need {size} entries each, got {len(A_src)} and {len(A_tgt)}")
+    columns, L = _columns(mat_tau)
+    M = lcm(*(b.numerator for b in A_tgt))
+    W = [b.denominator * (M // b.numerator) for b in A_tgt]
+    rhs = _scaled_rows([(column, L) for column in columns], A_src, W, M)
+    return _first_row_difference(mat_inv.order, mat_inv.int_rows, rhs)
 
 
 def verify_convolution(mat_12, mat_2_at_t1k, mat_1_at_k):

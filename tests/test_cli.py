@@ -87,9 +87,9 @@ def test_orthogonality_suite_builds_each_matrix_once(monkeypatch, capsys, kappa)
     engine = cli.connection_matrix
     calls = Counter()
 
-    def counted(tau, kap, n):
+    def counted(tau, kap, n, **kwargs):
         calls[tau.img, tuple(kap)] += 1
-        return engine(tau, kap, n)
+        return engine(tau, kap, n, **kwargs)
 
     monkeypatch.setattr(cli, "connection_matrix", counted)
     argv = ["verify", "--suite", "orthogonality", "--d", "3", "--n", "1", "--count", "30", "--seed", "4"]
@@ -98,13 +98,37 @@ def test_orthogonality_suite_builds_each_matrix_once(monkeypatch, capsys, kappa)
     assert len(calls) >= 24 and set(calls.values()) == {1}, calls.most_common(3)
 
 
+def test_orthogonality_suite_evaluates_each_local_rule_entry_once(monkeypatch, capsys):
+    # one dict of local-rule entries serves every matrix of the run: each argument
+    # tuple (letter, parameters, D, local degree, k, m, tail) of the Jacobi rule
+    # reaches cc_2d_entry once, where a dict per matrix repeats most of them
+    block, entry = cf._jacobi_block, cf.cc_2d_entry
+    blocks, entries = Counter(), []
+
+    def counted_block(j, P, D, *rest):
+        blocks[j, tuple(P), D, *rest] += 1
+        return block(j, P, D, *rest)
+
+    def counted_entry(*args):
+        entries.append(args)
+        return entry(*args)
+
+    monkeypatch.setattr(cf, "_jacobi_block", counted_block)
+    monkeypatch.setattr(cf, "cc_2d_entry", counted_entry)
+    argv = ["verify", "--suite", "orthogonality", "--d", "3", "--n", "2", "--count", "20", "--seed", "3"]
+    assert cli.main(argv) == 0
+    assert json.loads(capsys.readouterr().out)["failures"] == []
+    assert len(blocks) > 100 and set(blocks.values()) == {1}, blocks.most_common(3)
+    assert len(entries) == len(blocks)
+
+
 def test_closed_vs_gram_failure_names_tau_the_entry_and_both_values(monkeypatch, capsys):
     # one changed entry of C^(12)(kappa) must show in the report, with both values
     engine = cli.connection_matrix
     kappa = (R(1, 2), R(1, 3), R(2))
 
-    def one_bad_entry(tau, kap, n):
-        mat = engine(tau, kap, n)
+    def one_bad_entry(tau, kap, n, **kwargs):
+        mat = engine(tau, kap, n, **kwargs)
         if repr(tau) != "(12)" or kap != kappa:
             return mat
         rows = [list(row) for row in mat.rows]

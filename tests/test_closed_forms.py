@@ -469,6 +469,44 @@ def test_krawtchouk_engine_equals_the_rational_loop():
         assert_same_products(all_perms(m), ext, range(4), KRAWTCHOUK)
 
 
+def test_a_shared_entry_dict_gives_the_matrices_of_fresh_ones(monkeypatch):
+    # all of S_4 at n <= 3 and a seeded S_5 sample at n <= 2, in shuffled order through one
+    # dict: at kappa, at several t.kappa and at a second kappa over another lcm D; each
+    # matrix equals the one built with no dict, and a second pass evaluates no entry
+    rng = random.Random(30)
+    requests = []
+    for m, taus, degrees, second in ((4, all_perms(4), range(4), (R(2, 3), R(-1, 2), R(5), R(1, 9))),
+                                     (5, rng.sample(all_perms(5), 24), range(3), COPRIME)):
+        kappa = tuple(R(rng.randint(-2, 9), rng.randint(3, 7)) for _ in range(m))
+        moved = [t.act_params(kappa) for t in rng.sample(all_perms(m), 3)]
+        assert over_lcm(second)[1] != over_lcm(kappa)[1]
+        requests += [(tau, params, n) for tau in taus for params in [kappa, *moved, second] for n in degrees]
+    rng.shuffle(requests)
+    entries = {}
+    for tau, params, n in requests:
+        assert cf.connection_matrix(tau, params, n, entries=entries) == cf.connection_matrix(tau, params, n)
+    calls = []
+    entry = cf.cc_2d_entry
+    monkeypatch.setattr(cf, "cc_2d_entry", lambda *args: calls.append(args) or entry(*args))
+    for tau, params, n in requests:
+        cf.connection_matrix(tau, params, n, entries=entries)
+    assert entries and calls == []
+
+
+def test_one_entry_dict_keeps_the_jacobi_and_krawtchouk_rules_apart():
+    # the same integers P over the same D feed both rules; the key holds the rule, so a
+    # dict shared by both families gives each family's own matrices
+    params = (R(1, 4), R(2, 5), R(7, 20))
+    P, D = over_lcm(params)
+    entries = {}
+    for tau in all_perms(3):
+        for n in range(4):
+            for block, ratio in ((cf._jacobi_block, cf._jacobi_ratio), (ds._kraw_block, ds._kraw_ratio)):
+                shared = cf.word_product(tau, P, D, n, block, ratio, entries)
+                assert shared == cf.word_product(tau, P, D, n, block, ratio), (tau, n, block)
+    assert {key[0] for key in entries} == {cf._jacobi_block, ds._kraw_block}
+
+
 def test_engine_puts_the_params_over_one_lcm_per_word(monkeypatch):
     # the word's D serves every step: one over_lcm per connection matrix, made by the
     # family (scaled_kappa, or kraw_connection on the extended rho), none by the engine or a local rule

@@ -89,7 +89,15 @@ def test_inverse_identity_all_s3():
         inv = tau.inverse()
         mat_at_invk = gram_connection(tau, inv.act_params(KAPPA), 3)
         inv_mat = gram_connection(inv, KAPPA, 3)
-        assert verify_inverse_identity(mat_at_invk, inv_mat, *norms(inv_mat.order, inv, KAPPA)) is None
+        A_src, A_tgt = norms(inv_mat.order, inv, KAPPA)
+        assert verify_inverse_identity(mat_at_invk, inv_mat, A_src, A_tgt) is None
+        # one entry of C^tau(tau^-1.kappa) changed: the first failing (nu, mu) and both sides, as the rational oracle
+        rows = [list(row) for row in mat_at_invk.rows]
+        rows[1][3] += R(1, 3)
+        bad = ConnMatrix(mat_at_invk.d, mat_at_invk.n, rows, mat_at_invk.order)
+        got = verify_inverse_identity(bad, inv_mat, A_src, A_tgt)
+        assert got is not None and got == rational_inverse(bad, inv_mat, A_src, A_tgt)
+        assert got[:2] == (inv_mat.order[3], inv_mat.order[1])
 
 
 def test_convolution_all_pairs_s3():
