@@ -186,8 +186,8 @@ def _suite_structural(args, rng):
     list is every target, and tau^-1's list is the inverse identity's source.
     Each C^{t2}(t1.kappa) is built once, held by its value (t2, t1.kappa).
     Every matrix is a product of adjacent factors at permutations of kappa,
-    so one dict of local-rule entries, made here and dropped with the run,
-    is passed to every connection_matrix call and each entry is evaluated
+    so one dict of local-rule blocks, made here and dropped with the run,
+    is passed to every connection_matrix call and each block is evaluated
     once.
     """
     kappa = parse_kappa(args.kappa) if args.kappa else _random_kappa(rng, args.d)

@@ -6,20 +6,24 @@ transpositions s_j = (j, j+1) (a reduced word), and the composition rule
 C^{t1 t2}(kappa) = C^{t2}(t1.kappa) C^{t1}(kappa) turns the word into a
 product of block-sparse factors, each applied to the rows of the running
 product.  For the Jacobi family the factor for s_d is the signed identity and
-the factor for s_j, j < d, is cc_2d_entry, the d=2 (12) 4F3 entry, with
-shifted parameters, so the closed method is exact and total for every d,
-d=2 included: there is no table of named d=2 permutations.  The Krawtchouk
-family (discrete.kraw_connection) supplies its own local rules.  Both the
-local rule and the row updates run in Python integers: the family puts the
+the factor for s_j, j < d, is made of cc_2d_entry blocks, the d=2 (12)
+matrix of 4F3 entries, at the shifted parameters kappa-hat of slots j, j+1,
+so the closed method is exact and total for every d, d=2 included: there is
+no table of named d=2 permutations.  The Krawtchouk family
+(discrete.kraw_connection) supplies its own local rules.  Both the local
+rule and the row updates run in Python integers: the family puts the
 parameters over the lcm D of their denominators once per word, each step
-swaps those integers, cc_2d_entry takes kappa-hat as three integers over D,
-sums its 4F3 with exact_arith's integer kernel and returns (num, den), and
+swaps those integers, cc_2d_entry takes kappa-hat as three integers over D
+and returns its whole block of (num, den) at once, each prefactor built once
+per row or column and each 4F3 summed by exact_arith's integer kernel, and
 each row of the running product is integer numerators over one denominator,
 handed to the ConnMatrix as its int_rows, so the engine makes no rational
-and keeps no matrix: connection_matrix returns a new value per call.  A
-caller that builds many matrices at permutations of one kappa passes them
-one dict of local-rule values (entries) that it holds, so each value is
-evaluated once.
+and keeps no matrix: connection_matrix returns a new value per call.  The
+engine reads one block per group of rows of one local degree and tail, and
+a caller that builds many matrices at permutations of one kappa passes them
+one dict of blocks (entries) that it holds, keyed by the local parameters,
+so each block is evaluated once.  cc_2d_entry keeps the name of the
+one-entry rule it grew from, under which perfbench's tracer counts it.
 
 The paper's named formulas stay as identities checked against the Gram
 oracle: the summation identity and the normalized coefficients, all read
@@ -35,7 +39,7 @@ import itertools
 from math import comb, gcd, lcm
 
 from .backend import R, ZERO, ONE
-from .exact_arith import QSqrt, fold_terminating, hyp_terminating, pochhammer, rising
+from .exact_arith import QSqrt, fold_at, hyp_terminating, least_top, pochhammer, rising
 from .racah import conj_core, dual_core, multi_core, norm_core, racah_weight_1d, second_norm_core, weight_core
 from .simplex import Permutation, a_core, check_degree, enumerate_basis, scaled_kappa
 from .connection import ConnMatrix
@@ -50,35 +54,57 @@ def _sign(k):
 # ---------------------------------------------------------------------------
 
 
-def cc_2d_entry(j, m, K, D, n):
-    """Entry c_{j,m} of the degree-n connection matrix for tau = (12) at d=2, kappa = K / D.
+def cc_2d_entry(K, D, n):
+    """The degree-n connection matrix for tau = (12) at d=2, kappa = K / D, as one block.
 
-    Rows are nu = (n-j, j), columns mu = (n-m, m).  This is the one local rule
-    of the Jacobi engine: every other C^tau, for every d, is a product of such
-    blocks at shifted parameters and signed diagonals.
+    Row j is nu = (n-j, j) and column m is mu = (n-m, m).  This is the one
+    local rule of the Jacobi engine: every other C^tau, for every d, is a
+    product of such blocks at shifted parameters and signed diagonals.  It
+    keeps the name of the one-entry rule it grew from, under which
+    perfbench's tracer counts it, so that count is one per block.
 
-    The value is (-1)^{n+m} (-n)_j (k2+1)_{n-j} (k3+1)_j (n+|k|+2)_m /
-    (j! (k2+1)_m (k2+k3+2m+2)_{n-m} (k2+k3+m+1)_m) times
+    Entry (j, m) is (-1)^{n+m+j} C(n, j) (k2+1)_{n-j} (k3+1)_j (n+|k|+2)_m /
+    ((k2+1)_m (k2+k3+2m+2)_{n-m} (k2+k3+m+1)_m) times
     4F3(-m, m+k2+k3+1, -j, j+k1+k3+1; -n, k3+1, n+|k|+2; 1), computed in
     integers: kappa is three integers K over any common denominator D > 0,
     (k + c)_r = prod_i (K + (c+i) D) / D^r, so the D^{n+m} of the prefactor
-    cancel, and the 4F3 is exact_arith's fold_terminating over step D.  It is
-    returned as integers (num, den), den != 0, not reduced: no rational is
-    made.
+    cancel.  The prefactor's column part is built once per column and its
+    row part once per row, and each 4F3 is one exact_arith.fold_at over step
+    D at its least top, the lesser of its column's (-m, m+k2+k3+1) and its
+    row's (-j, j+k1+k3+1), each found once.  Entries are integers (num, den),
+    den != 0, each divided by its gcd, so the engine keeps and combines small
+    integers; no rational is made.  Outside the domain kappa > -1 the block
+    raises what its first raising entry, in row-major order, raises:
+    ZeroDivisionError for a 0 prefactor denominator, BottomPole for a
+    vanishing 4F3 bottom.
     """
     K1, K2, K3 = K
-    tot = K1 + K2 + K3
-    # D times m+k2+k3+1, j+k1+k3+1 (tops) and k3+1, n+|k|+2 (bottoms)
-    a, b = K2 + K3 + (m + 1) * D, K1 + K3 + (j + 1) * D
-    c, e = K3 + D, tot + (n + 2) * D
-    num = comb(n, j) * rising(K2 + D, n - j, D) * rising(c, j, D) * rising(e, m, D)
-    den = rising(K2 + D, m, D) * rising(a + (m + 1) * D, n - m, D) * rising(a, m, D)
-    if den == 0:
-        raise ZeroDivisionError(f"the (12) prefactor divides by 0 at m={m}, n={n}")
-    if (n + m + j) % 2:
-        num = -num
-    total, bottom = fold_terminating([-m * D, -j * D, a, b], [-n * D, c, e], D)
-    return num * total, den * bottom
+    # D times the bottoms -n, k3+1 and n+|k|+2, shared by every entry
+    c, e = K3 + D, K1 + K2 + K3 + (n + 2) * D
+    bottoms = [-n * D, c, e]
+    columns = []
+    for m in range(n + 1):
+        a = K2 + K3 + (m + 1) * D  # D times the top m+k2+k3+1
+        num = rising(e, m, D)
+        den = rising(K2 + D, m, D) * rising(a + (m + 1) * D, n - m, D) * rising(a, m, D)
+        columns.append((-m * D, a, least_top([-m * D, a], D), -num if m % 2 else num, den))
+    block = []
+    for j in range(n + 1):
+        b = K1 + K3 + (j + 1) * D  # D times the top j+k1+k3+1
+        row_num = comb(n, j) * rising(K2 + D, n - j, D) * rising(c, j, D)
+        if (n + j) % 2:
+            row_num = -row_num
+        row_order = least_top([-j * D, b], D)
+        row = []
+        for m, (m_top, a, order, num, den) in enumerate(columns):
+            if den == 0:
+                raise ZeroDivisionError(f"the (12) prefactor divides by 0 at m={m}, n={n}")
+            total, bottom = fold_at([m_top, -j * D, a, b], bottoms, min(order, row_order), D)
+            entry_num, entry_den = row_num * num * total, den * bottom
+            g = gcd(entry_num, entry_den)
+            row.append((entry_num // g, entry_den // g))
+        block.append(row)
+    return block
 
 
 def verify_sum_identity(k, ell, kappa, n):
@@ -131,7 +157,7 @@ def verify_sum_identity(k, ell, kappa, n):
 # ---------------------------------------------------------------------------
 
 
-def word_product(tau, P, D, n, block, ratio, entries=None):
+def word_product(tau, P, D, n, local, block, ratio, entries=None):
     """Degree-n connection matrix of tau as a product of adjacent factors, at params = P / D.
 
     With tau = s_{a_1} ... s_{a_k} (a reduced word), the composition rule
@@ -141,10 +167,13 @@ def word_product(tau, P, D, n, block, ratio, entries=None):
     the running product; it is never built.  The family supplies its local
     rules, read at the current params:
 
-    - block(j, P, D, m_loc, k, m, tail), j < d: the entry of C^{s_j} in row
-      nu and column mu as integers (num, den), den != 0, where mu agrees with
-      nu outside slots j, j+1, m_loc = nu_j + nu_{j+1}, k = nu_{j+1},
-      m = mu_{j+1} and tail = |nu^{j+2}|;
+    - local(P, D, j, tail), j < d: the local parameters of C^{s_j} at the
+      rows nu with tail = |nu^{j+2}|, a tuple of integers over D;
+    - block(L, D, m_loc): at those local parameters L and the local degree
+      m_loc = nu_j + nu_{j+1}, the d=2 (12) block, whose row k = nu_{j+1}
+      holds in column m the entry of C^{s_j} in row nu and column mu, as
+      integers (num, den), den != 0, where mu agrees with nu outside slots
+      j, j+1 and m = mu_{j+1};
     - ratio(P, D): C^{s_d} is diag((p/q)^{nu_d}) for the integers (p, q).
 
     The caller puts the params over their lcm D once: D does not change when
@@ -153,15 +182,16 @@ def word_product(tau, P, D, n, block, ratio, entries=None):
     the rows it reads over the lcm of (entry denominator x row denominator)
     and divides out one gcd, and s_d multiplies row nu by p^{nu_d} and its
     denominator by q^{nu_d}.  The rows are the ConnMatrix's int_rows as
-    they stand: no rational is made.
+    they stand: no rational is made.  The rows of s_j fall into groups of one
+    (m_loc, tail), each of which reads one block; which rows mu each row nu
+    reads depends only on (d, n, j), so it is found once per letter.
 
-    entries holds the local-rule values: entries[(block, j, P, D)] maps
-    (m_loc, k, m, tail) to block(j, P, D, m_loc, k, m, tail), for the
-    current, swapped P.  A caller that builds several matrices at
+    entries holds the blocks: entries[(block, L, D, m_loc)] is
+    block(L, D, m_loc).  A caller that builds several matrices at
     permutations of the same params passes one dict to every call, so each
-    entry is evaluated once; the caller owns it and drops it when done.  The
-    key holds the rule, so one dict may serve several families.  With None
-    the call makes its own.
+    block is evaluated once, whichever letter and params it comes from; the
+    caller owns it and drops it when done.  The key holds the rule, so one
+    dict may serve several families.  With None the call makes its own.
     """
     if entries is None:
         entries = {}
@@ -171,6 +201,7 @@ def word_product(tau, P, D, n, block, ratio, entries=None):
     d = tau.m - 1
     order = enumerate_basis(d, n)
     index = {nu: i for i, nu in enumerate(order)}
+    reads = {}
     # (numerators {column: int}, row denominator) of the running product, starting at the identity
     rows = [({i: 1}, 1) for i in range(len(order))]
     for a in tau.reduced_word():
@@ -185,46 +216,51 @@ def word_product(tau, P, D, n, block, ratio, entries=None):
                 new_rows.append(({c: v * pe for c, v in row.items()}, den * qe))
             rows = new_rows
         else:
-            memo = entries.setdefault((block, a, P, D), {})
-            new_rows = []
-            for nu in order:
-                m_loc, k, tail = nu[a - 1] + nu[a], nu[a], sum(nu[a + 1:])
-                parts = []
-                for m in range(m_loc + 1):
-                    key = (m_loc, k, m, tail)
-                    c = memo.get(key)
-                    if c is None:
-                        c = memo[key] = block(a, P, D, *key)
-                    if c[0] == 0:
-                        continue
-                    mu = nu[: a - 1] + (m_loc - m, m) + nu[a + 1:]
-                    row, den = rows[index[mu]]
-                    parts.append((c[0], c[1] * den, row))
-                common = lcm(*(part_den for _, part_den, _ in parts))
-                acc = {}
-                for num, part_den, row in parts:
-                    f = num * (common // part_den)
-                    for col, v in row.items():
-                        acc[col] = acc.get(col, 0) + f * v
-                g = gcd(common, *acc.values())
-                if g > 1:
-                    acc = {col: v // g for col, v in acc.items()}
-                    common //= g
-                new_rows.append((acc, common))
+            if a not in reads:
+                reads[a] = _letter_reads(order, index, a)
+            new_rows = [None] * len(rows)
+            for (m_loc, tail), group in reads[a].items():
+                params = local(P, D, a, tail)
+                key = (block, params, D, m_loc)
+                entry_rows = entries.get(key)
+                if entry_rows is None:
+                    entry_rows = entries[key] = block(params, D, m_loc)
+                for i, k, sources in group:
+                    parts = []
+                    for (num, den), s in zip(entry_rows[k], sources):
+                        if num:
+                            row, row_den = rows[s]
+                            parts.append((num, den * row_den, row))
+                    common = lcm(*(part_den for _, part_den, _ in parts))
+                    acc = {}
+                    for num, part_den, row in parts:
+                        f = num * (common // part_den)
+                        for col, v in row.items():
+                            acc[col] = acc.get(col, 0) + f * v
+                    g = gcd(common, *acc.values())
+                    if g > 1:
+                        acc = {col: v // g for col, v in acc.items()}
+                        common //= g
+                    new_rows[i] = (acc, common)
             rows = new_rows
         P = (*P[: a - 1], P[a], P[a - 1], *P[a + 1:])
     size = len(order)
     return ConnMatrix.from_int_rows(d, n, [([row.get(i, 0) for i in range(size)], den) for row, den in rows], order)
 
 
+def _letter_reads(order, index, j):
+    """The rows of order for s_j, grouped by (m_loc, tail): per row, (its index, nu_{j+1}, the indices of its mu)."""
+    groups = {}
+    for i, nu in enumerate(order):
+        m_loc = nu[j - 1] + nu[j]
+        sources = [index[nu[: j - 1] + (m_loc - m, m) + nu[j + 1:]] for m in range(m_loc + 1)]
+        groups.setdefault((m_loc, sum(nu[j + 1:])), []).append((i, nu[j], sources))
+    return groups
+
+
 def _local_kappa(K, D, j, tail):
     """kappa-hat of s_j, j < d, over D for kappa = K / D: the d=2 parameters of slots j, j+1 when |nu^{j+2}| = tail."""
     return K[j - 1], K[j], a_core(K, D, j + 1, tail)
-
-
-def _jacobi_block(j, K, D, m_loc, k, m, tail):
-    """The d=2 (12) entry, as cc_2d_entry's (num, den), at local degree m_loc and the kappa-hat of slots j, j+1."""
-    return cc_2d_entry(k, m, _local_kappa(K, D, j, tail), D, m_loc)
 
 
 def _jacobi_ratio(K, D):
@@ -355,16 +391,17 @@ def connection_matrix(tau, kappa, n, method="closed", entries=None):
     """Degree-n connection matrix C^tau(kappa), exact, for tau in S_{d+1}.
 
     It multiplies adjacent-transposition factors along a reduced word of tau
-    (any d), with kappa over its lcm once, and keeps no module cache.
-    entries is word_product's dict of cc_2d_entry values, keyed there by
-    the rule, the letter and the swapped parameters over D; the caller owns
-    it and passes it to every call whose kappa are permutations of one
-    another.  None makes one for this call.  "closed" is the one method.
-    Raises ValueError unless kappa has at least 2 entries, each > -1, and
-    n >= 0.
+    (any d), with kappa over its lcm once, and keeps no module cache.  Each
+    factor s_j reads cc_2d_entry's blocks at the kappa-hat of slots j, j+1
+    (_local_kappa).  entries is word_product's dict of those blocks, keyed
+    there by the rule, the kappa-hat over D, D and the local degree; the
+    caller owns it and passes it to every call whose kappa are permutations
+    of one another.  None makes one for this call.  "closed" is the one
+    method.  Raises ValueError unless kappa has at least 2 entries, each >
+    -1, and n >= 0.
     """
     K, D = scaled_kappa(kappa)
     check_degree(n)
     if method != "closed":
         raise ValueError(f"method must be 'closed', not {method!r}")
-    return word_product(tau, K, D, n, _jacobi_block, _jacobi_ratio, entries)
+    return word_product(tau, K, D, n, _local_kappa, cc_2d_entry, _jacobi_ratio, entries)

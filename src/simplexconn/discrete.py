@@ -6,17 +6,18 @@ is an exact rational even when intermediate bottom parameters would vanish.
 Both connection matrices come from the Coxeter-word engine: the Hahn matrix
 is the simplex one rescaled by p_factor through ConnMatrix.scaled, and the
 Krawtchouk matrix, a limit of the simplex one, runs the engine with its own
-local rules on the extended rho = (rho, 1 - |rho|), read from the integers
-of the word's one lcm.  S_{d+1} permutes the extended rho like kappa; every
-Krawtchouk formula reads it (_extended), and its domain is "every entry
-> 0".  The lattice sums are only test oracles.  The normalized cycle
-coefficient has one Krawtchouk form; form 2 is its kraw_dual.
+local rules, a block of 2F1 coefficients per local degree, on the extended
+rho = (rho, 1 - |rho|), read from the integers of the word's one lcm.
+S_{d+1} permutes the extended rho like kappa; every Krawtchouk formula
+reads it (_extended), and its domain is "every entry > 0".  The lattice
+sums are only test oracles.  The normalized cycle coefficient has one
+Krawtchouk form; form 2 is its kraw_dual.
 """
 
 from math import comb
 
 from .backend import R, ZERO, ONE
-from .exact_arith import QSqrt, fold_terminating, hyp_with_prefactor, over_lcm, pochhammer
+from .exact_arith import QSqrt, folded_series, hyp_with_prefactor, over_lcm, pochhammer
 from .multipoly import homogenize
 from .simplex import a_coeffs, check_degree, enumerate_basis, jacobi_simplex_basis, norm_A
 from .closed_forms import connection_matrix, word_product
@@ -210,25 +211,42 @@ def tau_rho(tau, rho):
     return tau.act_params(_extended(rho, tau.m - 1))[:-1]
 
 
-def _kraw_block(j, P, D, n, k, m, tail):
-    """Entry [(n-k, k)][(n-m, m)] of the d=2 (12) Krawtchouk matrix for slots j, j+1.
+def _kraw_local(P, D, j, tail):
+    """The local parameters of s_j at the extended rho = P / D: (P_j, P_{j+1}, |P^{j+2}|), whatever the tail."""
+    return P[j - 1], P[j], sum(P[j + 1:])
+
+
+def _kraw_block(L, D, n):
+    """The degree-n d=2 (12) Krawtchouk matrix of s_j as one block, at L = _kraw_local(P, D, j, tail).
 
     P / D is the extended (rho_1, ..., rho_{d+1}); the local parameters are
-    (r1, r2, r3) = (rho_j, rho_{j+1}, |rho^{j+2}|) / |rho^j|, and the entry does
-    not depend on nu outside slots j, j+1 (tail is unused).  It is
+    (r1, r2, r3) = (rho_j, rho_{j+1}, |rho^{j+2}|) / |rho^j|, and the block
+    does not depend on nu outside slots j, j+1.  Row k is nu = (n-k, k) and
+    column m is mu = (n-m, m); the entry is
     (-1)^{n+m+k} C(n, m) r1^{n-m-k} r3^k / (r2 + r3)^n 2F1(-m, -k; -n; z),
-    z = (r1 + r3)(r2 + r3) / r3.  With (A, B, C) = (P_j, P_{j+1}, |P^{j+2}|),
-    the local rho over D, and T = A + B + C, the powers are
-    A^{n-m-k} C^k T^m / (B + C)^n and z = (A + C)(B + C) / (T C), in which D
-    cancels; exact_arith's fold_terminating sums the 2F1.  Like cc_2d_entry it
-    returns integers (num, den), den != 0.
+    z = (r1 + r3)(r2 + r3) / r3.  With (A, B, C) = L, the local rho over D,
+    and T = A + B + C, the powers are A^{n-m-k} C^k T^m / (B + C)^n and
+    z = (A + C)(B + C) / (T C), in which D cancels.  C(n, m), the powers and
+    z are built once per block, and each 2F1 is one exact_arith.folded_series
+    at its least top min(k, m), whose bottom (-n)_{min(k, m)} is never 0.
+    Like cc_2d_entry it returns rows of integer pairs (num, den), den != 0.
     """
-    A, B, C = P[j - 1], P[j], sum(P[j + 1:])
+    A, B, C = L
     T = A + B + C
-    total, bottom = fold_terminating([-m, -k], [-n], 1, (A + C) * (B + C), T * C)
-    num = comb(n, m) * A ** max(n - m - k, 0) * C**k * T**m * total
-    den = A ** max(m + k - n, 0) * (B + C) ** n * bottom
-    return (-num if (n + m + k) % 2 else num), den
+    zp, zq = (A + C) * (B + C), T * C
+    binoms = [comb(n, m) for m in range(n + 1)]
+    a_pows, c_pows, t_pows = ([x**i for i in range(n + 1)] for x in (A, C, T))
+    den_n = (B + C) ** n
+    block = []
+    for k in range(n + 1):
+        row = []
+        for m in range(n + 1):
+            total, bottom = folded_series([-max(k, m)], [-n], min(k, m), 1, zp, zq)
+            num = binoms[m] * a_pows[max(n - m - k, 0)] * c_pows[k] * t_pows[m] * total
+            den = a_pows[max(m + k - n, 0)] * den_n * bottom
+            row.append((-num if (n + m + k) % 2 else num, den))
+        block.append(row)
+    return block
 
 
 def _kraw_ratio(P, D):
@@ -255,7 +273,7 @@ def kraw_connection(tau, rho, N, n):
     ext = _check_rho(rho)
     check_degree(n)
     _check_lattice("Krawtchouk degree n", n, N)
-    return word_product(tau, *over_lcm(ext), n, _kraw_block, _kraw_ratio)
+    return word_product(tau, *over_lcm(ext), n, _kraw_local, _kraw_block, _kraw_ratio)
 
 
 def kraw_cc_cyclic_hat(nu, mu, rho, n, form=1):

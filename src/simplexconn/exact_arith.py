@@ -7,8 +7,9 @@ floating point is ever used.  Every terminating series, here, in the local
 rules of closed_forms and discrete and in the Racah product formula, is
 summed in Python integers by one kernel, folded_series, with its parameters
 over one denominator (over_lcm), and fold_terminating folds it at its least
-top -m; rising is the integer Pochhammer product, and pochhammer its
-rational view.
+top -m: least_top finds m and fold_at folds there, and a caller that knows
+its least top calls fold_at itself; rising is the integer Pochhammer
+product, and pochhammer its rational view.
 """
 
 import math
@@ -71,21 +72,37 @@ def folded_series(tops, bottoms, m, step=1, zp=1, zq=1):
     return total, tails[0]
 
 
-def fold_terminating(tops, bottoms, step=1, zp=1, zq=1):
-    """folded_series at the least m with a top -m step, which leaves tops, a fresh list.
+def least_top(tops, step=1):
+    """The least m with -m step among tops, the order at which the series terminates.
 
-    ValueError if no top is a nonpositive multiple of step, BottomPole,
-    naming the bottom that vanishes, if prod_b (b)_m = 0.
+    ValueError if no top is a nonpositive multiple of step.
     """
-    m = min((-a // step for a in tops if a <= 0 and a % step == 0), default=None)
+    m = None
+    for a in tops:
+        if a <= 0 and a % step == 0 and (m is None or -a < m * step):
+            m = -a // step
     if m is None:
         raise ValueError("series does not terminate: no nonpositive-integer top parameter")
+    return m
+
+
+def fold_at(tops, bottoms, m, step=1, zp=1, zq=1):
+    """folded_series at order m, with one top -m step taken out of tops, a fresh list.
+
+    BottomPole, naming the bottom that vanishes, if prod_b (b)_m = 0.  A
+    caller that knows the least top of its tops (least_top) passes it as m.
+    """
     tops.remove(-m * step)
     total, bottom = folded_series(tops, bottoms, m, step, zp, zq)
     if bottom == 0:
         b = max(b // step for b in bottoms if b % step == 0 and -m * step < b <= 0)
         raise BottomPole(f"bottom parameter {b} poles at k={1 - b}")
     return total, bottom
+
+
+def fold_terminating(tops, bottoms, step=1, zp=1, zq=1):
+    """fold_at the least top of tops: ValueError if there is none, BottomPole if prod_b (b)_m = 0."""
+    return fold_at(tops, bottoms, least_top(tops, step), step, zp, zq)
 
 
 def _over_step(top, bottom, z, excess):

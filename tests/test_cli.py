@@ -99,27 +99,24 @@ def test_orthogonality_suite_builds_each_matrix_once(monkeypatch, capsys, kappa)
 
 
 def test_orthogonality_suite_evaluates_each_local_rule_entry_once(monkeypatch, capsys):
-    # one dict of local-rule entries serves every matrix of the run: each argument
-    # tuple (letter, parameters, D, local degree, k, m, tail) of the Jacobi rule
-    # reaches cc_2d_entry once, where a dict per matrix repeats most of them
-    block, entry = cf._jacobi_block, cf.cc_2d_entry
-    blocks, entries = Counter(), []
+    # one dict of local-rule blocks serves every matrix of the run, keyed by what the
+    # Jacobi rule reads, its kappa-hat over D and the local degree: each key reaches
+    # cc_2d_entry once, whichever letter and parameters it comes from (keyed by the
+    # letter and the whole parameters, the same runs read 114 and 777 blocks)
+    entry = cf.cc_2d_entry
+    calls = Counter()
 
-    def counted_block(j, P, D, *rest):
-        blocks[j, tuple(P), D, *rest] += 1
-        return block(j, P, D, *rest)
+    def counted(K, D, m_loc):
+        calls[tuple(K), D, m_loc] += 1
+        return entry(K, D, m_loc)
 
-    def counted_entry(*args):
-        entries.append(args)
-        return entry(*args)
-
-    monkeypatch.setattr(cf, "_jacobi_block", counted_block)
-    monkeypatch.setattr(cf, "cc_2d_entry", counted_entry)
-    argv = ["verify", "--suite", "orthogonality", "--d", "3", "--n", "2", "--count", "20", "--seed", "3"]
-    assert cli.main(argv) == 0
-    assert json.loads(capsys.readouterr().out)["failures"] == []
-    assert len(blocks) > 100 and set(blocks.values()) == {1}, blocks.most_common(3)
-    assert len(entries) == len(blocks)
+    monkeypatch.setattr(cf, "cc_2d_entry", counted)
+    for d, blocks in ((3, 93), (4, 414)):
+        calls.clear()
+        argv = ["verify", "--suite", "orthogonality", "--d", str(d), "--n", "2", "--count", "20", "--seed", "3"]
+        assert cli.main(argv) == 0
+        assert json.loads(capsys.readouterr().out)["failures"] == []
+        assert len(calls) == blocks and set(calls.values()) == {1}, (d, calls.most_common(3))
 
 
 def test_closed_vs_gram_failure_names_tau_the_entry_and_both_values(monkeypatch, capsys):

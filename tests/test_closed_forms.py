@@ -220,17 +220,19 @@ def test_engine_checks_the_parameter_count():
 
 
 def test_2d_engine_builds_one_block_of_entries_at_most(monkeypatch):
-    # s_2 = s_d is a signed diagonal, so only a word holding s_1 evaluates entries,
-    # and the reduced word holds it at most once: (13) is s_2 s_1 s_2; each
-    # entry reaches the engine as integers (num, den)
+    # s_2 = s_d is a signed diagonal, so only a word holding s_1 evaluates a block,
+    # and the reduced word holds it at most once: (13) is s_2 s_1 s_2; the block
+    # reaches the engine as (n+1) rows of (n+1) integer pairs (num, den)
     calls = []
     entry = cf.cc_2d_entry
 
-    def counted(*args):
-        calls.append(args)
-        num, den = pair = entry(*args)
-        assert type(num) is int and type(den) is int and den != 0, pair
-        return pair
+    def counted(K, D, m_loc):
+        calls.append((K, D, m_loc))
+        block = entry(K, D, m_loc)
+        assert len(block) == m_loc + 1 and {len(row) for row in block} == {m_loc + 1}
+        for num, den in itertools.chain.from_iterable(block):
+            assert type(num) is int and type(den) is int and den != 0, (num, den)
+        return block
 
     monkeypatch.setattr(cf, "cc_2d_entry", counted)
     n = 4
@@ -239,7 +241,8 @@ def test_2d_engine_builds_one_block_of_entries_at_most(monkeypatch):
         cf.connection_matrix(tau, KAPPA2, n)
         free = repr(tau) in ("e", "(23)")
         assert free == (1 not in tau.reduced_word())
-        assert len(calls) == (0 if free else (n + 1) ** 2), tau
+        assert len(calls) == (0 if free else 1), tau
+        assert all(m_loc == n for _, _, m_loc in calls), calls
 
 
 def test_connection_matrix_rejects_a_negative_degree():
@@ -318,9 +321,23 @@ def rational_2d_entry(j, m, kappa, n):
     )
 
 
-def entry_value(j, m, kappa, n):
-    """cc_2d_entry's integers (num, den), at kappa over the lcm of its denominators, as one rational."""
-    return R(*cf.cc_2d_entry(j, m, *over_lcm(kappa), n))
+def block_value(kappa, n):
+    """cc_2d_entry's block of integers (num, den), at kappa over the lcm of its denominators, as rationals."""
+    return [[R(*entry) for entry in row] for row in cf.cc_2d_entry(*over_lcm(kappa), n)]
+
+
+def rational_block_or_error(kappa, n):
+    """rational_2d_entry at every (j, m) in row-major order, or the type of the first error it raises."""
+    block = []
+    for j in range(n + 1):
+        row = []
+        for m in range(n + 1):
+            value = value_or_error(rational_2d_entry, j, m, kappa, n)
+            if isinstance(value, type):
+                return value
+            row.append(value)
+        block.append(row)
+    return block
 
 
 def seeded_kappas(rng):
@@ -342,28 +359,24 @@ def seeded_kappas(rng):
 
 
 def test_2d_entry_equals_the_rational_rule():
-    # every (j, m) at the four fixed kappa-hats, four seeded (j, m) per degree at the others
+    # every entry of the block, at every kappa-hat for n <= 8 and at the four fixed ones for n = 12
     rng = random.Random(12)
     for i, kappa in enumerate(seeded_kappas(rng)):
-        for n in range(9):
-            pairs = itertools.product(range(n + 1), repeat=2)
-            if i >= 4:
-                pairs = [(rng.randint(0, n), rng.randint(0, n)) for _ in range(4)]
-            for j, m in pairs:
-                assert entry_value(j, m, kappa, n) == rational_2d_entry(j, m, kappa, n), (j, m, kappa, n)
+        for n in (*range(9), 12) if i < 4 else range(9):
+            assert block_value(kappa, n) == rational_block_or_error(kappa, n), (kappa, n)
 
 
 def test_2d_entry_poles_outside_the_domain_raise_like_the_rational_rule():
     # integer and half-integer kappa <= -1 put zeros in the prefactor's
-    # denominator, the 4F3's bottom parameters, or cut the 4F3 short
+    # denominator, the 4F3's bottom parameters, or cut the 4F3 short; the block
+    # equals the rational rule or raises what its first raising entry raises
     rng = random.Random(13)
     raised = set()
-    for _ in range(3000):
+    for _ in range(600):
         n = rng.randint(0, 8)
-        j, m = rng.randint(0, n), rng.randint(0, n)
         kappa = tuple(R(rng.randint(-7, 3), rng.choice((1, 2))) for _ in range(3))
-        want = value_or_error(rational_2d_entry, j, m, kappa, n)
-        assert value_or_error(entry_value, j, m, kappa, n) == want, (j, m, kappa, n)
+        want = rational_block_or_error(kappa, n)
+        assert value_or_error(block_value, kappa, n) == want, (kappa, n)
         if isinstance(want, type):
             raised.add(want.__name__)
     assert raised == {"BottomPole", "ZeroDivisionError"}
@@ -385,8 +398,8 @@ def rational_kraw_block(j, rho, n, k, m, tail):
     )
 
 
-JACOBI = (cf._jacobi_block, cf._jacobi_ratio, rational_jacobi_block, lambda kappa: -ONE)
-KRAWTCHOUK = (ds._kraw_block, ds._kraw_ratio, rational_kraw_block, lambda rho: -rho[-2] / rho[-1])
+JACOBI = (cf._local_kappa, cf.cc_2d_entry, cf._jacobi_ratio, rational_jacobi_block, lambda kappa: -ONE)
+KRAWTCHOUK = (ds._kraw_local, ds._kraw_block, ds._kraw_ratio, rational_kraw_block, lambda rho: -rho[-2] / rho[-1])
 
 
 def rational_word_product(tau, params, n, block, ratio):
@@ -427,10 +440,10 @@ def rational_word_product(tau, params, n, block, ratio):
 
 
 def assert_same_products(taus, params, degrees, family):
-    block, ratio, rational_block, rational_ratio = family
+    local, block, ratio, rational_block, rational_ratio = family
     for tau in taus:
         for n in degrees:
-            got = cf.word_product(tau, *over_lcm(params), n, block, ratio)
+            got = cf.word_product(tau, *over_lcm(params), n, local, block, ratio)
             assert got == rational_word_product(tau, params, n, rational_block, rational_ratio), (tau, params, n)
             assert {type(v) for row in got.rows for v in row} == {type(ONE)}
 
@@ -472,7 +485,8 @@ def test_krawtchouk_engine_equals_the_rational_loop():
 def test_a_shared_entry_dict_gives_the_matrices_of_fresh_ones(monkeypatch):
     # all of S_4 at n <= 3 and a seeded S_5 sample at n <= 2, in shuffled order through one
     # dict: at kappa, at several t.kappa and at a second kappa over another lcm D; each
-    # matrix equals the one built with no dict, and a second pass evaluates no entry
+    # matrix equals the one built with no dict, the dict's blocks are evaluated once
+    # each, and a second pass evaluates none
     rng = random.Random(30)
     requests = []
     for m, taus, degrees, second in ((4, all_perms(4), range(4), (R(2, 3), R(-1, 2), R(5), R(1, 9))),
@@ -482,15 +496,17 @@ def test_a_shared_entry_dict_gives_the_matrices_of_fresh_ones(monkeypatch):
         assert over_lcm(second)[1] != over_lcm(kappa)[1]
         requests += [(tau, params, n) for tau in taus for params in [kappa, *moved, second] for n in degrees]
     rng.shuffle(requests)
-    entries = {}
-    for tau, params, n in requests:
-        assert cf.connection_matrix(tau, params, n, entries=entries) == cf.connection_matrix(tau, params, n)
     calls = []
     entry = cf.cc_2d_entry
     monkeypatch.setattr(cf, "cc_2d_entry", lambda *args: calls.append(args) or entry(*args))
+    entries = {}
+    shared = [cf.connection_matrix(tau, params, n, entries=entries) for tau, params, n in requests]
+    assert entries and len(calls) == len(entries)
+    assert shared == [cf.connection_matrix(tau, params, n) for tau, params, n in requests]
+    calls.clear()
     for tau, params, n in requests:
         cf.connection_matrix(tau, params, n, entries=entries)
-    assert entries and calls == []
+    assert calls == []
 
 
 def test_one_entry_dict_keeps_the_jacobi_and_krawtchouk_rules_apart():
@@ -501,10 +517,10 @@ def test_one_entry_dict_keeps_the_jacobi_and_krawtchouk_rules_apart():
     entries = {}
     for tau in all_perms(3):
         for n in range(4):
-            for block, ratio in ((cf._jacobi_block, cf._jacobi_ratio), (ds._kraw_block, ds._kraw_ratio)):
-                shared = cf.word_product(tau, P, D, n, block, ratio, entries)
-                assert shared == cf.word_product(tau, P, D, n, block, ratio), (tau, n, block)
-    assert {key[0] for key in entries} == {cf._jacobi_block, ds._kraw_block}
+            for family in (JACOBI[:3], KRAWTCHOUK[:3]):
+                shared = cf.word_product(tau, P, D, n, *family, entries)
+                assert shared == cf.word_product(tau, P, D, n, *family), (tau, n, family)
+    assert {key[0] for key in entries} == {cf.cc_2d_entry, ds._kraw_block}
 
 
 def test_engine_puts_the_params_over_one_lcm_per_word(monkeypatch):
@@ -544,9 +560,10 @@ def test_engine_calls_no_pochhammer_and_no_series(monkeypatch):
 
 
 def test_both_local_rules_sum_with_the_one_series_kernel(monkeypatch):
-    # cc_2d_entry and _kraw_block own no term loop: each reaches exact_arith.folded_series
-    # through fold_terminating; the rational oracle sums with it too, so it runs first
-    want = rational_2d_entry(2, 1, KAPPA2, 3)
+    # cc_2d_entry and _kraw_block own no term loop: each entry of a block is one call of
+    # exact_arith.folded_series; the rational oracle sums with it too, so it runs first
+    n = 3
+    want = rational_block_or_error(KAPPA2, n)
     calls = []
 
     def counted(*args):
@@ -554,10 +571,12 @@ def test_both_local_rules_sum_with_the_one_series_kernel(monkeypatch):
         return folded_series(*args)
 
     monkeypatch.setattr(ea, "folded_series", counted)
-    assert entry_value(2, 1, KAPPA2, 3) == want
-    assert len(calls) == 1
-    ds._kraw_block(1, *over_lcm((R(1, 4), R(1, 3), R(5, 12))), 3, 2, 1, 0)
-    assert len(calls) == 2
+    monkeypatch.setattr(ds, "folded_series", counted)
+    assert block_value(KAPPA2, n) == want
+    assert len(calls) == (n + 1) ** 2
+    P, D = over_lcm((R(1, 4), R(1, 3), R(5, 12)))
+    ds._kraw_block(ds._kraw_local(P, D, 1, 0), D, n)
+    assert len(calls) == 2 * (n + 1) ** 2
 
 
 # ---------------------------------------------------------------------------

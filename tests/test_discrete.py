@@ -327,8 +327,10 @@ def test_kraw_block_equals_the_rational_rule():
         P, D = over_lcm(ext)
         for j in range(1, len(ext) - 1):
             for n in range(7):
+                block = ds._kraw_block(ds._kraw_local(P, D, j, 0), D, n)
+                assert len(block) == n + 1 and {len(row) for row in block} == {n + 1}
                 for k, m in itertools.product(range(n + 1), repeat=2):
-                    assert R(*ds._kraw_block(j, P, D, n, k, m, 0)) == rational_kraw_block(j, ext, n, k, m, 0)
+                    assert R(*block[k][m]) == rational_kraw_block(j, ext, n, k, m, 0)
 
 
 def small_rationals(size, lo, hi):

@@ -8,10 +8,12 @@ from simplexconn.backend import R, ZERO, ONE, rat_from_str, rat_str
 from simplexconn.exact_arith import (
     BottomPole,
     QSqrt,
+    fold_at,
     fold_terminating,
     folded_series,
     hyp_terminating,
     hyp_with_prefactor,
+    least_top,
     pochhammer,
     qsqrt_sums_equal,
 )
@@ -85,8 +87,12 @@ def test_hyp_terminating_bottom_pole():
 def test_fold_terminating_folds_at_the_least_top_and_consumes_it():
     # over step 3: the tops -15 and -6 are -5 and -2 steps, -4 is no multiple of 3 and 7 is positive
     tops = [-15, -4, -6, 7]
+    assert least_top(tops, 3) == 2
     assert fold_terminating(tops, [5, -20], 3, 2, 7) == folded_series([-15, -4, 7], [5, -20], 2, 3, 2, 7)
     assert tops == [-15, -4, 7]
+    # fold_at folds at the order its caller found: here the lesser least top of two parts of the tops
+    assert fold_at([-15, -6, -4, 7], [5, -20], min(least_top([-15, -4], 3), least_top([-6, 7], 3)), 3, 2, 7) \
+        == fold_terminating([-15, -4, -6, 7], [5, -20], 3, 2, 7)
     # equal least tops: one is folded, the other summed
     tops = [-2, 4, -2]
     assert fold_terminating(tops, [3]) == folded_series([4, -2], [3], 2)
