@@ -110,10 +110,12 @@ def cc_2d_entry(K, D, n):
 def verify_sum_identity(k, ell, kappa, n):
     """Check the exact summation identity tying three 4F3 kernels together.
 
-    Returns (lhs, rhs) of the identity; they must be equal.
+    Returns (lhs, rhs), which must be equal; ValueError unless kappa has 3 entries and 0 <= k, ell <= n.
     """
     if len(kappa) != 3:
         raise ValueError(f"the summation identity needs exactly 3 kappa entries, got {len(kappa)}")
+    if not (0 <= k <= n and 0 <= ell <= n):
+        raise ValueError(f"the summation identity needs 0 <= k, ell <= n, got k = {k}, ell = {ell}, n = {n}")
     k1, k2, k3 = (R(k_) for k_ in kappa)
     tot = k1 + k2 + k3
 

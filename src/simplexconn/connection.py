@@ -8,15 +8,14 @@ stores one form, int_rows: per row, integer numerators over one positive
 denominator, reduced so that equal matrices have equal int_rows; rows, the
 rational view, is built from it when read.  Only this module reads
 int_rows: transpose and scaled, diag(left) C diag(right), run in integers
-and serve normalize, the column check and the Hahn matrix; the inverse
-check applies the same rescale to the columns, unreduced.
-The Coxeter-word engine (closed_forms) hands its integer rows over as they
-are.  No matrix is cached: a caller that reads one twice holds it.  The
-oracle gram_connection solves C T = L on leading forms in Python integers:
-simplex.leading_cores builds each basis's leading forms in one call, T is
-kept per (kappa, n) as tuples of dense integer rows cut at its diagonal,
-and each row of the back-substitution is a dense list of integer
-numerators over one denominator.
+and serve normalize, the column check and the Hahn matrix; the inverse check
+applies the same rescale to the columns, unreduced.  The Coxeter-word engine
+(closed_forms) hands its integer rows over as they are.  This module caches
+nothing: a caller that reads a matrix twice holds it.  The oracle
+gram_connections solves C T = L on leading forms in integers for every tau
+of one (kappa, n): simplex.leading_cores builds each basis's leading forms
+in one call, T is built once per call as tuples of integer rows cut at its
+diagonal, and each back-substitution row is integers over one denominator.
 
 The verifiers take the squared norms A_src[i] = A_nu(tau.kappa) and
 A_tgt[j] = A_mu(kappa) of the source and target bases, for nu, mu in order,
@@ -32,7 +31,8 @@ from operator import mul
 
 from .backend import R, ZERO, ONE
 from .exact_arith import QSqrt, over_lcm
-from .simplex import _MOMENT_CACHE, check_degree, check_kappa, enumerate_basis, leading_cores, norm_A
+from . import simplex
+from .simplex import check_degree, check_kappa, enumerate_basis, leading_cores, norm_A
 
 
 class ConnMatrix:
@@ -150,9 +150,6 @@ def _same_shape(mat, other):
                          " with their orders do not match")
 
 
-_LEADING_FORM_CACHE = {}
-
-
 def _dense(order, cores):
     """Each (terms, den) of cores as ([coefficient of x^gamma for gamma in order], den)."""
     index = {gamma: i for i, gamma in enumerate(order)}
@@ -165,36 +162,38 @@ def _dense(order, cores):
     return out
 
 
-def _target_rows(kappa, n):
-    """T cut at its diagonal, cached per (kappa, n): per mu of enumerate_basis(d, n), (J_mu, E_mu).
+def _target_rows(order, K, D):
+    """T cut at its diagonal: per mu of order, (J_mu, E_mu), as tuples.
 
     J_mu is the tuple of integer coefficients of x^gamma in the leading form
-    of P_mu^kappa, for gamma up to and including mu in that order, over the
-    denominator E_mu.  ValueError naming mu if its diagonal entry is zero or
-    an entry after it is not.  A verify run reads one T for every tau: without the
-    cache, perfbench's verify-session solve_s rose about 6 % (0.115 to 0.122 s, 2 cores).
+    of P_mu^kappa, kappa = K / D, for gamma up to and including mu in order,
+    over the denominator E_mu.  ValueError naming mu if its diagonal entry
+    is zero or an entry after it is not.  Nothing is cached: each
+    gram_connections call builds T once and shares it across its taus.
     """
-    key = (kappa, n)
-    rows = _LEADING_FORM_CACHE.get(key)
-    if rows is None:
-        K, D = over_lcm(kappa)
-        order = enumerate_basis(len(K) - 1, n)
-        rows = []
-        for j, (row, E) in enumerate(_dense(order, leading_cores(order, K, D))):
-            if not row[j] or any(row[j + 1:]):
-                raise ValueError(f"the leading form of P_mu^kappa at mu = {order[j]} is not triangular "
-                                 "with a nonzero diagonal entry")
-            rows.append((tuple(row[:j + 1]), E))
-        rows = _LEADING_FORM_CACHE[key] = tuple(rows)
-    return rows
+    rows = []
+    for j, (row, E) in enumerate(_dense(order, leading_cores(order, K, D))):
+        if not row[j] or any(row[j + 1:]):
+            raise ValueError(f"the leading form of P_mu^kappa at mu = {order[j]} is not triangular "
+                             "with a nonzero diagonal entry")
+        rows.append((tuple(row[:j + 1]), E))
+    return tuple(rows)
 
 
 def gram_connection(tau, kappa, n):
-    """Connection matrix C^tau(kappa) from the leading forms of both bases.
+    """Connection matrix C^tau(kappa) from the leading forms of both bases: gram_connections for one tau."""
+    return next(gram_connections([tau], kappa, n))
+
+
+def gram_connections(taus, kappa, n):
+    """Yield C^tau(kappa) for each tau of taus in order, from the leading forms of both bases.
 
     Taking the degree-n part is one-to-one on the degree-n orthogonal space,
     so C T = L: L[nu] is the leading form of tau.P_nu^{tau.kappa} and T[mu]
     that of P_mu^kappa (simplex.leading_cores, each basis in one call).
+    T does not depend on tau: kappa and n are checked, kappa put over its
+    lcm and T built once per call, and a verify run makes one call for all
+    its taus (one T per tau made its solve_s about 6 % slower).
     T[mu] holds x^gamma only for gamma at or before mu in enumerate_basis
     order, with x^mu nonzero, so each row of C is one back-substitution from
     the last mu to the first.  No inner product, moment, norm or full basis
@@ -210,33 +209,33 @@ def gram_connection(tau, kappa, n):
     divided out of N and Q.  The entries of a row go over the lcm of their
     denominators, as the matrix's int_rows: no rational is made.
     """
-    d = tau.m - 1
     kappa = check_kappa(kappa)
     check_degree(n)
     K, D = over_lcm(kappa)
-    order = enumerate_basis(d, n)
-    targets = _target_rows(kappa, n)
-    rows = []
-    for rest, Q in _dense(order, leading_cores(order, tau.act_params(K), D, tau)):
-        row = [(0, 1)] * len(order)
-        for j in range(len(order) - 1, -1, -1):
-            c = rest.pop()
-            if not c:
-                continue
-            t, E = targets[j]
-            p = t[j]
-            top, bottom = c * E, Q * p
-            g = gcd(top, bottom)
-            row[j] = top // g, bottom // g
-            rest = [v * p - c * s for v, s in zip(rest, t)]
-            Q *= p
-            g = gcd(Q, *rest)
-            if g > 1:
-                rest = [v // g for v in rest]
-                Q //= g
-        common = lcm(*(q for _, q in row))
-        rows.append(([v * (common // q) for v, q in row], common))
-    return ConnMatrix.from_int_rows(d, n, rows, order)
+    order = enumerate_basis(len(K) - 1, n)
+    targets = _target_rows(order, K, D)
+    for tau in taus:
+        rows = []
+        for rest, Q in _dense(order, leading_cores(order, tau.act_params(K), D, tau)):
+            row = [(0, 1)] * len(order)
+            for j in range(len(order) - 1, -1, -1):
+                c = rest.pop()
+                if not c:
+                    continue
+                t, E = targets[j]
+                p = t[j]
+                top, bottom = c * E, Q * p
+                g = gcd(top, bottom)
+                row[j] = top // g, bottom // g
+                rest = [v * p - c * s for v, s in zip(rest, t)]
+                Q *= p
+                g = gcd(Q, *rest)
+                if g > 1:
+                    rest = [v // g for v in rest]
+                    Q //= g
+            common = lcm(*(q for _, q in row))
+            rows.append(([v * (common // q) for v, q in row], common))
+        yield ConnMatrix.from_int_rows(tau.m - 1, n, rows, order)
 
 
 def normalize(mat, tau, kappa):
@@ -344,5 +343,4 @@ def verify_convolution(mat_12, mat_2_at_t1k, mat_1_at_k):
 
 
 def clear_caches():
-    _MOMENT_CACHE.clear()
-    _LEADING_FORM_CACHE.clear()
+    simplex._MOMENT_CACHE.clear()

@@ -56,11 +56,14 @@ def test_connect_closed_d4_transposition():
 ], ids=["simplex", "hahn", "ball"])
 def test_connect_never_calls_gram(monkeypatch, capsys, argv):
     def no_gram(*args):
-        raise AssertionError("connect called gram_connection")
+        raise AssertionError("connect called the Gram oracle")
 
-    assert not hasattr(cf, "gram_connection")
-    for module in (connection, cli):
-        monkeypatch.setattr(module, "gram_connection", no_gram)
+    names = ("gram_connection", "gram_connections")
+    assert not any(hasattr(cf, name) for name in names)
+    imported = [name for name in names if hasattr(cli, name)]
+    assert imported
+    for module, name in [(connection, name) for name in names] + [(cli, name) for name in imported]:
+        monkeypatch.setattr(module, name, no_gram)
     connection.clear_caches()
     assert cli.main(["connect", *argv]) == 0
     assert json.loads(capsys.readouterr().out)

@@ -68,6 +68,11 @@ def test_sum_identity_needs_three_parameters():
     for kappa in (KAPPA2[:2], KAPPA3):
         with pytest.raises(ValueError, match="exactly 3 kappa entries"):
             cf.verify_sum_identity(0, 0, kappa, 1)
+    # an index outside 0..n is an input error, not a pair of unequal sides
+    kappa = (R(1, 2), R(1, 3), R(1, 5))
+    for k, ell in ((3, 1), (1, 3), (0, 5), (-1, 0), (0, -1)):
+        with pytest.raises(ValueError, match=f"k = {k}, ell = {ell}, n = 2"):
+            cf.verify_sum_identity(k, ell, kappa, 2)
 
 
 def test_3d_closed_matches_gram():

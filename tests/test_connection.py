@@ -209,19 +209,18 @@ def module_caches():
 
 
 def test_clear_caches_clears_moments():
-    # clear_caches() alone empties every module cache, a new one included
+    # the moment cache is the one module cache, and clear_caches() empties it
     caches = module_caches()
+    assert set(caches) == {"simplex._MOMENT_CACHE"}
     tau, kappa = Permutation.from_cycles("(12)", 3), (R(1, 7), R(2, 7), R(3, 7))
     clear_caches()
-    # no matrix is cached: the engine's matrices are values that fill no module cache
+    # no matrix is cached: the engine's and the oracle's matrices are values that fill no module cache
     connection_matrix(tau, kappa, 2, method="closed")
-    assert {name: len(cache) for name, cache in caches.items() if cache} == {}
     gram_connection(tau, kappa, 2)
+    assert {name: len(cache) for name, cache in caches.items() if cache} == {}
     p = jacobi_simplex_basis((1, 0), kappa)
     inner_product_simplex(p, p, kappa)
-    assert {"connection._LEADING_FORM_CACHE", "simplex._MOMENT_CACHE"} <= {
-        name for name, cache in caches.items() if cache
-    }
+    assert {name for name, cache in caches.items() if cache} == {"simplex._MOMENT_CACHE"}
     clear_caches()
     assert {name: len(cache) for name, cache in caches.items() if cache} == {}
 
@@ -327,18 +326,35 @@ def test_gram_builds_each_jacobi_factor_once_per_basis(monkeypatch, d, n):
 
 def test_cached_target_rows_are_tuples_a_caller_cannot_change():
     kappa, n = (R(1, 2), R(1, 3), R(2), R(3, 5)), 2
-    clear_caches()
-    for tau in (Permutation.from_cycles("(12)", 4), Permutation.from_cycles("(1234)", 4)):
-        gram_connection(tau, kappa, n)
-    cached = connection._LEADING_FORM_CACHE[kappa, n]
-    clear_caches()
-    fresh = connection._target_rows(kappa, n)
-    assert cached == fresh and cached is not fresh
-    assert type(cached) is tuple and all(type(row) is tuple and type(row[0]) is tuple for row in cached)
+    order = enumerate_basis(3, n)
+    rows = connection._target_rows(order, *over_lcm(kappa))
+    assert rows == connection._target_rows(order, *over_lcm(kappa))
+    assert type(rows) is tuple and all(type(row) is tuple and type(row[0]) is tuple for row in rows)
     # each row is cut at its diagonal
-    assert [len(nums) for nums, _ in cached] == list(range(1, len(enumerate_basis(3, n)) + 1))
+    assert [len(nums) for nums, _ in rows] == list(range(1, len(order) + 1))
     with pytest.raises(TypeError):
-        cached[0][0][0] = 0
+        rows[0][0][0] = 0
+
+
+def test_gram_connections_builds_one_target_triangle_for_all_its_taus(monkeypatch):
+    # T depends on (kappa, n) only: one call builds it once, then yields for
+    # each tau in order the matrix that gram_connection gives alone
+    calls = Counter()
+
+    def spy(order, K, D, tau=None):
+        calls["target" if tau is None else "source"] += 1
+        return leading_cores(order, K, D, tau)
+
+    leading_cores = connection.leading_cores
+    monkeypatch.setattr(connection, "leading_cores", spy)
+    kappa4 = (R(1, 2), R(1, 3), R(2), R(3, 5))
+    cases = [(all_permutations(4), kappa4, n) for n in range(4)]
+    cases += [(random.Random(5).sample(all_permutations(5), 24), kappa4 + (R(-1, 4),), n) for n in range(3)]
+    for taus, kappa, n in cases:
+        expected = [gram_connection(tau, kappa, n) for tau in taus]
+        calls.clear()
+        assert list(connection.gram_connections(taus, kappa, n)) == expected, (kappa, n)
+        assert calls == {"target": 1, "source": len(taus)}, (kappa, n)
 
 
 @pytest.mark.parametrize("fault", ["zero pivot", "entry after the diagonal"])
@@ -359,9 +375,9 @@ def test_a_target_form_off_the_triangle_raises_naming_mu(monkeypatch, fault):
     leading_cores = connection.leading_cores
     monkeypatch.setattr(connection, "leading_cores", corrupted)
     clear_caches()
-    with pytest.raises(ValueError, match=re.escape(f"mu = {mu}")):
-        gram_connection(Permutation.from_cycles("(12)", 3), KAPPA, 2)
-    assert connection._LEADING_FORM_CACHE == {}
+    for _ in range(2):
+        with pytest.raises(ValueError, match=re.escape(f"mu = {mu}")):
+            gram_connection(Permutation.from_cycles("(12)", 3), KAPPA, 2)
 
 
 def rational_gram(tau, kappa, n):

@@ -391,6 +391,7 @@ def builder_calls():
         "connection_matrix": lambda: cf.connection_matrix(tau, k, 1),
         "cc_3d_matrix": lambda: cf.cc_3d_matrix(Permutation.from_cycles("(13)", 4), OUTSIDE4, 1),
         "gram_connection": lambda: connection.gram_connection(tau, k, 1),
+        "gram_connections": lambda: list(connection.gram_connections([tau], k, 1)),
         "normalize": lambda: connection.normalize(cf.connection_matrix(tau, (1, 1, 1), 1), tau, k),
         "cc_cyclic_hat": lambda: cf.cc_cyclic_hat((1, 0), (0, 1), k, 1),
         "cc_coset_hat": lambda: cf.cc_coset_hat(Permutation.from_cycles("(123)", 3), (1, 0), (0, 1), k, 1),
