@@ -343,4 +343,5 @@ def verify_convolution(mat_12, mat_2_at_t1k, mat_1_at_k):
 
 
 def clear_caches():
+    """Empty simplex._MOMENT_CACHE, which nothing fills; kept because perfbench's reset_caches calls it by name."""
     simplex._MOMENT_CACHE.clear()

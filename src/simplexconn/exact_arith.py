@@ -130,8 +130,10 @@ def hyp_with_prefactor(top, bottom, m, z=ONE):
     so the combination is a polynomial in the bottom parameters and stays
     finite even where the bare series has a pole: the k-th term carries
     (b)_m/(b)_k = (b+k)_{m-k}.  Used by the Tratnik-style product formulas
-    whose prefactors are exactly these bottom Pochhammers.
+    whose prefactors are exactly these bottom Pochhammers.  ValueError for m < 0.
     """
+    if m < 0:
+        raise ValueError(f"series order m must be >= 0, got {m}")
     tops, bottoms, D, zp, zq = _over_step(top, bottom, z, len(top) - len(bottom))
     return R(folded_series(tops, bottoms, m, D, zp, zq)[0], (D ** len(bottoms) * zq) ** m)
 
@@ -142,12 +144,14 @@ class QSqrt:
     Two QSqrt values are equal iff their (sign, radicand) pairs are equal,
     which coincides with value equality since sqrt is injective on [0, oo).
     A radicand that is already a Fraction is kept as given; any other
-    exact rational (an int) is converted by R.
+    exact rational (an int) is converted by R.  ValueError unless the sign is the int -1, 0 or 1.
     """
 
     __slots__ = ("sign", "radicand")
 
     def __init__(self, sign, radicand):
+        if type(sign) is not int or sign not in (-1, 0, 1):
+            raise ValueError(f"sign must be the int -1, 0 or 1, got {sign!r}")
         radicand = R(radicand)
         top = radicand.numerator
         if top <= 0:

@@ -9,12 +9,32 @@ a_core and the basis product) and its substitute_homogeneous with these.
 The Krawtchouk formulas are written with prefix sums, each 1 - (rho_1 + ...
 + rho_j) formed where it is read, and tau acts on (rho, 1 - |rho|) by hand;
 tests compare the package's suffix sums of the extended rho with these.
+The Krawtchouk (12) local rule is summed by hyp_terminating in rationals;
+tests compare the engine's integer blocks with it.
+
+module_caches is the scan for module state that the tests share.
 """
 
+import importlib
+import pkgutil
+from math import comb
+
+import simplexconn
 from simplexconn.backend import R, ZERO, ONE
 from simplexconn.discrete import hahn_multi
-from simplexconn.exact_arith import QSqrt, hyp_with_prefactor, pochhammer
+from simplexconn.exact_arith import QSqrt, hyp_terminating, hyp_with_prefactor, pochhammer
 from simplexconn.multipoly import SparsePoly
+
+
+def module_caches():
+    """Every module-level *_CACHE dict in simplexconn, by qualified name."""
+    out = {}
+    for info in pkgutil.iter_modules(simplexconn.__path__):
+        module = importlib.import_module(f"simplexconn.{info.name}")
+        for attr, value in vars(module).items():
+            if attr.endswith("_CACHE") and isinstance(value, dict):
+                out[f"{info.name}.{attr}"] = value
+    return out
 
 
 def value_or_error(rule, *args):
@@ -166,3 +186,14 @@ def prefix_hahn_kraw_scaled(nu, x, rho, N, t):
     if sum(nu) % 2:
         scale = -scale
     return h * scale
+
+
+def rational_kraw_block(j, rho, n, k, m, tail):
+    """The Krawtchouk (12) local rule in rational arithmetic, with hyp_terminating."""
+    tot = sum(rho[j - 1:], ZERO)
+    r1, r2, r3 = rho[j - 1] / tot, rho[j] / tot, sum(rho[j + 1:], ZERO) / tot
+    sign = ONE if (n + m + k) % 2 == 0 else -ONE
+    return (
+        sign * comb(n, m) * r1 ** (n - m - k) * r3**k / (r2 + r3) ** n
+        * hyp_terminating([R(-m), R(-k)], [R(-n)], (r1 + r3) * (r2 + r3) / r3)
+    )

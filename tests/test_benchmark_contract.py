@@ -6,16 +6,15 @@ it without any other test noticing.  These checks read perfbench/ and
 change nothing in it.
 """
 
-import importlib
 import json
-import pkgutil
 import sys
 from pathlib import Path
 
 import pytest
 
-import simplexconn
 from simplexconn import cli
+
+from oracles import module_caches
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 
@@ -27,17 +26,6 @@ import workloads  # noqa: E402
 def test_traced_name_resolves(module, attr):
     owner, name = tracer.resolve(module, attr)
     assert callable(getattr(owner, name))
-
-
-def module_caches():
-    """Every module-level *_CACHE dict in simplexconn, by qualified name."""
-    out = {}
-    for info in pkgutil.iter_modules(simplexconn.__path__):
-        module = importlib.import_module(f"simplexconn.{info.name}")
-        for attr, value in vars(module).items():
-            if attr.endswith("_CACHE") and isinstance(value, dict):
-                out[f"{info.name}.{attr}"] = value
-    return out
 
 
 @pytest.mark.parametrize("name", workloads.WORKLOADS)

@@ -64,7 +64,6 @@ def test_connect_never_calls_gram(monkeypatch, capsys, argv):
     assert imported
     for module, name in [(connection, name) for name in names] + [(cli, name) for name in imported]:
         monkeypatch.setattr(module, name, no_gram)
-    connection.clear_caches()
     assert cli.main(["connect", *argv]) == 0
     assert json.loads(capsys.readouterr().out)
 

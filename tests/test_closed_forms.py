@@ -1,13 +1,12 @@
 import itertools
 import random
-from math import comb
 
 import pytest
 
 from simplexconn.backend import R, ZERO, ONE
 from simplexconn.exact_arith import QSqrt, folded_series, hyp_terminating, over_lcm, pochhammer
 from simplexconn.simplex import Permutation, enumerate_basis
-from simplexconn.connection import ConnMatrix, clear_caches, gram_connection, normalize
+from simplexconn.connection import ConnMatrix, gram_connection, normalize
 from simplexconn import closed_forms as cf
 from simplexconn import exact_arith as ea
 from simplexconn import connection, simplex
@@ -15,7 +14,7 @@ from simplexconn import discrete as ds
 from simplexconn import racah as rc
 from simplexconn import qsqrt_sums_equal
 
-from oracles import value_or_error
+from oracles import rational_kraw_block, value_or_error
 
 KAPPA2 = (R(1, 2), R(1, 3), R(2))
 KAPPA3 = (R(0), R(1, 2), R(1), R(3, 2))
@@ -393,16 +392,6 @@ def rational_jacobi_block(j, kappa, m_loc, k, m, tail):
     return rational_2d_entry(k, m, (kappa[j - 1], kappa[j], sum(kappa[j + 1:], ZERO) + 2 * tail + d - j - 1), m_loc)
 
 
-def rational_kraw_block(j, rho, n, k, m, tail):
-    """The Krawtchouk (12) local rule in rational arithmetic, with hyp_terminating (as in test_discrete)."""
-    tot = sum(rho[j - 1:], ZERO)
-    r1, r2, r3 = rho[j - 1] / tot, rho[j] / tot, sum(rho[j + 1:], ZERO) / tot
-    return (
-        cf._sign(n + m + k) * comb(n, m) * r1 ** (n - m - k) * r3**k / (r2 + r3) ** n
-        * hyp_terminating([R(-m), R(-k)], [R(-n)], (r1 + r3) * (r2 + r3) / r3)
-    )
-
-
 JACOBI = (cf._local_kappa, cf.cc_2d_entry, cf._jacobi_ratio, rational_jacobi_block, lambda kappa: -ONE)
 KRAWTCHOUK = (ds._kraw_local, ds._kraw_block, ds._kraw_ratio, rational_kraw_block, lambda rho: -rho[-2] / rho[-1])
 
@@ -558,7 +547,6 @@ def test_engine_calls_no_pochhammer_and_no_series(monkeypatch):
     monkeypatch.setattr(cf, "hyp_terminating", forbidden)
     monkeypatch.setattr(ds, "pochhammer", forbidden)
     monkeypatch.setattr(ds, "hyp_with_prefactor", forbidden)
-    clear_caches()
     for tau in all_perms(4):
         assert cf.connection_matrix(tau, KAPPA3, 3).n == 3
         assert ds.kraw_connection(tau, (R(1, 6), R(2, 7), R(1, 5)), 3, 3).n == 3

@@ -1,5 +1,3 @@
-import importlib
-import pkgutil
 import random
 import re
 from collections import Counter
@@ -8,8 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-import simplexconn
-from simplexconn import cli, connection, multipoly, racah as rc, simplex
+from simplexconn import ballsphere, cli, connection, multipoly, racah as rc, simplex
 from simplexconn.backend import R, ZERO, ONE, rat_str
 from simplexconn.discrete import kraw_grid
 from simplexconn.exact_arith import over_lcm
@@ -36,7 +33,7 @@ from simplexconn.connection import (
     weighted_orthogonal,
 )
 
-from oracles import loop_basis, top_part
+from oracles import loop_basis, module_caches, top_part
 
 KAPPA = (R(1, 2), R(1, 3), R(2))
 
@@ -197,32 +194,26 @@ def test_json_entries_are_the_reduced_ratios_of_int_rows():
         assert mat.to_json()["entries"] == [[rat_str(v) for v in row] for row in mat.rows]
 
 
-def module_caches():
-    """Every module-level *_CACHE dict in simplexconn, by qualified name (the scan of test_benchmark_contract)."""
-    out = {}
-    for info in pkgutil.iter_modules(simplexconn.__path__):
-        module = importlib.import_module(f"simplexconn.{info.name}")
-        for attr, value in vars(module).items():
-            if attr.endswith("_CACHE") and isinstance(value, dict):
-                out[f"{info.name}.{attr}"] = value
-    return out
-
-
-def test_clear_caches_clears_moments():
-    # the moment cache is the one module cache, and clear_caches() empties it
+def test_clear_caches_clears_moments(capsys):
+    # the package holds no state between calls: the scan finds the one *_CACHE
+    # name that perfbench clears by name, and no moment, Gram, engine or CLI call fills it
     caches = module_caches()
     assert set(caches) == {"simplex._MOMENT_CACHE"}
     tau, kappa = Permutation.from_cycles("(12)", 3), (R(1, 7), R(2, 7), R(3, 7))
-    clear_caches()
-    # no matrix is cached: the engine's and the oracle's matrices are values that fill no module cache
-    connection_matrix(tau, kappa, 2, method="closed")
-    gram_connection(tau, kappa, 2)
-    assert {name: len(cache) for name, cache in caches.items() if cache} == {}
     p = jacobi_simplex_basis((1, 0), kappa)
     inner_product_simplex(p, p, kappa)
-    assert {name for name, cache in caches.items() if cache} == {"simplex._MOMENT_CACHE"}
-    clear_caches()
+    ballsphere.ball_gram(Permutation.from_cycles("(12)", 2), (R(1, 2), R(1, 3), R(2, 7)), 2)
+    assert ballsphere.example_910_check(4)["failures"] == []
+    gram_connection(tau, kappa, 2)
+    connection_matrix(tau, kappa, 2, method="closed")
+    for suite in cli.SUITES:
+        assert cli.main(["verify", "--suite", suite]) == 0, suite
+    for family, params in (("simplex", ("--kappa", "1/2,1/3,2")), ("hahn", ("--kappa", "1/2,1/3,2", "--N", "3")),
+                           ("kraw", ("--rho", "1/4,1/3", "--N", "3")), ("ball", ("--kappa", "1/2,1/3,2"))):
+        assert cli.main(["connect", "--family", family, "--tau", "(12)", "--n", "2", *params]) == 0, family
+    capsys.readouterr()
     assert {name: len(cache) for name, cache in caches.items() if cache} == {}
+    clear_caches()  # perfbench's reset calls it by name
 
 
 @settings(max_examples=30, deadline=None)
@@ -238,7 +229,6 @@ def test_gram_equals_the_definition_and_the_closed_engine(data):
             label="kappa",
         )
     )
-    clear_caches()
     rows = gram_connection(tau, kappa, n).rows
     assert rows == definition_gram(tau, kappa, n)
     assert rows == connection_matrix(tau, kappa, n, method="closed").rows
@@ -285,11 +275,9 @@ def test_gram_builds_no_acted_polynomial_and_no_full_product(monkeypatch):
     monkeypatch.setattr(simplex, "_product_cores", leading_product_only)
     monkeypatch.setattr(Permutation, "act_vars", full_product_path)
     monkeypatch.setattr(SparsePoly, "__mul__", full_product_path)
-    for name in ("inner_product_simplex", "simplex_moment", "_moment_cached", "jacobi_simplex_basis", "norm_A",
-                 "jacobi_1d", "a_coeffs", "pochhammer"):
+    for name in ("inner_product_simplex", "simplex_moment", "jacobi_simplex_basis", "norm_A", "jacobi_1d", "a_coeffs"):
         monkeypatch.setattr(simplex, name, full_product_path)
         monkeypatch.setattr(connection, name, full_product_path, raising=False)
-    clear_caches()
     for d in (2, 3, 4):
         kappa = tuple(R(j + 1, j + 3) for j in range(d + 1))
         for tau in random.Random(d).sample(all_permutations(d + 1), 4):
@@ -316,7 +304,6 @@ def test_gram_builds_each_jacobi_factor_once_per_basis(monkeypatch, d, n):
     mul = counted("mul_terms", multipoly.mul_terms)
     monkeypatch.setattr(simplex, "mul_terms", mul)
     monkeypatch.setattr(multipoly, "mul_terms", mul)
-    clear_caches()
     gram_connection(Permutation.from_cycles("(12)", d + 1), tuple(R(j + 1, j + 3) for j in range(d + 1)), n)
     # factor j of P_nu depends on nu through (j, nu_j, |nu^{j+1}|) only
     keys = {(j, nu[j], sum(nu[j + 1:])) for nu in enumerate_basis(d, n) for j in range(d) if nu[j]}
@@ -374,7 +361,6 @@ def test_a_target_form_off_the_triangle_raises_naming_mu(monkeypatch, fault):
 
     leading_cores = connection.leading_cores
     monkeypatch.setattr(connection, "leading_cores", corrupted)
-    clear_caches()
     for _ in range(2):
         with pytest.raises(ValueError, match=re.escape(f"mu = {mu}")):
             gram_connection(Permutation.from_cycles("(12)", 3), KAPPA, 2)
@@ -421,7 +407,6 @@ def test_integer_gram_equals_the_rational_back_substitution(m, kappa):
     # all of S_3 at n <= 5, S_4 at n <= 3 and 24 tau in S_5 at n <= 2
     taus, degrees = {3: (all_permutations(3), 6), 4: (all_permutations(4), 4),
                      5: (random.Random(5).sample(all_permutations(5), 24), 3)}[m]
-    clear_caches()
     for tau in taus:
         for n in range(degrees):
             rows = gram_connection(tau, kappa, n).rows
@@ -437,7 +422,6 @@ def test_gram_equals_the_rational_back_substitution_on_a_cyclic_coset_and_all_of
         coset.append(coset[-1] * Permutation.from_cycles("(12345)", 5))
     for taus, n in ((coset, 2), (all_permutations(4), 3)):
         kappa = tuple(R(rng.randint(1 - q, 2 * q), q) for q in (rng.randint(1, 30) for _ in range(taus[0].m)))
-        clear_caches()
         for tau in taus:
             assert gram_connection(tau, kappa, n).rows == rational_gram(tau, kappa, n), (tau, kappa, n)
 
@@ -631,8 +615,7 @@ def test_a_passing_verify_run_makes_no_rational_in_the_verifiers(monkeypatch, ca
     # the checks cross-multiply integer rows: a regression to rational sums would
     # construct rationals, or add and multiply them, inside the verifiers
     argv = ["verify", "--suite", "orthogonality", "--d", "2", "--n", "3", "--count", "6", "--seed", "2"]
-    clear_caches()
-    assert cli.main(argv) == 0  # the leading forms and moments are cached from here on
+    assert cli.main(argv) == 0
     made, inside = [], []
     real_R = connection.R
     monkeypatch.setattr(connection, "R", lambda *args: made.append(args) or real_R(*args))

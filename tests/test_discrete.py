@@ -1,13 +1,12 @@
 import itertools
 import random
 from fractions import Fraction
-from math import comb
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from simplexconn.backend import R, ZERO, ONE
-from simplexconn.exact_arith import hyp_terminating, over_lcm, pochhammer
+from simplexconn.exact_arith import over_lcm, pochhammer
 from simplexconn.simplex import Permutation, enumerate_basis
 from simplexconn.closed_forms import connection_matrix
 from simplexconn.connection import gram_connection
@@ -15,7 +14,7 @@ from simplexconn import discrete as ds
 
 from oracles import (
     prefix_hahn_kraw_scaled, prefix_kraw_cc_cyclic_hat, prefix_kraw_dual, prefix_kraw_multi, prefix_kraw_norm_C,
-    prefix_kraw_weight, prefix_tau_rho, value_or_error,
+    prefix_kraw_weight, prefix_tau_rho, rational_kraw_block, value_or_error,
 )
 
 KAPPA = (R(1, 2), R(1, 3), R(2, 5))
@@ -287,7 +286,10 @@ def test_kraw_connection_rejects_bad_rho_and_n_above_N():
     (lambda: ds.kraw_connection(Permutation((2, 1, 3)), RHO, 2, 3), "Krawtchouk degree n=3 exceeds the lattice size N=2"),
     (lambda: ds.hahn_multi((2, 1), (1, 1, 0), KAPPA, 2), "Hahn degree |nu|=3 exceeds the lattice size N=2"),
     (lambda: ds.hahn_connection(Permutation((2, 1, 3)), KAPPA, 2, 3), "Hahn degree n=3 exceeds the lattice size N=2"),
-], ids=["kraw_multi", "kraw_norm_C", "kraw_weight", "kraw_connection", "hahn_multi", "hahn_connection"])
+    (lambda: ds.hahn_multi((-1, 2), (1, 1, 0), KAPPA, 2), "series order m must be >= 0, got -1"),
+    (lambda: ds.kraw_multi((-1, 2), (1, 1), RHO, 2), "series order m must be >= 0, got -1"),
+], ids=["kraw_multi", "kraw_norm_C", "kraw_weight", "kraw_connection", "hahn_multi", "hahn_connection",
+        "hahn_multi_negative_degree", "kraw_multi_negative_degree"])
 def test_discrete_formulas_name_a_degree_or_point_off_the_lattice(call, message):
     with pytest.raises(ValueError) as caught:
         call()
@@ -305,17 +307,6 @@ def test_kraw_and_hahn_connection_reject_a_negative_degree():
         ds.kraw_connection(tau, RHO, 3, -1)
     with pytest.raises(ValueError, match="degree n must be >= 0, got -1"):
         ds.hahn_connection(tau, KAPPA, 3, -1)
-
-
-def rational_kraw_block(j, rho, n, k, m, tail):
-    """The Krawtchouk (12) local rule in rational arithmetic, with hyp_terminating."""
-    tot = sum(rho[j - 1:], ZERO)
-    r1, r2, r3 = rho[j - 1] / tot, rho[j] / tot, sum(rho[j + 1:], ZERO) / tot
-    sign = ONE if (n + m + k) % 2 == 0 else -ONE
-    return (
-        sign * comb(n, m) * r1 ** (n - m - k) * r3**k / (r2 + r3) ** n
-        * hyp_terminating([R(-m), R(-k)], [R(-n)], (r1 + r3) * (r2 + r3) / r3)
-    )
 
 
 def test_kraw_block_equals_the_rational_rule():

@@ -46,6 +46,11 @@ def test_rising_needs_a_nonnegative_order():
     assert exact_arith.rising(5, 0, 3) == 1
     with pytest.raises(ValueError, match="k >= 0"):
         exact_arith.rising(5, -1, 3)
+    # the series with its bottom Pochhammers folded in names its order too
+    assert hyp_with_prefactor([R(1, 2)], [R(3)], 0) == ONE
+    for m in (-1, -3):
+        with pytest.raises(ValueError, match=f"series order m must be >= 0, got {m}"):
+            hyp_with_prefactor([R(1, 2)], [R(3)], m)
 
 
 @given(rationals, small_n, small_n)
@@ -285,6 +290,14 @@ class TestQSqrt:
         assert -q == QSqrt.signed(-a, a * a)
         assert q.scale(R(3)) == QSqrt.signed(3 * a, 9 * a * a)
         assert q * QSqrt(1, R(9, 4)) == QSqrt.signed(a, R(9, 4) * a * a)
+
+    def test_sign_is_the_int_minus_one_zero_or_one(self):
+        for sign in (-1, 0, 1):
+            assert QSqrt(sign, R(1, 4)).sign == sign
+        # 2 sqrt(1/4) would equal QSqrt(1, 1) with another pair; a float or rational sign is no int
+        for sign in (2, -2, 0.5, 1.0, R(1), True):
+            with pytest.raises(ValueError, match="sign must be the int -1, 0 or 1"):
+                QSqrt(sign, R(1, 4))
 
     def test_json(self):
         assert QSqrt(-1, R(5, 3)).to_json() == {"sign": -1, "radicand": "5/3"}

@@ -1,3 +1,4 @@
+import itertools
 import random
 import re
 from fractions import Fraction
@@ -124,6 +125,14 @@ def test_enumerate_basis_is_sorted_grevlex_and_total_at_the_edges():
     assert enumerate_basis(0, 2) == [] and enumerate_basis(3, -1) == []
 
 
+def rational_moment(gamma, kappa):
+    """prod_i (kappa_i+1)_{gamma_i} / (|kappa|+d+1)_{|gamma|} in rational Pochhammer symbols."""
+    val = ONE
+    for k, g in zip(kappa, gamma):
+        val *= pochhammer(k + 1, g)
+    return val / pochhammer(sum(kappa, ZERO) + len(kappa), sum(gamma))
+
+
 def test_simplex_moment_dirichlet():
     kappa = (R(1, 2), R(1), R(3, 2))
     lam = sum(kappa) + 3
@@ -135,6 +144,21 @@ def test_simplex_moment_dirichlet():
         )
         assert simplex_moment(gamma, kappa) == expect
     assert simplex_moment((0, 0), kappa) == ONE
+    # gamma with d and with d + 1 parts, mixed denominators, kappa_i = -1 (a zero
+    # factor) and kappa outside the domain, where |kappa| + d + 1 <= 0 can give a zero denominator
+    rng = random.Random(33)
+    kappas = [kappa, (R(-1), R(1, 3), R(2, 5)), (R(-1), R(-1), R(-1)), (R(-1), R(-1), R(-1), R(-1)),
+              (R(-7, 3), R(1, 6), R(-1, 2))]
+    kappas += [tuple(R(rng.randint(-3 * q, 3 * q), q) for q in (rng.randint(1, 12) for _ in range(m)))
+               for m in (3, 3, 4, 4)]
+    outcomes = set()
+    for kappa in kappas:
+        d = len(kappa) - 1
+        for gamma in itertools.chain(*(itertools.product(range(3), repeat=parts) for parts in (d, d + 1))):
+            want = value_or_error(rational_moment, gamma, kappa)
+            assert value_or_error(simplex_moment, gamma, kappa) == want, (gamma, kappa)
+            outcomes.add("zero" if want == 0 else want if isinstance(want, type) else "nonzero")
+    assert outcomes == {"zero", "nonzero", ZeroDivisionError}
 
 
 def test_jacobi_1d_value_at_one():
