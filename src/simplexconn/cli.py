@@ -8,6 +8,7 @@ sides (lhs and rhs; closed and gram for closed-vs-gram).
 """
 
 import argparse
+import functools
 import json
 import os
 import random
@@ -184,11 +185,16 @@ def _suite_structural(args, rng):
 
     The norm list A_nu(tau.kappa) of each tau is built once: the identity's
     list is every target, and tau^-1's list is the inverse identity's source.
-    Each C^{t2}(t1.kappa) is built once, held by its value (t2, t1.kappa),
-    from one dict of local-rule blocks made here and dropped with the run:
-    every matrix is a product of adjacent factors at permutations of kappa,
-    so each block is evaluated once.  One gram_connections call yields every
-    C^tau from one T (a T per tau made the run's solve_s about 6 % slower).
+    Each C^{t2}(t1.kappa) is built once and held under (t2, i), where i is
+    the index of the first permutation whose action on kappa gives the same
+    tuple as t1's: each t1.kappa is hashed once per run, not per lookup, and
+    equal parameters, as at kappa = (-1/2)^4, share one matrix.  Every
+    matrix is a product of adjacent factors at permutations of kappa, so one
+    connection_matrix table, made here and dropped with the run, serves them
+    all: each local-rule block is evaluated once, and the basis and each
+    letter's row groups are built once.  One gram_connections call yields
+    every C^tau from one T (a T per tau made the run's solve_s about 6 %
+    slower).
     """
     kappa = parse_kappa(args.kappa) if args.kappa else _random_kappa(rng, args.d)
     d = len(kappa) - 1
@@ -196,12 +202,18 @@ def _suite_structural(args, rng):
     failures = []
     perms = all_permutations(d + 1)
     order = enumerate_basis(d, n)
-    norms = {tau.img: [norm_A(nu, tau.act_params(kappa)) for nu in order] for tau in perms}
-    target = norms[Permutation.identity(d + 1).img]
+    first, moved, norms = {}, {}, {}
+    for i, tau in enumerate(perms):
+        tk = tau.act_params(kappa)
+        moved[tau.img] = first.setdefault(tk, i), tk
+        norms[tau.img] = [norm_A(nu, tk) for nu in order]
+    one = Permutation.identity(d + 1)
+    target = norms[one.img]
     held, entries = {}, {}
 
-    def matrix(t2, tk=kappa):
-        key = (t2.img, tk)
+    def matrix(t2, t1=one):
+        i, tk = moved[t1.img]
+        key = (t2.img, i)
         mat = held.get(key)
         if mat is None:
             mat = held[key] = connection_matrix(t2, tk, n, entries=entries)
@@ -216,13 +228,13 @@ def _suite_structural(args, rng):
         checks = (
             ("row-orthogonality", verify_row_orthogonality(mat, norms[tau.img], target)),
             ("column-orthogonality", verify_column_orthogonality(mat, norms[tau.img], target)),
-            ("inverse", verify_inverse_identity(matrix(tau, inv.act_params(kappa)), matrix(inv),
+            ("inverse", verify_inverse_identity(matrix(tau, inv), matrix(inv),
                                                 norms[inv.img], target)),
         )
         failures.extend(_entry_failure(identity, [tau], diff) for identity, diff in checks if diff is not None)
     for _ in range(args.count):
         t1, t2 = rng.choice(perms), rng.choice(perms)
-        diff = verify_convolution(matrix(t1 * t2), matrix(t2, t1.act_params(kappa)), matrix(t1))
+        diff = verify_convolution(matrix(t1 * t2), matrix(t2, t1), matrix(t1))
         if diff is not None:
             failures.append(_entry_failure("convolution", [t1, t2], diff))
     return failures
@@ -364,9 +376,20 @@ def build_parser():
     return p
 
 
+@functools.cache
+def _main_parser():
+    """The one parser main reads, built on main's first call; build_parser gives others a fresh one."""
+    return build_parser()
+
+
 def main(argv=None):
+    """Run one command; 0 on success, 1 on a verification failure, 2 on a usage error.
+
+    Every call parses with the one parser of _main_parser, which holds no
+    state between calls: each call gets its own Namespace.
+    """
     try:
-        args = build_parser().parse_args(argv)
+        args = _main_parser().parse_args(argv)
         for name in ("n", "N", "count"):
             if getattr(args, name, None) is not None and getattr(args, name) < 0:
                 raise ValueError("--%s must be >= 0" % name)

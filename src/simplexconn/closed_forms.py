@@ -21,8 +21,8 @@ handed to the ConnMatrix as its int_rows, so the engine makes no rational
 and keeps no matrix: connection_matrix returns a new value per call.  The
 engine reads one block per group of rows of one local degree and tail, and
 a caller that builds many matrices at permutations of one kappa passes them
-one dict of blocks (entries) that it holds, keyed by the local parameters,
-so each block is evaluated once.  cc_2d_entry keeps the name of the
+one dict (entries) that it holds, of blocks keyed by the local parameters
+and of each (d, n)'s basis and row groups, so each is built once.  cc_2d_entry keeps the name of the
 one-entry rule it grew from, under which perfbench's tracer counts it.
 
 The paper's named formulas stay as identities checked against the Gram
@@ -186,14 +186,19 @@ def word_product(tau, P, D, n, local, block, ratio, entries=None):
     denominator by q^{nu_d}.  The rows are the ConnMatrix's int_rows as
     they stand: no rational is made.  The rows of s_j fall into groups of one
     (m_loc, tail), each of which reads one block; which rows mu each row nu
-    reads depends only on (d, n, j), so it is found once per letter.
+    reads depends only on (d, n, j), so _letter_reads finds it once per
+    (d, n, j).
 
-    entries holds the blocks: entries[(block, L, D, m_loc)] is
-    block(L, D, m_loc).  A caller that builds several matrices at
+    entries holds what the call reads and would otherwise build again, each
+    key led by the rule that builds it: entries[(block, L, D, m_loc)] is
+    block(L, D, m_loc), and entries[(_letter_reads, d, n)] is the basis
+    order, its index and a dict of each letter's _letter_reads groups,
+    filled as letters are met.  A caller that builds several matrices at
     permutations of the same params passes one dict to every call, so each
-    block is evaluated once, whichever letter and params it comes from; the
-    caller owns it and drops it when done.  The key holds the rule, so one
-    dict may serve several families.  With None the call makes its own.
+    block is evaluated once, whichever letter and params it comes from, and
+    each letter's groups are built once per (d, n); the caller owns it and
+    drops it when done.  The key holds the rule, so one dict may serve
+    several families.  With None the call makes its own.
     """
     if entries is None:
         entries = {}
@@ -201,9 +206,12 @@ def word_product(tau, P, D, n, local, block, ratio, entries=None):
     if len(P) != tau.m:
         raise ValueError(f"a permutation of {tau.m} slots needs {tau.m} parameters, got {len(P)}")
     d = tau.m - 1
-    order = enumerate_basis(d, n)
-    index = {nu: i for i, nu in enumerate(order)}
-    reads = {}
+    basis_key = (_letter_reads, d, n)
+    basis = entries.get(basis_key)
+    if basis is None:
+        order = tuple(enumerate_basis(d, n))
+        basis = entries[basis_key] = (order, {nu: i for i, nu in enumerate(order)}, {})
+    order, index, reads = basis
     # (numerators {column: int}, row denominator) of the running product, starting at the identity
     rows = [({i: 1}, 1) for i in range(len(order))]
     for a in tau.reduced_word():
@@ -395,12 +403,13 @@ def connection_matrix(tau, kappa, n, method="closed", entries=None):
     It multiplies adjacent-transposition factors along a reduced word of tau
     (any d), with kappa over its lcm once, and keeps no module cache.  Each
     factor s_j reads cc_2d_entry's blocks at the kappa-hat of slots j, j+1
-    (_local_kappa).  entries is word_product's dict of those blocks, keyed
-    there by the rule, the kappa-hat over D, D and the local degree; the
-    caller owns it and passes it to every call whose kappa are permutations
-    of one another.  None makes one for this call.  "closed" is the one
-    method.  Raises ValueError unless kappa has at least 2 entries, each >
-    -1, and n >= 0.
+    (_local_kappa).  entries is word_product's table: those blocks, keyed
+    there by the rule, the kappa-hat over D, D and the local degree, and
+    per (d, n) the basis and each letter's row groups, keyed by
+    (_letter_reads, d, n).  The caller owns it and passes it to every call
+    whose kappa are permutations of one another.  None makes one for this
+    call.  "closed" is the one method.  Raises ValueError unless kappa has
+    at least 2 entries, each > -1, and n >= 0.
     """
     K, D = scaled_kappa(kappa)
     check_degree(n)

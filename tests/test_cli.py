@@ -82,7 +82,8 @@ def test_connect_without_family_parameters_exits_2():
         assert proc.stderr == "error: --%s is required for --family %s\n" % (name, family)
 
 
-@pytest.mark.parametrize("kappa", [None, "-1/2,-1/2,-1/2,-1/2"], ids=["seeded", "minus-half"])
+@pytest.mark.parametrize("kappa", [None, "-1/2,-1/2,-1/2,-1/2", "1/2,1/2,1/3,2/5"],
+                         ids=["seeded", "minus-half", "two-equal"])
 def test_orthogonality_suite_builds_each_matrix_once(monkeypatch, capsys, kappa):
     # the suite holds what it reads again, keyed by value: at kappa = (-1/2)^4 many
     # t1.kappa are equal, and each (tau, parameters) still reaches the engine once
@@ -98,6 +99,43 @@ def test_orthogonality_suite_builds_each_matrix_once(monkeypatch, capsys, kappa)
     assert cli.main(argv + (["--kappa=" + kappa] if kappa else [])) == 0
     assert json.loads(capsys.readouterr().out)["failures"] == []
     assert len(calls) >= 24 and set(calls.values()) == {1}, calls.most_common(3)
+
+
+def test_main_calls_in_one_process_share_no_options(monkeypatch, capsys):
+    # main parses with one parser per process; each call still gets its own Namespace,
+    # with no option left over from an earlier call, and prints what a fresh process prints
+    seen = []
+    check = cli.check_options
+    monkeypatch.setattr(cli, "check_options", lambda args: seen.append(args) or check(args))
+    verify = ["verify", "--suite", "orthogonality", "--n", "1", "--count", "2"]
+    calls = [verify + ["--kappa", "1/2,1/3,2"], verify + ["--seed", "5"],
+             ["connect", "--tau", "(12)", "--kappa", "1/2,1/3,2", "--n", "1"]]
+    assert [cli.main(argv) for argv in calls] == [0, 0, 0]
+    assert capsys.readouterr().out == "".join(run_cli(*argv).stdout for argv in calls)
+    with_kappa, without, connect = seen
+    assert (with_kappa.kappa, with_kappa.d) == ("1/2,1/3,2", 2)
+    assert (without.kappa, without.d, without.seed) == (None, 2, 5)
+    assert connect.command == "connect" and connect.normalized is None
+    assert not any(hasattr(connect, name) for name in ("suite", "count", "seed", "d"))
+
+
+def test_a_usage_error_leaves_the_next_main_call_clean(capsys):
+    # a call that fails in the parser, or after it, does not reach the next one
+    whipple = ["verify", "--suite", "whipple", "--count", "3", "--seed", "1"]
+    for bad in (["verify", "--suite", "whipple", "--count", "x"],
+                ["verify", "--suite", "whipple", "--bogus", "1"],
+                ["verify", "--suite", "whipple", "--kappa", "1,2,3"]):
+        assert cli.main(bad) == 2, bad
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: ") and err.count("\n") == 1, (bad, err)
+        assert cli.main(whipple) == 0, bad
+        assert capsys.readouterr().out == run_cli(*whipple).stdout
+
+
+def test_build_parser_gives_a_fresh_parser_that_cannot_reach_main():
+    assert cli.build_parser() is not cli.build_parser()
+    assert cli.build_parser() is not cli._main_parser()
+    assert cli._main_parser() is cli._main_parser()
 
 
 def test_orthogonality_suite_evaluates_each_local_rule_entry_once(monkeypatch, capsys):

@@ -1,5 +1,7 @@
 import itertools
+import json
 import random
+from collections import Counter
 
 import pytest
 
@@ -7,6 +9,7 @@ from simplexconn.backend import R, ZERO, ONE
 from simplexconn.exact_arith import QSqrt, folded_series, hyp_terminating, over_lcm, pochhammer
 from simplexconn.simplex import Permutation, enumerate_basis
 from simplexconn.connection import ConnMatrix, gram_connection, normalize
+from simplexconn import cli
 from simplexconn import closed_forms as cf
 from simplexconn import exact_arith as ea
 from simplexconn import connection, simplex
@@ -480,7 +483,8 @@ def test_a_shared_entry_dict_gives_the_matrices_of_fresh_ones(monkeypatch):
     # all of S_4 at n <= 3 and a seeded S_5 sample at n <= 2, in shuffled order through one
     # dict: at kappa, at several t.kappa and at a second kappa over another lcm D; each
     # matrix equals the one built with no dict, the dict's blocks are evaluated once
-    # each, and a second pass evaluates none
+    # each, and a second pass evaluates none.  The dict also holds the basis and row
+    # groups per (d, n), under keys led by _letter_reads, so blocks are counted by rule
     rng = random.Random(30)
     requests = []
     for m, taus, degrees, second in ((4, all_perms(4), range(4), (R(2, 3), R(-1, 2), R(5), R(1, 9))),
@@ -495,7 +499,9 @@ def test_a_shared_entry_dict_gives_the_matrices_of_fresh_ones(monkeypatch):
     monkeypatch.setattr(cf, "cc_2d_entry", lambda *args: calls.append(args) or entry(*args))
     entries = {}
     shared = [cf.connection_matrix(tau, params, n, entries=entries) for tau, params, n in requests]
-    assert entries and len(calls) == len(entries)
+    rules = Counter(key[0] for key in entries)
+    assert set(rules) == {cf.cc_2d_entry, cf._letter_reads}
+    assert len(calls) == rules[cf.cc_2d_entry] > 0
     assert shared == [cf.connection_matrix(tau, params, n) for tau, params, n in requests]
     calls.clear()
     for tau, params, n in requests:
@@ -505,16 +511,48 @@ def test_a_shared_entry_dict_gives_the_matrices_of_fresh_ones(monkeypatch):
 
 def test_one_entry_dict_keeps_the_jacobi_and_krawtchouk_rules_apart():
     # the same integers P over the same D feed both rules; the key holds the rule, so a
-    # dict shared by both families gives each family's own matrices
+    # dict shared by both families gives each family's own matrices.  Each rule's blocks
+    # are evaluated once each, the basis and row groups per (d, n) sit apart under
+    # _letter_reads, and a second pass evaluates no block
     params = (R(1, 4), R(2, 5), R(7, 20))
     P, D = over_lcm(params)
+    plain = (JACOBI[:3], KRAWTCHOUK[:3])
+    calls = Counter()
+
+    def counted(rule):
+        return lambda *args: calls.update([(rule, *args)]) or rule(*args)
+
+    families = [(local, counted(block), ratio) for local, block, ratio in plain]
     entries = {}
-    for tau in all_perms(3):
-        for n in range(4):
-            for family in (JACOBI[:3], KRAWTCHOUK[:3]):
-                shared = cf.word_product(tau, P, D, n, *family, entries)
-                assert shared == cf.word_product(tau, P, D, n, *family), (tau, n, family)
-    assert {key[0] for key in entries} == {cf.cc_2d_entry, ds._kraw_block}
+    for _ in range(2):
+        for tau in all_perms(3):
+            for n in range(4):
+                for family, fresh in zip(families, plain):
+                    shared = cf.word_product(tau, P, D, n, *family, entries)
+                    assert shared == cf.word_product(tau, P, D, n, *fresh), (tau, n, fresh)
+        evaluated = Counter(key[0] for key in calls)
+        assert all(evaluated[block] for _, block, _ in plain) and set(calls.values()) == {1}
+        assert Counter(key[0] for key in entries) == {
+            cf._letter_reads: 4, **{family[1]: evaluated[fresh[1]] for family, fresh in zip(families, plain)}}
+
+
+def test_a_verify_run_builds_each_letters_row_groups_once(monkeypatch, capsys):
+    # the suite's one table holds the basis and each letter's row groups per (d, n), so
+    # _letter_reads runs once per (d, n, j), j < d, over every matrix of the run
+    reads = cf._letter_reads
+    calls = Counter()
+
+    def counted(order, index, j):
+        calls[len(order[0]), sum(order[0]), j] += 1
+        return reads(order, index, j)
+
+    monkeypatch.setattr(cf, "_letter_reads", counted)
+    for d, n in ((2, 3), (3, 2), (4, 2)):
+        calls.clear()
+        argv = ["verify", "--suite", "orthogonality", "--d", str(d), "--n", str(n), "--count", "10", "--seed", "1"]
+        assert cli.main(argv) == 0
+        assert json.loads(capsys.readouterr().out)["failures"] == []
+        assert calls == Counter({(d, n, j): 1 for j in range(1, d)}), (d, calls)
 
 
 def test_engine_puts_the_params_over_one_lcm_per_word(monkeypatch):
