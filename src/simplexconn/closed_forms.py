@@ -296,7 +296,8 @@ def cc_cyclic_hat(nu, mu, kappa, n, form=1):
     and form 3 the conj_map of form 2: the same value, its own weight and norm.
     kappa is put over its lcm D once, beta_j = B_j / D follows in integers,
     both maps are racah's integer maps on (B, D), and the radicand
-    w R^2 / ||R||^2 is the one rational, made from racah's integer cores.
+    w R^2 / ||R||^2 is the one rational, made from racah's integer cores;
+    an entry whose value R is 0 makes no rational and no weight or norm.
     """
     if form not in (1, 2, 3):
         raise ValueError("form must be 1, 2 or 3")
@@ -304,23 +305,29 @@ def cc_cyclic_hat(nu, mu, kappa, n, form=1):
 
 
 def _cyclic_hat(nu, mu, K, D, n, form):
-    """cc_cyclic_hat at kappa = K / D, with K_i > -D."""
+    """cc_cyclic_hat at kappa = K / D, with K_i > -D.
+
+    The value comes first: at R = 0 the entry is QSqrt(0, 0), and the weight
+    and norm cores, which it would multiply by 0, are not built.
+    """
     d = len(nu)
     if (len(mu), len(K), sum(nu), sum(mu)) != (d, d + 1, n, n):
         raise ValueError(f"cc_cyclic_hat needs len(mu) = {d}, {d + 1} kappa entries and |nu| = |mu| = {n}, "
                          f"got {len(mu)}, {len(K)}, {sum(nu)} and {sum(mu)}")
-    if min((*nu, *mu), default=0) < 0:
+    if min(nu) < 0 or min(mu) < 0:
         raise ValueError(f"cc_cyclic_hat needs nu and mu with entries >= 0, got nu = {nu} and mu = {mu}")
     # beta_j = kappa_1 + |kappa^{d+2-j}| + j, with |kappa^i| = kappa_i + ... + kappa_{d+1}
     B, ksuf = [K[0]], 0
     for j in range(1, d + 1):
         ksuf += K[d + 1 - j]
         B.append(K[0] + ksuf + j * D)
-    x = tuple(sum(nu[d - j:]) for j in range(1, d))  # |nu^d|, ..., |nu^2|
+    x = tuple(itertools.accumulate(nu[:0:-1]))  # |nu^d|, ..., |nu^2|, one running suffix sum
     idx = tuple(reversed(mu[1:]))  # mu_d, ..., mu_2
     if form > 1:
         x, idx, B = dual_core(x, idx, B, D, n)
     val, val_den = multi_core(idx, x, B, D, n)
+    if not val:
+        return QSqrt(0, ZERO)
     if form == 3:
         x, idx, B = conj_core(x, idx, B, D, n)
         norm_num, norm_den = second_norm_core(idx, B, D, n)

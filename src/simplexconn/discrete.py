@@ -299,6 +299,8 @@ def kraw_cc_cyclic_hat(nu, mu, rho, n, form=1):
     if form == 2:
         x, idx, rr = kraw_dual(x, idx, rr)
     val = kraw_multi(idx, x, rr, n)
+    if not val:  # as in closed_forms.cc_cyclic_hat: no weight or norm for a value 0
+        return QSqrt(0, ZERO)
     w = kraw_weight(x, rr, n)
     c2 = kraw_norm_C(idx, rr, n)
     return QSqrt.signed((-1) ** (n + nu[d - 1]) * val, w * val * val / c2)

@@ -13,6 +13,7 @@ product, and pochhammer its rational view.
 """
 
 import math
+from fractions import Fraction
 
 from .backend import R, ZERO, ONE, rat_str
 
@@ -38,11 +39,22 @@ def pochhammer(a, n):
     return R(rising(a.numerator, n, q), q**n)
 
 
+def _ratio(v):
+    """(numerator, denominator) of a rational that is not a Fraction, an int say; AttributeError for a float."""
+    q = v.denominator
+    return v.numerator, q
+
+
 def over_lcm(values):
-    """(ints, D): the rationals values as integers over D, the lcm of their denominators."""
-    dens = [v.denominator for v in values]
-    D = math.lcm(*dens)
-    return [v.numerator * (D // q) for v, q in zip(values, dens)], D
+    """(ints, D): the rationals values as integers over D, the lcm of their denominators.
+
+    A Fraction gives its numerator and denominator in one read; any other
+    value is read by its two properties, so a float, which has
+    as_integer_ratio but no denominator, is still refused.
+    """
+    pairs = [v.as_integer_ratio() if type(v) is Fraction else _ratio(v) for v in values]
+    D = math.lcm(*[q for _, q in pairs])
+    return [p * (D // q) for p, q in pairs], D
 
 
 def folded_series(tops, bottoms, m, step=1, zp=1, zq=1):

@@ -13,9 +13,12 @@ bottom pole can occur), the D powers cancel by count, and each public
 function makes one rational of its core.  dual_map and conj_map are integer
 maps on (B, D) as well, dual_core and conj_core, which keep D, so that
 closed_forms.cc_cyclic_hat keeps beta over one lcm per call through both
-maps; the rational maps are written over them.  The weight cancels the
-common factors of each beta_j before it divides, so it has none of the ratio
-form's 0/0 (beta_j = 0, for one); the one-variable weight is pole-free at
+maps; the rational maps are written over them.  multi_core stops at its
+first vanishing factor, with the denominator it has at every x, and
+closed_forms.cc_cyclic_hat reads it first and builds the weight and norm
+cores only for a nonzero value.  The weight cancels the common factors of
+each beta_j before it divides, so it has none of the ratio form's 0/0
+(beta_j = 0, for one); the one-variable weight is pole-free at
 c + dlt + 1 = 0, where (b)_m ((b+2)/2)_x / (b/2)_x is a finite product.  The
 one-variable family, with its norm summed over the support, is the classical
 oracle that the d=1 product family is checked against through param_bridge_1d.
@@ -74,16 +77,21 @@ def _scaled_beta(beta, d):
 def multi_core(nu, x, B, D, N):
     """(num, den) with R_nu(x; beta, N) = num / den for beta = B / D: one folded_series per factor.
 
-    den = D^{3|nu|} is the same at every x.
+    den = D^{3|nu|} is the same at every x, a vanishing value included: the
+    product stops at its first zero factor and returns (0, den).
     """
     xx = (0,) + tuple(x) + (N,)
+    den = D ** (3 * sum(nu))
     val, s = 1, 0
     for j, m in enumerate(nu, 1):
         tops = [(m + 2 * s - 1) * D + B[j + 1] - B[0], (s - xx[j]) * D, (s + xx[j]) * D + B[j]]
         bottoms = [2 * s * D + B[j] - B[0], (s + xx[j + 1]) * D + B[j + 1], (s - xx[j + 1]) * D]
-        val *= folded_series(tops, bottoms, m, D)[0]
+        factor = folded_series(tops, bottoms, m, D)[0]
+        if not factor:
+            return 0, den
+        val *= factor
         s += m
-    return val, D ** (3 * sum(nu))
+    return val, den
 
 
 def racah_multi(nu, x, beta, N):

@@ -232,7 +232,7 @@ def scaled_kappa(kappa, name="kappa"):
     numbers.
     """
     K, D = over_lcm([R(k) for k in kappa])
-    if len(K) < 2 or any(k <= -D for k in K):
+    if len(K) < 2 or min(K) <= -D:
         raise ValueError(f"{name} needs at least 2 entries, each > -1")
     return K, D
 

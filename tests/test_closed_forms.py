@@ -671,6 +671,58 @@ def test_cyclic_hat_reads_no_rational_racah_function(monkeypatch):
     assert [cf.cc_cyclic_hat(*args) for args in grids] == expected
 
 
+def count_norm_and_weight_cores(monkeypatch):
+    """Counter of calls to racah's weight and norm cores, from closed_forms and from racah itself."""
+    calls = Counter()
+
+    def counted(name, core):
+        return lambda *args: calls.update([name]) or core(*args)
+
+    for name in ("weight_core", "norm_core", "second_norm_core"):
+        core = getattr(rc, name)
+        for module in (cf, rc):
+            monkeypatch.setattr(module, name, counted(name, core))
+    return calls
+
+
+def test_a_zero_cyclic_entry_builds_no_weight_and_no_norm(monkeypatch):
+    # the value comes first: an entry with R = 0 builds neither core, and a
+    # nonzero one builds the weight and the norm once (form 3: the second norm,
+    # which reads the first norm once and the weight at two corners)
+    calls = count_norm_and_weight_cores(monkeypatch)
+    per_form = {1: {"weight_core": 1, "norm_core": 1}, 2: {"weight_core": 1, "norm_core": 1},
+                3: {"weight_core": 3, "norm_core": 1, "second_norm_core": 1}}
+    d, n = 4, 3
+    order = enumerate_basis(d, n)
+    for kappa in (cyclic_points(d)[0], (HALF,) * (d + 1)):
+        for form in (1, 2, 3):
+            zeros = 0
+            for nu, mu in itertools.product(order, repeat=2):
+                calls.clear()
+                zero = cf.cc_cyclic_hat(nu, mu, kappa, n, form) == QSqrt(0, ZERO)
+                zeros += zero
+                assert calls == ({} if zero else per_form[form]), (nu, mu, kappa, form)
+            # the grid has zero entries, so the skip is exercised
+            assert 0 < zeros < len(order) ** 2, (kappa, form)
+
+
+def test_a_zero_adjacent_entry_builds_no_weight_and_no_norm(monkeypatch):
+    # cc_adjacent_hat's entries in the slots j, j+1 are a d = 2 cycle entry, with the same skip
+    # (zeros there are rarer than in the cycle grids; at kappa = (-1/2)^4 and n = 4 there are some)
+    calls = count_norm_and_weight_cores(monkeypatch)
+    kappa, n = (HALF,) * 4, 4
+    zeros = 0
+    for nu, mu in itertools.product(enumerate_basis(3, n), repeat=2):
+        for j in (1, 2):
+            if nu[: j - 1] != mu[: j - 1] or nu[j + 1:] != mu[j + 1:]:
+                continue
+            calls.clear()
+            zero = cf.cc_adjacent_hat(nu, mu, kappa, n, j) == QSqrt(0, ZERO)
+            zeros += zero
+            assert calls == ({} if zero else {"weight_core": 1, "norm_core": 1}), (nu, mu, j)
+    assert zeros > 0
+
+
 @pytest.mark.parametrize("nu, mu, kappa, n, match", [
     ((1, 0), (0, 1), (R(1), R(2)), 1, "3 kappa entries"),
     ((1, 0), (0, 1), (R(1), R(2), R(3), R(4)), 1, "3 kappa entries"),

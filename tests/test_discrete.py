@@ -385,6 +385,24 @@ def test_krawtchouk_formulas_equal_the_prefix_sum_oracles():
                     nu, mu, rho, n, form), (nu, mu, rho, n, form)
 
 
+def test_kraw_cyclic_hat_equals_the_oracle_that_builds_every_weight_and_norm():
+    # kraw_cc_cyclic_hat builds the weight and the norm only for a nonzero value;
+    # the oracle builds them at every entry, so the zeros of the grids pin the skip
+    rng = random.Random(35)
+    zeros = 0
+    for _ in range(300):
+        d = rng.randint(2, 3)
+        n = rng.randint(1, 5 - d)
+        weights = [rng.randint(1, 4) for _ in range(d + 1)]
+        rho = tuple(R(w, sum(weights)) for w in weights[:d])
+        for nu, mu in itertools.product(enumerate_basis(d, n), repeat=2):
+            for form in (1, 2):
+                q = ds.kraw_cc_cyclic_hat(nu, mu, rho, n, form)
+                assert q == prefix_kraw_cc_cyclic_hat(nu, mu, rho, n, form), (nu, mu, rho, n, form)
+                zeros += q.sign == 0
+    assert zeros > 0
+
+
 def test_tau_rho_is_an_action():
     # tau_rho(t1 t2, rho) = tau_rho(t2, tau_rho(t1, rho)), inside the domain and out
     rng = random.Random(26)

@@ -18,6 +18,8 @@ from simplexconn.exact_arith import (
     qsqrt_sums_equal,
 )
 from simplexconn import exact_arith
+from simplexconn.connection import ConnMatrix
+from simplexconn.simplex import scaled_kappa
 
 rationals = st.builds(R, st.integers(-30, 30), st.integers(1, 12))
 small_n = st.integers(0, 12)
@@ -40,6 +42,30 @@ def test_pochhammer_values():
 def test_rising_is_a_scaled_pochhammer(x, k, step):
     # the integer rising product of exact_arith, not this module's rational oracle below
     assert exact_arith.rising(x, k, step) == step**k * pochhammer(R(x, step), k)
+
+
+def test_over_lcm_puts_fractions_and_ints_over_one_denominator():
+    assert exact_arith.over_lcm([R(1, 2), R(-1, 3), 4, R(5, 6)]) == ([3, -2, 24, 5], 6)
+    assert exact_arith.over_lcm([]) == ([], 1)
+
+
+def test_over_lcm_and_scaled_kappa_refuse_a_float():
+    # a float has as_integer_ratio but no denominator: over_lcm, and so a ConnMatrix row,
+    # refuses it, and scaled_kappa's R(k) refuses it before over_lcm reads it
+    for call in (lambda: exact_arith.over_lcm([R(1, 2), 0.5]), lambda: ConnMatrix(1, 1, [[0.5]]),
+                 lambda: ConnMatrix(2, 1, [[R(1, 3), R(2, 3)], [0.25, R(3, 4)]])):
+        with pytest.raises(AttributeError, match="^'float' object has no attribute 'denominator'$"):
+            call()
+    for kappa in ((R(1, 2), 0.5), (0.5, R(1, 2), R(1, 3))):
+        with pytest.raises(TypeError, match="^both arguments should be Rational instances$"):
+            scaled_kappa(kappa)
+
+
+def test_scaled_kappa_checks_every_entry_and_the_length():
+    assert scaled_kappa((R(-99, 100), R(1, 4), 2)) == ([-99, 25, 200], 100)
+    for kappa in ((R(1, 2), R(-1)), (R(-3, 2), R(1, 2), R(1, 3)), (R(1, 2), R(1, 3), R(-7, 7)), (R(1, 2),), ()):
+        with pytest.raises(ValueError, match="^kappa needs at least 2 entries, each > -1$"):
+            scaled_kappa(kappa)
 
 
 def test_rising_needs_a_nonnegative_order():

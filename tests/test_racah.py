@@ -3,7 +3,7 @@ import random
 import pytest
 
 from simplexconn.backend import R, ZERO, ONE
-from simplexconn.exact_arith import hyp_with_prefactor, pochhammer
+from simplexconn.exact_arith import folded_series, hyp_with_prefactor, over_lcm, pochhammer
 from simplexconn import racah as rc
 from simplexconn import closed_forms as cf
 from simplexconn.discrete import kraw_grid
@@ -386,3 +386,36 @@ def test_points_outside_the_lattice_raise_value_error():
         rc.racah_weight_multi((3, 1), beta, 2)
     with pytest.raises(ValueError, match="k >= 0"):
         rc.racah_norm_sq((2, 1), beta, 2)
+
+
+def test_multi_core_stops_at_its_first_zero_factor(monkeypatch):
+    # a vanishing value is (0, D^{3|nu|}), the denominator of every other x, and
+    # no factor is summed after the first that is 0
+    B, D = over_lcm(BETA3)
+    totals = []
+
+    def recorded(*args):
+        out = folded_series(*args)
+        totals.append(out[0])
+        return out
+
+    monkeypatch.setattr(rc, "folded_series", recorded)
+    zeros = 0
+    for nu in kraw_grid(3, 4):
+        for x in rc.lattice_points(3, 4):
+            totals.clear()
+            num, den = rc.multi_core(nu, x, B, D, 4)
+            assert den == D ** (3 * sum(nu)) and all(totals[:-1]), (nu, x)
+            if num:
+                assert len(totals) == len(nu), (nu, x)
+            else:
+                zeros += 1
+                assert totals[-1] == 0, (nu, x)
+    assert zeros > 0
+
+
+def test_weight_raises_value_error_for_an_out_of_order_point_at_every_position():
+    # 0 <= x_1 <= x_2 <= x_3 <= N = 4, broken between x_j and x_{j+1}, x_0 = 0 and x_4 = N
+    for x in ((-1, 2, 3), (3, 2, 3), (1, 3, 2), (1, 2, 5)):
+        with pytest.raises(ValueError, match="k >= 0"):
+            rc.racah_weight_multi(x, BETA3, 4)
