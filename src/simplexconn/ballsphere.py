@@ -3,23 +3,24 @@
 Every basis element is stored in factored parity form x^eps * core(x_1^2,
 ..., x_d^2), so no square roots ever appear. Connection coefficients on the
 ball reduce, parity class by parity class, to the simplex ones with shifted
-parameters (from the closed engine; ball_gram is the direct oracle).
+parameters, from the closed engine.  The ball inner product, the direct
+Gram matrix and the generalized Gegenbauer polynomials are test oracles
+(tests/oracles.py).
 """
 
 from math import comb
 
 from .backend import R, ZERO, ONE
-from .exact_arith import pochhammer
 from .multipoly import SparsePoly, homogenize, substitute_homogeneous
 from .simplex import (
     Permutation,
     check_degree,
-    check_kappa,
     enumerate_basis,
     inner_product_simplex,
     jacobi_1d,
     jacobi_simplex_basis,
     norm_A,
+    scaled_kappa,
 )
 from .connection import normalize
 from .closed_forms import connection_matrix
@@ -47,12 +48,6 @@ class ParityPoly:
     @property
     def d(self):
         return len(self.eps)
-
-    def permute(self, tau):
-        """Substitute x_i <- x_{tau(i)} for a permutation of the d variables: tau^-1 acts on the exponents."""
-        inv = tau.inverse()
-        terms = {inv.act_params(exp): c for exp, c in self.core.terms.items()}
-        return ParityPoly(inv.act_params(self.eps), SparsePoly(self.d, terms))
 
     def expand(self):
         """The genuine polynomial in x (exponents eps + 2*core exponents)."""
@@ -97,17 +92,6 @@ def shifted(kappa, eps):
     return tuple(out)
 
 
-def ball_inner_product(p, q, kappa):
-    """Inner product on the ball with weight prod |x_i|^(2k_i+1)(1-|x|^2)^k_last.
-
-    Zero across parity classes; within a class it is the normalized simplex
-    inner product of the cores at the shifted parameters.
-    """
-    if p.eps != q.eps:
-        return ZERO
-    return inner_product_simplex(p.core, q.core, shifted(kappa, p.eps))
-
-
 def q_ball(nu, eps, kappa):
     """Parity-class orthogonal basis element on the ball."""
     if len(nu) != len(eps):
@@ -127,25 +111,6 @@ def ball_enumerate(d, n):
         nu = tuple((a - e) // 2 for a, e in zip(alpha, eps))
         out.append((nu, eps))
     return out
-
-
-def gegenbauer_gen(n, lam, mu):
-    """Generalized Gegenbauer C_n as (parity bit, even core in t^2).
-
-    C_n(t) = t^parity * sum_k core[k] t^(2k), orthogonal for
-    |t|^(2 mu) (1-t^2)^(lam-1/2) on [-1, 1].
-    """
-    lam, mu = R(lam), R(mu)
-    m = n // 2
-    half = R(1, 2)
-    if n % 2 == 0:
-        pref = pochhammer(lam + mu, m) / pochhammer(mu + half, m)
-        jac = jacobi_1d(m, lam - half, mu - half)
-    else:
-        pref = pochhammer(lam + mu, m + 1) / pochhammer(mu + half, m + 1)
-        jac = jacobi_1d(m, lam - half, mu + half)
-    # the core in z = t^2
-    return n % 2, [pref * c for c in jac]
 
 
 def proportionality(p, q):
@@ -169,10 +134,10 @@ def _extend(tau, m):
 
 
 def _check_ball_kappa(tau, kappa):
-    """check_kappa(kappa); ValueError unless it has tau.m + 1 entries, one per ball variable and one for 1 - |x|^2."""
+    """ValueError unless kappa has tau.m + 1 entries, one per ball variable and one for 1 - |x|^2, in scaled_kappa's domain."""
     if len(kappa) != tau.m + 1:
         raise ValueError(f"a permutation of {tau.m} ball variables needs {tau.m + 1} kappa entries, got {len(kappa)}")
-    return check_kappa(kappa)
+    scaled_kappa(kappa)
 
 
 def ball_connection(tau, kappa, n):
@@ -185,7 +150,7 @@ def ball_connection(tau, kappa, n):
     entries, each > -1, before the parity shift, and n >= 0.
     """
     d = tau.m
-    kappa = _check_ball_kappa(tau, kappa)
+    _check_ball_kappa(tau, kappa)
     check_degree(n)
     tau_ext = _extend(tau, d + 1)
     out = {}
@@ -204,23 +169,6 @@ def ball_connection(tau, kappa, n):
             for mu in block.order:
                 out[((nu, eps), (mu, eta))] = hat[idx[nu]][idx[mu]]
     return out
-
-
-def ball_gram(tau, kappa, n):
-    """Direct Gram-matrix oracle for the ball connection coefficients; ValueError for kappa as in ball_connection."""
-    d = tau.m
-    kappa = _check_ball_kappa(tau, kappa)
-    tkappa = _extend(tau, d + 1).act_params(kappa)
-    order = ball_enumerate(d, n)
-    targets = {key: q_ball(*key, kappa) for key in order}
-    rows = []
-    for nu, eps in order:
-        src = q_ball(nu, eps, tkappa).permute(tau)
-        row = []
-        for key in order:
-            row.append(ball_inner_product(src, targets[key], kappa) / ball_norm(*key, kappa))
-        rows.append(row)
-    return order, rows
 
 
 # ---------------------------------------------------------------------------

@@ -19,10 +19,10 @@ from .exact_arith import hyp_with_prefactor, over_lcm
 from .simplex import (
     Permutation,
     all_permutations,
-    check_kappa,
     enumerate_basis,
     jacobi_simplex_basis,
     norm_A,
+    scaled_kappa,
 )
 from .connection import (
     first_difference,
@@ -54,7 +54,9 @@ def parse_rationals(text, option):
 
 def parse_kappa(text):
     """kappa = (kappa_1, ..., kappa_{d+1}) with d >= 1 and every kappa_i > -1."""
-    return check_kappa(parse_rationals(text, "--kappa"), "--kappa")
+    kappa = parse_rationals(text, "--kappa")
+    scaled_kappa(kappa, "--kappa")
+    return kappa
 
 
 def hat_json(order, grid):

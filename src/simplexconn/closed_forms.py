@@ -397,8 +397,12 @@ def cc_3d_hat13_terms(nu, mu, kappa, n):
     (n - nu_3 - l, l, nu_3) of Chat^{(12)}((123).kappa)[nu][lambda] times
     Chat^{(123)}(kappa)[lambda][mu].  The sum collapses to a single
     sign*sqrt(rational); summands individually do not, so the caller must
-    combine them by square-free radicand class.
+    combine them by square-free radicand class.  ValueError unless nu and
+    mu have 3 entries and kappa 4.
     """
+    if (len(nu), len(mu), len(kappa)) != (3, 3, 4):
+        raise ValueError(f"cc_3d_hat13_terms needs nu and mu of 3 entries and 4 kappa entries, "
+                         f"got {len(nu)}, {len(mu)} and {len(kappa)}")
     cycled = Permutation.from_cycles("(123)", 4).act_params(kappa)
     lams = [(n - nu[2] - ell, ell, nu[2]) for ell in range(n - nu[2] + 1)]
     return [cc_adjacent_hat(nu, lam, cycled, n, 1) * cc_cyclic_hat(lam, mu, kappa, n) for lam in lams]

@@ -32,7 +32,7 @@ from operator import mul
 from .backend import R, ZERO, ONE
 from .exact_arith import QSqrt, over_lcm
 from . import simplex
-from .simplex import check_degree, check_kappa, enumerate_basis, leading_cores, norm_A
+from .simplex import check_degree, enumerate_basis, leading_cores, norm_A, scaled_kappa
 
 
 class ConnMatrix:
@@ -209,9 +209,8 @@ def gram_connections(taus, kappa, n):
     divided out of N and Q.  The entries of a row go over the lcm of their
     denominators, as the matrix's int_rows: no rational is made.
     """
-    kappa = check_kappa(kappa)
+    K, D = scaled_kappa(kappa)
     check_degree(n)
-    K, D = over_lcm(kappa)
     order = enumerate_basis(len(K) - 1, n)
     targets = _target_rows(order, K, D)
     for tau in taus:
@@ -247,7 +246,7 @@ def normalize(mat, tau, kappa):
     N s / (Q P), the one rational made.  ValueError unless tau and kappa
     have the d + 1 slots of mat, and each kappa_i > -1.
     """
-    kappa = check_kappa(kappa)
+    scaled_kappa(kappa)
     tk = tau.act_params(kappa)
     weighted = mat.scaled([ONE / norm_A(nu, tk) for nu in mat.order], [norm_A(mu, kappa) for mu in mat.order])
     return [[QSqrt.signed(c, R(c * s, Q * P)) for c, s in zip(nums, snums)]

@@ -10,8 +10,10 @@ local rules, a block of 2F1 coefficients per local degree, on the extended
 rho = (rho, 1 - |rho|), read from the integers of the word's one lcm.
 S_{d+1} permutes the extended rho like kappa; every Krawtchouk formula
 reads it (_extended), and its domain is "every entry > 0".  The lattice
-sums are only test oracles.  The normalized cycle coefficient has one
-Krawtchouk form; form 2 is its kraw_dual.
+inner products are test oracles (tests/oracles.py), not package code: the
+package has each family's values, weight and squared norm, and no lattice
+sum.  The normalized cycle coefficient has one Krawtchouk form; form 2 is
+its kraw_dual.
 """
 
 from math import comb
@@ -35,9 +37,14 @@ def _check_lattice(what, size, N):
 
 
 def hahn_multi(nu, x, kappa, N):
-    """Product-form Hahn polynomial H_nu(x; kappa, N); x in Z^{d+1}, |x| = N."""
+    """Product-form Hahn polynomial H_nu(x; kappa, N); x in Z^{d+1}, |x| = N.
+
+    ValueError for |nu| > N, and unless x and kappa have d + 1 entries.
+    """
     _check_lattice("Hahn degree |nu|", sum(nu), N)
     d = len(nu)
+    if len(x) != d + 1:
+        raise ValueError(f"nu = {tuple(nu)} needs x of {d + 1} entries, got {len(x)}")
     kappa = [R(k) for k in kappa]
     aj = a_coeffs(nu, kappa)
     val = ONE / pochhammer(R(-N), sum(nu))
@@ -52,26 +59,6 @@ def hahn_multi(nu, x, kappa, N):
         )
         val *= f / pochhammer(aj[j] + 1, nu[j])
     return val
-
-
-def hahn_weight(alpha, kappa):
-    val = ONE
-    for ai, ki in zip(alpha, kappa):
-        val *= pochhammer(R(ki) + 1, ai) / pochhammer(ONE, ai)
-    return val
-
-
-def _weighted_sum(fvals, gvals, weighted_grid):
-    """Sum of f(x) g(x) w(x) over (x, w(x)) pairs: the one discrete inner product."""
-    return sum((fvals[x] * gvals[x] * w for x, w in weighted_grid), ZERO)
-
-
-def hahn_inner(fvals, gvals, kappa, N):
-    """<f, g> from values indexed by the grid of |alpha| = N, normalized by N!/(lambda)_N."""
-    lam = sum((R(k) for k in kappa), ZERO) + len(kappa)
-    scale = pochhammer(ONE, N) / pochhammer(lam, N)
-    weighted = [(a, scale * hahn_weight(a, kappa)) for a in enumerate_basis(len(kappa), N)]
-    return _weighted_sum(fvals, gvals, weighted)
 
 
 def p_factor(nu, kappa):
@@ -152,11 +139,14 @@ def kraw_grid(d, N):
 def kraw_multi(nu, x, rho, N):
     """Product-form Krawtchouk polynomial K_nu(x; rho, N); x in N_0^d, |x| <= N.
 
-    ValueError for |nu| > N.  Off the lattice it is still the polynomial in x
-    that the product formula defines, and it is evaluated there.
+    ValueError for |nu| > N, and unless x and rho have d entries.  Off the
+    lattice it is still the polynomial in x that the product formula
+    defines, and it is evaluated there.
     """
     _check_lattice("Krawtchouk degree |nu|", sum(nu), N)
     d = len(nu)
+    if len(x) != d:
+        raise ValueError(f"nu and x need one length, got {d} and {len(x)}")
     rho = _extended(rho, d)
     val = ONE / pochhammer(R(-N), sum(nu))
     for j in range(d):
@@ -177,7 +167,7 @@ def kraw_weight(x, rho, N):
 
 
 def kraw_norm_C(nu, rho, N):
-    """Squared norm of K_nu under kraw_inner; ValueError for |nu| > N."""
+    """Squared norm of K_nu under the weight kraw_weight on |x| <= N; ValueError for |nu| > N."""
     _check_lattice("Krawtchouk degree |nu|", sum(nu), N)
     d = len(nu)
     rho = _extended(rho, d)
@@ -190,14 +180,11 @@ def kraw_norm_C(nu, rho, N):
     return val
 
 
-def kraw_inner(fvals, gvals, rho, N):
-    """<f, g> from values indexed by the grid of |x| <= N."""
-    return _weighted_sum(fvals, gvals, [(x, kraw_weight(x, rho, N)) for x in kraw_grid(len(rho), N)])
-
-
 def kraw_dual(x, nu, rho):
-    """Dual variables/indices/parameters; an involution."""
+    """Dual variables/indices/parameters; an involution.  ValueError unless x and rho have len(nu) entries."""
     d = len(nu)
+    if len(x) != d:
+        raise ValueError(f"nu and x need one length, got {d} and {len(x)}")
     rho = _extended(rho, d)
     x_t = tuple(nu[d - j] for j in range(1, d + 1))
     nu_t = tuple(x[d - j] for j in range(1, d + 1))

@@ -21,7 +21,8 @@ each beta_j before it divides, so it has none of the ratio form's 0/0
 (beta_j = 0, for one); the one-variable weight is pole-free at
 c + dlt + 1 = 0, where (b)_m ((b+2)/2)_x / (b/2)_x is a finite product.  The
 one-variable family, with its norm summed over the support, is the classical
-oracle that the d=1 product family is checked against through param_bridge_1d.
+family that the tests check the d=1 product family against; the parameter
+bridge between the two is a test oracle (tests/oracles.py).
 """
 
 import itertools
@@ -164,7 +165,12 @@ def dual_core(x, nu, B, D, N):
 
 
 def _on_rationals(core, x, nu, beta, N):
-    """core, a map on (x, nu, B, D, N), applied to a rational beta of len(nu) + 2 entries: (x', nu', beta')."""
+    """core, a map on (x, nu, B, D, N), applied to a rational beta of len(nu) + 2 entries: (x', nu', beta').
+
+    ValueError unless x and nu have one length and beta has len(nu) + 2 entries.
+    """
+    if len(x) != len(nu):
+        raise ValueError(f"nu and x need one length, got {len(nu)} and {len(x)}")
     B, D = _scaled_beta(beta, len(nu))
     x_m, nu_m, B_m = core(x, nu, B, D, N)
     return x_m, nu_m, tuple(R(b, D) for b in B_m)
@@ -231,9 +237,3 @@ def racah_second_norm_sq(nu, beta, N):
 def dual2_map(x, nu, beta, N):
     """Dual map landing in the second family: conj_map after dual_map."""
     return conj_map(*dual_map(x, nu, beta, N), N)
-
-
-def param_bridge_1d(beta, N):
-    """One-variable parameters (a, b, c, dlt) matching the d=1 product family."""
-    beta = [R(b) for b in beta]
-    return (R(-N) - 1, beta[2] - beta[0] - 1 + N, beta[1] - beta[0] - 1, beta[0])

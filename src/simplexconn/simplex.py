@@ -13,9 +13,10 @@ whole list of nu in one call that builds each Jacobi factor and each
 suffix product once.  Setting the constant 1 of every barycentric
 coordinate to 0 in that product gives the top-degree parts, leading_cores,
 which the Gram oracle reads one basis per call.
-jacobi_1d, a_coeffs, jacobi_simplex_basis and leading_form are their
-rational views, and norm_A and simplex_moment are each one rational of
-integer rising products, computed where read and held by nobody.
+jacobi_1d, a_coeffs and jacobi_simplex_basis are their rational views
+(the rational leading form is a test oracle), and norm_A and
+simplex_moment are each one rational of integer rising products, computed
+where read and held by nobody.
 Permutation.act_params is the package's one action on tuples.
 
 The kappa domain is kappa_i > -1, where the weight is integrable.  A
@@ -218,8 +219,15 @@ def a_core(K, D, j, tail):
     return sum(K[j:], (2 * tail + len(K) - 1 - j) * D)
 
 
+def _check_kappa_length(nu, kappa):
+    """ValueError unless kappa has len(nu) + 1 entries."""
+    if len(kappa) != len(nu) + 1:
+        raise ValueError(f"nu = {tuple(nu)} needs {len(nu) + 1} kappa entries, got {len(kappa)}")
+
+
 def a_coeffs(nu, kappa):
-    """Auxiliary parameters a_1, ..., a_d of the basis, the rational view of a_core."""
+    """Auxiliary parameters a_1, ..., a_d of the basis, the rational view of a_core; ValueError as norm_A."""
+    _check_kappa_length(nu, kappa)
     K, D = over_lcm([R(k) for k in kappa])
     return [R(a_core(K, D, j, sum(nu[j:])), D) for j in range(1, len(nu) + 1)]
 
@@ -235,12 +243,6 @@ def scaled_kappa(kappa, name="kappa"):
     if len(K) < 2 or min(K) <= -D:
         raise ValueError(f"{name} needs at least 2 entries, each > -1")
     return K, D
-
-
-def check_kappa(kappa, name="kappa"):
-    """kappa as a tuple of rationals, with scaled_kappa's domain check."""
-    K, D = scaled_kappa(kappa, name)
-    return tuple(R(k, D) for k in K)
 
 
 def check_degree(n):
@@ -328,13 +330,6 @@ def leading_cores(order, K, D, tau=None):
     return _product_cores(order, K, D, tau, 0)
 
 
-def leading_form(nu, kappa, tau=None):
-    """Degree-|nu| part of jacobi_simplex_basis(nu, kappa), or of its tau.act_vars image, from leading_cores."""
-    K, D = over_lcm([R(k) for k in kappa])
-    [(terms, den)] = leading_cores([nu], K, D, tau)
-    return SparsePoly(len(nu), {e: R(c, den) for e, c in terms.items()})
-
-
 def norm_A(nu, kappa):
     """Squared norm of the basis polynomial under the normalized measure.
 
@@ -345,8 +340,7 @@ def norm_A(nu, kappa):
     rising product over step D, and the D powers cancel to D^{|nu|} in the
     denominator.  ValueError unless kappa has len(nu) + 1 entries.
     """
-    if len(kappa) != len(nu) + 1:
-        raise ValueError(f"nu = {tuple(nu)} needs {len(nu) + 1} kappa entries, got {len(kappa)}")
+    _check_kappa_length(nu, kappa)
     K, D = over_lcm([R(k) for k in kappa])
     num, den = 1, rising(sum(K) + len(K) * D, 2 * sum(nu), D) * D ** sum(nu)
     for j, (k, n) in enumerate(zip(K, nu), 1):

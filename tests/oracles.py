@@ -1,16 +1,28 @@
-"""Rational reference computations, independent of the package's integer code and of its extended rho.
+"""Reference computations that the tests compare the package with.
 
-The Jacobi coefficients come from the ratio recurrence of the 2F1 series, a_j
-from rational sums, and the basis from SparsePoly products of factors
-lin^k hom^(n-k) built by a direct loop, not by the package's homogenize and
-subst.  Tests compare the package's integer definitions (simplex.jacobi_core,
-a_core and the basis product) and its substitute_homogeneous with these.
+The rational references are independent of the package's integer code and
+of its extended rho.  The Jacobi coefficients come from the ratio
+recurrence of the 2F1 series, a_j from rational sums, and the basis from
+SparsePoly products of factors lin^k hom^(n-k) built by a direct loop, not
+by the package's homogenize and subst.  Tests compare the package's integer
+definitions (simplex.jacobi_core, a_core and the basis product) and its
+substitute_homogeneous with these.
 
 The Krawtchouk formulas are written with prefix sums, each 1 - (rho_1 + ...
 + rho_j) formed where it is read, and tau acts on (rho, 1 - |rho|) by hand;
 tests compare the package's suffix sums of the extended rho with these.
 The Krawtchouk (12) local rule is summed by hyp_terminating in rationals;
 tests compare the engine's integer blocks with it.
+
+The other oracles read the package's formulas but none of its engines.
+hahn_inner and kraw_inner sum the package's Hahn and Krawtchouk values over
+the lattice under each family's weight, and ball_gram takes
+ball_inner_product of the package's ball basis elements, the sources moved
+by permute; tests compare hahn_connection, kraw_connection, ball_connection
+and the closed norms with them.  gegenbauer_gen writes the generalized
+Gegenbauer polynomials from jacobi_1d, param_bridge_1d gives the
+one-variable Racah parameters of the d = 1 product family, and
+leading_form is the rational view of simplex.leading_cores.
 
 module_caches is the scan for module state that the tests share.
 """
@@ -21,9 +33,11 @@ from math import comb
 
 import simplexconn
 from simplexconn.backend import R, ZERO, ONE
-from simplexconn.discrete import hahn_multi
-from simplexconn.exact_arith import QSqrt, hyp_terminating, hyp_with_prefactor, pochhammer
+from simplexconn.ballsphere import ParityPoly, _check_ball_kappa, _extend, ball_enumerate, ball_norm, q_ball, shifted
+from simplexconn.discrete import hahn_multi, kraw_grid, kraw_weight
+from simplexconn.exact_arith import QSqrt, hyp_terminating, hyp_with_prefactor, over_lcm, pochhammer
 from simplexconn.multipoly import SparsePoly
+from simplexconn.simplex import enumerate_basis, inner_product_simplex, jacobi_1d, leading_cores
 
 
 def module_caches():
@@ -197,3 +211,95 @@ def rational_kraw_block(j, rho, n, k, m, tail):
         sign * comb(n, m) * r1 ** (n - m - k) * r3**k / (r2 + r3) ** n
         * hyp_terminating([R(-m), R(-k)], [R(-n)], (r1 + r3) * (r2 + r3) / r3)
     )
+
+
+def leading_form(nu, kappa, tau=None):
+    """Degree-|nu| part of jacobi_simplex_basis(nu, kappa), or of its tau.act_vars image, from leading_cores."""
+    K, D = over_lcm([R(k) for k in kappa])
+    [(terms, den)] = leading_cores([nu], K, D, tau)
+    return SparsePoly(len(nu), {e: R(c, den) for e, c in terms.items()})
+
+
+def param_bridge_1d(beta, N):
+    """One-variable parameters (a, b, c, dlt) matching the d=1 product family."""
+    beta = [R(b) for b in beta]
+    return (R(-N) - 1, beta[2] - beta[0] - 1 + N, beta[1] - beta[0] - 1, beta[0])
+
+
+def hahn_weight(alpha, kappa):
+    val = ONE
+    for ai, ki in zip(alpha, kappa):
+        val *= pochhammer(R(ki) + 1, ai) / pochhammer(ONE, ai)
+    return val
+
+
+def _weighted_sum(fvals, gvals, weighted_grid):
+    """Sum of f(x) g(x) w(x) over (x, w(x)) pairs: the one discrete inner product."""
+    return sum((fvals[x] * gvals[x] * w for x, w in weighted_grid), ZERO)
+
+
+def hahn_inner(fvals, gvals, kappa, N):
+    """<f, g> from values indexed by the grid of |alpha| = N, normalized by N!/(lambda)_N."""
+    lam = sum((R(k) for k in kappa), ZERO) + len(kappa)
+    scale = pochhammer(ONE, N) / pochhammer(lam, N)
+    weighted = [(a, scale * hahn_weight(a, kappa)) for a in enumerate_basis(len(kappa), N)]
+    return _weighted_sum(fvals, gvals, weighted)
+
+
+def kraw_inner(fvals, gvals, rho, N):
+    """<f, g> from values indexed by the grid of |x| <= N."""
+    return _weighted_sum(fvals, gvals, [(x, kraw_weight(x, rho, N)) for x in kraw_grid(len(rho), N)])
+
+
+def gegenbauer_gen(n, lam, mu):
+    """Generalized Gegenbauer C_n as (parity bit, even core in t^2).
+
+    C_n(t) = t^parity * sum_k core[k] t^(2k), orthogonal for
+    |t|^(2 mu) (1-t^2)^(lam-1/2) on [-1, 1].
+    """
+    lam, mu = R(lam), R(mu)
+    m = n // 2
+    half = R(1, 2)
+    if n % 2 == 0:
+        pref = pochhammer(lam + mu, m) / pochhammer(mu + half, m)
+        jac = jacobi_1d(m, lam - half, mu - half)
+    else:
+        pref = pochhammer(lam + mu, m + 1) / pochhammer(mu + half, m + 1)
+        jac = jacobi_1d(m, lam - half, mu + half)
+    # the core in z = t^2
+    return n % 2, [pref * c for c in jac]
+
+
+def permute(p, tau):
+    """Substitute x_i <- x_{tau(i)} in the ParityPoly p, tau permuting its d variables: tau^-1 acts on the exponents."""
+    inv = tau.inverse()
+    terms = {inv.act_params(exp): c for exp, c in p.core.terms.items()}
+    return ParityPoly(inv.act_params(p.eps), SparsePoly(p.d, terms))
+
+
+def ball_inner_product(p, q, kappa):
+    """Inner product on the ball with weight prod |x_i|^(2k_i+1)(1-|x|^2)^k_last.
+
+    Zero across parity classes; within a class it is the normalized simplex
+    inner product of the cores at the shifted parameters.
+    """
+    if p.eps != q.eps:
+        return ZERO
+    return inner_product_simplex(p.core, q.core, shifted(kappa, p.eps))
+
+
+def ball_gram(tau, kappa, n):
+    """Direct Gram-matrix oracle for the ball connection coefficients; ValueError for kappa as in ball_connection."""
+    d = tau.m
+    _check_ball_kappa(tau, kappa)
+    tkappa = _extend(tau, d + 1).act_params(kappa)
+    order = ball_enumerate(d, n)
+    targets = {key: q_ball(*key, kappa) for key in order}
+    rows = []
+    for nu, eps in order:
+        src = permute(q_ball(nu, eps, tkappa), tau)
+        row = []
+        for key in order:
+            row.append(ball_inner_product(src, targets[key], kappa) / ball_norm(*key, kappa))
+        rows.append(row)
+    return order, rows

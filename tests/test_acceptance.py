@@ -30,6 +30,8 @@ from simplexconn import discrete as ds
 from simplexconn import ballsphere as bs
 from simplexconn import qsqrt_sums_equal
 
+from oracles import ball_gram, ball_inner_product, hahn_inner, kraw_inner, param_bridge_1d
+
 # the parameters of criteria 1-3; criterion 4 checks the same Gram matrices
 D2_KAPPAS = [
     (R(0), R(0), R(0)),
@@ -213,7 +215,7 @@ def test_05_racah_module():
     # one-variable bridge
     N = 5
     beta1 = tuple(R(i + 1, 3) + 2 * i for i in range(3))
-    a, b, c, dlt = rc.param_bridge_1d(beta1, N)
+    a, b, c, dlt = param_bridge_1d(beta1, N)
     for n in range(N + 1):
         for x in range(N + 1):
             pref = (
@@ -259,7 +261,7 @@ def test_07_hahn():
         vals = {nu: {a: ds.hahn_multi(nu, a, kappa, N) for a in grid} for nu in idxs}
         for i, nu in enumerate(idxs):
             for mu in idxs[i:]:
-                s = ds.hahn_inner(vals[nu], vals[mu], kappa, N)
+                s = hahn_inner(vals[nu], vals[mu], kappa, N)
                 expect = ds.hahn_norm_B(nu, kappa, N) if nu == mu else ZERO
                 assert s == expect
     # norm relation to the continuous norm
@@ -309,7 +311,7 @@ def test_08_krawtchouk():
         vals = {nu: {x: ds.kraw_multi(nu, x, rho, N) for x in grid} for nu in idxs}
         for i, nu in enumerate(idxs):
             for mu in idxs[i:]:
-                s = ds.kraw_inner(vals[nu], vals[mu], rho, N)
+                s = kraw_inner(vals[nu], vals[mu], rho, N)
                 expect = ds.kraw_norm_C(nu, rho, N) if nu == mu else ZERO
                 assert s == expect
     # duality: involution, parameter-sum preservation, weight identity
@@ -371,7 +373,7 @@ def test_09_ball_sphere():
         if eps != eta:
             p = bs.q_ball(nu, eps, kappa)
             q = bs.q_ball(mu, eta, kappa)
-            assert bs.ball_inner_product(p, q, kappa) == ZERO
+            assert ball_inner_product(p, q, kappa) == ZERO
     # disk polar basis matches parity images of the swapped simplex basis
     for mu in (R(1, 2), R(0)):
         for n in range(6):
@@ -381,7 +383,7 @@ def test_09_ball_sphere():
     for tau in (Permutation((2, 1)), Permutation((1, 2))):
         for n in (3, 4):
             conn = bs.ball_connection(tau, kappa, n)
-            order, rows = bs.ball_gram(tau, kappa, n)
+            order, rows = ball_gram(tau, kappa, n)
             tk = bs._extend(tau, 3).act_params(kappa)
             for i, src in enumerate(order):
                 src_norm = bs.ball_norm(src[0], src[1], tk)

@@ -11,6 +11,8 @@ from simplexconn import closed_forms as cf
 from simplexconn import connection
 from simplexconn.multipoly import SparsePoly, substitute_homogeneous
 
+from oracles import ball_gram, ball_inner_product, gegenbauer_gen, permute
+
 KAPPA2 = (R(1, 2), R(1, 3), R(2, 5))
 KAPPA3 = (R(1, 2), R(1, 3), R(2, 5), R(3, 7))
 
@@ -19,7 +21,7 @@ def test_parity_blocks_are_orthogonal():
     for (nu, eps), (mu, eta) in itertools.combinations(bs.ball_enumerate(2, 3), 2):
         p = bs.q_ball(nu, eps, KAPPA2)
         q = bs.q_ball(mu, eta, KAPPA2)
-        assert bs.ball_inner_product(p, q, KAPPA2) == ZERO
+        assert ball_inner_product(p, q, KAPPA2) == ZERO
 
 
 def test_ball_norms():
@@ -27,18 +29,18 @@ def test_ball_norms():
 
     for nu, eps in bs.ball_enumerate(2, 4):
         p = bs.q_ball(nu, eps, KAPPA2)
-        n2 = bs.ball_inner_product(p, p, KAPPA2)
+        n2 = ball_inner_product(p, p, KAPPA2)
         assert n2 == bs.ball_norm(nu, eps, KAPPA2)
         assert n2 == norm_A(nu, bs.shifted(KAPPA2, eps))
 
 
 def test_gegenbauer_generalized_low_degrees():
     lam, mu = R(3, 2), R(1, 4)
-    e0, c0 = bs.gegenbauer_gen(0, lam, mu)
+    e0, c0 = gegenbauer_gen(0, lam, mu)
     assert e0 == 0 and c0 == [ONE]
-    e1, c1 = bs.gegenbauer_gen(1, lam, mu)
+    e1, c1 = gegenbauer_gen(1, lam, mu)
     assert e1 == 1 and len(c1) == 1
-    e2, c2 = bs.gegenbauer_gen(2, lam, mu)
+    e2, c2 = gegenbauer_gen(2, lam, mu)
     assert e2 == 0 and len(c2) == 2
     # even case reduces to a Jacobi polynomial in 2t^2 - 1; check value at t=1
     val_at_1 = sum(c2, ZERO)
@@ -69,7 +71,7 @@ def gegenbauer_product(alpha, kappa):
     for j in range(1, d + 1):
         lam = sum(alpha[j:]) + sum(kappa[j:], ZERO) + d - j + half  # lam_j + 1/2
         mu = kappa[j - 1] + half
-        parity, coeffs = bs.gegenbauer_gen(alpha[j - 1], lam, mu)
+        parity, coeffs = gegenbauer_gen(alpha[j - 1], lam, mu)
         h = SparsePoly.constant(d, ONE)
         for i in range(j - 1):
             h = h - SparsePoly.variable(d, i)
@@ -96,7 +98,7 @@ def test_cartesian_product_is_proportional_to_semigroup_form():
 
 def assert_ball_connection_matches_gram(tau, kappa, n):
     conn = bs.ball_connection(tau, kappa, n)
-    order, rows = bs.ball_gram(tau, kappa, n)
+    order, rows = ball_gram(tau, kappa, n)
     norms = {key: bs.ball_norm(*key, kappa) for key in order}
     tk = bs._extend(tau, tau.m + 1).act_params(kappa)
     for i, src in enumerate(order):
@@ -148,7 +150,7 @@ def test_ball_connection_checks_kappa_before_the_shift_and_the_degree():
 @pytest.mark.parametrize("call, message", [
     (lambda: bs.ball_connection(Permutation.from_cycles("(12)", 3), (R(1, 2), R(1, 3)), 2),
      "3 ball variables needs 4 kappa entries, got 2"),
-    (lambda: bs.ball_gram(Permutation.from_cycles("(12)", 3), (R(1, 2), R(1, 3)), 2),
+    (lambda: ball_gram(Permutation.from_cycles("(12)", 3), (R(1, 2), R(1, 3)), 2),
      "3 ball variables needs 4 kappa entries, got 2"),
     (lambda: bs.q_ball((1, 0, 0), (0, 1, 1), (R(1, 2), R(1, 3))), "parity of 3 entries cannot shift 2 kappa entries"),
     (lambda: bs.sphere_basis((1, 1), (0, 0, 0), (R(1, 2), R(1, 3)), 4),
@@ -191,7 +193,7 @@ def test_disk_polar_orthogonality():
     for a, b in itertools.combinations(range(len(elems)), 2):
         pa = bs.poly_to_parity(elems[a])
         pb = bs.poly_to_parity(elems[b])
-        assert bs.ball_inner_product(pa, pb, kappa) == ZERO
+        assert ball_inner_product(pa, pb, kappa) == ZERO
 
 
 def test_sphere_orthogonality():
@@ -232,4 +234,4 @@ def test_permute_is_the_substitution_x_i_to_x_tau_i():
             for img in itertools.permutations(range(1, d + 1)):
                 tau = Permutation(img)
                 xs = [SparsePoly.variable(d, tau(i) - 1) for i in range(1, d + 1)]
-                assert p.permute(tau).expand() == p.expand().subst(xs), (p, tau)
+                assert permute(p, tau).expand() == p.expand().subst(xs), (p, tau)

@@ -108,6 +108,14 @@ def test_3d_normalized_13_as_radical_sum():
                 assert qsqrt_sums_equal(terms, [hat_gram[i][j]])
 
 
+def test_13_terms_check_the_lengths_of_nu_mu_and_kappa():
+    # a short nu ran off its end (IndexError), and a long kappa raised without naming the lengths
+    for nu, mu, kappa in (((1, 0), (1, 0), KAPPA3), ((1, 0, 0), (1, 0, 0), KAPPA3 + (HALF,))):
+        lengths = f"got {len(nu)}, {len(mu)} and {len(kappa)}"
+        with pytest.raises(ValueError, match=f"nu and mu of 3 entries and 4 kappa entries, {lengths}$"):
+            cf.cc_3d_hat13_terms(nu, mu, kappa, 1)
+
+
 def test_cyclic_closed_forms_d4():
     d = 4
     tau = Permutation((2, 3, 4, 1, 5))  # cycle on the first d slots
@@ -664,7 +672,7 @@ def test_cyclic_hat_reads_no_rational_racah_function(monkeypatch):
         raise AssertionError("cc_cyclic_hat called a rational Racah function or kernel")
 
     names = ("pochhammer", "hyp_with_prefactor", "racah_multi", "racah_weight_multi", "racah_norm_sq",
-             "racah_second_norm_sq", "dual_map", "conj_map", "check_kappa")
+             "racah_second_norm_sq", "dual_map", "conj_map")
     for module in (cf, rc):
         for name in names:
             monkeypatch.setattr(module, name, forbidden, raising=False)

@@ -33,7 +33,7 @@ from simplexconn.connection import (
     weighted_orthogonal,
 )
 
-from oracles import loop_basis, module_caches, top_part
+from oracles import ball_gram, loop_basis, module_caches, top_part
 
 KAPPA = (R(1, 2), R(1, 3), R(2))
 
@@ -202,7 +202,7 @@ def test_clear_caches_clears_moments(capsys):
     tau, kappa = Permutation.from_cycles("(12)", 3), (R(1, 7), R(2, 7), R(3, 7))
     p = jacobi_simplex_basis((1, 0), kappa)
     inner_product_simplex(p, p, kappa)
-    ballsphere.ball_gram(Permutation.from_cycles("(12)", 2), (R(1, 2), R(1, 3), R(2, 7)), 2)
+    ball_gram(Permutation.from_cycles("(12)", 2), (R(1, 2), R(1, 3), R(2, 7)), 2)
     assert ballsphere.example_910_check(4)["failures"] == []
     gram_connection(tau, kappa, 2)
     connection_matrix(tau, kappa, 2, method="closed")

@@ -13,8 +13,8 @@ from simplexconn.connection import gram_connection
 from simplexconn import discrete as ds
 
 from oracles import (
-    prefix_hahn_kraw_scaled, prefix_kraw_cc_cyclic_hat, prefix_kraw_dual, prefix_kraw_multi, prefix_kraw_norm_C,
-    prefix_kraw_weight, prefix_tau_rho, rational_kraw_block, value_or_error,
+    hahn_inner, kraw_inner, prefix_hahn_kraw_scaled, prefix_kraw_cc_cyclic_hat, prefix_kraw_dual, prefix_kraw_multi,
+    prefix_kraw_norm_C, prefix_kraw_weight, prefix_tau_rho, rational_kraw_block, value_or_error,
 )
 
 KAPPA = (R(1, 2), R(1, 3), R(2, 5))
@@ -38,7 +38,7 @@ def test_hahn_orthogonality_and_norm():
     vals = {nu: {a: ds.hahn_multi(nu, a, KAPPA, N) for a in grid} for nu in idxs}
     for i, nu in enumerate(idxs):
         for mu in idxs[i:]:
-            s = ds.hahn_inner(vals[nu], vals[mu], KAPPA, N)
+            s = hahn_inner(vals[nu], vals[mu], KAPPA, N)
             expect = ds.hahn_norm_B(nu, KAPPA, N) if nu == mu else ZERO
             assert s == expect
 
@@ -91,7 +91,7 @@ def test_kraw_orthogonality_and_norm():
     vals = {nu: {x: ds.kraw_multi(nu, x, RHO, N) for x in grid} for nu in idxs}
     for i, nu in enumerate(idxs):
         for mu in idxs[i:]:
-            s = ds.kraw_inner(vals[nu], vals[mu], RHO, N)
+            s = kraw_inner(vals[nu], vals[mu], RHO, N)
             expect = ds.kraw_norm_C(nu, RHO, N) if nu == mu else ZERO
             assert s == expect
 
@@ -175,7 +175,7 @@ def hahn_lattice_connection(tau, kappa, N, n):
     rows = []
     for nu in order:
         src = {a: ds.hahn_multi(nu, tuple(a[tau(i) - 1] for i in range(1, d + 2)), tk, N) for a in grid}
-        rows.append(tuple(ds.hahn_inner(src, vals, kappa, N) / norm for vals, norm in targets))
+        rows.append(tuple(hahn_inner(src, vals, kappa, N) / norm for vals, norm in targets))
     return tuple(order), tuple(rows)
 
 
@@ -192,7 +192,6 @@ def test_hahn_connection_never_sums_the_lattice(monkeypatch):
         raise AssertionError("hahn_connection evaluated the lattice")
 
     monkeypatch.setattr(ds, "hahn_multi", no_lattice)
-    monkeypatch.setattr(ds, "hahn_weight", no_lattice)
     for m, kappa in ((3, KAPPA), (4, KAPPA + (R(3, 4),))):
         for img in itertools.permutations(range(1, m + 1)):
             assert len(ds.hahn_connection(Permutation(img), kappa, 3, 3).order) == len(enumerate_basis(m - 1, 3))
@@ -245,7 +244,7 @@ def kraw_lattice_connection(tau, rho, N, n):
         for x in grid:
             ext = tuple(x) + (N - sum(x),)
             src[x] = ds.kraw_multi(nu, tuple(ext[tau(i) - 1] for i in range(1, d + 1)), trho, N)
-        rows.append(tuple(ds.kraw_inner(src, vals, rho, N) / norm for vals, norm in targets))
+        rows.append(tuple(kraw_inner(src, vals, rho, N) / norm for vals, norm in targets))
     return tuple(order), tuple(rows)
 
 
@@ -411,6 +410,31 @@ def test_tau_rho_is_an_action():
         for rho in [sweep_rho(rng, d) for _ in range(4)]:
             for t1, t2 in itertools.product(perms, repeat=2):
                 assert ds.tau_rho(t1 * t2, rho) == ds.tau_rho(t2, ds.tau_rho(t1, rho)), (t1, t2, rho)
+
+
+LONG_KAPPA = (R(1, 2), R(1, 3), R(1, 5), R(2, 7))
+
+
+@pytest.mark.parametrize("call, message", [
+    # a_coeffs cut a long kappa: this hahn_multi was 487/1604
+    pytest.param(lambda: ds.p_factor((1, 0), LONG_KAPPA), "needs 3 kappa entries, got 4", id="p_factor-kappa"),
+    pytest.param(lambda: ds.hahn_multi((1, 0), (1, 0, 1), LONG_KAPPA, 2), "needs 3 kappa entries, got 4",
+                 id="hahn_multi-kappa"),
+    # x_{d+1} is never read, so a short or long x gave the value of its first d entries
+    pytest.param(lambda: ds.hahn_multi((1, 0), (1, 0), KAPPA, 2), "needs x of 3 entries, got 2", id="hahn_multi-short"),
+    pytest.param(lambda: ds.hahn_multi((1, 0), (1, 0, 1, 0), KAPPA, 2), "needs x of 3 entries, got 4",
+                 id="hahn_multi-long"),
+    # a long x was cut (-1/2), and a short one ran off its end
+    pytest.param(lambda: ds.kraw_multi((1, 0), (1, 0, 0), (R(1, 3), R(1, 5)), 2), "need one length, got 2 and 3",
+                 id="kraw_multi-long"),
+    pytest.param(lambda: ds.kraw_multi((1, 0), (1,), (R(1, 3), R(1, 5)), 2), "need one length, got 2 and 1",
+                 id="kraw_multi-short"),
+    pytest.param(lambda: ds.kraw_dual((1,), (1, 0), RHO), "need one length, got 2 and 1", id="kraw_dual-short"),
+    pytest.param(lambda: ds.kraw_dual((1, 0, 0), (1, 0), RHO), "need one length, got 2 and 3", id="kraw_dual-long"),
+])
+def test_hahn_and_krawtchouk_formulas_check_the_lengths_of_x_and_kappa(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
 
 
 def test_krawtchouk_formulas_check_the_length_of_rho():

@@ -4,6 +4,9 @@ The package and its tests carry no dead imports; `__init__.py` is exempt,
 because its imports are the package's re-exports.  The package's functions
 carry no dead locals; `_` is exempt.  Every private top-level definition of
 the package is read somewhere, and every private function by package code.
+Every public top-level function and class of the package is read by package
+code or named by perfbench, or is one of the paper's formulas that wait for
+a verify suite: a definition that only tests read belongs in tests/oracles.py.
 Every method of a package class is read by the package or by perfbench,
 and the method names that more than one package class defines, which that
 scan cannot tell apart, are a list checked by hand.
@@ -161,6 +164,71 @@ def test_every_private_function_is_read_by_the_package():
     functions = {node.name for path in package for node in ast.parse(path.read_text()).body
                  if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))}
     assert [entry for entry in unread_privates(package, package) if entry[2] in functions] == []
+
+
+def public_definitions(path):
+    """(line, name) for each public function or class a module defines at its top level."""
+    return [(node.lineno, node.name) for node in ast.parse(path.read_text(), filename=str(path)).body
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)) and not node.name.startswith("_")]
+
+
+def only_tested_publics(paths, package, perfbench, listed=()):
+    """(file name, line, name) for each public definition in paths, outside listed, that package code never reads.
+
+    A name counts as read when a package file reads it or a perfbench file names it, as a variable, an
+    attribute, a from-import or part of a dotted string.
+    """
+    read = names_read(package) | names_read(perfbench) | attributes_read(perfbench)
+    return [(path.name, line, name) for path in paths for line, name in public_definitions(path)
+            if name not in read and name not in listed]
+
+
+def stale_entries(listed, package, tests):
+    """The names of listed that package code reads, or that no test reads."""
+    package_read, tests_read = names_read(package), names_read(tests)
+    return sorted(name for name in listed if name in package_read or name not in tests_read)
+
+
+# the paper's formulas that tests check and no package code reads yet: each waits for a verify suite
+PAPER_FORMULAS = ("cc_coset_hat", "cc_3d_hat13_terms", "dual2_map", "duality_normalizer", "hahn_from_generating",
+                  "hahn_kraw_scaled", "hahn_norm_B", "verify_disk_polar")
+
+
+def test_the_scan_finds_a_definition_that_only_tests_read(tmp_path):
+    module = tmp_path / "sample.py"
+    module.write_text(
+        "def used():\n"
+        "    return 1\n"
+        "def benched():\n"
+        "    return 2\n"
+        "def traced():\n"
+        "    return 3\n"
+        "def oracle():\n"
+        "    return 4\n"
+        "class Formula:\n"
+        "    pass\n"
+    )
+    init = tmp_path / "__init__.py"
+    init.write_text("from .sample import used\n")
+    bench = tmp_path / "bench.py"
+    bench.write_text("import sample\nsample.benched()\nSPANS = [('sample', 'traced', 'sample.traced')]\n")
+    tests = tmp_path / "test_sample.py"
+    tests.write_text("from sample import Formula, oracle\nprint(Formula, oracle())\n")
+    package = [init, module]
+    assert only_tested_publics([module], package, [bench]) == [("sample.py", 7, "oracle"), ("sample.py", 9, "Formula")]
+    assert only_tested_publics([module], package, [bench], ("Formula",)) == [("sample.py", 7, "oracle")]
+    assert stale_entries(("Formula", "used", "untested"), package, [tests]) == ["untested", "used"]
+
+
+def test_src_holds_no_definition_that_only_tests_read():
+    package = sorted((ROOT / "src/simplexconn").glob("*.py"))
+    assert only_tested_publics(package, package, sorted((ROOT / "perfbench").glob("*.py")), PAPER_FORMULAS) == []
+
+
+def test_every_paper_formula_is_tested_and_unread_by_the_package():
+    # a formula that package code reads has its caller and leaves the list; one that no test reads is unchecked
+    package = sorted((ROOT / "src/simplexconn").glob("*.py"))
+    assert stale_entries(PAPER_FORMULAS, package, sorted((ROOT / "tests").glob("*.py"))) == []
 
 
 DOTTED = re.compile(r"[A-Za-z_]\w*(\.[A-Za-z_]\w*)+")

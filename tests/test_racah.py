@@ -9,7 +9,7 @@ from simplexconn import closed_forms as cf
 from simplexconn.discrete import kraw_grid
 from simplexconn.simplex import enumerate_basis
 
-from oracles import value_or_error
+from oracles import param_bridge_1d, value_or_error
 
 BETA2 = tuple(R(2 * i + 1, 2) + i for i in range(4))  # d = 2
 BETA3 = tuple(R(3 * i + 2, 3) + i * i for i in range(5))  # d = 3
@@ -149,7 +149,7 @@ def test_dual_then_reflect_lands_in_second_family():
 def test_one_variable_bridge():
     N = 5
     beta = tuple(R(i + 1, 3) + 2 * i for i in range(3))  # d = 1
-    a, b, c, dlt = rc.param_bridge_1d(beta, N)
+    a, b, c, dlt = param_bridge_1d(beta, N)
     for n in range(N + 1):
         for x in range(N + 1):
             pref = (
@@ -348,6 +348,28 @@ def test_poles_raise_like_the_rational_bodies_seeded():
                       for name in ("racah_weight_multi", "racah_norm_sq", "racah_second_norm_sq")}
 
 
+def test_second_norm_is_the_reflected_norm_times_the_corner_ratio_seeded():
+    # conj_map sends R'_nu(x; beta) to R_{nu_c}(x_c; beta_c), and the weight ratio
+    # w(x; beta) / w(x_c; beta_c) is (beta_{d+1})_{2N} / (beta_0 + 1)_{2N} at every point:
+    # wherever the closed second norm has a value, it is the first norm at the reflection times that ratio
+    rng = random.Random(20261021)
+    values = 0
+    for d in range(1, 5):
+        for N in range(1, 5):
+            betas = [seeded_beta(rng, d) for _ in range(2)]
+            betas += [mixed_beta(rng, d, share) for share in (1, 2, 4) for _ in range(2)]
+            for beta in betas:
+                ratio = value_or_error(lambda: pochhammer(beta[d + 1], 2 * N) / pochhammer(beta[0] + 1, 2 * N))
+                for nu in kraw_grid(d, N):
+                    got = value_or_error(rc.racah_second_norm_sq, nu, beta, N)
+                    if isinstance(got, type):
+                        continue
+                    _, nu_c, beta_c = rc.conj_map((0,) * d, nu, beta, N)
+                    assert got == rc.racah_norm_sq(nu_c, beta_c, N) * ratio, (nu, beta, N)
+                    values += 1
+    assert values > 500
+
+
 def test_racah_functions_check_the_length_of_beta():
     short, long = (R(1), R(2)), (R(1), R(2), R(3), R(4))
     for beta in (short, long):
@@ -360,6 +382,14 @@ def test_racah_functions_check_the_length_of_beta():
                 call()
     with pytest.raises(ValueError, match="nu and x need one length"):
         rc.racah_multi((1, 0), (0,), long, 2)
+
+
+def test_maps_check_the_length_of_x():
+    # both maps cut a long x and ran off the end of a short one
+    for x in ((1,), (1, 0, 0)):
+        for rmap in (rc.dual_map, rc.conj_map, rc.dual2_map):
+            with pytest.raises(ValueError, match=f"^nu and x need one length, got 2 and {len(x)}$"):
+                rmap(x, (1, 0), BETA2, 3)
 
 
 def rational_duality_normalizer(nu, beta, N):

@@ -19,12 +19,11 @@ from simplexconn.simplex import (
     inner_product_simplex,
     jacobi_1d,
     jacobi_simplex_basis,
-    leading_form,
     norm_A,
     simplex_moment,
 )
 
-from oracles import loop_basis, recurrence_jacobi_1d, summed_a_coeffs, top_part, value_or_error
+from oracles import leading_form, loop_basis, recurrence_jacobi_1d, summed_a_coeffs, top_part, value_or_error
 
 
 def perms(m):
@@ -345,6 +344,13 @@ def test_norm_equals_the_rational_product():
             norm_A(nu, kappa)
 
 
+def test_a_coeffs_checks_the_length_of_kappa():
+    # a_core slices kappa, so a long one was cut: (1, 0) at four kappa entries gave [296/105, 52/35]
+    for nu, kappa in (((1, 0), (R(1, 2), R(1, 3), R(1, 5), R(2, 7))), ((1, 1, 1), (R(1, 2),) * 3)):
+        with pytest.raises(ValueError, match=f"needs {len(nu) + 1} kappa entries, got {len(kappa)}"):
+            a_coeffs(nu, kappa)
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.data())
 def test_leading_form_is_triangular_in_basis_order(data):
@@ -379,25 +385,20 @@ def formula_calls():
     k, nu, tau = OUTSIDE, (1, 1), Permutation.from_cycles("(12)", 3)
     ball = bs.q_ball((1, 0), (1, 0), k)
     sphere = bs.sphere_basis((1, 0), (1, 0, 0), k, 3)
-    hahn = {a: ONE for a in enumerate_basis(3, 2)}
     return {
         "jacobi_1d": lambda: jacobi_1d(2, k[1], k[0]),
         "a_coeffs": lambda: a_coeffs(nu, k),
         "jacobi_simplex_basis": lambda: jacobi_simplex_basis(nu, k),
-        "leading_form": lambda: leading_form(nu, k, tau),
         "norm_A": lambda: norm_A(nu, k),
         "simplex_moment": lambda: simplex_moment((1, 2), k),
         "inner_product_simplex": lambda: inner_product_simplex(jacobi_simplex_basis(nu, k), ball.core, k),
         "verify_sum_identity": lambda: cf.verify_sum_identity(1, 1, k, 2),
         "hahn_multi": lambda: ds.hahn_multi(nu, (1, 0, 1), k, 2),
-        "hahn_weight": lambda: ds.hahn_weight((1, 0, 1), k),
-        "hahn_inner": lambda: ds.hahn_inner(hahn, hahn, k, 2),
         "p_factor": lambda: ds.p_factor(nu, k),
         "hahn_norm_B": lambda: ds.hahn_norm_B(nu, k, 2),
         "hahn_from_generating": lambda: ds.hahn_from_generating(nu, k, 2),
         "q_ball": lambda: ball,
         "ball_norm": lambda: bs.ball_norm((1, 0), (1, 0), k),
-        "ball_inner_product": lambda: bs.ball_inner_product(ball, ball, k),
         "sphere_basis": lambda: sphere,
         "sphere_inner_product": lambda: bs.sphere_inner_product(sphere, sphere, k),
         "kraw_multi": lambda: ds.kraw_multi(nu, (1, 0), RHO_OUTSIDE, 2),
@@ -423,7 +424,6 @@ def builder_calls():
         "cc_3d_hat13_terms": lambda: cf.cc_3d_hat13_terms((1, 0, 0), (0, 1, 0), OUTSIDE4, 1),
         "hahn_connection": lambda: ds.hahn_connection(tau, k, 2, 1),
         "ball_connection": lambda: bs.ball_connection(Permutation((2, 1)), k, 1),
-        "ball_gram": lambda: bs.ball_gram(Permutation((2, 1)), k, 1),
     }
 
 
