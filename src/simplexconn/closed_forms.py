@@ -15,11 +15,13 @@ rule and the row updates run in Python integers: the family puts the
 parameters over the lcm D of their denominators once per word, each step
 swaps those integers, cc_2d_entry takes kappa-hat as three integers over D
 and returns its whole block of (num, den) at once, each prefactor built once
-per row or column and each 4F3 summed by exact_arith's integer kernel, and
-each row of the running product is integer numerators over one denominator,
-handed to the ConnMatrix as its int_rows, so the engine makes no rational
-and keeps no matrix: connection_matrix returns a new value per call.  The
-engine reads one block per group of rows of one local degree and tail, and
+per row or column and all its 4F3 summed by one call of exact_arith's block
+kernel, fold_block, and each row of the running product is integer
+numerators over one denominator, handed to the ConnMatrix as its int_rows,
+so the engine makes no rational and keeps no matrix: connection_matrix
+returns a new value per call.  The engine reads one block per group of rows
+of one local degree and tail, and passes the rows of local degree 0, whose
+block is [[1]], through untouched, as s_d does the rows whose factor is 1;
 a caller that builds many matrices at permutations of one kappa passes them
 one dict (entries) that it holds, of blocks keyed by the local parameters
 and of each (d, n)'s basis and row groups, so each is built once.  cc_2d_entry keeps the name of the
@@ -39,9 +41,9 @@ import itertools
 from math import comb, gcd, lcm
 
 from .backend import R, ZERO, ONE
-from .exact_arith import QSqrt, fold_at, hyp_terminating, least_top, pochhammer, rising
+from .exact_arith import QSqrt, fold_block, hyp_terminating, pochhammer, rising
 from .racah import conj_core, dual_core, multi_core, norm_core, racah_weight_1d, second_norm_core, weight_core
-from .simplex import Permutation, a_core, check_degree, enumerate_basis, scaled_kappa
+from .simplex import Permutation, a_core, check_degree, check_kappa, enumerate_basis, scaled_kappa
 from .connection import ConnMatrix
 
 
@@ -68,10 +70,11 @@ def cc_2d_entry(K, D, n):
     4F3(-m, m+k2+k3+1, -j, j+k1+k3+1; -n, k3+1, n+|k|+2; 1), computed in
     integers: kappa is three integers K over any common denominator D > 0,
     (k + c)_r = prod_i (K + (c+i) D) / D^r, so the D^{n+m} of the prefactor
-    cancel.  The prefactor's column part is built once per column and its
-    row part once per row, and each 4F3 is one exact_arith.fold_at over step
-    D at its least top, the lesser of its column's (-m, m+k2+k3+1) and its
-    row's (-j, j+k1+k3+1), each found once.  Entries are integers (num, den),
+    cancel.  Each Pochhammer of the prefactor is built once per block, and
+    its column part once per column and its row part once per row.  The 4F3
+    are one exact_arith.fold_block over step D, whose rows hold the tops
+    (-j, j+k1+k3+1) and columns (-m, m+k2+k3+1), so each entry folds at its
+    least top as fold_at would and is one dot product.  Entries are integers (num, den),
     den != 0, each divided by its gcd, so the engine keeps and combines small
     integers; no rational is made.  Outside the domain kappa > -1 the block
     raises what its first raising entry, in row-major order, raises:
@@ -81,25 +84,29 @@ def cc_2d_entry(K, D, n):
     K1, K2, K3 = K
     # D times the bottoms -n, k3+1 and n+|k|+2, shared by every entry
     c, e = K3 + D, K1 + K2 + K3 + (n + 2) * D
-    bottoms = [-n * D, c, e]
-    columns = []
+    # D^i times (k2+1)_i, (k3+1)_i and (n+|k|+2)_i, for i = 0..n
+    k2s, k3s, es = [1], [1], [1]
+    for shift in range(0, n * D, D):
+        k2s.append(k2s[-1] * (K2 + D + shift))
+        k3s.append(k3s[-1] * (c + shift))
+        es.append(es[-1] * (e + shift))
+    columns, column_tops = [], []
     for m in range(n + 1):
         a = K2 + K3 + (m + 1) * D  # D times the top m+k2+k3+1
-        num = rising(e, m, D)
-        den = rising(K2 + D, m, D) * rising(a + (m + 1) * D, n - m, D) * rising(a, m, D)
-        columns.append((-m * D, a, least_top([-m * D, a], D), -num if m % 2 else num, den))
+        den = k2s[m] * rising(a + (m + 1) * D, n - m, D) * rising(a, m, D)
+        if den == 0:
+            raise ZeroDivisionError(f"the (12) prefactor divides by 0 at m={m}, n={n}")
+        columns.append((-es[m] if m % 2 else es[m], den))
+        column_tops.append((-m * D, a))
+    # D times the tops -j and j+k1+k3+1 of each row
+    sums = fold_block([(-j * D, K1 + K3 + (j + 1) * D) for j in range(n + 1)], column_tops, [-n * D, c, e], D)
     block = []
-    for j in range(n + 1):
-        b = K1 + K3 + (j + 1) * D  # D times the top j+k1+k3+1
-        row_num = comb(n, j) * rising(K2 + D, n - j, D) * rising(c, j, D)
+    for j, row_sums in enumerate(sums):
+        row_num = comb(n, j) * k2s[n - j] * k3s[j]
         if (n + j) % 2:
             row_num = -row_num
-        row_order = least_top([-j * D, b], D)
         row = []
-        for m, (m_top, a, order, num, den) in enumerate(columns):
-            if den == 0:
-                raise ZeroDivisionError(f"the (12) prefactor divides by 0 at m={m}, n={n}")
-            total, bottom = fold_at([m_top, -j * D, a, b], bottoms, min(order, row_order), D)
+        for (num, den), (total, bottom) in zip(columns, row_sums):
             entry_num, entry_den = row_num * num * total, den * bottom
             g = gcd(entry_num, entry_den)
             row.append((entry_num // g, entry_den // g))
@@ -175,7 +182,8 @@ def word_product(tau, P, D, n, local, block, ratio, entries=None):
       m_loc = nu_j + nu_{j+1}, the d=2 (12) block, whose row k = nu_{j+1}
       holds in column m the entry of C^{s_j} in row nu and column mu, as
       integers (num, den), den != 0, where mu agrees with nu outside slots
-      j, j+1 and m = mu_{j+1};
+      j, j+1 and m = mu_{j+1}; it is asked only for m_loc >= 1, since at
+      m_loc = 0 the (12) block is [[1]];
     - ratio(P, D): C^{s_d} is diag((p/q)^{nu_d}) for the integers (p, q).
 
     The caller puts the params over their lcm D once: D does not change when
@@ -183,11 +191,14 @@ def word_product(tau, P, D, n, local, block, ratio, entries=None):
     Rows are kept as integer numerators over one row denominator: s_j combines
     the rows it reads over the lcm of (entry denominator x row denominator)
     and divides out one gcd, and s_d multiplies row nu by p^{nu_d} and its
-    denominator by q^{nu_d}.  The rows are the ConnMatrix's int_rows as
-    they stand: no rational is made.  The rows of s_j fall into groups of one
-    (m_loc, tail), each of which reads one block; which rows mu each row nu
-    reads depends only on (d, n, j), so _letter_reads finds it once per
-    (d, n, j).
+    denominator by q^{nu_d}, keeping the row as it is where p^{nu_d} =
+    q^{nu_d}.  The rows are the ConnMatrix's int_rows as they stand, reduced
+    there: no rational is made.  The rows of s_j fall into groups of one
+    (m_loc, tail), each of which reads one block, and a group into fibers,
+    the rows that agree outside slots j, j+1, which read one list of rows;
+    rows of local degree 0, whose block is [[1]] in every family, are left
+    as they are, with no block.  Which rows mu each row nu reads depends
+    only on (d, n, j), so _letter_reads finds it once per (d, n, j).
 
     entries holds what the call reads and would otherwise build again, each
     key led by the rule that builds it: entries[(block, L, D, m_loc)] is
@@ -221,37 +232,38 @@ def word_product(tau, P, D, n, local, block, ratio, entries=None):
             p, q = p // g, q // g
             powers = [(p**e, q**e) for e in range(n + 1)]
             new_rows = []
-            for nu, (row, den) in zip(order, rows):
+            for nu, pair in zip(order, rows):
                 pe, qe = powers[nu[d - 1]]
-                new_rows.append(({c: v * pe for c, v in row.items()}, den * qe))
+                if pe != qe:  # a factor p^e / q^e = 1 keeps the row
+                    row, den = pair
+                    pair = {c: v * pe for c, v in row.items()}, den * qe
+                new_rows.append(pair)
             rows = new_rows
         else:
             if a not in reads:
                 reads[a] = _letter_reads(order, index, a)
-            new_rows = [None] * len(rows)
-            for (m_loc, tail), group in reads[a].items():
+            new_rows = rows[:]  # rows of local degree 0 pass through: the block there is [[1]]
+            for (m_loc, tail), fibers in reads[a].items():
                 params = local(P, D, a, tail)
                 key = (block, params, D, m_loc)
                 entry_rows = entries.get(key)
                 if entry_rows is None:
                     entry_rows = entries[key] = block(params, D, m_loc)
-                for i, k, sources in group:
-                    parts = []
-                    for (num, den), s in zip(entry_rows[k], sources):
-                        if num:
-                            row, row_den = rows[s]
-                            parts.append((num, den * row_den, row))
-                    common = lcm(*(part_den for _, part_den, _ in parts))
-                    acc = {}
-                    for num, part_den, row in parts:
-                        f = num * (common // part_den)
-                        for col, v in row.items():
-                            acc[col] = acc.get(col, 0) + f * v
-                    g = gcd(common, *acc.values())
-                    if g > 1:
-                        acc = {col: v // g for col, v in acc.items()}
-                        common //= g
-                    new_rows[i] = (acc, common)
+                for sources in fibers:
+                    read = [rows[s] for s in sources]
+                    for i, entry_row in zip(sources, entry_rows):
+                        parts = [(num, den * row_den, row) for (num, den), (row, row_den) in zip(entry_row, read) if num]
+                        common = lcm(*(part_den for _, part_den, _ in parts))
+                        acc = {}
+                        for num, part_den, row in parts:
+                            f = num * (common // part_den)
+                            for col, v in row.items():
+                                acc[col] = acc.get(col, 0) + f * v
+                        g = gcd(common, *acc.values())
+                        if g > 1:
+                            acc = {col: v // g for col, v in acc.items()}
+                            common //= g
+                        new_rows[i] = (acc, common)
             rows = new_rows
         P = (*P[: a - 1], P[a], P[a - 1], *P[a + 1:])
     size = len(order)
@@ -259,12 +271,21 @@ def word_product(tau, P, D, n, local, block, ratio, entries=None):
 
 
 def _letter_reads(order, index, j):
-    """The rows of order for s_j, grouped by (m_loc, tail): per row, (its index, nu_{j+1}, the indices of its mu)."""
+    """The rows of order that s_j changes, grouped by (m_loc, tail) and, within a group, by fiber.
+
+    A fiber is the rows nu that agree outside slots j, j+1, at one local
+    degree m_loc = nu_j + nu_{j+1} > 0: its one list of indices, the row
+    with nu_{j+1} = m at place m, is both the rows and the mu they read.
+    Groups come in the order of their first row in order; rows of local
+    degree 0 are in none, since s_j leaves them alone.
+    """
     groups = {}
-    for i, nu in enumerate(order):
+    for nu in order:
         m_loc = nu[j - 1] + nu[j]
-        sources = [index[nu[: j - 1] + (m_loc - m, m) + nu[j + 1:]] for m in range(m_loc + 1)]
-        groups.setdefault((m_loc, sum(nu[j + 1:])), []).append((i, nu[j], sources))
+        if m_loc:
+            fibers = groups.setdefault((m_loc, sum(nu[j + 1:])), [])
+            if not nu[j]:
+                fibers.append([index[nu[: j - 1] + (m_loc - m, m) + nu[j + 1:]] for m in range(m_loc + 1)])
     return groups
 
 
@@ -372,8 +393,11 @@ def cc_adjacent_hat(nu, mu, kappa, n, j):
 
     For j < d it is the d=2 cycle (12) at the local degrees of slots j, j+1
     and the engine's kappa-hat, and 0 unless nu and mu agree outside them.
-    Raises ValueError unless 1 <= j <= d = len(nu), len(mu) = d, kappa has
-    d + 1 entries, each > -1, and |nu| = |mu| = n with no negative entry.
+    kappa goes over its lcm only for an entry that reads it: the signed
+    identity at j = d and the zeros outside slots j, j+1 check it with
+    check_kappa, which raises the same errors.  Raises ValueError unless
+    1 <= j <= d = len(nu), len(mu) = d, kappa has d + 1 entries, each > -1,
+    and |nu| = |mu| = n with no negative entry.
     """
     d, nu, mu = len(nu), tuple(nu), tuple(mu)
     if not (1 <= j <= d and len(mu) == d and len(kappa) == d + 1 and sum(nu) == sum(mu) == n
@@ -381,13 +405,14 @@ def cc_adjacent_hat(nu, mu, kappa, n, j):
         raise ValueError(f"cc_adjacent_hat needs 1 <= j <= d = len(nu), len(mu) = d, d + 1 kappa entries "
                          f"and |nu| = |mu| = n with entries >= 0; got j = {j}, nu = {nu}, mu = {mu}, "
                          f"{len(kappa)} kappa entries and n = {n}")
-    K, D = scaled_kappa(kappa)
+    if j < d and nu[: j - 1] == mu[: j - 1] and nu[j + 1:] == mu[j + 1:]:
+        K, D = scaled_kappa(kappa)
+        return _cyclic_hat(nu[j - 1: j + 1], mu[j - 1: j + 1], _local_kappa(K, D, j, sum(nu[j + 1:])), D,
+                           nu[j - 1] + nu[j], 1)
+    check_kappa(kappa)
     if j == d:
         return QSqrt.signed(_sign(nu[d - 1]) if nu == mu else 0, ONE)
-    if nu[: j - 1] != mu[: j - 1] or nu[j + 1:] != mu[j + 1:]:
-        return QSqrt(0, ZERO)
-    return _cyclic_hat(nu[j - 1: j + 1], mu[j - 1: j + 1], _local_kappa(K, D, j, sum(nu[j + 1:])), D,
-                       nu[j - 1] + nu[j], 1)
+    return QSqrt(0, ZERO)
 
 
 def cc_3d_hat13_terms(nu, mu, kappa, n):

@@ -19,7 +19,7 @@ its kraw_dual.
 from math import comb
 
 from .backend import R, ZERO, ONE
-from .exact_arith import QSqrt, folded_series, hyp_with_prefactor, over_lcm, pochhammer
+from .exact_arith import QSqrt, fold_block, hyp_with_prefactor, over_lcm, pochhammer
 from .multipoly import homogenize
 from .simplex import a_coeffs, check_degree, enumerate_basis, jacobi_simplex_basis, norm_A
 from .closed_forms import connection_matrix, word_product
@@ -214,7 +214,8 @@ def _kraw_block(L, D, n):
     z = (r1 + r3)(r2 + r3) / r3.  With (A, B, C) = L, the local rho over D,
     and T = A + B + C, the powers are A^{n-m-k} C^k T^m / (B + C)^n and
     z = (A + C)(B + C) / (T C), in which D cancels.  C(n, m), the powers and
-    z are built once per block, and each 2F1 is one exact_arith.folded_series
+    z are built once per block, and its 2F1 are one exact_arith.fold_block
+    over the tops -k of the rows and -m of the columns, so each entry folds
     at its least top min(k, m), whose bottom (-n)_{min(k, m)} is never 0.
     Like cc_2d_entry it returns rows of integer pairs (num, den), den != 0.
     """
@@ -224,11 +225,11 @@ def _kraw_block(L, D, n):
     binoms = [comb(n, m) for m in range(n + 1)]
     a_pows, c_pows, t_pows = ([x**i for i in range(n + 1)] for x in (A, C, T))
     den_n = (B + C) ** n
+    tops = [(-i,) for i in range(n + 1)]
     block = []
-    for k in range(n + 1):
+    for k, sums in enumerate(fold_block(tops, tops, [-n], 1, zp, zq)):
         row = []
-        for m in range(n + 1):
-            total, bottom = folded_series([-max(k, m)], [-n], min(k, m), 1, zp, zq)
+        for m, (total, bottom) in enumerate(sums):
             num = binoms[m] * a_pows[max(n - m - k, 0)] * c_pows[k] * t_pows[m] * total
             den = a_pows[max(m + k - n, 0)] * den_n * bottom
             row.append((-num if (n + m + k) % 2 else num, den))

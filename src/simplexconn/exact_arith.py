@@ -3,17 +3,21 @@ exact sign*sqrt(rational) values (QSqrt) and the exact comparison of their
 sums (qsqrt_sums_equal).
 
 The series functions take and return exact rationals (Fraction); no
-floating point is ever used.  Every terminating series, here, in the local
-rules of closed_forms and discrete and in the Racah product formula, is
-summed in Python integers by one kernel, folded_series, with its parameters
-over one denominator (over_lcm), and fold_terminating folds it at its least
-top -m: least_top finds m and fold_at folds there, and a caller that knows
-its least top calls fold_at itself; rising is the integer Pochhammer
-product, and pochhammer its rational view.
+floating point is ever used.  Every terminating series is summed in Python
+integers with its parameters over one denominator (over_lcm).  One series
+is folded_series, and fold_terminating folds it at its least top -m:
+least_top finds m and fold_at folds there.  A block of series whose tops
+split into a row part and a column part over shared bottoms, the local
+rules of closed_forms and discrete, is fold_block: each row's and each
+column's terms built once and each entry one dot product, with
+fold_terminating's integers and errors.  The Racah product formula calls
+folded_series at its own m; rising is the integer Pochhammer product, and
+pochhammer its rational view.
 """
 
 import math
 from fractions import Fraction
+from operator import mul
 
 from .backend import R, ZERO, ONE, rat_str
 
@@ -98,6 +102,12 @@ def least_top(tops, step=1):
     return m
 
 
+def _bottom_pole(bottoms, m, step):
+    """The BottomPole of a series folded at order m whose prod_b (b)_m is 0, naming the bottom that vanishes."""
+    b = max(b // step for b in bottoms if b % step == 0 and -m * step < b <= 0)
+    return BottomPole(f"bottom parameter {b} poles at k={1 - b}")
+
+
 def fold_at(tops, bottoms, m, step=1, zp=1, zq=1):
     """folded_series at order m, with one top -m step taken out of tops, a fresh list.
 
@@ -107,14 +117,82 @@ def fold_at(tops, bottoms, m, step=1, zp=1, zq=1):
     tops.remove(-m * step)
     total, bottom = folded_series(tops, bottoms, m, step, zp, zq)
     if bottom == 0:
-        b = max(b // step for b in bottoms if b % step == 0 and -m * step < b <= 0)
-        raise BottomPole(f"bottom parameter {b} poles at k={1 - b}")
+        raise _bottom_pole(bottoms, m, step)
     return total, bottom
 
 
 def fold_terminating(tops, bottoms, step=1, zp=1, zq=1):
     """fold_at the least top of tops: ValueError if there is none, BottomPole if prod_b (b)_m = 0."""
     return fold_at(tops, bottoms, least_top(tops, step), step, zp, zq)
+
+
+# a side whose least top is 0, folded: every entry it is in sums to 1 over the bottom 1
+_FLAT_SIDE = (0, (1,), (1,), 1)
+
+
+def fold_block(row_tops, column_tops, bottoms, step=1, zp=1, zq=1):
+    """[[fold_terminating(r + c, bottoms, step, zp, zq) for c in column_tops] for r in row_tops], summed as one block.
+
+    Every row and every column holds a top -M step, M >= 0 (ValueError
+    otherwise), and entry (r, c) folds at the lesser least top M.  Its term
+    k is a row part times a column part times a part shared by every entry
+    of order M: (-M)_k zp^k / k! times the tail zq^{M-k} prod_{k<=i<M}
+    prod_b (b + i step).  So each row's and each column's term vectors are
+    built once, plain (every top) and folded at its own order (one top -M
+    step replaced by the shared part), the shared part is built once per
+    order, and each entry is one dot product of the side folded at the
+    lesser order with the other side's plain vector.  The (total, bottom)
+    integers are fold_terminating's, and BottomPole, with fold_at's
+    message, is raised at the first entry in row-major order whose
+    prod_b (b)_M is 0.
+    """
+    links = []  # links[i] = zq prod_b (b + i step): the tail of order M from k is links[k] ... links[M-1]
+    shared = {}  # M -> (prod_b (b)_M zq^M, the shared part of terms 0..M)
+    sides = []  # per row, then per column: (M, plain, folded, prod_b (b)_M zq^M)
+    for tops in (*row_tops, *column_tops):
+        M = least_top(tops, step)
+        if not M:
+            sides.append(_FLAT_SIDE)
+            continue
+        others = list(tops)
+        others.remove(-M * step)
+        plain, partial, low = [1], [1], -M * step  # partial: the product of the other tops
+        for shift in range(0, M * step, step):
+            factor = 1
+            for a in others:
+                factor *= a + shift
+            partial.append(partial[-1] * factor)
+            plain.append(plain[-1] * factor * (low + shift))
+        if M not in shared:
+            for shift in range(len(links) * step, M * step, step):
+                link = zq
+                for b in bottoms:
+                    link *= b + shift
+                links.append(link)
+            tails = [1] * (M + 1)
+            for k in range(M - 1, -1, -1):
+                tails[k] = tails[k + 1] * links[k]
+            head, weights = 1, [tails[0]]
+            for k in range(M):
+                head = head * (k - M) * zp // (k + 1)
+                weights.append(head * tails[k + 1])
+            shared[M] = tails[0], weights
+        bottom, weights = shared[M]
+        sides.append((M, plain, list(map(mul, weights, partial)), bottom))
+    columns = sides[len(row_tops):]
+    block = []
+    for row_M, row_plain, row_fold, row_bottom in sides[: len(row_tops)]:
+        line = []
+        for M, plain, fold, bottom in columns:
+            if row_M < M:
+                M, fold, bottom = row_M, row_fold, row_bottom
+            else:
+                plain = row_plain
+            if bottom == 0:
+                raise _bottom_pole(bottoms, M, step)
+            line.append((sum(map(mul, fold, plain)), bottom))
+        block.append(line)
+    return block
 
 
 def _over_step(top, bottom, z, excess):

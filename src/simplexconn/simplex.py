@@ -23,7 +23,8 @@ The kappa domain is kappa_i > -1, where the weight is integrable.  A
 formula function (a basis, value, norm or moment, of every family)
 evaluates wherever its formula is defined; every function that builds or
 normalizes a connection matrix or a closed coefficient checks kappa with
-scaled_kappa and raises ValueError outside the domain.
+scaled_kappa, or check_kappa where it reads no kappa, and raises
+ValueError outside the domain.
 """
 
 import itertools
@@ -232,6 +233,9 @@ def a_coeffs(nu, kappa):
     return [R(a_core(K, D, j, sum(nu[j:])), D) for j in range(1, len(nu) + 1)]
 
 
+_DOMAIN = "{} needs at least 2 entries, each > -1"
+
+
 def scaled_kappa(kappa, name="kappa"):
     """(K, D): kappa over D, the lcm of its denominators; ValueError unless d >= 1 and every K_i > -D.
 
@@ -241,8 +245,15 @@ def scaled_kappa(kappa, name="kappa"):
     """
     K, D = over_lcm([R(k) for k in kappa])
     if len(K) < 2 or min(K) <= -D:
-        raise ValueError(f"{name} needs at least 2 entries, each > -1")
+        raise ValueError(_DOMAIN.format(name))
     return K, D
+
+
+def check_kappa(kappa, name="kappa"):
+    """scaled_kappa's checks without its lcm, for a caller that reads no kappa: the same ValueError and TypeError."""
+    pairs = [R(k).as_integer_ratio() for k in kappa]
+    if len(pairs) < 2 or any(p <= -q for p, q in pairs):
+        raise ValueError(_DOMAIN.format(name))
 
 
 def check_degree(n):

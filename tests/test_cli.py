@@ -142,7 +142,8 @@ def test_orthogonality_suite_evaluates_each_local_rule_entry_once(monkeypatch, c
     # one dict of local-rule blocks serves every matrix of the run, keyed by what the
     # Jacobi rule reads, its kappa-hat over D and the local degree: each key reaches
     # cc_2d_entry once, whichever letter and parameters it comes from (keyed by the
-    # letter and the whole parameters, the same runs read 114 and 777 blocks)
+    # letter and the whole parameters, the same runs read 114 and 777 blocks).  Rows of
+    # local degree 0 request no block (with them, the runs read 93 and 414 blocks)
     entry = cf.cc_2d_entry
     calls = Counter()
 
@@ -151,12 +152,13 @@ def test_orthogonality_suite_evaluates_each_local_rule_entry_once(monkeypatch, c
         return entry(K, D, m_loc)
 
     monkeypatch.setattr(cf, "cc_2d_entry", counted)
-    for d, blocks in ((3, 93), (4, 414)):
+    for d, blocks in ((3, 62), (4, 237)):
         calls.clear()
         argv = ["verify", "--suite", "orthogonality", "--d", str(d), "--n", "2", "--count", "20", "--seed", "3"]
         assert cli.main(argv) == 0
         assert json.loads(capsys.readouterr().out)["failures"] == []
         assert len(calls) == blocks and set(calls.values()) == {1}, (d, calls.most_common(3))
+        assert min(m_loc for _, _, m_loc in calls) == 1
 
 
 def test_closed_vs_gram_failure_names_tau_the_entry_and_both_values(monkeypatch, capsys):

@@ -6,7 +6,7 @@ from collections import Counter
 import pytest
 
 from simplexconn.backend import R, ZERO, ONE
-from simplexconn.exact_arith import QSqrt, folded_series, hyp_terminating, over_lcm, pochhammer
+from simplexconn.exact_arith import QSqrt, hyp_terminating, over_lcm, pochhammer
 from simplexconn.simplex import Permutation, enumerate_basis
 from simplexconn.connection import ConnMatrix, gram_connection, normalize
 from simplexconn import cli
@@ -219,6 +219,26 @@ DOMAIN = "kappa needs at least 2 entries, each > -1"
 def test_adjacent_hat_checks_its_input(nu, mu, kappa, n, j, match):
     with pytest.raises(ValueError, match=match):
         cf.cc_adjacent_hat(nu, mu, kappa, n, j)
+
+
+@pytest.mark.parametrize("kappa, error", [
+    ((R(1, 2), R(-1), R(1, 3), R(2)), ValueError),  # kappa_2 <= -1
+    ((R(1, 2), 0.25, R(1, 3), R(2)), TypeError),  # a float
+    ((R(1, 2), R(1, 3), "1/3", R(2)), TypeError),  # a string
+    ((R(-2), R(1, 3), 0.5, R(2)), TypeError),  # a float beside kappa_1 <= -1: the float is read first
+], ids=["domain", "float", "string", "float-and-domain"])
+@pytest.mark.parametrize("nu, mu, j", [((2, 0, 0), (0, 1, 1), 1), ((1, 0, 1), (1, 0, 1), 3), ((1, 0, 1), (0, 1, 1), 3)],
+                         ids=["zero-by-pattern", "j-d-diagonal", "j-d-off-diagonal"])
+def test_adjacent_hat_answers_that_read_no_kappa_still_check_it(monkeypatch, nu, mu, j, kappa, error):
+    # an entry that is 0 because nu and mu differ outside slots j, j+1, and every entry at
+    # j = d, read no kappa and put it over no lcm, but raise what scaled_kappa raises
+    with pytest.raises(error) as want:
+        simplex.scaled_kappa(kappa)
+    monkeypatch.setattr(cf, "scaled_kappa", lambda *args: pytest.fail("the entry put kappa over its lcm"))
+    with pytest.raises(error) as got:
+        cf.cc_adjacent_hat(nu, mu, kappa, 2, j)
+    assert str(got.value) == str(want.value)
+    assert cf.cc_adjacent_hat(nu, mu, KAPPA3, 2, j) == (QSqrt(-1, ONE) if nu == mu else QSqrt(0, ZERO))
 
 
 def test_connection_matrix_equals_gram_connection():
@@ -480,6 +500,32 @@ def test_engine_over_the_words_lcm_equals_the_rational_loop():
         assert_same_products(all_perms(m), ext, range(4), KRAWTCHOUK)
 
 
+@pytest.mark.parametrize("family, params", [
+    (JACOBI, (R(1, 3), R(-2, 5), R(0), R(3, 7), R(-1, 2), R(5, 9))),
+    (KRAWTCHOUK, (R(1, 3), R(1, 5), R(1, 7), R(1, 11), R(1, 13))),
+], ids=["jacobi", "krawtchouk"])
+def test_rows_of_local_degree_0_pass_through(family, params):
+    # the (12) block at local degree 0 is [[1]] in both families, so s_j leaves those rows
+    # alone and requests no such block; the matrices still equal the rational loop, which
+    # applies every factor: all of S_4 at n <= 3, and 24 seeded permutations each of S_5 and S_6
+    local, block, *rest = family
+    degrees = []
+
+    def spied(L, D, m_loc):
+        degrees.append(m_loc)
+        return block(L, D, m_loc)
+
+    spied_family = (local, spied, *rest)
+    rng = random.Random(40)
+    for m, taus, degrees_of in ((4, all_perms(4), range(4)), (5, rng.sample(all_perms(5), 24), range(3)),
+                                (6, rng.sample(all_perms(6), 24), range(3))):
+        ext = params[: m - 1] + (1 - sum(params[: m - 1]),) if family is KRAWTCHOUK else params[:m]
+        assert_same_products(taus, ext, degrees_of, spied_family)
+    assert degrees and min(degrees) == 1
+    P, D = over_lcm(params[:3])
+    assert block(local(P, D, 1, 0), D, 0) == [[(1, 1)]]
+
+
 def test_krawtchouk_engine_equals_the_rational_loop():
     # the extended (rho, 1 - |rho|); the s_d ratio -rho_d / rho_{d+1} is not an integer
     for m, rho in ((3, (R(1, 4), R(2, 5))), (4, (R(1, 6), R(2, 7), R(1, 5)))):
@@ -598,24 +644,77 @@ def test_engine_calls_no_pochhammer_and_no_series(monkeypatch):
         assert ds.kraw_connection(tau, (R(1, 6), R(2, 7), R(1, 5)), 3, 3).n == 3
 
 
-def test_both_local_rules_sum_with_the_one_series_kernel(monkeypatch):
-    # cc_2d_entry and _kraw_block own no term loop: each entry of a block is one call of
-    # exact_arith.folded_series; the rational oracle sums with it too, so it runs first
+def test_both_local_rules_sum_each_block_with_one_kernel_call(monkeypatch):
+    # cc_2d_entry and _kraw_block own no term loop and fold no entry alone: each block is
+    # one call of exact_arith.fold_block, which itself calls no one-series fold; the
+    # rational oracle sums with fold_terminating, so it runs first
     n = 3
     want = rational_block_or_error(KAPPA2, n)
     calls = []
 
     def counted(*args):
         calls.append(args)
-        return folded_series(*args)
+        return ea.fold_block(*args)
 
-    monkeypatch.setattr(ea, "folded_series", counted)
-    monkeypatch.setattr(ds, "folded_series", counted)
+    def forbidden(*args):
+        raise AssertionError("a block was summed one series at a time")
+
+    for module in (cf, ds):
+        assert not {"fold_at", "folded_series", "fold_terminating"} & set(vars(module))
+        monkeypatch.setattr(module, "fold_block", counted)
+    for name in ("fold_at", "folded_series", "fold_terminating"):
+        monkeypatch.setattr(ea, name, forbidden)
     assert block_value(KAPPA2, n) == want
-    assert len(calls) == (n + 1) ** 2
+    assert len(calls) == 1
     P, D = over_lcm((R(1, 4), R(1, 3), R(5, 12)))
-    ds._kraw_block(ds._kraw_local(P, D, 1, 0), D, n)
-    assert len(calls) == 2 * (n + 1) ** 2
+    block = ds._kraw_block(ds._kraw_local(P, D, 1, 0), D, n)
+    assert len(calls) == 2 and len(block) == n + 1
+
+
+def pairs_or_error(rule, *args):
+    """rule(*args), or the type and message of the ArithmeticError it raises."""
+    try:
+        return rule(*args)
+    except ArithmeticError as exc:
+        return type(exc), str(exc)
+
+
+def entry_by_entry(row_tops, column_tops, bottoms, step=1, zp=1, zq=1):
+    """fold_at at each entry's least top, in row-major order: what fold_block stands for."""
+    return [[ea.fold_at([*column, *row], bottoms, min(ea.least_top(row, step), ea.least_top(column, step)),
+                        step, zp, zq) for column in column_tops] for row in row_tops]
+
+
+def test_block_kernel_equals_fold_at_entry_by_entry(monkeypatch):
+    # every fold_block call of both rules, at the seeded kappa-hat of the pole test (outside
+    # the domain, where bottoms vanish), at the four fixed kappa-hat of seeded_kappas for
+    # n = 12 (with a column top 0 at kappa_2 + kappa_3 = -1) and at seeded local rho: the
+    # same integer pairs as fold_at entry by entry, or the same error type and message
+    calls = []
+
+    def recorded(*args):
+        calls.append(args)
+        return ea.fold_block(*args)
+
+    monkeypatch.setattr(cf, "fold_block", recorded)
+    monkeypatch.setattr(ds, "fold_block", recorded)
+    rng = random.Random(13)
+    for _ in range(600):
+        n = rng.randint(0, 8)
+        kappa = tuple(R(rng.randint(-7, 3), rng.choice((1, 2))) for _ in range(3))
+        value_or_error(block_value, kappa, n)
+    for kappa in seeded_kappas(random.Random(12))[:4]:  # inside the domain, at the largest block of closed-forms
+        block_value(kappa, 12)
+    rng = random.Random(14)
+    for _ in range(100):
+        D = rng.randint(1, 60)
+        ds._kraw_block(tuple(rng.randint(1, 3 * D) for _ in range(3)), D, rng.randint(0, 8))
+    poles = 0
+    for args in calls:
+        want = pairs_or_error(entry_by_entry, *args)
+        assert pairs_or_error(ea.fold_block, *args) == want, args
+        poles += isinstance(want, tuple)
+    assert len(calls) > 400 and poles > 50
 
 
 # ---------------------------------------------------------------------------

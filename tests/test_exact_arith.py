@@ -9,6 +9,7 @@ from simplexconn.exact_arith import (
     BottomPole,
     QSqrt,
     fold_at,
+    fold_block,
     fold_terminating,
     folded_series,
     hyp_terminating,
@@ -147,6 +148,38 @@ def test_fold_terminating_raises_with_the_series_messages():
         hyp_terminating([R(-5), R(-7, 3)], [R(-2, 3), R(-3)], ONE)
     with pytest.raises(ValueError, match="^series does not terminate"):
         hyp_terminating([R(1, 2), R(3)], [R(-2)], ONE)
+
+
+def fold_or_error(rule, *args):
+    """rule(*args), or the type and message of the error it raises."""
+    try:
+        return rule(*args)
+    except (BottomPole, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+def test_fold_block_equals_fold_terminating_entry_by_entry():
+    # seeded sides of 1 to 3 tops over steps 1..6, some not multiples of the step, with 0 to 3
+    # bottoms and z = zp / zq: the same integer pairs, or the first error in row-major order
+    rng = random.Random(17)
+    poles = 0
+    for _ in range(1500):
+        step, n = rng.randint(1, 6), rng.randint(0, 7)
+
+        def side():
+            tops = [rng.randint(-8, 3) * step + rng.choice((0, 0, 1)) for _ in range(rng.randint(0, 2))]
+            return tops + [-rng.randint(0, n) * step]
+
+        rows, columns = [side() for _ in range(rng.randint(0, 4))], [side() for _ in range(rng.randint(0, 4))]
+        bottoms = [rng.randint(-12, 6) for _ in range(rng.randint(0, 3))]
+        zp, zq = rng.randint(-5, 5), rng.randint(1, 5)
+        want = fold_or_error(lambda: [[fold_terminating(c + r, bottoms, step, zp, zq) for c in columns] for r in rows])
+        assert fold_or_error(fold_block, rows, columns, bottoms, step, zp, zq) == want, (rows, columns, bottoms, step)
+        poles += isinstance(want, tuple)
+    assert poles > 100
+    # a side with no top that terminates raises what least_top raises
+    with pytest.raises(ValueError, match="^series does not terminate"):
+        fold_block([[-2]], [[3]], [1])
 
 
 def test_hyp_with_prefactor_matches_series_when_regular():
