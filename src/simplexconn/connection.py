@@ -14,8 +14,10 @@ applies the same rescale to the columns, unreduced.  The Coxeter-word engine
 nothing: a caller that reads a matrix twice holds it.  The oracle
 gram_connections solves C T = L on leading forms in integers for every tau
 of one (kappa, n): simplex.leading_cores builds each basis's leading forms
-in one call, T is built once per call as tuples of integer rows cut at its
-diagonal, and each back-substitution row is integers over one denominator.
+in one call, on packed monomial keys, and hands them over as dense integer
+rows in basis order; T is built once per call as tuples of those rows cut
+at its diagonal, and each row of L is back-substituted in place, integers
+over one denominator.
 
 The verifiers take the squared norms A_src[i] = A_nu(tau.kappa) and
 A_tgt[j] = A_mu(kappa) of the source and target bases, for nu, mu in order,
@@ -150,18 +152,6 @@ def _same_shape(mat, other):
                          " with their orders do not match")
 
 
-def _dense(order, cores):
-    """Each (terms, den) of cores as ([coefficient of x^gamma for gamma in order], den)."""
-    index = {gamma: i for i, gamma in enumerate(order)}
-    out = []
-    for terms, den in cores:
-        row = [0] * len(order)
-        for gamma, v in terms.items():
-            row[index[gamma]] = v
-        out.append((row, den))
-    return out
-
-
 def _target_rows(order, K, D):
     """T cut at its diagonal: per mu of order, (J_mu, E_mu), as tuples.
 
@@ -172,7 +162,7 @@ def _target_rows(order, K, D):
     gram_connections call builds T once and shares it across its taus.
     """
     rows = []
-    for j, (row, E) in enumerate(_dense(order, leading_cores(order, K, D))):
+    for j, (row, E) in enumerate(leading_cores(order, K, D)):
         if not row[j] or any(row[j + 1:]):
             raise ValueError(f"the leading form of P_mu^kappa at mu = {order[j]} is not triangular "
                              "with a nonzero diagonal entry")
@@ -202,8 +192,9 @@ def gram_connections(taus, kappa, n):
     Everything runs in integers: kappa over D, the lcm of its denominators,
     makes each leading form integers J over one denominator E, and the rest
     of a row is integer numerators N over one row denominator Q.  Both are
-    dense lists in enumerate_basis order; T is cut at its diagonal and N
-    drops its last entry at each step.  At mu the entry is
+    dense lists in enumerate_basis order, as leading_cores writes them, so N
+    starts as the list it returns; T is cut at its diagonal and N drops its
+    last entry at each step.  At mu the entry is
     N[mu] E_mu / (Q J_mu[mu]), reduced by one gcd; then
     N <- N J_mu[mu] - N[mu] J_mu and Q <- Q J_mu[mu], and one gcd is
     divided out of N and Q.  The entries of a row go over the lcm of their
@@ -215,7 +206,7 @@ def gram_connections(taus, kappa, n):
     targets = _target_rows(order, K, D)
     for tau in taus:
         rows = []
-        for rest, Q in _dense(order, leading_cores(order, tau.act_params(K), D, tau)):
+        for rest, Q in leading_cores(order, tau.act_params(K), D, tau):
             row = [(0, 1)] * len(order)
             for j in range(len(order) - 1, -1, -1):
                 c = rest.pop()

@@ -3,7 +3,8 @@
 A polynomial is a dict mapping exponent tuples to nonzero rational
 coefficients.  Keys are ordered graded-reverse-lexicographically for
 serialization so output is deterministic.  mul_terms is the one product of
-such dicts, for SparsePoly and for the integer basis product of simplex.
+such dicts, told how two keys combine: SparsePoly adds exponent tuples, and
+the integer basis product of simplex adds its packed integer keys.
 """
 
 from operator import add
@@ -89,7 +90,7 @@ class SparsePoly:
             return NotImplemented
         self._check(other)
         p = SparsePoly(self.d)
-        p.terms = mul_terms(self.terms, other.terms)
+        p.terms = mul_terms(self.terms, other.terms, _add_exponents)
         return p
 
     def scale(self, c):
@@ -153,12 +154,20 @@ class SparsePoly:
         return "SparsePoly(" + " + ".join(bits) + ")"
 
 
-def mul_terms(p, q):
-    """Product of two polynomials held as {exponent tuple: coefficient}, integer or rational; no zero is kept."""
+def _add_exponents(e1, e2):
+    """The exponent tuple of x^e1 x^e2."""
+    return tuple(map(add, e1, e2))
+
+
+def mul_terms(p, q, combine):
+    """Product of two polynomials held as {monomial key: coefficient}, integer or rational; no zero is kept.
+
+    combine(k1, k2) is the key of the product of the monomials keyed k1 and k2.
+    """
     out = {}
     for e1, c1 in p.items():
         for e2, c2 in q.items():
-            e = tuple(map(add, e1, e2))
+            e = combine(e1, e2)
             out[e] = out.get(e, 0) + c1 * c2
     return {e: c for e, c in out.items() if c}
 

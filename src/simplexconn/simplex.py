@@ -10,11 +10,16 @@ kappa over the lcm D of its denominators: jacobi_core the one-variable
 Jacobi coefficients, a_core D a_j, and one basis product that builds
 P_nu^kappa, or tau.P_nu^kappa, as integers over one denominator, for a
 whole list of nu in one call that builds each Jacobi factor and each
-suffix product once.  Setting the constant 1 of every barycentric
-coordinate to 0 in that product gives the top-degree parts, leading_cores,
-which the Gram oracle reads one basis per call.
+suffix product once.  The product keys each monomial x^e of degree <= n by
+the packed integer sum_i e_i b^i, b = max(n, 1) + 1, which no exponent
+overflows: a monomial product is one integer addition, and a Horner step
+by a bare variable is a shift of the keys.  Setting the constant 1 of
+every barycentric coordinate to 0 in that product gives the top-degree
+parts, leading_cores, which writes them as dense integer rows in basis
+order for the Gram oracle, one basis per call.
 jacobi_1d, a_coeffs and jacobi_simplex_basis are their rational views
-(the rational leading form is a test oracle), and norm_A and
+(jacobi_simplex_basis reads the packed keys back as exponent tuples; the
+rational leading form is a test oracle), and norm_A and
 simplex_moment are each one rational of integer rising products, computed
 where read and held by nobody.
 Permutation.act_params is the package's one action on tuples.
@@ -30,6 +35,7 @@ ValueError outside the domain.
 import itertools
 import re
 from math import comb, factorial
+from operator import add
 
 from .backend import R, ZERO, ONE
 from .exact_arith import over_lcm, rising
@@ -198,8 +204,12 @@ def simplex_moment(gamma, kappa):
     """Normalized moment prod_i (kappa_i+1)_{gamma_i} / (|kappa|+d+1)_{|gamma|} of x^gamma, gamma with d or d+1 parts.
 
     With kappa = K / D each symbol is a rising product over step D, and the D^{|gamma|} cancel.
+    ValueError unless gamma has len(kappa) - 1 or len(kappa) parts.
     """
     K, D = over_lcm([R(k) for k in kappa])
+    if len(gamma) not in (len(K) - 1, len(K)):
+        raise ValueError(f"gamma has {len(gamma)} parts and kappa {len(K)} entries; "
+                         "a moment needs len(kappa) - 1 or len(kappa) parts")
     num = 1
     for k, g in zip(K, gamma):
         num *= rising(k + D, g, D)
@@ -266,16 +276,40 @@ def jacobi_simplex_basis(nu, kappa):
     """Orthogonal basis polynomial for multi-index nu on the simplex.
 
     prod_j hom_j^{nu_j} P_{nu_j}^{(a_j, kappa_j)}(2 x_j / hom_j - 1), with
-    hom_j = 1 - x_1 - ... - x_{j-1}: the rational view of _product_cores.
+    hom_j = 1 - x_1 - ... - x_{j-1}: the rational view of _product_cores,
+    its packed keys read back as exponent tuples.
     """
     K, D = over_lcm([R(k) for k in kappa])
     [(terms, den)] = _product_cores([nu], K, D, None, 1)
-    return SparsePoly(len(nu), {e: R(c, den) for e, c in terms.items()})
+    d, n = len(nu), sum(nu)
+    b = _base(n)
+    exponents = {_pack(e, b): e for m in range(n + 1) for e in enumerate_basis(d, m)}
+    return SparsePoly(d, {exponents[key]: R(c, den) for key, c in terms.items()})
+
+
+def _base(n):
+    """The base b = max(n, 1) + 1 of the packed keys of forms of degree <= n.
+
+    x^e is keyed by the integer sum_i e_i b^i.  Every exponent of such a form
+    is at most n < b, so the digits never carry, a monomial product is one
+    integer addition, and x^e x_i adds b^i; b >= 2 gives the d variables
+    distinct keys at n = 0 too.
+    """
+    return max(n, 1) + 1
+
+
+def _pack(e, b):
+    """The packed key sum_i e_i b^i of x^e, by Horner's rule from the last exponent."""
+    key = 0
+    for v in reversed(e):
+        key = key * b + v
+    return key
 
 
 def _product_cores(order, K, D, tau, one):
-    """[(terms, den) for nu in order]: the basis product, as {exponent: int} over den, at kappa = K / D.
+    """[(terms, den) for nu in order]: the basis product, as {packed key: int} over den, at kappa = K / D.
 
+    The keys are _pack's at base _base(n), n the largest |nu| of order.
     Factor j is hom_j^n P_n^{(a_j, kappa_j)}(2 x_j / hom_j - 1), n = nu_j, that
     is sum_k c_k x_j^k hom_j^{n-k} for jacobi_core's c_k over n! D^n.  The
     barycentric slots are x_1, ..., x_d and one - |x|, tau puts slot tau(i)
@@ -283,6 +317,12 @@ def _product_cores(order, K, D, tau, one):
     one = 1 this is P_nu^kappa, or tau.P_nu^kappa.  With one = 0 each slot
     keeps only its linear part, which gives the degree-|nu| part: each factor
     has degree nu_j, so the top part is the product of the top parts.
+
+    The factor is summed by Horner's rule, F <- F x_j + c_k hom_j^{n-k}.  A
+    slot x_i in place j is bare, so F x_j shifts each key by b^(i-1) and
+    makes no product; only slot d + 1 is multiplied out.  That is every
+    factor of the untransformed basis, and of tau.P_nu each factor but the
+    one, if any, in the place that tau gives slot d + 1.
 
     Factor j depends on nu only through (nu_j, |nu^{j+1}|), and the product
     of factors j, ..., d only through the suffix (nu_j, ..., nu_d), so the
@@ -295,50 +335,73 @@ def _product_cores(order, K, D, tau, one):
         raise ValueError("permutation must act on d+1 slots")
     if any(len(nu) != d for nu in order):
         raise ValueError("kappa must have d+1 entries")
-    zero = (0,) * d
-    units = [tuple(int(i == j) for j in range(d)) for i in range(d)]
-    hom = {zero: 1} if one else {}
-    slots = [{e: 1} for e in units] + [{**hom, **dict.fromkeys(units, -1)}]
+    b = _base(max(map(sum, order), default=0))
+    units = [b**i for i in range(d)]
+    hom = {0: 1} if one else {}
+    # a bare slot is its key; slot d + 1 is the form one - |x|
+    last = {**hom, **dict.fromkeys(units, -1)}
+    slots = units + [last]
     xs = slots[:d] if tau is None else tau.act_params(slots)[:d]
     homs = []
     for x in xs:
         homs.append(hom)
         hom = dict(hom)
-        for e, v in x.items():
+        for e, v in (last.items() if x is last else [(x, 1)]):
             hom[e] = hom.get(e, 0) - v
+        hom = {e: v for e, v in hom.items() if v}
     factors = {}
-    products = {(): ({zero: 1}, 1)}
+    products = {(): ({0: 1}, 1)}
 
     def factor(j, n, tail):
         key = (j, n, tail)
         if key not in factors:
             coeffs, q = jacobi_core(n, a_core(K, D, j + 1, tail), K[j], D)
-            # Horner in x: F <- F x + c_k hom^{n-k}, from F = c_n down to k = 0
-            terms, h = {zero: coeffs[n]}, {zero: 1}
+            x = xs[j]
+            terms, h = {0: coeffs[n]}, {0: 1}
             for c in reversed(coeffs[:n]):
-                h = mul_terms(h, homs[j])
-                terms = mul_terms(terms, xs[j])
+                h = mul_terms(h, homs[j], add)
+                terms = mul_terms(terms, last, add) if x is last else {e + x: v for e, v in terms.items()}
                 for e, v in h.items():
                     terms[e] = terms.get(e, 0) + c * v
             factors[key] = {e: v for e, v in terms.items() if v}, q
         return factors[key]
 
     def product(suffix):
-        if suffix not in products:
-            terms, den = product(suffix[1:])
-            n, tail = suffix[0], sum(suffix[1:])
-            if n:
-                f, q = factor(d - len(suffix), n, tail)
-                terms, den = (mul_terms(f, terms) if tail else f), q * den
-            products[suffix] = terms, den
-        return products[suffix]
+        found = products.get(suffix)
+        if found is None:
+            rest = suffix[1:]
+            terms, den = product(rest)
+            if suffix[0]:
+                tail = sum(rest)
+                f, q = factor(d - len(suffix), suffix[0], tail)
+                terms, den = (mul_terms(f, terms, add) if tail else f), q * den
+            found = products[suffix] = terms, den
+        return found
 
     return [product(tuple(nu)) for nu in order]
 
 
 def leading_cores(order, K, D, tau=None):
-    """[(terms, den) for nu in order]: the leading forms of P_nu^kappa or tau.P_nu^kappa at kappa = K / D, _product_cores at one = 0."""
-    return _product_cores(order, K, D, tau, 0)
+    """[(row, den) for nu in order]: the leading forms of P_nu^kappa or tau.P_nu^kappa at kappa = K / D.
+
+    order holds each multi-index of one degree n once, as enumerate_basis(d, n)
+    does, and each form is _product_cores at one = 0 written out as a fresh
+    dense row: the integer coefficients of x^gamma for gamma in order, over
+    den, placed through a map from packed key to row index.  ValueError
+    unless order is such a list.
+    """
+    n = sum(order[0]) if order else 0
+    b = _base(n)
+    index = {_pack(gamma, b): i for i, gamma in enumerate(order)}
+    if len(index) != len(order) or len(order) != comb(n + len(K) - 2, n) or any(sum(nu) != n for nu in order):
+        raise ValueError(f"order must hold each multi-index of degree {n} once")
+    rows = []
+    for terms, den in _product_cores(order, K, D, tau, 0):
+        row = [0] * len(order)
+        for key, v in terms.items():
+            row[index[key]] = v
+        rows.append((row, den))
+    return rows
 
 
 def norm_A(nu, kappa):

@@ -4,9 +4,10 @@ The rational references are independent of the package's integer code and
 of its extended rho.  The Jacobi coefficients come from the ratio
 recurrence of the 2F1 series, a_j from rational sums, and the basis from
 SparsePoly products of factors lin^k hom^(n-k) built by a direct loop, not
-by the package's homogenize and subst.  Tests compare the package's integer
-definitions (simplex.jacobi_core, a_core and the basis product) and its
-substitute_homogeneous with these.
+by the package's homogenize and subst; tau.P_nu is the same loop over the
+permuted barycentric slots.  Tests compare the package's integer
+definitions (simplex.jacobi_core, a_core and the basis product, its packed
+keys read back digit by digit) and its substitute_homogeneous with these.
 
 The Krawtchouk formulas are written with prefix sums, each 1 - (rho_1 + ...
 + rho_j) formed where it is read, and tau acts on (rho, 1 - |rho|) by hand;
@@ -102,16 +103,39 @@ def loop_substitute_homogeneous(coeffs, lin, hom, n):
     return result
 
 
-def loop_basis(nu, kappa):
-    """prod_j hom_j^{nu_j} P_{nu_j}^{(a_j, kappa_j)}(2 x_j / hom_j - 1) by SparsePoly products.
+def unpacked(terms, den, d, n):
+    """The SparsePoly of packed integer terms over den, from forms of degree <= n in d variables.
 
-    hom_j = 1 - x_1 - ... - x_{j-1}, and each factor is loop_substitute_homogeneous of the recurrence.
+    Key k of x^e has the digits e_1, e_2, ..., e_d, lowest first, in base
+    max(n, 1) + 1; a key with digits past the d-th is an error.
+    """
+    base, out = max(n, 1) + 1, {}
+    for key, c in terms.items():
+        e = []
+        for _ in range(d):
+            key, digit = divmod(key, base)
+            e.append(digit)
+        if key:
+            raise ValueError(f"a packed key has more than {d} digits")
+        out[tuple(e)] = R(c, den)
+    return SparsePoly(d, out)
+
+
+def loop_basis(nu, kappa, tau=None):
+    """prod_j hom_j^{nu_j} P_{nu_j}^{(a_j, kappa_j)}(2 y_j / hom_j - 1) by SparsePoly products.
+
+    y_j = x_j, which gives P_nu^kappa; with tau, y_j is slot tau(j) of
+    (x_1, ..., x_d, 1 - |x|), which gives tau.P_nu^kappa with no substitution
+    into a built polynomial.  hom_j = 1 - y_1 - ... - y_{j-1}, and each
+    factor is loop_substitute_homogeneous of the recurrence.
     """
     d = len(nu)
     aj = summed_a_coeffs(nu, kappa)
+    xs = [SparsePoly.variable(d, j) for j in range(d)]
+    if tau is not None:
+        xs = list(tau.act_params(xs + [SparsePoly.constant(d, ONE) - sum(xs, SparsePoly.zero(d))])[:d])
     result = hom = SparsePoly.constant(d, ONE)
-    for j in range(d):
-        x = SparsePoly.variable(d, j)
+    for j, x in enumerate(xs):
         result = result * loop_substitute_homogeneous(recurrence_jacobi_1d(nu[j], aj[j], kappa[j]), x, hom, nu[j])
         hom = hom - x
     return result
@@ -216,8 +240,9 @@ def rational_kraw_block(j, rho, n, k, m, tail):
 def leading_form(nu, kappa, tau=None):
     """Degree-|nu| part of jacobi_simplex_basis(nu, kappa), or of its tau.act_vars image, from leading_cores."""
     K, D = over_lcm([R(k) for k in kappa])
-    [(terms, den)] = leading_cores([nu], K, D, tau)
-    return SparsePoly(len(nu), {e: R(c, den) for e, c in terms.items()})
+    order = enumerate_basis(len(nu), sum(nu))
+    row, den = leading_cores(order, K, D, tau)[order.index(tuple(nu))]
+    return SparsePoly(len(nu), {gamma: R(c, den) for gamma, c in zip(order, row)})
 
 
 def param_bridge_1d(beta, N):

@@ -304,11 +304,23 @@ def test_gram_builds_each_jacobi_factor_once_per_basis(monkeypatch, d, n):
     mul = counted("mul_terms", multipoly.mul_terms)
     monkeypatch.setattr(simplex, "mul_terms", mul)
     monkeypatch.setattr(multipoly, "mul_terms", mul)
-    gram_connection(Permutation.from_cycles("(12)", d + 1), tuple(R(j + 1, j + 3) for j in range(d + 1)), n)
+    order = enumerate_basis(d, n)
     # factor j of P_nu depends on nu through (j, nu_j, |nu^{j+1}|) only
-    keys = {(j, nu[j], sum(nu[j + 1:])) for nu in enumerate_basis(d, n) for j in range(d) if nu[j]}
-    assert calls["jacobi_core"] == 2 * len(keys)
-    assert calls["mul_terms"] < PER_NU_PRODUCTS[d, n]
+    keys = {(j, nu[j], sum(nu[j + 1:])) for nu in order for j in range(d) if nu[j]}
+    # each Horner step of factor j takes one product by hom_j; a step by a bare
+    # slot x_i shifts keys and takes none, so only the source factor in the
+    # place that tau gives slot d + 1, 1 - |x|, takes a second; each suffix
+    # (nu_j, ..., nu_d) with nu_j > 0 and a nonzero rest takes one more
+    suffixes = {nu[j:] for nu in order for j in range(d) if nu[j] and sum(nu[j + 1:])}
+    steps = sum(m for _, m, _ in keys)
+    for cycle in ("(12)", f"(1 {d + 1})", f"({d} {d + 1})"):
+        tau = Permutation.from_cycles(cycle, d + 1)
+        calls.clear()
+        gram_connection(tau, tuple(R(j + 1, j + 3) for j in range(d + 1)), n)
+        assert calls["jacobi_core"] == 2 * len(keys), cycle
+        last = tau.inverse()(d + 1) - 1
+        assert calls["mul_terms"] == 2 * (steps + len(suffixes)) + sum(m for j, m, _ in keys if j == last), cycle
+        assert calls["mul_terms"] < PER_NU_PRODUCTS[d, n], cycle
 
 
 def test_cached_target_rows_are_tuples_a_caller_cannot_change():
@@ -350,13 +362,13 @@ def test_a_target_form_off_the_triangle_raises_naming_mu(monkeypatch, fault):
     mu = order[1]
 
     def corrupted(forms_order, K, D, tau=None):
-        forms = [(dict(terms), den) for terms, den in leading_cores(forms_order, K, D, tau)]
+        forms = leading_cores(forms_order, K, D, tau)
         if tau is None:
-            terms = forms[1][0]
+            row = forms[1][0]
             if fault == "zero pivot":
-                del terms[mu]
+                row[1] = 0
             else:
-                terms[order[2]] = 1
+                row[2] = 1
         return forms
 
     leading_cores = connection.leading_cores

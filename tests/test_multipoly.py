@@ -1,4 +1,5 @@
 import random
+from operator import add
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -81,9 +82,14 @@ def test_subst_composition():
 
 
 def test_mul_terms_takes_integer_coefficients_and_keeps_no_zero():
-    # (x + 1)(x - 1) = x^2 - 1: the x terms cancel and are dropped
-    assert mul_terms({(1,): 1, (0,): 1}, {(1,): 1, (0,): -1}) == {(2,): 1, (0,): -1}
-    assert mul_terms({(1, 0): 2}, {}) == {}
+    # (x + 1)(x - 1) = x^2 - 1: the x terms cancel and are dropped, whether the
+    # keys are exponent tuples or integer exponents that add
+    def add_tuples(e1, e2):
+        return tuple(a + b for a, b in zip(e1, e2))
+
+    assert mul_terms({(1,): 1, (0,): 1}, {(1,): 1, (0,): -1}, add_tuples) == {(2,): 1, (0,): -1}
+    assert mul_terms({1: 1, 0: 1}, {1: 1, 0: -1}, add) == {2: 1, 0: -1}
+    assert mul_terms({(1, 0): 2}, {}, add_tuples) == {}
 
 
 def test_substitute_homogeneous_binomial():

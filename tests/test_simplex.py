@@ -23,7 +23,8 @@ from simplexconn.simplex import (
     simplex_moment,
 )
 
-from oracles import leading_form, loop_basis, recurrence_jacobi_1d, summed_a_coeffs, top_part, value_or_error
+from oracles import (leading_form, loop_basis, recurrence_jacobi_1d, summed_a_coeffs, top_part, unpacked,
+                     value_or_error)
 
 
 def perms(m):
@@ -158,6 +159,14 @@ def test_simplex_moment_dirichlet():
             assert value_or_error(simplex_moment, gamma, kappa) == want, (gamma, kappa)
             outcomes.add("zero" if want == 0 else want if isinstance(want, type) else "nonzero")
     assert outcomes == {"zero", "nonzero", ZeroDivisionError}
+
+
+@pytest.mark.parametrize("gamma, kappa", [((1, 1, 1), (0, 0)), ((1,), (0, 0, 0)), ((), (1, 2, 3)),
+                                          ((1, 0, 2, 0), (R(1, 2), 1))])
+def test_simplex_moment_rejects_gamma_of_the_wrong_length(gamma, kappa):
+    # every part of gamma pairs with an entry of kappa, the last of which may be left out
+    with pytest.raises(ValueError, match=f"gamma has {len(gamma)} parts and kappa {len(kappa)} entries"):
+        simplex_moment(gamma, kappa)
 
 
 def test_jacobi_1d_value_at_one():
@@ -307,7 +316,51 @@ def test_batched_product_equals_the_single_product_and_the_rational_loop():
                     for nu, (terms, den), p in zip(order, batch, loops):
                         assert all(terms.values()), (nu, tau, one)
                         want = p if one else top_part(p, n)
-                        assert SparsePoly(d, {e: R(c, den) for e, c in terms.items()}) == want, (nu, tau, one)
+                        assert unpacked(terms, den, d, n) == want, (nu, tau, one)
+
+
+def test_packed_keys_do_not_carry_at_the_largest_exponent():
+    # base max(n, 1) + 1 holds every exponent of a degree-n form in one digit: x_1^n
+    # and x_d^n, from nu = (n, 0, ..., 0) and (0, ..., 0, n), and the forms in which
+    # slot d + 1, which holds every variable, stands in each place, read back digit by
+    # digit equal the rational loop, whole and top part
+    for d in range(1, 6):
+        kappa = tuple(R(j + 1, j + 3) for j in range(d + 1))
+        K, D = over_lcm(kappa)
+        taus = [None] + [Permutation.from_cycles(f"({p} {d + 1})", d + 1) for p in range(1, d + 1)]
+        for n in range(7):
+            ends = {(n,) + (0,) * (d - 1), (0,) * (d - 1) + (n,)}
+            for nu in sorted(ends):
+                for tau in taus:
+                    p = loop_basis(nu, kappa, tau)
+                    for one in (0, 1):
+                        [(terms, den)] = simplex._product_cores([nu], K, D, tau, one)
+                        want = p if one else top_part(p, n)
+                        assert unpacked(terms, den, d, n) == want and not want.is_zero(), (nu, tau, one)
+
+
+def test_leading_cores_rows_follow_the_order_given():
+    # the rows, and the entries of each, are in the order of the multi-indices given;
+    # a list that misses one, repeats one or mixes degrees raises ValueError
+    K, D = over_lcm((R(1, 2), R(1, 3), R(2)))
+    order = enumerate_basis(2, 3)
+    tau = Permutation.from_cycles("(13)", 3)
+    forward = simplex.leading_cores(order, K, D, tau)
+    backward = simplex.leading_cores(order[::-1], K, D, tau)
+    assert backward == [(row[::-1], den) for row, den in forward[::-1]]
+    for bad in (order[:-1], order + order[:1], order[:-1] + [(1, 1)], [(1, 1), (0, 3)]):
+        with pytest.raises(ValueError, match="each multi-index of degree"):
+            simplex.leading_cores(bad, K, D)
+
+
+def test_the_rational_loop_over_permuted_slots_is_the_acted_basis():
+    rng = random.Random(38)
+    for d in (1, 2, 3):
+        kappa = tuple(R(rng.randint(0, 9), rng.randint(1, 9)) for _ in range(d + 1))
+        for n in range(4):
+            for nu in enumerate_basis(d, n):
+                for tau in all_permutations(d + 1):
+                    assert loop_basis(nu, kappa, tau) == tau.act_vars(loop_basis(nu, kappa)), (nu, tau)
 
 
 def rational_norm_A(nu, kappa):
