@@ -17,9 +17,10 @@ swaps those integers, cc_2d_entry takes kappa-hat as three integers over D
 and returns its whole block of (num, den) at once, each prefactor built once
 per row or column and all its 4F3 summed by one call of exact_arith's block
 kernel, fold_block, and each row of the running product is integer
-numerators over one denominator, handed to the ConnMatrix as its int_rows,
-so the engine makes no rational and keeps no matrix: connection_matrix
-returns a new value per call.  The engine reads one block per group of rows
+numerators over one denominator, unreduced from letter to letter and handed
+to the ConnMatrix as its int_rows, which divides out one gcd per row, so the
+engine makes no rational and keeps no matrix: connection_matrix returns a
+new value per call.  The engine reads one block per group of rows
 of one local degree and tail, and passes the rows of local degree 0, whose
 block is [[1]], through untouched, as s_d does the rows whose factor is 1;
 a caller that builds many matrices at permutations of one kappa passes them
@@ -189,15 +190,16 @@ def word_product(tau, P, D, n, local, block, ratio, entries=None):
     The caller puts the params over their lcm D once: D does not change when
     slots are swapped, so every step reads the same integers P, permuted.
     Rows are kept as integer numerators over one row denominator: s_j combines
-    the rows it reads over the lcm of (entry denominator x row denominator)
-    and divides out one gcd, and s_d multiplies row nu by p^{nu_d} and its
-    denominator by q^{nu_d}, keeping the row as it is where p^{nu_d} =
-    q^{nu_d}.  The rows are the ConnMatrix's int_rows as they stand, reduced
-    there: no rational is made.  The rows of s_j fall into groups of one
-    (m_loc, tail), each of which reads one block, and a group into fibers,
-    the rows that agree outside slots j, j+1, which read one list of rows;
-    rows of local degree 0, whose block is [[1]] in every family, are left
-    as they are, with no block.  Which rows mu each row nu reads depends
+    the rows it reads over the lcm of (entry denominator x row denominator),
+    with no gcd, and s_d multiplies row nu by p^{nu_d} and its denominator by
+    q^{nu_d}, keeping the row as it is where p^{nu_d} = q^{nu_d}.  No row is
+    reduced between letters: the rows, written out dense, are the
+    ConnMatrix's int_rows as they stand, and from_int_rows divides out each
+    row's one gcd, once per matrix.  No rational is made.  The rows of s_j
+    fall into groups of one (m_loc, tail), each of which reads one block, and
+    a group into fibers, the rows that agree outside slots j, j+1, which read
+    one list of rows; rows of local degree 0, whose block is [[1]] in every
+    family, are left as they are, with no block.  Which rows mu each row nu reads depends
     only on (d, n, j), so _letter_reads finds it once per (d, n, j).
 
     entries holds what the call reads and would otherwise build again, each
@@ -259,15 +261,17 @@ def word_product(tau, P, D, n, local, block, ratio, entries=None):
                             f = num * (common // part_den)
                             for col, v in row.items():
                                 acc[col] = acc.get(col, 0) + f * v
-                        g = gcd(common, *acc.values())
-                        if g > 1:
-                            acc = {col: v // g for col, v in acc.items()}
-                            common //= g
                         new_rows[i] = (acc, common)
             rows = new_rows
         P = (*P[: a - 1], P[a], P[a - 1], *P[a + 1:])
     size = len(order)
-    return ConnMatrix.from_int_rows(d, n, [([row.get(i, 0) for i in range(size)], den) for row, den in rows], order)
+    int_rows = []
+    for row, den in rows:
+        nums = [0] * size
+        for col, v in row.items():
+            nums[col] = v
+        int_rows.append((nums, den))
+    return ConnMatrix.from_int_rows(d, n, int_rows, order)
 
 
 def _letter_reads(order, index, j):

@@ -322,7 +322,9 @@ def _product_cores(order, K, D, tau, one):
     slot x_i in place j is bare, so F x_j shifts each key by b^(i-1) and
     makes no product; only slot d + 1 is multiplied out.  That is every
     factor of the untransformed basis, and of tau.P_nu each factor but the
-    one, if any, in the place that tau gives slot d + 1.
+    one, if any, in the place that tau gives slot d + 1.  At one = 0,
+    hom_1 = 0 and factor 1 is c_n x_1^n, so it runs no Horner step: a key
+    shift for a bare slot, n products for slot d + 1.
 
     Factor j depends on nu only through (nu_j, |nu^{j+1}|), and the product
     of factors j, ..., d only through the suffix (nu_j, ..., nu_d), so the
@@ -357,12 +359,19 @@ def _product_cores(order, K, D, tau, one):
         if key not in factors:
             coeffs, q = jacobi_core(n, a_core(K, D, j + 1, tail), K[j], D)
             x = xs[j]
-            terms, h = {0: coeffs[n]}, {0: 1}
-            for c in reversed(coeffs[:n]):
-                h = mul_terms(h, homs[j], add)
-                terms = mul_terms(terms, last, add) if x is last else {e + x: v for e, v in terms.items()}
-                for e, v in h.items():
-                    terms[e] = terms.get(e, 0) + c * v
+            if homs[j]:
+                terms, h = {0: coeffs[n]}, {0: 1}
+                for c in reversed(coeffs[:n]):
+                    h = mul_terms(h, homs[j], add)
+                    terms = mul_terms(terms, last, add) if x is last else {e + x: v for e, v in terms.items()}
+                    for e, v in h.items():
+                        terms[e] = terms.get(e, 0) + c * v
+            elif x is last:  # hom_1 = one = 0: the factor is c_n x^n, n products
+                terms = {0: coeffs[n]}
+                for _ in range(n):
+                    terms = mul_terms(terms, last, add)
+            else:  # and for a bare slot one key shift
+                terms = {n * x: coeffs[n]}
             factors[key] = {e: v for e, v in terms.items() if v}, q
         return factors[key]
 
@@ -425,11 +434,20 @@ def norm_A(nu, kappa):
 
 
 def enumerate_basis(d, n):
-    """All multi-indices of length d and total degree n, in grevlex order.
+    """All multi-indices of length d and total degree n, in grevlex order, as a new list.
 
-    Grevlex compares the last part first, so the list is built by recursing
-    on it: last part 0, 1, ..., n, each followed by the shorter indices.
+    Grevlex compares the last part first, so the indices of length l and
+    degree m are those of length l - 1 and degree m - last, for last part
+    0, 1, ..., m in turn.  The lists are built level by level, each
+    length's lists of every degree <= n once from the previous length's,
+    with no recursion; only degree n is built at length d.  [()] at
+    (d, n) = (0, 0), and [] at d = 0 with n != 0 and at n < 0.
     """
+    if n < 0:
+        return []
     if d == 0:
         return [()] if n == 0 else []
-    return [nu + (last,) for last in range(n + 1) for nu in enumerate_basis(d - 1, n - last)]
+    levels = [[()]] + [[] for _ in range(n)]
+    for _ in range(d - 1):
+        levels = [[nu + (last,) for last in range(m + 1) for nu in levels[m - last]] for m in range(n + 1)]
+    return [nu + (last,) for last in range(n + 1) for nu in levels[n - last]]

@@ -22,8 +22,9 @@ ball_inner_product of the package's ball basis elements, the sources moved
 by permute; tests compare hahn_connection, kraw_connection, ball_connection
 and the closed norms with them.  gegenbauer_gen writes the generalized
 Gegenbauer polynomials from jacobi_1d, param_bridge_1d gives the
-one-variable Racah parameters of the d = 1 product family, and
-leading_form is the rational view of simplex.leading_cores.
+one-variable Racah parameters of the d = 1 product family,
+leading_form is the rational view of simplex.leading_cores, and
+recursive_basis is the recursive definition of enumerate_basis's order.
 
 module_caches is the scan for module state that the tests share.
 """
@@ -58,6 +59,13 @@ def value_or_error(rule, *args):
         return rule(*args)
     except ArithmeticError as exc:
         return type(exc)
+
+
+def recursive_basis(d, n):
+    """The multi-indices of length d and degree n in grevlex order, by recursing on the last part."""
+    if d == 0:
+        return [()] if n == 0 else []
+    return [nu + (last,) for last in range(n + 1) for nu in recursive_basis(d - 1, n - last)]
 
 
 def top_part(p, n):

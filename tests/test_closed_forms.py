@@ -2,6 +2,7 @@ import itertools
 import json
 import random
 from collections import Counter
+from math import gcd
 
 import pytest
 
@@ -498,6 +499,23 @@ def test_engine_over_the_words_lcm_equals_the_rational_loop():
     for m in (3, 4):
         ext = rho[: m - 1] + (1 - sum(rho[: m - 1]),)
         assert_same_products(all_perms(m), ext, range(4), KRAWTCHOUK)
+
+
+def test_longest_words_equal_the_rational_loop_with_reduced_rows():
+    # the longest element of S_m reverses the slots, a word of m(m-1)/2 letters over
+    # which the engine keeps its rows unreduced; the matrix reduces each row once,
+    # to a positive denominator that shares no factor with its numerators
+    kappa = (*COPRIME, HALF)
+    rho = (R(1, 3), R(1, 5), R(1, 7), R(1, 11), R(1, 13))
+    for m, degrees in ((6, range(3)), (5, range(4))):
+        w0 = Permutation(range(m, 0, -1))
+        kraw = (*rho[: m - 1], 1 - sum(rho[: m - 1]))
+        for params, family in ((kappa[-m:], JACOBI), (kraw, KRAWTCHOUK)):
+            assert_same_products([w0], params, degrees, family)
+            local, block, ratio = family[:3]
+            for n in degrees:
+                got = cf.word_product(w0, *over_lcm(params), n, local, block, ratio)
+                assert all(den > 0 and gcd(den, *nums) == 1 for nums, den in got.int_rows), (m, params, n)
 
 
 @pytest.mark.parametrize("family, params", [

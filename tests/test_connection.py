@@ -307,12 +307,13 @@ def test_gram_builds_each_jacobi_factor_once_per_basis(monkeypatch, d, n):
     order = enumerate_basis(d, n)
     # factor j of P_nu depends on nu through (j, nu_j, |nu^{j+1}|) only
     keys = {(j, nu[j], sum(nu[j + 1:])) for nu in order for j in range(d) if nu[j]}
-    # each Horner step of factor j takes one product by hom_j; a step by a bare
-    # slot x_i shifts keys and takes none, so only the source factor in the
-    # place that tau gives slot d + 1, 1 - |x|, takes a second; each suffix
+    # each Horner step of factor j > 1 takes one product by hom_j, and factor 1,
+    # whose hom_1 is 0 in a leading form, takes none; a step by a bare slot x_i
+    # shifts keys and takes none, so only the source factor in the place that
+    # tau gives slot d + 1, 1 - |x|, takes a second; each suffix
     # (nu_j, ..., nu_d) with nu_j > 0 and a nonzero rest takes one more
     suffixes = {nu[j:] for nu in order for j in range(d) if nu[j] and sum(nu[j + 1:])}
-    steps = sum(m for _, m, _ in keys)
+    steps = sum(m for j, m, _ in keys if j)
     for cycle in ("(12)", f"(1 {d + 1})", f"({d} {d + 1})"):
         tau = Permutation.from_cycles(cycle, d + 1)
         calls.clear()

@@ -23,8 +23,8 @@ from simplexconn.simplex import (
     simplex_moment,
 )
 
-from oracles import (leading_form, loop_basis, recurrence_jacobi_1d, summed_a_coeffs, top_part, unpacked,
-                     value_or_error)
+from oracles import (leading_form, loop_basis, recurrence_jacobi_1d, recursive_basis, summed_a_coeffs, top_part,
+                     unpacked, value_or_error)
 
 
 def perms(m):
@@ -123,6 +123,21 @@ def test_enumerate_basis_is_sorted_grevlex_and_total_at_the_edges():
             assert len(set(order)) == len(order) and all(sum(nu) == n for nu in order)
     assert enumerate_basis(0, 0) == [()]
     assert enumerate_basis(0, 2) == [] and enumerate_basis(3, -1) == []
+
+
+def test_enumerate_basis_equals_the_recursive_definition():
+    # d = 0 and n = -1 are the edges: [()] at (0, 0), [] at d = 0 with n != 0 and at n < 0
+    for d in range(7):
+        for n in range(-1, 9):
+            assert enumerate_basis(d, n) == recursive_basis(d, n), (d, n)
+
+
+def test_enumerate_basis_returns_a_new_list_per_call():
+    for d, n in ((0, 0), (1, 2), (3, 3)):
+        first = enumerate_basis(d, n)
+        first.append((9,) * d)
+        first[0] = None
+        assert enumerate_basis(d, n) == recursive_basis(d, n), (d, n)
 
 
 def rational_moment(gamma, kappa):
@@ -317,6 +332,32 @@ def test_batched_product_equals_the_single_product_and_the_rational_loop():
                         assert all(terms.values()), (nu, tau, one)
                         want = p if one else top_part(p, n)
                         assert unpacked(terms, den, d, n) == want, (nu, tau, one)
+
+
+def test_leading_forms_multiply_no_empty_form(monkeypatch):
+    # at one = 0, hom_1 = 0: factor 1 is c_n x^n, a key shift, or n products by
+    # 1 - |x| when tau puts slot d + 1 in place 1, and no Horner step multiplies
+    # by the empty hom_1; the forms equal the rational loop's top parts
+    operands = []
+
+    def spy(p, q, combine):
+        operands.append((len(p), len(q)))
+        return multiply(p, q, combine)
+
+    multiply = simplex.mul_terms
+    monkeypatch.setattr(simplex, "mul_terms", spy)
+    kappa = (R(1, 2), R(1, 3), R(2, 5), R(3, 7))
+    K, D = over_lcm(kappa)
+    for n in (3, 6):
+        order = enumerate_basis(3, n)
+        for tau in [None] + all_permutations(4):
+            operands.clear()
+            rows = simplex.leading_cores(order, K, D, tau)
+            assert operands and all(p and q for p, q in operands), (n, tau)
+            if n == 3:
+                for nu, (row, den) in zip(order, rows):
+                    want = top_part(loop_basis(nu, kappa, tau), n)
+                    assert {gamma: R(v, den) for gamma, v in zip(order, row) if v} == want.terms, (nu, tau)
 
 
 def test_packed_keys_do_not_carry_at_the_largest_exponent():
