@@ -17,8 +17,9 @@ swaps those integers, cc_2d_entry takes kappa-hat as three integers over D
 and returns its whole block of (num, den) at once, each prefactor built once
 per row or column and all its 4F3 summed by one call of exact_arith's block
 kernel, fold_block, and each row of the running product is integer
-numerators over one denominator, unreduced from letter to letter and handed
-to the ConnMatrix as its int_rows, which divides out one gcd per row, so the
+numerators over one denominator, reduced by its gcd only once it has
+doubled in size, and handed to the ConnMatrix as its int_rows, which
+divides out each row's gcd once more, so the
 engine makes no rational and keeps no matrix: connection_matrix returns a
 new value per call.  The engine reads one block per group of rows
 of one local degree and tail, and passes the rows of local degree 0, whose
@@ -191,11 +192,17 @@ def word_product(tau, P, D, n, local, block, ratio, entries=None):
     slots are swapped, so every step reads the same integers P, permuted.
     Rows are kept as integer numerators over one row denominator: s_j combines
     the rows it reads over the lcm of (entry denominator x row denominator),
-    with no gcd, and s_d multiplies row nu by p^{nu_d} and its denominator by
-    q^{nu_d}, keeping the row as it is where p^{nu_d} = q^{nu_d}.  No row is
-    reduced between letters: the rows, written out dense, are the
-    ConnMatrix's int_rows as they stand, and from_int_rows divides out each
-    row's one gcd, once per matrix.  No rational is made.  The rows of s_j
+    and s_d multiplies row nu by p^{nu_d} and its denominator by q^{nu_d},
+    keeping the row as it is where p^{nu_d} = q^{nu_d}.  Each row has a base
+    size: the bit length of its denominator at its last gcd, or else the
+    largest base among the rows s_j built it from, or, where those are all
+    still rows of the identity, its own bit length then.  s_j divides out a
+    row's gcd only once its denominator has more than twice the bits of
+    that base, so a long word keeps every row within about twice the size
+    it or its sources had when last reduced, while a row that a short word
+    never doubles pays no gcd between letters.  The rows, written out dense,
+    are the ConnMatrix's int_rows as they stand, and from_int_rows divides
+    out each row's gcd once more.  No rational is made.  The rows of s_j
     fall into groups of one (m_loc, tail), each of which reads one block, and
     a group into fibers, the rows that agree outside slots j, j+1, which read
     one list of rows; rows of local degree 0, whose block is [[1]] in every
@@ -227,6 +234,7 @@ def word_product(tau, P, D, n, local, block, ratio, entries=None):
     order, index, reads = basis
     # (numerators {column: int}, row denominator) of the running product, starting at the identity
     rows = [({i: 1}, 1) for i in range(len(order))]
+    bases = [0] * len(order)  # each row's base size in bits, 0 until s_j first builds it
     for a in tau.reduced_word():
         if a == d:
             p, q = ratio(P, D)
@@ -245,6 +253,7 @@ def word_product(tau, P, D, n, local, block, ratio, entries=None):
             if a not in reads:
                 reads[a] = _letter_reads(order, index, a)
             new_rows = rows[:]  # rows of local degree 0 pass through: the block there is [[1]]
+            new_bases = bases[:]
             for (m_loc, tail), fibers in reads[a].items():
                 params = local(P, D, a, tail)
                 key = (block, params, D, m_loc)
@@ -253,6 +262,7 @@ def word_product(tau, P, D, n, local, block, ratio, entries=None):
                     entry_rows = entries[key] = block(params, D, m_loc)
                 for sources in fibers:
                     read = [rows[s] for s in sources]
+                    base = max([bases[s] for s in sources])
                     for i, entry_row in zip(sources, entry_rows):
                         parts = [(num, den * row_den, row) for (num, den), (row, row_den) in zip(entry_row, read) if num]
                         common = lcm(*(part_den for _, part_den, _ in parts))
@@ -261,8 +271,15 @@ def word_product(tau, P, D, n, local, block, ratio, entries=None):
                             f = num * (common // part_den)
                             for col, v in row.items():
                                 acc[col] = acc.get(col, 0) + f * v
+                        new_bases[i] = base or common.bit_length()
+                        if base and common.bit_length() > 2 * base:
+                            g = gcd(common, *acc.values())
+                            if g != 1:
+                                common //= g
+                                acc = {col: v // g for col, v in acc.items()}
+                            new_bases[i] = common.bit_length()
                         new_rows[i] = (acc, common)
-            rows = new_rows
+            rows, bases = new_rows, new_bases
         P = (*P[: a - 1], P[a], P[a - 1], *P[a + 1:])
     size = len(order)
     int_rows = []

@@ -16,7 +16,7 @@ sum.  The normalized cycle coefficient has one Krawtchouk form; form 2 is
 its kraw_dual.
 """
 
-from math import comb
+from math import comb, gcd
 
 from .backend import R, ZERO, ONE
 from .exact_arith import QSqrt, fold_block, hyp_with_prefactor, over_lcm, pochhammer
@@ -217,7 +217,9 @@ def _kraw_block(L, D, n):
     z are built once per block, and its 2F1 are one exact_arith.fold_block
     over the tops -k of the rows and -m of the columns, so each entry folds
     at its least top min(k, m), whose bottom (-n)_{min(k, m)} is never 0.
-    Like cc_2d_entry it returns rows of integer pairs (num, den), den != 0.
+    Like cc_2d_entry it returns rows of integer pairs (num, den), den != 0,
+    each divided by its gcd: the powers and the 2F1 share many factors, and
+    the engine's rows would carry them from letter to letter.
     """
     A, B, C = L
     T = A + B + C
@@ -232,6 +234,8 @@ def _kraw_block(L, D, n):
         for m, (total, bottom) in enumerate(sums):
             num = binoms[m] * a_pows[max(n - m - k, 0)] * c_pows[k] * t_pows[m] * total
             den = a_pows[max(m + k - n, 0)] * den_n * bottom
+            g = gcd(num, den)
+            num, den = num // g, den // g
             row.append((-num if (n + m + k) % 2 else num, den))
         block.append(row)
     return block

@@ -323,8 +323,7 @@ def _product_cores(order, K, D, tau, one):
     makes no product; only slot d + 1 is multiplied out.  That is every
     factor of the untransformed basis, and of tau.P_nu each factor but the
     one, if any, in the place that tau gives slot d + 1.  At one = 0,
-    hom_1 = 0 and factor 1 is c_n x_1^n, so it runs no Horner step: a key
-    shift for a bare slot, n products for slot d + 1.
+    hom_1 = 0, so factor 1's steps multiply by no hom_1.
 
     Factor j depends on nu only through (nu_j, |nu^{j+1}|), and the product
     of factors j, ..., d only through the suffix (nu_j, ..., nu_d), so the
@@ -359,19 +358,12 @@ def _product_cores(order, K, D, tau, one):
         if key not in factors:
             coeffs, q = jacobi_core(n, a_core(K, D, j + 1, tail), K[j], D)
             x = xs[j]
-            if homs[j]:
-                terms, h = {0: coeffs[n]}, {0: 1}
-                for c in reversed(coeffs[:n]):
-                    h = mul_terms(h, homs[j], add)
-                    terms = mul_terms(terms, last, add) if x is last else {e + x: v for e, v in terms.items()}
-                    for e, v in h.items():
-                        terms[e] = terms.get(e, 0) + c * v
-            elif x is last:  # hom_1 = one = 0: the factor is c_n x^n, n products
-                terms = {0: coeffs[n]}
-                for _ in range(n):
-                    terms = mul_terms(terms, last, add)
-            else:  # and for a bare slot one key shift
-                terms = {n * x: coeffs[n]}
+            terms, h = {0: coeffs[n]}, {0: 1}
+            for c in reversed(coeffs[:n]):
+                h = mul_terms(h, homs[j], add) if homs[j] else {}
+                terms = mul_terms(terms, last, add) if x is last else {e + x: v for e, v in terms.items()}
+                for e, v in h.items():
+                    terms[e] = terms.get(e, 0) + c * v
             factors[key] = {e: v for e, v in terms.items() if v}, q
         return factors[key]
 
@@ -443,8 +435,6 @@ def enumerate_basis(d, n):
     with no recursion; only degree n is built at length d.  [()] at
     (d, n) = (0, 0), and [] at d = 0 with n != 0 and at n < 0.
     """
-    if n < 0:
-        return []
     if d == 0:
         return [()] if n == 0 else []
     levels = [[()]] + [[] for _ in range(n)]

@@ -503,8 +503,8 @@ def test_engine_over_the_words_lcm_equals_the_rational_loop():
 
 def test_longest_words_equal_the_rational_loop_with_reduced_rows():
     # the longest element of S_m reverses the slots, a word of m(m-1)/2 letters over
-    # which the engine keeps its rows unreduced; the matrix reduces each row once,
-    # to a positive denominator that shares no factor with its numerators
+    # which the engine reduces a row only when it has doubled; the matrix reduces each
+    # row once more, to a positive denominator that shares no factor with its numerators
     kappa = (*COPRIME, HALF)
     rho = (R(1, 3), R(1, 5), R(1, 7), R(1, 11), R(1, 13))
     for m, degrees in ((6, range(3)), (5, range(4))):
@@ -516,6 +516,50 @@ def test_longest_words_equal_the_rational_loop_with_reduced_rows():
             for n in degrees:
                 got = cf.word_product(w0, *over_lcm(params), n, local, block, ratio)
                 assert all(den > 0 and gcd(den, *nums) == 1 for nums, den in got.int_rows), (m, params, n)
+
+
+def test_rows_are_reduced_once_they_double(monkeypatch):
+    # a family whose (12) block is the identity with each diagonal entry written c / c:
+    # a row would carry one more factor c for each letter that changes it, and w0 of S_6
+    # changes some rows many times in its 15 letters.  A row takes the size c has as its
+    # base when first built and is reduced once it passes twice that, so no row handed
+    # to the matrix has a denominator above c^2, and the matrix is the identity.
+    c = 3**40
+    handed = []
+    from_int_rows = ConnMatrix.from_int_rows.__func__
+
+    def spy(cls, d, n, int_rows, order=None):
+        handed.extend(den for _, den in int_rows)
+        return from_int_rows(cls, d, n, int_rows, order)
+
+    def block(L, D, m_loc):
+        return [[(c, c) if m == k else (0, 1) for m in range(m_loc + 1)] for k in range(m_loc + 1)]
+
+    monkeypatch.setattr(ConnMatrix, "from_int_rows", classmethod(spy))
+    for n in range(4):
+        handed.clear()
+        got = cf.word_product(Permutation(range(6, 0, -1)), (1,) * 6, 1, n, lambda P, D, j, tail: (), block,
+                              lambda P, D: (1, 1))
+        size = len(got.order)
+        assert got.int_rows == tuple((tuple(int(i == r) for i in range(size)), 1) for r in range(size))
+        assert max(handed) <= c**2, n
+        assert n < 2 or max(handed) > 1  # some row went unreduced between letters
+
+
+def test_krawtchouk_blocks_are_in_lowest_terms():
+    # each entry (num, den) of the Krawtchouk (12) block is divided by its gcd, as the
+    # Jacobi block's are, and equals the rational rule's entry
+    rho = (R(1, 3), R(1, 5), R(1, 7))
+    ext = (*rho, 1 - sum(rho))
+    P, D = over_lcm(ext)
+    for j in (1, 2):
+        for n in range(1, 7):
+            for tail in range(4):
+                block = ds._kraw_block(ds._kraw_local(P, D, j, tail), D, n)
+                for k, row in enumerate(block):
+                    for m, (num, den) in enumerate(row):
+                        assert gcd(num, den) == 1, (j, n, tail, k, m)
+                        assert R(num, den) == rational_kraw_block(j, ext, n, k, m, tail)
 
 
 @pytest.mark.parametrize("family, params", [

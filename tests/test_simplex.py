@@ -335,8 +335,7 @@ def test_batched_product_equals_the_single_product_and_the_rational_loop():
 
 
 def test_leading_forms_multiply_no_empty_form(monkeypatch):
-    # at one = 0, hom_1 = 0: factor 1 is c_n x^n, a key shift, or n products by
-    # 1 - |x| when tau puts slot d + 1 in place 1, and no Horner step multiplies
+    # at one = 0, hom_1 = 0: factor 1 is c_n x^n, and no Horner step multiplies
     # by the empty hom_1; the forms equal the rational loop's top parts
     operands = []
 
